@@ -30,16 +30,14 @@ func passBounds(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 
 	// Concrete layer: per-rank observations.
-	for _, t := range ctx.Traces {
-		for _, h := range t.bounds {
-			sev := Error
-			if h.may {
-				sev = Warning
-			}
-			d := ctx.diag("bounds", sev, h.stmt, "%s", h.msg)
-			d.Ranks = []int{h.rank}
-			diags = append(diags, d)
+	for _, h := range ctx.traces.hits {
+		sev := Error
+		if h.may {
+			sev = Warning
 		}
+		d := ctx.diag("bounds", sev, ctx.plan.stmts[h.stmt], "%s", h.msg)
+		d.Ranks = []int{int(h.rank)}
+		diags = append(diags, d)
 	}
 
 	// Symbolic layer.
@@ -168,7 +166,9 @@ func (pr *prover) disproveNonNeg(margin ir.Expr) (bool, []int) {
 	if err != nil {
 		return false, nil
 	}
-	if c, ok := symexpr.Simplify(symexpr.FoldEnv(sym, pr.env)).(symexpr.Const); ok {
+	// Fold the configuration in once; only myid is left to bind per rank.
+	sym = symexpr.Simplify(symexpr.FoldEnv(sym, pr.env))
+	if c, ok := sym.(symexpr.Const); ok {
 		if c.Value < 0 {
 			return true, nil // violated independently of the rank
 		}
@@ -176,8 +176,8 @@ func (pr *prover) disproveNonNeg(margin ir.Expr) (bool, []int) {
 	}
 	// Rank-dependent: decide per rank.
 	var witnesses []int
+	env := symexpr.Env{}
 	for r := 0; r < pr.ctx.Ranks; r++ {
-		env := pr.env.Clone()
 		env[ir.BuiltinMyID] = float64(r)
 		c, ok := symexpr.Simplify(symexpr.FoldEnv(sym, env)).(symexpr.Const)
 		if !ok {

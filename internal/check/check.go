@@ -41,6 +41,7 @@ package check
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -128,22 +129,25 @@ func (d Diagnostic) String() string {
 	return msg
 }
 
-// Pass is one registered analysis.
+// Pass is one registered analysis. Traces declares that it consumes the
+// per-rank communication traces; the per-rank evaluation runs only when
+// an enabled pass does.
 type Pass struct {
-	Name string
-	Desc string
-	Run  func(*Context) []Diagnostic
+	Name   string
+	Desc   string
+	Traces bool
+	Run    func(*Context) []Diagnostic
 }
 
 // Passes returns the registered passes in execution order.
 func Passes() []Pass {
 	return []Pass{
-		{"sendrecv", "match sends to receives across resolved process sets", passSendRecv},
-		{"deadlock", "detect blocking-communication cycles per rank trace", passDeadlock},
-		{"collective", "verify all ranks reach the same collectives in the same order", passCollective},
-		{"bounds", "check sections and indices against declared dimensions and the dummy buffer", passBounds},
-		{"slice", "audit the program slice for dropped dependencies", passSlice},
-		{"netconfig", "validate the machine model's topology and placement configuration", passNetConfig},
+		{"sendrecv", "match sends to receives across resolved process sets", true, passSendRecv},
+		{"deadlock", "detect blocking-communication cycles per rank trace", true, passDeadlock},
+		{"collective", "verify all ranks reach the same collectives in the same order", true, passCollective},
+		{"bounds", "check sections and indices against declared dimensions and the dummy buffer", true, passBounds},
+		{"slice", "audit the program slice for dropped dependencies", false, passSlice},
+		{"netconfig", "validate the machine model's topology and placement configuration", false, passNetConfig},
 	}
 }
 
@@ -181,8 +185,13 @@ type Context struct {
 	// Compiled is the full compilation result (nil when compilation is
 	// not applicable, e.g. for already-simplified programs).
 	Compiled *compiler.Result
-	// Traces holds the abstract per-rank communication traces.
-	Traces []*trace
+	// plan is the program compiled for the trace evaluator, traces the
+	// arena of abstract per-rank communication traces; both are nil
+	// unless an enabled pass consumes traces. evals counts the ranks the
+	// evaluator ran.
+	plan   *plan
+	traces *traces
+	evals  int
 }
 
 // diag builds a diagnostic anchored at a statement (which may be nil).
@@ -201,14 +210,7 @@ func (c *Context) diag(pass string, sev Severity, s ir.Stmt, format string, args
 }
 
 // Truncated reports whether any rank's trace hit the analysis budget.
-func (c *Context) Truncated() bool {
-	for _, t := range c.Traces {
-		if t.truncated {
-			return true
-		}
-	}
-	return false
-}
+func (c *Context) Truncated() bool { return c.traces != nil && c.traces.truncated }
 
 // Result collects the diagnostics of one verification run.
 type Result struct {
@@ -256,8 +258,19 @@ func (r *Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ")
 // bad options); findings about a structurally valid program are returned
 // as diagnostics, not errors.
 func Run(p *ir.Program, opts Options) (*Result, error) {
+	res, _, err := run(p, opts)
+	return res, err
+}
+
+// run is Run, also returning the pass context (nil for a structurally
+// invalid program) for tests of the verifier's own cost.
+func run(p *ir.Program, opts Options) (*Result, *Context, error) {
 	if p == nil {
-		return nil, fmt.Errorf("check: nil program")
+		return nil, nil, fmt.Errorf("check: nil program")
+	}
+	passes, err := selectPasses(opts.Passes)
+	if err != nil {
+		return nil, nil, err
 	}
 	if opts.Ranks <= 0 {
 		opts.Ranks = 4
@@ -272,7 +285,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		res.Diags = append(res.Diags, Diagnostic{
 			Pass: "validate", Severity: Error, Program: p.Name, Message: err.Error(),
 		})
-		return res, nil
+		return res, nil, nil
 	}
 	ctx := &Context{
 		Program: p,
@@ -294,22 +307,39 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			})
 		}
 	}
-	ctx.Traces = buildTraces(ctx)
-	for _, t := range ctx.Traces {
-		res.Diags = append(res.Diags, t.notes...)
-	}
-	enabled := map[string]bool{}
-	for _, name := range opts.Passes {
-		enabled[name] = true
-	}
-	for _, pass := range Passes() {
-		if len(enabled) > 0 && !enabled[pass.Name] {
-			continue
+	for _, pass := range passes {
+		if pass.Traces && ctx.traces == nil {
+			ctx.plan = compilePlan(ctx)
+			ctx.traces = buildTraces(ctx)
+			res.Diags = append(res.Diags, ctx.traces.notes...)
 		}
 		res.Diags = append(res.Diags, pass.Run(ctx)...)
 	}
 	res.Diags = dedupe(res.Diags)
-	return res, nil
+	return res, ctx, nil
+}
+
+// selectPasses resolves a pass-name subset (nil or empty: all) to the
+// registered passes in execution order, rejecting unknown names.
+func selectPasses(names []string) ([]Pass, error) {
+	registered := Passes()
+	if len(names) == 0 {
+		return registered, nil
+	}
+	var out []Pass
+	var known []string
+	for _, pass := range registered {
+		known = append(known, pass.Name)
+		if slices.Contains(names, pass.Name) {
+			out = append(out, pass)
+		}
+	}
+	for _, name := range names {
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("check: unknown pass %q (registered: %s)", name, strings.Join(known, ", "))
+		}
+	}
+	return out, nil
 }
 
 // dedupe removes repeated (pass, line, message) findings and orders the

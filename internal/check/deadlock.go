@@ -27,16 +27,8 @@ import (
 // not detected; an Info note records this degradation.
 func passDeadlock(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
-	traces := make([][]op, ctx.Ranks)
-	excluded := false
-	for r, t := range ctx.Traces {
-		traces[r] = t.ops
-		for _, o := range t.ops {
-			if o.may || (o.kind != opColl && !o.peerKnown) {
-				excluded = true
-			}
-		}
-	}
+	tr := ctx.traces
+	excluded := tr.uncertain || tr.mayColl
 	if excluded {
 		diags = append(diags, ctx.diag("deadlock", Info, nil,
 			"data-dependent communication present; deadlock analysis covers definite operations only"))
@@ -47,194 +39,197 @@ func passDeadlock(ctx *Context) []Diagnostic {
 		return diags
 	}
 
-	if stuck, waits := simulate(ctx, traces, false); stuck {
+	if pc := simulate(ctx, false); pc != nil {
 		// With excluded operations the stuck state may be an analysis
 		// artifact, not a certain hang: degrade to a warning.
 		sev, prefix := Error, "deadlock: "
 		if excluded {
 			sev, prefix = Warning, "possible deadlock (approximate analysis): "
 		}
-		diags = append(diags, reportStuck(ctx, traces, waits, sev, prefix))
+		diags = append(diags, reportStuck(ctx, pc, sev, prefix))
 		return diags
 	}
-	if stuck, waits := simulate(ctx, traces, true); stuck {
-		diags = append(diags, reportStuck(ctx, traces, waits, Warning,
-			"unsafe under synchronous sends: "))
+	if pc := simulate(ctx, true); pc != nil {
+		diags = append(diags, reportStuck(ctx, pc, Warning, "unsafe under synchronous sends: "))
 	}
 	return diags
 }
 
-// waitState is each rank's program counter at the stuck point.
-type waitState struct {
-	pc []int
+// progress is the state of one deadlock simulation: a worklist of ranks
+// that may be able to advance, over the arena and its channel table.
+type progress struct {
+	ops []op
+	// pc is each rank's program counter, an arena index running to end.
+	pc, end []int32
+	// inflight counts the undelivered eager messages per channel.
+	inflight   []int32
+	work       []int32
+	queued     []bool
+	atColl     int
+	rendezvous bool
 }
 
 // simulate advances all ranks until every trace is consumed or no rank
-// can progress. rendezvous selects the synchronous-send model. It
-// returns the stuck state when the system cannot terminate.
-func simulate(ctx *Context, traces [][]op, rendezvous bool) (bool, waitState) {
-	n := len(traces)
-	pc := make([]int, n)
-	type chanKey struct{ from, to, tag int }
-	inflight := map[chanKey]int{}
-
-	// skippable reports operations the simulation advances through
-	// unconditionally: uncertain ops and out-of-range peers (the latter
-	// are sendrecv-pass errors; blocking on them here would duplicate).
-	skippable := func(o op) bool {
-		if o.may {
-			return true
+// can progress, and returns the program counters of the stuck state (nil
+// when the system terminates). rendezvous selects the synchronous-send
+// model.
+//
+// Every rank is a sequential process and every blocking operation names
+// its one partner channel, so the final state does not depend on the
+// order ranks are advanced in. A rank therefore runs until it blocks and
+// is revisited only when its wait can have ended: a send wakes exactly
+// its destination, a posted receive its rendezvous sender, a completed
+// collective everyone. Each visit advances at least one rank, which makes
+// a run linear in the total number of operations.
+func simulate(ctx *Context, rendezvous bool) []int32 {
+	tr, n := ctx.traces, ctx.Ranks
+	p := &progress{
+		ops: tr.ops, pc: append([]int32(nil), tr.win[:n]...), end: tr.win[1:],
+		work: make([]int32, 0, n), queued: make([]bool, n), rendezvous: rendezvous,
+	}
+	if !rendezvous {
+		p.inflight = make([]int32, len(tr.chans))
+	}
+	for {
+		for r := n - 1; r >= 0; r-- {
+			p.wake(int32(r))
 		}
-		if o.kind == opColl {
+		for len(p.work) > 0 {
+			r := p.work[len(p.work)-1]
+			p.work = p.work[:len(p.work)-1]
+			p.queued[r] = false
+			p.run(r)
+		}
+		// Collective progress: every rank must sit at the same collective.
+		if p.atColl < n || !p.sameCollective() {
+			break
+		}
+		p.atColl = 0
+		for r := range p.pc {
+			p.pc[r]++
+		}
+	}
+	for r := range p.pc {
+		if p.pc[r] < p.end[r] {
+			return p.pc
+		}
+	}
+	return nil
+}
+
+func (p *progress) wake(r int32) {
+	if !p.queued[r] {
+		p.queued[r] = true
+		p.work = append(p.work, r)
+	}
+}
+
+// at reports whether rank r's current operation is of the given kind on
+// channel ch.
+func (p *progress) at(r int32, kind opKind, ch int32) bool {
+	if p.pc[r] >= p.end[r] {
+		return false
+	}
+	o := &p.ops[p.pc[r]]
+	return o.kind == kind && o.ch == ch
+}
+
+func (p *progress) sameCollective() bool {
+	key := p.ops[p.pc[0]].ch
+	for _, i := range p.pc {
+		if p.ops[i].ch != key {
 			return false
 		}
-		return !o.peerKnown || o.peer < 0 || o.peer >= n
 	}
+	return true
+}
 
-	done := func() bool {
-		for r := 0; r < n; r++ {
-			if pc[r] < len(traces[r]) {
-				return false
+// run advances rank r until it blocks or finishes.
+func (p *progress) run(r int32) {
+	for p.pc[r] < p.end[r] {
+		o := &p.ops[p.pc[r]]
+		switch {
+		case o.has(fMay) || (o.kind != opColl && o.ch < 0):
+			// Uncertain operations and out-of-range peers (the latter are
+			// sendrecv-pass errors; blocking on them here would
+			// duplicate) advance unconditionally.
+		case o.kind == opColl:
+			p.atColl++
+			return
+		case o.kind == opSend && !p.rendezvous:
+			p.inflight[o.ch]++
+			if p.at(o.peer, opRecv, o.ch) {
+				p.wake(o.peer)
 			}
-		}
-		return true
-	}
-
-	for {
-		progressed := false
-		// Point-to-point progress.
-		for r := 0; r < n; r++ {
-			for pc[r] < len(traces[r]) {
-				o := traces[r][pc[r]]
-				if skippable(o) {
-					pc[r]++
-					progressed = true
-					continue
-				}
-				advanced := false
-				switch o.kind {
-				case opSend:
-					if !rendezvous {
-						inflight[chanKey{r, o.peer, o.tag}]++
-						advanced = true
-					} else if p := o.peer; pc[p] < len(traces[p]) {
-						// Synchronous: complete only against a posted
-						// matching receive at the peer's current op.
-						po := traces[p][pc[p]]
-						if po.kind == opRecv && !skippable(po) && po.peer == r && po.tag == o.tag {
-							pc[p]++
-							advanced = true
-						}
-					}
-				case opRecv:
-					ck := chanKey{o.peer, r, o.tag}
-					if !rendezvous {
-						if inflight[ck] > 0 {
-							inflight[ck]--
-							advanced = true
-						}
-					}
-					// Under rendezvous, receives complete from the send
-					// side (handled in the opSend case above).
-				}
-				if !advanced {
-					break
-				}
-				pc[r]++
-				progressed = true
+		case o.kind == opSend:
+			// Synchronous: complete only against a posted matching
+			// receive at the peer's current op.
+			if !p.at(o.peer, opRecv, o.ch) {
+				return
 			}
-		}
-		// Collective progress: all unfinished ranks must sit at the same
-		// collective.
-		allAtColl := true
-		var key string
-		first := true
-		for r := 0; r < n; r++ {
-			if pc[r] >= len(traces[r]) {
-				allAtColl = false
-				break
+			p.pc[o.peer]++
+			p.wake(o.peer)
+		case p.rendezvous:
+			// Receives complete from the send side.
+			if p.at(o.peer, opSend, o.ch) {
+				p.wake(o.peer)
 			}
-			o := traces[r][pc[r]]
-			if o.kind != opColl || o.may {
-				allAtColl = false
-				break
+			return
+		default:
+			if p.inflight[o.ch] == 0 {
+				return
 			}
-			if first {
-				key = o.key
-				first = false
-			} else if o.key != key {
-				allAtColl = false
-				break
-			}
+			p.inflight[o.ch]--
 		}
-		if allAtColl && !first {
-			for r := 0; r < n; r++ {
-				pc[r]++
-			}
-			progressed = true
-		}
-		if done() {
-			return false, waitState{}
-		}
-		if !progressed {
-			return true, waitState{pc: pc}
-		}
+		p.pc[r]++
 	}
 }
 
 // reportStuck renders a stuck simulation state as a diagnostic: a
 // wait-for cycle when one exists, otherwise the first blocked rank's
 // dependency chain.
-func reportStuck(ctx *Context, traces [][]op, ws waitState, sev Severity, prefix string) Diagnostic {
-	n := len(traces)
-	// waitsOn returns the set of ranks the blocked rank is waiting for.
-	waitsOn := func(r int) []int {
-		if ws.pc[r] >= len(traces[r]) {
+func reportStuck(ctx *Context, pc []int32, sev Severity, prefix string) Diagnostic {
+	tr, n := ctx.traces, ctx.Ranks
+	// current returns the operation rank r is blocked at (nil: finished).
+	current := func(r int) *op {
+		if pc[r] >= tr.win[r+1] {
 			return nil
 		}
-		o := traces[r][ws.pc[r]]
-		switch o.kind {
-		case opSend, opRecv:
-			if o.peerKnown && o.peer >= 0 && o.peer < n {
-				return []int{o.peer}
-			}
-		case opColl:
-			var out []int
-			for s := 0; s < n; s++ {
-				if s == r {
-					continue
-				}
-				if ws.pc[s] >= len(traces[s]) {
-					out = append(out, s)
-					continue
-				}
-				so := traces[s][ws.pc[s]]
-				if so.kind != opColl || so.key != o.key {
-					out = append(out, s)
-				}
-			}
-			return out
+		return &tr.ops[pc[r]]
+	}
+	// waitsOn returns the set of ranks the blocked rank is waiting for.
+	waitsOn := func(r int) []int {
+		o := current(r)
+		switch {
+		case o == nil:
+			return nil
+		case o.kind != opColl:
+			return []int{int(o.peer)}
 		}
-		return nil
+		var out []int
+		for s := 0; s < n; s++ {
+			if so := current(s); s != r && (so == nil || so.kind != opColl || so.ch != o.ch) {
+				out = append(out, s)
+			}
+		}
+		return out
 	}
 	describeAt := func(r int) string {
-		if ws.pc[r] >= len(traces[r]) {
+		o := current(r)
+		if o == nil {
 			return fmt.Sprintf("rank %d (finished)", r)
 		}
-		o := traces[r][ws.pc[r]]
-		line := ctx.Lines[o.stmt]
-		if line > 0 {
-			return fmt.Sprintf("rank %d at %s (line %d)", r, o.describe(), line)
+		if line := ctx.Lines[ctx.plan.stmts[o.stmt]]; line > 0 {
+			return fmt.Sprintf("rank %d at %s (line %d)", r, ctx.describe(o), line)
 		}
-		return fmt.Sprintf("rank %d at %s", r, o.describe())
+		return fmt.Sprintf("rank %d at %s", r, ctx.describe(o))
 	}
 
-	// DFS for a cycle over the first wait-for edge of each rank.
-	cycle := findCycle(n, func(r int) []int { return waitsOn(r) })
+	// DFS for a cycle over the wait-for edges.
+	cycle := findCycle(n, waitsOn)
 	var sb strings.Builder
 	sb.WriteString(prefix)
-	var anchor op
-	haveAnchor := false
+	var anchor *op
 	if len(cycle) > 0 {
 		parts := make([]string, 0, len(cycle)+1)
 		for _, r := range cycle {
@@ -243,34 +238,24 @@ func reportStuck(ctx *Context, traces [][]op, ws waitState, sev Severity, prefix
 		parts = append(parts, fmt.Sprintf("rank %d", cycle[0]))
 		sb.WriteString("wait-for cycle ")
 		sb.WriteString(strings.Join(parts, " -> "))
-		if ws.pc[cycle[0]] < len(traces[cycle[0]]) {
-			anchor = traces[cycle[0]][ws.pc[cycle[0]]]
-			haveAnchor = true
-		}
+		anchor = current(cycle[0])
 	} else {
 		// No cycle: some rank waits on ranks that terminated or diverged.
-		for r := 0; r < n; r++ {
-			if ws.pc[r] < len(traces[r]) {
-				deps := waitsOn(r)
+		for r := 0; r < n && anchor == nil; r++ {
+			if anchor = current(r); anchor != nil {
 				sb.WriteString(describeAt(r))
 				sb.WriteString(" blocks forever")
-				if len(deps) > 0 {
+				if deps := waitsOn(r); len(deps) > 0 {
 					sb.WriteString(fmt.Sprintf(" waiting on rank %d", deps[0]))
 				}
-				anchor = traces[r][ws.pc[r]]
-				haveAnchor = true
-				break
 			}
 		}
 	}
-	d := Diagnostic{
-		Pass: "deadlock", Severity: sev, Program: ctx.Program.Name, Message: sb.String(),
+	var at ir.Stmt
+	if anchor != nil {
+		at = ctx.plan.stmts[anchor.stmt]
 	}
-	if haveAnchor && anchor.stmt != nil {
-		d.Line = ctx.Lines[anchor.stmt]
-		d.Stmt = ir.StmtHead(anchor.stmt)
-	}
-	return d
+	return ctx.diag("deadlock", sev, at, "%s", sb.String())
 }
 
 // findCycle finds a cycle among blocked ranks following wait-for edges,

@@ -69,7 +69,7 @@ func checkMutant(t *testing.T, p *ir.Program, inputs map[string]float64, pass st
 	return out
 }
 
-func mutantApp(t *testing.T, name string) (*ir.Program, map[string]float64) {
+func mutantApp(t testing.TB, name string) (*ir.Program, map[string]float64) {
 	t.Helper()
 	spec, ok := apps.Registry()[name]
 	if !ok {
@@ -78,13 +78,19 @@ func mutantApp(t *testing.T, name string) (*ir.Program, map[string]float64) {
 	return spec.Build(), spec.Default(appRanks)
 }
 
-func TestMutantDroppedRecv(t *testing.T) {
+// mutantDroppedRecv deletes tomcatv's first receive.
+func mutantDroppedRecv(t testing.TB) (*ir.Program, map[string]float64) {
 	p, inputs := mutantApp(t, "tomcatv")
 	body, ok := editFirst(p.Body, isRecv, func(ir.Stmt) ir.Stmt { return nil })
 	if !ok {
 		t.Fatal("tomcatv has no recv to drop")
 	}
 	p.Body = body
+	return p, inputs
+}
+
+func TestMutantDroppedRecv(t *testing.T) {
+	p, inputs := mutantDroppedRecv(t)
 	diags := checkMutant(t, p, inputs, "sendrecv")
 	if len(diags) == 0 {
 		t.Fatal("dropping a recv produced no sendrecv error")
@@ -101,7 +107,8 @@ func TestMutantDroppedRecv(t *testing.T) {
 	}
 }
 
-func TestMutantSkewedTag(t *testing.T) {
+// mutantSkewedTag shifts the tag of tomcatv's first receive.
+func mutantSkewedTag(t testing.TB) (*ir.Program, map[string]float64) {
 	p, inputs := mutantApp(t, "tomcatv")
 	_, ok := editFirst(p.Body, isRecv, func(s ir.Stmt) ir.Stmt {
 		r := s.(*ir.Recv)
@@ -111,30 +118,43 @@ func TestMutantSkewedTag(t *testing.T) {
 	if !ok {
 		t.Fatal("tomcatv has no recv to skew")
 	}
+	return p, inputs
+}
+
+func TestMutantSkewedTag(t *testing.T) {
+	p, inputs := mutantSkewedTag(t)
 	if diags := checkMutant(t, p, inputs, "sendrecv"); len(diags) == 0 {
 		t.Fatal("skewing a recv tag produced no sendrecv error")
 	}
 }
 
-func TestMutantDivergentCollective(t *testing.T) {
+// mutantDivergentCollective guards the app's first allreduce so it
+// survives only on ranks 1..P-1: the branch-divergent defect, rank 0's
+// definite sequence is shorter.
+func mutantDivergentCollective(t testing.TB, name string) (*ir.Program, map[string]float64) {
 	isColl := func(s ir.Stmt) bool { _, ok := s.(*ir.Allreduce); return ok }
+	p, inputs := mutantApp(t, name)
+	_, ok := editFirst(p.Body, isColl, func(s ir.Stmt) ir.Stmt {
+		return &ir.If{Cond: ir.GT(ir.S(ir.BuiltinMyID), ir.N(0)), Then: ir.Block(s)}
+	})
+	if !ok {
+		t.Fatalf("%s has no allreduce to wrap", name)
+	}
+	return p, inputs
+}
+
+func TestMutantDivergentCollective(t *testing.T) {
 	for _, name := range []string{"tomcatv", "sweep3d"} {
-		p, inputs := mutantApp(t, name)
-		_, ok := editFirst(p.Body, isColl, func(s ir.Stmt) ir.Stmt {
-			// The branch-divergent defect: the collective survives only on
-			// ranks 1..P-1, so rank 0's definite sequence is shorter.
-			return &ir.If{Cond: ir.GT(ir.S(ir.BuiltinMyID), ir.N(0)), Then: ir.Block(s)}
-		})
-		if !ok {
-			t.Fatalf("%s has no allreduce to wrap", name)
-		}
+		p, inputs := mutantDivergentCollective(t, name)
 		if diags := checkMutant(t, p, inputs, "collective"); len(diags) == 0 {
 			t.Errorf("%s: rank-divergent allreduce produced no collective error", name)
 		}
 	}
 }
 
-func TestMutantShrunkBuffer(t *testing.T) {
+// mutantShrunkBuffer shrinks the array of tomcatv's first send to two
+// rows.
+func mutantShrunkBuffer(t testing.TB) (*ir.Program, map[string]float64) {
 	p, inputs := mutantApp(t, "tomcatv")
 	var victim string
 	_, ok := editFirst(p.Body, isSend, func(s ir.Stmt) ir.Stmt {
@@ -149,21 +169,26 @@ func TestMutantShrunkBuffer(t *testing.T) {
 		t.Fatalf("no declaration for sent array %q", victim)
 	}
 	decl.Dims[0] = ir.N(2)
+	return p, inputs
+}
+
+func TestMutantShrunkBuffer(t *testing.T) {
+	p, inputs := mutantShrunkBuffer(t)
 	if diags := checkMutant(t, p, inputs, "bounds"); len(diags) == 0 {
-		t.Fatalf("shrinking %s to 2 rows produced no bounds error", victim)
+		t.Fatal("shrinking a sent array to 2 rows produced no bounds error")
 	}
 }
 
-func TestMutantRecvBeforeSendRing(t *testing.T) {
-	// Every rank posts its receive before its send; with no message in
-	// flight no receive can complete, a certain deadlock with a full
-	// wait-for cycle. Peers use mod() wraparound so each send has a
-	// matching receive and sendrecv stays quiet — only the deadlock pass
-	// can catch this defect class.
+// mutantRecvBeforeSendRing: every rank posts its receive before its
+// send; with no message in flight no receive can complete, a certain
+// deadlock with a full wait-for cycle. Peers use mod() wraparound so each
+// send has a matching receive and sendrecv stays quiet — only the
+// deadlock pass can catch this defect class.
+func mutantRecvBeforeSendRing() *ir.Program {
 	myid, np := ir.S(ir.BuiltinMyID), ir.S(ir.BuiltinP)
 	left := ir.Mod(ir.Add(myid, ir.Sub(np, ir.N(1))), np)
 	right := ir.Mod(ir.Add(myid, ir.N(1)), np)
-	p := &ir.Program{
+	return &ir.Program{
 		Name:   "ring",
 		Arrays: []*ir.ArrayDecl{{Name: "A", Dims: []ir.Expr{ir.N(8)}, Elem: 8}},
 		Body: ir.Block(
@@ -171,6 +196,26 @@ func TestMutantRecvBeforeSendRing(t *testing.T) {
 			&ir.Send{Dest: right, Tag: 5, Array: "A", Section: ir.Sec(ir.N(1), ir.N(8))},
 		),
 	}
+}
+
+// mutantHeadToHead: ranks exchange with their pair partner, both sending
+// first. Legal under eager sends, stuck under rendezvous — the deadlock
+// pass's warning-only case.
+func mutantHeadToHead() *ir.Program {
+	myid := ir.S(ir.BuiltinMyID)
+	partner := ir.Sub(ir.Add(myid, ir.N(1)), ir.Mul(ir.N(2), ir.Mod(myid, ir.N(2))))
+	return &ir.Program{
+		Name:   "headtohead",
+		Arrays: []*ir.ArrayDecl{{Name: "A", Dims: []ir.Expr{ir.N(8)}, Elem: 8}},
+		Body: ir.Block(
+			&ir.Send{Dest: partner, Tag: 9, Array: "A", Section: ir.Sec(ir.N(1), ir.N(8))},
+			&ir.Recv{Src: partner, Tag: 9, Array: "A", Section: ir.Sec(ir.N(1), ir.N(8))},
+		),
+	}
+}
+
+func TestMutantRecvBeforeSendRing(t *testing.T) {
+	p := mutantRecvBeforeSendRing()
 	res, err := Run(p, Options{Ranks: appRanks})
 	if err != nil {
 		t.Fatal(err)

@@ -7,84 +7,109 @@ import "sort"
 // receive on its destination rank with the same tag, and vice versa;
 // resolved peers must lie on the process grid; sizes are compared along
 // each (src, dst, tag) channel in FIFO order.
+//
+// One counting sort over the arena groups the definite operations by
+// channel (sends and receives apart, each in trace order, which is FIFO
+// order since a channel has one sender and one receiver); the pass is
+// linear in the total number of operations.
 func passSendRecv(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
+	tr := ctx.traces
+	nch := len(tr.chans)
 
-	type chanKey struct {
-		from, to, tag int
-	}
-	type chanOps struct {
-		sends, recvs []op
-	}
-	channels := map[chanKey]*chanOps{}
-	// uncertain is set when any operation has a data-dependent peer or
-	// executes conditionally: unmatched counts are then only warnings.
-	uncertain := false
-
-	for _, t := range ctx.Traces {
-		for _, o := range t.ops {
-			if o.kind != opSend && o.kind != opRecv {
-				continue
-			}
-			if o.may || !o.peerKnown {
-				uncertain = true
-				continue
-			}
-			if o.peer < 0 || o.peer >= ctx.Ranks {
+	// Bucket 2*ch holds channel ch's sends, 2*ch+1 its receives; bucket b
+	// ends up as idx[start[b]:start[b+1]].
+	bucket := func(o *op) int32 { return 2*o.ch + int32(o.kind) }
+	start := make([]int32, 2*nch+2)
+	for r := 0; r < ctx.Ranks; r++ {
+		for i := tr.win[r]; i < tr.win[r+1]; i++ {
+			o := &tr.ops[i]
+			switch {
+			case o.kind == opColl:
+			case o.ch >= 0:
+				if o.kind == opSend && int(o.peer) == r {
+					d := ctx.diag("sendrecv", Warning, ctx.plan.stmts[o.stmt],
+						"rank %d sends to itself; blocking self-sends deadlock under synchronous semantics", r)
+					d.Ranks = []int{r}
+					diags = append(diags, d)
+				}
+				start[bucket(o)+2]++
+			case !o.has(fMay) && o.has(fPeerKnown):
 				word := "send to"
 				if o.kind == opRecv {
 					word = "receive from"
 				}
-				d := ctx.diag("sendrecv", Error, o.stmt,
+				d := ctx.diag("sendrecv", Error, ctx.plan.stmts[o.stmt],
 					"%s rank %d is outside the process set 0..%d", word, o.peer, ctx.Ranks-1)
-				d.Ranks = []int{t.rank}
+				d.Ranks = []int{r}
 				diags = append(diags, d)
-				continue
-			}
-			if o.kind == opSend {
-				if o.peer == t.rank {
-					d := ctx.diag("sendrecv", Warning, o.stmt,
-						"rank %d sends to itself; blocking self-sends deadlock under synchronous semantics", t.rank)
-					d.Ranks = []int{t.rank}
-					diags = append(diags, d)
-				}
-				ck := chanKey{from: t.rank, to: o.peer, tag: o.tag}
-				c := channels[ck]
-				if c == nil {
-					c = &chanOps{}
-					channels[ck] = c
-				}
-				c.sends = append(c.sends, o)
-			} else {
-				ck := chanKey{from: o.peer, to: t.rank, tag: o.tag}
-				c := channels[ck]
-				if c == nil {
-					c = &chanOps{}
-					channels[ck] = c
-				}
-				c.recvs = append(c.recvs, o)
 			}
 		}
 	}
-	if ctx.Truncated() {
-		uncertain = true
+	for b := 2; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	idx := make([]int32, start[len(start)-1])
+	for i := range tr.ops {
+		if o := &tr.ops[i]; o.kind != opColl && o.ch >= 0 {
+			b := bucket(o) + 1
+			idx[start[b]] = int32(i)
+			start[b]++
+		}
 	}
 
-	unmatchedSev := Error
-	if uncertain {
+	// With a data-dependent peer, a conditional operation or a truncated
+	// trace anywhere, unmatched counts are only warnings.
+	unmatchedSev, qualifier := Error, ""
+	if tr.uncertain || ctx.Truncated() {
 		unmatchedSev = Warning
-	}
-	qualifier := ""
-	if uncertain {
 		qualifier = " (analysis is approximate: data-dependent communication present)"
 	}
 
-	keys := make([]chanKey, 0, len(channels))
-	for k := range channels {
-		keys = append(keys, k)
+	// Findings are collected in channel-table order and reported in
+	// (src, dst, tag) order.
+	type finding struct {
+		k chanKey
+		d Diagnostic
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	var found []finding
+	var k chanKey
+	report := func(sev Severity, at int32, format string, args ...interface{}) {
+		d := ctx.diag("sendrecv", sev, ctx.plan.stmts[tr.ops[at].stmt], format, args...)
+		d.Ranks = []int{int(k.from), int(k.to)}
+		found = append(found, finding{k, d})
+	}
+	for ch := range tr.chans {
+		k = tr.chans[ch]
+		sends, recvs := idx[start[2*ch]:start[2*ch+1]], idx[start[2*ch+1]:start[2*ch+2]]
+		ns, nr := len(sends), len(recvs)
+		if ns > nr {
+			report(unmatchedSev, sends[nr],
+				"send to rank %d tag %d has no matching receive (%d sends, %d receives from rank %d)%s",
+				k.to, k.tag, ns, nr, k.from, qualifier)
+		} else if nr > ns {
+			report(unmatchedSev, recvs[ns],
+				"receive from rank %d tag %d has no matching send (%d receives, %d sends to rank %d)%s",
+				k.from, k.tag, nr, ns, k.to, qualifier)
+		}
+		for i := 0; i < ns && i < nr; i++ {
+			s, r := &tr.ops[sends[i]], &tr.ops[recvs[i]]
+			if !s.has(fElemsKnown) || !r.has(fElemsKnown) || s.elems == r.elems {
+				continue
+			}
+			if s.elems > r.elems {
+				report(Error, recvs[i],
+					"message of %g elems from rank %d tag %d overflows the receive section of %g elems",
+					s.elems, k.from, k.tag, r.elems)
+			} else {
+				report(Warning, recvs[i],
+					"message of %g elems from rank %d tag %d is smaller than the receive section of %g elems",
+					s.elems, k.from, k.tag, r.elems)
+			}
+		}
+	}
+	sort.SliceStable(found, func(i, j int) bool {
+		a, b := found[i].k, found[j].k
 		if a.from != b.from {
 			return a.from < b.from
 		}
@@ -93,46 +118,8 @@ func passSendRecv(ctx *Context) []Diagnostic {
 		}
 		return a.tag < b.tag
 	})
-
-	for _, k := range keys {
-		c := channels[k]
-		ns, nr := len(c.sends), len(c.recvs)
-		if ns > nr {
-			d := ctx.diag("sendrecv", unmatchedSev, c.sends[nr].stmt,
-				"send to rank %d tag %d has no matching receive (%d sends, %d receives from rank %d)%s",
-				k.to, k.tag, ns, nr, k.from, qualifier)
-			d.Ranks = []int{k.from, k.to}
-			diags = append(diags, d)
-		} else if nr > ns {
-			d := ctx.diag("sendrecv", unmatchedSev, c.recvs[ns].stmt,
-				"receive from rank %d tag %d has no matching send (%d receives, %d sends to rank %d)%s",
-				k.from, k.tag, nr, ns, k.to, qualifier)
-			d.Ranks = []int{k.from, k.to}
-			diags = append(diags, d)
-		}
-		n := ns
-		if nr < n {
-			n = nr
-		}
-		for i := 0; i < n; i++ {
-			s, r := c.sends[i], c.recvs[i]
-			if !s.elemsKnown || !r.elemsKnown || s.elems == r.elems {
-				continue
-			}
-			if s.elems > r.elems {
-				d := ctx.diag("sendrecv", Error, r.stmt,
-					"message of %g elems from rank %d tag %d overflows the receive section of %g elems",
-					s.elems, k.from, k.tag, r.elems)
-				d.Ranks = []int{k.from, k.to}
-				diags = append(diags, d)
-			} else {
-				d := ctx.diag("sendrecv", Warning, r.stmt,
-					"message of %g elems from rank %d tag %d is smaller than the receive section of %g elems",
-					s.elems, k.from, k.tag, r.elems)
-				d.Ranks = []int{k.from, k.to}
-				diags = append(diags, d)
-			}
-		}
+	for _, f := range found {
+		diags = append(diags, f.d)
 	}
 	return diags
 }

@@ -63,22 +63,7 @@ func AuditSlice(res *compiler.Result) []string {
 				br := n.Stmts[0].(*ir.If)
 				add(br.Cond)
 			case stg.KindComm:
-				switch c := n.Stmts[0].(type) {
-				case *ir.Send:
-					add(c.Dest)
-					for _, rg := range c.Section {
-						add(rg.Lo)
-						add(rg.Hi)
-					}
-				case *ir.Recv:
-					add(c.Src)
-					for _, rg := range c.Section {
-						add(rg.Lo)
-						add(rg.Hi)
-					}
-				case *ir.Bcast:
-					add(c.Root)
-				}
+				commArgs(n.Stmts[0], add)
 			case stg.KindCondensed:
 				add(n.Units)
 			}
@@ -90,28 +75,7 @@ func AuditSlice(res *compiler.Result) []string {
 	rec(res.Graph.Roots)
 	// Closure under def/use at name granularity, independently of the
 	// slicer's own fixpoint.
-	for changed := true; changed; {
-		changed = false
-		ir.Walk(res.Original.Body, func(s ir.Stmt) bool {
-			du := ir.StmtDefUse(s)
-			hit := false
-			for d := range du.Defs {
-				if required[d] {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				for u := range du.Uses {
-					if !required[u] {
-						required[u] = true
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-	}
+	closeUnderDefUse(res.Original.Body, required)
 	missing := map[string]bool{}
 	for name := range required {
 		if name == ir.BuiltinP || name == ir.BuiltinMyID {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mpisim/internal/ir"
 	"mpisim/internal/stg"
@@ -37,7 +37,7 @@ type val struct {
 func known(v float64, uniform bool) val { return val{known: true, uniform: uniform, v: v} }
 
 // opKind classifies trace operations.
-type opKind int
+type opKind uint8
 
 // Trace operation kinds.
 const (
@@ -46,60 +46,79 @@ const (
 	opColl
 )
 
-// op is one communication operation of one rank's trace.
+// Operation flags: peer is resolved (not data-dependent); elems holds the
+// section element count; the operation is reached under an unknown
+// condition.
+const (
+	fPeerKnown uint8 = 1 << iota
+	fElemsKnown
+	fMay
+)
+
+// op is one communication operation of one rank's trace, 24 bytes.
 type op struct {
-	kind opKind
-	stmt ir.Stmt
-	// peer is the resolved partner rank (send dest, recv src, bcast
-	// root); peerKnown is false when the expression is data-dependent.
-	peer      int
-	peerKnown bool
-	tag       int
-	// elems is the section element count when elemsKnown.
-	elems      float64
-	elemsKnown bool
-	// may marks operations reached under an unknown condition.
-	may bool
-	// key identifies a collective operation (opColl) for consistency
-	// matching; the empty string otherwise.
-	key string
+	elems float64
+	// peer is the resolved partner rank (send dest, recv src, bcast root).
+	peer int32
+	// ch is, for a definite send or receive with a peer on the process
+	// grid, its (src, dst, tag) channel in traces.chans, and -1 for any
+	// other point-to-point operation; for a collective it is the interned
+	// key in plan.keys.
+	ch    int32
+	stmt  int32
+	kind  opKind
+	flags uint8
 }
 
-// describe renders the operation for diagnostics.
-func (o op) describe() string {
-	switch o.kind {
-	case opSend:
-		if o.peerKnown {
-			return fmt.Sprintf("SEND to %d tag %d", o.peer, o.tag)
-		}
-		return fmt.Sprintf("SEND to ? tag %d", o.tag)
-	case opRecv:
-		if o.peerKnown {
-			return fmt.Sprintf("RECV from %d tag %d", o.peer, o.tag)
-		}
-		return fmt.Sprintf("RECV from ? tag %d", o.tag)
-	default:
-		return o.key
-	}
+func (o *op) has(flag uint8) bool { return o.flags&flag != 0 }
+
+// chanKey names a point-to-point channel.
+type chanKey struct {
+	from, to int32
+	tag      int
 }
 
 // boundsHit is a bounds violation observed during abstract execution.
 type boundsHit struct {
-	stmt ir.Stmt
-	msg  string
-	rank int
+	stmt int32
+	rank int32
 	may  bool
+	msg  string
 }
 
-// trace is one rank's abstract execution result.
-type trace struct {
-	rank      int
-	ops       []op
-	truncated bool
-	notes     []Diagnostic
-	bounds    []boundsHit
-	// dims holds the per-rank evaluated array dimensions.
-	dims map[string][]val
+// traces is the arena all ranks' abstract execution results live in.
+type traces struct {
+	// ops holds every rank's operations back to back; rank r's trace is
+	// ops[win[r]:win[r+1]]. (int32 indices: 2^31 operations would be a
+	// 48 GB arena.)
+	ops []op
+	win []int32
+	// chans is the channel table the point-to-point passes index by op.ch.
+	chans []chanKey
+	hits  []boundsHit
+	notes []Diagnostic
+	// truncated: some rank hit the analysis budget. uncertain: some
+	// point-to-point operation is conditional or has a data-dependent
+	// peer. mayColl: some collective is conditional.
+	truncated, uncertain, mayColl bool
+}
+
+// describe renders the operation for diagnostics.
+func (c *Context) describe(o *op) string {
+	if o.kind == opColl {
+		return c.plan.keys[o.ch]
+	}
+	word, tag := "SEND to", 0
+	switch x := c.plan.stmts[o.stmt].(type) {
+	case *ir.Send:
+		tag = x.Tag
+	case *ir.Recv:
+		word, tag = "RECV from", x.Tag
+	}
+	if o.has(fPeerKnown) {
+		return fmt.Sprintf("%s %d tag %d", word, o.peer, tag)
+	}
+	return fmt.Sprintf("%s ? tag %d", word, tag)
 }
 
 // arrTrack tracks the contents of a small array whose values can feed
@@ -119,14 +138,27 @@ const (
 	maxBoundsHits = 64
 )
 
-// buildTraces runs the abstract evaluator for every rank.
-func buildTraces(ctx *Context) []*trace {
-	structural := structuralVars(ctx.Program, ctx.Graph)
-	traces := make([]*trace, ctx.Ranks)
+// buildTraces runs the abstract evaluator over the plan for every rank,
+// filling the arena.
+func buildTraces(ctx *Context) *traces {
+	tr := &traces{win: make([]int32, 1, ctx.Ranks+1)}
+	ev := newEvaluator(ctx, tr)
+	longest := 0
 	for r := 0; r < ctx.Ranks; r++ {
-		traces[r] = newEvaluator(ctx, r, structural).run()
+		ev.run(int32(r))
+		n := len(tr.ops)
+		longest = max(longest, n-int(tr.win[r]))
+		tr.win = append(tr.win, int32(n))
+		// Size the remaining ranks' windows from the longest trace so far
+		// (SPMD ranks differ by a few guarded operations) rather than
+		// doubling the arena as it fills; growing at most eightfold keeps
+		// an atypical first rank from reserving ranks times its trace.
+		if rest := ctx.Ranks - r - 1; rest > 0 && cap(tr.ops)-n < longest {
+			room := min(longest*rest+longest*rest/8, 7*n) + longest
+			tr.ops = append(make([]op, 0, n+room), tr.ops...)
+		}
 	}
-	return traces
+	return tr
 }
 
 // structuralVars computes the set of variable names that can affect
@@ -146,20 +178,6 @@ func structuralVars(p *ir.Program, g *stg.Graph) map[string]bool {
 	seed = func(body []ir.Stmt) {
 		for _, s := range body {
 			switch x := s.(type) {
-			case *ir.Send:
-				add(x.Dest)
-				for _, rg := range x.Section {
-					add(rg.Lo)
-					add(rg.Hi)
-				}
-			case *ir.Recv:
-				add(x.Src)
-				for _, rg := range x.Section {
-					add(rg.Lo)
-					add(rg.Hi)
-				}
-			case *ir.Bcast:
-				add(x.Root)
 			case *ir.For:
 				if ir.HasComm(x.Body) {
 					add(x.Lo)
@@ -176,6 +194,8 @@ func structuralVars(p *ir.Program, g *stg.Graph) map[string]bool {
 				seed(x.Body)
 			case *ir.Delay:
 				add(x.Seconds)
+			default:
+				commArgs(s, add)
 			}
 		}
 	}
@@ -194,118 +214,172 @@ func structuralVars(p *ir.Program, g *stg.Graph) map[string]bool {
 		}
 		rec(g.Roots)
 	}
+	closeUnderDefUse(p.Body, rel)
+	return rel
+}
+
+// commArgs calls add on every expression a communication statement's
+// parallel structure depends on: the peer or root, and the section bounds.
+func commArgs(s ir.Stmt, add func(ir.Expr)) {
+	var sec []ir.Range
+	switch x := s.(type) {
+	case *ir.Send:
+		add(x.Dest)
+		sec = x.Section
+	case *ir.Recv:
+		add(x.Src)
+		sec = x.Section
+	case *ir.Bcast:
+		add(x.Root)
+	}
+	for _, rg := range sec {
+		add(rg.Lo)
+		add(rg.Hi)
+	}
+}
+
+// closeUnderDefUse grows set to its closure under def/use dependencies at
+// name granularity: whatever a statement defining a member uses joins.
+func closeUnderDefUse(body []ir.Stmt, set map[string]bool) {
 	for changed := true; changed; {
 		changed = false
-		ir.Walk(p.Body, func(s ir.Stmt) bool {
+		ir.Walk(body, func(s ir.Stmt) bool {
 			du := ir.StmtDefUse(s)
-			hit := false
 			for d := range du.Defs {
-				if rel[d] {
-					hit = true
-					break
+				if !set[d] {
+					continue
 				}
-			}
-			if hit {
 				for u := range du.Uses {
-					if !rel[u] {
-						rel[u] = true
+					if !set[u] {
+						set[u] = true
 						changed = true
 					}
 				}
+				break
 			}
 			return true
 		})
 	}
-	return rel
 }
 
+// evaluator is the per-rank abstract machine. One instance serves every
+// rank: run resets the slots, the array tracks and the budget.
 type evaluator struct {
-	ctx        *Context
-	rank       int
-	t          *trace
-	env        map[string]val
-	arrays     map[string]*arrTrack
-	structural map[string]bool
+	ctx    *Context
+	pl     *plan
+	tr     *traces
+	rank   int32
+	env    []val
+	dims   [][]val
+	arrays []arrTrack
 	// mayDepth > 0 while executing under an unknown condition.
 	mayDepth int
 	// nonUniform > 0 while executing under a rank-dependent condition;
 	// definitions made there cannot be assumed equal across ranks.
 	nonUniform int
 	budget     int
-	// curStmt anchors bounds hits raised inside expression evaluation.
-	curStmt ir.Stmt
-	// msgElems / dummyElems drive the dummy-buffer size check against
-	// the compiler's replaced messages.
-	msgElems   map[ir.Stmt]ir.Expr
+	truncated  bool
+	// cur anchors bounds hits raised inside expression evaluation.
+	cur int32
+	// dummyElems drives the dummy-buffer size check against the
+	// compiler's replaced messages.
 	dummyElems val
-	hitSeen    map[string]bool
-	noteSeen   map[string]bool
+	// hitSeen deduplicates bounds hits per rank, noteSeen notes per run
+	// (Run's dedupe would drop the repeats of later ranks anyway).
+	hitSeen  map[hitKey]bool
+	firstHit int
+	noteSeen map[string]bool
+	// chanIDs interns traces.chans. chanMemo remembers, per statement, the
+	// channel of the rank's last peer, so it is consulted once per (rank,
+	// statement, peer) rather than once per operation.
+	chanIDs  map[chanKey]int32
+	chanMemo []chanMemo
+	bcasts   map[bcastKey]int32
 }
 
-func newEvaluator(ctx *Context, rank int, structural map[string]bool) *evaluator {
+type hitKey struct {
+	stmt int32
+	msg  string
+}
+
+// chanMemo is valid for rank stamp-1.
+type chanMemo struct{ stamp, peer, ch int32 }
+
+type bcastKey struct {
+	stmt, root int32
+	known      bool
+}
+
+func newEvaluator(ctx *Context, tr *traces) *evaluator {
+	pl := ctx.plan
 	ev := &evaluator{
-		ctx:        ctx,
-		rank:       rank,
-		structural: structural,
-		env:        map[string]val{},
-		arrays:     map[string]*arrTrack{},
-		budget:     ctx.Opts.MaxOps,
-		hitSeen:    map[string]bool{},
-		noteSeen:   map[string]bool{},
-		t:          &trace{rank: rank, dims: map[string][]val{}},
+		ctx: ctx, pl: pl, tr: tr,
+		env:      make([]val, len(pl.init)),
+		dims:     make([][]val, len(pl.arrays)),
+		arrays:   make([]arrTrack, len(pl.arrays)),
+		hitSeen:  map[hitKey]bool{},
+		noteSeen: map[string]bool{},
+		chanIDs:  map[chanKey]int32{},
+		chanMemo: make([]chanMemo, len(pl.stmts)),
+		bcasts:   map[bcastKey]int32{},
 	}
-	ev.env[ir.BuiltinP] = known(float64(ctx.Ranks), true)
-	ev.env[ir.BuiltinMyID] = known(float64(rank), false)
-	for _, par := range ctx.Program.Params {
-		if v, ok := ctx.Opts.Inputs[par]; ok {
-			ev.env[par] = known(v, true)
-		} else {
-			ev.note("input %s is not bound; dependent structure is approximate", par)
-		}
+	for i, d := range pl.dims {
+		ev.dims[i] = make([]val, len(d))
 	}
-	if ctx.Compiled != nil {
-		ev.msgElems = ctx.Compiled.Slice.MsgElems
-		if ctx.Compiled.DummyElems != nil {
-			ev.dummyElems = ev.eval(ctx.Compiled.DummyElems)
-		}
+	for _, par := range pl.unbound {
+		ev.note("input %s is not bound; dependent structure is approximate", par)
 	}
 	return ev
 }
 
-func (ev *evaluator) run() *trace {
+// run abstractly executes one rank, appending its trace to the arena.
+func (ev *evaluator) run(rank int32) {
+	ev.ctx.evals++
+	ev.rank, ev.cur = rank, 0
+	ev.budget, ev.truncated = ev.ctx.Opts.MaxOps, false
+	ev.firstHit = len(ev.tr.hits)
+	clear(ev.hitSeen)
+	copy(ev.env, ev.pl.init)
+	ev.env[ev.pl.myid] = known(float64(rank), false)
+	// The dummy-buffer size is evaluated before any dimension is known
+	// or any array tracked; the previous rank's must not show through.
+	for i := range ev.arrays {
+		clear(ev.dims[i])
+		ev.arrays[i].ok = false
+	}
+	ev.dummyElems = val{}
+	if ev.pl.dummy != nil {
+		ev.dummyElems = ev.eval(ev.pl.dummy)
+	}
 	ev.evalDims()
-	ev.block(ev.ctx.Program.Body)
-	return ev.t
+	ev.block(ev.pl.body)
 }
 
 // evalDims evaluates every declared dimension in the start environment
 // (inputs, P, myid), recording per-rank sizes and preparing small-array
 // value tracking.
 func (ev *evaluator) evalDims() {
-	for _, d := range ev.ctx.Program.Arrays {
-		dims := make([]val, len(d.Dims))
+	for a, d := range ev.pl.arrays {
+		dims := ev.dims[a]
 		elems := 1.0
 		trackable := true
-		for i, e := range d.Dims {
+		for i, e := range ev.pl.dims[a] {
 			dims[i] = ev.eval(e)
 			if !dims[i].known {
 				trackable = false
 				continue
 			}
 			if dims[i].v < 1 {
-				ev.hit(nil, false, "array %s dimension %d evaluates to %g (non-positive)",
+				ev.hit(0, "array %s dimension %d evaluates to %g (non-positive)",
 					d.Name, i+1, dims[i].v)
 				trackable = false
 				continue
 			}
 			elems *= dims[i].v
 		}
-		ev.t.dims[d.Name] = dims
-		if trackable && elems <= maxTrackedElems {
-			ev.arrays[d.Name] = &arrTrack{ok: true, vals: map[int]val{}}
-		} else {
-			ev.arrays[d.Name] = &arrTrack{}
-		}
+		tr := &ev.arrays[a]
+		tr.ok = trackable && elems <= maxTrackedElems
+		clear(tr.vals)
 	}
 }
 
@@ -316,54 +390,53 @@ func (ev *evaluator) note(format string, args ...interface{}) {
 		return
 	}
 	ev.noteSeen[msg] = true
-	ev.t.notes = append(ev.t.notes, Diagnostic{
-		Pass: "trace", Severity: Info, Program: ev.ctx.Program.Name, Message: msg,
-	})
+	ev.tr.notes = append(ev.tr.notes, ev.ctx.diag("trace", Info, nil, "%s", msg))
 }
 
 // hit records a bounds violation, deduplicated per (stmt, message).
-func (ev *evaluator) hit(s ir.Stmt, may bool, format string, args ...interface{}) {
-	if len(ev.t.bounds) >= maxBoundsHits {
+func (ev *evaluator) hit(stmt int32, format string, args ...interface{}) {
+	if len(ev.tr.hits)-ev.firstHit >= maxBoundsHits {
 		return
 	}
-	msg := fmt.Sprintf(format, args...)
-	key := fmt.Sprintf("%p|%s", s, msg)
+	key := hitKey{stmt, fmt.Sprintf(format, args...)}
 	if ev.hitSeen[key] {
 		return
 	}
 	ev.hitSeen[key] = true
-	ev.t.bounds = append(ev.t.bounds, boundsHit{stmt: s, msg: msg, rank: ev.rank, may: may || ev.mayDepth > 0})
+	ev.tr.hits = append(ev.tr.hits, boundsHit{stmt: stmt, msg: key.msg, rank: ev.rank, may: ev.mayDepth > 0})
 }
 
 // --- expression evaluation ---
 
-func (ev *evaluator) eval(e ir.Expr) val {
-	switch x := e.(type) {
-	case ir.Num:
-		return known(x.Value, true)
-	case ir.Scalar:
-		return ev.env[x.Name]
-	case ir.Idx:
-		return ev.readArray(x)
-	case ir.Bin:
-		l, r := ev.eval(x.L), ev.eval(x.R)
+func (ev *evaluator) eval(e *pexpr) val {
+	switch e.kind {
+	case eNum:
+		return known(e.v, true)
+	case eScalar:
+		return ev.env[e.slot]
+	case eIdx:
+		flat, ok := ev.flatIndex(ev.cur, e.slot, e.index)
+		if tr := &ev.arrays[e.slot]; ok && tr.ok {
+			return tr.vals[flat]
+		}
+	case eBin:
+		l, r := ev.eval(e.l), ev.eval(e.r)
 		if !l.known || !r.known {
 			return val{}
 		}
-		v, err := symexpr.ApplyOp(x.Op, l.v, r.v)
+		v, err := symexpr.ApplyOp(e.op, l.v, r.v)
 		if err != nil {
 			return val{}
 		}
 		return known(v, l.uniform && r.uniform)
-	case ir.Call:
-		a := ev.eval(x.Arg)
-		fn := ir.Intrinsics[x.Name]
-		if !a.known || fn == nil {
+	case eCall:
+		a := ev.eval(e.l)
+		if !a.known || e.fn == nil {
 			return val{}
 		}
-		return known(fn(a.v), a.uniform)
-	case ir.SumE:
-		lo, hi := ev.eval(x.Lo), ev.eval(x.Hi)
+		return known(e.fn(a.v), a.uniform)
+	case eSum:
+		lo, hi := ev.eval(e.l), ev.eval(e.r)
 		if !lo.known || !hi.known {
 			return val{}
 		}
@@ -371,11 +444,11 @@ func (ev *evaluator) eval(e ir.Expr) val {
 		if hiI-loI+1 > maxSumTrips {
 			return val{}
 		}
-		saved, had := ev.env[x.Index]
+		saved := ev.env[e.slot]
 		sum := known(0, lo.uniform && hi.uniform)
 		for i := loI; i <= hiI; i++ {
-			ev.env[x.Index] = known(float64(i), sum.uniform)
-			b := ev.eval(x.Body)
+			ev.env[e.slot] = known(float64(i), sum.uniform)
+			b := ev.eval(e.body)
 			if !b.known {
 				sum = val{}
 				break
@@ -383,11 +456,7 @@ func (ev *evaluator) eval(e ir.Expr) val {
 			sum.v += b.v
 			sum.uniform = sum.uniform && b.uniform
 		}
-		if had {
-			ev.env[x.Index] = saved
-		} else {
-			delete(ev.env, x.Index)
-		}
+		ev.env[e.slot] = saved
 		return sum
 	}
 	return val{}
@@ -396,8 +465,8 @@ func (ev *evaluator) eval(e ir.Expr) val {
 // flatIndex resolves an index list to a flattened offset, checking each
 // subscript against the declared dimension. ok is false when any
 // subscript or dimension is unknown.
-func (ev *evaluator) flatIndex(stmt ir.Stmt, array string, index []ir.Expr) (int, bool) {
-	dims := ev.t.dims[array]
+func (ev *evaluator) flatIndex(stmt, array int32, index []*pexpr) (int, bool) {
+	dims := ev.dims[array]
 	flat, stride := 0, 1
 	ok := true
 	for d, e := range index {
@@ -407,14 +476,14 @@ func (ev *evaluator) flatIndex(stmt ir.Stmt, array string, index []ir.Expr) (int
 			continue
 		}
 		if iv.v < 1 {
-			ev.hit(stmt, false, "index %g of %s dimension %d is below 1", iv.v, array, d+1)
+			ev.hit(stmt, "index %g of %s dimension %d is below 1", iv.v, ev.pl.arrays[array].Name, d+1)
 			ok = false
 			continue
 		}
 		if d < len(dims) && dims[d].known {
 			if iv.v > dims[d].v {
-				ev.hit(stmt, false, "index %g of %s dimension %d exceeds declared size %g",
-					iv.v, array, d+1, dims[d].v)
+				ev.hit(stmt, "index %g of %s dimension %d exceeds declared size %g",
+					iv.v, ev.pl.arrays[array].Name, d+1, dims[d].v)
 				ok = false
 				continue
 			}
@@ -427,185 +496,205 @@ func (ev *evaluator) flatIndex(stmt ir.Stmt, array string, index []ir.Expr) (int
 	return flat, ok
 }
 
-func (ev *evaluator) readArray(x ir.Idx) val {
-	flat, ok := ev.flatIndex(ev.curStmt, x.Array, x.Index)
-	tr := ev.arrays[x.Array]
-	if !ok || tr == nil || !tr.ok {
-		return val{}
-	}
-	return tr.vals[flat]
-}
-
 // killArray invalidates an array's tracked contents.
-func (ev *evaluator) killArray(name string) {
-	if tr := ev.arrays[name]; tr != nil {
-		tr.ok = false
-		tr.vals = nil
-	}
-}
+func (ev *evaluator) killArray(array int32) { ev.arrays[array].ok = false }
 
-func (ev *evaluator) writeArray(stmt ir.Stmt, name string, index []ir.Expr, v val) {
-	flat, ok := ev.flatIndex(stmt, name, index)
-	tr := ev.arrays[name]
-	if tr == nil || !tr.ok {
+func (ev *evaluator) store(ps *pstmt, v val) {
+	flat, ok := ev.flatIndex(ps.id, ps.slot, ps.index)
+	tr := &ev.arrays[ps.slot]
+	if !tr.ok {
 		return
 	}
 	if !ok || ev.mayDepth > 0 {
 		// Unknown element touched (or uncertain execution): the whole
 		// array becomes unknown.
-		ev.killArray(name)
+		tr.ok = false
 		return
 	}
 	if ev.nonUniform > 0 {
 		v.uniform = false
+	}
+	if tr.vals == nil {
+		tr.vals = map[int]val{}
 	}
 	tr.vals[flat] = v
 }
 
 // --- statement execution ---
 
-func (ev *evaluator) block(body []ir.Stmt) {
-	for _, s := range body {
+func (ev *evaluator) block(body []pstmt) {
+	for i := range body {
 		if ev.truncatedNow() {
 			return
 		}
-		ev.stmt(s)
+		ev.stmt(&body[i])
 	}
 }
 
 func (ev *evaluator) truncatedNow() bool {
-	if ev.budget <= 0 {
-		if !ev.t.truncated {
-			ev.t.truncated = true
-			ev.t.notes = append(ev.t.notes, Diagnostic{
-				Pass: "trace", Severity: Warning, Program: ev.ctx.Program.Name,
-				Message: fmt.Sprintf("analysis budget exhausted on rank %d; trace truncated (raise MaxOps)", ev.rank),
-			})
-		}
-		return true
+	if ev.budget > 0 {
+		return false
 	}
-	return false
+	if !ev.truncated {
+		ev.truncated, ev.tr.truncated = true, true
+		ev.tr.notes = append(ev.tr.notes, ev.ctx.diag("trace", Warning, nil,
+			"analysis budget exhausted on rank %d; trace truncated (raise MaxOps)", ev.rank))
+	}
+	return true
 }
 
-func (ev *evaluator) stmt(s ir.Stmt) {
+func (ev *evaluator) stmt(ps *pstmt) {
 	ev.budget--
-	ev.curStmt = s
-	switch x := s.(type) {
-	case *ir.Assign:
-		v := ev.eval(x.RHS)
+	ev.cur = ps.id
+	switch ps.kind {
+	case sAssign, sStore:
+		v := ev.eval(ps.e)
 		if ev.mayDepth > 0 {
 			v = val{}
 		} else if ev.nonUniform > 0 {
 			v.uniform = false
 		}
-		if x.LHS.IsArray() {
-			ev.writeArray(s, x.LHS.Name, x.LHS.Index, v)
+		if ps.kind == sStore {
+			ev.store(ps, v)
 		} else {
-			ev.env[x.LHS.Name] = v
+			ev.env[ps.slot] = v
 		}
-	case *ir.ReadInput:
-		if v, ok := ev.ctx.Opts.Inputs[x.Var]; ok && ev.mayDepth == 0 {
-			ev.env[x.Var] = known(v, true)
-		} else {
-			ev.env[x.Var] = val{}
+	case sReadInput:
+		ev.env[ps.slot] = val{}
+		if ev.mayDepth == 0 {
+			ev.env[ps.slot] = ps.input
 		}
-	case *ir.For:
-		ev.forStmt(x)
-	case *ir.If:
-		ev.ifStmt(x)
-	case *ir.Send:
-		ev.commStmt(s, opSend, x.Dest, x.Tag, x.Array, x.Section)
-	case *ir.Recv:
-		ev.commStmt(s, opRecv, x.Src, x.Tag, x.Array, x.Section)
-		ev.killArray(x.Array)
-	case *ir.Allreduce:
-		for _, v := range x.Vars {
+	case sFor:
+		ev.forStmt(ps)
+	case sIf:
+		ev.ifStmt(ps)
+	case sSend:
+		ev.commStmt(ps, opSend)
+	case sRecv:
+		ev.commStmt(ps, opRecv)
+		ev.killArray(ps.slot)
+	case sBcast:
+		ev.bcastStmt(ps)
+	case sDelay:
+		ev.eval(ps.e)
+	case sTimed:
+		ev.block(ps.body)
+	case sColl:
+		// Allreduce, Barrier, ReadTaskTimes: the values are unknown
+		// afterwards, the operation synchronizes.
+		for _, v := range ps.vars {
 			ev.env[v] = val{}
 		}
-		ev.emit(op{kind: opColl, stmt: s, may: ev.mayDepth > 0,
-			key: "ALLREDUCE(" + x.Op + ") " + strings.Join(x.Vars, ", ")})
-	case *ir.Bcast:
-		ev.bcastStmt(x)
-	case *ir.Barrier:
-		ev.emit(op{kind: opColl, stmt: s, may: ev.mayDepth > 0, key: "BARRIER"})
-	case *ir.Delay:
-		ev.eval(x.Seconds)
-	case *ir.Timed:
-		ev.block(x.Body)
-	case *ir.ReadTaskTimes:
-		// Runtime preamble: rank 0 reads the calibration table and
-		// broadcasts. Values are external, hence unknown; the operation
-		// itself synchronizes like a collective.
-		for _, n := range x.Names {
-			ev.env[n] = val{}
-		}
-		ev.emit(op{kind: opColl, stmt: s, may: ev.mayDepth > 0,
-			key: "READ_TASK_TIMES " + strings.Join(x.Names, ", ")})
+		ev.emit(op{kind: opColl, stmt: ps.id, ch: ps.key})
 	}
 }
 
-func (ev *evaluator) emit(o op) { ev.t.ops = append(ev.t.ops, o) }
-
-func (ev *evaluator) commStmt(s ir.Stmt, kind opKind, peerE ir.Expr, tag int, array string, sec []ir.Range) {
-	peer := ev.eval(peerE)
-	o := op{kind: kind, stmt: s, tag: tag, may: ev.mayDepth > 0}
-	if peer.known {
-		o.peer = int(peer.v)
-		o.peerKnown = true
+// emit appends an operation to the rank's trace, marking it conditional
+// when reached under an unknown condition.
+func (ev *evaluator) emit(o op) {
+	if ev.mayDepth > 0 {
+		o.flags |= fMay
+		if o.kind == opColl {
+			ev.tr.mayColl = true
+		}
 	}
-	dims := ev.t.dims[array]
+	ev.tr.ops = append(ev.tr.ops, o)
+}
+
+// peerOf converts a resolved peer value to a rank, saturating so that an
+// absurd value can never wrap onto the process grid.
+func peerOf(v float64) int32 { return int32(max(math.MinInt32, min(math.MaxInt32, v))) }
+
+func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
+	peer := ev.eval(ps.e)
+	o := op{kind: kind, stmt: ps.id, ch: -1}
+	if peer.known {
+		o.peer = peerOf(peer.v)
+		o.flags |= fPeerKnown
+	}
+	array := ev.pl.arrays[ps.slot].Name
+	dims := ev.dims[ps.slot]
 	elems := 1.0
 	elemsKnown := true
-	for d, rg := range sec {
-		lo, hi := ev.eval(rg.Lo), ev.eval(rg.Hi)
+	for d, rg := range ps.sec {
+		lo, hi := ev.eval(rg.lo), ev.eval(rg.hi)
 		if lo.known && lo.v < 1 {
-			ev.hit(s, false, "section lower bound %g of %s dimension %d is below 1", lo.v, array, d+1)
+			ev.hit(ps.id, "section lower bound %g of %s dimension %d is below 1", lo.v, array, d+1)
 		}
 		if hi.known && d < len(dims) && dims[d].known && hi.v > dims[d].v {
-			ev.hit(s, false, "section upper bound %g of %s dimension %d exceeds declared size %g",
+			ev.hit(ps.id, "section upper bound %g of %s dimension %d exceeds declared size %g",
 				hi.v, array, d+1, dims[d].v)
 		}
 		if lo.known && hi.known {
-			n := hi.v - lo.v + 1
-			if n < 0 {
-				n = 0
-			}
-			elems *= n
+			elems *= max(hi.v-lo.v+1, 0)
 		} else {
 			elemsKnown = false
 		}
 	}
 	if elemsKnown {
 		o.elems = elems
-		o.elemsKnown = true
+		o.flags |= fElemsKnown
 		// Compiler dummy-buffer audit: a message the slicer routes
 		// through the dummy buffer must fit it.
-		if _, replaced := ev.msgElems[s]; replaced && ev.dummyElems.known {
-			if elems > ev.dummyElems.v {
-				ev.hit(s, false, "replaced message (%g elems) exceeds the dummy buffer (%g elems)",
-					elems, ev.dummyElems.v)
-			}
+		if ps.replaced && ev.dummyElems.known && elems > ev.dummyElems.v {
+			ev.hit(ps.id, "replaced message (%g elems) exceeds the dummy buffer (%g elems)",
+				elems, ev.dummyElems.v)
 		}
+	}
+	switch {
+	case ev.mayDepth > 0 || !peer.known:
+		ev.tr.uncertain = true
+	case o.peer >= 0 && int(o.peer) < ev.ctx.Ranks:
+		o.ch = ev.channel(ps, kind, o.peer)
 	}
 	ev.emit(o)
 }
 
-func (ev *evaluator) bcastStmt(x *ir.Bcast) {
-	root := ev.eval(x.Root)
-	o := op{kind: opColl, stmt: x, may: ev.mayDepth > 0}
-	rootStr := "?"
-	if root.known {
-		o.peer = int(root.v)
-		o.peerKnown = true
-		rootStr = fmt.Sprintf("%d", o.peer)
+// channel interns the (src, dst, tag) channel of a definite operation.
+func (ev *evaluator) channel(ps *pstmt, kind opKind, peer int32) int32 {
+	m := &ev.chanMemo[ps.id]
+	if m.stamp == ev.rank+1 && m.peer == peer {
+		return m.ch
 	}
-	o.key = "BCAST root=" + rootStr + ": " + strings.Join(x.Vars, ", ")
-	for _, v := range x.Vars {
+	k := chanKey{from: ev.rank, to: peer, tag: ps.tag}
+	if kind == opRecv {
+		k.from, k.to = peer, ev.rank
+	}
+	ch, ok := ev.chanIDs[k]
+	if !ok {
+		ch = int32(len(ev.tr.chans))
+		ev.tr.chans = append(ev.tr.chans, k)
+		ev.chanIDs[k] = ch
+	}
+	*m = chanMemo{ev.rank + 1, peer, ch}
+	return ch
+}
+
+func (ev *evaluator) bcastStmt(ps *pstmt) {
+	root := ev.eval(ps.e)
+	o := op{kind: opColl, stmt: ps.id}
+	bk := bcastKey{stmt: ps.id, known: root.known}
+	if root.known {
+		o.peer = peerOf(root.v)
+		o.flags |= fPeerKnown
+		bk.root = o.peer
+	}
+	key, ok := ev.bcasts[bk]
+	if !ok {
+		rootStr := "?"
+		if root.known {
+			rootStr = strconv.Itoa(int(o.peer))
+		}
+		key = ev.pl.internKey("BCAST root=" + rootStr + ps.suffix)
+		ev.bcasts[bk] = key
+	}
+	o.ch = key
+	for _, v := range ps.vars {
 		cur := ev.env[v]
 		switch {
 		case ev.mayDepth > 0:
 			ev.env[v] = val{}
-		case root.known && int(root.v) == ev.rank:
+		case root.known && o.peer == ev.rank:
 			// The root keeps its own value (it is the source).
 		case cur.known && cur.uniform:
 			// Provably rank-independent: the broadcast is a no-op.
@@ -616,21 +705,22 @@ func (ev *evaluator) bcastStmt(x *ir.Bcast) {
 	ev.emit(o)
 }
 
-func (ev *evaluator) forStmt(x *ir.For) {
-	lo, hi := ev.eval(x.Lo), ev.eval(x.Hi)
-	bodyComm := ir.HasComm(x.Body)
+func (ev *evaluator) forStmt(ps *pstmt) {
+	lo, hi := ev.eval(ps.e), ev.eval(ps.e2)
+	// A loop that neither communicates nor defines a structure-relevant
+	// variable is pure computation: skip the iteration space, invalidate
+	// its definitions.
+	skip := !ps.hasComm && !ps.structural
 	if lo.known && hi.known && ev.mayDepth == 0 {
 		loI, hiI := int64(math.Floor(lo.v)), int64(math.Floor(hi.v))
 		if hiI < loI {
 			// Zero-trip loop: the body never executes and no state
 			// changes beyond the induction variable.
-			ev.env[x.Var] = val{}
+			ev.env[ps.slot] = val{}
 			return
 		}
-		if !bodyComm && !ev.defsStructural(x.Body, x.Var) {
-			// Pure computation with no effect on parallel structure:
-			// skip the iteration space, invalidate its definitions.
-			ev.killDefs(x)
+		if skip {
+			ev.killDefs(ps)
 			return
 		}
 		uniform := lo.uniform && hi.uniform && ev.nonUniform == 0
@@ -638,41 +728,40 @@ func (ev *evaluator) forStmt(x *ir.For) {
 			if ev.truncatedNow() {
 				return
 			}
-			ev.env[x.Var] = known(float64(i), uniform)
-			ev.block(x.Body)
+			ev.env[ps.slot] = known(float64(i), uniform)
+			ev.block(ps.body)
 		}
-		ev.env[x.Var] = val{}
+		ev.env[ps.slot] = val{}
 		return
 	}
 	// Unknown trip count (or already uncertain execution).
-	if !bodyComm && !ev.defsStructural(x.Body, x.Var) {
-		ev.killDefs(x)
+	if skip {
+		ev.killDefs(ps)
 		return
 	}
-	if bodyComm && ev.mayDepth == 0 {
+	if ps.hasComm && ev.mayDepth == 0 {
 		ev.note("loop %s has an unknown trip count but communicates; approximating one iteration",
-			ir.StmtHead(x))
+			ir.StmtHead(ev.pl.stmts[ps.id]))
 	}
 	ev.mayDepth++
-	ev.env[x.Var] = val{}
-	ev.block(x.Body)
+	ev.env[ps.slot] = val{}
+	ev.block(ps.body)
 	ev.mayDepth--
-	ev.killDefs(x)
+	ev.killDefs(ps)
 }
 
-func (ev *evaluator) ifStmt(x *ir.If) {
-	c := ev.eval(x.Cond)
+func (ev *evaluator) ifStmt(ps *pstmt) {
+	c := ev.eval(ps.e)
 	if c.known && ev.mayDepth == 0 {
-		enterNonUniform := !c.uniform
-		if enterNonUniform {
+		if !c.uniform {
 			ev.nonUniform++
 		}
 		if c.v != 0 {
-			ev.block(x.Then)
+			ev.block(ps.body)
 		} else {
-			ev.block(x.Else)
+			ev.block(ps.els)
 		}
-		if enterNonUniform {
+		if !c.uniform {
 			ev.nonUniform--
 		}
 		return
@@ -680,47 +769,21 @@ func (ev *evaluator) ifStmt(x *ir.If) {
 	// Unknown condition: both arms may execute. Walk both to collect
 	// may-operations, then invalidate everything either arm defines.
 	ev.mayDepth++
-	ev.block(x.Then)
-	ev.block(x.Else)
+	ev.block(ps.body)
+	ev.block(ps.els)
 	ev.mayDepth--
-	ev.killDefs(x)
-}
-
-// defsStructural reports whether the body (or the induction variable)
-// defines any structure-relevant variable.
-func (ev *evaluator) defsStructural(body []ir.Stmt, loopVar string) bool {
-	if ev.structural[loopVar] {
-		return true
-	}
-	found := false
-	ir.Walk(body, func(s ir.Stmt) bool {
-		for d := range ir.StmtDefUse(s).Defs {
-			if ev.structural[d] {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
+	ev.killDefs(ps)
 }
 
 // killDefs invalidates every variable the statement (including nested
 // bodies) defines.
-func (ev *evaluator) killDefs(s ir.Stmt) {
-	kill := func(name string) {
-		if ev.ctx.Program.Array(name) != nil {
-			ev.killArray(name)
-		} else {
-			ev.env[name] = val{}
-		}
+func (ev *evaluator) killDefs(ps *pstmt) {
+	for _, s := range ps.killScalars {
+		ev.env[s] = val{}
 	}
-	ir.Walk([]ir.Stmt{s}, func(st ir.Stmt) bool {
-		for d := range ir.StmtDefUse(st).Defs {
-			kill(d)
-		}
-		return true
-	})
+	for _, a := range ps.killArrays {
+		ev.killArray(a)
+	}
 }
 
 // sortedNames is a small shared helper for deterministic output.
