@@ -76,13 +76,16 @@ func ablationCondense(b *testing.B, leaves bool) {
 		tasks = len(res.TaskVars)
 		cal := interp.NewCalibration()
 		if _, err := interp.Run(res.Timer, interp.Config{
-			Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed,
-			Inputs: inputs, Calibration: cal}); err != nil {
+			Config:      mpi.Config{Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed},
+			Inputs:      inputs,
+			Calibration: cal,
+		}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := interp.Run(res.Simplified, interp.Config{
-			Ranks: 4, Machine: IBMSP(), Comm: mpi.Analytic,
-			Inputs: inputs, TaskTimes: cal.TaskTimes()}); err != nil {
+			Config: mpi.Config{Ranks: 4, Machine: IBMSP(), Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+			Inputs: inputs,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +103,9 @@ func ablationSlice(b *testing.B, noSlice bool) {
 	prog := Tomcatv()
 	inputs := TomcatvInputs(128, 2)
 	meas, err := interp.Run(prog, interp.Config{
-		Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed, Inputs: inputs})
+		Config: mpi.Config{Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed},
+		Inputs: inputs,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -112,13 +117,16 @@ func ablationSlice(b *testing.B, noSlice bool) {
 		}
 		cal := interp.NewCalibration()
 		if _, err := interp.Run(res.Timer, interp.Config{
-			Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed,
-			Inputs: inputs, Calibration: cal}); err != nil {
+			Config:      mpi.Config{Ranks: 4, Machine: IBMSP(), Comm: mpi.Detailed},
+			Inputs:      inputs,
+			Calibration: cal,
+		}); err != nil {
 			b.Fatal(err)
 		}
 		am, err := interp.Run(res.Simplified, interp.Config{
-			Ranks: 4, Machine: IBMSP(), Comm: mpi.Analytic,
-			Inputs: inputs, TaskTimes: cal.TaskTimes()})
+			Config: mpi.Config{Ranks: 4, Machine: IBMSP(), Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+			Inputs: inputs,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,8 +150,9 @@ func ablationEngine(b *testing.B, workers int, real bool) {
 	inputs := Sweep3DInputs(4, 4, 32, 8, 4, 4)
 	for i := 0; i < b.N; i++ {
 		if _, err := interp.Run(prog, interp.Config{
-			Ranks: 16, Machine: IBMSP(), Comm: mpi.Detailed, Inputs: inputs,
-			HostWorkers: workers, RealParallel: real}); err != nil {
+			Config: mpi.Config{Ranks: 16, Machine: IBMSP(), Comm: mpi.Detailed, HostWorkers: workers, RealParallel: real},
+			Inputs: inputs,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +200,9 @@ func ablationComm(b *testing.B, comm mpi.CommModel) {
 	inputs := SampleInputs(PatternNearestNeighbour, 1000, 2000, 10, 2, 4)
 	for i := 0; i < b.N; i++ {
 		if _, err := interp.Run(prog, interp.Config{
-			Ranks: 8, Machine: Origin2000(), Comm: comm, Inputs: inputs}); err != nil {
+			Config: mpi.Config{Ranks: 8, Machine: Origin2000(), Comm: comm},
+			Inputs: inputs,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +246,9 @@ func BenchmarkInterpThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := interp.Run(prog, interp.Config{
-			Ranks: 1, Machine: IBMSP(), Comm: mpi.Analytic, Inputs: inputs}); err != nil {
+			Config: mpi.Config{Ranks: 1, Machine: IBMSP(), Comm: mpi.Analytic},
+			Inputs: inputs,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,8 +307,9 @@ func ablationProtocol(b *testing.B, proto sim.Protocol) {
 	inputs := SampleInputs(PatternNearestNeighbour, 2000, 500, 20, 2, 4)
 	for i := 0; i < b.N; i++ {
 		if _, err := interp.Run(prog, interp.Config{
-			Ranks: 8, Machine: Origin2000(), Comm: mpi.Detailed, Inputs: inputs,
-			HostWorkers: 4, RealParallel: true, Protocol: proto}); err != nil {
+			Config: mpi.Config{Ranks: 8, Machine: Origin2000(), Comm: mpi.Detailed, HostWorkers: 4, RealParallel: true, Protocol: proto},
+			Inputs: inputs,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

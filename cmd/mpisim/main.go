@@ -51,15 +51,12 @@ import (
 	"mpisim/internal/apps"
 	"mpisim/internal/check"
 	"mpisim/internal/cliutil"
-	"mpisim/internal/compiler"
 	"mpisim/internal/core"
 	"mpisim/internal/dtg"
 	"mpisim/internal/fault"
-	"mpisim/internal/ir"
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 	"mpisim/internal/obs"
-	"mpisim/internal/sim"
 	"mpisim/internal/trace"
 	"mpisim/internal/tracein"
 )
@@ -77,27 +74,22 @@ func main() {
 	}
 }
 
-// output carries the post-run reporting configuration shared by the
-// compiled path and the trace-replay path.
+// output carries the post-run reporting configuration.
 type output struct {
-	appName, modeStr, machName string
-	ranks                      int
-	inputs                     map[string]float64
-	verbose, matrix            bool
-	timeline, dtg              bool
-	tracer                     *obs.Tracer
-	traceDone                  func() error
-	traceFile, traceFmt        string
-	runJSON, profile, profFold string
-	recordFile                 string
-	recordHdr                  tracein.Header
-	taskLines                  []compiler.TaskLine
-	reg                        *obs.Registry
-	ri                         *obs.RunInfo
-	budget                     int64
-	timeBudget                 float64
+	verbose, matrix     bool
+	timeline, dtg       bool
+	tracer              *obs.Tracer
+	traceDone           func() error
+	traceFile, traceFmt string
+	runJSON, profile    string
+	profFold            string
+	recordFile          string
+	reg                 *obs.Registry
 }
 
+// run is flags → core.RunSpec + host configuration → core.Prepare →
+// Plan.Run → emit; what a prediction is and how it is executed live in
+// internal/core, shared with mpisimd.
 func run() error {
 	var (
 		appName   = flag.String("app", "tomcatv", "application: "+strings.Join(apps.Names(), ", "))
@@ -130,7 +122,7 @@ func run() error {
 		profFold  = flag.String("profilefolded", "", "write the virtual-time profile as folded stacks (flamegraph.pl input)")
 
 		recordFile = flag.String("record", "", "record the run's MPI call log as a JSONL trace to this file (internal/tracein)")
-		traceIn    = flag.String("tracein", "", "replay a recorded JSONL trace instead of simulating a program (ignores -app/-file/-mode)")
+		traceIn    = flag.String("tracein", "", "replay a recorded JSONL trace instead of simulating a program (excludes -app/-file/-mode and the options that only apply to programs)")
 		xranks     = flag.Int("xranks", 0, "with -tracein: extrapolate the trace to this rank count (a multiple of the trace's) before replaying")
 
 		faultsFile  = flag.String("faults", "", "run under a deterministic fault-injection scenario (JSON, see internal/fault)")
@@ -143,82 +135,239 @@ func run() error {
 	flag.Parse()
 
 	if *listMach {
-		for _, m := range machine.Presets() {
-			topo := m.Topology
-			if topo == "" {
-				topo = "flat"
-			}
-			fmt.Printf("%-12s %3d MB/s, %6.3g s latency, topology %s\n",
-				m.Name, int(m.Net.Bandwidth/1e6), m.Net.Latency, topo)
-		}
+		listMachines()
 		return nil
 	}
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if *xranks != 0 && *traceIn == "" {
+	replay := *traceIn != ""
+	// A trace describes its own run, so under -tracein only the flags the
+	// user typed enter the spec, where Validate refuses the ones that
+	// contradict a replay; the flags' defaults describe programs.
+	typed := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { typed[f.Name] = true })
+	use := func(name string) bool { return !replay || typed[name] }
+	if *xranks != 0 && !replay {
 		return fmt.Errorf("-xranks requires -tracein")
 	}
+	if *netJSON != "" {
+		if *topology != "" {
+			return fmt.Errorf("-netjson and -topology are mutually exclusive")
+		}
+		*topology = "graph:" + *netJSON
+	}
 
-	over, err := cliutil.ParseInputs(*inputsStr)
-	if err != nil {
+	spec := &core.RunSpec{
+		TraceRanks: *xranks, Mode: "replay",
+		Topology: *topology, Placement: *placement,
+		CalRanks: *calRanks, SkipChecks: *noCheck,
+		Limits: &core.SpecLimits{
+			MaxEvents: *budget, MaxVirtualTime: *timeBudget, StallEvents: *watchdog,
+			// Rounded up: a sub-millisecond budget must not read as "none".
+			WallTimeoutMS: int64((*wallTimeout + time.Millisecond - 1) / time.Millisecond),
+		},
+	}
+	if use("app") && *file == "" {
+		spec.App = *appName
+	}
+	if use("mode") {
+		spec.Mode = *modeName
+	}
+	if use("ranks") {
+		spec.Ranks = *ranks
+	}
+	if use("machine") {
+		spec.Machine = *machName
+	}
+	var err error
+	if spec.Inputs, err = cliutil.ParseInputs(*inputsStr); err != nil {
+		return err
+	}
+	if err := readSpecFiles(spec, *file, *ttFile, *faultsFile, *faultSeed); err != nil {
+		return err
+	}
+	var tr *tracein.Trace
+	var recorded *tracein.Header // a copy: extrapolation replaces the trace
+	if replay {
+		for _, name := range []string{"memlimit", "check"} {
+			if typed[name] {
+				return fmt.Errorf("-%s does not apply to -tracein: a replay runs no program", name)
+			}
+		}
+		// Streamed from the file: a large trace never exists as one string.
+		if tr, err = tracein.ParseFile(*traceIn); err != nil {
+			return err
+		}
+		h := tr.Header
+		recorded = &h
+	}
+	if err := spec.ValidateWith(recorded, 0); err != nil {
 		return err
 	}
 
-	var faults *fault.Scenario
-	if *faultsFile != "" {
-		sc, err := fault.Load(*faultsFile)
+	ri, reg, liveTL, err := openTelemetry(*progress, *metrics, *obsHTTP, *hosts)
+	if err != nil {
+		return err
+	}
+	o := &output{
+		verbose: *verbose, matrix: *matrix, timeline: *timeline, dtg: *dtgFlag,
+		traceFile: *traceFile, traceFmt: *traceFmt,
+		runJSON: *runJSON, profile: *profile, profFold: *profFold,
+		recordFile: *recordFile, reg: reg,
+	}
+	if *traceFile != "" {
+		o.tracer, o.traceDone, err = cliutil.OpenTraceFile(*traceFile, *traceFmt)
 		if err != nil {
 			return err
 		}
-		if *faultSeed != 0 {
-			sc.Seed = *faultSeed
+	}
+	runCtx, cancelRun := signalContext()
+	defer cancelRun()
+
+	plan, err := core.Prepare(spec, mpi.Config{
+		HostWorkers: *hosts, RealParallel: *hosts > 1,
+		MemoryLimit:   *memLimit,
+		CollectMatrix: *matrix,
+		CollectTrace:  *timeline || *dtgFlag || *traceFile != "",
+		RecordCalls:   *recordFile != "",
+		Metrics:       reg, Tracer: o.tracer, Timeline: liveTL, RunInfo: ri,
+	}, nil, tr)
+	if err != nil {
+		var ce *core.CheckError
+		if *checkFlag && errors.As(err, &ce) {
+			fmt.Fprint(os.Stderr, ce.Result.Text(check.Info))
 		}
-		faults = sc
+		return err
+	}
+	for _, w := range plan.Warnings {
+		fmt.Fprintln(os.Stderr, w)
+	}
+	if replay && plan.Ranks != recorded.Ranks {
+		fmt.Printf("extrapolated %s from %d to %d ranks\n", *traceIn, recorded.Ranks, plan.Ranks)
+	}
+	if *checkFlag && !*noCheck {
+		res, err := plan.Runner.Check(plan.Ranks, plan.Inputs) // verified by Prepare: a cache hit
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(os.Stderr, res.Text(check.Info))
+	}
+	if plan.CalRanks > 0 {
+		fmt.Printf("calibrating w_i on %d ranks...\n", plan.CalRanks)
+		cliutil.WriteTaskTimes(os.Stdout, plan.Runner.TaskTimes)
 	}
 
-	// Observability plumbing, shared by both paths.
+	stopProgress := func() {}
+	if *progress {
+		stopProgress = cliutil.StartProgress(os.Stderr, ri, 2*time.Second)
+	}
+	out, err := plan.Run(runCtx)
+	stopProgress()
+	if err != nil {
+		return err
+	}
+	// An aborted run (budget, watchdog, cancellation, crash starvation)
+	// still reports: the per-rank wait states go to stderr, the partial
+	// prediction is printed and archived as usual, and the abort
+	// surfaces as the final exit status.
+	var abortErr error
+	if ae := out.Abort; ae != nil {
+		fmt.Fprint(os.Stderr, ae.Dump())
+		abortErr = fmt.Errorf("run aborted: %s (wait-state dump on stderr, partial results above)", shorten(ae.Reason))
+	}
+	if replay {
+		h := plan.Trace.Header
+		fmt.Printf("trace: %s, %d ranks, %d events (recorded mode=%s comm=%s)\n",
+			*traceIn, h.Ranks, plan.Trace.Events(), h.Mode, h.Comm)
+	}
+	if err := o.emit(plan, out); err != nil {
+		return err
+	}
+	return abortErr
+}
+
+func listMachines() {
+	for _, m := range machine.Presets() {
+		topo := m.Topology
+		if topo == "" {
+			topo = "flat"
+		}
+		fmt.Printf("%-12s %3d MB/s, %6.3g s latency, topology %s\n",
+			m.Name, int(m.Net.Bandwidth/1e6), m.Net.Latency, topo)
+	}
+}
+
+// readSpecFiles loads what the spec takes by value and the flags name by
+// path: the program text, the w_i table, the fault scenario.
+func readSpecFiles(spec *core.RunSpec, file, ttFile, faultsFile string, seed uint64) error {
+	if file != "" {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		spec.Program = string(src)
+	}
+	if ttFile != "" {
+		f, err := os.Open(ttFile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if spec.TaskTimes, err = cliutil.ReadTaskTimes(f); err != nil {
+			return err
+		}
+	}
+	if faultsFile != "" {
+		sc, err := fault.Load(faultsFile)
+		if err != nil {
+			return err
+		}
+		if seed != 0 {
+			sc.Seed = seed
+		}
+		spec.Faults = sc
+	}
+	return nil
+}
+
+// openTelemetry builds the live observability plane the flags ask for:
+// the run tracker behind -progress and -obshttp, the metrics registry
+// behind -metrics and -obshttp, and the HTTP server itself.
+func openTelemetry(progress, metrics bool, addr string, hosts int) (*obs.RunInfo, *obs.Registry, *obs.Timeline, error) {
 	var ri *obs.RunInfo
-	if *progress || *obsHTTP != "" {
+	if progress || addr != "" {
 		ri = obs.NewRunInfo()
 	}
 	var reg *obs.Registry
-	if *metrics || *obsHTTP != "" {
-		reg = obs.NewRegistry(*hosts)
+	if metrics || addr != "" {
+		reg = obs.NewRegistry(hosts)
 		reg.SetEnabled(true)
 	}
-	var liveTL *obs.Timeline
-	if *obsHTTP != "" {
-		liveTL = obs.NewTimeline(reg, obs.TimelineOptions{})
-		liveTL.SetEnabled(true)
-		ln, err := net.Listen("tcp", *obsHTTP)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mpisim: serving telemetry at http://%s/ (/series /run /events /healthz)\n", ln.Addr())
-		go http.Serve(ln, obs.HandlerWith(reg, obs.HandlerOpts{Timeline: liveTL, Run: ri}))
+	if addr == "" {
+		return ri, reg, nil, nil
 	}
-	var tracer *obs.Tracer
-	var traceDone func() error
-	if *traceFile != "" {
-		tracer, traceDone, err = cliutil.OpenTraceFile(*traceFile, *traceFmt)
-		if err != nil {
-			return err
-		}
+	tl := obs.NewTimeline(reg, obs.TimelineOptions{})
+	tl.SetEnabled(true)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	fmt.Fprintf(os.Stderr, "mpisim: serving telemetry at http://%s/ (/series /run /events /healthz)\n", ln.Addr())
+	go http.Serve(ln, obs.HandlerWith(reg, obs.HandlerOpts{Timeline: tl, Run: ri}))
+	return ri, reg, tl, nil
+}
 
-	// Interruption is an abort, not a kill: SIGINT/SIGTERM cancels the
-	// run context, the kernel trips its cancellation guard, and the
-	// normal abort path still prints the partial prediction and (with
-	// -runjson) archives the partial artifact with its abort reason and
-	// progress. A second signal force-quits immediately.
+// signalContext makes interruption an abort, not a kill: SIGINT/SIGTERM
+// cancels the returned context, the kernel trips its cancellation guard,
+// and the normal abort path still prints the partial prediction and
+// (with -runjson) archives the partial artifact with its abort reason
+// and progress. A second signal force-quits immediately.
+func signalContext() (context.Context, context.CancelFunc) {
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		sig := <-sigCh
 		fmt.Fprintf(os.Stderr, "mpisim: %v: cancelling run, partial results follow (repeat to force-quit)\n", sig)
-		cancelRun()
+		cancel()
 		// Keep receiving so a second signal — even one delivered while
 		// the first was being handled — force-quits unconditionally
 		// instead of relying on restoring the default disposition.
@@ -230,304 +379,16 @@ func run() error {
 		}
 		os.Exit(code)
 	}()
-
-	o := &output{
-		verbose: *verbose, matrix: *matrix, timeline: *timeline, dtg: *dtgFlag,
-		tracer: tracer, traceDone: traceDone, traceFile: *traceFile, traceFmt: *traceFmt,
-		runJSON: *runJSON, profile: *profile, profFold: *profFold,
-		recordFile: *recordFile,
-		reg:        reg, ri: ri,
-		budget: *budget, timeBudget: *timeBudget,
-	}
-
-	// ---- Trace-replay path: no program, no compiler. ----
-	if *traceIn != "" {
-		tr, err := tracein.ParseFile(*traceIn)
-		if err != nil {
-			return err
-		}
-		if *xranks != 0 && *xranks != tr.Header.Ranks {
-			tr, err = tracein.Extrapolate(tr, tracein.ExtrapolateOptions{
-				Ranks:  *xranks,
-				Inputs: over,
-				Warn: func(format string, args ...interface{}) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("extrapolated %s from %d to %d ranks\n",
-				*traceIn, tr.Header.ExtrapolatedFrom, tr.Header.Ranks)
-		}
-		// Machine precedence: explicit -machine wins, else the header's.
-		if !setFlags["machine"] && tr.Header.Machine != "" {
-			*machName = tr.Header.Machine
-		}
-		m, err := machine.ByName(*machName)
-		if err != nil {
-			return err
-		}
-		if err := applyTopology(m, netJSON, topology, placement); err != nil {
-			return err
-		}
-
-		ctx := runCtx
-		if *wallTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *wallTimeout)
-			defer cancel()
-		}
-		cfg := mpi.Config{
-			Machine:       m,
-			HostWorkers:   *hosts,
-			RealParallel:  *hosts > 1,
-			CollectMatrix: *matrix,
-			CollectTrace:  *timeline || *dtgFlag || *traceFile != "",
-			RecordCalls:   *recordFile != "",
-			Metrics:       reg,
-			Tracer:        tracer,
-			Timeline:      liveTL,
-			RunInfo:       ri,
-			Faults:        faults,
-			Limits: sim.Limits{
-				MaxEvents:   *budget,
-				MaxTime:     sim.Time(*timeBudget),
-				StallEvents: *watchdog,
-				Ctx:         ctx,
-			},
-		}
-		var stopProgress func()
-		if *progress {
-			stopProgress = cliutil.StartProgress(os.Stderr, ri, 2*time.Second)
-		}
-		// mpi.Run does not drive the RunInfo lifecycle (core.Runner does
-		// on the compiled path), so replay mirrors it here.
-		if ri != nil {
-			ri.SetHorizon(*timeBudget, *budget)
-			ri.SetState(obs.RunRunning)
-		}
-		rep, err := tracein.Replay(tr, cfg)
-		if ri != nil {
-			vt := 0.0
-			if rep != nil {
-				vt = rep.Time
-			}
-			if err != nil {
-				reason := err.Error()
-				if ab, ok := err.(*sim.AbortError); ok {
-					reason = ab.Reason
-				}
-				ri.Finish(obs.RunAborted, vt, reason)
-			} else {
-				ri.Finish(obs.RunDone, vt, "")
-			}
-		}
-		if stopProgress != nil {
-			stopProgress()
-		}
-		abortErr, err := classifyAbort(rep, err)
-		if err != nil {
-			return err
-		}
-
-		o.appName = tr.Header.App
-		if o.appName == "" {
-			o.appName = *traceIn
-		}
-		o.modeStr = "replay"
-		o.machName = m.Name
-		o.ranks = tr.Header.Ranks
-		o.inputs = tr.Header.Inputs
-		o.recordHdr = tr.Header
-		fmt.Printf("trace: %s, %d ranks, %d events (recorded mode=%s comm=%s)\n",
-			*traceIn, tr.Header.Ranks, tr.Events(), tr.Header.Mode, tr.Header.Comm)
-		return o.emit(rep, abortErr)
-	}
-
-	// ---- Compiled path. ----
-	var prog *ir.Program
-	var defaults func(int) map[string]float64
-	if *file != "" {
-		src, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		prog, err = ir.Parse(string(src))
-		if err != nil {
-			return err
-		}
-		*appName = prog.Name
-		defaults = func(int) map[string]float64 { return map[string]float64{} }
-	} else {
-		spec, ok := apps.Registry()[*appName]
-		if !ok {
-			return fmt.Errorf("unknown app %q (have %s)", *appName, strings.Join(apps.Names(), ", "))
-		}
-		prog = spec.Build()
-		defaults = spec.Default
-	}
-	m, err := machine.ByName(*machName)
-	if err != nil {
-		return err
-	}
-	if err := applyTopology(m, netJSON, topology, placement); err != nil {
-		return err
-	}
-	inputs := cliutil.MergeInputs(defaults(*ranks), over)
-
-	var mode core.Mode
-	switch *modeName {
-	case "measured":
-		mode = core.Measured
-	case "de":
-		mode = core.DirectExec
-	case "am":
-		mode = core.Abstract
-	default:
-		return fmt.Errorf("unknown mode %q (want measured, de, am)", *modeName)
-	}
-
-	// The run-lifecycle tracker covers compilation too.
-	if ri != nil {
-		ri.SetState(obs.RunCompiling)
-	}
-	r, err := core.NewRunner(prog, m)
-	if err != nil {
-		return err
-	}
-	r.RunInfo = ri
-	r.HostWorkers = *hosts
-	r.RealParallel = *hosts > 1
-	r.MemoryLimit = *memLimit
-	r.CollectMatrix = *matrix
-	r.CollectTrace = *timeline || *dtgFlag || *traceFile != ""
-	r.RecordCalls = *recordFile != ""
-	r.SkipChecks = *noCheck
-	r.Faults = faults
-	r.MaxEvents = *budget
-	r.MaxVirtualTime = *timeBudget
-	r.StallEvents = *watchdog
-	r.WallTimeout = *wallTimeout
-	r.Metrics = reg
-	r.Timeline = liveTL
-	r.Tracer = tracer
-	if *checkFlag && !*noCheck {
-		res, err := r.Check(*ranks, inputs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(os.Stderr, res.Text(check.Info))
-	}
-
-	if mode == core.Abstract {
-		if *ttFile != "" {
-			f, err := os.Open(*ttFile)
-			if err != nil {
-				return err
-			}
-			tt, err := cliutil.ReadTaskTimes(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			r.TaskTimes = tt
-		} else {
-			cr := *calRanks
-			if cr <= 0 {
-				cr = *ranks
-				if cr > 16 {
-					cr = 16
-				}
-			}
-			calInputs := cliutil.MergeInputs(defaults(cr), over)
-			fmt.Printf("calibrating w_i on %d ranks...\n", cr)
-			tt, err := r.Calibrate(cr, calInputs)
-			if err != nil {
-				return err
-			}
-			cliutil.WriteTaskTimes(os.Stdout, tt)
-		}
-	}
-	r.Ctx = runCtx
-
-	if ri != nil && r.TaskTimes != nil {
-		// Best-effort static horizon: a fast abstract pre-run fixes the
-		// virtual-time end the percent/ETA extrapolate toward.
-		_, _ = r.EstimateHorizon(*ranks, inputs)
-	}
-	var stopProgress func()
-	if *progress {
-		stopProgress = cliutil.StartProgress(os.Stderr, ri, 2*time.Second)
-	}
-
-	rep, err := r.Run(mode, *ranks, inputs)
-	if stopProgress != nil {
-		stopProgress()
-	}
-	abortErr, err := classifyAbort(rep, err)
-	if err != nil {
-		return err
-	}
-
-	o.appName = *appName
-	o.modeStr = mode.String()
-	o.machName = m.Name
-	o.ranks = *ranks
-	o.inputs = inputs
-	o.taskLines = r.Compiled.TaskLines()
-	o.recordHdr = tracein.Header{
-		App:       *appName,
-		Mode:      mode.String(),
-		Machine:   m.Name,
-		Comm:      mode.Comm(),
-		Inputs:    inputs,
-		TaskScale: r.Compiled.TaskScales(),
-	}
-	return o.emit(rep, abortErr)
-}
-
-// applyTopology resolves the -netjson/-topology/-placement overrides
-// onto the machine model.
-func applyTopology(m *machine.Model, netJSON, topology, placement *string) error {
-	if *netJSON != "" {
-		if *topology != "" {
-			return fmt.Errorf("-netjson and -topology are mutually exclusive")
-		}
-		*topology = "graph:" + *netJSON
-	}
-	if *topology != "" {
-		m.Topology = *topology
-	}
-	if *placement != "" {
-		m.Placement = *placement
-	}
-	return nil
-}
-
-// classifyAbort separates hard failures from graceful aborts: an
-// aborted run (budget, watchdog, cancellation, crash starvation) still
-// carries a partial report. The per-rank wait states are dumped to
-// stderr and reporting continues; the abort surfaces as the final exit
-// status.
-func classifyAbort(rep *mpi.Report, err error) (abortErr, hard error) {
-	if err == nil {
-		return nil, nil
-	}
-	var ae *sim.AbortError
-	if !errors.As(err, &ae) || rep == nil {
-		return nil, err
-	}
-	fmt.Fprint(os.Stderr, ae.Dump())
-	return fmt.Errorf("run aborted: %s (wait-state dump on stderr, partial results above)", shorten(ae.Reason)), nil
+	return ctx, cancel
 }
 
 // emit prints the prediction summary and writes every requested
 // artifact: timeline, DTG stats, structured trace, recorded call trace,
 // run artifact, profiles, metrics.
-func (o *output) emit(rep *mpi.Report, abortErr error) error {
+func (o *output) emit(plan *core.Plan, out *core.Outcome) error {
+	rep := out.Report
 	fmt.Printf("app=%s mode=%s machine=%s targets=%d inputs=%v\n",
-		o.appName, o.modeStr, o.machName, o.ranks, o.inputs)
+		plan.App, plan.Mode, plan.Machine.Name, plan.Ranks, plan.Inputs)
 	if rep.Partial {
 		fmt.Printf("PARTIAL result (aborted: %s)\n", shorten(rep.AbortReason))
 	}
@@ -602,7 +463,7 @@ func (o *output) emit(rep *mpi.Report, abortErr error) error {
 			// replaying it would deadlock. Refuse rather than write a trap.
 			fmt.Fprintf(os.Stderr, "mpisim: not recording %s: the run aborted, the call log is incomplete\n", o.recordFile)
 		} else {
-			tr, err := tracein.Record(rep, o.recordHdr)
+			tr, err := tracein.Record(rep, plan.Header())
 			if err != nil {
 				return err
 			}
@@ -614,31 +475,7 @@ func (o *output) emit(rep *mpi.Report, abortErr error) error {
 		}
 	}
 	if o.runJSON != "" || o.profile != "" || o.profFold != "" {
-		art := &trace.Artifact{
-			App: o.appName, Mode: o.modeStr, Machine: o.machName,
-			Inputs: o.inputs, Report: rep,
-		}
-		if len(o.taskLines) > 0 {
-			art.TaskLines = make(map[string]int, len(o.taskLines))
-			art.TaskHeads = make(map[string]string, len(o.taskLines))
-			for _, tl := range o.taskLines {
-				art.TaskLines[tl.Task] = tl.Line
-				art.TaskHeads[tl.Task] = tl.Head
-			}
-		}
-		if rep.Partial {
-			// How much of the run the truncated prediction covers: the
-			// live tracker's last snapshot when available, else the
-			// consumed fraction of whichever budget is set.
-			switch {
-			case o.ri != nil && o.ri.Status().Percent > 0:
-				art.Progress = o.ri.Status().Percent
-			case o.timeBudget > 0:
-				art.Progress = clamp01(rep.Time / o.timeBudget)
-			case o.budget > 0:
-				art.Progress = clamp01(float64(rep.Kernel.Events) / float64(o.budget))
-			}
-		}
+		art := out.Artifact
 		if o.runJSON != "" {
 			if err := trace.WriteArtifact(o.runJSON, art); err != nil {
 				return err
@@ -686,17 +523,7 @@ func (o *output) emit(rep *mpi.Report, abortErr error) error {
 			fmt.Println()
 		}
 	}
-	return abortErr
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+	return nil
 }
 
 // shorten truncates a long abort reason (the deadlock form enumerates

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"mpisim/internal/core"
 	"mpisim/internal/trace"
 )
 
@@ -88,5 +91,110 @@ func TestInterruptWritesPartialArtifact(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cancelling run") {
 		t.Errorf("stderr missing the cancellation notice; output:\n%s", out.String())
+	}
+}
+
+// mpisimChild runs exe (the test binary re-executed as mpisim, unless a
+// test substitutes another build) from the repository root, so example
+// paths print as users type them, and returns what it wrote and its
+// exit code.
+func mpisimChild(t *testing.T, exe string, args ...string) (stdout, stderr []byte, code int) {
+	t.Helper()
+	cmd := exec.Command(exe, args...)
+	cmd.Dir = filepath.Join("..", "..")
+	cmd.Env = append(os.Environ(), "MPISIM_SIGNAL_CHILD=1")
+	var outBuf, errBuf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("mpisim %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return outBuf.Bytes(), errBuf.Bytes(), code
+}
+
+// self is the path of the running test binary.
+func self(t *testing.T) string {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exe
+}
+
+// TestHooksObserveThePredictionOnly: -metrics and -tracefile describe
+// the predicted run, not the calibration run that preceded it. The
+// event counter must equal the artifact's kernel event count (it used to
+// exceed it by the calibration run's events), and the trace file must
+// hold one run's simulator tracks, not two superimposed.
+func TestHooksObserveThePredictionOnly(t *testing.T) {
+	dir := t.TempDir()
+	artifact, traceFile := filepath.Join(dir, "run.json"), filepath.Join(dir, "run.jsonl")
+	_, stderr, code := mpisimChild(t, self(t), "-app", "sweep3d", "-mode", "am", "-ranks", "8",
+		"-metrics", "-runjson", artifact, "-tracefile", traceFile, "-traceformat", "jsonl")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	a, err := trace.ReadArtifact(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metered int64 = -1
+	for _, line := range strings.Split(string(stderr), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "sim_events_total" {
+			metered, _ = strconv.ParseInt(f[1], 10, 64)
+		}
+	}
+	if metered != a.Report.Kernel.Events {
+		t.Errorf("sim_events_total = %d, the artifact's report.kernel.events = %d", metered, a.Report.Kernel.Events)
+	}
+	data, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"name":"simulator (host workers)"`); n != 1 {
+		t.Errorf("trace file declares the simulator process %d times, want once (one run)", n)
+	}
+}
+
+// TestReplayRefusalsMatchTheDaemon: the options a replay cannot honour
+// are refused with the message mpisimd answers 400 with for the same
+// spec, because both doors run core.RunSpec's Validate.
+func TestReplayRefusalsMatchTheDaemon(t *testing.T) {
+	ring, err := os.ReadFile(filepath.Join("..", "..", ringTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "ring.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flags []string
+		spec  core.RunSpec // what a client would POST for the same request
+	}{
+		{[]string{"-cal-ranks", "4"}, core.RunSpec{CalRanks: 4}},
+		{[]string{"-tasktimes", fixtures + "sweep3d.tt"}, core.RunSpec{TaskTimes: map[string]float64{"w_1": 6e-9}}},
+		{[]string{"-app", "sweep3d"}, core.RunSpec{App: "sweep3d"}},
+		{[]string{"-file", "examples/programs/ring.ir"}, core.RunSpec{Program: string(prog)}},
+		{[]string{"-nocheck"}, core.RunSpec{SkipChecks: true}},
+		{[]string{"-ranks", "4"}, core.RunSpec{Ranks: 4}},
+	} {
+		c.spec.Trace = string(ring)
+		c.spec.Normalize()
+		want := c.spec.Validate(0)
+		if want == nil {
+			t.Fatalf("%v: the daemon's Validate accepts the spec", c.flags)
+		}
+		_, stderr, code := mpisimChild(t, self(t), append([]string{"-tracein", ringTrace}, c.flags...)...)
+		if code != 1 {
+			t.Errorf("%v: exit %d under -tracein, want 1", c.flags, code)
+		}
+		if got := strings.TrimSpace(string(stderr)); got != "mpisim: "+want.Error() {
+			t.Errorf("%v:\n  mpisim says:  %s\n  mpisimd says: %s", c.flags, got, want)
+		}
 	}
 }

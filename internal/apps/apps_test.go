@@ -91,23 +91,30 @@ func runModes(t *testing.T, prog *ir.Program, ranks int, inputs map[string]float
 	}
 	cal := interp.NewCalibration()
 	if _, err := interp.Run(res.Timer, interp.Config{
-		Ranks: calRanks, Machine: m, Comm: mpi.Detailed,
-		Inputs: calInputs, Calibration: cal}); err != nil {
+		Config:      mpi.Config{Ranks: calRanks, Machine: m, Comm: mpi.Detailed},
+		Inputs:      calInputs,
+		Calibration: cal,
+	}); err != nil {
 		t.Fatalf("timer: %v", err)
 	}
 	meas, err := interp.Run(prog, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Detailed},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatalf("measured: %v", err)
 	}
 	deRep, err = interp.Run(prog, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatalf("DE: %v", err)
 	}
 	amRep, err = interp.Run(res.Simplified, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Analytic, Inputs: inputs,
-		TaskTimes: cal.TaskTimes()})
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatalf("AM: %v", err)
 	}
@@ -164,7 +171,9 @@ func TestSweep3DWavefrontPipelines(t *testing.T) {
 	m := machine.IBMSP()
 	run := func(in map[string]float64) float64 {
 		rep, err := interp.Run(Sweep3D(), interp.Config{
-			Ranks: 6, Machine: m, Comm: mpi.Detailed, Inputs: in})
+			Config: mpi.Config{Ranks: 6, Machine: m, Comm: mpi.Detailed},
+			Inputs: in,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,17 +256,23 @@ func TestSampleErrorGrowsWithCommRatio(t *testing.T) {
 		}
 		cal := interp.NewCalibration()
 		if _, err := interp.Run(res.Timer, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs, Calibration: cal}); err != nil {
+			Config:      mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+			Inputs:      inputs,
+			Calibration: cal,
+		}); err != nil {
 			t.Fatal(err)
 		}
 		meas, err := interp.Run(Sample(), interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		am, err := interp.Run(res.Simplified, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Analytic, Inputs: inputs,
-			TaskTimes: cal.TaskTimes()})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +298,9 @@ func TestDefaultInputsRun(t *testing.T) {
 			inputs = TomcatvInputs(64, 1) // keep the test fast
 		}
 		rep, err := interp.Run(prog, interp.Config{
-			Ranks: ranks, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+			Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -300,14 +317,17 @@ func TestAppsEngineEquivalence(t *testing.T) {
 	m := machine.IBMSP()
 	inputs := Sweep3DInputs(3, 3, 16, 4, 2, 2)
 	base, err := interp.Run(Sweep3D(), interp.Config{
-		Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+		Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, hw := range []int{2, 4} {
 		rep, err := interp.Run(Sweep3D(), interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs,
-			HostWorkers: hw, RealParallel: true})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed, HostWorkers: hw, RealParallel: true},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,11 +372,11 @@ func TestParsedProgramRunsIdentically(t *testing.T) {
 	}
 	inputs := SampleInputs(PatternWavefront, 2000, 100, 3, 2, 2)
 	m := machine.IBMSP()
-	a, err := interp.Run(orig, interp.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+	a, err := interp.Run(orig, interp.Config{Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed}, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := interp.Run(back, interp.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+	b, err := interp.Run(back, interp.Config{Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed}, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}

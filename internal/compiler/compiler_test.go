@@ -125,21 +125,22 @@ func calibrateAndPredict(t *testing.T, res *Result, m *machine.Model,
 	t.Helper()
 	cal := interp.NewCalibration()
 	_, err := interp.Run(res.Timer, interp.Config{
-		Ranks: calRanks, Machine: m, Comm: mpi.Detailed,
-		Inputs: calInputs, Calibration: cal,
+		Config:      mpi.Config{Ranks: calRanks, Machine: m, Comm: mpi.Detailed},
+		Inputs:      calInputs,
+		Calibration: cal,
 	})
 	if err != nil {
 		t.Fatalf("timer run: %v", err)
 	}
 	amRep, err = interp.Run(res.Simplified, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Analytic,
-		Inputs: inputs, TaskTimes: cal.TaskTimes(),
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+		Inputs: inputs,
 	})
 	if err != nil {
 		t.Fatalf("AM run: %v", err)
 	}
 	deRep, err := interp.Run(res.Original, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Analytic,
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic},
 		Inputs: inputs,
 	})
 	if err != nil {
@@ -196,18 +197,24 @@ func TestMemoryReduction(t *testing.T) {
 	m := machine.IBMSP()
 	inputs := map[string]float64{"N": 256}
 	deRep, err := interp.Run(res.Original, interp.Config{
-		Ranks: 4, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+		Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Analytic},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cal := interp.NewCalibration()
 	if _, err := interp.Run(res.Timer, interp.Config{
-		Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs, Calibration: cal}); err != nil {
+		Config:      mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+		Inputs:      inputs,
+		Calibration: cal,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	amRep, err := interp.Run(res.Simplified, interp.Config{
-		Ranks: 4, Machine: m, Comm: mpi.Analytic, Inputs: inputs,
-		TaskTimes: cal.TaskTimes()})
+		Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+		Inputs: inputs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +275,16 @@ func TestDataDependentBoundsRetained(t *testing.T) {
 	cal := interp.NewCalibration()
 	m := machine.IBMSP()
 	if _, err := interp.Run(res.Timer, interp.Config{
-		Ranks: 2, Machine: m, Comm: mpi.Detailed,
-		Inputs: map[string]float64{"N": 32}, Calibration: cal}); err != nil {
+		Config:      mpi.Config{Ranks: 2, Machine: m, Comm: mpi.Detailed},
+		Inputs:      map[string]float64{"N": 32},
+		Calibration: cal,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := interp.Run(res.Simplified, interp.Config{
-		Ranks: 2, Machine: m, Comm: mpi.Analytic,
-		Inputs: map[string]float64{"N": 32}, TaskTimes: cal.TaskTimes()}); err != nil {
+		Config: mpi.Config{Ranks: 2, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+		Inputs: map[string]float64{"N": 32},
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -429,12 +439,16 @@ func TestDummyBufferFallbackForDynamicSizes(t *testing.T) {
 	m := machine.IBMSP()
 	inputs := map[string]float64{"N": 8}
 	if _, err := interp.Run(res.Timer, interp.Config{
-		Ranks: 3, Machine: m, Comm: mpi.Detailed, Inputs: inputs, Calibration: cal}); err != nil {
+		Config:      mpi.Config{Ranks: 3, Machine: m, Comm: mpi.Detailed},
+		Inputs:      inputs,
+		Calibration: cal,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := interp.Run(res.Simplified, interp.Config{
-		Ranks: 3, Machine: m, Comm: mpi.Analytic, Inputs: inputs,
-		TaskTimes: cal.TaskTimes()}); err != nil {
+		Config: mpi.Config{Ranks: 3, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+		Inputs: inputs,
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,13 @@
 //	timers on the (modeled) parallel system --> measured task times w_i
 //	simplified code + w_i --MPI-Sim--> performance estimates (MPI-SIM-AM)
 //
+// RunSpec describes one prediction and Prepare / Plan.Run execute it:
+// the one run path behind both front doors (cmd/mpisim, mpisimd), for
+// programs and recorded traces alike. Runner is the stage below — a
+// compiled program on a machine, with the three steps of the workflow
+// (Check, Calibrate, Run) as methods — which the experiment tables drive
+// directly when they sweep one program over many configurations.
+//
 // Three evaluation modes correspond to the paper's columns:
 //
 //	Measured   - the original program on the detailed machine model
@@ -251,13 +258,17 @@ func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]flo
 	if r.RunInfo != nil {
 		r.RunInfo.SetState(obs.RunCalibrating)
 	}
+	timer := mpi.Config{
+		Ranks: ranks, Machine: r.Machine, Comm: mpi.Detailed,
+		HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
+		Metrics: r.Metrics, Tracer: r.Tracer,
+	}
 	if r.ProfileBranches {
 		bp := interp.NewBranchProfile()
 		if _, err := interp.Run(r.Compiled.Timer, interp.Config{
-			Ranks: ranks, Machine: r.Machine, Comm: mpi.Detailed,
-			Inputs: inputs, BranchProfile: bp,
-			HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
-			Metrics: r.Metrics, Tracer: r.Tracer,
+			Config:        timer,
+			Inputs:        inputs,
+			BranchProfile: bp,
 		}); err != nil {
 			return nil, fmt.Errorf("core: branch-profiling run: %w", err)
 		}
@@ -270,10 +281,9 @@ func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]flo
 	}
 	cal := interp.NewCalibration()
 	_, err := interp.Run(r.Compiled.Timer, interp.Config{
-		Ranks: ranks, Machine: r.Machine, Comm: mpi.Detailed,
-		Inputs: inputs, Calibration: cal,
-		HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
-		Metrics: r.Metrics, Tracer: r.Tracer,
+		Config:      timer,
+		Inputs:      inputs,
+		Calibration: cal,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration run: %w", err)
@@ -293,58 +303,31 @@ func (r *Runner) Run(mode Mode, ranks int, inputs map[string]float64) (*mpi.Repo
 	if err := r.precheck(ranks, inputs); err != nil {
 		return nil, err
 	}
-	ctx := r.Ctx
-	if r.WallTimeout > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, r.WallTimeout)
-		defer cancel()
-	}
+	ctx, cancel := wallCtx(r.Ctx, r.WallTimeout)
+	defer cancel()
 	cfg := interp.Config{
-		Ranks: ranks, Machine: r.Machine, Inputs: inputs,
-		HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
-		ForceGoroutine: r.ForceGoroutine,
-		CollectMatrix:  r.CollectMatrix,
-		CollectTrace:   r.CollectTrace,
-		RecordCalls:    r.RecordCalls,
-		Metrics:        r.Metrics,
-		Tracer:         r.Tracer,
-		Timeline:       r.Timeline,
-		RunInfo:        r.RunInfo,
-		Faults:         r.Faults,
-		Limits: sim.Limits{
-			MaxEvents:   r.MaxEvents,
-			MaxTime:     sim.Time(r.MaxVirtualTime),
-			StallEvents: r.StallEvents,
-			Ctx:         ctx,
+		Config: mpi.Config{
+			Ranks: ranks, Machine: r.Machine,
+			HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
+			ForceGoroutine: r.ForceGoroutine,
+			CollectMatrix:  r.CollectMatrix,
+			CollectTrace:   r.CollectTrace,
+			RecordCalls:    r.RecordCalls,
+			Metrics:        r.Metrics,
+			Tracer:         r.Tracer,
+			Timeline:       r.Timeline,
+			RunInfo:        r.RunInfo,
+			Faults:         r.Faults,
+			Limits: sim.Limits{
+				MaxEvents:   r.MaxEvents,
+				MaxTime:     sim.Time(r.MaxVirtualTime),
+				StallEvents: r.StallEvents,
+				Ctx:         ctx,
+			},
 		},
+		Inputs: inputs,
 	}
-	if ri := r.RunInfo; ri != nil {
-		// Budget horizons fill only what an earlier static estimate
-		// (EstimateHorizon) has not already set.
-		ri.SetHorizon(r.MaxVirtualTime, r.MaxEvents)
-		ri.SetState(obs.RunRunning)
-	}
-	rep, err := r.runMode(mode, cfg)
-	if ri := r.RunInfo; ri != nil {
-		vt := 0.0
-		if rep != nil {
-			vt = rep.Time
-		}
-		if err != nil {
-			reason := err.Error()
-			if ab, ok := err.(*sim.AbortError); ok {
-				reason = ab.Reason
-			}
-			ri.Finish(obs.RunAborted, vt, reason)
-		} else {
-			ri.Finish(obs.RunDone, vt, "")
-		}
-	}
-	return rep, err
+	return trackRun(r.RunInfo, cfg.Limits, func() (*mpi.Report, error) { return r.runMode(mode, cfg) })
 }
 
 // runMode dispatches the mode-specific program/comm-model combination.
@@ -388,8 +371,8 @@ func (r *Runner) EstimateHorizon(ranks int, inputs map[string]float64) (float64,
 		return 0, fmt.Errorf("core: EstimateHorizon requires task times (Calibrate or EstimateTaskTimes)")
 	}
 	rep, err := interp.Run(r.Compiled.Simplified, interp.Config{
-		Ranks: ranks, Machine: r.Machine, Comm: mpi.AbstractComm,
-		Inputs: inputs, TaskTimes: r.TaskTimes,
+		Config: mpi.Config{Ranks: ranks, Machine: r.Machine, Comm: mpi.AbstractComm, TaskTimes: r.TaskTimes},
+		Inputs: inputs,
 	})
 	if err != nil {
 		return 0, err

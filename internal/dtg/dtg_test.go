@@ -16,9 +16,8 @@ import (
 func tracedSweep(t *testing.T) *mpi.Report {
 	t.Helper()
 	rep, err := interp.Run(apps.Sweep3D(), interp.Config{
-		Ranks: 4, Machine: machine.IBMSP(), Comm: mpi.Detailed,
-		Inputs:       apps.Sweep3DInputs(4, 4, 16, 8, 2, 2),
-		CollectTrace: true,
+		Config: mpi.Config{Ranks: 4, Machine: machine.IBMSP(), Comm: mpi.Detailed, CollectTrace: true},
+		Inputs: apps.Sweep3DInputs(4, 4, 16, 8, 2, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +103,8 @@ func TestZeroLatencyBound(t *testing.T) {
 
 func TestSingleRankGraph(t *testing.T) {
 	rep, err := interp.Run(apps.Tomcatv(), interp.Config{
-		Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Detailed,
-		Inputs: apps.TomcatvInputs(32, 1), CollectTrace: true,
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Detailed, CollectTrace: true},
+		Inputs: apps.TomcatvInputs(32, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,68 +15,25 @@ import (
 	"sort"
 	"sync"
 
-	"mpisim/internal/fault"
 	"mpisim/internal/ir"
-	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
-	"mpisim/internal/obs"
-	"mpisim/internal/sim"
 )
 
-// Config controls one interpretation run.
+// Config controls one interpretation run: the simulation configuration
+// (ranks, machine, communication model, engine, collection switches,
+// hooks, faults, limits — mpi.Config, handed to mpi.NewWorld as is) plus
+// what only the interpreter consumes.
 type Config struct {
-	// Ranks is the number of target processes.
-	Ranks int
-	// Machine is the target architecture model.
-	Machine *machine.Model
-	// Comm selects the communication model (Detailed = "measured" ground
-	// truth, Analytic = the simulator's model).
-	Comm mpi.CommModel
-	// HostWorkers / RealParallel / ForceGoroutine / Protocol / Queue
-	// configure the simulation engine.
-	HostWorkers    int
-	RealParallel   bool
-	ForceGoroutine bool
-	Protocol       sim.Protocol
-	Queue          sim.QueueKind
-	// MemoryLimit bounds total simulated target memory (0 = unlimited).
-	MemoryLimit int64
+	mpi.Config
 	// Inputs supplies the program's ReadInput values (problem sizes).
 	Inputs map[string]float64
-	// TaskTimes supplies the w_i calibration table for simplified
-	// programs.
-	TaskTimes map[string]float64
 	// Calibration, when non-nil, collects w_i measurements from Timed
 	// regions (the timer-instrumented program of Figure 2).
 	Calibration *Calibration
-	// CollectMatrix enables rank-to-rank communication accounting in the
-	// report.
-	CollectMatrix bool
 	// BranchProfile, when non-nil, records the taken frequency of every
 	// If statement executed (the paper's profiling support for the
 	// statistical folding of eliminated branches, §3.1).
 	BranchProfile *BranchProfile
-	// CollectTrace enables per-rank activity segments in the report.
-	CollectTrace bool
-	// RecordCalls enables the API-level MPI call log in the report (see
-	// mpi.Config.RecordCalls), from which internal/tracein records a
-	// replayable trace.
-	RecordCalls bool
-	// Metrics / Tracer attach the observability plane to the underlying
-	// kernel (see mpi.Config and internal/obs).
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
-	// Timeline / RunInfo attach the live-telemetry plane: time-series
-	// snapshots and progress heartbeats (see sim.Config).
-	Timeline *obs.Timeline
-	RunInfo  *obs.RunInfo
-	// Faults injects a deterministic fault scenario into the run (see
-	// internal/fault and mpi.Config.Faults).
-	Faults *fault.Scenario
-	// Limits bounds the run: event/virtual-time budgets, the no-progress
-	// watchdog and context cancellation (see sim.Limits). A tripped limit
-	// aborts with a partial report.
-	Limits sim.Limits
 }
 
 // Run executes the program and returns the simulation report.
@@ -88,27 +45,7 @@ func Run(p *ir.Program, cfg Config) (*mpi.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	world, err := mpi.NewWorld(mpi.Config{
-		Ranks:          cfg.Ranks,
-		Machine:        cfg.Machine,
-		Comm:           cfg.Comm,
-		HostWorkers:    cfg.HostWorkers,
-		RealParallel:   cfg.RealParallel,
-		ForceGoroutine: cfg.ForceGoroutine,
-		Protocol:       cfg.Protocol,
-		Queue:          cfg.Queue,
-		TaskTimes:      cfg.TaskTimes,
-		MemoryLimit:    cfg.MemoryLimit,
-		CollectMatrix:  cfg.CollectMatrix,
-		CollectTrace:   cfg.CollectTrace,
-		RecordCalls:    cfg.RecordCalls,
-		Metrics:        cfg.Metrics,
-		Tracer:         cfg.Tracer,
-		Timeline:       cfg.Timeline,
-		RunInfo:        cfg.RunInfo,
-		Faults:         cfg.Faults,
-		Limits:         cfg.Limits,
-	})
+	world, err := mpi.NewWorld(cfg.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 )
 
 func baseConfig(ranks int) Config {
-	return Config{Ranks: ranks, Machine: machine.IBMSP(), Comm: mpi.Analytic,
-		Inputs: map[string]float64{}}
+	return Config{
+		Config: mpi.Config{Ranks: ranks, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	}
 }
 
 func run(t *testing.T, p *ir.Program, cfg Config) *mpi.Report {
@@ -416,5 +419,23 @@ func TestFigure1EndToEnd(t *testing.T) {
 	rep2 := run(t, p, cfg2)
 	if rep2.Time != rep.Time {
 		t.Fatalf("parallel engine time %v != sequential %v", rep2.Time, rep.Time)
+	}
+}
+
+// TestConfigDeclaresNoSimulationOption guards the embedding: a
+// cross-cutting option belongs in mpi.Config, which Config carries whole.
+// A field here with a name mpi.Config also declares would shadow it and
+// silently stop reaching mpi.NewWorld — the copy this struct used to be.
+func TestConfigDeclaresNoSimulationOption(t *testing.T) {
+	own, base := reflect.TypeOf(Config{}), reflect.TypeOf(mpi.Config{})
+	if f, ok := own.FieldByName("Config"); !ok || !f.Anonymous || f.Type != base {
+		t.Fatal("Config no longer embeds mpi.Config")
+	}
+	for i := 0; i < own.NumField(); i++ {
+		if f := own.Field(i); !f.Anonymous {
+			if _, clash := base.FieldByName(f.Name); clash {
+				t.Errorf("interp.Config declares %s, which mpi.Config already has", f.Name)
+			}
+		}
 	}
 }

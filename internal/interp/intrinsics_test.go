@@ -25,8 +25,10 @@ func evalProbe(t *testing.T, expr ir.Expr, want float64) {
 				Then: ir.Block(fail)},
 		),
 	}
-	if _, err := Run(p, Config{Ranks: 1, Machine: machine.IBMSP(),
-		Comm: mpi.Analytic, Inputs: map[string]float64{}}); err != nil {
+	if _, err := Run(p, Config{
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	}); err != nil {
 		t.Fatalf("expr %s != %v: %v", expr, want, err)
 	}
 }
@@ -70,8 +72,10 @@ func TestInterpIfElseBothArms(t *testing.T) {
 			},
 		),
 	}
-	rep, err := Run(p, Config{Ranks: 2, Machine: machine.IBMSP(),
-		Comm: mpi.Analytic, Inputs: map[string]float64{}})
+	rep, err := Run(p, Config{
+		Config: mpi.Config{Ranks: 2, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +100,10 @@ func TestInterpBcastComputedRoot(t *testing.T) {
 			&ir.If{Cond: ir.NE(ir.S("v"), ir.N(77)), Then: ir.Block(fail)},
 		),
 	}
-	if _, err := Run(p, Config{Ranks: 5, Machine: machine.IBMSP(),
-		Comm: mpi.Analytic, Inputs: map[string]float64{}}); err != nil {
+	if _, err := Run(p, Config{
+		Config: mpi.Config{Ranks: 5, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,8 +123,10 @@ func TestInterpDeepNesting(t *testing.T) {
 								Then: ir.Block(body)})))),
 		),
 	}
-	cfg := Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic,
-		Inputs: map[string]float64{}}
+	cfg := Config{
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	}
 	a, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +145,10 @@ func TestInterpDivisionByZeroSurfaces(t *testing.T) {
 		Name: "divzero",
 		Body: ir.Block(ir.SetS("x", ir.Div(ir.N(1), ir.S("zero")))),
 	}
-	_, err := Run(p, Config{Ranks: 1, Machine: machine.IBMSP(),
-		Comm: mpi.Analytic, Inputs: map[string]float64{}})
+	_, err := Run(p, Config{
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	})
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("expected division error, got %v", err)
 	}
@@ -157,8 +167,10 @@ func TestInterpWorkingSetSelectsCacheFactor(t *testing.T) {
 			),
 		}
 	}
-	cfg := Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic,
-		Inputs: map[string]float64{}}
+	cfg := Config{
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic},
+		Inputs: map[string]float64{},
+	}
 	small, err := Run(build(64), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -42,13 +42,16 @@ func TestGeneratedProgramsEngineEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		p, inputs := Program(seed, Config{})
 		base, err := interp.Run(p, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		par, err := interp.Run(p, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed, Inputs: inputs,
-			HostWorkers: 3, RealParallel: true})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed, HostWorkers: 3, RealParallel: true},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatalf("seed %d parallel: %v", seed, err)
 		}
@@ -73,18 +76,23 @@ func TestGeneratedProgramsAMMatchesDE(t *testing.T) {
 		}
 		cal := interp.NewCalibration()
 		if _, err := interp.Run(res.Timer, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Detailed,
-			Inputs: inputs, Calibration: cal}); err != nil {
+			Config:      mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Detailed},
+			Inputs:      inputs,
+			Calibration: cal,
+		}); err != nil {
 			t.Fatalf("seed %d: timer: %v", seed, err)
 		}
 		de, err := interp.Run(p, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Analytic},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatalf("seed %d: DE: %v", seed, err)
 		}
 		am, err := interp.Run(res.Simplified, interp.Config{
-			Ranks: 4, Machine: m, Comm: mpi.Analytic,
-			Inputs: inputs, TaskTimes: cal.TaskTimes()})
+			Config: mpi.Config{Ranks: 4, Machine: m, Comm: mpi.Analytic, TaskTimes: cal.TaskTimes()},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatalf("seed %d: AM: %v", seed, err)
 		}
@@ -117,7 +125,9 @@ func TestGeneratedProgramsMemoryEstimate(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		rep, err := interp.Run(p, interp.Config{
-			Ranks: 3, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+			Config: mpi.Config{Ranks: 3, Machine: m, Comm: mpi.Analytic},
+			Inputs: inputs,
+		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

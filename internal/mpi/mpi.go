@@ -88,10 +88,6 @@ type Config struct {
 	// Protocol selects the conservative synchronization protocol of the
 	// parallel engine (window or null-message).
 	Protocol sim.Protocol
-	// Queue selects the kernel's pending-event queue implementation.
-	// Purely a performance knob: simulation results are identical across
-	// kinds.
-	Queue sim.QueueKind
 	// TaskTimes is the w_i calibration table consumed by ReadTaskTime
 	// (the paper's "read in the value of the parameter from a file and
 	// broadcast it to all processors").
@@ -363,7 +359,6 @@ func NewWorld(cfg Config) (*World, error) {
 		RealParallel:   cfg.RealParallel,
 		ForceGoroutine: cfg.ForceGoroutine,
 		Protocol:       cfg.Protocol,
-		Queue:          cfg.Queue,
 		Metrics:        cfg.Metrics,
 		Tracer:         cfg.Tracer,
 		Timeline:       cfg.Timeline,

@@ -9,16 +9,15 @@ import (
 
 	"mpisim/internal/compiler"
 	"mpisim/internal/ir"
-	"mpisim/internal/machine"
 )
 
-// compileCache content-addresses compiler output and calibration
-// tables by program + machine configuration (JobSpec.compileKey /
-// calKey): repeat submissions of the same program skip the compiler
-// entirely, and AM submissions with the same calibration context skip
-// the calibration run too. Compiled results are shared read-only across
-// jobs; every job wraps them in its own core.Runner, so per-run state
-// (Ctx, limits, telemetry) never crosses jobs.
+// compileCache is the daemon's core.Cache: it content-addresses compiler
+// output and calibration tables by the keys core.Prepare derives from
+// program + machine configuration, so repeat submissions of the same
+// program skip the compiler entirely, and AM submissions with the same
+// calibration context skip the calibration run too. Compiled results are
+// shared read-only across jobs; every job gets its own core.Runner, so
+// per-run state (Ctx, limits, telemetry) never crosses jobs.
 //
 // Calibration tables are additionally persisted under cal/<key>.json in
 // the data directory, so a restarted daemon keeps its w_i tables. (The
@@ -36,7 +35,6 @@ type compileCache struct {
 type compileEntry struct {
 	mu       sync.Mutex
 	prog     *ir.Program
-	machine  *machine.Model
 	compiled *compiler.Result
 	cal      map[string]map[string]float64 // calKey -> w_i table
 }
@@ -68,48 +66,46 @@ func (c *compileCache) entry(key string) *compileEntry {
 	return e
 }
 
-// compiled returns the entry's compiled program, building it via
-// compile on first use. The caller-provided compile closure runs under
-// the entry lock, so concurrent jobs needing the same program compile
-// it exactly once.
-func (e *compileEntry) get(build func() (*ir.Program, *machine.Model, *compiler.Result, error)) (*ir.Program, *machine.Model, *compiler.Result, error) {
+// Compiled returns the key's compiled program, building it on first
+// use. build runs under the entry lock, so concurrent jobs needing the
+// same program compile it exactly once.
+func (c *compileCache) Compiled(key string, build func() (*ir.Program, *compiler.Result, error)) (*ir.Program, *compiler.Result, error) {
+	e := c.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.compiled != nil {
-		return e.prog, e.machine, e.compiled, nil
+		return e.prog, e.compiled, nil
 	}
-	prog, m, res, err := build()
+	prog, res, err := build()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	e.prog, e.machine, e.compiled = prog, m, res
-	return prog, m, res, nil
+	e.prog, e.compiled = prog, res
+	return prog, res, nil
 }
 
-// calibration returns the w_i table for calKey, consulting (in order)
-// the in-memory entry, the on-disk table directory, and finally the
-// calibrate closure — whose result is persisted for the next daemon.
-func (c *compileCache) calibration(e *compileEntry, calKey string,
-	calibrate func() (map[string]float64, error)) (map[string]float64, bool, error) {
+// TaskTimes returns the w_i table for calKey, consulting (in order) the
+// in-memory entry, the on-disk table directory, and finally calibrate —
+// whose result is persisted for the next daemon.
+func (c *compileCache) TaskTimes(compileKey, calKey string, calibrate func() (map[string]float64, error)) (map[string]float64, error) {
+	e := c.entry(compileKey)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if tt, ok := e.cal[calKey]; ok {
-		return tt, true, nil
+		return tt, nil
 	}
 	if tt, err := c.loadCal(calKey); err == nil && tt != nil {
 		e.cal[calKey] = tt
-		return tt, true, nil
+		return tt, nil
 	}
 	tt, err := calibrate()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	e.cal[calKey] = tt
-	if err := c.saveCal(calKey, tt); err != nil {
-		// Persistence is an optimization; the table itself is good.
-		return tt, false, nil
-	}
-	return tt, false, nil
+	// Persistence is an optimization; the table itself is good.
+	_ = c.saveCal(calKey, tt)
+	return tt, nil
 }
 
 // loadCal reads a persisted calibration table; (nil, nil) when absent.

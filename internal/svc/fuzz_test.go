@@ -123,3 +123,24 @@ func TestSubmitOversizedIs400(t *testing.T) {
 		t.Fatalf("oversized spec: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSpecHashIsTheJournalsFormat pins JobSpec.Hash for three specs that
+// between them set every field, against values computed before the spec
+// moved to internal/core: journaled specs, artifact-cache indexes and
+// calibration-table names outlive the daemon that wrote them, so the
+// struct's field order and JSON tags may only ever be appended to.
+func TestSpecHashIsTheJournalsFormat(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"app":"sample","mode":"am","ranks":4,"inputs":{"PATTERN":2,"ITERS":50,"WORK":100,"MSG":64}}`: "2cd789b77c2b23861f58bd05107aa961a868ba39e0da1d575a92edeb0aaa266d",
+		`{"program":"program p\nend\n","mode":"de","ranks":8,"topology":"flat","placement":"roundrobin","faults":{"seed":42,"loss":[{"prob":0.05}]},"cal_ranks":2,"task_times":{"w_1":1e-9},"skip_checks":true,"limits":{"max_events":200,"wall_timeout_ms":5}}`: "bb9fda0401d8b5a99582cf6e49d61134a4823bc0a8b5088647d9ff2c202cf5e5",
+		`{"trace":"{\"mpisim_trace\":1}\n","trace_ranks":32,"machine":"cluster"}`: "0e4270d6e2fefe9d9b1368ff636fd7c22bc37c2e8a576de66a6ac4aff0cf3d71",
+	} {
+		spec, err := DecodeSpec([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spec.Hash(); got != want {
+			t.Errorf("Hash of %s\n  = %s\n want %s", body, got, want)
+		}
+	}
+}

@@ -8,11 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"mpisim/internal/apps"
-	"mpisim/internal/compiler"
 	"mpisim/internal/core"
-	"mpisim/internal/ir"
-	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 	"mpisim/internal/obs"
 	"mpisim/internal/sim"
@@ -58,21 +54,8 @@ func newJob(id string, spec *JobSpec, hash string, hostWorkers int) *job {
 	tl := obs.NewTimeline(reg, obs.TimelineOptions{})
 	tl.SetEnabled(true)
 	ri := obs.NewRunInfo()
-	name := spec.App
-	if name == "" && spec.Trace != "" {
-		name = "trace"
-		if h, err := tracein.ParseHeader([]byte(spec.Trace)); err == nil && h.App != "" {
-			name = h.App
-		}
-	} else if name == "" {
-		if p, err := parseProgram(spec.Program); err == nil {
-			name = p.Name
-		} else {
-			name = "program"
-		}
-	}
 	j := &job{
-		id: id, spec: spec, specHash: hash, workload: name,
+		id: id, spec: spec, specHash: hash, workload: spec.Workload(),
 		reg: reg, tl: tl, ri: ri,
 		state:     JobPending,
 		submitted: time.Now(),
@@ -226,10 +209,11 @@ func (j *job) stateIs() JobState {
 	return j.state
 }
 
-// execute runs one job start to finish on a worker goroutine. Any
-// panic — spec materialization (e.g. an app rejecting the rank count),
-// compiler, or simulator — is confined to this job: the deferred guard
-// journals a failed record and the worker moves on.
+// execute runs one job start to finish on a worker goroutine:
+// core.Prepare under the `compiling` state, Plan.Run under `running`.
+// Any panic — an app rejecting the rank count, the compiler, the
+// simulator — is confined to this job: the deferred guard journals a
+// failed record and the worker moves on.
 func (s *Server) execute(j *job) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -243,303 +227,75 @@ func (s *Server) execute(j *job) {
 	defer cancel()
 	j.setCancel(cancel)
 
+	s.transition(j, &Record{State: JobCompiling})
+	var tr *tracein.Trace
 	if j.spec.Trace != "" {
-		s.executeReplay(j, ctx)
-		return
+		// Validate vetted the trace at admission; a corrupt journaled spec
+		// fails the job rather than the daemon.
+		var err error
+		if tr, err = tracein.ParseBytes([]byte(j.spec.Trace)); err != nil {
+			s.fail(j, fmt.Sprintf("trace: %v", err), nil)
+			return
+		}
 	}
-
-	s.transition(j, &Record{State: JobCompiling})
-	j.ri.SetState(obs.RunCompiling)
-
-	prog, inputs, m, err := j.spec.materialize()
+	plan, err := core.Prepare(s.capped(j.spec), mpi.Config{
+		HostWorkers: s.opts.HostWorkers, RealParallel: s.opts.HostWorkers > 1,
+		Metrics: j.reg, Timeline: j.tl, RunInfo: j.ri,
+	}, s.compile, tr)
 	if err != nil {
 		s.fail(j, err.Error(), nil)
 		return
 	}
-	entry := s.compile.entry(j.spec.compileKey())
-	prog, _, compiled, err := entry.get(func() (*ir.Program, *machine.Model, *compiler.Result, error) {
-		res, cerr := compiler.Compile(prog)
-		if cerr != nil {
-			return nil, nil, nil, cerr
-		}
-		return prog, m, res, nil
-	})
-	if err != nil {
-		s.fail(j, fmt.Sprintf("compile: %v", err), nil)
-		return
-	}
-
-	mode := j.spec.mode()
-	tt := j.spec.TaskTimes
-	if mode == core.Abstract && tt == nil {
-		tt, err = s.calibrated(j, entry, prog, compiled)
-		if err != nil {
-			s.fail(j, fmt.Sprintf("calibration: %v", err), nil)
-			return
-		}
-	}
-
-	lim := j.spec.Limits
-	r := &core.Runner{
-		Program: prog, Machine: m, Compiled: compiled,
-		TaskTimes:   tt,
-		HostWorkers: s.opts.HostWorkers, RealParallel: s.opts.HostWorkers > 1,
-		Metrics: j.reg, Timeline: j.tl, RunInfo: j.ri,
-		Faults:         j.spec.Faults,
-		MaxEvents:      clampI64(limMaxEvents(lim), s.opts.MaxEventsCap),
-		MaxVirtualTime: clampF64(limMaxVirtual(lim), s.opts.MaxVirtualTimeCap),
-		StallEvents:    limStall(lim, s.opts.StallEvents),
-		WallTimeout:    clampDur(lim.wallTimeout(), s.opts.WallTimeoutCap),
-		Ctx:            ctx,
-		SkipChecks:     j.spec.SkipChecks,
-	}
-	if tt != nil {
-		// Fix the virtual-time horizon so /obs/run progress and ETA
-		// divide by the statically predicted end.
-		_, _ = r.EstimateHorizon(j.spec.Ranks, inputs)
-	}
-	s.transition(j, &Record{State: JobRunning})
-
-	rep, runErr := r.Run(mode, j.spec.Ranks, inputs)
-	meta := artifactMeta{
-		app: j.spec.App, mode: mode.String(),
-		machName: r.Machine.Name, inputs: inputs,
-		taskLines: r.Compiled.TaskLines(),
-	}
-	if meta.app == "" {
-		meta.app = r.Program.Name
-	}
-	s.finishJob(j, meta, rep, runErr)
-}
-
-// executeReplay is the trace-submission counterpart of execute: instead
-// of compiling a program it parses the inline trace (and extrapolates
-// it when trace_ranks asks for a larger machine), then replays the
-// recorded call schedule under the job's machine/topology/fault
-// configuration and budgets. The artifact, journal records, telemetry
-// plane and cache behave exactly as for compiled jobs.
-func (s *Server) executeReplay(j *job, ctx context.Context) {
-	// The parse/extrapolate phase stands in for compilation in the
-	// lifecycle.
-	s.transition(j, &Record{State: JobCompiling})
-	j.ri.SetState(obs.RunCompiling)
-
-	// Validate vetted the trace at admission; parse again defensively so
-	// a corrupt journaled spec fails the job rather than the daemon.
-	tr, err := tracein.ParseBytes([]byte(j.spec.Trace))
-	if err != nil {
-		s.fail(j, fmt.Sprintf("trace: %v", err), nil)
-		return
-	}
-	if p := j.spec.TraceRanks; p > 0 && p != tr.Header.Ranks {
-		tr, err = tracein.Extrapolate(tr, tracein.ExtrapolateOptions{
-			Ranks:  p,
-			Inputs: j.spec.Inputs,
-			Warn: func(format string, args ...interface{}) {
-				s.logf("svc: %s: %s", j.id, fmt.Sprintf(format, args...))
-			},
-		})
-		if err != nil {
-			s.fail(j, fmt.Sprintf("extrapolate: %v", err), nil)
-			return
-		}
-	}
-
-	machName := j.spec.Machine
-	if machName == "" {
-		machName = tr.Header.Machine
-	}
-	m, err := machine.ByName(machName)
-	if err != nil {
-		s.fail(j, err.Error(), nil)
-		return
-	}
-	if j.spec.Topology != "" {
-		m.Topology = j.spec.Topology
-	}
-	if j.spec.Placement != "" {
-		m.Placement = j.spec.Placement
-	}
-
-	lim := j.spec.Limits
-	if wt := clampDur(lim.wallTimeout(), s.opts.WallTimeoutCap); wt > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, wt)
-		defer cancel()
-	}
-	maxEvents := clampI64(limMaxEvents(lim), s.opts.MaxEventsCap)
-	maxVirtual := clampF64(limMaxVirtual(lim), s.opts.MaxVirtualTimeCap)
-	cfg := mpi.Config{
-		Machine:     m,
-		HostWorkers: s.opts.HostWorkers, RealParallel: s.opts.HostWorkers > 1,
-		Metrics: j.reg, Timeline: j.tl, RunInfo: j.ri,
-		Faults: j.spec.Faults,
-		Limits: sim.Limits{
-			MaxEvents:   maxEvents,
-			MaxTime:     sim.Time(maxVirtual),
-			StallEvents: limStall(lim, s.opts.StallEvents),
-			Ctx:         ctx,
-		},
+	for _, w := range plan.Warnings {
+		s.logf("svc: %s: %s", j.id, w)
 	}
 
 	s.transition(j, &Record{State: JobRunning})
-	// mpi.Run does not drive the RunInfo lifecycle itself (core.Runner
-	// does for compiled jobs), so replay mirrors it here.
-	j.ri.SetHorizon(maxVirtual, maxEvents)
-	j.ri.SetState(obs.RunRunning)
-
-	rep, runErr := tracein.Replay(tr, cfg)
-	vt := 0.0
-	if rep != nil {
-		vt = rep.Time
-	}
-	if runErr != nil {
-		reason := runErr.Error()
-		if ab, ok := runErr.(*sim.AbortError); ok {
-			reason = ab.Reason
-		}
-		j.ri.Finish(obs.RunAborted, vt, reason)
-	} else {
-		j.ri.Finish(obs.RunDone, vt, "")
-	}
-
-	meta := artifactMeta{
-		app: tr.Header.App, mode: j.spec.Mode,
-		machName: m.Name, inputs: tr.Header.Inputs,
-	}
-	if meta.app == "" {
-		meta.app = "trace"
-	}
-	s.finishJob(j, meta, rep, runErr)
-}
-
-// calibrated resolves the job's w_i table through the calibration cache
-// (memory, then disk, then a real calibration run).
-func (s *Server) calibrated(j *job, entry *compileEntry, prog *ir.Program, compiled *compiler.Result) (map[string]float64, error) {
-	calRanks := j.spec.effectiveCalRanks()
-	calInputs := map[string]float64{}
-	if j.spec.App != "" {
-		calInputs = appDefaults(j.spec.App, calRanks)
-	}
-	for k, v := range j.spec.Inputs {
-		calInputs[k] = v
-	}
-	key := j.spec.calKey(calRanks, calInputs)
-	tt, _, err := s.compile.calibration(entry, key, func() (map[string]float64, error) {
-		_, _, m, merr := j.spec.materialize()
-		if merr != nil {
-			return nil, merr
-		}
-		cr := &core.Runner{
-			Program: prog, Machine: m, Compiled: compiled,
-			HostWorkers: s.opts.HostWorkers, RealParallel: s.opts.HostWorkers > 1,
-			RunInfo:    j.ri,
-			SkipChecks: j.spec.SkipChecks,
-		}
-		return cr.Calibrate(calRanks, calInputs)
-	})
-	return tt, err
-}
-
-// appDefaults builds a registered app's default inputs; may panic on
-// unsupported rank counts (confined by execute's guard).
-func appDefaults(app string, ranks int) map[string]float64 {
-	return apps.Registry()[app].Default(ranks)
-}
-
-// artifactMeta carries what artifact persistence needs to know about a
-// run, independent of whether a compiled program or a replayed trace
-// produced it.
-type artifactMeta struct {
-	app       string
-	mode      string
-	machName  string
-	inputs    map[string]float64
-	taskLines []compiler.TaskLine
+	out, err := plan.Run(ctx)
+	s.finishJob(j, out, err)
 }
 
 // finishJob maps a run outcome onto the job's terminal record:
 //
-//	nil error                  → done, complete artifact, cache entry
-//	*sim.AbortError            → aborted, partial artifact + progress %
+//	complete outcome           → done, artifact, cache entry
+//	outcome with Abort         → aborted, partial artifact + progress %
+//	*sim.AbortError, no report → aborted
 //	*sim.PanicError            → failed, with the kernel's snapshot
-//	anything else (check, ...) → failed
-func (s *Server) finishJob(j *job, meta artifactMeta, rep *mpi.Report, runErr error) {
-	if runErr == nil {
-		data, hash, err := s.persistArtifact(meta, rep, 1)
-		if err != nil {
-			s.fail(j, fmt.Sprintf("artifact: %v", err), nil)
-			return
+//	anything else              → failed
+func (s *Server) finishJob(j *job, out *core.Outcome, runErr error) {
+	if runErr != nil {
+		var ae *sim.AbortError
+		var pe *sim.PanicError
+		switch {
+		case errors.As(runErr, &ae):
+			s.transition(j, &Record{State: JobAborted, Error: ae.Reason, Snapshot: ae.Snapshot})
+		case errors.As(runErr, &pe):
+			s.fail(j, runErr.Error(), pe.Snapshot)
+		default:
+			s.fail(j, runErr.Error(), nil)
 		}
+		return
+	}
+	data, err := trace.EncodeArtifact(out.Artifact)
+	var hash string
+	if err == nil {
+		hash, err = s.store.Put(data)
+	}
+	switch ae := out.Abort; {
+	case ae != nil:
+		if err != nil {
+			// The abort still journals, but the partial artifact is lost;
+			// the operator needs to know why.
+			s.logf("svc: %s: partial artifact not persisted: %v", j.id, err)
+		}
+		s.transition(j, &Record{State: JobAborted, Error: ae.Reason, Snapshot: ae.Snapshot,
+			Progress: out.Artifact.Progress, Artifact: hash})
+	case err != nil:
+		s.fail(j, fmt.Sprintf("artifact: %v", err), nil)
+	default:
 		s.transition(j, &Record{State: JobDone, Artifact: hash, Progress: 1})
 		s.rememberArtifact(j.specHash, hash, int64(len(data)))
-		return
 	}
-	var ae *sim.AbortError
-	if errors.As(runErr, &ae) {
-		rec := &Record{State: JobAborted, Error: ae.Reason, Snapshot: ae.Snapshot}
-		if rep != nil {
-			rec.Progress = s.runProgress(j)
-			if _, hash, err := s.persistArtifact(meta, rep, rec.Progress); err == nil {
-				rec.Artifact = hash
-			} else {
-				// The abort still journals, but the partial artifact is
-				// lost; the operator needs to know why.
-				s.logf("svc: %s: partial artifact not persisted: %v", j.id, err)
-			}
-		}
-		s.transition(j, rec)
-		return
-	}
-	var pe *sim.PanicError
-	if errors.As(runErr, &pe) {
-		s.fail(j, runErr.Error(), pe.Snapshot)
-		return
-	}
-	s.fail(j, runErr.Error(), nil)
-}
-
-// runProgress is the completed fraction the telemetry tracker last
-// observed, clamped to [0,1]; 0 when unknown.
-func (s *Server) runProgress(j *job) float64 {
-	p := j.ri.Status().Percent
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// persistArtifact encodes the run artifact and stores it under its
-// content address. Partiality travels inside the report; progress
-// records how much of the run a truncated prediction covers.
-func (s *Server) persistArtifact(meta artifactMeta, rep *mpi.Report, progress float64) ([]byte, string, error) {
-	art := &trace.Artifact{
-		App: meta.app, Mode: meta.mode, Machine: meta.machName,
-		Inputs: meta.inputs, Report: rep,
-	}
-	if rep.Partial {
-		art.Progress = progress
-	}
-	if tls := meta.taskLines; len(tls) > 0 {
-		art.TaskLines = make(map[string]int, len(tls))
-		art.TaskHeads = make(map[string]string, len(tls))
-		for _, tl := range tls {
-			art.TaskLines[tl.Task] = tl.Line
-			art.TaskHeads[tl.Task] = tl.Head
-		}
-	}
-	data, err := trace.EncodeArtifact(art)
-	if err != nil {
-		return nil, "", err
-	}
-	hash, err := s.store.Put(data)
-	if err != nil {
-		return nil, "", err
-	}
-	return data, hash, nil
 }
 
 // fail journals a failed record (unless the job already reached a
@@ -550,58 +306,4 @@ func (s *Server) fail(j *job, msg string, snap *sim.Snapshot) {
 	}
 	s.transition(j, &Record{State: JobFailed, Error: msg, Snapshot: snap})
 	j.ri.Finish(obs.RunFailed, 0, msg)
-}
-
-// Limit helpers: a request clamps against the operator cap; zero
-// requests inherit the cap (or stay unlimited when there is none).
-
-func limMaxEvents(l *SpecLimits) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.MaxEvents
-}
-
-func limMaxVirtual(l *SpecLimits) float64 {
-	if l == nil {
-		return 0
-	}
-	return l.MaxVirtualTime
-}
-
-func limStall(l *SpecLimits, def int64) int64 {
-	if l != nil && l.StallEvents > 0 {
-		return l.StallEvents
-	}
-	return def
-}
-
-func clampI64(req, cap int64) int64 {
-	if cap > 0 && (req <= 0 || req > cap) {
-		return cap
-	}
-	if req < 0 {
-		return 0
-	}
-	return req
-}
-
-func clampF64(req, cap float64) float64 {
-	if cap > 0 && (req <= 0 || req > cap) {
-		return cap
-	}
-	if req < 0 {
-		return 0
-	}
-	return req
-}
-
-func clampDur(req, cap time.Duration) time.Duration {
-	if cap > 0 && (req <= 0 || req > cap) {
-		return cap
-	}
-	if req < 0 {
-		return 0
-	}
-	return req
 }

@@ -3,67 +3,190 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"mpisim/internal/core"
+	"mpisim/internal/mpi"
+	"mpisim/internal/trace"
+	"mpisim/internal/tracein"
 )
 
-// TestCachedVsFresh is the determinism gate for the artifact cache: a
-// repeat submission must be answered from the store (Cached=true, same
-// content address, no second simulation), and those cached bytes must
-// be byte-identical to what a completely fresh daemon in a fresh data
-// directory computes for the same spec. AM mode is used deliberately so
-// the compile + calibration caches sit in the loop being proven.
+// TestCachedVsFresh is the determinism gate for the daemon's caches and
+// for the two front doors. Per spec: a repeat submission must be answered
+// from the store (Cached=true, same content address, no second
+// simulation); a submission that shares the compile and calibration keys
+// but not the spec hash must re-simulate through those caches; a
+// completely fresh daemon in a fresh data directory must compute the
+// same thing; and core.Prepare/Run driven the way cmd/mpisim drives them
+// (no cache, one and two host workers) must too. All of it byte for byte.
 func TestCachedVsFresh(t *testing.T) {
-	spec := `{"app":"sample","mode":"am","ranks":4,
-		"inputs":{"PATTERN":2,"ITERS":50,"WORK":100,"MSG":64}}`
+	ringIR, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "ring.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, _ := json.Marshal(string(ringIR))
+	const loss = `{"seed":42,"retry":{"timeout":5e-4,"backoff":2,"max_retries":16},"loss":[{"prob":0.05}]}`
+	rows := []struct {
+		name string
+		// spec is the submission minus its limits, so the variant can add
+		// one that changes the hash and nothing else.
+		spec, limits string
+		want         JobState
+		// twoWorkers: also predict on two host workers. Exact only for a
+		// run that completes (where a budget trips depends on the engine's
+		// window boundaries) on the flat network (under a contended
+		// topology the real-parallel engine's virtual times differ in the
+		// last ulp from run to run — `mpisim -hosts 2 -topology
+		// torus:dims=4x4` did before the pipeline too; ROADMAP item 5).
+		twoWorkers bool
+	}{
+		// AM deliberately: the compile + calibration caches sit in the
+		// loop being proven.
+		{"am app", `"app":"sample","mode":"am","ranks":4,"inputs":{"PATTERN":2,"ITERS":50,"WORK":100,"MSG":64}`, "", JobDone, true},
+		{"de inline program", `"program":` + string(inline) + `,"mode":"de","ranks":8,"inputs":{"N":32,"STEPS":2}`, "", JobDone, true},
+		{"torus + faults", `"app":"sweep3d","mode":"am","ranks":16,"topology":"torus:dims=4x4","placement":"roundrobin","faults":` + loss, "", JobDone, false},
+		// Not AM: with a static horizon the daemon's tracker would report
+		// progress against the estimate, the CLI (no tracker) against the
+		// budget. Without one both are events/budget.
+		{"event-budget abort", `"app":"sweep3d","mode":"de","ranks":8`, `"max_events":200`, JobAborted, false},
+		{"trace replay", strings.Trim(traceSpec(t, ringTraceJSONL(t, 8), 0), "{}"), "", JobDone, true},
+		{"trace extrapolated x4", strings.Trim(traceSpec(t, ringTraceJSONL(t, 8), 32), "{}"), "", JobDone, true},
+	}
 
 	srvA := newTestServer(t, Options{})
 	tsA := httptest.NewServer(srvA.Handler())
 	defer tsA.Close()
-
-	id1, _, _ := submit(t, tsA, spec)
-	v1 := pollUntil(t, tsA, id1, terminal, 60*time.Second)
-	if v1.State != JobDone {
-		t.Fatalf("first run ended %s (%s)", v1.State, v1.Error)
-	}
-	if v1.Cached {
-		t.Fatal("first run claims to be cached")
-	}
-	fresh := fetchArtifact(t, tsA, id1)
-
-	id2, _, _ := submit(t, tsA, spec)
-	v2 := pollUntil(t, tsA, id2, terminal, 60*time.Second)
-	if v2.State != JobDone || !v2.Cached {
-		t.Fatalf("repeat submission: state=%s cached=%v, want done/cached", v2.State, v2.Cached)
-	}
-	if v2.Artifact != v1.Artifact {
-		t.Fatalf("cached artifact %s != fresh artifact %s", v2.Artifact, v1.Artifact)
-	}
-	cached := fetchArtifact(t, tsA, id2)
-	if !bytes.Equal(cached, fresh) {
-		t.Fatal("cached artifact bytes differ from the fresh run")
-	}
-
-	// A brand-new daemon, brand-new directory: same spec, same bytes.
+	// A brand-new daemon, brand-new directory.
 	srvB := newTestServer(t, Options{})
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()
-	id3, _, _ := submit(t, tsB, spec)
-	v3 := pollUntil(t, tsB, id3, terminal, 60*time.Second)
-	if v3.State != JobDone {
-		t.Fatalf("fresh-daemon run ended %s (%s)", v3.State, v3.Error)
+
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			body := func(limits string) string {
+				if limits == "" {
+					return "{" + row.spec + "}"
+				}
+				return "{" + row.spec + `,"limits":{` + limits + "}}"
+			}
+			run := func(ts *httptest.Server, spec string) (JobView, []byte) {
+				id, code, resp := submit(t, ts, spec)
+				if code != http.StatusAccepted {
+					t.Fatalf("submit: %d (%s)", code, resp)
+				}
+				v := pollUntil(t, ts, id, terminal, 60*time.Second)
+				if v.State != row.want {
+					t.Fatalf("run ended %s (%s), want %s", v.State, v.Error, row.want)
+				}
+				return v, fetchArtifact(t, ts, id)
+			}
+			spec := body(row.limits)
+			v1, fresh := run(tsA, spec)
+			if v1.Cached {
+				t.Fatal("first run claims to be cached")
+			}
+
+			// Partial artifacts never enter the artifact cache.
+			if row.want == JobDone {
+				v2, cached := run(tsA, spec)
+				if !v2.Cached {
+					t.Fatal("repeat submission was not answered from the artifact cache")
+				}
+				if v2.Artifact != v1.Artifact || !bytes.Equal(cached, fresh) {
+					t.Fatal("cached artifact differs from the fresh run")
+				}
+			}
+
+			variant := `"wall_timeout_ms":540000`
+			if row.limits != "" {
+				variant = row.limits + "," + variant
+			}
+			v3, warm := run(tsA, body(variant))
+			if v3.Cached || v3.SpecHash == v1.SpecHash {
+				t.Fatal("the variant spec did not re-simulate")
+			}
+			if !bytes.Equal(warm, fresh) {
+				t.Fatal("artifact through the warm compile/calibration caches differs from the cold run")
+			}
+
+			v4, other := run(tsB, spec)
+			if !bytes.Equal(other, fresh) {
+				t.Fatal("artifacts differ across independent daemons for the same spec")
+			}
+			if v4.Artifact != v1.Artifact {
+				t.Fatalf("content addresses differ across daemons: %s vs %s", v4.Artifact, v1.Artifact)
+			}
+
+			if got := predictLikeMpisim(t, spec, 1); !bytes.Equal(got, fresh) {
+				t.Error("core.Prepare/Run without a cache differs from the daemon's artifact")
+			}
+			// The report also counts how the engine's workers synchronised
+			// (windows, cross-worker messages); the prediction is everything
+			// else, and does not depend on the worker count.
+			if !row.twoWorkers {
+				return
+			}
+			if got := predictLikeMpisim(t, spec, 2); !bytes.Equal(sansEngineCounters(t, got), sansEngineCounters(t, fresh)) {
+				t.Error("core.Prepare/Run on two host workers predicts differently from the daemon on one")
+			}
+		})
 	}
-	other := fetchArtifact(t, tsB, id3)
-	if !bytes.Equal(other, fresh) {
-		t.Fatal("artifacts differ across independent daemons for the same spec")
+}
+
+// sansEngineCounters re-encodes an artifact without the two kernel
+// counters that describe the simulator's parallel engine rather than the
+// simulated run.
+func sansEngineCounters(t *testing.T, data []byte) []byte {
+	t.Helper()
+	a, err := trace.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v3.Artifact != v1.Artifact {
-		t.Fatalf("content addresses differ across daemons: %s vs %s", v3.Artifact, v1.Artifact)
+	a.Report.Kernel.Windows, a.Report.Kernel.CrossWorker = 0, 0
+	out, err := trace.EncodeArtifact(a)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
+}
+
+// predictLikeMpisim runs a submission body the way cmd/mpisim runs its
+// flags: the trace parsed by the caller, no cache, no telemetry plane.
+func predictLikeMpisim(t *testing.T, body string, hostWorkers int) []byte {
+	t.Helper()
+	spec, err := DecodeSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(0); err != nil {
+		t.Fatal(err)
+	}
+	var tr *tracein.Trace
+	if spec.Trace != "" {
+		if tr, err = tracein.ParseBytes([]byte(spec.Trace)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := core.Prepare(spec, mpi.Config{HostWorkers: hostWorkers, RealParallel: hostWorkers > 1}, nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := trace.EncodeArtifact(out.Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestCacheSurvivesRestart proves the artifact cache is rebuilt from

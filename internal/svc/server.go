@@ -420,8 +420,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := spec.Validate(s.opts.MaxRanks); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if err := s.admit(spec); err != nil {
+		httpError(w, http.StatusBadRequest, "svc: %v", err)
 		return
 	}
 	hash := spec.Hash()

@@ -443,14 +443,14 @@ func TestLimitClamping(t *testing.T) {
 		{-5, 0, 0},       // negative sanitized
 	}
 	for _, c := range cases {
-		if got := clampI64(c.req, c.cap); got != c.want {
-			t.Errorf("clampI64(%d, %d) = %d, want %d", c.req, c.cap, got, c.want)
+		if got := clamp(c.req, c.cap); got != c.want {
+			t.Errorf("clamp(%d, %d) = %d, want %d", c.req, c.cap, got, c.want)
 		}
 	}
-	if got := clampDur(5*time.Second, time.Second); got != time.Second {
-		t.Errorf("clampDur loose request = %v, want 1s", got)
+	if got := clamp(5*time.Second, time.Second); got != time.Second {
+		t.Errorf("clamp loose request = %v, want 1s", got)
 	}
-	if got := clampDur(0, time.Second); got != time.Second {
-		t.Errorf("clampDur unset request = %v, want 1s", got)
+	if got := clamp(0, time.Second); got != time.Second {
+		t.Errorf("clamp unset request = %v, want 1s", got)
 	}
 }

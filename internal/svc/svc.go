@@ -37,23 +37,13 @@ package svc
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 	"time"
 
-	"mpisim/internal/apps"
 	"mpisim/internal/core"
-	"mpisim/internal/fault"
-	"mpisim/internal/ir"
-	"mpisim/internal/machine"
-	"mpisim/internal/net"
-	"mpisim/internal/tracein"
 )
 
 // JobState is the lifecycle state of one submitted job.
@@ -84,67 +74,12 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobAborted || s == JobFailed
 }
 
-// SpecLimits are the per-job run budgets a client may request. The
-// server clamps each against its own caps (Options.MaxEventsCap etc.),
-// so a client can tighten but never exceed the operator's bounds.
-type SpecLimits struct {
-	// MaxEvents aborts the run after this many kernel events (0 = server
-	// default).
-	MaxEvents int64 `json:"max_events,omitempty"`
-	// MaxVirtualTime aborts the run past this virtual time in seconds.
-	MaxVirtualTime float64 `json:"max_virtual_time,omitempty"`
-	// StallEvents arms the no-progress watchdog: abort after this many
-	// events without virtual time advancing.
-	StallEvents int64 `json:"stall_events,omitempty"`
-	// WallTimeoutMS bounds host wall-clock time for the run.
-	WallTimeoutMS int64 `json:"wall_timeout_ms,omitempty"`
-}
-
-// JobSpec is the submission body of POST /jobs. Exactly one of App
-// (a registered application) or Program (inline IR pseudocode, the
-// stgdump format) selects the workload.
-type JobSpec struct {
-	// App names a registered application (internal/apps).
-	App string `json:"app,omitempty"`
-	// Program is inline IR program text (see examples/programs/*.ir).
-	Program string `json:"program,omitempty"`
-	// Trace is an inline JSONL trace (internal/tracein). A trace
-	// submission replays the recorded schedule instead of compiling a
-	// program; mutually exclusive with App and Program, and the mode
-	// becomes "replay". Malformed traces are rejected at admission with
-	// the parser's line-anchored diagnostic — never enqueued.
-	Trace string `json:"trace,omitempty"`
-	// TraceRanks, when > 0, extrapolates the trace to this rank count (a
-	// multiple of the trace's own) on the server before replaying.
-	TraceRanks int `json:"trace_ranks,omitempty"`
-	// Mode is the evaluation mode: "measured", "de", or "am" (default);
-	// "replay" for trace submissions (set automatically).
-	Mode string `json:"mode,omitempty"`
-	// Ranks is the target process count.
-	Ranks int `json:"ranks"`
-	// Inputs overrides the program's problem-size parameters (merged
-	// over the app defaults for registered applications).
-	Inputs map[string]float64 `json:"inputs,omitempty"`
-	// Machine names the target machine preset (default "ibmsp").
-	Machine string `json:"machine,omitempty"`
-	// Topology / Placement override the machine's interconnect model
-	// ("bus", "torus:dims=4x4", "fattree:k=4"; "block", "roundrobin",
-	// "random:SEED"). "graph:PATH" is rejected: the daemon does not read
-	// server-side files named by clients.
-	Topology  string `json:"topology,omitempty"`
-	Placement string `json:"placement,omitempty"`
-	// Faults is an inline deterministic fault-injection scenario.
-	Faults *fault.Scenario `json:"faults,omitempty"`
-	// CalRanks sets the AM calibration rank count (default
-	// min(Ranks, 16)).
-	CalRanks int `json:"cal_ranks,omitempty"`
-	// TaskTimes supplies a w_i table directly, skipping calibration.
-	TaskTimes map[string]float64 `json:"task_times,omitempty"`
-	// SkipChecks disables the pre-simulation static verifier.
-	SkipChecks bool `json:"skip_checks,omitempty"`
-	// Limits tightens the per-job run budgets.
-	Limits *SpecLimits `json:"limits,omitempty"`
-}
+// JobSpec is the submission body of POST /jobs: the run description
+// both front doors share. SpecLimits are the budgets it may request.
+type (
+	JobSpec    = core.RunSpec
+	SpecLimits = core.SpecLimits
+)
 
 // maxSpecBytes bounds a submission body; larger requests get 400.
 const maxSpecBytes = 4 << 20
@@ -169,261 +104,43 @@ func DecodeSpec(data []byte) (*JobSpec, error) {
 	return &s, nil
 }
 
-// Normalize fills defaulted fields in place so that hashing and
-// execution see the same spec.
-func (s *JobSpec) Normalize() {
-	if s.Trace != "" {
-		// Trace submissions replay; the machine stays empty so the trace
-		// header's recorded model is the default target.
-		s.Mode = "replay"
-	} else {
-		if s.Mode == "" {
-			s.Mode = "am"
-		}
-		if s.Machine == "" {
-			s.Machine = "ibmsp"
-		}
+// admit is the operator's policy on top of the spec's own Validate: the
+// rank cap, and no topology that names a server-side file.
+func (s *Server) admit(spec *JobSpec) error {
+	if strings.HasPrefix(spec.Topology, "graph:") {
+		return fmt.Errorf("topology %q not accepted over the service (server-side file)", spec.Topology)
 	}
-	if s.Topology == "flat" {
-		s.Topology = ""
-	}
+	return spec.Validate(s.opts.MaxRanks)
 }
 
-// parseProgram parses inline program text, converting parser panics on
-// hostile input into errors (the fuzz contract: malformed submissions
-// must never take the daemon down).
-func parseProgram(src string) (p *ir.Program, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			p, err = nil, fmt.Errorf("program parse panic: %v", v)
-		}
-	}()
-	return ir.Parse(src)
+// capped returns the spec with its budgets clamped against the operator
+// caps: a request can tighten a cap, never exceed it, and an unset one
+// inherits it. The journaled spec (and its hash) stay as submitted.
+func (s *Server) capped(spec *JobSpec) *JobSpec {
+	var req SpecLimits
+	if spec.Limits != nil {
+		req = *spec.Limits
+	}
+	out := *spec
+	out.Limits = &SpecLimits{
+		MaxEvents:      clamp(req.MaxEvents, s.opts.MaxEventsCap),
+		MaxVirtualTime: clamp(req.MaxVirtualTime, s.opts.MaxVirtualTimeCap),
+		StallEvents:    req.StallEvents,
+		// Rounded up: a sub-millisecond cap must not read as "unlimited".
+		WallTimeoutMS: int64((clamp(req.WallTimeout(), s.opts.WallTimeoutCap) + time.Millisecond - 1) / time.Millisecond),
+	}
+	if out.Limits.StallEvents <= 0 {
+		out.Limits.StallEvents = s.opts.StallEvents
+	}
+	return &out
 }
 
-// Validate reports submission-time errors: everything cheap enough to
-// answer 400 synchronously (shape, unknown names, parse errors, bad
-// fault scenarios, out-of-range budgets). maxRanks > 0 caps the target
-// process count. Compile and simulation errors surface later as a
-// `failed` job instead.
-func (s *JobSpec) Validate(maxRanks int) error {
-	// effRanks is the rank count the run will actually simulate: the
-	// spec's for compiled workloads, the (possibly extrapolated) trace's
-	// for replays. Capacity and network checks apply to it.
-	effRanks := s.Ranks
-	machName := s.Machine
-	if s.Trace != "" {
-		if s.App != "" || s.Program != "" {
-			return fmt.Errorf("svc: \"trace\" is mutually exclusive with \"app\" and \"program\"")
-		}
-		if s.Mode != "replay" {
-			return fmt.Errorf("svc: trace submissions use mode \"replay\" (got %q)", s.Mode)
-		}
-		if s.CalRanks != 0 || s.TaskTimes != nil {
-			return fmt.Errorf("svc: cal_ranks and task_times do not apply to trace replay")
-		}
-		tr, err := tracein.ParseBytes([]byte(s.Trace))
-		if err != nil {
-			return fmt.Errorf("svc: trace: %w", err)
-		}
-		effRanks = tr.Header.Ranks
-		if s.TraceRanks > 0 {
-			if s.TraceRanks < effRanks || s.TraceRanks%effRanks != 0 {
-				return fmt.Errorf("svc: trace_ranks %d must be a multiple of the trace's %d ranks", s.TraceRanks, effRanks)
-			}
-			effRanks = s.TraceRanks
-		}
-		if s.Ranks != 0 && s.Ranks != effRanks {
-			return fmt.Errorf("svc: ranks %d conflicts with the trace's effective %d (omit it)", s.Ranks, effRanks)
-		}
-		if machName == "" {
-			machName = tr.Header.Machine
-		}
-		if machName == "" {
-			return fmt.Errorf("svc: no machine model (spec names none and the trace header names none)")
-		}
-	} else {
-		switch {
-		case s.TraceRanks != 0:
-			return fmt.Errorf("svc: trace_ranks requires \"trace\"")
-		case s.App == "" && s.Program == "":
-			return fmt.Errorf("svc: spec needs one of \"app\", \"program\" or \"trace\"")
-		case s.App != "" && s.Program != "":
-			return fmt.Errorf("svc: \"app\" and \"program\" are mutually exclusive")
-		}
-		if s.App != "" {
-			if _, ok := apps.Registry()[s.App]; !ok {
-				return fmt.Errorf("svc: unknown app %q (have %s)", s.App, strings.Join(apps.Names(), ", "))
-			}
-		} else if _, err := parseProgram(s.Program); err != nil {
-			return fmt.Errorf("svc: program: %w", err)
-		}
-		switch s.Mode {
-		case "measured", "de", "am":
-		default:
-			return fmt.Errorf("svc: unknown mode %q (want measured, de, am)", s.Mode)
-		}
-		if s.Ranks < 1 {
-			return fmt.Errorf("svc: ranks must be >= 1 (got %d)", s.Ranks)
-		}
+func clamp[T ~int64 | ~float64](req, cap T) T {
+	if cap > 0 && (req <= 0 || req > cap) {
+		return cap
 	}
-	if maxRanks > 0 && effRanks > maxRanks {
-		return fmt.Errorf("svc: ranks %d beyond server cap %d", effRanks, maxRanks)
-	}
-	if s.CalRanks < 0 {
-		return fmt.Errorf("svc: cal_ranks must not be negative")
-	}
-	for k, v := range s.Inputs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("svc: input %q is not finite", k)
-		}
-	}
-	for k, v := range s.TaskTimes {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("svc: task time %q is not a finite non-negative number", k)
-		}
-	}
-	m, err := machine.ByName(machName)
-	if err != nil {
-		return fmt.Errorf("svc: %w", err)
-	}
-	if strings.HasPrefix(s.Topology, "graph:") {
-		return fmt.Errorf("svc: topology %q not accepted over the service (server-side file)", s.Topology)
-	}
-	if s.Topology != "" {
-		m.Topology = s.Topology
-	}
-	if s.Placement != "" {
-		m.Placement = s.Placement
-	}
-	if err := m.Validate(); err != nil {
-		return fmt.Errorf("svc: %w", err)
-	}
-	if _, err := net.Build(m, effRanks); err != nil {
-		return fmt.Errorf("svc: %w", err)
-	}
-	if s.Faults != nil {
-		if err := s.Faults.Validate(effRanks); err != nil {
-			return fmt.Errorf("svc: %w", err)
-		}
-	}
-	if l := s.Limits; l != nil {
-		if l.MaxEvents < 0 || l.StallEvents < 0 || l.WallTimeoutMS < 0 {
-			return fmt.Errorf("svc: limits must not be negative")
-		}
-		if l.MaxVirtualTime < 0 || math.IsNaN(l.MaxVirtualTime) || math.IsInf(l.MaxVirtualTime, 0) {
-			return fmt.Errorf("svc: max_virtual_time must be a finite non-negative number")
-		}
-	}
-	return nil
-}
-
-// Hash is the content address of the full submission: sha256 over the
-// canonical JSON encoding of the normalized spec (Go marshals struct
-// fields in declaration order and maps sorted by key, so equal specs
-// hash equally). Two submissions with the same hash produce
-// byte-identical artifacts — the determinism gate in the test suite
-// proves it — which is what lets the artifact cache answer repeats.
-func (s *JobSpec) Hash() string {
-	data, err := json.Marshal(s)
-	if err != nil {
-		// Validate rejects non-finite numbers, the only marshal failure
-		// a spec can carry.
-		data = []byte(fmt.Sprintf("unhashable: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// compileKey content-addresses the compiled program + calibration
-// context: everything that affects compiler output and w_i tables but
-// not the individual run (ranks, faults, budgets stay out).
-func (s *JobSpec) compileKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "app=%s\x00prog=%s\x00machine=%s\x00topo=%s\x00place=%s",
-		s.App, s.Program, s.Machine, s.Topology, s.Placement)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// mode maps the spec's mode string onto core.Mode. Validate has already
-// vetted it.
-func (s *JobSpec) mode() core.Mode {
-	switch s.Mode {
-	case "measured":
-		return core.Measured
-	case "de":
-		return core.DirectExec
-	default:
-		return core.Abstract
-	}
-}
-
-// materialize builds the program, merged inputs and machine model for
-// execution. App default-input builders may panic on unsupported rank
-// counts (e.g. NAS SP on a non-square grid); the worker's panic guard
-// turns that into a failed job rather than a dead daemon.
-func (s *JobSpec) materialize() (*ir.Program, map[string]float64, *machine.Model, error) {
-	var prog *ir.Program
-	inputs := map[string]float64{}
-	if s.App != "" {
-		spec := apps.Registry()[s.App]
-		prog = spec.Build()
-		inputs = spec.Default(s.Ranks)
-	} else {
-		p, err := parseProgram(s.Program)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prog = p
-	}
-	for k, v := range s.Inputs {
-		inputs[k] = v
-	}
-	m, err := machine.ByName(s.Machine)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if s.Topology != "" {
-		m.Topology = s.Topology
-	}
-	if s.Placement != "" {
-		m.Placement = s.Placement
-	}
-	return prog, inputs, m, nil
-}
-
-// calKey content-addresses a calibration table: the compile context
-// plus the calibration configuration.
-func (s *JobSpec) calKey(calRanks int, inputs map[string]float64) string {
-	keys := make([]string, 0, len(inputs))
-	for k := range inputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00calranks=%d", s.compileKey(), calRanks)
-	for _, k := range keys {
-		fmt.Fprintf(h, "\x00%s=%g", k, inputs[k])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// effectiveCalRanks resolves the calibration rank count the same way
-// mpisim does: the spec's cal_ranks, else min(ranks, 16).
-func (s *JobSpec) effectiveCalRanks() int {
-	if s.CalRanks > 0 {
-		return s.CalRanks
-	}
-	if s.Ranks > 16 {
-		return 16
-	}
-	return s.Ranks
-}
-
-// wallTimeout returns the requested wall budget as a duration.
-func (l *SpecLimits) wallTimeout() time.Duration {
-	if l == nil {
+	if req < 0 {
 		return 0
 	}
-	return time.Duration(l.WallTimeoutMS) * time.Millisecond
+	return req
 }

@@ -24,7 +24,9 @@ func Ablation(cfg Config) (*Table, error) {
 	prog := apps.Tomcatv()
 
 	meas, err := interp.Run(prog, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Detailed, Inputs: inputs})
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Detailed},
+		Inputs: inputs,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -45,13 +47,16 @@ func Ablation(cfg Config) (*Table, error) {
 		}
 		cal := interp.NewCalibration()
 		if _, err := interp.Run(res.Timer, interp.Config{
-			Ranks: ranks, Machine: m, Comm: mpi.Detailed,
-			Inputs: inputs, Calibration: cal}); err != nil {
+			Config:      mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Detailed},
+			Inputs:      inputs,
+			Calibration: cal,
+		}); err != nil {
 			return err
 		}
 		am, err := interp.Run(res.Simplified, interp.Config{
-			Ranks: ranks, Machine: m, Comm: comm,
-			Inputs: inputs, TaskTimes: cal.TaskTimes()})
+			Config: mpi.Config{Ranks: ranks, Machine: m, Comm: comm, TaskTimes: cal.TaskTimes()},
+			Inputs: inputs,
+		})
 		if err != nil {
 			return err
 		}
@@ -78,7 +83,9 @@ func Ablation(cfg Config) (*Table, error) {
 	}
 	// Reference rows: the event-level simulators.
 	de, err := interp.Run(prog, interp.Config{
-		Ranks: ranks, Machine: m, Comm: mpi.Analytic, Inputs: inputs})
+		Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic},
+		Inputs: inputs,
+	})
 	if err != nil {
 		return nil, err
 	}

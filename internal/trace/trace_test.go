@@ -27,8 +27,8 @@ func tracedRun(t *testing.T) *mpi.Report {
 		),
 	}
 	rep, err := interp.Run(p, interp.Config{
-		Ranks: 2, Machine: machine.IBMSP(), Comm: mpi.Detailed,
-		Inputs: map[string]float64{}, CollectTrace: true,
+		Config: mpi.Config{Ranks: 2, Machine: machine.IBMSP(), Comm: mpi.Detailed, CollectTrace: true},
+		Inputs: map[string]float64{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +130,8 @@ func TestDelaySegments(t *testing.T) {
 		),
 	}
 	rep, err := interp.Run(p, interp.Config{
-		Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic,
-		Inputs:       map[string]float64{},
-		TaskTimes:    map[string]float64{"w_1": 1e-8},
-		CollectTrace: true,
+		Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic, TaskTimes: map[string]float64{"w_1": 1e-8}, CollectTrace: true},
+		Inputs: map[string]float64{},
 	})
 	if err != nil {
 		t.Fatal(err)

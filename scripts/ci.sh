@@ -2,7 +2,9 @@
 # ci.sh — the full verification gate, runnable from a clean checkout:
 #
 #   1. gofmt enforcement over the tree
-#   2. tier-1 build + tests (go build ./... && go test ./...)
+#   2. tier-1 build + tests (go build ./... && go test ./...), which
+#      include the CLI golden corpus (cmd/mpisim/testdata/golden) and the
+#      front-door equivalence rows of internal/svc's TestCachedVsFresh
 #   3. go vet
 #   4. race detector over the concurrent packages (sim kernel, MPI
 #      layer, observability registry, kernel core, interpreter)
@@ -38,7 +40,10 @@
 #      submit a recorded trace with simdctl -trace (replay artifact +
 #      content-addressed cache hit), then SIGTERM with a job still
 #      running and require a graceful drain (clean exit 0, abort
-#      journaled)
+#      journaled); in between, while the daemon is up, front-door
+#      identity: the same sweep3d AM spec through mpisim -runjson and
+#      through simdctl submit must yield byte-identical artifacts (both
+#      doors are translations onto core.Prepare/Plan.Run)
 #  14. fault determinism gate: same fault seed -> byte-identical report,
 #      across host worker counts
 #  15. fuzz smoke: 10s of randomized fault schedules against the kernel
@@ -264,6 +269,21 @@ tjob2=$("$bin/simdctl" -addr "$simaddr" -trace examples/traces/ring.jsonl submit
 "$bin/simdctl" -addr "$simaddr" wait "$tjob2" >/dev/null
 "$bin/simdctl" -addr "$simaddr" artifact "$tjob2" >"$bin/tartifact2.json"
 cmp "$bin/tartifact1.json" "$bin/tartifact2.json"
+
+echo "== front-door identity (mpisim -runjson vs mpisimd artifact)"
+# One run description, both doors, the daemon still up from the smoke:
+# the artifact mpisim writes and the one mpisimd stores must be the same
+# bytes, because both are core.Prepare + Plan.Run on the same spec.
+"$bin/mpisim" -app sweep3d -mode am -ranks 64 -runjson "$bin/door_cli.json" >/dev/null
+djob=$("$bin/simdctl" -addr "$simaddr" submit '{"app":"sweep3d","mode":"am","ranks":64}' |
+    sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -n 1)
+[ -n "$djob" ] || { echo "front-door identity: submit returned no job id" >&2; exit 1; }
+"$bin/simdctl" -addr "$simaddr" wait "$djob" >/dev/null
+"$bin/simdctl" -addr "$simaddr" artifact "$djob" >"$bin/door_svc.json"
+cmp "$bin/door_cli.json" "$bin/door_svc.json"
+echo "front-door identity: $(wc -c <"$bin/door_cli.json") artifact bytes identical through mpisim and mpisimd"
+
+echo "== daemon drain"
 # Graceful drain: SIGTERM with a long job still running must cancel it,
 # journal the abort, and exit 0.
 longjob='{"app":"sample","mode":"measured","ranks":4,"inputs":{"PATTERN":2,"ITERS":500000,"WORK":100,"MSG":64}}'
