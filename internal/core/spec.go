@@ -127,7 +127,7 @@ func (s *RunSpec) Workload() string {
 	case s.App != "":
 		return s.App
 	case s.Trace != "":
-		if h, err := tracein.ParseHeader([]byte(s.Trace)); err == nil && h.App != "" {
+		if h, err := tracein.ReadHeader(strings.NewReader(s.Trace)); err == nil && h.App != "" {
 			return h.App
 		}
 		return "trace"
@@ -148,11 +148,13 @@ func (s *RunSpec) Validate(maxRanks int) error {
 	if s.Trace == "" {
 		return s.ValidateWith(nil, maxRanks)
 	}
-	tr, err := tracein.ParseBytes([]byte(s.Trace))
+	// Every check Parse makes, none of its call log: admission keeps
+	// the header only, and the run parses the trace when it starts.
+	hdr, err := tracein.Validate(strings.NewReader(s.Trace))
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	return s.ValidateWith(&tr.Header, maxRanks)
+	return s.ValidateWith(hdr, maxRanks)
 }
 
 // ValidateWith is Validate for a caller that holds the trace parsed

@@ -497,7 +497,7 @@ func (w *World) Run(body func(*Rank)) (*Report, error) {
 	if w.cfg.RecordCalls {
 		rep.Calls = make([][]Call, w.cfg.Ranks)
 		for i, r := range w.ranks {
-			rep.Calls[i] = r.calls
+			rep.Calls[i] = r.callLog()
 		}
 	}
 	for _, r := range w.ranks {

@@ -45,10 +45,12 @@ type Rank struct {
 	collPhases []CollPhase
 	// Delay seconds per condensed task name.
 	delayByTask map[string]float64
-	// API-level call log, collected when RecordCalls is set; recDepth
+	// API-level call log, collected when RecordCalls is set: the chunk
+	// being filled and the full ones before it (record.go). recDepth
 	// suppresses the constituent operations of composed calls.
-	calls    []Call
-	recDepth int
+	calls      []Call
+	callChunks [][]Call
+	recDepth   int
 
 	// Fault injection (nil / zero without an active scenario). faultCPU
 	// is fault time consumed through Advance (retransmission CPU,

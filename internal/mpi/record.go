@@ -61,6 +61,9 @@ func (r *Rank) record(c Call) func() {
 		return noRecord
 	}
 	if r.recDepth == 0 {
+		if len(r.calls) == cap(r.calls) {
+			r.nextCallChunk()
+		}
 		r.calls = append(r.calls, c)
 	}
 	r.recDepth++
@@ -68,6 +71,46 @@ func (r *Rank) record(c Call) func() {
 }
 
 func (r *Rank) endRecord() { r.recDepth-- }
+
+// A rank's call log is a list of chunks — a small first one, so a rank
+// that records a handful of calls stays cheap at any world size, then
+// fixed ones of callChunk calls (14 KB, an allocator size class).
+// Recording copies no call until callLog flattens the chunks once; the
+// single regrowing slice this replaces copied each call five times over
+// and spent a third of a recorded run in growslice.
+const (
+	firstCallChunk = 16
+	callChunk      = 128
+)
+
+// nextCallChunk retires the full current chunk and opens a new one.
+func (r *Rank) nextCallChunk() {
+	n := firstCallChunk
+	if r.calls != nil {
+		r.callChunks = append(r.callChunks, r.calls)
+		n = callChunk
+	}
+	r.calls = make([]Call, 0, n)
+}
+
+// callLog returns the rank's recorded calls as one slice (nil when it
+// recorded none) and releases the chunks.
+func (r *Rank) callLog() []Call {
+	log := r.calls
+	if len(r.callChunks) > 0 {
+		n := len(r.calls)
+		for _, ch := range r.callChunks {
+			n += len(ch)
+		}
+		log = make([]Call, 0, n)
+		for _, ch := range r.callChunks {
+			log = append(log, ch...)
+		}
+		log = append(log, r.calls...)
+	}
+	r.calls, r.callChunks = nil, nil
+	return log
+}
 
 // CommByName maps a communication-model name (the CommModel.String
 // forms) back to the model, for consumers that persist the model choice

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -233,7 +234,7 @@ func (s *Server) execute(j *job) {
 		// Validate vetted the trace at admission; a corrupt journaled spec
 		// fails the job rather than the daemon.
 		var err error
-		if tr, err = tracein.ParseBytes([]byte(j.spec.Trace)); err != nil {
+		if tr, err = tracein.Parse(strings.NewReader(j.spec.Trace)); err != nil {
 			s.fail(j, fmt.Sprintf("trace: %v", err), nil)
 			return
 		}
@@ -293,8 +294,10 @@ func (s *Server) finishJob(j *job, out *core.Outcome, runErr error) {
 	case err != nil:
 		s.fail(j, fmt.Sprintf("artifact: %v", err), nil)
 	default:
-		s.transition(j, &Record{State: JobDone, Artifact: hash, Progress: 1})
+		// Index before done: a client that sees the job done and
+		// resubmits at once must find the artifact in the cache.
 		s.rememberArtifact(j.specHash, hash, int64(len(data)))
+		s.transition(j, &Record{State: JobDone, Artifact: hash, Progress: 1})
 	}
 }
 

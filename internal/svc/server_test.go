@@ -454,3 +454,61 @@ func TestLimitClamping(t *testing.T) {
 		t.Errorf("clamp unset request = %v, want 1s", got)
 	}
 }
+
+// TestDoneImpliesCached hammers submit → done → resubmit: the moment a
+// job reads done its artifact must already be indexed, so the
+// resubmission is answered from the cache every time. (The daemon used
+// to journal done first and index after; about one resubmission in a
+// thousand fell in between and ran again.) The watcher spins on the
+// job's state in-process and submits through the handler directly, so
+// no network hop hides the window; and because the window is still only
+// nanoseconds wide, the log hook checks the order itself on every
+// round: when the index entry is published the job must not be done yet.
+func TestDoneImpliesCached(t *testing.T) {
+	var srv *Server
+	srv = newTestServer(t, Options{Logf: func(format string, args ...any) {
+		if !strings.HasPrefix(format, "svc: cached artifact") {
+			return
+		}
+		spec := args[2].(string) // the spec hash's first 8 digits
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, j := range srv.jobs {
+			if strings.HasPrefix(j.specHash, spec) && j.stateIs() == JobDone {
+				t.Errorf("job %s read done before its artifact was indexed", j.id)
+			}
+		}
+	}})
+	post := func(spec string) JobView {
+		t.Helper()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(spec)))
+		var v JobView
+		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil || w.Code != http.StatusAccepted {
+			t.Fatalf("submit: %d %s (%v)", w.Code, w.Body.Bytes(), err)
+		}
+		return v
+	}
+	for i := 0; i < 100; i++ {
+		// A fresh spec each round, so the first submission always runs.
+		spec := fmt.Sprintf(`{"app":"sample","mode":"measured","ranks":2,
+			"inputs":{"PATTERN":2,"ITERS":1,"WORK":%d,"MSG":64}}`, 100+i)
+		first := post(spec)
+		srv.mu.Lock()
+		j := srv.jobs[first.ID]
+		srv.mu.Unlock()
+		for deadline := time.Now().Add(30 * time.Second); ; {
+			st := j.stateIs()
+			if st == JobDone {
+				break
+			}
+			if st.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("round %d: job %s is %s", i, first.ID, st)
+			}
+		}
+		if again := post(spec); !again.Cached {
+			t.Fatalf("round %d: resubmitted the instant %s read done, and missed the cache (job %s is %s)",
+				i, first.ID, again.ID, again.State)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"mpisim/internal/mpi"
 )
@@ -31,50 +30,28 @@ func lineErr(line int, format string, args ...interface{}) error {
 	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// readBufSize is the line reader's buffer; a longer line (a sizes array
+// of a large world) spills into a grown scratch buffer.
+const readBufSize = 64 << 10
+
+// depth is how much of a trace stream parse consumes and keeps.
+type depth int
+
+const (
+	headerOnly depth = iota // stop after the header line
+	checkOnly               // scan and check every event, keep none
+	full                    // materialize the call log
+)
+
 // Parse reads a JSONL trace stream strictly: the first line must be a
 // valid header of the supported schema version, every following
 // non-empty line one well-formed event. Unknown fields, fields foreign
 // to an event's op, wrong types, non-finite numbers and out-of-range
 // references are all rejected with line-anchored errors.
 func Parse(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
 	t := &Trace{}
-	lineNo := 0
-	sawHeader := false
-	for {
-		raw, err := br.ReadBytes('\n')
-		if len(raw) == 0 && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		lineNo++
-		line := bytes.TrimRight(raw, "\r\n")
-		if len(bytes.TrimSpace(line)) == 0 {
-			if err == io.EOF {
-				break
-			}
-			continue
-		}
-		if !sawHeader {
-			if perr := parseHeader(line, lineNo, &t.Header); perr != nil {
-				return nil, perr
-			}
-			t.Calls = make([][]mpi.Call, t.Header.Ranks)
-			sawHeader = true
-		} else if perr := parseEvent(line, lineNo, t); perr != nil {
-			return nil, perr
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !sawHeader {
-		return nil, lineErr(1, "empty trace: missing header line")
+	if err := parse(r, t, full); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -84,32 +61,125 @@ func ParseBytes(data []byte) (*Trace, error) {
 	return Parse(bytes.NewReader(data))
 }
 
-// ParseHeader reads and validates only the trace's header line: cheap
-// access to the run metadata (app, rank count, machine) without
-// materializing the call log.
+// Validate reads a trace exactly as Parse does — every check, the same
+// line-anchored diagnostics — but keeps only the header: admission of
+// an untrusted trace without paying for its call log.
+func Validate(r io.Reader) (*Header, error) {
+	var t Trace
+	if err := parse(r, &t, checkOnly); err != nil {
+		return nil, err
+	}
+	return &t.Header, nil
+}
+
+// ReadHeader reads and validates only the trace's header line: cheap
+// access to the run metadata (app, rank count, machine). It stops at
+// the first non-blank line and reads no further into r than its buffer.
+func ReadHeader(r io.Reader) (*Header, error) {
+	var t Trace
+	if err := parse(r, &t, headerOnly); err != nil {
+		return nil, err
+	}
+	return &t.Header, nil
+}
+
+// ParseHeader is ReadHeader for an in-memory trace.
 func ParseHeader(data []byte) (*Header, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	lineNo := 0
+	return ReadHeader(bytes.NewReader(data))
+}
+
+// parse is the one line loop behind every entry point.
+func parse(r io.Reader, t *Trace, d depth) error {
+	br := bufio.NewReaderSize(r, readBufSize)
+	var (
+		spill     []byte
+		sc        scanner
+		log       callLog
+		lineNo    int
+		sawHeader bool
+	)
 	for {
-		raw, err := br.ReadBytes('\n')
-		if len(raw) == 0 && err != nil {
-			break
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			spill = append(spill[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = br.ReadSlice('\n')
+				spill = append(spill, raw...)
+			}
+			raw = spill
 		}
-		lineNo++
-		line := bytes.TrimRight(raw, "\r\n")
-		if len(bytes.TrimSpace(line)) == 0 {
+		if len(raw) == 0 && err != nil {
 			if err == io.EOF {
 				break
 			}
-			continue
+			return err
 		}
-		var h Header
-		if perr := parseHeader(line, lineNo, &h); perr != nil {
-			return nil, perr
+		lineNo++
+		switch line := bytes.TrimSpace(raw); {
+		case len(line) == 0:
+		case !sawHeader:
+			if perr := parseHeader(bytes.TrimRight(raw, "\r\n"), lineNo, &t.Header); perr != nil {
+				return perr
+			}
+			if d == headerOnly {
+				return nil
+			}
+			sawHeader = true
+			sc.ranks, sc.keep = t.Header.Ranks, d == full
+			if d == full {
+				t.Calls = make([][]mpi.Call, t.Header.Ranks)
+				log.calls = t.Calls
+			}
+		default:
+			if perr := sc.event(line, lineNo); perr != nil {
+				return perr
+			}
+			if d == full {
+				log.add(sc.rank, &sc.call)
+			}
 		}
-		return &h, nil
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return nil, lineErr(1, "empty trace: missing header line")
+	if !sawHeader {
+		return lineErr(1, "empty trace: missing header line")
+	}
+	return nil
+}
+
+// callLog appends parsed calls to the trace's per-rank slices. A rank's
+// first event sizes its slice from the longest rank read so far (SPMD
+// ranks are near-equal), so a trace in rank order costs one allocation
+// per rank instead of a regrowth series. What is reserved is bounded by
+// what was read: the hint never lets unused capacity exceed the events
+// already parsed, so no rank order turns it into an allocation bomb.
+type callLog struct {
+	calls   [][]mpi.Call
+	events  int // calls appended
+	capSum  int // total capacity of calls[*]
+	longest int // most calls on any one rank so far
+}
+
+func (l *callLog) add(rank int, c *mpi.Call) {
+	s := l.calls[rank]
+	before := cap(s)
+	if s == nil {
+		unused := l.capSum - l.events
+		if n := min(l.longest, l.events-unused); n > 1 {
+			s = make([]mpi.Call, 0, n)
+		}
+	}
+	s = append(s, *c)
+	l.calls[rank] = s
+	l.capSum += cap(s) - before
+	l.events++
+	if len(s) > l.longest {
+		l.longest = len(s)
+	}
 }
 
 // ParseFile parses a trace file.
@@ -126,24 +196,9 @@ func ParseFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// decodeStrict unmarshals one line into v, rejecting unknown fields,
-// non-object values and trailing content.
-func decodeStrict(line []byte, lineNo int, v interface{}) error {
-	trimmed := bytes.TrimSpace(line)
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return lineErr(lineNo, "expected a JSON object")
-	}
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return lineErr(lineNo, "%v", err)
-	}
-	if dec.More() {
-		return lineErr(lineNo, "trailing content after JSON object")
-	}
-	return nil
-}
-
+// parseHeader decodes and validates the header line. It is the one
+// line of a trace that goes through encoding/json: once per file, and
+// its maps and optional fields are what reflection is good at.
 func parseHeader(line []byte, lineNo int, h *Header) error {
 	// Presence of the version key distinguishes "not a trace at all"
 	// from "a trace of an unsupported version".
@@ -157,8 +212,13 @@ func parseHeader(line []byte, lineNo int, h *Header) error {
 	if *probe.Version != SchemaVersion {
 		return lineErr(lineNo, "unsupported trace version %d (this build reads version %d)", *probe.Version, SchemaVersion)
 	}
-	if err := decodeStrict(line, lineNo, h); err != nil {
-		return err
+	dec := json.NewDecoder(bytes.NewReader(bytes.TrimSpace(line)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(h); err != nil {
+		return lineErr(lineNo, "%v", err)
+	}
+	if dec.More() {
+		return lineErr(lineNo, "trailing content after JSON object")
 	}
 	if h.Ranks < 1 {
 		return lineErr(lineNo, "ranks must be >= 1, got %d", h.Ranks)
@@ -179,195 +239,5 @@ func parseHeader(line []byte, lineNo int, h *Header) error {
 	if h.ExtrapolatedFrom < 0 {
 		return lineErr(lineNo, "extrapolated_from must be >= 0, got %d", h.ExtrapolatedFrom)
 	}
-	return nil
-}
-
-// wireEvent is the event line's wire form: pointer fields distinguish
-// absent from zero so each op's required and allowed field sets can be
-// enforced exactly.
-type wireEvent struct {
-	R     *int     `json:"r"`
-	Op    *string  `json:"op"`
-	Sec   *float64 `json:"sec"`
-	Task  *string  `json:"task"`
-	Peer  *int     `json:"peer"`
-	Tag   *int     `json:"tag"`
-	Bytes *int64   `json:"bytes"`
-	Peer2 *int     `json:"peer2"`
-	Tag2  *int     `json:"tag2"`
-	Root  *int     `json:"root"`
-	Sizes []int64  `json:"sizes"`
-}
-
-type fieldMask uint16
-
-const (
-	fSec fieldMask = 1 << iota
-	fTask
-	fPeer
-	fTag
-	fBytes
-	fPeer2
-	fTag2
-	fRoot
-	fSizes
-)
-
-var fieldNames = []struct {
-	mask fieldMask
-	name string
-}{
-	{fSec, "sec"}, {fTask, "task"}, {fPeer, "peer"}, {fTag, "tag"},
-	{fBytes, "bytes"}, {fPeer2, "peer2"}, {fTag2, "tag2"},
-	{fRoot, "root"}, {fSizes, "sizes"},
-}
-
-// opFields declares, per op, which fields must and which additionally
-// may appear.
-var opFields = map[string]struct{ req, opt fieldMask }{
-	"compute":   {fSec, 0},
-	"delay":     {fSec, fTask},
-	"send":      {fPeer | fTag | fBytes, 0},
-	"recv":      {fPeer | fTag | fBytes, 0},
-	"sendrecv":  {fPeer | fTag | fBytes | fPeer2 | fTag2, 0},
-	"bcast":     {fRoot | fBytes, 0},
-	"reduce":    {fRoot | fBytes, 0},
-	"gather":    {fRoot | fBytes, 0},
-	"scatter":   {fRoot | fBytes, fSizes},
-	"allreduce": {fBytes, 0},
-	"allgather": {fBytes, 0},
-	"alltoall":  {fBytes, fSizes},
-	"barrier":   {0, 0},
-}
-
-func (w *wireEvent) present() fieldMask {
-	var m fieldMask
-	if w.Sec != nil {
-		m |= fSec
-	}
-	if w.Task != nil {
-		m |= fTask
-	}
-	if w.Peer != nil {
-		m |= fPeer
-	}
-	if w.Tag != nil {
-		m |= fTag
-	}
-	if w.Bytes != nil {
-		m |= fBytes
-	}
-	if w.Peer2 != nil {
-		m |= fPeer2
-	}
-	if w.Tag2 != nil {
-		m |= fTag2
-	}
-	if w.Root != nil {
-		m |= fRoot
-	}
-	if w.Sizes != nil {
-		m |= fSizes
-	}
-	return m
-}
-
-func maskNames(m fieldMask) string {
-	var names []string
-	for _, f := range fieldNames {
-		if m&f.mask != 0 {
-			names = append(names, f.name)
-		}
-	}
-	return strings.Join(names, ", ")
-}
-
-func parseEvent(line []byte, lineNo int, t *Trace) error {
-	var w wireEvent
-	if err := decodeStrict(line, lineNo, &w); err != nil {
-		return err
-	}
-	if w.R == nil {
-		return lineErr(lineNo, `event missing field "r"`)
-	}
-	if w.Op == nil {
-		return lineErr(lineNo, `event missing field "op"`)
-	}
-	ranks := t.Header.Ranks
-	rank := *w.R
-	if rank < 0 || rank >= ranks {
-		return lineErr(lineNo, "rank %d out of range [0, %d)", rank, ranks)
-	}
-	spec, ok := opFields[*w.Op]
-	if !ok {
-		return lineErr(lineNo, "unknown op %q", *w.Op)
-	}
-	have := w.present()
-	if missing := spec.req &^ have; missing != 0 {
-		return lineErr(lineNo, "op %q missing field(s): %s", *w.Op, maskNames(missing))
-	}
-	if extra := have &^ (spec.req | spec.opt); extra != 0 {
-		return lineErr(lineNo, "op %q does not take field(s): %s", *w.Op, maskNames(extra))
-	}
-
-	c := mpi.Call{Op: *w.Op}
-	if w.Sec != nil {
-		if math.IsNaN(*w.Sec) || math.IsInf(*w.Sec, 0) || *w.Sec < 0 {
-			return lineErr(lineNo, "sec must be finite and >= 0, got %v", *w.Sec)
-		}
-		c.Sec = *w.Sec
-	}
-	if w.Task != nil {
-		c.Task = *w.Task
-	}
-	if w.Bytes != nil {
-		if *w.Bytes < 0 {
-			return lineErr(lineNo, "bytes must be >= 0, got %d", *w.Bytes)
-		}
-		c.Bytes = *w.Bytes
-	}
-	if w.Peer != nil {
-		c.Peer = *w.Peer
-		lo := 0
-		if *w.Op == "recv" {
-			lo = mpi.AnySource // the receive wildcard
-		}
-		if c.Peer < lo || c.Peer >= ranks {
-			return lineErr(lineNo, "peer %d out of range [%d, %d)", c.Peer, lo, ranks)
-		}
-	}
-	if w.Tag != nil {
-		c.Tag = *w.Tag
-	}
-	if w.Peer2 != nil {
-		c.Peer2 = *w.Peer2
-		if c.Peer2 < mpi.AnySource || c.Peer2 >= ranks {
-			return lineErr(lineNo, "peer2 %d out of range [%d, %d)", c.Peer2, mpi.AnySource, ranks)
-		}
-	}
-	if w.Tag2 != nil {
-		c.Tag2 = *w.Tag2
-	}
-	if w.Root != nil {
-		c.Root = *w.Root
-		if c.Root < 0 || c.Root >= ranks {
-			return lineErr(lineNo, "root %d out of range [0, %d)", c.Root, ranks)
-		}
-	}
-	if w.Sizes != nil {
-		if len(w.Sizes) != ranks {
-			return lineErr(lineNo, "sizes has %d entries, want one per rank (%d)", len(w.Sizes), ranks)
-		}
-		for i, s := range w.Sizes {
-			if s < 0 {
-				return lineErr(lineNo, "sizes[%d] must be >= 0, got %d", i, s)
-			}
-		}
-		if *w.Op == "scatter" && rank != c.Root {
-			return lineErr(lineNo, "scatter sizes are only valid on the root's event (rank %d, root %d)", rank, c.Root)
-		}
-		c.Sizes = w.Sizes
-	}
-	t.Calls[rank] = append(t.Calls[rank], c)
 	return nil
 }

@@ -120,8 +120,9 @@ func TestParseErrors(t *testing.T) {
 
 // FuzzParseTrace feeds the parser arbitrary bytes. The contract under
 // fuzzing: never panic; every rejection is a line-anchored *ParseError;
-// every accepted trace re-serializes canonically and stably
-// (write → parse → write is a fixed point).
+// the scanner and the writer agree with the reference codec
+// (checkAgainstReference); every accepted trace re-serializes
+// canonically and stably (write → parse → write is a fixed point).
 func FuzzParseTrace(f *testing.F) {
 	valid := hdr4 +
 		`{"r":0,"op":"compute","sec":0.001}` + "\n" +
@@ -138,13 +139,11 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte(`{"mpisim_trace":1,"ranks":999999999}` + "\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("\xff\xfe not a trace"))
+	f.Add([]byte(hdr4 + `{"R":0,"op":"delay","sec":1e-7,"task":"w\u00e9\n","task":null}` + "}\n"))
+	f.Add([]byte(hdr4 + " { \"op\" : \"alltoall\" , \"sizes\" : [ 1 , 2 , 3 , 4 ] , \"bytes\" : 0 , \"r\" : 3 } \n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := tracein.ParseBytes(data)
+		tr, err := checkAgainstReference(t, data)
 		if err != nil {
-			var perr *tracein.ParseError
-			if !errors.As(err, &perr) {
-				t.Fatalf("rejection is %T, want *ParseError: %v", err, err)
-			}
 			return
 		}
 		// Accepted: the canonical serialization must parse back and be

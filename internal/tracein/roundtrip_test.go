@@ -42,7 +42,7 @@ func smallInputs(app string, ranks int) map[string]float64 {
 
 // recordRun simulates prog with call recording on and returns the
 // report plus the recorded trace (with full provenance header).
-func recordRun(t *testing.T, app string, prog *ir.Program, mode core.Mode,
+func recordRun(t testing.TB, app string, prog *ir.Program, mode core.Mode,
 	ranks int, inputs map[string]float64, topo string) (*mpi.Report, *tracein.Trace, *machine.Model) {
 	t.Helper()
 	m := machine.IBMSP()
@@ -75,6 +75,17 @@ func recordRun(t *testing.T, app string, prog *ir.Program, mode core.Mode,
 	return rep, tr, m
 }
 
+// recordSweep3D records the bench workload's program — sweep3d in
+// MPI-SIM-AM at its default per-rank problem size — at the given rank
+// count.
+func recordSweep3D(t testing.TB, ranks int) *tracein.Trace {
+	t.Helper()
+	gx, gy := apps.ProcGrid(ranks)
+	_, tr, _ := recordRun(t, "sweep3d", apps.Registry()["sweep3d"].Build(), core.Abstract,
+		ranks, apps.Sweep3DInputs(4, 4, 40, 10, gx, gy), "")
+	return tr
+}
+
 // checkRoundTrip drives one recorded run through the full
 // write→parse→replay→re-record cycle and checks every gate.
 func checkRoundTrip(t *testing.T, rep *mpi.Report, tr *tracein.Trace, m *machine.Model) {
@@ -86,7 +97,7 @@ func checkRoundTrip(t *testing.T, rep *mpi.Report, tr *tracein.Trace, m *machine
 	if err := tracein.Write(&buf, tr); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	parsed, err := tracein.ParseBytes(buf.Bytes())
+	parsed, err := checkAgainstReference(t, buf.Bytes())
 	if err != nil {
 		t.Fatalf("parse back: %v", err)
 	}
@@ -199,4 +210,50 @@ func TestRoundTripExamples(t *testing.T) {
 			checkRoundTrip(t, rep, tr, m)
 		})
 	}
+}
+
+// TestRoundTripEveryOp runs the gate on a hand-written body that issues
+// every recordable op — variable-size scatter and alltoall (the lines
+// that carry sizes), a wildcard receive, an escaped task name — and
+// enough calls per rank to span several of the recorder's chunks.
+func TestRoundTripEveryOp(t *testing.T) {
+	const p = 4
+	m := machine.IBMSP()
+	sizes := []int64{8, 0, 4096, 1 << 20}
+	body := func(r *mpi.Rank) {
+		me := r.Rank()
+		next, prev := (me+1)%p, (me+p-1)%p
+		for step := 0; step < 60; step++ {
+			r.Compute(1e-7 * float64(step+1))
+			r.DelayTask("w_1", 2.5e-5)
+			r.Sendrecv(next, step, 512, nil, prev, step)
+		}
+		r.DelayTask(`odd "task" <&> é`+"\n", 1e-21)
+		r.Delay(3e21)
+		if me == 0 {
+			r.Send(1, 7, 64, nil)
+		} else if me == 1 {
+			r.RecvSized(mpi.AnySource, 7, 64)
+		}
+		r.Bcast(2, nil, 1024)
+		r.Reduce(1, nil, 256, mpi.OpSum)
+		r.Allreduce(nil, 8, mpi.OpSum)
+		r.Gather(3, nil, 128)
+		r.ScatterSizes(0, sizes, 0)
+		r.Allgather(nil, 32)
+		r.AlltoallSizes(sizes, 0)
+		r.Barrier()
+	}
+	rep, err := mpi.Run(mpi.Config{Ranks: p, Machine: m, Comm: mpi.Analytic, RecordCalls: true}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracein.Record(rep, tracein.Header{App: "everyop", Machine: m.Name, Comm: "analytic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Calls[0]); n < 16+128+1 {
+		t.Fatalf("rank 0 recorded %d calls: too few to span three recorder chunks", n)
+	}
+	checkRoundTrip(t, rep, tr, m)
 }

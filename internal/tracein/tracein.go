@@ -13,7 +13,8 @@
 //   - Record: build a Trace from a simulation run's API call log
 //     (mpi.Config.RecordCalls), and Write it as JSONL;
 //   - Parse: a strict streaming parser with line-anchored diagnostics
-//     that never panics on malformed input;
+//     that never panics on malformed input; Validate, the same checks
+//     without the call log, for admission; ReadHeader, the first line;
 //   - Replay: drive a parsed trace through internal/mpi on the
 //     existing kernel against any machine/topology/placement/fault
 //     configuration, producing a normal report so attribution,
@@ -26,6 +27,18 @@
 // predicted schedule exactly: replay re-issues the identical API call
 // sequence, and the simulator's timing depends only on call arguments,
 // never on payload contents.
+//
+// The codec is hand-written on both sides of the format. Only the header
+// line goes through encoding/json, once per file. Event lines are read
+// by a scanner over their eleven known keys (scan.go) and written by
+// appending each field, in a fixed per-op order and in encoding/json's
+// number form, to one reused line buffer (write.go) — which is how equal
+// traces serialize to equal bytes, and why files written before the
+// codec was hand-written read and re-write unchanged. The ops table in
+// scan.go is the single statement of which fields an op takes; the
+// reflective codec this replaced is kept in ref_test.go as the oracle
+// both sides are differentially tested against. DESIGN.md ("Trace
+// frontend") states the accepted grammar.
 package tracein
 
 import (

@@ -25,7 +25,9 @@
 #  10. verifier budget: the default-on static verifier may add at most
 #      half of the unchecked prediction's wall to it — mpisim -app sweep3d
 #      -mode am -ranks 4096 default vs -nocheck, best of three alternating
-#      runs each (within-run pair)
+#      runs each (within-run pair); and the trace door's budget beside
+#      it: mpisim -tracein of that run's recorded trace, parse included,
+#      may take at most 1.5x the default run's wall
 #  11. trace frontend gate: record → replay round-trip and weak-scaling
 #      extrapolation tests (bit-exact replay, sched-equivalence across
 #      engines), every examples/traces/*.jsonl replayed and extrapolated
@@ -50,7 +52,8 @@
 #      and MPI layer, 10s of hostile job-submission bodies against the
 #      daemon's decoder, and 10s of malformed JSONL against the trace
 #      parser (no panics, every rejection line-anchored, malformed input
-#      never enqueues)
+#      never enqueues; the hand-written scanner and append writer held to
+#      the reference encoding/json codec on every input)
 #  16. fault-layer overhead gate: with the watchdog armed the kernel must
 #      stay within 15% of the guard-disabled kernel measured in the same
 #      process (within-run pair, immune to host drift)
@@ -62,8 +65,9 @@
 #      path) must stay within 2% events/sec of topology-off measured in
 #      the same runs
 #  20. trace replay overhead gate: replaying a recorded trace must stay
-#      within 25% events/sec of simulating the program directly,
-#      measured as a within-run pair
+#      within 25% events/sec of simulating the program directly, and
+#      parsing the trace's bytes first within 2.5x of it, measured as
+#      within-run pairs
 #  21. kernel throughput gate: the full BenchmarkKernel suite (through
 #      procs=16384 on the short path; KernelNet included) vs the recorded
 #      BENCH_kernel.json at a 25% tolerance — best-of-3 samples of
@@ -208,12 +212,29 @@ if [ $(( (checked - unchecked) * 2 )) -gt "$unchecked" ]; then
     echo "verifier budget: the verifier adds more than 0.5x the unchecked wall" >&2
     exit 1
 fi
+# The trace door's budget (ROADMAP: replay-including-parse <= 1.5x
+# direct), on the same configuration and the same best-of-three: replay
+# the run's own recording from the file. The
+# hand-written scanner measured ~1.0x; the reflective decoder it replaced, 4-5x.
+"$bin/mpisim" -app sweep3d -mode am -ranks 4096 -nocheck -record "$bin/sweep4k.jsonl" >/dev/null
+replayed=999999
+for i in 1 2 3; do
+    t0=$(date +%s%N)
+    "$bin/mpisim" -tracein "$bin/sweep4k.jsonl" >/dev/null
+    ms=$(( ($(date +%s%N) - t0) / 1000000 )); [ "$ms" -lt "$replayed" ] && replayed=$ms
+done
+rm -f "$bin/sweep4k.jsonl"
+echo "replay budget: -tracein ${replayed} ms vs default ${checked} ms"
+if [ $(( replayed * 2 )) -gt $(( checked * 3 )) ]; then
+    echo "replay budget: replaying the recorded trace takes more than 1.5x the direct run" >&2
+    exit 1
+fi
 
 echo "== trace frontend gate (record -> replay -> extrapolate)"
 # Unit gates: bit-exact round-trip replay, weak-scaling extrapolation
 # (16 -> 64 under torus and fat-tree), and record-and-replay determinism
 # across engines/worker counts.
-go test -count=1 -run 'TestRoundTrip|TestExtrapolate|TestParse' ./internal/tracein/
+go test -count=1 -run 'TestRoundTrip|TestExtrapolate|TestParse|TestReference|TestStricter|TestCodecAllocCeilings' ./internal/tracein/
 go test -count=1 -run 'TestSchedEquivalenceReplay' ./internal/core/
 # Every committed example trace must replay cleanly; the ring trace is
 # additionally extrapolated to a 64-rank torus and the pair's scaling
@@ -332,11 +353,17 @@ echo "== trace replay overhead gate"
 # Replay re-issues the recorded call sequence through the same API the
 # compiled program used; the trace indirection must stay within 25%
 # events/sec of direct simulation, measured within the same runs.
+# parse+replay starts from the file's bytes. Its `direct` here is a bare
+# Go closure — no interpreter, 0.3 us per trace line — so the parser's
+# 0.25 us per line (220 MB/s) puts the pair at 1.8-2.0x, not the 1.5x
+# the CLI-level budget above holds; the gate is 2.5x (the reflective
+# decoder measured 8x).
 { for i in 1 2 3; do
     go test -run '^$' -bench 'BenchmarkTraceReplay' -benchtime 1s ./internal/tracein/
 done; } |
     "$bin/benchgate" \
-        -pair "BenchmarkTraceReplay/direct,BenchmarkTraceReplay/replay,0.25"
+        -pair "BenchmarkTraceReplay/direct,BenchmarkTraceReplay/replay,0.25" \
+        -pair "BenchmarkTraceReplay/direct,BenchmarkTraceReplay/parse+replay,0.60"
 
 echo "== kernel throughput gate (short mode: up to procs=16384)"
 # MPISIM_BENCH_LARGE is inherited by the check: unset (the default) the
