@@ -239,19 +239,26 @@ func BenchmarkKernelMessageRate(b *testing.B) {
 }
 
 // BenchmarkInterpThroughput measures interpreted statement throughput on
-// a pure compute nest.
+// a pure compute nest: host nanoseconds per abstract operation of the
+// target program (the unit machine.Model.OpTime prices), and allocations.
 func BenchmarkInterpThroughput(b *testing.B) {
 	prog := Tomcatv()
 	inputs := TomcatvInputs(256, 1)
+	m := IBMSP()
+	var ops float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(prog, interp.Config{
-			Config: mpi.Config{Ranks: 1, Machine: IBMSP(), Comm: mpi.Analytic},
+		rep, err := interp.Run(prog, interp.Config{
+			Config: mpi.Config{Ranks: 1, Machine: m, Comm: mpi.Analytic},
 			Inputs: inputs,
-		}); err != nil {
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
+		ops += float64(rep.Ranks[0].ComputeTime) / m.ComputeTime(1, rep.Ranks[0].PeakBytes)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/abstract-op")
 }
 
 // BenchmarkCompile measures the full compiler pipeline (STG,

@@ -94,6 +94,26 @@ func TestInterruptWritesPartialArtifact(t *testing.T) {
 	}
 }
 
+// TestWallTimeoutStopsAComputingRank: a rank inside a compute loop makes
+// no kernel call, so the abort has to reach it there. The spin program
+// would run for minutes; with a 200 ms budget the process must be gone
+// within 2 s, with status 1 and the cancellation reported. Not a golden:
+// how far the loop got when the budget ran out depends on the host.
+func TestWallTimeoutStopsAComputingRank(t *testing.T) {
+	start := time.Now()
+	_, stderr, code := mpisimChild(t, self(t), "-file", fixtures+"spin.ir", "-inputs", "N=2000000000",
+		"-mode", "de", "-ranks", "2", "-walltimeout", "200ms")
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("took %v to stop a computing rank, want under 2s", elapsed)
+	}
+	if code != 1 {
+		t.Errorf("exit status = %d, want 1", code)
+	}
+	if !bytes.Contains(stderr, []byte("run aborted: canceled")) {
+		t.Errorf("stderr does not report the cancellation:\n%s", stderr)
+	}
+}
+
 // mpisimChild runs exe (the test binary re-executed as mpisim, unless a
 // test substitutes another build) from the repository root, so example
 // paths print as users type them, and returns what it wrote and its

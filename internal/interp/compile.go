@@ -6,7 +6,6 @@ import (
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
-	"mpisim/internal/symexpr"
 )
 
 // dummyBufferName mirrors compiler.DummyBufferName, the shared
@@ -15,71 +14,195 @@ import (
 // interp); the compiler's own tests pin the constant's value.
 const dummyBufferName = "dummy_buf"
 
-// compiled is a program lowered to closures over a frame. Compilation
-// resolves every scalar name to a slot and every array name to an index,
-// so execution performs no map lookups.
-type compiled struct {
-	prog       *ir.Program
-	slots      map[string]int
-	numScalars int
-	slotP      int
-	slotMyID   int
-	arrays     []*compiledArray
-	arrayIdx   map[string]int
-	body       []stmtFn
+// opcode selects one case of the execution loop (exec.go). Operands a..e
+// are float registers unless the comment says otherwise.
+type opcode uint8
+
+const (
+	opHalt opcode = iota // stop; the next exec call resumes behind it
+
+	opMov   // a = b
+	opRound // a = math.Round(b)
+	opAdd   // a = b + c
+	opSub   // a = b - c
+	opMul   // a = b * c
+	opDiv   // a = b / c, faulting on c == 0
+	opApply // a = symexpr.ApplyOp(d, b, c): idiv, ceildiv, mod, min, max, comparison values
+	opCall  // a = intrinsic number c applied to b
+
+	opAddr1 // address register a = checked offset of array b at (c); e: load-style fault text
+	opAddr2 // ... at (c, d); e: load-style fault text
+	opAddr3 // ... at (c, d, e)
+	opAddrN // ... at registers c..c+d-1 (d subscripts)
+	opLoad  // a = array b at address register c
+	opStore // array a at address register b = c
+
+	opJump    // charge b; pc = a
+	opBnLT    // charge d; unless a < b: pc = c
+	opBnLE    // charge d; unless a <= b: pc = c
+	opBrZ     // charge d; if a == 0: pc = c
+	opBrProf  // opBrZ that also counts the outcome under branch ordinal b
+	opForInit // charge e; counter a, limit a+1 = b, c; enter the loop closed by the opForNext at d, or skip it
+	opForNext // charge d; counter a += 1; while <= limit a+1: scalar b = counter, charge e, pc = c
+	opCharge  // charge a
+
+	opFlush     // charge a; turn the pending charges into simulated compute time
+	opSection   // evaluate, and for a send pack, the section of comm a; empty: pc = b
+	opSend      // send the packed section of comm a to rank b
+	opRecv      // receive the section of comm a from rank b
+	opAllreduce // comm a
+	opBcast     // comm a from root rank b
+	opBarrier   //
+	opMissing   // fault: the input named by comm a was not supplied
+	opDelay     // delay b seconds on behalf of the task named by comm a
+	opTaskTimes // comm a
+	opNow       // a = simulated time
+	opTimed     // record a calibration sample: region comm a, start time b, units c
+)
+
+// instr is one fixed-width instruction. Jump targets, charges, array,
+// comm and address-register numbers share the operand fields with the
+// float registers; the opcode says which is which.
+type instr struct {
+	op            opcode
+	a, b, c, d, e int32
+}
+
+// commOp is the side record of an instruction that talks to the
+// simulated machine: whatever does not fit five operands.
+type commOp struct {
+	name   string     // task, region or input name
+	tag    int        // send, recv
+	arr    int32      // send, recv
+	pack   bool       // send: carries the section's values
+	sec    [][2]int32 // send, recv: registers holding the rounded bounds
+	slots  []int32    // allreduce, bcast, task times: scalar registers
+	names  []string   // task times
+	reduce mpi.ReduceOp
 }
 
 type compiledArray struct {
-	name   string
-	dimFns []exprFn
-	elem   int64
+	name string
+	dims []int32 // registers holding the extents once the array's dims code ran
+	elem int64
 }
 
-type stmtFn func(*frame)
+// addrEntry says address register id holds the checked offset of arr at
+// the current values of the scalar/constant registers subs (-1 beyond the
+// array's rank).
+type addrEntry struct {
+	arr, id int32
+	subs    [3]int32
+}
 
-type exprFn func(*frame) float64
+// compiled is a program lowered to register code. The register file is
+// laid out scalars, then constants, then temporaries; code starts with one
+// opHalt-terminated stretch per array evaluating its extents, and the
+// body follows.
+type compiled struct {
+	code      []instr
+	slots     map[string]int32 // scalar name -> register
+	names     []string         // register -> scalar name
+	nonZ      []bool           // by scalar register: may hold a value outside Z
+	consts    map[uint64]int32 // bit pattern -> index among the constants
+	constVals []float64
+	tempBase  int32
+	numTemps  int32
+	numAddrs  int32
+	arrays    []compiledArray
+	arrayIdx  map[string]int32
+	comms     []commOp
+	fns       []func(float64) float64
+	ifs       []*ir.If // by branch ordinal, when profiling
+	maxSec    int      // most dimensions of any communicated section
 
-func compile(p *ir.Program) (cp *compiled, err error) {
+	cfg *Config // the run being compiled for: inputs, machine, collectors
+
+	// Lowering state.
+	tsp     int32       // temporaries in use
+	pending int32       // op charges of the open basic block, not yet emitted
+	live    []addrEntry // addresses known valid at this point
+	defs    []def       // scalar definitions met, for the integrality analysis
+}
+
+// def is one scalar definition: an assignment, or with no right-hand side
+// a value the analysis cannot see (a reduction result, a broadcast value,
+// a measured task time).
+type def struct {
+	slot int32
+	rhs  ir.Expr
+}
+
+func compile(p *ir.Program, cfg *Config) (cp *compiled, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cp = nil
 			err = fmt.Errorf("interp: compile %s: %v", p.Name, r)
 		}
 	}()
-	cp = &compiled{
-		prog:     p,
-		slots:    map[string]int{},
-		arrayIdx: map[string]int{},
+	// The lowering runs twice. The first run only discovers the scalars,
+	// the constants and the scalar definitions; the second numbers the
+	// temporaries behind them and knows which scalars are integral.
+	sizing := &compiled{cfg: cfg, slots: map[string]int32{}, consts: map[uint64]int32{}}
+	sizing.lower(p)
+	cp = &compiled{cfg: cfg, slots: sizing.slots, names: sizing.names,
+		consts: sizing.consts, constVals: sizing.constVals}
+	cp.tempBase = int32(len(cp.names) + len(cp.constVals))
+	cp.markNonIntegral(sizing.defs)
+	cp.lower(p)
+	if int(cp.tempBase) != len(cp.names)+len(cp.constVals) {
+		panic("the sizing run missed a scalar or constant")
 	}
-	cp.slotP = cp.slot(ir.BuiltinP)
-	cp.slotMyID = cp.slot(ir.BuiltinMyID)
-	for _, par := range p.Params {
-		cp.slot(par)
-	}
-	for i, ad := range p.Arrays {
-		ca := &compiledArray{name: ad.Name, elem: ad.Elem}
-		for _, de := range ad.Dims {
-			ca.dimFns = append(ca.dimFns, cp.expr(de))
-		}
-		cp.arrays = append(cp.arrays, ca)
-		cp.arrayIdx[ad.Name] = i
-	}
-	cp.body = cp.block(p.Body)
-	cp.numScalars = len(cp.slots)
 	return cp, nil
 }
 
-// slot returns the frame slot for a scalar, allocating on first use.
-func (cp *compiled) slot(name string) int {
-	if s, ok := cp.slots[name]; ok {
-		return s
+func (cp *compiled) lower(p *ir.Program) {
+	cp.slot(ir.BuiltinP)
+	cp.slot(ir.BuiltinMyID)
+	for _, par := range p.Params {
+		cp.slot(par)
 	}
-	s := len(cp.slots)
-	cp.slots[name] = s
+	cp.arrayIdx = map[string]int32{}
+	for i, ad := range p.Arrays {
+		cp.arrayIdx[ad.Name] = int32(i)
+	}
+	for _, ad := range p.Arrays {
+		ca := compiledArray{name: ad.Name, elem: ad.Elem}
+		for _, de := range ad.Dims {
+			ca.dims = append(ca.dims, cp.expr(de, -1)) // temporaries stay live up to the halt
+		}
+		cp.emit(opHalt)
+		cp.tsp = 0
+		cp.arrays = append(cp.arrays, ca)
+	}
+	cp.block(p.Body)
+	cp.emit(opFlush, cp.takePending())
+	cp.emit(opHalt)
+}
+
+// slot returns the register of a scalar, allocating on first use.
+func (cp *compiled) slot(name string) int32 {
+	s, ok := cp.slots[name]
+	if !ok {
+		s = int32(len(cp.names))
+		cp.slots[name] = s
+		cp.names = append(cp.names, name)
+	}
 	return s
 }
 
-func (cp *compiled) array(name string) int {
+// constant returns the register of a constant, allocating on first use.
+func (cp *compiled) constant(v float64) int32 {
+	i, ok := cp.consts[math.Float64bits(v)]
+	if !ok {
+		i = int32(len(cp.constVals))
+		cp.consts[math.Float64bits(v)] = i
+		cp.constVals = append(cp.constVals, v)
+	}
+	return int32(len(cp.names)) + i
+}
+
+func (cp *compiled) array(name string) int32 {
 	i, ok := cp.arrayIdx[name]
 	if !ok {
 		panic(fmt.Sprintf("undeclared array %q", name))
@@ -87,359 +210,457 @@ func (cp *compiled) array(name string) int {
 	return i
 }
 
-func (cp *compiled) block(body []ir.Stmt) []stmtFn {
-	fns := make([]stmtFn, 0, len(body))
-	for _, s := range body {
-		fns = append(fns, cp.stmt(s))
-	}
-	return fns
-}
-
-// evalSection compiles section bounds to a closure producing evaluated
-// integer bounds.
-func (cp *compiled) section(sec []ir.Range) func(*frame) [][2]int {
-	los := make([]exprFn, len(sec))
-	his := make([]exprFn, len(sec))
-	for i, rg := range sec {
-		los[i] = cp.expr(rg.Lo)
-		his[i] = cp.expr(rg.Hi)
-	}
-	return func(f *frame) [][2]int {
-		out := make([][2]int, len(los))
-		for i := range los {
-			out[i][0] = int(math.Round(los[i](f)))
-			out[i][1] = int(math.Round(his[i](f)))
+// Integral subscripts. Let Z be the integers together with ±Inf and NaN;
+// math.Round is the identity on Z, so a subscript, loop bound, section
+// bound or rank whose value is provably in Z needs no rounding
+// instruction. Z is closed under + - * min max mod abs and summation;
+// idiv, ceildiv, ceil, floor and the comparisons land in Z whatever their
+// operands; loop and sum induction values are rounded bounds plus whole
+// steps. markNonIntegral computes, flow-insensitively, the greatest set of
+// scalars all of whose values are in Z: it starts from every scalar (a
+// scalar starts at zero, P and myid are integers), removes the opaque
+// ones and the inputs supplied with a non-integral value, and then removes
+// any scalar assigned an expression not provably in Z until nothing
+// changes.
+func (cp *compiled) markNonIntegral(defs []def) {
+	cp.nonZ = make([]bool, len(cp.names))
+	for s, name := range cp.names {
+		// newFrame binds every supplied input that names a scalar, with or
+		// without a ReadInput.
+		if v, ok := cp.cfg.Inputs[name]; ok && !inZ(v) {
+			cp.nonZ[s] = true
 		}
-		return out
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range defs {
+			if !cp.nonZ[d.slot] && !cp.integral(d.rhs) {
+				cp.nonZ[d.slot] = true
+				changed = true
+			}
+		}
 	}
 }
 
-func sectionBytes(bounds [][2]int) int64 {
-	return int64(sectionElems(bounds)) * 8
+func inZ(v float64) bool { return math.Round(v) == v || v != v }
+
+// integral reports whether every value e can take is in Z.
+func (cp *compiled) integral(e ir.Expr) bool {
+	switch x := e.(type) {
+	case ir.Num:
+		return inZ(x.Value)
+	case ir.Scalar:
+		s := int(cp.slot(x.Name))
+		return s >= len(cp.nonZ) || !cp.nonZ[s] // the sizing run has no verdicts yet
+	case ir.Bin:
+		switch x.Op {
+		case ir.OpDiv:
+			return false
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpMin, ir.OpMax, ir.OpMod:
+			return cp.integral(x.L) && cp.integral(x.R)
+		}
+		return true
+	case ir.Call:
+		return x.Name == "ceil" || x.Name == "floor" || x.Name == "abs" && cp.integral(x.Arg)
+	case ir.SumE:
+		return cp.integral(x.Body)
+	}
+	return false // array elements, opaque definitions
 }
 
-func (cp *compiled) stmt(s ir.Stmt) stmtFn {
+// emit appends an instruction and returns its pc.
+func (cp *compiled) emit(op opcode, operands ...int32) int {
+	var o [5]int32
+	copy(o[:], operands)
+	cp.code = append(cp.code, instr{op, o[0], o[1], o[2], o[3], o[4]})
+	return len(cp.code) - 1
+}
+
+// here returns the pc of the next instruction emitted, as a jump target.
+func (cp *compiled) here() int32 { return int32(len(cp.code)) }
+
+func (cp *compiled) temp() int32 {
+	cp.tsp++
+	if cp.tsp > cp.numTemps {
+		cp.numTemps = cp.tsp
+	}
+	return cp.tempBase + cp.tsp - 1
+}
+
+// takePending hands the open block's op charges to the instruction that
+// ends it. Charges are whole numbers and the pending count is reset at
+// every flush, so adding a block's charges once, at its end, leaves every
+// flush with the total the statement-by-statement sum gives.
+func (cp *compiled) takePending() int32 {
+	k := cp.pending
+	cp.pending = 0
+	return k
+}
+
+// settle ends a block that falls through into a join.
+func (cp *compiled) settle() {
+	if cp.pending != 0 {
+		cp.emit(opCharge, cp.takePending())
+	}
+}
+
+// wrote forgets the addresses computed from a scalar about to change.
+func (cp *compiled) wrote(slot int32) {
+	kept := cp.live[:0]
+	for _, e := range cp.live {
+		if e.subs[0] != slot && e.subs[1] != slot && e.subs[2] != slot {
+			kept = append(kept, e)
+		}
+	}
+	cp.live = kept
+}
+
+// join keeps the addresses valid on both of two merging paths.
+func (cp *compiled) join(other []addrEntry) {
+	kept := cp.live[:0]
+	for _, e := range cp.live {
+		for _, o := range other {
+			if e == o {
+				kept = append(kept, e)
+				break
+			}
+		}
+	}
+	cp.live = kept
+}
+
+// loop emits the counting loop of a For or a sum: the scalar takes every
+// whole step from the rounded lo to the rounded hi, both evaluated once,
+// and each iteration is charged the given number of ops. The counter and
+// the limit are hidden registers, so assigning the scalar inside the body
+// does not steer the loop.
+func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, body func()) {
+	mark := cp.tsp
+	l, h := cp.intReg(lo), cp.intReg(hi)
+	cp.tsp = mark
+	ctr := cp.temp()
+	cp.temp() // the limit, at ctr+1
+	init := cp.emit(opForInit, ctr, l, h, 0, cp.takePending())
+	cp.live = cp.live[:0] // the body is entered from above and from below
+	top := cp.here()
+	body()
+	cp.code[init].d = cp.here()
+	cp.emit(opForNext, ctr, slot, top, cp.takePending(), charge)
+	cp.live = cp.live[:0]
+}
+
+func (cp *compiled) block(body []ir.Stmt) {
+	for _, s := range body {
+		mark := cp.tsp
+		cp.stmt(s)
+		cp.tsp = mark
+	}
+}
+
+// intReg lowers an expression used as an integer (subscript, bound,
+// rank): its value rounded, unless it is provably integral already.
+func (cp *compiled) intReg(e ir.Expr) int32 {
+	r := cp.expr(e, -1)
+	if cp.integral(e) {
+		return r
+	}
+	t := r
+	if t < cp.tempBase {
+		t = cp.temp()
+	}
+	cp.emit(opRound, t, r)
+	return t
+}
+
+// address lowers the subscripts of an array access and returns the
+// address register holding its checked offset. An access whose subscripts
+// are all scalars or constants reuses the address an earlier access of the
+// block computed from the same registers. load is 1 for an access whose
+// fault has a load's wording (opAddr1, opAddr2), else 0.
+func (cp *compiled) address(ai int32, index []ir.Expr, load int32) int32 {
+	key := addrEntry{arr: ai, subs: [3]int32{-1, -1, -1}}
+	subs := make([]int32, len(index))
+	reusable := len(index) <= 3
+	for i, e := range index {
+		subs[i] = cp.intReg(e)
+		if reusable = reusable && subs[i] < cp.tempBase; reusable {
+			key.subs[i] = subs[i]
+		}
+	}
+	if reusable {
+		for _, e := range cp.live {
+			if e.arr == key.arr && e.subs == key.subs {
+				return e.id
+			}
+		}
+	}
+	key.id = cp.numAddrs
+	cp.numAddrs++
+	switch len(subs) {
+	case 1:
+		cp.emit(opAddr1, key.id, ai, subs[0], 0, load)
+	case 2:
+		cp.emit(opAddr2, key.id, ai, subs[0], subs[1], load)
+	case 3:
+		cp.emit(opAddr3, key.id, ai, subs[0], subs[1], subs[2])
+	default:
+		base := cp.tempBase + cp.tsp
+		for _, s := range subs {
+			cp.emit(opMov, cp.temp(), s)
+		}
+		cp.emit(opAddrN, key.id, ai, base, int32(len(subs)))
+	}
+	if reusable {
+		cp.live = append(cp.live, key)
+	}
+	return key.id
+}
+
+// transfer lowers a send or a receive: flush, evaluate the section (a
+// send packs it there), then evaluate the peer and communicate. The peer
+// comes after the section, and not at all when the section is empty.
+func (cp *compiled) transfer(op opcode, c commOp, sec []ir.Range, peer ir.Expr) {
+	cp.emit(opFlush, cp.takePending())
+	if len(sec) > cp.maxSec {
+		cp.maxSec = len(sec)
+	}
+	for _, rg := range sec {
+		c.sec = append(c.sec, [2]int32{cp.intReg(rg.Lo), cp.intReg(rg.Hi)})
+	}
+	ci := cp.comm(c)
+	at := cp.emit(opSection, ci)
+	cp.emit(op, ci, cp.intReg(peer))
+	cp.code[at].b = cp.here()
+	cp.live = cp.live[:0] // the empty section's skip joins here
+}
+
+func (cp *compiled) comm(c commOp) int32 {
+	cp.comms = append(cp.comms, c)
+	return int32(len(cp.comms) - 1)
+}
+
+// received returns the registers of scalars a communication instruction
+// writes: definitions the integrality analysis cannot see through, and
+// the end of every address computed from them.
+func (cp *compiled) received(vars []string) []int32 {
+	regs := make([]int32, len(vars))
+	for i, v := range vars {
+		regs[i] = cp.slot(v)
+		cp.defs = append(cp.defs, def{slot: regs[i]})
+		cp.wrote(regs[i])
+	}
+	return regs
+}
+
+func (cp *compiled) stmt(s ir.Stmt) {
 	switch x := s.(type) {
 	case *ir.Assign:
-		rhs := cp.expr(x.RHS)
-		cost := 1 + ir.OpCount(x.RHS)
+		cp.pending += int32(1 + ir.OpCount(x.RHS))
 		if !x.LHS.IsArray() {
 			slot := cp.slot(x.LHS.Name)
-			return func(f *frame) {
-				f.ops += cost
-				f.scalars[slot] = rhs(f)
-			}
+			cp.defs = append(cp.defs, def{slot, x.RHS})
+			cp.expr(x.RHS, slot)
+			cp.wrote(slot)
+			return
 		}
+		for _, e := range x.LHS.Index {
+			cp.pending += int32(ir.OpCount(e))
+		}
+		// The address comes first: a bad subscript faults before the
+		// right-hand side is evaluated.
 		ai := cp.array(x.LHS.Name)
-		idxFns := make([]exprFn, len(x.LHS.Index))
-		for i, e := range x.LHS.Index {
-			idxFns[i] = cp.expr(e)
-			cost += ir.OpCount(e)
-		}
-		nd := len(idxFns)
-		return func(f *frame) {
-			f.ops += cost
-			a := f.arrays[ai]
-			idx := make([]int, nd)
-			for i := range idxFns {
-				idx[i] = int(math.Round(idxFns[i](f)))
-			}
-			a.data[a.linear(idx)] = rhs(f)
-		}
+		addr := cp.address(ai, x.LHS.Index, 0)
+		cp.emit(opStore, ai, addr, cp.expr(x.RHS, -1))
 
 	case *ir.For:
-		slot := cp.slot(x.Var)
-		lo := cp.expr(x.Lo)
-		hi := cp.expr(x.Hi)
-		body := cp.block(x.Body)
-		headCost := ir.OpCount(x.Lo) + ir.OpCount(x.Hi) + 1
-		return func(f *frame) {
-			f.ops += headCost
-			loV := math.Round(lo(f))
-			hiV := math.Round(hi(f))
-			for v := loV; v <= hiV; v++ {
-				f.ops++
-				f.scalars[slot] = v
-				for _, st := range body {
-					st(f)
-				}
-			}
-		}
+		cp.pending += int32(ir.OpCount(x.Lo) + ir.OpCount(x.Hi) + 1)
+		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, func() { cp.block(x.Body) })
 
 	case *ir.If:
-		cond := cp.expr(x.Cond)
-		cost := 1 + ir.OpCount(x.Cond)
-		then := cp.block(x.Then)
-		els := cp.block(x.Else)
-		stmt := x
-		return func(f *frame) {
-			f.ops += cost
-			taken := cond(f) != 0
-			if bp := f.cfg.BranchProfile; bp != nil {
-				bp.Record(stmt, taken)
+		cp.pending += int32(1 + ir.OpCount(x.Cond))
+		mark := cp.tsp
+		var br int
+		if cp.cfg.BranchProfile != nil {
+			br = cp.emit(opBrProf, cp.expr(x.Cond, -1), int32(len(cp.ifs)), 0, cp.takePending())
+			cp.ifs = append(cp.ifs, x)
+		} else if b, ok := x.Cond.(ir.Bin); ok && b.Op >= ir.OpLT && b.Op <= ir.OpGE {
+			// A comparison branches without materialising its truth value.
+			l, r := cp.expr(b.L, -1), cp.expr(b.R, -1)
+			on := branchOn[b.Op]
+			if on.mirror {
+				l, r = r, l
 			}
-			if taken {
-				for _, st := range then {
-					st(f)
-				}
-			} else {
-				for _, st := range els {
-					st(f)
-				}
-			}
+			br = cp.emit(on.op, l, r, 0, cp.takePending())
+		} else {
+			br = cp.emit(opBrZ, cp.expr(x.Cond, -1), 0, 0, cp.takePending())
 		}
+		cp.tsp = mark
+		skipped := append([]addrEntry(nil), cp.live...)
+		cp.block(x.Then)
+		if len(x.Else) == 0 {
+			cp.settle()
+			cp.code[br].c = cp.here()
+			cp.join(skipped)
+			return
+		}
+		jump := cp.emit(opJump, 0, cp.takePending())
+		cp.code[br].c = cp.here()
+		then := cp.live
+		cp.live = skipped
+		cp.block(x.Else)
+		cp.settle()
+		cp.code[jump].a = cp.here()
+		cp.join(then)
 
 	case *ir.Send:
-		dest := cp.expr(x.Dest)
-		secFn := cp.section(x.Section)
-		ai := cp.array(x.Array)
-		tag := x.Tag
-		isDummy := x.Array == dummyBufferName
-		return func(f *frame) {
-			f.flush()
-			bounds := secFn(f)
-			if sectionElems(bounds) == 0 {
-				return
-			}
-			var payload interface{}
-			if !isDummy {
-				payload = f.arrays[ai].pack(bounds)
-			}
-			// Dummy-buffer sends (simplified MPI-SIM-AM programs) carry no
-			// payload: the buffer exists only to preserve message sizes, its
-			// values are never read (zeros either way), and skipping pack
-			// keeps the AM hot path allocation-free. The receive side only
-			// unpacks []float64 payloads, so nil is ignored there.
-			f.r.Send(int(math.Round(dest(f))), tag, sectionBytes(bounds), payload)
-		}
+		// A dummy-buffer send (simplified MPI-SIM-AM programs) carries no
+		// payload: the buffer only preserves message sizes, its values are
+		// never read, and skipping the pack keeps the AM path
+		// allocation-free. The receive side unpacks []float64 payloads
+		// only, so nil is ignored there.
+		c := commOp{tag: x.Tag, arr: cp.array(x.Array), pack: x.Array != dummyBufferName}
+		cp.transfer(opSend, c, x.Section, x.Dest)
 
 	case *ir.Recv:
-		src := cp.expr(x.Src)
-		secFn := cp.section(x.Section)
-		ai := cp.array(x.Array)
-		tag := x.Tag
-		return func(f *frame) {
-			f.flush()
-			bounds := secFn(f)
-			if sectionElems(bounds) == 0 {
-				return
-			}
-			_, payload := f.r.RecvSized(int(math.Round(src(f))), tag, sectionBytes(bounds))
-			if data, ok := payload.([]float64); ok {
-				f.arrays[ai].unpack(bounds, data)
-			}
-		}
+		cp.transfer(opRecv, commOp{tag: x.Tag, arr: cp.array(x.Array)}, x.Section, x.Src)
 
 	case *ir.Allreduce:
-		slots := make([]int, len(x.Vars))
-		for i, v := range x.Vars {
-			slots[i] = cp.slot(v)
-		}
-		var op mpi.ReduceOp
-		switch x.Op {
-		case "sum":
-			op = mpi.OpSum
-		case "max":
-			op = mpi.OpMax
-		case "min":
-			op = mpi.OpMin
-		}
-		return func(f *frame) {
-			f.flush()
-			vec := make([]float64, len(slots))
-			for i, sl := range slots {
-				vec[i] = f.scalars[sl]
-			}
-			out := f.r.Allreduce(vec, int64(len(vec))*8, op)
-			// The AbstractComm model transports no values; keep locals.
-			if out != nil {
-				for i, sl := range slots {
-					f.scalars[sl] = out[i]
-				}
-			}
-		}
+		cp.emit(opFlush, cp.takePending())
+		cp.emit(opAllreduce, cp.comm(commOp{slots: cp.received(x.Vars), reduce: reduceOps[x.Op]}))
 
 	case *ir.Bcast:
-		root := cp.expr(x.Root)
-		slots := make([]int, len(x.Vars))
-		for i, v := range x.Vars {
-			slots[i] = cp.slot(v)
-		}
-		return func(f *frame) {
-			f.flush()
-			rt := int(math.Round(root(f)))
-			var vec []float64
-			if f.r.Rank() == rt {
-				vec = make([]float64, len(slots))
-				for i, sl := range slots {
-					vec[i] = f.scalars[sl]
-				}
-			}
-			out := f.r.Bcast(rt, vec, int64(len(slots))*8)
-			// The AbstractComm model transports no values; keep locals.
-			if out != nil {
-				for i, sl := range slots {
-					f.scalars[sl] = out[i]
-				}
-			}
-		}
+		cp.emit(opFlush, cp.takePending())
+		root := cp.intReg(x.Root)
+		cp.emit(opBcast, cp.comm(commOp{slots: cp.received(x.Vars)}), root)
 
 	case *ir.Barrier:
-		return func(f *frame) {
-			f.flush()
-			f.r.Barrier()
-		}
+		cp.emit(opFlush, cp.takePending())
+		cp.emit(opBarrier)
 
 	case *ir.ReadInput:
 		slot := cp.slot(x.Var)
-		name := x.Var
-		return func(f *frame) {
-			v, ok := f.cfg.Inputs[name]
-			if !ok {
-				panic(fmt.Sprintf("interp: missing program input %q", name))
-			}
-			f.scalars[slot] = v
+		if v, ok := cp.cfg.Inputs[x.Var]; ok {
+			cp.emit(opMov, slot, cp.constant(v))
+		} else {
+			cp.emit(opMissing, cp.comm(commOp{name: x.Var}))
 		}
+		cp.wrote(slot)
 
 	case *ir.Delay:
-		sec := cp.expr(x.Seconds)
-		task := x.Task
-		return func(f *frame) {
-			// Delay arguments are simulator work, not target computation:
-			// no op charge, and pending target ops flush first so that
-			// timing order is preserved.
-			f.flush()
-			f.r.DelayTask(task, sec(f))
-		}
+		// Delay arguments are simulator work, not target computation: no
+		// op charge, and pending target ops flush first so that timing
+		// order is preserved.
+		cp.emit(opFlush, cp.takePending())
+		cp.emit(opDelay, cp.comm(commOp{name: x.Task}), cp.expr(x.Seconds, -1))
 
 	case *ir.ReadTaskTimes:
-		slots := make([]int, len(x.Names))
-		for i, n := range x.Names {
-			slots[i] = cp.slot(n)
-		}
-		names := x.Names
-		return func(f *frame) {
-			f.flush()
-			for i, n := range names {
-				f.scalars[slots[i]] = f.r.ReadTaskTime(n)
-			}
-		}
+		cp.emit(opFlush, cp.takePending())
+		cp.emit(opTaskTimes, cp.comm(commOp{slots: cp.received(x.Names), names: x.Names}))
 
 	case *ir.Timed:
-		units := cp.expr(x.Units)
-		body := cp.block(x.Body)
-		id := x.ID
-		return func(f *frame) {
-			f.flush()
-			t0 := f.r.Now()
-			for _, st := range body {
-				st(f)
-			}
-			f.flush()
-			if f.cfg.Calibration != nil {
-				f.cfg.Calibration.Add(id, f.r.Now()-t0, units(f))
-			}
+		cp.emit(opFlush, cp.takePending())
+		t0 := cp.temp()
+		if cp.cfg.Calibration != nil {
+			cp.emit(opNow, t0)
 		}
+		cp.block(x.Body)
+		cp.emit(opFlush, cp.takePending())
+		if cp.cfg.Calibration != nil {
+			cp.emit(opTimed, cp.comm(commOp{name: x.ID}), t0, cp.expr(x.Units, -1))
+		}
+
+	default:
+		panic(fmt.Sprintf("unknown statement type %T", s))
 	}
-	panic(fmt.Sprintf("unknown statement type %T", s))
 }
 
-func (cp *compiled) expr(e ir.Expr) exprFn {
+// arith maps the operators that have an instruction of their own; the
+// rest go through opApply.
+var arith = [...]opcode{ir.OpAdd: opAdd, ir.OpSub: opSub, ir.OpMul: opMul, ir.OpDiv: opDiv}
+
+// branchOn maps an ordering comparison to the branch that leaves when it
+// fails; > and >= are < and <= with the operands exchanged, which is exact
+// for every operand including NaN.
+var branchOn = [...]struct {
+	op     opcode
+	mirror bool
+}{
+	ir.OpLT: {opBnLT, false}, ir.OpLE: {opBnLE, false}, ir.OpGT: {opBnLT, true}, ir.OpGE: {opBnLE, true},
+}
+
+var reduceOps = map[string]mpi.ReduceOp{"sum": mpi.OpSum, "max": mpi.OpMax, "min": mpi.OpMin}
+
+// expr lowers e and returns the register holding its value: dst when
+// dst >= 0, else the scalar's or constant's own register, else a
+// temporary. Operands are evaluated left to right; an instruction reads
+// all its operands before it writes, so a result may share a register
+// with one of them.
+func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
+	mark := cp.tsp
+	// result pops the operands' temporaries and picks the destination.
+	result := func() int32 {
+		cp.tsp = mark
+		if dst >= 0 {
+			return dst
+		}
+		return cp.temp()
+	}
+	var leaf int32
 	switch x := e.(type) {
 	case ir.Num:
-		v := x.Value
-		return func(*frame) float64 { return v }
+		leaf = cp.constant(x.Value)
 
 	case ir.Scalar:
-		slot := cp.slot(x.Name)
-		return func(f *frame) float64 { return f.scalars[slot] }
+		leaf = cp.slot(x.Name)
 
 	case ir.Idx:
 		ai := cp.array(x.Array)
-		idxFns := make([]exprFn, len(x.Index))
-		for i, sub := range x.Index {
-			idxFns[i] = cp.expr(sub)
-		}
-		switch len(idxFns) {
-		case 1:
-			i0 := idxFns[0]
-			return func(f *frame) float64 {
-				a := f.arrays[ai]
-				v := int(math.Round(i0(f)))
-				if v < 1 || v > a.dims[0] {
-					panic(fmt.Sprintf("interp: index %d out of bounds [1,%d] of %s", v, a.dims[0], a.name))
-				}
-				return a.data[v-1]
-			}
-		case 2:
-			i0, i1 := idxFns[0], idxFns[1]
-			return func(f *frame) float64 {
-				a := f.arrays[ai]
-				v0 := int(math.Round(i0(f)))
-				v1 := int(math.Round(i1(f)))
-				if v0 < 1 || v0 > a.dims[0] || v1 < 1 || v1 > a.dims[1] {
-					panic(fmt.Sprintf("interp: index (%d,%d) out of bounds of %s", v0, v1, a.name))
-				}
-				return a.data[(v0-1)*a.dims[1]+(v1-1)]
-			}
-		default:
-			nd := len(idxFns)
-			return func(f *frame) float64 {
-				a := f.arrays[ai]
-				idx := make([]int, nd)
-				for i := range idxFns {
-					idx[i] = int(math.Round(idxFns[i](f)))
-				}
-				return a.data[a.linear(idx)]
-			}
-		}
+		addr := cp.address(ai, x.Index, 1)
+		d := result()
+		cp.emit(opLoad, d, ai, addr)
+		return d
 
 	case ir.Bin:
-		l := cp.expr(x.L)
-		r := cp.expr(x.R)
-		switch x.Op {
-		case ir.OpAdd:
-			return func(f *frame) float64 { return l(f) + r(f) }
-		case ir.OpSub:
-			return func(f *frame) float64 { return l(f) - r(f) }
-		case ir.OpMul:
-			return func(f *frame) float64 { return l(f) * r(f) }
-		default:
-			op := x.Op
-			return func(f *frame) float64 {
-				v, err := symexpr.ApplyOp(op, l(f), r(f))
-				if err != nil {
-					panic(err.Error())
-				}
-				return v
-			}
+		op := opApply
+		if int(x.Op) < len(arith) {
+			op = arith[x.Op]
 		}
+		l, r := cp.expr(x.L, -1), cp.expr(x.R, -1)
+		d := result()
+		cp.emit(op, d, l, r, int32(x.Op))
+		return d
 
 	case ir.Call:
 		fn := ir.Intrinsics[x.Name]
 		if fn == nil {
 			panic(fmt.Sprintf("unknown intrinsic %q", x.Name))
 		}
-		arg := cp.expr(x.Arg)
-		return func(f *frame) float64 { return fn(arg(f)) }
+		arg := cp.expr(x.Arg, -1)
+		d := result()
+		cp.emit(opCall, d, arg, int32(len(cp.fns)))
+		cp.fns = append(cp.fns, fn)
+		return d
 
 	case ir.SumE:
-		slot := cp.slot(x.Index)
-		lo := cp.expr(x.Lo)
-		hi := cp.expr(x.Hi)
-		body := cp.expr(x.Body)
-		return func(f *frame) float64 {
-			loV := math.Round(lo(f))
-			hiV := math.Round(hi(f))
-			saved := f.scalars[slot]
-			total := 0.0
-			for v := loV; v <= hiV; v++ {
-				f.scalars[slot] = v
-				total += body(f)
-			}
-			f.scalars[slot] = saved
-			return total
+		// A loop that charges nothing, around which the index scalar keeps
+		// its value.
+		slot, total, saved := cp.slot(x.Index), cp.temp(), cp.temp()
+		cp.emit(opMov, saved, slot)
+		cp.emit(opMov, total, cp.constant(0))
+		cp.loop(slot, x.Lo, x.Hi, 0, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
+		cp.emit(opMov, slot, saved)
+		cp.tsp = mark
+		if dst < 0 {
+			cp.tsp++ // total is the result
 		}
+		leaf = total
+
+	default:
+		panic(fmt.Sprintf("unknown expression type %T", e))
 	}
-	panic(fmt.Sprintf("unknown expression type %T", e))
+	if dst >= 0 {
+		cp.emit(opMov, dst, leaf)
+		return dst
+	}
+	return leaf
 }

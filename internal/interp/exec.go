@@ -1,0 +1,442 @@
+package interp
+
+import (
+	"fmt"
+	"math"
+
+	"mpisim/internal/ir"
+	"mpisim/internal/mpi"
+	"mpisim/internal/symexpr"
+)
+
+// frame is the per-rank execution state: a register file, a pc and the
+// arrays. Nothing of a running program lives on the Go stack, so a frame
+// stopped at an instruction boundary can be resumed by calling exec
+// again; what is not yet resumable is the middle of a communication
+// instruction, which blocks inside mpi.Rank.
+type frame struct {
+	cp     *compiled
+	r      *mpi.Rank
+	regs   []float64 // scalars, constants, temporaries (compiled)
+	addrs  []int     // checked array offsets, by address register
+	arrays []arrayVal
+	pc     int
+	// workingSet is the rank's total allocated array bytes; it selects
+	// the machine's cache factor.
+	workingSet int64
+	// Scratch of the communication instructions: the section opSection
+	// evaluated for the opSend/opRecv behind it, and a send's packed values.
+	sec     []secDim
+	payload interface{}
+	// prof counts branch outcomes by ordinal during a profiling run.
+	prof []branchCount
+	// poll counts loop back-edges down to the next abort check.
+	poll int
+}
+
+// pollEvery is how many loop back-edges a rank executes between two looks
+// at the kernel's abort flag.
+const pollEvery = 1 << 16
+
+// secDim is one dimension of an evaluated section: its inclusive bounds
+// and, while the section is walked, the odometer's position.
+type secDim struct{ lo, hi, at int }
+
+type arrayVal struct {
+	name string
+	data []float64
+	dims []int
+}
+
+func newFrame(cp *compiled, r *mpi.Rank) *frame {
+	f := &frame{
+		cp:     cp,
+		r:      r,
+		regs:   make([]float64, int(cp.tempBase+cp.numTemps)),
+		addrs:  make([]int, cp.numAddrs),
+		arrays: make([]arrayVal, len(cp.arrays)),
+		sec:    make([]secDim, cp.maxSec),
+		prof:   make([]branchCount, len(cp.ifs)),
+		poll:   pollEvery,
+	}
+	// Bind built-ins and inputs before evaluating array dimensions, as
+	// Fortran binds its parameter constants before declarations.
+	f.bind(r.Size(), r.Rank())
+	for i := range cp.arrays {
+		ad := &cp.arrays[i]
+		dims := make([]int, len(ad.dims))
+		total := f.extents(ad, dims)
+		bytes := int64(total) * ad.elem
+		f.arrays[i] = arrayVal{name: ad.name, data: make([]float64, total), dims: dims}
+		f.workingSet += bytes
+		r.TrackAlloc(bytes)
+	}
+	return f
+}
+
+// bind resets the register file to a rank's initial state and rewinds the
+// pc to the first array's dimension code.
+func (f *frame) bind(size, rank int) {
+	cp := f.cp
+	clear(f.regs)
+	copy(f.regs[len(cp.names):], cp.constVals)
+	f.regs[cp.slots[ir.BuiltinP]] = float64(size)
+	f.regs[cp.slots[ir.BuiltinMyID]] = float64(rank)
+	//simvet:allow maprange each input binds its own scalar slot; order-independent
+	for name, v := range cp.cfg.Inputs {
+		if slot, ok := cp.slots[name]; ok {
+			f.regs[slot] = v
+		}
+	}
+	f.pc = 0
+}
+
+// extents runs the next array's dimension code and returns its element
+// count, storing the extents in dims when the caller wants them.
+func (f *frame) extents(ad *compiledArray, dims []int) int {
+	f.exec()
+	total := 1
+	for d, r := range ad.dims {
+		v := int(f.regs[r])
+		if v < 1 {
+			v = 1
+		}
+		if dims != nil {
+			dims[d] = v
+		}
+		total *= v
+	}
+	return total
+}
+
+// run executes the program body on a frame newFrame prepared.
+func (f *frame) run() {
+	if bp := f.cp.cfg.BranchProfile; bp != nil {
+		defer func() { bp.merge(f.cp.ifs, f.prof) }()
+	}
+	f.exec()
+}
+
+// exec runs from f.pc to the next opHalt.
+func (f *frame) exec() {
+	cp := f.cp
+	code, regs, addrs, arrs := cp.code, f.regs, f.addrs, f.arrays
+	pc := f.pc
+	// ops is the pending abstract-operation count, turned into simulated
+	// compute time at communication and timer boundaries (opFlush).
+	var ops int64
+	for {
+		in := &code[pc]
+		pc++
+		a, b, c := in.a, in.b, in.c
+		switch in.op {
+		case opHalt:
+			f.pc = pc
+			return
+
+		case opMov:
+			regs[a] = regs[b]
+		case opRound:
+			regs[a] = math.Round(regs[b])
+		case opAdd:
+			regs[a] = regs[b] + regs[c]
+		case opSub:
+			regs[a] = regs[b] - regs[c]
+		case opMul:
+			regs[a] = regs[b] * regs[c]
+		case opDiv:
+			if regs[c] == 0 {
+				apply(ir.OpDiv, regs[b], 0) // faults
+			}
+			regs[a] = regs[b] / regs[c]
+		case opApply:
+			regs[a] = apply(ir.Op(in.d), regs[b], regs[c])
+		case opCall:
+			regs[a] = cp.fns[c](regs[b])
+
+		case opAddr1:
+			arr := &arrs[b]
+			v := int(regs[c])
+			if v < 1 || v > arr.dims[0] {
+				arr.outOfBounds(in.e != 0, v)
+			}
+			addrs[a] = v - 1
+		case opAddr2:
+			arr := &arrs[b]
+			v0, v1 := int(regs[c]), int(regs[in.d])
+			if v0 < 1 || v0 > arr.dims[0] || v1 < 1 || v1 > arr.dims[1] {
+				arr.outOfBounds(in.e != 0, v0, v1)
+			}
+			addrs[a] = (v0-1)*arr.dims[1] + (v1 - 1)
+		case opAddr3:
+			arr := &arrs[b]
+			v0, v1, v2 := int(regs[c]), int(regs[in.d]), int(regs[in.e])
+			if v0 < 1 || v0 > arr.dims[0] || v1 < 1 || v1 > arr.dims[1] || v2 < 1 || v2 > arr.dims[2] {
+				arr.outOfBounds(false, v0, v1, v2)
+			}
+			addrs[a] = ((v0-1)*arr.dims[1]+(v1-1))*arr.dims[2] + (v2 - 1)
+		case opAddrN:
+			arr := &arrs[b]
+			lin := 0
+			for d, x := range regs[c : c+in.d] {
+				v := int(x)
+				if v < 1 || v > arr.dims[d] {
+					arr.dimFault(d, v)
+				}
+				lin = lin*arr.dims[d] + (v - 1)
+			}
+			addrs[a] = lin
+		case opLoad:
+			regs[a] = arrs[b].data[addrs[c]]
+		case opStore:
+			arrs[a].data[addrs[b]] = regs[c]
+
+		case opJump:
+			ops += int64(b)
+			pc = int(a)
+		case opBnLT:
+			ops += int64(in.d)
+			if !(regs[a] < regs[b]) {
+				pc = int(c)
+			}
+		case opBnLE:
+			ops += int64(in.d)
+			if !(regs[a] <= regs[b]) {
+				pc = int(c)
+			}
+		case opBrZ:
+			ops += int64(in.d)
+			if regs[a] == 0 {
+				pc = int(c)
+			}
+		case opBrProf:
+			ops += int64(in.d)
+			n := &f.prof[b]
+			n.total++
+			if regs[a] != 0 {
+				n.taken++
+			} else {
+				pc = int(c)
+			}
+		case opForInit:
+			lo, hi := regs[b], regs[c]
+			regs[a], regs[a+1] = lo, hi
+			ops += int64(in.e)
+			if next := &code[in.d]; lo <= hi {
+				regs[next.b] = lo
+				ops += int64(next.e)
+			} else {
+				pc = int(in.d) + 1
+			}
+		case opForNext:
+			ops += int64(in.d)
+			if v := regs[a] + 1; v <= regs[a+1] {
+				regs[a], regs[b] = v, v
+				ops += int64(in.e)
+				pc = int(c)
+				if f.poll--; f.poll == 0 {
+					f.pollAbort()
+				}
+			}
+		case opCharge:
+			ops += int64(a)
+
+		case opFlush:
+			if ops += int64(a); ops != 0 {
+				f.r.Compute(cp.cfg.Machine.ComputeTime(float64(ops), f.workingSet))
+				ops = 0
+			}
+		case opSection:
+			co := &cp.comms[a]
+			if !f.section(co) {
+				pc = int(b)
+			}
+		case opSend:
+			co := &cp.comms[a]
+			payload := f.payload
+			f.payload = nil
+			f.r.Send(int(regs[b]), co.tag, int64(sectionElems(f.sec[:len(co.sec)]))*8, payload)
+		case opRecv:
+			co := &cp.comms[a]
+			sec := f.sec[:len(co.sec)]
+			_, payload := f.r.RecvSized(int(regs[b]), co.tag, int64(sectionElems(sec))*8)
+			if data, ok := payload.([]float64); ok {
+				arrs[co.arr].unpack(sec, data)
+			}
+		case opAllreduce:
+			co := &cp.comms[a]
+			vec := f.gather(co.slots)
+			// The AbstractComm model transports no values; keep locals.
+			f.scatter(co.slots, f.r.Allreduce(vec, int64(len(vec))*8, co.reduce))
+		case opBcast:
+			co := &cp.comms[a]
+			root := int(regs[b])
+			var vec []float64
+			if f.r.Rank() == root {
+				vec = f.gather(co.slots)
+			}
+			f.scatter(co.slots, f.r.Bcast(root, vec, int64(len(co.slots))*8))
+		case opBarrier:
+			f.r.Barrier()
+		case opMissing:
+			panic(fmt.Sprintf("interp: missing program input %q", cp.comms[a].name))
+		case opDelay:
+			f.r.DelayTask(cp.comms[a].name, regs[b])
+		case opTaskTimes:
+			co := &cp.comms[a]
+			for i, n := range co.names {
+				regs[co.slots[i]] = f.r.ReadTaskTime(n)
+			}
+		case opNow:
+			regs[a] = f.r.Now()
+		case opTimed:
+			cp.cfg.Calibration.Add(cp.comms[a].name, f.r.Now()-regs[b], regs[c])
+		}
+	}
+}
+
+// apply is symexpr.ApplyOp with its error (a zero divisor) as the fault.
+func apply(op ir.Op, l, r float64) float64 {
+	v, err := symexpr.ApplyOp(op, l, r)
+	if err != nil {
+		panic(err.Error())
+	}
+	return v
+}
+
+// pollAbort unwinds the rank when the run has been aborted (wall-clock
+// timeout, cancellation, a tripped budget): a rank inside a long compute
+// loop reaches no kernel call that would notice.
+func (f *frame) pollAbort() {
+	f.poll = pollEvery
+	if f.r != nil {
+		f.r.CheckAbort()
+	}
+}
+
+func (f *frame) gather(slots []int32) []float64 {
+	vec := make([]float64, len(slots))
+	for i, s := range slots {
+		vec[i] = f.regs[s]
+	}
+	return vec
+}
+
+func (f *frame) scatter(slots []int32, vec []float64) {
+	if vec == nil {
+		return
+	}
+	for i, s := range slots {
+		f.regs[s] = vec[i]
+	}
+}
+
+// outOfBounds raises the fault of a failed subscript check. One- and
+// two-dimensional loads have their own wording; everything else names the
+// first bad dimension.
+func (a *arrayVal) outOfBounds(load bool, idx ...int) {
+	switch {
+	case load && len(idx) == 1:
+		panic(fmt.Sprintf("interp: index %d out of bounds [1,%d] of %s", idx[0], a.dims[0], a.name))
+	case load && len(idx) == 2:
+		panic(fmt.Sprintf("interp: index (%d,%d) out of bounds of %s", idx[0], idx[1], a.name))
+	}
+	for d, v := range idx {
+		if v < 1 || v > a.dims[d] {
+			a.dimFault(d, v)
+		}
+	}
+}
+
+func (a *arrayVal) dimFault(d, v int) {
+	panic(fmt.Sprintf("interp: index %d out of bounds [1,%d] in dim %d of %s",
+		v, a.dims[d], d+1, a.name))
+}
+
+// section evaluates the bounds of comm c into f.sec and reports whether
+// the section holds any element; empty ranges yield zero and skip the
+// communication. A send's section is packed here, before its destination
+// is evaluated.
+func (f *frame) section(c *commOp) bool {
+	sec := f.sec[:len(c.sec)]
+	for i, rg := range c.sec {
+		sec[i] = secDim{lo: int(f.regs[rg[0]]), hi: int(f.regs[rg[1]])}
+	}
+	if sectionElems(sec) == 0 {
+		return false
+	}
+	if c.pack {
+		f.payload = f.arrays[c.arr].pack(sec)
+	}
+	return true
+}
+
+// sectionElems returns the element count of a section given evaluated
+// bounds; empty ranges yield zero.
+func sectionElems(sec []secDim) int {
+	total := 1
+	for _, s := range sec {
+		n := s.hi - s.lo + 1
+		if n <= 0 {
+			return 0
+		}
+		total *= n
+	}
+	return total
+}
+
+// first checks a non-empty section against the array and points its
+// odometer at the first element.
+func (a *arrayVal) first(sec []secDim) {
+	for d := range sec {
+		s := &sec[d]
+		if s.lo < 1 || s.hi > a.dims[d] {
+			panic(fmt.Sprintf("interp: section [%d:%d] out of bounds [1,%d] in dim %d of %s",
+				s.lo, s.hi, a.dims[d], d+1, a.name))
+		}
+		s.at = s.lo
+	}
+}
+
+// next returns the row-major offset of the element under the odometer and
+// advances it, last dimension fastest; more is false once the section is
+// exhausted.
+func (a *arrayVal) next(sec []secDim) (off int, more bool) {
+	for d, s := range sec {
+		off = off*a.dims[d] + (s.at - 1)
+	}
+	for d := len(sec) - 1; d >= 0; d-- {
+		if sec[d].at++; sec[d].at <= sec[d].hi {
+			return off, true
+		}
+		sec[d].at = sec[d].lo
+	}
+	return off, false
+}
+
+// pack copies a section into a fresh slice (snapshot semantics: the
+// simulated network must not alias rank-local state).
+func (a *arrayVal) pack(sec []secDim) []float64 {
+	out := make([]float64, 0, sectionElems(sec))
+	a.first(sec)
+	for more := true; more; {
+		var off int
+		off, more = a.next(sec)
+		out = append(out, a.data[off])
+	}
+	return out
+}
+
+// unpack copies received data into a section.
+func (a *arrayVal) unpack(sec []secDim, data []float64) {
+	if n := sectionElems(sec); len(data) != n {
+		panic(fmt.Sprintf("interp: received %d elements for a %d-element section of %s",
+			len(data), n, a.name))
+	}
+	a.first(sec)
+	for i, more := 0, true; more; i++ {
+		var off int
+		off, more = a.next(sec)
+		a.data[off] = data[i]
+	}
+}

@@ -10,7 +10,6 @@
 package interp
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -41,7 +40,7 @@ func Run(p *ir.Program, cfg Config) (*mpi.Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp, err := compile(p)
+	cp, err := compile(p, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -49,13 +48,7 @@ func Run(p *ir.Program, cfg Config) (*mpi.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return world.Run(func(r *mpi.Rank) {
-		f := newFrame(cp, r, &cfg)
-		for _, st := range cp.body {
-			st(f)
-		}
-		f.flush()
-	})
+	return world.Run(func(r *mpi.Rank) { newFrame(cp, r).run() })
 }
 
 // Calibration accumulates per-task timing from Timed regions across all
@@ -202,18 +195,22 @@ func NewBranchProfile() *BranchProfile {
 	return &BranchProfile{counts: map[*ir.If]*branchCount{}}
 }
 
-// Record adds one branch execution.
-func (bp *BranchProfile) Record(s *ir.If, taken bool) {
+// merge adds one rank's counts, kept per branch ordinal while the rank
+// ran, to the profile: one lock per rank instead of one per executed If.
+func (bp *BranchProfile) merge(ifs []*ir.If, counts []branchCount) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	c := bp.counts[s]
-	if c == nil {
-		c = &branchCount{}
-		bp.counts[s] = c
-	}
-	c.total++
-	if taken {
-		c.taken++
+	for i, n := range counts {
+		if n.total == 0 {
+			continue
+		}
+		c := bp.counts[ifs[i]]
+		if c == nil {
+			c = &branchCount{}
+			bp.counts[ifs[i]] = c
+		}
+		c.taken += n.taken
+		c.total += n.total
 	}
 }
 
@@ -236,171 +233,4 @@ func (bp *BranchProfile) Branches() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return len(bp.counts)
-}
-
-// frame is the per-rank execution state.
-type frame struct {
-	cp      *compiled
-	r       *mpi.Rank
-	cfg     *Config
-	scalars []float64
-	arrays  []*arrayVal
-	// ops is the pending abstract-operation count, flushed to simulated
-	// compute time at communication and timer boundaries.
-	ops float64
-	// workingSet is the rank's total allocated array bytes; it selects
-	// the machine's cache factor.
-	workingSet int64
-}
-
-type arrayVal struct {
-	name  string
-	data  []float64
-	dims  []int
-	bytes int64
-}
-
-func newFrame(cp *compiled, r *mpi.Rank, cfg *Config) *frame {
-	f := &frame{
-		cp:      cp,
-		r:       r,
-		cfg:     cfg,
-		scalars: make([]float64, cp.numScalars),
-		arrays:  make([]*arrayVal, len(cp.arrays)),
-	}
-	// Bind built-ins and inputs before evaluating array dimensions, as
-	// Fortran binds its parameter constants before declarations.
-	f.scalars[cp.slotP] = float64(r.Size())
-	f.scalars[cp.slotMyID] = float64(r.Rank())
-	//simvet:allow maprange each input binds its own scalar slot; order-independent
-	for name, v := range cfg.Inputs {
-		if slot, ok := cp.slots[name]; ok {
-			f.scalars[slot] = v
-		}
-	}
-	for i, ad := range cp.arrays {
-		dims := make([]int, len(ad.dimFns))
-		total := 1
-		for d, fn := range ad.dimFns {
-			v := int(fn(f))
-			if v < 1 {
-				v = 1
-			}
-			dims[d] = v
-			total *= v
-		}
-		bytes := int64(total) * ad.elem
-		f.arrays[i] = &arrayVal{name: ad.name, data: make([]float64, total), dims: dims, bytes: bytes}
-		f.workingSet += bytes
-		r.TrackAlloc(bytes)
-	}
-	return f
-}
-
-// flush converts pending abstract operations into simulated compute time.
-func (f *frame) flush() {
-	if f.ops == 0 {
-		return
-	}
-	f.r.Compute(f.cfg.Machine.ComputeTime(f.ops, f.workingSet))
-	f.ops = 0
-}
-
-// linear computes the row-major linear index for 1-based subscripts,
-// bounds-checked.
-func (a *arrayVal) linear(idx []int) int {
-	lin := 0
-	for d, v := range idx {
-		if v < 1 || v > a.dims[d] {
-			panic(fmt.Sprintf("interp: index %d out of bounds [1,%d] in dim %d of %s",
-				v, a.dims[d], d+1, a.name))
-		}
-		lin = lin*a.dims[d] + (v - 1)
-	}
-	return lin
-}
-
-// sectionElems returns the element count of a section given evaluated
-// bounds; empty ranges yield zero.
-func sectionElems(bounds [][2]int) int {
-	total := 1
-	for _, b := range bounds {
-		n := b[1] - b[0] + 1
-		if n <= 0 {
-			return 0
-		}
-		total *= n
-	}
-	return total
-}
-
-// pack copies a section into a fresh slice (snapshot semantics: the
-// simulated network must not alias rank-local state).
-func (a *arrayVal) pack(bounds [][2]int) []float64 {
-	n := sectionElems(bounds)
-	out := make([]float64, 0, n)
-	if n == 0 {
-		return out
-	}
-	idx := make([]int, len(bounds))
-	for d := range bounds {
-		lo := bounds[d][0]
-		if lo < 1 || bounds[d][1] > a.dims[d] {
-			panic(fmt.Sprintf("interp: section [%d:%d] out of bounds [1,%d] in dim %d of %s",
-				bounds[d][0], bounds[d][1], a.dims[d], d+1, a.name))
-		}
-		idx[d] = lo
-	}
-	for {
-		out = append(out, a.data[a.linear(idx)])
-		// Odometer increment, last dimension fastest.
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= bounds[d][1] {
-				break
-			}
-			idx[d] = bounds[d][0]
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return out
-}
-
-// unpack copies received data into a section.
-func (a *arrayVal) unpack(bounds [][2]int, data []float64) {
-	n := sectionElems(bounds)
-	if n == 0 {
-		return
-	}
-	if len(data) != n {
-		panic(fmt.Sprintf("interp: received %d elements for a %d-element section of %s",
-			len(data), n, a.name))
-	}
-	idx := make([]int, len(bounds))
-	for d := range bounds {
-		if bounds[d][0] < 1 || bounds[d][1] > a.dims[d] {
-			panic(fmt.Sprintf("interp: section [%d:%d] out of bounds [1,%d] in dim %d of %s",
-				bounds[d][0], bounds[d][1], a.dims[d], d+1, a.name))
-		}
-		idx[d] = bounds[d][0]
-	}
-	for i := 0; ; i++ {
-		a.data[a.linear(idx)] = data[i]
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= bounds[d][1] {
-				break
-			}
-			idx[d] = bounds[d][0]
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
 }

@@ -14,31 +14,16 @@ func MemoryEstimate(p *ir.Program, ranks int, inputs map[string]float64) (int64,
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	cp, err := compile(p)
+	cp, err := compile(p, &Config{Inputs: inputs})
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	f := &frame{cp: cp, scalars: make([]float64, cp.numScalars)}
+	f := &frame{cp: cp, regs: make([]float64, int(cp.tempBase+cp.numTemps))}
 	for rank := 0; rank < ranks; rank++ {
-		f.scalars[cp.slotP] = float64(ranks)
-		f.scalars[cp.slotMyID] = float64(rank)
-		//simvet:allow maprange each input binds its own scalar slot; order-independent
-		for name, v := range inputs {
-			if slot, ok := cp.slots[name]; ok {
-				f.scalars[slot] = v
-			}
-		}
-		for _, ad := range cp.arrays {
-			elems := int64(1)
-			for _, fn := range ad.dimFns {
-				v := int64(fn(f))
-				if v < 1 {
-					v = 1
-				}
-				elems *= v
-			}
-			total += elems * ad.elem
+		f.bind(ranks, rank)
+		for i := range cp.arrays {
+			total += int64(f.extents(&cp.arrays[i], nil)) * cp.arrays[i].elem
 		}
 	}
 	return total, nil

@@ -1,0 +1,380 @@
+package interp
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"mpisim/internal/apps"
+	"mpisim/internal/compiler"
+	"mpisim/internal/ir"
+	"mpisim/internal/irgen"
+	"mpisim/internal/machine"
+	"mpisim/internal/mpi"
+)
+
+// rankState is what a rank's program leaves behind: every scalar by name
+// and every array, as bit patterns so that -0 and NaN compare exactly.
+type rankState struct {
+	scalars map[string]uint64
+	arrays  map[string][]uint64
+	dims    map[string][]int
+}
+
+func newRankState() rankState {
+	return rankState{map[string]uint64{}, map[string][]uint64{}, map[string][]int{}}
+}
+
+func (st rankState) setArray(name string, data []float64, dims []int) {
+	bits := make([]uint64, len(data))
+	for i, v := range data {
+		bits[i] = math.Float64bits(v)
+	}
+	st.arrays[name], st.dims[name] = bits, dims
+}
+
+// runFlat is Run keeping every rank's final frame.
+func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
+	cp, err := compile(p, &cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	world, err := mpi.NewWorld(cfg.Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	frames := make([]*frame, cfg.Ranks)
+	rep, err := world.Run(func(r *mpi.Rank) {
+		f := newFrame(cp, r)
+		frames[r.Rank()] = f
+		f.run()
+	})
+	states := make([]rankState, cfg.Ranks)
+	for i, f := range frames {
+		if f == nil {
+			continue
+		}
+		st := newRankState()
+		for s, name := range cp.names {
+			st.scalars[name] = math.Float64bits(f.regs[s])
+		}
+		for _, a := range f.arrays {
+			st.setArray(a.name, a.data, a.dims)
+		}
+		states[i] = st
+	}
+	return rep, states, err
+}
+
+// runRef is the same run on the reference evaluator.
+func runRef(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
+	cp, err := refCompile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	world, err := mpi.NewWorld(cfg.Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	frames := make([]*refFrame, cfg.Ranks)
+	rep, err := world.Run(func(r *mpi.Rank) {
+		f := newRefFrame(cp, r, &cfg)
+		frames[r.Rank()] = f
+		for _, st := range cp.body {
+			st(f)
+		}
+		f.flush()
+	})
+	states := make([]rankState, cfg.Ranks)
+	for i, f := range frames {
+		if f == nil {
+			continue
+		}
+		st := newRankState()
+		for name, s := range cp.slots {
+			st.scalars[name] = math.Float64bits(f.scalars[s])
+		}
+		for _, a := range f.arrays {
+			st.setArray(a.name, a.data, a.dims)
+		}
+		states[i] = st
+	}
+	return rep, states, err
+}
+
+// differential runs p on both evaluators, with calibration and (when
+// profile is set) branch profiling attached, and requires identical
+// reports, final states, calibration statistics and branch probabilities.
+func differential(t *testing.T, what string, p *ir.Program, base Config, profile bool) {
+	t.Helper()
+	run := func(f func(*ir.Program, Config) (*mpi.Report, []rankState, error)) (*mpi.Report, []rankState, *Calibration, *BranchProfile) {
+		cfg := base
+		cfg.Calibration = NewCalibration()
+		if profile {
+			cfg.BranchProfile = NewBranchProfile()
+		}
+		rep, states, err := f(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return rep, states, cfg.Calibration, cfg.BranchProfile
+	}
+	wantRep, wantStates, wantCal, wantBP := run(runRef)
+	gotRep, gotStates, gotCal, gotBP := run(runFlat)
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("%s: reports differ: time %v vs %v, rank 0 %+v vs %+v", what,
+			gotRep.Time, wantRep.Time, gotRep.Ranks[0], wantRep.Ranks[0])
+	}
+	for r := range wantStates {
+		if !reflect.DeepEqual(gotStates[r], wantStates[r]) {
+			for name, v := range wantStates[r].scalars {
+				if g := gotStates[r].scalars[name]; g != v {
+					t.Errorf("%s: rank %d scalar %s = %v, reference %v", what, r, name,
+						math.Float64frombits(g), math.Float64frombits(v))
+				}
+			}
+			t.Fatalf("%s: rank %d final state differs", what, r)
+		}
+	}
+	if !reflect.DeepEqual(gotCal.Stats(), wantCal.Stats()) {
+		t.Errorf("%s: calibration differs:\n%+v\n%+v", what, gotCal.Stats(), wantCal.Stats())
+	}
+	if profile {
+		if !reflect.DeepEqual(gotBP.Probabilities(), wantBP.Probabilities()) || gotBP.Branches() != wantBP.Branches() {
+			t.Errorf("%s: branch profiles differ (%d vs %d branches)", what, gotBP.Branches(), wantBP.Branches())
+		}
+	}
+}
+
+// TestOracleApps holds the register code to the reference evaluator on
+// the four applications in their three forms: original, compiler-
+// simplified (with task times measured by the reference) and
+// timer-instrumented.
+func TestOracleApps(t *testing.T) {
+	m := machine.IBMSP()
+	small := map[string]func(ranks int) map[string]float64{
+		"tomcatv": func(int) map[string]float64 { return apps.TomcatvInputs(48, 2) },
+		"nassp": func(ranks int) map[string]float64 {
+			return apps.NASSPInputs(12, 1, apps.SquareSide(ranks))
+		},
+	}
+	for _, name := range apps.Names() {
+		spec := apps.Registry()[name]
+		prog := spec.Build()
+		res, err := compiler.Compile(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, ranks := range []int{1, 4, 16} {
+			inputs := spec.Default(ranks)
+			if f := small[name]; f != nil {
+				inputs = f(ranks)
+			}
+			cfg := Config{Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Detailed}, Inputs: inputs}
+			cal := NewCalibration()
+			calCfg := cfg
+			calCfg.Calibration = cal
+			if _, _, err := runRef(res.Timer, calCfg); err != nil {
+				t.Fatalf("%s/%d: calibration: %v", name, ranks, err)
+			}
+			am := cfg
+			am.Comm, am.TaskTimes = mpi.Analytic, cal.TaskTimes()
+			for _, profile := range []bool{false, true} {
+				tag := fmt.Sprintf("%s/ranks=%d/profile=%v", name, ranks, profile)
+				differential(t, tag+"/original", prog, cfg, profile)
+				differential(t, tag+"/timer", res.Timer, cfg, profile)
+				differential(t, tag+"/simplified", res.Simplified, am, profile)
+			}
+		}
+	}
+}
+
+// TestOracleGenerated does the same on generated programs, with the
+// shapes the lowering specialises on switched on, original and
+// timer-instrumented.
+func TestOracleGenerated(t *testing.T) {
+	m := machine.IBMSP()
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, prog)
+		}
+		timer := prog
+		if seed%4 == 0 {
+			res, err := compiler.Compile(prog)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			timer = res.Timer
+		}
+		for _, ranks := range []int{1, 4, 16} {
+			cfg := Config{Config: mpi.Config{Ranks: ranks, Machine: m, Comm: mpi.Analytic}, Inputs: inputs}
+			for _, profile := range []bool{false, true} {
+				tag := fmt.Sprintf("seed=%d/ranks=%d/profile=%v", seed, ranks, profile)
+				differential(t, tag, prog, cfg, profile)
+				if timer != prog {
+					differential(t, tag+"/timer", timer, cfg, profile)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleParallelEngine reruns a few generated programs with several
+// host workers on real goroutines: the per-rank branch counts merge under
+// the profile's lock, and the race stage watches it.
+func TestOracleParallelEngine(t *testing.T) {
+	m := machine.IBMSP()
+	for seed := int64(0); seed < 6; seed++ {
+		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
+		cfg := Config{Config: mpi.Config{Ranks: 8, Machine: m, Comm: mpi.Detailed,
+			HostWorkers: 3, RealParallel: true}, Inputs: inputs}
+		seq := cfg
+		seq.HostWorkers, seq.RealParallel = 1, false
+		seq.BranchProfile, cfg.BranchProfile = NewBranchProfile(), NewBranchProfile()
+		want, wantStates, err := runRef(prog, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotStates, err := runFlat(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Time != want.Time || !reflect.DeepEqual(got.Ranks, want.Ranks) || !reflect.DeepEqual(gotStates, wantStates) {
+			t.Fatalf("seed %d: parallel register code differs from the sequential reference", seed)
+		}
+		if !reflect.DeepEqual(cfg.BranchProfile.Probabilities(), seq.BranchProfile.Probabilities()) {
+			t.Fatalf("seed %d: branch profiles differ", seed)
+		}
+	}
+}
+
+// TestFaultTexts pins, from the closure evaluator's output at the commit
+// that replaced it, the error of every failing access form; the reference
+// is run too, so a stale literal cannot go unnoticed.
+func TestFaultTexts(t *testing.T) {
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	arrays := []*ir.ArrayDecl{
+		{Name: "A1", Dims: []ir.Expr{n(5)}, Elem: 8},
+		{Name: "A2", Dims: []ir.Expr{n(5), n(4)}, Elem: 8},
+		{Name: "A3", Dims: []ir.Expr{n(5), n(4), n(3)}, Elem: 8},
+		{Name: "A4", Dims: []ir.Expr{n(5), n(4), n(3), n(2)}, Elem: 8},
+	}
+	load := func(a string, idx ...ir.Expr) []ir.Stmt { return ir.Block(ir.SetS("x", ir.At(a, idx...))) }
+	store := func(a string, idx ...ir.Expr) []ir.Stmt { return ir.Block(ir.SetA(a, idx, n(1))) }
+	bin := func(op ir.Op) []ir.Stmt {
+		return ir.Block(ir.SetS("z", n(0)), ir.SetS("x", ir.Bin{Op: op, L: n(7), R: ir.S("z")}))
+	}
+	self := func(s ir.Stmt) []ir.Stmt { return ir.Block(s) }
+	cases := []struct {
+		name string
+		body []ir.Stmt
+		want string
+	}{
+		{"load1", load("A1", n(9)), "interp: index 9 out of bounds [1,5] of A1"},
+		{"load1-low", load("A1", n(0)), "interp: index 0 out of bounds [1,5] of A1"},
+		{"load1-nan", load("A1", ir.Sqrt(n(-1))), "interp: index -9223372036854775808 out of bounds [1,5] of A1"},
+		{"load2", load("A2", n(2), n(7)), "interp: index (2,7) out of bounds of A2"},
+		{"load2-both", load("A2", n(6), n(7)), "interp: index (6,7) out of bounds of A2"},
+		{"load3", load("A3", n(2), n(7), n(9)), "interp: index 7 out of bounds [1,4] in dim 2 of A3"},
+		{"load4", load("A4", n(2), n(3), n(1), n(3)), "interp: index 3 out of bounds [1,2] in dim 4 of A4"},
+		{"load4-first", load("A4", n(0), n(9), n(9), n(9)), "interp: index 0 out of bounds [1,5] in dim 1 of A4"},
+		{"store1", store("A1", n(9)), "interp: index 9 out of bounds [1,5] in dim 1 of A1"},
+		{"store2", store("A2", n(6), n(7)), "interp: index 6 out of bounds [1,5] in dim 1 of A2"},
+		{"store2-second", store("A2", n(5), n(7)), "interp: index 7 out of bounds [1,4] in dim 2 of A2"},
+		{"store3", store("A3", n(1), n(1), n(4)), "interp: index 4 out of bounds [1,3] in dim 3 of A3"},
+		{"store4", store("A4", n(1), n(5), n(1), n(3)), "interp: index 5 out of bounds [1,4] in dim 2 of A4"},
+		{"store-rounded", store("A1", n(5.5)), "interp: index 6 out of bounds [1,5] in dim 1 of A1"},
+		{"store-subscript-and-rhs", ir.Block(ir.SetA("A1", ir.IX(n(9)), ir.At("A2", n(9), n(9)))),
+			"interp: index 9 out of bounds [1,5] in dim 1 of A1"},
+		{"store-subscript-faults-itself", ir.Block(ir.SetA("A1", ir.IX(ir.At("A1", n(8))), ir.At("A2", n(9), n(9)))),
+			"interp: index 8 out of bounds [1,5] of A1"},
+		{"pack", self(&ir.Send{Dest: n(0), Tag: 1, Array: "A2", Section: ir.Sec(n(1), n(5), n(2), n(6))}),
+			"interp: section [2:6] out of bounds [1,4] in dim 2 of A2"},
+		{"pack-low", self(&ir.Send{Dest: n(0), Tag: 1, Array: "A1", Section: ir.Sec(n(0), n(2))}),
+			"interp: section [0:2] out of bounds [1,5] in dim 1 of A1"},
+		{"pack-before-dest", self(&ir.Send{Dest: ir.Div(n(1), ir.S("zero")), Tag: 1, Array: "A1", Section: ir.Sec(n(0), n(2))}),
+			"interp: section [0:2] out of bounds [1,5] in dim 1 of A1"},
+		{"dest-after-section", self(&ir.Send{Dest: ir.Div(n(1), ir.S("zero")), Tag: 1, Array: "A1", Section: ir.Sec(n(1), n(2))}),
+			"symexpr: division by zero"},
+		{"unpack", ir.Block(&ir.Send{Dest: n(0), Tag: 1, Array: "A1", Section: ir.Sec(n(1), n(2))},
+			&ir.Recv{Src: n(0), Tag: 1, Array: "A2", Section: ir.Sec(n(5), n(5), n(4), n(5))}),
+			"interp: section [4:5] out of bounds [1,4] in dim 2 of A2"},
+		{"short-receive", ir.Block(&ir.Send{Dest: n(0), Tag: 1, Array: "A1", Section: ir.Sec(n(1), n(2))},
+			&ir.Recv{Src: n(0), Tag: 1, Array: "A1", Section: ir.Sec(n(1), n(3))}),
+			"interp: received 2 elements for a 3-element section of A1"},
+		{"div", bin(ir.OpDiv), "symexpr: division by zero"},
+		{"idiv", bin(ir.OpIDiv), "symexpr: integer division by zero"},
+		{"ceildiv", bin(ir.OpCeilDiv), "symexpr: ceildiv by zero"},
+		{"mod", bin(ir.OpMod), "symexpr: mod by zero"},
+		{"missing-input", self(&ir.ReadInput{Var: "NOPE"}), `interp: missing program input "NOPE"`},
+	}
+	for _, tc := range cases {
+		p := &ir.Program{Name: tc.name, Arrays: arrays, Body: tc.body}
+		for _, ev := range []struct {
+			name string
+			run  func(*ir.Program, Config) (*mpi.Report, []rankState, error)
+		}{{"reference", runRef}, {"register code", runFlat}} {
+			_, _, err := ev.run(p, baseConfig(1))
+			want := "sim: proc 0 (rank0) panicked: " + tc.want
+			if err == nil || err.Error() != want {
+				t.Errorf("%s on the %s:\n got %v\nwant %s", tc.name, ev.name, err, want)
+			}
+		}
+	}
+	// An empty section skips the communication and with it the peer.
+	p := &ir.Program{Name: "empty", Arrays: arrays, Body: self(
+		&ir.Send{Dest: ir.Div(n(1), ir.S("zero")), Tag: 1, Array: "A1", Section: ir.Sec(n(3), n(2))})}
+	if _, _, err := runFlat(p, baseConfig(1)); err != nil {
+		t.Errorf("empty section evaluated its peer: %v", err)
+	}
+}
+
+// TestIntegralAnalysis checks the Z-rule on its boundary cases.
+func TestIntegralAnalysis(t *testing.T) {
+	body := ir.Block(
+		&ir.ReadInput{Var: "N"},
+		ir.SetS("a", ir.Add(ir.S("N"), ir.N(1))),     // integral input + 1
+		ir.SetS("b", ir.Div(ir.S("a"), ir.N(2))),     // / leaves Z
+		ir.SetS("c", ir.CeilDiv(ir.S("b"), ir.N(2))), // ceildiv re-enters it
+		ir.SetS("d", ir.Mul(ir.S("H"), ir.N(2))),     // H is supplied as 2.5
+		ir.SetS("e", ir.S("f")),                      // chains through f ...
+		ir.SetS("f", ir.S("b")),                      // ... to b
+		ir.SetS("g", ir.Abs(ir.MinE(ir.S("a"), ir.Mod(ir.S("c"), ir.N(3))))),
+		ir.SetS("h", ir.Call{Name: "floor", Arg: ir.S("b")}),
+		ir.SetS("r", ir.N(0)),
+		&ir.Allreduce{Op: "sum", Vars: []string{"r"}},
+		ir.Loop("", "i", ir.S("b"), ir.S("d"), ir.SetS("s", ir.SumE{Index: "k", Lo: ir.N(1), Hi: ir.S("i"), Body: ir.S("k")})),
+		ir.SetS("u", ir.At("A", ir.N(1))),
+	)
+	p := &ir.Program{Name: "z", Arrays: []*ir.ArrayDecl{{Name: "A", Dims: []ir.Expr{ir.N(2)}, Elem: 8}}, Body: body}
+	cp, err := compile(p, &Config{Inputs: map[string]float64{"N": 8, "H": 2.5, "unused": 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"P": true, "myid": true, "N": true, "a": true, "b": false, "c": true, "d": false,
+		"H": false, "e": false, "f": false, "g": true, "h": true, "r": false, "i": true, "k": true, "s": true, "u": false}
+	for name, integral := range want {
+		slot, ok := cp.slots[name]
+		if !ok {
+			t.Fatalf("no scalar %s", name)
+		}
+		if cp.nonZ[slot] == integral {
+			t.Errorf("%s: integral = %v, want %v", name, !cp.nonZ[slot], integral)
+		}
+	}
+	var rounds int
+	for _, in := range cp.code {
+		if in.op == opRound {
+			rounds++
+		}
+	}
+	if rounds != 2 { // the loop's two bounds, and nothing else
+		t.Errorf("%d rounding instructions, want 2\n%s", rounds, cp.dump())
+	}
+}

@@ -15,6 +15,7 @@ package irgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mpisim/internal/ir"
@@ -28,6 +29,10 @@ type Config struct {
 	MaxNests int
 	// MaxTimeSteps bounds the time loop trip count; default 4.
 	MaxTimeSteps int
+	// AccessShapes adds, to every time step, the access and loop shapes
+	// the interpreter's lowering specialises on (see shapes). Off, a seed
+	// generates the program it always has.
+	AccessShapes bool
 }
 
 func (c Config) withDefaults() Config {
@@ -97,6 +102,10 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 			step = append(step, g.reduction(arr(g.r.Intn(nArrays)))...)
 		}
 	}
+	if g.cfg.AccessShapes {
+		body = append(body, &ir.ReadInput{Var: "H"})
+		step = append(step, g.shapes(p)...)
+	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
 	p.Body = body
 
@@ -104,7 +113,72 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 		"N":     float64(16 + 8*g.r.Intn(6)),
 		"STEPS": float64(1 + g.r.Intn(g.cfg.MaxTimeSteps)),
 	}
+	if g.cfg.AccessShapes {
+		p.Params = append(p.Params, "H")
+		inputs["H"] = 1.5 + float64(g.r.Intn(3)) // never integral: 1.5, 2.5 or 3.5
+	}
 	return p, inputs
+}
+
+// shapes declares a 1-D, a 3-D and a 4-D array and emits the forms an
+// evaluator is tempted to get wrong (all in bounds for N >= 16): a
+// subscript that needs rounding, from an expression and from the
+// non-integral input H; a subscript scalar reassigned between two accesses
+// of the same element, in straight-line code, in a loop body and in one
+// arm of an if that accesses it again before the arms join;
+// a sum inside a subscript; a loop variable assigned in its own body;
+// zero-trip loops, from ordered bounds and from a NaN bound, and a send of
+// an empty section, each skipping code that computes an address used
+// again behind it; a loop starting at -0; an else arm; and min, max, mod,
+// idiv, ceildiv feeding 3-D and 4-D subscripts.
+func (g *gen) shapes(p *ir.Program) []ir.Stmt {
+	p.Arrays = append(p.Arrays,
+		&ir.ArrayDecl{Name: "V", Dims: []ir.Expr{ir.S("N")}, Elem: 8},
+		&ir.ArrayDecl{Name: "B3", Dims: []ir.Expr{ir.N(4), ir.N(3), ir.N(2)}, Elem: 8},
+		&ir.ArrayDecl{Name: "B4", Dims: []ir.Expr{ir.N(3), ir.N(2), ir.N(2), ir.N(2)}, Elem: 8},
+	)
+	n := func(v int) ir.Expr { return ir.N(float64(v)) }
+	q, s, t := ir.S("q"), ir.S("s"), ir.S("t")
+	i3, j3, k3 := ir.S("i3"), ir.S("j3"), ir.S("k3")
+	bump := func(idx ir.Expr, by ir.Expr) ir.Stmt { // V(idx) = V(idx) + by
+		return ir.SetA("V", ir.IX(idx), ir.Add(ir.At("V", idx), by))
+	}
+	half := ir.Add(ir.Mul(q, ir.N(0.5)), ir.N(0.5)) // 1, 1.5, 2, 2.5, ...
+	sumIdx := ir.SumE{Index: "q", Lo: n(1), Hi: n(1 + g.r.Intn(3)), Body: q}
+	idiv := func(l, r ir.Expr) ir.Expr { return ir.Bin{Op: ir.OpIDiv, L: l, R: r} }
+	armed := ir.Block(ir.SetS("s", n(4+g.r.Intn(4))), bump(s, n(2)))
+	oneArm := &ir.If{Cond: ir.LT(ir.At("V", n(1)), t), Then: armed}
+	if g.r.Intn(2) == 0 {
+		oneArm = &ir.If{Cond: ir.LT(ir.At("V", n(1)), t), Then: ir.Block(bump(n(9), n(1))), Else: armed}
+	}
+	return ir.Block(
+		bump(ir.S("H"), n(1)),
+		ir.Loop("", "q", n(1), n(3+g.r.Intn(4)), bump(half, q)),
+		ir.SetS("s", n(2+g.r.Intn(2))),
+		bump(s, n(1)),
+		ir.SetS("s", ir.Add(s, n(1))),
+		bump(s, s),
+		ir.Loop("", "q", n(1), n(2), bump(s, q), ir.SetS("s", ir.Add(s, n(1)))),
+		oneArm,
+		bump(s, ir.N(0.5)),
+		bump(sumIdx, n(1)),
+		ir.Loop("", "q", n(1), n(3), ir.SetS("q", ir.Add(q, n(5))), bump(q, n(1))),
+		ir.Loop("", "q", n(5), n(4), bump(n(3), n(-100))),
+		bump(n(3), n(1)),
+		ir.Loop("", "q", n(1), ir.Sqrt(n(-1)), bump(n(1), n(-100))),
+		&ir.Send{Dest: ir.Mul(ir.At("V", n(5)), n(0)), Tag: 99, Array: "V", Section: ir.Sec(n(3), n(2))},
+		bump(n(5), n(1)),
+		ir.Loop("", "q", ir.N(math.Copysign(0, -1)), n(g.r.Intn(2)), bump(ir.Add(q, n(1)), n(1))),
+		&ir.If{Cond: ir.EQ(ir.Mod(t, n(2)), n(0)),
+			Then: ir.Block(bump(n(1), n(1))), Else: ir.Block(bump(n(2), n(1)))},
+		ir.Loop("", "k3", n(1), n(2), ir.Loop("", "j3", n(1), n(3), ir.Loop("", "i3", n(1), ir.MinE(ir.S("N"), n(4)),
+			ir.SetA("B3", ir.IX(i3, j3, k3), ir.Add(ir.At("B3", i3, j3, k3),
+				ir.At("V", ir.Add(ir.Mod(ir.Add(i3, j3), n(3)), n(1))))),
+			ir.SetA("B4", ir.IX(j3, k3, idiv(ir.Add(i3, n(1)), n(2)), ir.CeilDiv(i3, n(2))),
+				ir.Add(ir.At("B4", j3, k3, ir.MaxE(n(1), ir.Sub(k3, n(1))), ir.CeilDiv(i3, n(2))),
+					ir.At("B3", i3, j3, k3))),
+		))),
+	)
 }
 
 // shift emits a guarded ring shift of one boundary column: send left,

@@ -93,6 +93,11 @@ func (r *Rank) Now() float64 { return float64(r.proc.Now()) }
 // Machine returns the target machine model.
 func (r *Rank) Machine() *machine.Model { return r.world.cfg.Machine }
 
+// CheckAbort unwinds the rank's body when the run has been aborted
+// (sim.Proc.CheckAbort). A body calls it from long stretches of local
+// computation that reach no MPI call.
+func (r *Rank) CheckAbort() { r.proc.CheckAbort() }
+
 // checkCrash fires the rank's injected stop-failure once its local clock
 // has reached the crash time. Crashes are detected at MPI-call
 // boundaries (and mid-work by advanceWork); a rank blocked forever in

@@ -173,6 +173,17 @@ func (p *Proc) Advance(d Time) {
 	s.stats.ComputeTime += d
 }
 
+// CheckAbort unwinds the calling process body when the run's guard has
+// tripped (budget, watchdog, cancellation). The worker loop polls the
+// abort flag between events; a body computing for a long time without a
+// kernel call polls it through here, and leaves the way a blocked
+// process does at teardown — torn down, not failed.
+func (p *Proc) CheckAbort() {
+	if g := p.kernel.guard; g != nil && g.tripped() {
+		panic(errTeardown)
+	}
+}
+
 // nextSeq returns the per-process monotone sequence used for
 // deterministic event ordering.
 func (p *Proc) nextSeq() uint64 {

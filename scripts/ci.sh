@@ -27,7 +27,9 @@
 #      -mode am -ranks 4096 default vs -nocheck, best of three alternating
 #      runs each (within-run pair); and the trace door's budget beside
 #      it: mpisim -tracein of that run's recorded trace, parse included,
-#      may take at most 1.5x the default run's wall
+#      may take at most 1.5x the default run's wall; and the interpreter's:
+#      mpisim -app sweep3d -mode de -ranks 256 may take at most 3x the
+#      wall of -mode am -ranks 1024
 #  11. trace frontend gate: record → replay round-trip and weak-scaling
 #      extrapolation tests (bit-exact replay, sched-equivalence across
 #      engines), every examples/traces/*.jsonl replayed and extrapolated
@@ -198,14 +200,14 @@ echo "== verifier budget (default vs -nocheck, within-run pair)"
 # ROADMAP's budget is 0.25x — tighten as the margin is confirmed.
 wall_ms() {
     t0=$(date +%s%N)
-    "$bin/mpisim" -app sweep3d -mode am -ranks 4096 "$@" >/dev/null
+    "$bin/mpisim" -app sweep3d "$@" >/dev/null
     echo $(( ($(date +%s%N) - t0) / 1000000 ))
 }
 checked=999999
 unchecked=999999
 for i in 1 2 3; do
-    ms=$(wall_ms); [ "$ms" -lt "$checked" ] && checked=$ms
-    ms=$(wall_ms -nocheck); [ "$ms" -lt "$unchecked" ] && unchecked=$ms
+    ms=$(wall_ms -mode am -ranks 4096); [ "$ms" -lt "$checked" ] && checked=$ms
+    ms=$(wall_ms -mode am -ranks 4096 -nocheck); [ "$ms" -lt "$unchecked" ] && unchecked=$ms
 done
 echo "verifier budget: default ${checked} ms, -nocheck ${unchecked} ms"
 if [ $(( (checked - unchecked) * 2 )) -gt "$unchecked" ]; then
@@ -227,6 +229,24 @@ rm -f "$bin/sweep4k.jsonl"
 echo "replay budget: -tracein ${replayed} ms vs default ${checked} ms"
 if [ $(( replayed * 2 )) -gt $(( checked * 3 )) ]; then
     echo "replay budget: replaying the recorded trace takes more than 1.5x the direct run" >&2
+    exit 1
+fi
+
+# The direct-execution budget beside them: a DE prediction runs the whole
+# computation through internal/interp, an AM prediction almost none of
+# it, so their ratio is what the interpreter costs. 256 ranks of DE may
+# take at most 3x what 1024 ranks of AM take, best of three alternating
+# runs. Measured 1.2-1.7x on register code; the closure evaluator it
+# replaced, 4-5x.
+de=999999
+am=999999
+for i in 1 2 3; do
+    ms=$(wall_ms -mode de -ranks 256); [ "$ms" -lt "$de" ] && de=$ms
+    ms=$(wall_ms -mode am -ranks 1024); [ "$ms" -lt "$am" ] && am=$ms
+done
+echo "direct-execution budget: de/256 ${de} ms vs am/1024 ${am} ms"
+if [ "$de" -gt $(( am * 3 )) ]; then
+    echo "direct-execution budget: 256 ranks of DE take more than 3x 1024 ranks of AM" >&2
     exit 1
 fi
 
