@@ -8,6 +8,7 @@ package mpisim
 // communication model).
 
 import (
+	"runtime"
 	"testing"
 
 	"mpisim/internal/compiler"
@@ -284,8 +285,12 @@ func BenchmarkSymbolicEval(b *testing.B) {
 }
 
 // BenchmarkAbstractManyRanks measures AM simulation cost at a large
-// target count — the headline capability.
+// target count — the headline capability: events per second through
+// interpreter, MPI layer and kernel together, and what one target rank
+// costs the host in allocations and bytes. scripts/bench_kernel.sh
+// records it beside the bare-kernel rows it is to be read against.
 func BenchmarkAbstractManyRanks(b *testing.B) {
+	const ranks = 1024
 	r, err := NewRunner(Sweep3D(), IBMSP())
 	if err != nil {
 		b.Fatal(err)
@@ -293,15 +298,25 @@ func BenchmarkAbstractManyRanks(b *testing.B) {
 	if _, err := r.Calibrate(4, Sweep3DInputs(4, 4, 16, 8, 2, 2)); err != nil {
 		b.Fatal(err)
 	}
-	npx, npy := ProcGrid(1024)
+	npx, npy := ProcGrid(ranks)
 	inputs := Sweep3DInputs(4, 4, 16, 8, npx, npy)
+	var before, after runtime.MemStats
+	var events int64
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(Abstract, 1024, inputs); err != nil {
+		rep, err := r.Run(Abstract, ranks, inputs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events += rep.Kernel.Events
 	}
-	b.ReportMetric(1024, "targets")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/ranks, "allocs/rank")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/ranks, "bytes/rank")
 }
 
 // BenchmarkAblationProtocol* compare the kernel's two conservative

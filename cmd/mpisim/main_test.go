@@ -97,20 +97,27 @@ func TestInterruptWritesPartialArtifact(t *testing.T) {
 // TestWallTimeoutStopsAComputingRank: a rank inside a compute loop makes
 // no kernel call, so the abort has to reach it there. The spin program
 // would run for minutes; with a 200 ms budget the process must be gone
-// within 2 s, with status 1 and the cancellation reported. Not a golden:
-// how far the loop got when the budget ran out depends on the host.
+// within 2 s, with status 1, the cancellation reported and the partial
+// result printed — with a barrier behind the loop and with no
+// communication at all. Not a golden: how far the loop got when the
+// budget ran out depends on the host.
 func TestWallTimeoutStopsAComputingRank(t *testing.T) {
-	start := time.Now()
-	_, stderr, code := mpisimChild(t, self(t), "-file", fixtures+"spin.ir", "-inputs", "N=2000000000",
-		"-mode", "de", "-ranks", "2", "-walltimeout", "200ms")
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("took %v to stop a computing rank, want under 2s", elapsed)
-	}
-	if code != 1 {
-		t.Errorf("exit status = %d, want 1", code)
-	}
-	if !bytes.Contains(stderr, []byte("run aborted: canceled")) {
-		t.Errorf("stderr does not report the cancellation:\n%s", stderr)
+	for _, prog := range []string{"spin.ir", "spin_local.ir"} {
+		start := time.Now()
+		stdout, stderr, code := mpisimChild(t, self(t), "-file", fixtures+prog, "-inputs", "N=2000000000",
+			"-mode", "de", "-ranks", "2", "-walltimeout", "200ms")
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("%s: took %v to stop a computing rank, want under 2s", prog, elapsed)
+		}
+		if code != 1 {
+			t.Errorf("%s: exit status = %d, want 1", prog, code)
+		}
+		if !bytes.Contains(stderr, []byte("run aborted: canceled")) {
+			t.Errorf("%s: stderr does not report the cancellation:\n%s", prog, stderr)
+		}
+		if !bytes.Contains(stdout, []byte("PARTIAL result (aborted: canceled")) {
+			t.Errorf("%s: stdout does not print the partial result:\n%s", prog, stdout)
+		}
 	}
 }
 

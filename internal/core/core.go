@@ -258,9 +258,12 @@ func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]flo
 	if r.RunInfo != nil {
 		r.RunInfo.SetState(obs.RunCalibrating)
 	}
+	// The timer and profiling runs stay on the sequential engine whatever
+	// the prediction runs on: their collectors sum floating-point samples
+	// in the order ranks reach them, which real host workers do not
+	// repeat, and the w_i table must be one value per configuration.
 	timer := mpi.Config{
 		Ranks: ranks, Machine: r.Machine, Comm: mpi.Detailed,
-		HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
 		Metrics: r.Metrics, Tracer: r.Tracer,
 	}
 	if r.ProfileBranches {

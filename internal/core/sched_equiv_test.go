@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -240,6 +241,8 @@ func TestSchedEquivalenceReplay(t *testing.T) {
 	}
 
 	run := func(workers int, force bool) (string, string, string) {
+		reg := obs.NewRegistry(workers)
+		reg.SetEnabled(true)
 		rep2, err := tracein.Replay(tr, mpi.Config{
 			Machine:        m,
 			HostWorkers:    workers,
@@ -248,9 +251,21 @@ func TestSchedEquivalenceReplay(t *testing.T) {
 			CollectMatrix:  true,
 			CollectTrace:   true,
 			RecordCalls:    true,
+			Metrics:        reg,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d force=%v: %v", workers, force, err)
+		}
+		// The two axes really are two rank paths: every rank a
+		// continuation, or every rank on a carrier goroutine.
+		want := 0.0
+		if force {
+			want = 4
+		}
+		for _, s := range reg.Snapshot() {
+			if s.Name == "sim_goroutine_fallbacks_total" && s.Value != want {
+				t.Errorf("workers=%d force=%v: %v goroutine fallbacks, want %v", workers, force, s.Value, want)
+			}
 		}
 		rep2.Kernel = nil
 		b, err := json.Marshal(rep2)
@@ -303,4 +318,43 @@ func TestSchedEquivalenceFaults(t *testing.T) {
 		Retry: &fault.RetryConfig{Timeout: 5e-4, Backoff: 2, MaxRetries: 16},
 	}
 	checkSchedMatrix(t, "sample/faults", spec.Build, flatInputs("sample", 4), "", faults)
+}
+
+// TestSchedEquivalenceCalibrated holds the whole AM pipeline — calibration
+// included — to one answer on a contended topology: `mpisim -app sweep3d
+// -mode am -ranks 16 -topology torus:dims=4x4 -hosts H`, ten times at
+// each of H = 1, 2, 8 real workers. While calibration ran on the
+// prediction's engine, its collector summed the samples in the order the
+// workers reached it, and every rank's ComputeTime moved in the last ulp
+// from run to run.
+func TestSchedEquivalenceCalibrated(t *testing.T) {
+	spec := &RunSpec{App: "sweep3d", Mode: "am", Ranks: 16, Topology: "torus:dims=4x4"}
+	spec.Normalize()
+	if err := spec.Validate(0); err != nil {
+		t.Fatal(err)
+	}
+	var ref []byte
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 10; rep++ {
+			plan, err := Prepare(spec, mpi.Config{HostWorkers: workers, RealParallel: workers > 1}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := plan.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// How the engine's workers synchronised is not the prediction.
+			out.Artifact.Report.Kernel.Windows, out.Artifact.Report.Kernel.CrossWorker = 0, 0
+			got, err := trace.EncodeArtifact(out.Artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+			} else if !bytes.Equal(got, ref) {
+				t.Fatalf("workers=%d, repeat %d: artifact differs from the first run's", workers, rep)
+			}
+		}
+	}
 }

@@ -49,10 +49,12 @@ const (
 	opFlush     // charge a; turn the pending charges into simulated compute time
 	opSection   // evaluate, and for a send pack, the section of comm a; empty: pc = b
 	opSend      // send the packed section of comm a to rank b
-	opRecv      // receive the section of comm a from rank b
-	opAllreduce // comm a
-	opBcast     // comm a from root rank b
-	opBarrier   //
+	opRecv      // start receiving the section of comm a from rank b; may wait
+	opUnpack    // store the received values in the section of comm a
+	opAllreduce // start comm a; may wait
+	opBcast     // start comm a from root rank b; may wait
+	opResult    // store the collective's result vector in the scalars of comm a
+	opBarrier   // may wait
 	opMissing   // fault: the input named by comm a was not supplied
 	opDelay     // delay b seconds on behalf of the task named by comm a
 	opTaskTimes // comm a
@@ -430,6 +432,9 @@ func (cp *compiled) transfer(op opcode, c commOp, sec []ir.Range, peer ir.Expr) 
 	ci := cp.comm(c)
 	at := cp.emit(opSection, ci)
 	cp.emit(op, ci, cp.intReg(peer))
+	if op == opRecv {
+		cp.emit(opUnpack, ci)
+	}
 	cp.code[at].b = cp.here()
 	cp.live = cp.live[:0] // the empty section's skip joins here
 }
@@ -526,12 +531,16 @@ func (cp *compiled) stmt(s ir.Stmt) {
 
 	case *ir.Allreduce:
 		cp.emit(opFlush, cp.takePending())
-		cp.emit(opAllreduce, cp.comm(commOp{slots: cp.received(x.Vars), reduce: reduceOps[x.Op]}))
+		ci := cp.comm(commOp{slots: cp.received(x.Vars), reduce: reduceOps[x.Op]})
+		cp.emit(opAllreduce, ci)
+		cp.emit(opResult, ci)
 
 	case *ir.Bcast:
 		cp.emit(opFlush, cp.takePending())
 		root := cp.intReg(x.Root)
-		cp.emit(opBcast, cp.comm(commOp{slots: cp.received(x.Vars)}), root)
+		ci := cp.comm(commOp{slots: cp.received(x.Vars)})
+		cp.emit(opBcast, ci, root)
+		cp.emit(opResult, ci)
 
 	case *ir.Barrier:
 		cp.emit(opFlush, cp.takePending())

@@ -9,7 +9,7 @@ import (
 var opNames = [...]string{"halt", "mov", "round", "add", "sub", "mul", "div", "apply", "call",
 	"addr1", "addr2", "addr3", "addrN", "load", "store",
 	"jump", "bnlt", "bnle", "brz", "brprof", "forinit", "fornext", "charge",
-	"flush", "section", "send", "recv", "allreduce", "bcast", "barrier", "missing", "delay", "tasktimes", "now", "timed"}
+	"flush", "section", "send", "recv", "unpack", "allreduce", "bcast", "result", "barrier", "missing", "delay", "tasktimes", "now", "timed"}
 
 // dump disassembles the program for test failure messages and debugging:
 // every operand is shown both as the register it would name and as the

@@ -11,9 +11,11 @@ import (
 
 // frame is the per-rank execution state: a register file, a pc and the
 // arrays. Nothing of a running program lives on the Go stack, so a frame
-// stopped at an instruction boundary can be resumed by calling exec
-// again; what is not yet resumable is the middle of a communication
-// instruction, which blocks inside mpi.Rank.
+// stopped at an instruction boundary is resumed by calling exec again. A
+// communication instruction that has to wait is such a boundary: it
+// starts the operation on the mpi.Rank, saves the pc and returns, and
+// the instruction behind it picks the operation's result up on resume.
+// A frame is the rank's mpi.Program.
 type frame struct {
 	cp     *compiled
 	r      *mpi.Rank
@@ -109,16 +111,28 @@ func (f *frame) extents(ad *compiledArray, dims []int) int {
 	return total
 }
 
-// run executes the program body on a frame newFrame prepared.
-func (f *frame) run() {
+// Step implements mpi.Program on a frame newFrame prepared: run the
+// program body from where it stopped until it ends or a communication it
+// started waits. The branch counts are merged into the profile once, when
+// the rank ends or faults.
+func (f *frame) Step() bool {
+	waiting := false
 	if bp := f.cp.cfg.BranchProfile; bp != nil {
-		defer func() { bp.merge(f.cp.ifs, f.prof) }()
+		defer func() {
+			if !waiting {
+				bp.merge(f.cp.ifs, f.prof)
+			}
+		}()
 	}
-	f.exec()
+	waiting = !f.exec()
+	return !waiting
 }
 
-// exec runs from f.pc to the next opHalt.
-func (f *frame) exec() {
+// exec runs from f.pc to the next opHalt and reports true, or to a
+// communication that waits and reports false. No charge is pending at
+// such an instruction: an opFlush precedes it and nothing between the
+// two charges.
+func (f *frame) exec() bool {
 	cp := f.cp
 	code, regs, addrs, arrs := cp.code, f.regs, f.addrs, f.arrays
 	pc := f.pc
@@ -132,7 +146,7 @@ func (f *frame) exec() {
 		switch in.op {
 		case opHalt:
 			f.pc = pc
-			return
+			return true
 
 		case opMov:
 			regs[a] = regs[b]
@@ -257,17 +271,21 @@ func (f *frame) exec() {
 			f.payload = nil
 			f.r.Send(int(regs[b]), co.tag, int64(sectionElems(f.sec[:len(co.sec)]))*8, payload)
 		case opRecv:
+			// A receive or a collective may have to wait for a message: the
+			// frame stops there, and the instruction behind picks the result
+			// up.
 			co := &cp.comms[a]
-			sec := f.sec[:len(co.sec)]
-			_, payload := f.r.RecvSized(int(regs[b]), co.tag, int64(sectionElems(sec))*8)
-			if data, ok := payload.([]float64); ok {
-				arrs[co.arr].unpack(sec, data)
+			f.r.StartRecv(int(regs[b]), co.tag, int64(sectionElems(f.sec[:len(co.sec)]))*8)
+			if f.suspended(pc) {
+				return false
 			}
 		case opAllreduce:
 			co := &cp.comms[a]
 			vec := f.gather(co.slots)
-			// The AbstractComm model transports no values; keep locals.
-			f.scatter(co.slots, f.r.Allreduce(vec, int64(len(vec))*8, co.reduce))
+			f.r.StartAllreduce(vec, int64(len(vec))*8, co.reduce)
+			if f.suspended(pc) {
+				return false
+			}
 		case opBcast:
 			co := &cp.comms[a]
 			root := int(regs[b])
@@ -275,9 +293,24 @@ func (f *frame) exec() {
 			if f.r.Rank() == root {
 				vec = f.gather(co.slots)
 			}
-			f.scatter(co.slots, f.r.Bcast(root, vec, int64(len(co.slots))*8))
+			f.r.StartBcast(root, vec, int64(len(co.slots))*8)
+			if f.suspended(pc) {
+				return false
+			}
 		case opBarrier:
-			f.r.Barrier()
+			f.r.StartBarrier()
+			if f.suspended(pc) {
+				return false
+			}
+		case opUnpack:
+			co := &cp.comms[a]
+			_, payload := f.r.Received()
+			if data, ok := payload.([]float64); ok {
+				arrs[co.arr].unpack(f.sec[:len(co.sec)], data)
+			}
+		case opResult:
+			// The AbstractComm model transports no values; keep locals.
+			f.scatter(cp.comms[a].slots, f.r.Vector())
 		case opMissing:
 			panic(fmt.Sprintf("interp: missing program input %q", cp.comms[a].name))
 		case opDelay:
@@ -293,6 +326,16 @@ func (f *frame) exec() {
 			cp.cfg.Calibration.Add(cp.comms[a].name, f.r.Now()-regs[b], regs[c])
 		}
 	}
+}
+
+// suspended reports whether the operation just started waits, saving
+// the pc to resume at when it does.
+func (f *frame) suspended(pc int) bool {
+	if f.r.Waiting() {
+		f.pc = pc
+		return true
+	}
+	return false
 }
 
 // apply is symexpr.ApplyOp with its error (a zero divisor) as the fault.

@@ -16,34 +16,39 @@ import (
 
 // TestAbortReachesAComputingRank: a rank in a compute loop reaches no
 // kernel call, so a cancelled run has to be noticed from the loop's
-// back-edge. The loop below would run for minutes.
+// back-edge — and must end as an abort, not as a failed rank. The loop
+// below would run for minutes; the program is tried with a barrier
+// behind the loop and with no communication at all.
 func TestAbortReachesAComputingRank(t *testing.T) {
-	p := &ir.Program{
-		Name:   "spin",
-		Arrays: []*ir.ArrayDecl{{Name: "W", Dims: []ir.Expr{ir.N(1)}, Elem: 8}},
-		Body: ir.Block(
-			ir.Loop("", "k", ir.N(1), ir.N(2e9),
-				ir.SetA("W", ir.IX(ir.N(1)), ir.Add(ir.At("W", ir.N(1)), ir.S("k")))),
-			&ir.Barrier{},
-		),
-	}
-	for _, workers := range []int{1, 2} {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		cfg := baseConfig(2)
-		cfg.HostWorkers, cfg.RealParallel = workers, workers > 1
-		cfg.Limits = sim.Limits{Ctx: ctx}
-		start := time.Now()
-		rep, err := Run(p, cfg)
-		cancel()
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Errorf("workers=%d: took %v to stop, want under 2s", workers, elapsed)
+	spin := ir.Loop("", "k", ir.N(1), ir.N(2e9),
+		ir.SetA("W", ir.IX(ir.N(1)), ir.Add(ir.At("W", ir.N(1)), ir.S("k"))))
+	for name, body := range map[string][]ir.Stmt{
+		"barrier": ir.Block(spin, &ir.Barrier{}),
+		"local":   ir.Block(spin),
+	} {
+		p := &ir.Program{
+			Name:   "spin",
+			Arrays: []*ir.ArrayDecl{{Name: "W", Dims: []ir.Expr{ir.N(1)}, Elem: 8}},
+			Body:   body,
 		}
-		var abort *sim.AbortError
-		if !errors.As(err, &abort) || !strings.Contains(abort.Reason, "canceled") {
-			t.Fatalf("workers=%d: err = %v, want a cancellation abort", workers, err)
-		}
-		if rep == nil || !rep.Partial {
-			t.Errorf("workers=%d: no partial report with the abort", workers)
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			cfg := baseConfig(2)
+			cfg.HostWorkers, cfg.RealParallel = workers, workers > 1
+			cfg.Limits = sim.Limits{Ctx: ctx}
+			start := time.Now()
+			rep, err := Run(p, cfg)
+			cancel()
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("%s, workers=%d: took %v to stop, want under 2s", name, workers, elapsed)
+			}
+			var abort *sim.AbortError
+			if !errors.As(err, &abort) || !strings.Contains(abort.Reason, "canceled") {
+				t.Fatalf("%s, workers=%d: err = %v, want a cancellation abort", name, workers, err)
+			}
+			if rep == nil || !rep.Partial {
+				t.Errorf("%s, workers=%d: no partial report with the abort", name, workers)
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func Run(p *ir.Program, cfg Config) (*mpi.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return world.Run(func(r *mpi.Rank) { newFrame(cp, r).run() })
+	return world.RunProgram(func(r *mpi.Rank) mpi.Program { return newFrame(cp, r) })
 }
 
 // Calibration accumulates per-task timing from Timed regions across all

@@ -45,10 +45,10 @@ func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
 		return nil, nil, err
 	}
 	frames := make([]*frame, cfg.Ranks)
-	rep, err := world.Run(func(r *mpi.Rank) {
+	rep, err := world.RunProgram(func(r *mpi.Rank) mpi.Program {
 		f := newFrame(cp, r)
 		frames[r.Rank()] = f
-		f.run()
+		return f
 	})
 	states := make([]rankState, cfg.Ranks)
 	for i, f := range frames {

@@ -44,23 +44,33 @@ func OpMin(acc, in []float64) {
 	}
 }
 
-// collPhase records the rank's participation interval in a primitive
-// collective when tracing is enabled. Use as
-//
-//	defer r.collPhase(name, r.Now(), bytes)()
-//
-// so the interval closes when the collective returns. bytes is the
-// rank's payload contribution, carried into the exported trace.
-// Zero-length intervals (e.g. single-rank worlds) are dropped.
-func (r *Rank) collPhase(name string, start float64, bytes int64) func() {
-	if !r.world.cfg.CollectTrace {
-		return func() {}
+// openColl begins a primitive collective: it counts it, opens its trace
+// interval — closed by closeColl when the collective completes; bytes is
+// the rank's payload contribution, carried into the exported trace — and
+// under the AbstractComm model charges its closed-form cost. steps is the
+// number of sequential communication rounds the algorithm needs; each
+// costs a send overhead plus an analytic transfer of roundBytes. Payload
+// values are not transported under that model.
+func (r *Rank) openColl(name string, bytes, roundBytes int64, steps float64) {
+	r.collectives++
+	r.op.phase, r.op.phaseStart, r.op.phaseBytes = name, r.Now(), bytes
+	if !r.simulated() {
+		n := &r.world.cfg.Machine.Net
+		r.commCPU += sim.Time(steps * n.SendOverhead)
+		r.proc.Advance(sim.Time(steps * (n.SendOverhead + n.AnalyticDelay(roundBytes))))
 	}
-	return func() {
-		if end := r.Now(); end > start {
-			r.collPhases = append(r.collPhases, CollPhase{Name: name, Start: start, End: end, Bytes: bytes})
-		}
+}
+
+// closeColl records the open collective interval when tracing is enabled.
+// Zero-length intervals (e.g. single-rank worlds) are dropped. Besides
+// completion it runs for a rank that ended inside a collective — crashed,
+// or torn down blocked — when the report is assembled.
+func (r *Rank) closeColl() {
+	o := &r.op
+	if end := r.Now(); o.phase != "" && r.world.cfg.CollectTrace && end > o.phaseStart {
+		r.collPhases = append(r.collPhases, CollPhase{Name: o.phase, Start: o.phaseStart, End: end, Bytes: o.phaseBytes})
 	}
+	o.phase = ""
 }
 
 // chunkSizes extracts the per-destination byte counts of real chunks
@@ -92,21 +102,6 @@ func ceilLog2(p int) float64 {
 	return steps
 }
 
-// abstractColl charges the closed-form cost of a collective under the
-// AbstractComm model and reports whether that model is active. steps is
-// the number of sequential communication rounds the algorithm needs;
-// each costs a send overhead plus an analytic transfer. Payload values
-// are not transported under this model.
-func (r *Rank) abstractColl(steps float64, bytes int64) bool {
-	if r.world.cfg.Comm != AbstractComm {
-		return false
-	}
-	n := &r.world.cfg.Machine.Net
-	r.commCPU += sim.Time(steps * n.SendOverhead)
-	r.proc.Advance(sim.Time(steps * (n.SendOverhead + n.AnalyticDelay(bytes))))
-	return true
-}
-
 // collBytes resolves the simulated payload size: real data wins over the
 // declared size so that simplified (AM) programs can pass nil data with an
 // explicit byte count.
@@ -120,314 +115,323 @@ func collBytes(data []float64, size int64) int64 {
 	return size
 }
 
-// Bcast broadcasts data of the given size from root using a binomial
-// tree. Every rank returns the broadcast data (nil when the caller passed
-// nil, i.e. in simplified programs where only timing matters).
-func (r *Rank) Bcast(root int, data []float64, size int64) []float64 {
+// vecPayload is v as a message payload: nil stays an untyped nil, which
+// is what receivers test for.
+func vecPayload(v []float64) interface{} {
+	if v == nil {
+		return nil
+	}
+	return v
+}
+
+// openTree opens a binomial-tree collective rooted at root over vec.
+func (r *Rank) openTree(name string, root int, vec []float64, bytes int64) {
 	p := r.Size()
-	if root < 0 || root >= p {
+	o := &r.op
+	o.root, o.rel, o.mask, o.vec, o.bytes = root, (r.rank-root+p)%p, 1, vec, bytes
+	r.openColl(name, bytes, bytes, ceilLog2(p))
+}
+
+// StartBcast starts a broadcast of data of the given size from root
+// using a binomial tree. Vector returns the broadcast data on every rank
+// (nil when the root passed nil, i.e. in simplified programs where only
+// timing matters).
+func (r *Rank) StartBcast(root int, data []float64, size int64) {
+	if root < 0 || root >= r.Size() {
 		panic(fmt.Sprintf("mpi: Bcast root %d out of range", root))
 	}
-	r.collectives++
 	bytes := collBytes(data, size)
-	defer r.record(Call{Op: "bcast", Root: root, Bytes: bytes})()
-	defer r.collPhase("bcast", r.Now(), bytes)()
-	if p == 1 {
-		return data
+	r.log(Call{Op: "bcast", Root: root, Bytes: bytes})
+	r.op = opState{kind: opBcast}
+	r.openTree("bcast", root, data, bytes)
+	r.advance(false)
+}
+
+func (r *Rank) bcast(got bool) bool {
+	o, p := &r.op, r.Size()
+	if !r.simulated() {
+		return true
 	}
-	if r.abstractColl(ceilLog2(p), bytes) {
-		return data
-	}
-	rel := (r.rank - root + p) % p
-	// Receive phase: find the subtree parent.
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % p
-			_, payload := r.Recv(src, collTagBase)
-			if payload != nil {
-				// Clone so ranks never share mutable state through the
-				// simulated network.
-				data = cloneVec(payload.([]float64))
-			}
-			break
+	if !got {
+		// Receive phase: find the subtree parent.
+		for o.mask < p && o.rel&o.mask == 0 {
+			o.mask <<= 1
 		}
-		mask <<= 1
+		if o.mask < p {
+			r.await((o.rel-o.mask+o.root)%p, collTagBase)
+			return false
+		}
+	} else if o.payload != nil {
+		// Clone so ranks never share mutable state through the simulated
+		// network.
+		o.vec = cloneVec(o.payload.([]float64))
 	}
 	// Send phase: forward to subtree children.
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			dst := (rel + mask + root) % p
-			var payload interface{}
-			if data != nil {
-				payload = data
-			}
-			r.send(dst, collTagBase, bytes, payload)
+	for mask := o.mask >> 1; mask > 0; mask >>= 1 {
+		if o.rel+mask < p {
+			r.send((o.rel+mask+o.root)%p, collTagBase, o.bytes, vecPayload(o.vec))
 		}
-		mask >>= 1
 	}
-	return data
+	return true
 }
 
-// Reduce combines data from all ranks at root with op over a binomial
-// tree. The root returns the combined vector; other ranks return nil.
-// data may be nil (with an explicit size) in simplified programs; the
-// combination is then skipped but the communication is fully simulated.
-func (r *Rank) Reduce(root int, data []float64, size int64, op ReduceOp) []float64 {
-	p := r.Size()
-	if root < 0 || root >= p {
+// StartReduce starts the combination of data from all ranks at root with
+// op over a binomial tree. Vector returns the combined vector at the
+// root and nil elsewhere. data may be nil (with an explicit size) in
+// simplified programs; the combination is then skipped but the
+// communication is fully simulated.
+func (r *Rank) StartReduce(root int, data []float64, size int64, op ReduceOp) {
+	if root < 0 || root >= r.Size() {
 		panic(fmt.Sprintf("mpi: Reduce root %d out of range", root))
 	}
-	r.collectives++
 	bytes := collBytes(data, size)
-	defer r.record(Call{Op: "reduce", Root: root, Bytes: bytes})()
-	defer r.collPhase("reduce", r.Now(), bytes)()
-	if p == 1 {
-		return cloneVec(data)
-	}
-	if r.abstractColl(ceilLog2(p), bytes) {
-		if r.rank == root {
-			return cloneVec(data)
+	r.log(Call{Op: "reduce", Root: root, Bytes: bytes})
+	r.op = opState{kind: opReduce, reduce: op}
+	r.openTree("reduce", root, cloneVec(data), bytes)
+	r.advance(false)
+}
+
+func (r *Rank) reduceTo(got bool) bool {
+	o, p := &r.op, r.Size()
+	for ; r.simulated() && o.mask < p; o.mask <<= 1 {
+		if o.rel&o.mask != 0 {
+			r.send((o.rel-o.mask+o.root)%p, collTagBase-1, o.bytes, vecPayload(o.vec))
+			break
 		}
-		return nil
-	}
-	acc := cloneVec(data)
-	rel := (r.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask == 0 {
-			child := rel + mask
-			if child < p {
-				src := (child + root) % p
-				_, payload := r.Recv(src, collTagBase-1)
-				if payload != nil && acc != nil {
-					op(acc, payload.([]float64))
-				}
+		if child := o.rel + o.mask; child < p {
+			if !got {
+				r.await((child+o.root)%p, collTagBase-1)
+				return false
 			}
-		} else {
-			dst := (rel - mask + root) % p
-			var payload interface{}
-			if acc != nil {
-				payload = acc
+			got = false
+			if o.payload != nil && o.vec != nil {
+				o.reduce(o.vec, o.payload.([]float64))
 			}
-			r.send(dst, collTagBase-1, bytes, payload)
-			return nil
 		}
-		mask <<= 1
 	}
-	if r.rank == root {
-		return acc
+	if r.rank != o.root {
+		o.vec = nil
 	}
-	return nil
+	return true
 }
 
-// Allreduce combines data across all ranks and distributes the result,
-// implemented as Reduce to rank 0 followed by Bcast (both fully
-// simulated). Every rank returns the combined vector (nil payloads stay
-// nil).
-func (r *Rank) Allreduce(data []float64, size int64, op ReduceOp) []float64 {
-	defer r.record(Call{Op: "allreduce", Bytes: collBytes(data, size)})()
-	acc := r.Reduce(0, data, size, op)
-	return r.Bcast(0, acc, collBytes(data, size))
+// StartAllreduce starts the combination of data across all ranks and the
+// distribution of the result, implemented as Reduce to rank 0 followed
+// by Bcast (both fully simulated). Vector returns the combined vector on
+// every rank (nil payloads stay nil).
+func (r *Rank) StartAllreduce(data []float64, size int64, op ReduceOp) {
+	r.log(Call{Op: "allreduce", Bytes: collBytes(data, size)})
+	r.allreduce(data, size, op)
 }
 
-// Barrier blocks until all ranks have entered it, modeled as a zero-byte
-// allreduce over the binomial trees.
-func (r *Rank) Barrier() {
-	defer r.record(Call{Op: "barrier"})()
-	r.Allreduce(nil, 4, OpSum)
+func (r *Rank) allreduce(data []float64, size int64, op ReduceOp) {
+	r.op = opState{kind: opAllreduce, reduce: op}
+	r.openTree("reduce", 0, cloneVec(data), collBytes(data, size))
+	r.advance(false)
 }
 
-// Gather collects size-byte contributions at root (linear algorithm).
-// The root returns the concatenation in rank order; others return nil.
-func (r *Rank) Gather(root int, data []float64, size int64) [][]float64 {
-	p := r.Size()
-	r.collectives++
+// StartBarrier starts a barrier — complete once all ranks have entered
+// it — modeled as a zero-byte allreduce over the binomial trees.
+func (r *Rank) StartBarrier() {
+	r.log(Call{Op: "barrier"})
+	r.allreduce(nil, 4, OpSum)
+}
+
+// StartGather starts the collection of size-byte contributions at root
+// (linear algorithm). Vectors returns the contributions in rank order at
+// the root and nil elsewhere.
+func (r *Rank) StartGather(root int, data []float64, size int64) {
 	bytes := collBytes(data, size)
-	defer r.record(Call{Op: "gather", Root: root, Bytes: bytes})()
-	defer r.collPhase("gather", r.Now(), bytes)()
-	if r.abstractColl(float64(p-1), bytes) {
-		return nil
+	r.log(Call{Op: "gather", Root: root, Bytes: bytes})
+	r.op = opState{kind: opGather, root: root, vec: data, bytes: bytes}
+	r.openColl("gather", bytes, bytes, float64(r.Size()-1))
+	if r.simulated() && r.rank == root {
+		r.op.out = make([][]float64, r.Size())
+		r.op.out[root] = cloneVec(data)
 	}
-	if r.rank != root {
-		var payload interface{}
-		if data != nil {
-			payload = data
+	r.advance(false)
+}
+
+func (r *Rank) gather(got bool) bool {
+	o := &r.op
+	if o.out == nil { // not the root, or nothing is simulated
+		if r.simulated() {
+			r.send(o.root, collTagBase-2, o.bytes, vecPayload(o.vec))
 		}
-		r.send(root, collTagBase-2, bytes, payload)
-		return nil
+		return true
 	}
-	out := make([][]float64, p)
-	out[r.rank] = cloneVec(data)
-	for src := 0; src < p; src++ {
-		if src == root {
+	for ; o.step < r.Size(); o.step++ {
+		if o.step == o.root {
 			continue
 		}
-		_, payload := r.Recv(src, collTagBase-2)
-		if payload != nil {
-			out[src] = payload.([]float64)
+		if !got {
+			r.await(o.step, collTagBase-2)
+			return false
+		}
+		got = false
+		if o.payload != nil {
+			o.out[o.step] = o.payload.([]float64)
 		}
 	}
-	return out
+	return true
 }
 
-// Scatter distributes per-rank chunks from root (linear algorithm). Rank
-// i receives chunks[i]; size is the per-chunk byte count used when
-// chunks is nil.
-func (r *Rank) Scatter(root int, chunks [][]float64, size int64) []float64 {
+// StartScatter starts the distribution of per-rank chunks from root
+// (linear algorithm). Vector returns chunks[i] on rank i; size is the
+// per-chunk byte count used when chunks is nil.
+func (r *Rank) StartScatter(root int, chunks [][]float64, size int64) {
 	var sizes []int64
 	if chunks != nil && r.rank == root {
 		sizes = chunkSizes(chunks)
 	}
-	defer r.record(Call{Op: "scatter", Root: root, Bytes: size, Sizes: sizes})()
-	return r.scatter(root, chunks, sizes, size)
+	r.startScatter(root, chunks, sizes, size)
 }
 
-// ScatterSizes is Scatter at the root with explicit per-destination
-// byte counts and no payload movement: destination d's chunk costs
-// sizes[d] bytes (sizes must have one entry per rank). It is the
-// replay-side form of a variable-size Scatter recorded from real
+// StartScatterSizes is StartScatter at the root with explicit
+// per-destination byte counts and no payload movement: destination d's
+// chunk costs sizes[d] bytes (sizes must have one entry per rank). It is
+// the replay-side form of a variable-size Scatter recorded from real
 // chunks; non-root ranks ignore sizes.
-func (r *Rank) ScatterSizes(root int, sizes []int64, size int64) []float64 {
+func (r *Rank) StartScatterSizes(root int, sizes []int64, size int64) {
 	if r.rank != root {
 		sizes = nil
 	}
-	defer r.record(Call{Op: "scatter", Root: root, Bytes: size, Sizes: sizes})()
-	return r.scatter(root, nil, sizes, size)
+	r.startScatter(root, nil, sizes, size)
 }
 
-func (r *Rank) scatter(root int, chunks [][]float64, sizes []int64, size int64) []float64 {
-	p := r.Size()
-	r.collectives++
+func (r *Rank) startScatter(root int, chunks [][]float64, sizes []int64, size int64) {
+	r.log(Call{Op: "scatter", Root: root, Bytes: size, Sizes: sizes})
+	r.op = opState{kind: opScatter, root: root, chunks: chunks, sizes: sizes, bytes: size}
 	phaseBytes := size
 	if sizes != nil && r.rank == root {
 		phaseBytes = sumSizes(sizes)
 	}
-	defer r.collPhase("scatter", r.Now(), phaseBytes)()
-	if r.abstractColl(float64(p-1), size) {
-		if chunks != nil && r.rank == root {
-			return chunks[root]
+	r.openColl("scatter", phaseBytes, size, float64(r.Size()-1))
+	r.advance(false)
+}
+
+func (r *Rank) scatter(got bool) bool {
+	o := &r.op
+	switch {
+	case got:
+		o.vec, _ = o.payload.([]float64)
+	case r.rank != o.root:
+		if r.simulated() {
+			r.await(o.root, collTagBase-3)
+			return false
 		}
-		return nil
-	}
-	if r.rank == root {
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
+	default:
+		for dst := 0; r.simulated() && dst < r.Size(); dst++ {
+			if dst == o.root {
 				continue
 			}
 			var payload interface{}
-			bytes := size
-			if chunks != nil {
-				payload = chunks[dst]
+			bytes := o.bytes
+			if o.chunks != nil {
+				payload = o.chunks[dst]
 			}
-			if sizes != nil {
-				bytes = sizes[dst]
+			if o.sizes != nil {
+				bytes = o.sizes[dst]
 			}
 			r.send(dst, collTagBase-3, bytes, payload)
 		}
-		if chunks != nil {
-			return chunks[root]
+		if o.chunks != nil {
+			o.vec = o.chunks[o.root]
 		}
-		return nil
 	}
-	_, payload := r.Recv(root, collTagBase-3)
-	if payload != nil {
-		return payload.([]float64)
-	}
-	return nil
+	return true
 }
 
-// Allgather gathers equal-size contributions everywhere using a ring
-// algorithm (P-1 steps of neighbour exchange).
-func (r *Rank) Allgather(data []float64, size int64) [][]float64 {
+// StartAllgather starts the gathering of equal-size contributions
+// everywhere using a ring algorithm (P-1 steps of neighbour exchange).
+// Vectors returns the contributions in rank order.
+func (r *Rank) StartAllgather(data []float64, size int64) {
 	p := r.Size()
-	r.collectives++
 	bytes := collBytes(data, size)
-	defer r.record(Call{Op: "allgather", Bytes: bytes})()
-	defer r.collPhase("allgather", r.Now(), bytes)()
-	out := make([][]float64, p)
-	out[r.rank] = cloneVec(data)
-	if p == 1 {
-		return out
-	}
-	if r.abstractColl(float64(p-1), bytes) {
-		return out
-	}
-	right := (r.rank + 1) % p
-	left := (r.rank - 1 + p) % p
-	// Pass blocks around the ring: at step s we forward the block that
-	// originated at rank (rank-s+p)%p.
-	for s := 0; s < p-1; s++ {
-		origin := (r.rank - s + p) % p
-		var payload interface{}
-		if out[origin] != nil {
-			payload = out[origin]
-		}
-		r.send(right, collTagBase-4, bytes, payload)
-		_, in := r.Recv(left, collTagBase-4)
-		inOrigin := (r.rank - s - 1 + p) % p
-		if in != nil {
-			out[inOrigin] = in.([]float64)
-		}
-	}
-	return out
+	r.log(Call{Op: "allgather", Bytes: bytes})
+	r.op = opState{kind: opAllgather, bytes: bytes, out: make([][]float64, p)}
+	r.op.out[r.rank] = cloneVec(data)
+	r.openColl("allgather", bytes, bytes, float64(p-1))
+	r.advance(false)
 }
 
-// Alltoall exchanges size bytes between every pair of ranks (pairwise
-// exchange algorithm). Real payloads are taken from chunks (indexed by
-// destination) when non-nil; the result is indexed by source.
-func (r *Rank) Alltoall(chunks [][]float64, size int64) [][]float64 {
+// allgather passes blocks around the ring: at step s a rank forwards the
+// block that originated at rank (rank-s+p)%p.
+func (r *Rank) allgather(got bool) bool {
+	o, p := &r.op, r.Size()
+	for ; r.simulated() && o.step < p-1; o.step++ {
+		if !got {
+			origin := (r.rank - o.step + p) % p
+			r.send((r.rank+1)%p, collTagBase-4, o.bytes, vecPayload(o.out[origin]))
+			r.await((r.rank-1+p)%p, collTagBase-4)
+			return false
+		}
+		got = false
+		if o.payload != nil {
+			o.out[(r.rank-o.step-1+p)%p] = o.payload.([]float64)
+		}
+	}
+	return true
+}
+
+// StartAlltoall starts the exchange of size bytes between every pair of
+// ranks (pairwise exchange algorithm). Real payloads are taken from
+// chunks (indexed by destination) when non-nil; Vectors returns the
+// result, indexed by source.
+func (r *Rank) StartAlltoall(chunks [][]float64, size int64) {
 	var sizes []int64
 	if chunks != nil {
 		sizes = chunkSizes(chunks)
 	}
-	defer r.record(Call{Op: "alltoall", Bytes: size, Sizes: sizes})()
-	return r.alltoall(chunks, sizes, size)
+	r.startAlltoall(chunks, sizes, size)
 }
 
-// AlltoallSizes is Alltoall with explicit per-destination byte counts
-// and no payload movement: the message to rank d costs sizes[d] bytes
-// (sizes must have one entry per rank). It is the replay-side form of a
-// variable-size Alltoall recorded from real chunks.
-func (r *Rank) AlltoallSizes(sizes []int64, size int64) [][]float64 {
-	defer r.record(Call{Op: "alltoall", Bytes: size, Sizes: sizes})()
-	return r.alltoall(nil, sizes, size)
+// StartAlltoallSizes is StartAlltoall with explicit per-destination byte
+// counts and no payload movement: the message to rank d costs sizes[d]
+// bytes (sizes must have one entry per rank). It is the replay-side form
+// of a variable-size Alltoall recorded from real chunks.
+func (r *Rank) StartAlltoallSizes(sizes []int64, size int64) {
+	r.startAlltoall(nil, sizes, size)
 }
 
-func (r *Rank) alltoall(chunks [][]float64, sizes []int64, size int64) [][]float64 {
+func (r *Rank) startAlltoall(chunks [][]float64, sizes []int64, size int64) {
 	p := r.Size()
-	r.collectives++
+	r.log(Call{Op: "alltoall", Bytes: size, Sizes: sizes})
+	r.op = opState{kind: opAlltoall, step: 1, chunks: chunks, sizes: sizes, bytes: size, out: make([][]float64, p)}
+	if chunks != nil {
+		r.op.out[r.rank] = chunks[r.rank]
+	}
 	phaseBytes := size * int64(p)
 	if sizes != nil {
 		phaseBytes = sumSizes(sizes)
 	}
-	defer r.collPhase("alltoall", r.Now(), phaseBytes)()
-	out := make([][]float64, p)
-	if chunks != nil {
-		out[r.rank] = chunks[r.rank]
-	}
-	if r.abstractColl(float64(p-1), size) {
-		return out
-	}
-	for step := 1; step < p; step++ {
-		dst := (r.rank + step) % p
-		src := (r.rank - step + p) % p
-		var payload interface{}
-		bytes := size
-		if chunks != nil {
-			payload = chunks[dst]
+	r.openColl("alltoall", phaseBytes, size, float64(p-1))
+	r.advance(false)
+}
+
+func (r *Rank) alltoall(got bool) bool {
+	o, p := &r.op, r.Size()
+	for ; r.simulated() && o.step < p; o.step++ {
+		dst, src := (r.rank+o.step)%p, (r.rank-o.step+p)%p
+		if !got {
+			var payload interface{}
+			bytes := o.bytes
+			if o.chunks != nil {
+				payload = o.chunks[dst]
+			}
+			if o.sizes != nil {
+				bytes = o.sizes[dst]
+			}
+			r.send(dst, collTagBase-5, bytes, payload)
+			r.await(src, collTagBase-5)
+			return false
 		}
-		if sizes != nil {
-			bytes = sizes[dst]
-		}
-		r.send(dst, collTagBase-5, bytes, payload)
-		_, in := r.Recv(src, collTagBase-5)
-		if in != nil {
-			out[src] = in.([]float64)
+		got = false
+		if o.payload != nil {
+			o.out[src] = o.payload.([]float64)
 		}
 	}
-	return out
+	return true
 }
 
 func cloneVec(v []float64) []float64 {

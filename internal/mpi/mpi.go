@@ -1,10 +1,10 @@
 // Package mpi is the simulated Message Passing Interface library at the
-// heart of the MPI-Sim reproduction. Target programs are Go functions
-// (here: the IR interpreter, examples and tests) that run one body per
-// target rank; every MPI call is trapped and its cost on the target
-// architecture is simulated, while local computation is either directly
-// executed (MPI-SIM-DE) or replaced by the Delay function (MPI-SIM-AM),
-// exactly as in the paper (§2.1, §3.1).
+// heart of the MPI-Sim reproduction. A target program is one resumable
+// Program per target rank (the IR interpreter, trace replay) or, in
+// tests, one blocking Go body per rank; every MPI call is trapped and
+// its cost on the target architecture is simulated, while local
+// computation is either directly executed (MPI-SIM-DE) or replaced by
+// the Delay function (MPI-SIM-AM), exactly as in the paper (§2.1, §3.1).
 //
 // Three communication timing models are provided:
 //
@@ -81,9 +81,10 @@ type Config struct {
 	HostWorkers int
 	// RealParallel runs host workers on separate goroutines.
 	RealParallel bool
-	// ForceGoroutine routes the kernel's continuation processes (e.g. the
-	// interconnect fabric) through the classic goroutine path. Results
-	// are byte-identical; used by the scheduler-equivalence tests.
+	// ForceGoroutine routes the kernel's continuation processes (the
+	// ranks of a RunProgram, the interconnect fabric) through the classic
+	// goroutine path. Results are byte-identical; used by the
+	// scheduler-equivalence tests.
 	ForceGoroutine bool
 	// Protocol selects the conservative synchronization protocol of the
 	// parallel engine (window or null-message).
@@ -308,7 +309,8 @@ type World struct {
 	cfg      Config
 	kernel   *sim.Kernel
 	ranks    []*Rank
-	injector *fault.Injector // nil without fault injection
+	start    func(*Rank) Program // RunProgram's program factory
+	injector *fault.Injector     // nil without fault injection
 
 	// Topology mode (nil/zero under the flat network model): the built
 	// interconnect, its mutable occupancy state, and the fabric process
@@ -387,12 +389,46 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Run executes body once per rank and returns the report. The error
-// reports deadlocks, panics in the target program, exceeding the
-// simulated memory limit, or a guard abort (*sim.AbortError). On abort
-// the partial report is returned alongside the error (Report.Partial),
-// so long sweeps degrade to partial artifacts instead of losing the run.
+// Program is one rank's behaviour in resumable form, the way the
+// product runs ranks (the interpreter's frames, a trace's call lists):
+// no goroutine, no stack, one continuation handler per rank. Step runs
+// the rank until its program has ended (true) or an operation it started
+// with a Start method is Waiting (false); it is called again once that
+// operation has completed, with the results on the Rank (Received,
+// Vector, Vectors).
+type Program interface {
+	Step() (done bool)
+}
+
+// RunProgram runs one program per rank, created by start inside the
+// rank's first scheduling (so what it allocates or faults on is the
+// rank's), and returns the report. The error reports deadlocks, panics
+// in the target program, exceeding the simulated memory limit, or a
+// guard abort (*sim.AbortError). On abort the partial report is returned
+// alongside the error (Report.Partial), so long sweeps degrade to
+// partial artifacts instead of losing the run.
+func (w *World) RunProgram(start func(*Rank) Program) (*Report, error) {
+	w.start = start
+	return w.run(func(name string, r *Rank) *sim.Proc {
+		r.self = r.handle
+		return w.kernel.SpawnCont(name, r.self)
+	})
+}
+
+// Run is RunProgram for a blocking body, executed once per rank on a
+// goroutine of its own: the form tests and reference evaluators are
+// written in.
 func (w *World) Run(body func(*Rank)) (*Report, error) {
+	return w.run(func(name string, r *Rank) *sim.Proc {
+		return w.kernel.Spawn(name, func(*sim.Proc) {
+			defer func() { r.exit(recover()) }()
+			body(r)
+		})
+	})
+}
+
+// run spawns the ranks, runs the kernel and assembles the report.
+func (w *World) run(spawn func(name string, r *Rank) *sim.Proc) (*Report, error) {
 	w.ranks = make([]*Rank, w.cfg.Ranks)
 	for i := 0; i < w.cfg.Ranks; i++ {
 		r := &Rank{world: w, rank: i}
@@ -404,27 +440,7 @@ func (w *World) Run(body func(*Rank)) (*Report, error) {
 			}
 		}
 		w.ranks[i] = r
-		w.kernel.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			r.proc = p
-			defer func() {
-				if rec := recover(); rec != nil {
-					if rec != errRankCrash {
-						panic(rec)
-					}
-					// Injected stop-failure: the rank's body ends here and
-					// its proc finishes at the crash time; peers waiting on
-					// it block until retries, the watchdog or a deadlock
-					// resolve the run.
-				}
-				if w.net != nil {
-					// Retire with the fabric (also after an injected
-					// crash); kernel teardown re-panicked above and never
-					// reaches this send.
-					r.sendNetDone()
-				}
-			}()
-			body(r)
-		})
+		r.proc = spawn(fmt.Sprintf("rank%d", i), r)
 	}
 	if w.net != nil {
 		w.kernel.SpawnCont("fabric", w.fabricCont())
@@ -489,6 +505,7 @@ func (w *World) Run(body func(*Rank)) (*Report, error) {
 		rep.CommEvents = make([][]CommEvent, w.cfg.Ranks)
 		rep.CollPhases = make([][]CollPhase, w.cfg.Ranks)
 		for i, r := range w.ranks {
+			r.closeColl() // of a rank that ended inside a collective
 			rep.Traces[i] = r.segments
 			rep.CommEvents[i] = r.commEvents
 			rep.CollPhases[i] = r.collPhases
@@ -539,7 +556,8 @@ func (w *World) publishFaultMetrics(st *fault.Stats) {
 	reg.Counter("fault_crashes_total", "ranks stopped by injected crash failures").Add(0, st.Crashes)
 }
 
-// Run is a convenience wrapper: build a world and run body on every rank.
+// Run is a convenience wrapper: build a world and run the blocking body
+// on every rank.
 func Run(cfg Config, body func(*Rank)) (*Report, error) {
 	w, err := NewWorld(cfg)
 	if err != nil {

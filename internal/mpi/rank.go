@@ -9,16 +9,22 @@ import (
 	"mpisim/internal/sim"
 )
 
-// errRankCrash unwinds a rank body at an injected stop-failure; the
-// World.Run body wrapper recovers it, ending the rank at its crash time.
+// errRankCrash unwinds a rank at an injected stop-failure; Rank.exit
+// recovers it, ending the rank at its crash time.
 var errRankCrash = errors.New("mpi: injected rank crash")
 
 // Rank is one target MPI process. All methods must be called from the
-// rank's own body function.
+// rank's own program or body function.
 type Rank struct {
 	world *World
 	proc  *sim.Proc
 	rank  int
+
+	// op is the operation in flight (op.go); prog and self are the
+	// rank's program and its one continuation handler under RunProgram.
+	op   opState
+	prog Program
+	self sim.Cont
 
 	// Detailed-model NIC occupancy state.
 	nicSendFree sim.Time
@@ -46,11 +52,9 @@ type Rank struct {
 	// Delay seconds per condensed task name.
 	delayByTask map[string]float64
 	// API-level call log, collected when RecordCalls is set: the chunk
-	// being filled and the full ones before it (record.go). recDepth
-	// suppresses the constituent operations of composed calls.
+	// being filled and the full ones before it (record.go).
 	calls      []Call
 	callChunks [][]Call
-	recDepth   int
 
 	// Fault injection (nil / zero without an active scenario). faultCPU
 	// is fault time consumed through Advance (retransmission CPU,
@@ -93,8 +97,8 @@ func (r *Rank) Now() float64 { return float64(r.proc.Now()) }
 // Machine returns the target machine model.
 func (r *Rank) Machine() *machine.Model { return r.world.cfg.Machine }
 
-// CheckAbort unwinds the rank's body when the run has been aborted
-// (sim.Proc.CheckAbort). A body calls it from long stretches of local
+// CheckAbort unwinds the rank when the run has been aborted
+// (sim.Proc.CheckAbort). A program calls it from long stretches of local
 // computation that reach no MPI call.
 func (r *Rank) CheckAbort() { r.proc.CheckAbort() }
 
@@ -109,7 +113,7 @@ func (r *Rank) checkCrash() {
 	}
 }
 
-// crash records the stop-failure and unwinds the body.
+// crash records the stop-failure and unwinds the rank.
 func (r *Rank) crash() {
 	r.crashed = true
 	r.faults.RecordCrash()
@@ -156,7 +160,7 @@ func (r *Rank) Compute(seconds float64) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("mpi: negative Compute(%g)", seconds))
 	}
-	defer r.record(Call{Op: "compute", Sec: seconds})()
+	r.log(Call{Op: "compute", Sec: seconds})
 	_, crashed := r.advanceWork(seconds, SegCompute)
 	if crashed {
 		r.crash()
@@ -177,7 +181,7 @@ func (r *Rank) DelayTask(task string, seconds float64) {
 		// (empty) iteration spaces; clamp as the runtime library would.
 		seconds = 0
 	}
-	defer r.record(Call{Op: "delay", Task: task, Sec: seconds})()
+	r.log(Call{Op: "delay", Task: task, Sec: seconds})
 	done, crashed := r.advanceWork(seconds, SegDelay)
 	r.delayTime += sim.Time(done)
 	if task != "" {
@@ -346,13 +350,13 @@ func (r *Rank) send(dst, tag int, size int64, data interface{}) {
 	}
 }
 
-// Send is a blocking standard-mode send of size bytes with the given tag.
-// Sends are modeled as eager/buffered: the call returns after the sender
-// CPU overhead. data is an optional payload carried to the receiver (the
-// direct-execution interpreter moves real array sections; the simplified
-// programs send nil, standing for the dummy buffer).
+// Send is a standard-mode send of size bytes with the given tag. Sends
+// are modeled as eager/buffered: the call returns after the sender CPU
+// overhead and never waits. data is an optional payload carried to the
+// receiver (the direct-execution interpreter moves real array sections;
+// the simplified programs send nil, standing for the dummy buffer).
 func (r *Rank) Send(dst, tag int, size int64, data interface{}) {
-	defer r.record(Call{Op: "send", Peer: dst, Tag: tag, Bytes: size})()
+	r.log(Call{Op: "send", Peer: dst, Tag: tag, Bytes: size})
 	r.send(dst, tag, size, data)
 }
 
@@ -361,104 +365,28 @@ func (r *Rank) Send(dst, tag int, size int64, data interface{}) {
 // evaluated inside the kernel with no per-receive closure.
 const AnyTag = sim.Any
 
-// Recv blocks until a message with the given source and tag arrives and
-// returns its size and payload. Receiver-side costs (CPU overhead, and
-// NIC serialization under the Detailed model) are charged on completion.
-// Under the AbstractComm model the expected size is unknown, so a
-// zero-byte transfer is assumed; prefer RecvSized there.
-func (r *Rank) Recv(src, tag int) (int64, interface{}) {
-	return r.RecvSized(src, tag, 0)
+// StartRecv starts a receive of a message with the given source and tag;
+// Received returns its size and payload once it has completed.
+// Receiver-side costs (CPU overhead, and NIC serialization under the
+// Detailed model) are charged on completion. expect is the receiver's
+// declared message size, which the AbstractComm model needs to compute
+// the closed-form transfer cost ("based on message size, message
+// destination, etc.", paper §5); the event-driven models ignore it and
+// use the real message's size.
+func (r *Rank) StartRecv(src, tag int, expect int64) {
+	r.log(Call{Op: "recv", Peer: src, Tag: tag, Bytes: expect})
+	r.op = opState{}
+	r.recv(src, tag, expect)
 }
 
-// RecvSized is Recv with the receiver's declared message size, which the
-// AbstractComm model needs to compute the closed-form transfer cost
-// ("based on message size, message destination, etc.", paper §5). The
-// event-driven models ignore expect and use the real message's size.
-func (r *Rank) RecvSized(src, tag int, expect int64) (int64, interface{}) {
-	defer r.record(Call{Op: "recv", Peer: src, Tag: tag, Bytes: expect})()
-	if r.world.cfg.Comm == AbstractComm {
-		n := &r.world.cfg.Machine.Net
-		cost := sim.Time(n.AnalyticDelay(expect) + n.RecvOverhead)
-		r.commCPU += sim.Time(n.RecvOverhead)
-		r.proc.Advance(cost)
-		return expect, nil
-	}
-	if r.faults != nil {
-		r.checkCrash()
-	}
-	t0 := r.Now()
-	m := r.proc.RecvSrcTag(src, tag)
-	now := r.Now()
-	// Attribute to faults the part of the wait the message's FaultDelay
-	// explains: had the machine been healthy, the message would have
-	// arrived that much earlier, capped by how long we actually waited.
-	// The message's link-contention wait (NetWait) is attributed the same
-	// way, capped by the wait the fault share has not already claimed.
-	fb := float64(m.FaultDelay)
-	if fb > now-t0 {
-		fb = now - t0
-	}
-	if r.faults == nil {
-		fb = 0
-	}
-	nb := float64(m.NetWait)
-	if nb > now-t0-fb {
-		nb = now - t0 - fb
-	}
-	r.segment(t0, now-fb-nb, SegBlocked)
-	if nb > 0 {
-		r.netBlocked += sim.Time(nb)
-		r.segment(now-fb-nb, now-fb, SegNet)
-	}
-	if fb > 0 {
-		r.faultBlocked += sim.Time(fb)
-		r.segment(now-fb, now, SegFault)
-	}
-	return r.finishRecv(m)
-}
-
-func (r *Rank) finishRecv(m *sim.Message) (int64, interface{}) {
-	n := &r.world.cfg.Machine.Net
-	if r.world.cfg.Comm == Detailed && m.From != r.rank {
-		// Serialize through the receive NIC.
-		ready := m.Arrival
-		if r.nicRecvFree > ready {
-			ready = r.nicRecvFree
-		}
-		r.nicRecvFree = ready + sim.Time(float64(m.Size)*n.GapPerByte)
-		if ready > r.proc.Now() {
-			r.segment(r.Now(), float64(ready), SegBlocked)
-			r.proc.Advance(ready - r.proc.Now())
-		}
-	}
-	cpu := sim.Time(n.RecvOverhead)
-	if m.From == r.rank {
-		cpu = sim.Time(n.RecvOverhead / 4)
-	}
-	r.commCPU += cpu
-	r.segment(r.Now(), r.Now()+float64(cpu), SegComm)
-	if r.world.cfg.CollectTrace {
-		r.commEvents = append(r.commEvents, CommEvent{
-			From: m.From, SendTime: float64(m.SendTime),
-			Arrival: float64(m.Arrival), Complete: r.Now(),
-			Size: m.Size, Tag: m.Tag,
-			Hops: m.Hops, NetWait: float64(m.NetWait),
-		})
-	}
-	r.proc.Advance(cpu)
-	size, data := m.Size, m.Payload
-	// The message and every field have been consumed; recycle it.
-	r.proc.FreeMessage(m)
-	return size, data
-}
-
-// Sendrecv performs a combined send and receive, as used by shift
+// StartSendrecv starts a combined send and receive, as used by shift
 // communications. The send is issued first (eager), then the receive
-// blocks; this cannot deadlock under the eager model.
-func (r *Rank) Sendrecv(dst, sendTag int, size int64, data interface{}, src, recvTag int) (int64, interface{}) {
-	defer r.record(Call{Op: "sendrecv", Peer: dst, Tag: sendTag, Bytes: size, Peer2: src, Tag2: recvTag})()
+// waits; this cannot deadlock under the eager model.
+func (r *Rank) StartSendrecv(dst, sendTag int, size int64, data interface{}, src, recvTag int) {
+	r.log(Call{Op: "sendrecv", Peer: dst, Tag: sendTag, Bytes: size, Peer2: src, Tag2: recvTag})
+	r.op = opState{}
 	r.send(dst, sendTag, size, data)
-	return r.Recv(src, recvTag)
+	r.recv(src, recvTag, 0)
 }
 
 // Request represents a nonblocking operation handle.
@@ -477,31 +405,28 @@ type Request struct {
 func (r *Rank) Isend(dst, tag int, size int64, data interface{}) *Request {
 	// Recorded as a plain send: timing is identical under the eager
 	// model, so the replay need not distinguish the two.
-	defer r.record(Call{Op: "send", Peer: dst, Tag: tag, Bytes: size})()
-	r.send(dst, tag, size, data)
+	r.Send(dst, tag, size, data)
 	return &Request{rank: r, isSend: true, done: true}
 }
 
 // Irecv posts a nonblocking receive for (src, tag). The match is made at
-// Wait time.
+// wait time.
 func (r *Rank) Irecv(src, tag int) *Request {
 	return &Request{rank: r, isSend: false, src: src, tag: tag}
 }
 
-// Wait blocks until the request completes and returns the received size
-// and payload (zero values for sends).
-func (req *Request) Wait() (int64, interface{}) {
+// StartWait starts the completion of the request: the receive of a
+// posted Irecv, nothing for a send or a request already waited for.
+// Received returns the received size and payload (zero values for sends).
+func (req *Request) StartWait() {
+	r := req.rank
 	if req.done {
-		return req.size, req.data
+		r.op = opState{size: req.size, payload: req.data}
+		return
 	}
 	req.done = true
-	req.size, req.data = req.rank.Recv(req.src, req.tag)
-	return req.size, req.data
-}
-
-// Waitall completes all requests in order.
-func (r *Rank) Waitall(reqs []*Request) {
-	for _, q := range reqs {
-		q.Wait()
+	r.StartRecv(req.src, req.tag, 0)
+	if r.Waiting() {
+		r.op.req = req
 	}
 }

@@ -40,37 +40,21 @@ type Call struct {
 	Sizes []int64
 }
 
-// noRecord is the shared no-op closer returned while recording is off,
-// so disabled runs pay no allocation per call.
-var noRecord = func() {}
-
-// record captures an API-level call when recording is enabled and
-// returns the closer that ends the call's recording scope. Use as
-//
-//	defer r.record(Call{...})()
-//
-// at the top of a public MPI method. Only depth-0 calls are kept:
-// operations issued while another recorded call is in flight (a
-// collective's constituent messages, the receive leg of a Sendrecv)
-// are implementation detail that replaying the outer call re-derives.
-// Arguments are captured before execution, so a run that crashes
-// mid-call still records the call and replays to the same schedule
-// under the same fault scenario.
-func (r *Rank) record(c Call) func() {
+// log captures an API-level call when recording is enabled. Only the
+// public operations call it: a collective's constituent messages and the
+// receive leg of a Sendrecv are implementation detail that replaying the
+// outer call re-derives. Arguments are captured before execution, so a
+// run that crashes mid-call still records the call and replays to the
+// same schedule under the same fault scenario.
+func (r *Rank) log(c Call) {
 	if !r.world.cfg.RecordCalls {
-		return noRecord
+		return
 	}
-	if r.recDepth == 0 {
-		if len(r.calls) == cap(r.calls) {
-			r.nextCallChunk()
-		}
-		r.calls = append(r.calls, c)
+	if len(r.calls) == cap(r.calls) {
+		r.nextCallChunk()
 	}
-	r.recDepth++
-	return r.endRecord
+	r.calls = append(r.calls, c)
 }
-
-func (r *Rank) endRecord() { r.recDepth-- }
 
 // A rank's call log is a list of chunks — a small first one, so a rank
 // that records a handful of calls stays cheap at any world size, then

@@ -12,7 +12,10 @@ import "fmt"
 // one wait (WaitRecv/WaitRecvFn/WaitSleep) and returns the next handler
 // (or nil when the process is finished). The kernel resumes the chain
 // inline when the wait is satisfied — zero goroutines, zero channel
-// operations, and all hot state in the worker-owned slot array.
+// operations, and all hot state in the worker-owned slot array. Every
+// process of a prediction runs this way: the mpi layer's ranks (one
+// handler each, re-armed from what the rank's operation wants) and its
+// interconnect fabric; blocking bodies are left to tests.
 //
 // Event order is identical to the classic path by construction: a
 // handler runs exactly where the classic body would have run between two
@@ -177,14 +180,18 @@ func (w *worker) runCont(p *Proc, m *Message) {
 
 // invokeCont runs one handler, capturing panics exactly as the classic
 // run() does for bodies — the panic must not unwind the worker (or
-// donated process) goroutine executing the event loop.
+// donated process) goroutine executing the event loop — errTeardown
+// included: a handler that left through CheckAbort is torn down, not
+// failed.
 func (w *worker) invokeCont(p *Proc, cont Cont, m *Message) (next Cont) {
 	s := p.slot
 	s.inHandler = true
 	defer func() {
 		s.inHandler = false
 		if r := recover(); r != nil {
-			w.contPanic(p, r)
+			if r != errTeardown {
+				w.contPanic(p, r)
+			}
 			next = nil
 		}
 	}()

@@ -131,6 +131,35 @@ func TestGuardContextCancel(t *testing.T) {
 	}
 }
 
+// TestGuardCheckAbortInHandler: a continuation handler computing without
+// a kernel call leaves through CheckAbort once the run is cancelled, and
+// ends as a blocking body does — torn down, not failed — on the inline
+// scheduler and behind the goroutine driver alike.
+func TestGuardCheckAbortInHandler(t *testing.T) {
+	for _, force := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		k, err := NewKernel(Config{Workers: 1, ForceGoroutine: force, Limits: Limits{Ctx: ctx}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.SpawnCont("spin", func(p *Proc, _ *Message) Cont {
+			cancel()
+			for {
+				p.CheckAbort()
+				time.Sleep(time.Millisecond)
+			}
+		})
+		res, err := k.Run()
+		var ae *AbortError
+		if !errors.As(err, &ae) || !strings.Contains(ae.Reason, "canceled") {
+			t.Fatalf("force=%v: err = %v, want a cancellation abort", force, err)
+		}
+		if res == nil || len(ae.States) != 1 || ae.States[0].State != "done" {
+			t.Fatalf("force=%v: result %v, wait states %+v", force, res, ae.States)
+		}
+	}
+}
+
 func TestGuardAbortParallelEngine(t *testing.T) {
 	for _, rp := range []bool{false, true} {
 		k := pingPongKernel(t, Config{

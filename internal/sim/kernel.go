@@ -5,8 +5,8 @@
 // calls (Advance, Send, Recv, Sleep); a continuation process (SpawnCont)
 // runs resumable run-to-completion handlers inline on its worker's own
 // goroutine, arming waits (WaitRecv, WaitSleep) instead of blocking —
-// the scalable path for 100k+ simulated ranks, since it needs no
-// goroutine, no channel operations and no per-process stack.
+// the path every target rank takes, scalable to 100k+ of them since it
+// needs no goroutine, no channel operations and no per-process stack.
 //
 // Two engines are provided, mirroring MPI-Sim's sequential and
 // conservative parallel simulation protocols:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 	"mpisim/internal/tracein"
 )
@@ -140,5 +141,35 @@ func TestCapacityHintSizesRanks(t *testing.T) {
 	}
 	if float64(capacity) > 1.25*float64(length) {
 		t.Errorf("call log of %d calls holds capacity for %d: the hint is not sizing ranks", length, capacity)
+	}
+}
+
+// TestReplayAllocatesPerRankNotPerWait: a replayed rank is one program,
+// one continuation handler and a pc — waiting for a message allocates
+// nothing. A 64-rank ring replay allocates the same at 10 messages per
+// rank as at 1,000. (Returning a fresh handler per wait would cost one
+// allocation per message: 64,000 here.)
+func TestReplayAllocatesPerRankNotPerWait(t *testing.T) {
+	const p = 64
+	m := machine.IBMSP()
+	replayAllocs := func(steps int) float64 {
+		rep, err := mpi.Run(mpi.Config{Ranks: p, Machine: m, Comm: mpi.Analytic, RecordCalls: true}, benchBody(p, steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tracein.Record(rep, tracein.Header{Machine: m.Name, Comm: "analytic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := tracein.Replay(tr, mpi.Config{Machine: m}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := replayAllocs(10), replayAllocs(1000)
+	t.Logf("64-rank ring replay: %.0f allocations at 10 messages per rank, %.0f at 1,000", short, long)
+	if long > short*1.02 || long < short*0.98 {
+		t.Errorf("replay allocations follow the message count: %.0f at 10 per rank, %.0f at 1,000", short, long)
 	}
 }

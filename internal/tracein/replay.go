@@ -44,12 +44,33 @@ func Replay(t *Trace, cfg mpi.Config) (*mpi.Report, error) {
 		return nil, err
 	}
 	cfg.Comm = comm
-	return mpi.Run(cfg, func(r *mpi.Rank) {
-		calls := t.Calls[r.Rank()]
-		for i := range calls {
-			replayCall(r, &calls[i])
-		}
+	w, err := mpi.NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return w.RunProgram(func(r *mpi.Rank) mpi.Program {
+		return &replayer{r: r, calls: t.Calls[r.Rank()]}
 	})
+}
+
+// replayer is one rank's program: a pc into its recorded calls.
+type replayer struct {
+	r     *mpi.Rank
+	calls []mpi.Call
+	pc    int
+}
+
+// Step implements mpi.Program: re-issue calls until the list ends or one
+// waits.
+func (p *replayer) Step() bool {
+	for p.pc < len(p.calls) {
+		c := &p.calls[p.pc]
+		p.pc++
+		if replayCall(p.r, c); p.r.Waiting() {
+			return false
+		}
+	}
+	return true
 }
 
 // replayCall re-issues one recorded operation. Payloads are nil
@@ -63,32 +84,32 @@ func replayCall(r *mpi.Rank, c *mpi.Call) {
 	case "send":
 		r.Send(c.Peer, c.Tag, c.Bytes, nil)
 	case "recv":
-		r.RecvSized(c.Peer, c.Tag, c.Bytes)
+		r.StartRecv(c.Peer, c.Tag, c.Bytes)
 	case "sendrecv":
-		r.Sendrecv(c.Peer, c.Tag, c.Bytes, nil, c.Peer2, c.Tag2)
+		r.StartSendrecv(c.Peer, c.Tag, c.Bytes, nil, c.Peer2, c.Tag2)
 	case "bcast":
-		r.Bcast(c.Root, nil, c.Bytes)
+		r.StartBcast(c.Root, nil, c.Bytes)
 	case "reduce":
-		r.Reduce(c.Root, nil, c.Bytes, mpi.OpSum)
+		r.StartReduce(c.Root, nil, c.Bytes, mpi.OpSum)
 	case "allreduce":
-		r.Allreduce(nil, c.Bytes, mpi.OpSum)
+		r.StartAllreduce(nil, c.Bytes, mpi.OpSum)
 	case "barrier":
-		r.Barrier()
+		r.StartBarrier()
 	case "gather":
-		r.Gather(c.Root, nil, c.Bytes)
+		r.StartGather(c.Root, nil, c.Bytes)
 	case "scatter":
 		if c.Sizes != nil {
-			r.ScatterSizes(c.Root, c.Sizes, c.Bytes)
+			r.StartScatterSizes(c.Root, c.Sizes, c.Bytes)
 		} else {
-			r.Scatter(c.Root, nil, c.Bytes)
+			r.StartScatter(c.Root, nil, c.Bytes)
 		}
 	case "allgather":
-		r.Allgather(nil, c.Bytes)
+		r.StartAllgather(nil, c.Bytes)
 	case "alltoall":
 		if c.Sizes != nil {
-			r.AlltoallSizes(c.Sizes, c.Bytes)
+			r.StartAlltoallSizes(c.Sizes, c.Bytes)
 		} else {
-			r.Alltoall(nil, c.Bytes)
+			r.StartAlltoall(nil, c.Bytes)
 		}
 	default:
 		panic(fmt.Sprintf("tracein: unknown op %q reached replay (parser must reject it)", c.Op))

@@ -13,6 +13,7 @@ import (
 	"mpisim/internal/ir"
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
+	"mpisim/internal/obs"
 	"mpisim/internal/tracein"
 )
 
@@ -105,10 +106,20 @@ func checkRoundTrip(t *testing.T, rep *mpi.Report, tr *tracein.Trace, m *machine
 		t.Fatalf("parsed trace differs from recorded trace")
 	}
 
-	// Replay on the same machine reproduces the schedule exactly.
-	rep2, err := tracein.Replay(parsed, mpi.Config{Machine: m, RecordCalls: true})
+	// Replay on the same machine reproduces the schedule exactly, and
+	// every rank of it runs as a continuation: none on a goroutine.
+	reg := obs.NewRegistry(1)
+	reg.SetEnabled(true)
+	rep2, err := tracein.Replay(parsed, mpi.Config{Machine: m, RecordCalls: true, Metrics: reg})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+	counts := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		counts[s.Name] = s.Value
+	}
+	if fb, c, ev := counts["sim_goroutine_fallbacks_total"], counts["sim_continuations_total"], counts["sim_events_total"]; fb != 0 || c != ev || ev == 0 {
+		t.Errorf("replay: %v goroutine fallbacks, %v continuations for %v events; want 0 and one per event", fb, c, ev)
 	}
 	if rep2.Time != rep.Time {
 		t.Errorf("replayed Time %v != simulated %v", rep2.Time, rep.Time)

@@ -1,9 +1,11 @@
 #!/bin/sh
 # bench_kernel.sh — run the kernel throughput suite (BenchmarkKernel* in
 # internal/sim, the network-layer BenchmarkKernelNet in internal/mpi,
-# and the trace-frontend BenchmarkTraceReplay in internal/tracein) and
-# record the results as BENCH_kernel.json so the performance trajectory
-# is tracked across PRs.
+# the trace-frontend BenchmarkTraceReplay in internal/tracein, and the
+# whole AM stack over the kernel, BenchmarkAbstractManyRanks in the root
+# package, with its allocations and bytes per target rank) and record
+# the results as BENCH_kernel.json so the performance trajectory is
+# tracked across PRs.
 #
 # Usage:
 #   scripts/bench_kernel.sh [benchtime]                      # record (default 2s)
@@ -47,6 +49,7 @@ if [ "${1:-}" = "-check" ]; then
         go test -bench 'BenchmarkKernel' -benchtime "$benchtime" -run '^$' ./internal/sim/
         go test -bench 'BenchmarkKernelNet' -benchtime "$benchtime" -run '^$' ./internal/mpi/
         go test -bench 'BenchmarkTraceReplay' -benchtime "$benchtime" -run '^$' ./internal/tracein/
+        go test -bench 'BenchmarkAbstractManyRanks' -benchtime "$benchtime" -run '^$' .
     done; } | "$bin/benchgate" -baseline BENCH_kernel.json -maxregress "$maxregress"
     exit 0
 fi
@@ -60,6 +63,7 @@ export MPISIM_BENCH_LARGE=1 # the recorded baseline always carries the 65536 row
 { go test -bench 'BenchmarkKernel' -benchtime "$benchtime" -count 3 -run '^$' ./internal/sim/
   go test -bench 'BenchmarkKernelNet' -benchtime "$benchtime" -count 3 -run '^$' ./internal/mpi/
   go test -bench 'BenchmarkTraceReplay' -benchtime "$benchtime" -count 3 -run '^$' ./internal/tracein/
+  go test -bench 'BenchmarkAbstractManyRanks' -benchtime "$benchtime" -count 3 -run '^$' .
 } |
 awk '
 BEGIN { n = 0 }

@@ -30,3 +30,19 @@ func armThenNil(p *Proc, m *Message) Cont {
 	p.WaitSleep(5)
 	return nil
 }
+
+// armer arms on behalf of a handler.
+type armer struct{ self Cont }
+
+func (a *armer) arm(p *Proc) { p.WaitRecv() }
+
+// armThroughCallee leaves the arming to a helper: the handler itself
+// shows no wait on its return path, and the next edit to the helper can
+// drop or double the arm unseen. A handler arms where it returns.
+func (a *armer) armThroughCallee(p *Proc, m *Message) Cont {
+	if m == nil {
+		return nil
+	}
+	a.arm(p)
+	return a.self
+}

@@ -45,3 +45,33 @@ func stopper(p *Proc, m *Message) Cont {
 	p.FreeMessage(m)
 	return nil
 }
+
+// rankDriver is the shape of the mpi layer's rank handler: one handler
+// per process, allocated once, that resumes the operation a message was
+// awaited for, runs the rank's program until it ends or an operation it
+// started reports the (src, tag) it wants, and arms exactly that.
+type rankDriver struct {
+	self     Cont
+	src, tag int
+	waiting  bool
+	step     func() (done bool)
+	resume   func(m *Message)
+}
+
+func (d *rankDriver) handle(p *Proc, m *Message) (next Cont) {
+	defer func() {
+		if recover() != nil {
+			next = nil
+		}
+	}()
+	if m != nil {
+		d.resume(m)
+	}
+	for !d.waiting {
+		if d.step() {
+			return nil
+		}
+	}
+	p.WaitRecvFn(d.src, d.tag)
+	return d.self
+}
