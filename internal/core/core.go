@@ -104,10 +104,6 @@ type Runner struct {
 	// HostWorkers configures the simulation engine for subsequent runs.
 	HostWorkers  int
 	RealParallel bool
-	// ForceGoroutine routes the kernel's continuation processes through
-	// the classic goroutine scheduler (byte-identical results; used by the
-	// scheduler-equivalence tests).
-	ForceGoroutine bool
 	// MemoryLimit bounds simulated target memory for DE/measured runs
 	// (0 = unlimited). AM runs are never limited: their footprint is the
 	// point of the technique.
@@ -312,15 +308,14 @@ func (r *Runner) Run(mode Mode, ranks int, inputs map[string]float64) (*mpi.Repo
 		Config: mpi.Config{
 			Ranks: ranks, Machine: r.Machine,
 			HostWorkers: r.HostWorkers, RealParallel: r.RealParallel,
-			ForceGoroutine: r.ForceGoroutine,
-			CollectMatrix:  r.CollectMatrix,
-			CollectTrace:   r.CollectTrace,
-			RecordCalls:    r.RecordCalls,
-			Metrics:        r.Metrics,
-			Tracer:         r.Tracer,
-			Timeline:       r.Timeline,
-			RunInfo:        r.RunInfo,
-			Faults:         r.Faults,
+			CollectMatrix: r.CollectMatrix,
+			CollectTrace:  r.CollectTrace,
+			RecordCalls:   r.RecordCalls,
+			Metrics:       r.Metrics,
+			Tracer:        r.Tracer,
+			Timeline:      r.Timeline,
+			RunInfo:       r.RunInfo,
+			Faults:        r.Faults,
 			Limits: sim.Limits{
 				MaxEvents:   r.MaxEvents,
 				MaxTime:     sim.Time(r.MaxVirtualTime),

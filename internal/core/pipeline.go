@@ -84,7 +84,7 @@ type Plan struct {
 // one, else the header's.
 //
 // host carries what belongs to the front door rather than to the
-// prediction: the engine (HostWorkers, RealParallel, ForceGoroutine),
+// prediction: the engine (HostWorkers, RealParallel),
 // the collection switches, the observability hooks and the memory limit.
 // Its Ranks, Machine, Comm, TaskTimes, Faults and Limits are the spec's
 // to say and are overwritten. Metrics, Tracer and Timeline observe the
@@ -129,9 +129,8 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 		Program: prog, Machine: m, Compiled: compiled,
 		TaskTimes:   spec.TaskTimes,
 		HostWorkers: host.HostWorkers, RealParallel: host.RealParallel,
-		ForceGoroutine: host.ForceGoroutine,
-		RunInfo:        host.RunInfo,
-		SkipChecks:     spec.SkipChecks,
+		RunInfo:    host.RunInfo,
+		SkipChecks: spec.SkipChecks,
 	}
 	p.Runner, p.Machine, p.mode = r, m, spec.mode()
 	p.App, p.Mode, p.Ranks = spec.App, p.mode.String(), spec.Ranks

@@ -20,28 +20,21 @@ import (
 	"mpisim/internal/tracein"
 )
 
-// Scheduler-equivalence property tests: the continuation scheduler
-// (sim/cont.go) must be invisible in every simulation artifact. Each
-// program runs under the native inline path and under ForceGoroutine
-// (the classic carrier-goroutine path), across worker counts — the full
-// report AND the exported simulated-plane trace artifact must be
-// byte-identical in every cell of the matrix.
+// Scheduler-equivalence property tests: how the kernel schedules the
+// ranks over host workers must be invisible in every simulation
+// artifact. Each program runs across worker counts — the full report AND
+// the exported simulated-plane trace artifact must be byte-identical in
+// every cell. (The two ways a rank can be written, handler or blocking
+// body, are held to each other by mpi's everyop_test.go.)
 
-// schedVariants is the worker-count x scheduling-path matrix.
-var schedVariants = []struct {
-	workers int
-	force   bool
-}{
-	{1, false}, {1, true},
-	{2, false}, {2, true},
-	{8, false}, {8, true},
-}
+// schedWorkers is the worker-count axis.
+var schedWorkers = []int{1, 2, 8}
 
 // runSched runs prog in measured mode at 4 ranks and returns the
 // canonical report JSON (kernel meta-result dropped, as in the flat
 // regression tests) plus the exported trace artifact.
 func runSched(t *testing.T, prog *ir.Program, inputs map[string]float64,
-	topo string, faults *fault.Scenario, workers int, force bool) (string, string) {
+	topo string, faults *fault.Scenario, workers int) (string, string) {
 	t.Helper()
 	m := machine.IBMSP()
 	m.Topology = topo
@@ -51,13 +44,12 @@ func runSched(t *testing.T, prog *ir.Program, inputs map[string]float64,
 	}
 	r.HostWorkers = workers
 	r.RealParallel = workers > 1
-	r.ForceGoroutine = force
 	r.CollectMatrix = true
 	r.CollectTrace = true
 	r.Faults = faults
 	rep, err := r.Run(Measured, 4, inputs)
 	if err != nil {
-		t.Fatalf("workers=%d force=%v: %v", workers, force, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	rep.Kernel = nil
 	b, err := json.Marshal(rep)
@@ -75,20 +67,20 @@ func runSched(t *testing.T, prog *ir.Program, inputs map[string]float64,
 	return string(b), sb.String()
 }
 
-// checkSchedMatrix runs the full variant matrix for one program and
-// asserts every cell equals the workers=1 native-path reference.
+// checkSchedMatrix runs one program at every worker count and asserts
+// every cell equals the workers=1 reference.
 func checkSchedMatrix(t *testing.T, name string, build func() *ir.Program,
 	inputs map[string]float64, topo string, faults *fault.Scenario) {
 	t.Helper()
-	refRep, refTrace := runSched(t, build(), inputs, topo, faults, 1, false)
-	for _, v := range schedVariants[1:] {
-		rep, tr := runSched(t, build(), inputs, topo, faults, v.workers, v.force)
-		label := fmt.Sprintf("%s workers=%d force=%v", name, v.workers, v.force)
+	refRep, refTrace := runSched(t, build(), inputs, topo, faults, 1)
+	for _, workers := range schedWorkers[1:] {
+		rep, tr := runSched(t, build(), inputs, topo, faults, workers)
+		label := fmt.Sprintf("%s workers=%d", name, workers)
 		if rep != refRep {
-			t.Errorf("%s: report diverged from workers=1 continuation path", label)
+			t.Errorf("%s: report diverged from workers=1", label)
 		}
 		if tr != refTrace {
-			t.Errorf("%s: trace artifact diverged from workers=1 continuation path", label)
+			t.Errorf("%s: trace artifact diverged from workers=1", label)
 		}
 	}
 }
@@ -130,8 +122,7 @@ func TestSchedEquivalenceExamples(t *testing.T) {
 }
 
 // TestSchedEquivalenceTopology drives the interconnect fabric — itself a
-// continuation process now — through both scheduling paths under a
-// contended torus.
+// process of the kernel — under a contended torus.
 func TestSchedEquivalenceTopology(t *testing.T) {
 	spec := apps.Registry()["sample"]
 	checkSchedMatrix(t, "sample/torus", spec.Build, flatInputs("sample", 4),
@@ -217,9 +208,9 @@ func TestSchedEquivalenceTelemetry(t *testing.T) {
 // TestSchedEquivalenceReplay extends the matrix to the trace frontend:
 // a recorded trace replayed through internal/tracein must produce a
 // byte-identical report, exported trace artifact AND re-recorded trace
-// across worker counts and both scheduling paths. Replay is the third
-// front door to the kernel (after the native and continuation paths);
-// the determinism invariant holds there too.
+// across worker counts, with no rank needing a goroutine of its own.
+// Replay is the second front door to the kernel; the determinism
+// invariant holds there too.
 func TestSchedEquivalenceReplay(t *testing.T) {
 	spec := apps.Registry()["sample"]
 	inputs := flatInputs("sample", 4)
@@ -240,32 +231,33 @@ func TestSchedEquivalenceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(workers int, force bool) (string, string, string) {
+	run := func(workers int) (string, string, string) {
 		reg := obs.NewRegistry(workers)
 		reg.SetEnabled(true)
 		rep2, err := tracein.Replay(tr, mpi.Config{
-			Machine:        m,
-			HostWorkers:    workers,
-			RealParallel:   workers > 1,
-			ForceGoroutine: force,
-			CollectMatrix:  true,
-			CollectTrace:   true,
-			RecordCalls:    true,
-			Metrics:        reg,
+			Machine:       m,
+			HostWorkers:   workers,
+			RealParallel:  workers > 1,
+			CollectMatrix: true,
+			CollectTrace:  true,
+			RecordCalls:   true,
+			Metrics:       reg,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d force=%v: %v", workers, force, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		// The two axes really are two rank paths: every rank a
-		// continuation, or every rank on a carrier goroutine.
-		want := 0.0
-		if force {
-			want = 4
-		}
+		// Every rank of a replay is a handler chain.
+		seen := false
 		for _, s := range reg.Snapshot() {
-			if s.Name == "sim_goroutine_fallbacks_total" && s.Value != want {
-				t.Errorf("workers=%d force=%v: %v goroutine fallbacks, want %v", workers, force, s.Value, want)
+			if s.Name == "sim_goroutine_fallbacks_total" {
+				seen = true
+				if s.Value != 0 {
+					t.Errorf("workers=%d: %v goroutine fallbacks, want 0", workers, s.Value)
+				}
 			}
+		}
+		if !seen {
+			t.Errorf("workers=%d: sim_goroutine_fallbacks_total not reported", workers)
 		}
 		rep2.Kernel = nil
 		b, err := json.Marshal(rep2)
@@ -291,10 +283,10 @@ func TestSchedEquivalenceReplay(t *testing.T) {
 		return string(b), sb.String(), buf.String()
 	}
 
-	refRep, refTrace, refRecord := run(1, false)
-	for _, v := range schedVariants[1:] {
-		gotRep, gotTrace, gotRecord := run(v.workers, v.force)
-		label := fmt.Sprintf("replay workers=%d force=%v", v.workers, v.force)
+	refRep, refTrace, refRecord := run(1)
+	for _, workers := range schedWorkers[1:] {
+		gotRep, gotTrace, gotRecord := run(workers)
+		label := fmt.Sprintf("replay workers=%d", workers)
 		if gotRep != refRep {
 			t.Errorf("%s: report diverged from workers=1 reference", label)
 		}
@@ -309,7 +301,7 @@ func TestSchedEquivalenceReplay(t *testing.T) {
 
 // TestSchedEquivalenceFaults arms a deterministic fault scenario (loss
 // with retries, delay injection) so the retransmission machinery runs
-// identically under both scheduling paths.
+// identically at every worker count.
 func TestSchedEquivalenceFaults(t *testing.T) {
 	spec := apps.Registry()["sample"]
 	faults := &fault.Scenario{

@@ -61,28 +61,6 @@ func Default() Params {
 	}
 }
 
-// MeasuredKernel returns coefficients re-derived from this repository's
-// own kernel on the BenchmarkKernel* suite (see BENCH_kernel.json),
-// rather than calibrated to the paper's 1999 hardware. Derivation, from
-// the 256-process runs: the neighbour-exchange workload (every event
-// delivers a message) gives EventCost+MessageCost = 1/2.77e6 s; the
-// fan-in workload (alternating message-free wake and delivery events)
-// gives 2*EventCost+MessageCost = 2/4.33e6 s; solving yields the values
-// below. Window costs come from the 4-worker window-protocol delta over
-// the sequential engine at 16 processes (~2.5e-6 s per window at
-// log2(4) sync stages). ExecFactor and ByteCost are not kernel
-// properties and keep their calibrated values.
-func MeasuredKernel() Params {
-	return Params{
-		ExecFactor:  2.0,
-		EventCost:   1.0e-7,
-		MessageCost: 2.6e-7,
-		ByteCost:    2.5e-9,
-		WindowBase:  5e-7,
-		WindowSync:  1.0e-6,
-	}
-}
-
 // Workload summarizes one simulation run for host-cost purposes.
 type Workload struct {
 	// ExecSeconds is, per target rank, the directly executed target

@@ -25,8 +25,7 @@ func uniformWorkload(ranks int, exec float64) Workload {
 
 // TestDefaultPinned pins the calibrated coefficients: figs 12-16 are
 // generated from them, so any change breaks the byte-identical
-// regeneration of results/*.txt. Kernel-derived coefficients belong in
-// MeasuredKernel instead.
+// regeneration of results/*.txt.
 func TestDefaultPinned(t *testing.T) {
 	want := Params{
 		ExecFactor:  2.0,
@@ -38,28 +37,6 @@ func TestDefaultPinned(t *testing.T) {
 	}
 	if Default() != want {
 		t.Fatalf("Default() changed: %+v", Default())
-	}
-}
-
-// TestMeasuredKernelSane: the benchmark-derived coefficients must behave
-// like a host model (faster per event than the calibrated 1999 numbers,
-// runtimes still decreasing with hosts).
-func TestMeasuredKernelSane(t *testing.T) {
-	m, d := MeasuredKernel(), Default()
-	if m.EventCost >= d.EventCost || m.MessageCost >= d.MessageCost {
-		t.Fatalf("measured kernel should be cheaper per event/message than the calibrated model: %+v", m)
-	}
-	w := uniformWorkload(64, 0.5)
-	t1, err := m.Runtime(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t64, err := m.Runtime(w, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t64 >= t1 {
-		t.Fatalf("measured params: no speedup on 64 hosts (%g >= %g)", t64, t1)
 	}
 }
 

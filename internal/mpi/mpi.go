@@ -81,11 +81,6 @@ type Config struct {
 	HostWorkers int
 	// RealParallel runs host workers on separate goroutines.
 	RealParallel bool
-	// ForceGoroutine routes the kernel's continuation processes (the
-	// ranks of a RunProgram, the interconnect fabric) through the classic
-	// goroutine path. Results are byte-identical; used by the
-	// scheduler-equivalence tests.
-	ForceGoroutine bool
 	// Protocol selects the conservative synchronization protocol of the
 	// parallel engine (window or null-message).
 	Protocol sim.Protocol
@@ -356,16 +351,15 @@ func NewWorld(cfg Config) (*World, error) {
 		lookahead = sim.Time(nw.Lookahead())
 	}
 	k, err := sim.NewKernel(sim.Config{
-		Workers:        cfg.HostWorkers,
-		Lookahead:      lookahead,
-		RealParallel:   cfg.RealParallel,
-		ForceGoroutine: cfg.ForceGoroutine,
-		Protocol:       cfg.Protocol,
-		Metrics:        cfg.Metrics,
-		Tracer:         cfg.Tracer,
-		Timeline:       cfg.Timeline,
-		RunInfo:        cfg.RunInfo,
-		Limits:         cfg.Limits,
+		Workers:      cfg.HostWorkers,
+		Lookahead:    lookahead,
+		RealParallel: cfg.RealParallel,
+		Protocol:     cfg.Protocol,
+		Metrics:      cfg.Metrics,
+		Tracer:       cfg.Tracer,
+		Timeline:     cfg.Timeline,
+		RunInfo:      cfg.RunInfo,
+		Limits:       cfg.Limits,
 	})
 	if err != nil {
 		return nil, err

@@ -11,17 +11,14 @@ import (
 
 // The BenchmarkKernel* suite measures raw kernel throughput (events/sec)
 // and steady-state allocation behaviour (allocs/event) across the
-// engine, protocol, queue and scheduler axes at 16 to 65536 target
-// processes (the top row is gated behind MPISIM_BENCH_LARGE so routine
-// runs stay fast). scripts/bench_kernel.sh runs it and records the
-// results in BENCH_kernel.json so the performance trajectory is tracked
-// across PRs.
+// engine, protocol and queue axes at 16 to 65536 target processes (the
+// top row is gated behind MPISIM_BENCH_LARGE so routine runs stay fast).
+// scripts/bench_kernel.sh runs it and records the results in
+// BENCH_kernel.json so the performance trajectory is tracked across PRs.
 //
-// The workloads run as continuation processes — the kernel's native
-// scheduling path (cont.go) — with the classic goroutine path kept
-// head-to-head in BenchmarkKernelSched. Continuation and classic bodies
-// generate identical event streams, so events/sec is comparable across
-// the axis.
+// The workloads are handler chains (cont.go), as every process of a
+// prediction is. What a blocking body costs over one is recorded once, in
+// EXPERIMENTS.md "Host cost of rank scheduling".
 
 // benchSpawner populates a kernel with the workload's processes.
 type benchSpawner func(k *Kernel, procs, rounds int, latency Time)
@@ -56,26 +53,6 @@ func spawnExch(k *Kernel, procs, rounds int, latency Time) {
 		c := &contExch{n: procs, rounds: rounds, latency: latency}
 		c.self = c.step
 		k.SpawnCont("p", c.self)
-	}
-}
-
-// classicExch is the goroutine-path twin of contExch: same kernel calls,
-// same event stream, but an arbitrary blocking body on a carrier
-// goroutine. BenchmarkKernelSched races the two.
-func classicExch(n, rounds int, latency Time) func(*Proc) {
-	return func(p *Proc) {
-		next := (p.ID() + 1) % n
-		for r := 0; r < rounds; r++ {
-			p.Advance(1e-7)
-			p.Send(next, nil, 64, p.Now()+latency)
-			p.FreeMessage(p.RecvSrcTag(Any, Any))
-		}
-	}
-}
-
-func spawnClassicExch(k *Kernel, procs, rounds int, latency Time) {
-	for j := 0; j < procs; j++ {
-		k.Spawn("p", classicExch(procs, rounds, latency))
 	}
 }
 
@@ -239,25 +216,6 @@ func BenchmarkKernelWindow(b *testing.B) { benchSizes(b, 4, ProtocolWindow) }
 // BenchmarkKernelNullMessage: null-message protocol, 4 workers on real
 // goroutines.
 func BenchmarkKernelNullMessage(b *testing.B) { benchSizes(b, 4, ProtocolNullMessage) }
-
-// BenchmarkKernelSched races the two scheduling paths on the identical
-// neighbour-exchange event stream at 4096 processes: "cont" runs the
-// handlers inline on the worker goroutine, "goroutine" the same
-// continuation processes forced through the classic carrier-goroutine
-// path, and "classic" a hand-written blocking body. The cont/goroutine
-// gap is the direct cost of goroutine scheduling and channel handoffs.
-func BenchmarkKernelSched(b *testing.B) {
-	b.Run("cont", func(b *testing.B) {
-		benchKernelBody(b, 4096, 1, ProtocolWindow, QueueQuaternary, spawnExch)
-	})
-	b.Run("goroutine", func(b *testing.B) {
-		benchKernelBody(b, 4096, 1, ProtocolWindow, QueueQuaternary, spawnExch,
-			func(cfg *Config) { cfg.ForceGoroutine = true })
-	})
-	b.Run("classic", func(b *testing.B) {
-		benchKernelBody(b, 4096, 1, ProtocolWindow, QueueQuaternary, spawnClassicExch)
-	})
-}
 
 // BenchmarkKernelQueue compares the event-queue implementations
 // head-to-head on the sequential engine at 256 processes.

@@ -2,32 +2,27 @@ package sim
 
 import "fmt"
 
-// Continuation scheduling: the kernel's native fast path.
+// Continuation scheduling: the kernel's one scheduler.
 //
-// A classic process body is an arbitrary blocking function — the kernel
-// cannot suspend it without parking its goroutine, so every block/wake
-// costs a channel operation and a goroutine switch. A continuation
-// process instead describes its behaviour as a chain of run-to-completion
+// A process describes its behaviour as a chain of run-to-completion
 // handlers: each handler runs on the worker's own goroutine, arms at most
-// one wait (WaitRecv/WaitRecvFn/WaitSleep) and returns the next handler
-// (or nil when the process is finished). The kernel resumes the chain
-// inline when the wait is satisfied — zero goroutines, zero channel
-// operations, and all hot state in the worker-owned slot array. Every
-// process of a prediction runs this way: the mpi layer's ranks (one
-// handler each, re-armed from what the rank's operation wants) and its
-// interconnect fabric; blocking bodies are left to tests.
+// one wait (WaitRecv/WaitSleep) and returns the next handler (or nil when
+// the process is finished). The kernel resumes the chain inline when the
+// wait is satisfied — zero goroutines, zero channel operations, and all
+// hot state in the worker-owned slot array. Every process of a
+// prediction is written this way: the mpi layer's ranks (one handler
+// each, re-armed from what the rank's operation wants) and its
+// interconnect fabric.
 //
-// Event order is identical to the classic path by construction: a
-// handler runs exactly where the classic body would have run between two
-// blocking calls (same completeRecv accounting before it, same wake/
-// delivery event consumed), and an armed receive whose match already
-// arrived continues the chain immediately, exactly like the classic
-// recvMatched fast path. Config.ForceGoroutine routes continuation
-// processes through a classic blocking-body driver instead, which the
-// scheduler-equivalence tests use to pin the two paths byte-for-byte
-// against each other.
+// What happens between two waits is fixed here and nowhere else: the
+// event that satisfied the wait is consumed, a matched receive is
+// accounted (completeRecv) before the next handler sees the message, and
+// an armed receive whose match already arrived continues the chain at
+// once, without an event. An arbitrary blocking function cannot be
+// suspended this way; Spawn runs one on a goroutine of its own behind a
+// handler (body.go), so it too is scheduled by runCont.
 
-// Cont is one resumable handler of a continuation process. m is the
+// Cont is one resumable handler of a process. m is the
 // message that satisfied the armed receive (nil on start and after a
 // sleep). The handler must either return nil (process finished) or arm
 // exactly one wait and return the next handler.
@@ -43,15 +38,12 @@ const (
 )
 
 // errContNoWait is the panic value for a handler that returned a next
-// continuation without arming a wait. It is a plain value (not a
-// distinct type) so the native inline path and the ForceGoroutine driver
-// produce byte-identical *PanicError results.
-const errContNoWait = "sim: continuation returned without arming a wait (arm WaitRecv/WaitRecvFn/WaitSleep or return nil)"
+// continuation without arming a wait.
+const errContNoWait = "sim: continuation returned without arming a wait (arm WaitRecv/WaitSleep or return nil)"
 
-// SpawnCont registers a continuation process starting at the given
-// handler. Like Spawn it must precede Run; the process id equals the
-// spawn order. Continuation processes own no goroutine and no resume
-// channel (unless Config.ForceGoroutine reroutes them).
+// SpawnCont registers a process starting at the given handler. All
+// processes must be spawned before Run; the process id equals the spawn
+// order.
 func (k *Kernel) SpawnCont(name string, start Cont) *Proc {
 	if k.started {
 		panic("sim: Spawn after Run")
@@ -70,25 +62,20 @@ func (k *Kernel) SpawnCont(name string, start Cont) *Proc {
 }
 
 // WaitRecv arms a (source, tag) receive for the current handler: the
-// next handler in the chain runs with the earliest matching message, its
-// clock advanced past the arrival exactly as RecvSrcTag would have.
-// src and tag each either name an exact value or are the wildcard Any.
-// Must be called from inside a continuation handler.
+// next handler in the chain runs with the earliest matching message in
+// the deterministic (arrival, sender, sequence) order, its clock advanced
+// to the arrival if that is later than Now(). src and tag each either
+// name an exact value or are the wildcard Any. Must be called from
+// inside a handler.
 func (p *Proc) WaitRecv(src, tag int) {
 	s := p.armWait(armRecv)
-	s.matchMode, s.matchSrc, s.matchTag = matchSrcTag, src, tag
+	s.receiving, s.matchSrc, s.matchTag = true, src, tag
 }
 
-// WaitRecvFn arms a predicate receive (the continuation counterpart of
-// Recv). The closure is dropped once a message matches.
-func (p *Proc) WaitRecvFn(match func(*Message) bool) {
-	s := p.armWait(armRecv)
-	s.matchMode, s.matchFn = matchFunc, match
-}
-
-// WaitSleep arms a sleep until the given absolute simulated time (the
-// continuation counterpart of Sleep). Sleeping into the past is a no-op:
-// the next handler runs immediately, with the clock unchanged.
+// WaitSleep arms a sleep until the given absolute simulated time. Unlike
+// Advance it lets other processes' messages arrive first. Sleeping into
+// the past is a no-op: the next handler runs immediately, with the clock
+// unchanged.
 func (p *Proc) WaitSleep(until Time) {
 	s := p.armWait(armSleep)
 	s.sleepUntil = until
@@ -107,13 +94,10 @@ func (p *Proc) armWait(kind armKind) *procSlot {
 	return s
 }
 
-// runCont advances a continuation process as far as it can go without a
-// real wait: handlers run back-to-back while their armed receives are
-// already satisfiable (the inline analogue of the classic recvMatched
-// fast path) or their sleeps lie in the past. Called from runLoop with
-// the worker's run token; never blocks, never yields the goroutine.
-// m is the delivery that satisfied the armed receive (nil on start and
-// wake).
+// runCont advances a process as far as it can go without a real wait:
+// handlers run back-to-back while their armed receives are already
+// satisfiable or their sleeps lie in the past. Called from runLoop. m is
+// the delivery that satisfied the armed receive (nil on start and wake).
 func (w *worker) runCont(p *Proc, m *Message) {
 	s := p.slot
 	if s.state == stBlocked {
@@ -121,8 +105,8 @@ func (w *worker) runCont(p *Proc, m *Message) {
 	}
 	for {
 		if m != nil {
-			// A matched receive: identical completion to recvMatched.
-			s.matchMode, s.matchFn = matchNone, nil
+			// A matched receive.
+			s.receiving = false
 			p.completeRecv(m)
 		} else if s.state == stBlocked {
 			// Waking from an armed sleep.
@@ -141,7 +125,7 @@ func (w *worker) runCont(p *Proc, m *Message) {
 		if next == nil {
 			// Finished (or the handler panicked; invokeCont captured it).
 			s.armKind = armNone
-			s.matchMode, s.matchFn = matchNone, nil
+			s.receiving = false
 			s.state = stDone
 			s.stats.FinishTime = s.now
 			return
@@ -163,11 +147,11 @@ func (w *worker) runCont(p *Proc, m *Message) {
 				continue // sleep into the past: run the next handler now
 			}
 			w.queue.push(event{t: s.sleepUntil, proc: p.id, seq: p.nextSeq(), kind: evWake, dst: p.id})
-			s.state = stBlocked // matchMode is matchNone: arrivals queue in the mailbox
+			s.state = stBlocked // not receiving: arrivals queue in the mailbox
 			w.contWaiting++
 			return
 		default:
-			// Mirror a body panic: same error, same guard trip, and the
+			// As a handler panic: same error, same guard trip, and the
 			// worker goroutine survives to keep draining its window.
 			w.contPanic(p, errContNoWait)
 			s.cont = nil
@@ -178,11 +162,9 @@ func (w *worker) runCont(p *Proc, m *Message) {
 	}
 }
 
-// invokeCont runs one handler, capturing panics exactly as the classic
-// run() does for bodies — the panic must not unwind the worker (or
-// donated process) goroutine executing the event loop — errTeardown
-// included: a handler that left through CheckAbort is torn down, not
-// failed.
+// invokeCont runs one handler, capturing panics — one must not unwind
+// the worker goroutine executing the event loop — errTeardown included:
+// a handler that left through CheckAbort is torn down, not failed.
 func (w *worker) invokeCont(p *Proc, cont Cont, m *Message) (next Cont) {
 	s := p.slot
 	s.inHandler = true
@@ -198,47 +180,10 @@ func (w *worker) invokeCont(p *Proc, cont Cont, m *Message) (next Cont) {
 	return cont(p, m)
 }
 
-// contPanic records a handler failure like run() records a body panic.
+// contPanic records a handler failure and stops a guarded run.
 func (w *worker) contPanic(p *Proc, value interface{}) {
 	p.err = &PanicError{Proc: p.id, Name: p.name, Value: value}
 	if g := p.kernel.guard; g != nil {
 		g.trip(tripPanic, fmt.Sprintf("proc %d (%s) panicked: %v", p.id, p.name, value))
-	}
-}
-
-// contDriver wraps a continuation chain in a classic blocking body: the
-// old-path semantics used when Config.ForceGoroutine is set. Each armed
-// wait is performed with the blocking primitives (recvMatched/Sleep), so
-// the event sequence — and therefore every Result byte — is identical to
-// the inline path; only the host-side scheduling differs.
-func contDriver(start Cont) func(*Proc) {
-	return func(p *Proc) {
-		s := p.slot
-		cont := start
-		var m *Message
-		for cont != nil {
-			s.inHandler = true
-			next := func() Cont {
-				defer func() { s.inHandler = false }()
-				return cont(p, m)
-			}()
-			m = nil
-			cont = next
-			if cont == nil {
-				s.armKind = armNone
-				return
-			}
-			switch s.armKind {
-			case armRecv:
-				s.armKind = armNone
-				m = p.recvMatched()
-				s.matchFn = nil
-			case armSleep:
-				s.armKind = armNone
-				p.Sleep(s.sleepUntil)
-			default:
-				panic(errContNoWait)
-			}
-		}
 	}
 }

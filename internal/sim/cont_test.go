@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// contRing is the continuation-scheduled twin of ringProgram: identical
-// kernel calls in identical order, so every Result byte must match the
-// classic body. Per-proc state lives in the closure struct instead of on
-// a goroutine stack.
+// contRing is ringProgram as a handler chain: identical kernel calls in
+// identical order, so every Result byte must match the blocking body's.
+// Per-proc state lives in the closure struct instead of on a goroutine
+// stack.
 type contRing struct {
 	n, rounds int
 	latency   Time
@@ -24,7 +24,7 @@ func (c *contRing) start(p *Proc, _ *Message) Cont {
 		p.Advance(Time(c.r.Float64()) * 1e-3)
 		p.Send((p.ID()+1)%c.n, 0, 8, p.Now()+c.latency)
 	}
-	p.WaitRecvFn(anyMsg)
+	p.WaitRecv(Any, Any)
 	return c.onMsg
 }
 
@@ -42,7 +42,7 @@ func (c *contRing) onMsg(p *Proc, m *Message) Cont {
 	if c.round == c.rounds {
 		return nil
 	}
-	p.WaitRecvFn(anyMsg)
+	p.WaitRecv(Any, Any)
 	return c.onMsg
 }
 
@@ -64,9 +64,9 @@ func runContRing(t *testing.T, cfg Config, n, rounds int, latency Time) *Result 
 	return res
 }
 
-// TestContMatchesClassic pins the equivalence bar: the continuation ring
-// produces a Result identical to the classic-goroutine ring — and to its
-// own ForceGoroutine rerun — for every engine and worker count.
+// TestContMatchesClassic is the equivalence test of the blocking-body
+// adapter (body.go): the handler ring and the body ring produce identical
+// Results for every engine and worker count.
 func TestContMatchesClassic(t *testing.T) {
 	const n, rounds = 8, 3
 	const latency = Time(1e-5)
@@ -80,14 +80,8 @@ func TestContMatchesClassic(t *testing.T) {
 	} {
 		classic := runKernel(t, cfg, n, ringProgram(n, rounds, latency))
 		native := runContRing(t, cfg, n, rounds, latency)
-		forcedCfg := cfg
-		forcedCfg.ForceGoroutine = true
-		forced := runContRing(t, forcedCfg, n, rounds, latency)
 		if !reflect.DeepEqual(native, classic) {
-			t.Errorf("workers=%d: continuation result %+v != classic %+v", cfg.Workers, native, classic)
-		}
-		if !reflect.DeepEqual(native, forced) {
-			t.Errorf("workers=%d: continuation result %+v != ForceGoroutine %+v", cfg.Workers, native, forced)
+			t.Errorf("workers=%d: continuation result %+v != body %+v", cfg.Workers, native, classic)
 		}
 		// Across engines only the host-side counters (CrossWorker, Windows)
 		// may differ; the simulated outcome must not.
@@ -100,7 +94,7 @@ func TestContMatchesClassic(t *testing.T) {
 
 // TestContWaitSleep checks WaitSleep semantics: future sleeps advance the
 // clock and let other procs run; past sleeps continue inline without
-// rewinding — matching classic Sleep exactly.
+// rewinding — matching a body's Sleep exactly.
 func TestContWaitSleep(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
 	var trace []string
@@ -171,41 +165,32 @@ func TestContWaitRecvSrcTag(t *testing.T) {
 }
 
 // TestContHandlerPanic: a panicking handler surfaces as the same
-// *PanicError a classic body panic produces, on both scheduling paths.
+// *PanicError a panicking body produces.
 func TestContHandlerPanic(t *testing.T) {
-	for _, force := range []bool{false, true} {
-		k, _ := NewKernel(Config{Workers: 1, ForceGoroutine: force})
-		k.SpawnCont("bad", func(p *Proc, _ *Message) Cont {
-			panic("boom")
-		})
-		_, err := k.Run()
-		pe, ok := err.(*PanicError)
-		if !ok {
-			t.Fatalf("force=%v: got %v, want *PanicError", force, err)
-		}
-		if pe.Value != "boom" || pe.Proc != 0 {
-			t.Fatalf("force=%v: unexpected PanicError %+v", force, pe)
-		}
+	k, _ := NewKernel(Config{Workers: 1})
+	k.SpawnCont("bad", func(p *Proc, _ *Message) Cont {
+		panic("boom")
+	})
+	_, err := k.Run()
+	pe, ok := err.(*PanicError)
+	if !ok {
+		t.Fatalf("got %v, want *PanicError", err)
+	}
+	if pe.Value != "boom" || pe.Proc != 0 {
+		t.Fatalf("unexpected PanicError %+v", pe)
 	}
 }
 
 // TestContMissingArm: returning a next handler without arming a wait is
-// a programming error reported identically on both scheduling paths.
+// a programming error, reported as a panic of the process.
 func TestContMissingArm(t *testing.T) {
-	var errs []string
-	for _, force := range []bool{false, true} {
-		k, _ := NewKernel(Config{Workers: 1, ForceGoroutine: force})
-		k.SpawnCont("noarm", func(p *Proc, _ *Message) Cont {
-			return func(p *Proc, _ *Message) Cont { return nil }
-		})
-		_, err := k.Run()
-		if err == nil || !strings.Contains(err.Error(), "without arming a wait") {
-			t.Fatalf("force=%v: got %v, want missing-arm panic error", force, err)
-		}
-		errs = append(errs, err.Error())
-	}
-	if errs[0] != errs[1] {
-		t.Fatalf("paths disagree:\n  native: %s\n  forced: %s", errs[0], errs[1])
+	k, _ := NewKernel(Config{Workers: 1})
+	k.SpawnCont("noarm", func(p *Proc, _ *Message) Cont {
+		return func(p *Proc, _ *Message) Cont { return nil }
+	})
+	_, err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "without arming a wait") {
+		t.Fatalf("got %v, want missing-arm panic error", err)
 	}
 }
 
@@ -222,12 +207,12 @@ func TestContDoubleArmPanics(t *testing.T) {
 	}
 }
 
-// TestContBlockingCallPanics: the classic blocking primitives are
-// rejected inside a handler (they would block the worker's event loop).
+// TestContBlockingCallPanics: the blocking primitives are rejected
+// inside a handler (they would block the worker's event loop).
 func TestContBlockingCallPanics(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
 	k.SpawnCont("blocker", func(p *Proc, _ *Message) Cont {
-		p.Recv(anyMsg)
+		p.RecvSrcTag(Any, Any)
 		return nil
 	})
 	if _, err := k.Run(); err == nil || !strings.Contains(err.Error(), "inside a continuation handler") {
@@ -235,7 +220,8 @@ func TestContBlockingCallPanics(t *testing.T) {
 	}
 }
 
-// TestContWaitOutsideHandlerPanics: Wait* from a classic body is caught.
+// TestContWaitOutsideHandlerPanics: Wait* from a blocking body is caught,
+// although the body's handler is on another goroutine's stack.
 func TestContWaitOutsideHandlerPanics(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
 	k.Spawn("classic", func(p *Proc) {
@@ -247,8 +233,8 @@ func TestContWaitOutsideHandlerPanics(t *testing.T) {
 }
 
 // TestContDeadlockTeardown: a continuation process parked on a receive
-// that never matches deadlocks the run; teardown retires it without a
-// goroutine and the wait-state dump names its receive.
+// that never matches deadlocks the run; teardown retires it in place and
+// the wait-state dump names its receive.
 func TestContDeadlockTeardown(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
 	k.SpawnCont("stuck", func(p *Proc, _ *Message) Cont {
@@ -281,7 +267,7 @@ func TestContDeadlockTeardown(t *testing.T) {
 
 // TestContFanIn: many continuation senders into one continuation
 // receiver, exercising sleep staggering, mailbox batching and the inline
-// resume path at once; checked against the classic equivalent.
+// resume path at once; checked against the same program as bodies.
 func TestContFanIn(t *testing.T) {
 	const n = 32
 	const latency = Time(1e-5)

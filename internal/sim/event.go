@@ -6,7 +6,7 @@ import "unsafe"
 type eventKind uint8
 
 const (
-	evStart   eventKind = iota // begin executing a process body
+	evStart   eventKind = iota // run a process's start handler
 	evDeliver                  // deposit a message into a mailbox
 	evWake                     // resume a process sleeping via Sleep
 )

@@ -19,10 +19,10 @@ import (
 // explodes, a livelocked protocol) must not hang or OOM the whole run.
 // The guard bounds a run by event count, virtual time, no-progress event
 // count (the watchdog) and external context cancellation; when any bound
-// trips, the kernel stops popping events, tears the process goroutines
-// down, and Run returns a *partial* Result together with an *AbortError
-// carrying a per-rank wait-state dump and a diagnostic Snapshot (queue
-// depths, mailbox sizes, the most recent events).
+// trips, the kernel stops popping events, retires the processes where
+// they stand, and Run returns a *partial* Result together with an
+// *AbortError carrying a per-rank wait-state dump and a diagnostic
+// Snapshot (queue depths, mailbox sizes, the most recent events).
 //
 // Cost discipline mirrors obs.go: with Limits inactive the hot loop pays
 // a single nil pointer check per event; when active, the per-event work
@@ -114,7 +114,7 @@ func (g *kernelGuard) why() string {
 }
 
 // guardState is the per-worker guard accumulator. Like workerObs it is
-// only touched by the goroutine holding the worker's run token.
+// only touched by the goroutine driving the worker's window.
 type guardState struct {
 	g         *kernelGuard
 	countdown int
@@ -273,7 +273,7 @@ func (e *AbortError) Dump() string {
 	return b.String()
 }
 
-// PanicError reports a process body panic, with the diagnostic snapshot
+// PanicError reports a panic in a process, with the diagnostic snapshot
 // when the guard was active.
 type PanicError struct {
 	Proc     int
@@ -318,13 +318,9 @@ func (k *Kernel) waitStates() []ProcWaitState {
 			s.State = "done"
 		case stBlocked:
 			s.State = "blocked"
-			switch sl.matchMode {
-			case matchSrcTag:
+			s.Waiting = "sleep"
+			if sl.receiving {
 				s.Waiting = fmt.Sprintf("recv(src=%s, tag=%s)", anyStr(sl.matchSrc), anyStr(sl.matchTag))
-			case matchFunc:
-				s.Waiting = "recv(predicate)"
-			default:
-				s.Waiting = "sleep"
 			}
 		}
 		states[i] = s

@@ -23,9 +23,9 @@ func pingPongKernel(t *testing.T, cfg Config, rounds int, dt Time) *Kernel {
 		for i := 0; i < rounds; i++ {
 			if p.ID() == 0 {
 				p.Send(peer, nil, 8, p.Now()+dt)
-				p.FreeMessage(p.Recv(anyMsg))
+				p.FreeMessage(p.RecvSrcTag(Any, Any))
 			} else {
-				p.FreeMessage(p.Recv(anyMsg))
+				p.FreeMessage(p.RecvSrcTag(Any, Any))
 				p.Send(peer, nil, 8, p.Now()+dt)
 			}
 		}
@@ -86,7 +86,7 @@ func TestGuardWatchdogLivelock(t *testing.T) {
 	k.Spawn("spin", func(p *Proc) {
 		for {
 			p.Send(p.ID(), nil, 0, p.Now())
-			p.FreeMessage(p.Recv(anyMsg))
+			p.FreeMessage(p.RecvSrcTag(Any, Any))
 		}
 	})
 	_, err = k.Run()
@@ -114,7 +114,7 @@ func TestGuardContextCancel(t *testing.T) {
 	k.Spawn("spin", func(p *Proc) {
 		for {
 			p.Send(p.ID(), nil, 0, p.Now()+1e-9)
-			p.FreeMessage(p.Recv(anyMsg))
+			p.FreeMessage(p.RecvSrcTag(Any, Any))
 		}
 	})
 	go func() {
@@ -131,31 +131,39 @@ func TestGuardContextCancel(t *testing.T) {
 	}
 }
 
-// TestGuardCheckAbortInHandler: a continuation handler computing without
-// a kernel call leaves through CheckAbort once the run is cancelled, and
-// ends as a blocking body does — torn down, not failed — on the inline
-// scheduler and behind the goroutine driver alike.
+// TestGuardCheckAbortInHandler: a handler computing without a kernel
+// call leaves through CheckAbort once the run is cancelled, and ends as a
+// blocked process does — torn down, not failed. So does a blocking body,
+// whose exit crosses from its own goroutine to its handler's.
 func TestGuardCheckAbortInHandler(t *testing.T) {
-	for _, force := range []bool{false, true} {
+	for _, body := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
-		k, err := NewKernel(Config{Workers: 1, ForceGoroutine: force, Limits: Limits{Ctx: ctx}})
+		k, err := NewKernel(Config{Workers: 1, Limits: Limits{Ctx: ctx}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.SpawnCont("spin", func(p *Proc, _ *Message) Cont {
+		spin := func(p *Proc) {
 			cancel()
 			for {
 				p.CheckAbort()
 				time.Sleep(time.Millisecond)
 			}
-		})
+		}
+		if body {
+			k.Spawn("spin", spin)
+		} else {
+			k.SpawnCont("spin", func(p *Proc, _ *Message) Cont {
+				spin(p)
+				return nil
+			})
+		}
 		res, err := k.Run()
 		var ae *AbortError
 		if !errors.As(err, &ae) || !strings.Contains(ae.Reason, "canceled") {
-			t.Fatalf("force=%v: err = %v, want a cancellation abort", force, err)
+			t.Fatalf("body=%v: err = %v, want a cancellation abort", body, err)
 		}
 		if res == nil || len(ae.States) != 1 || ae.States[0].State != "done" {
-			t.Fatalf("force=%v: result %v, wait states %+v", force, res, ae.States)
+			t.Fatalf("body=%v: result %v, wait states %+v", body, res, ae.States)
 		}
 	}
 }
@@ -191,7 +199,7 @@ func TestGuardAbortTeardownSleepers(t *testing.T) {
 	k.Spawn("spin", func(p *Proc) {
 		for {
 			p.Send(p.ID(), nil, 0, p.Now()+1e-9)
-			p.FreeMessage(p.Recv(anyMsg))
+			p.FreeMessage(p.RecvSrcTag(Any, Any))
 		}
 	})
 	_, err = k.Run()
@@ -211,7 +219,7 @@ func TestGuardPanicSnapshot(t *testing.T) {
 		panic("kaboom")
 	})
 	k.Spawn("waiter", func(p *Proc) {
-		p.FreeMessage(p.Recv(anyMsg)) // never satisfied: torn down
+		p.FreeMessage(p.RecvSrcTag(Any, Any)) // never satisfied: torn down
 	})
 	_, err = k.Run()
 	var pe *PanicError

@@ -1,12 +1,12 @@
 // Package sim is the discrete-event simulation kernel underlying the
-// MPI-Sim reproduction. It is process-oriented with two execution
-// styles: a classic process runs an arbitrary blocking body on a
-// (pooled) goroutine and interacts with simulated time through kernel
-// calls (Advance, Send, Recv, Sleep); a continuation process (SpawnCont)
-// runs resumable run-to-completion handlers inline on its worker's own
-// goroutine, arming waits (WaitRecv, WaitSleep) instead of blocking —
-// the path every target rank takes, scalable to 100k+ of them since it
-// needs no goroutine, no channel operations and no per-process stack.
+// MPI-Sim reproduction. It is process-oriented with one scheduler: a
+// process (SpawnCont) is a chain of resumable run-to-completion handlers
+// that run inline on its worker's own goroutine, interact with simulated
+// time through kernel calls (Advance, Send) and arm a wait (WaitRecv,
+// WaitSleep) instead of blocking — scalable to 100k+ target ranks since
+// a process needs no goroutine, no channel operation and no stack of its
+// own. Spawn, for tests and the benchmark harness, puts an arbitrary
+// blocking function behind one such handler (body.go).
 //
 // Two engines are provided, mirroring MPI-Sim's sequential and
 // conservative parallel simulation protocols:
@@ -20,23 +20,18 @@
 //     incurs at least Lookahead of network delay and therefore cannot be
 //     received inside the window it was sent in.
 //
-// Simulation results are bit-identical across engines, worker counts,
-// queue implementations and execution styles (continuation vs. forced
-// goroutine fallback); the kernel is deterministic by construction
+// Simulation results are bit-identical across engines, worker counts and
+// queue implementations; the kernel is deterministic by construction
 // (total event order (time, proc, seq), deterministic mailbox matching).
 //
 // The hot path is allocation-free in steady state: events are plain
 // values in per-worker slabs, messages are pooled (pool.go), per-process
-// hot state lives in one flat slot array (proc.go), and a classic wake
-// costs a single channel operation — the goroutine that yields runs the
-// worker's event loop itself and hands control directly to the next
-// process (zero channel operations when that process is itself, and none
-// at all for continuation processes).
+// hot state lives in one flat slot array (proc.go), and waking a process
+// is a function call from the worker's event loop.
 package sim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -90,12 +85,6 @@ type Config struct {
 	// Queue selects the pending-event queue implementation (default
 	// QueueQuaternary). Results are identical across kinds; see QueueKind.
 	Queue QueueKind
-	// ForceGoroutine runs continuation processes (SpawnCont) through the
-	// classic blocking-body goroutine path instead of inline continuation
-	// scheduling. Results are byte-identical by construction — the knob
-	// exists for the scheduler-equivalence tests and as an escape hatch;
-	// it does not affect classic processes.
-	ForceGoroutine bool
 	// Metrics, when non-nil, receives simulator-plane metrics (event
 	// throughput, pool hit rates, queue depth, scheduler counters, ...).
 	// Size its shard count to Workers; see internal/obs. Nil disables
@@ -152,33 +141,18 @@ func (r *Result) MaxProcTime(f func(ProcStats) Time) Time {
 	return m
 }
 
-// gworker is a pooled carrier goroutine for classic (blocking) process
-// bodies: instead of spawning a fresh goroutine per evStart, the worker
-// hands the process to a parked carrier over its buffered channel. The
-// stack stays warm across bodies and per-start allocation drops to zero
-// once the pool has grown to the worker's concurrency watermark.
-type gworker struct {
-	runq chan *Proc
-}
-
 // worker owns a partition of the processes and their pending events.
 type worker struct {
 	id     int
 	kernel *Kernel
 	queue  eventQueue
-	parked chan struct{} // window-completion signal to the driver
-	end    Time          // current window bound, written by the driver
-	outbox []event       // cross-worker sends buffered until the barrier
+	end    Time    // current window bound, written by the driver
+	outbox []event // cross-worker sends buffered until the barrier
 	// Pooled message free list (pool.go) and its bound, sized from this
-	// worker's share of the processes. Only touched by goroutines
-	// holding this worker's run token.
+	// worker's share of the processes. Only touched by the goroutine
+	// driving this worker's window.
 	freeMsgs []*Message
 	msgCap   int
-	// Pooled carrier goroutines for classic bodies. freeG holds parked
-	// carriers (LIFO: warmest stack first); allG tracks every carrier
-	// ever created so Run can retire them. Token-owned, like freeMsgs.
-	freeG []*gworker
-	allG  []*gworker
 	// Persistent window-driver channels, created only under
 	// RealParallel: the driver publishes each round's bound on winStart
 	// instead of spawning a goroutine per worker per window.
@@ -187,8 +161,8 @@ type worker struct {
 	events    int64
 	delivered int64
 	cross     int64
-	// contWaiting counts continuation processes of this worker parked in
-	// an armed wait — the "continuation queue" depth sampled by obs.
+	// contWaiting counts processes of this worker parked in an armed
+	// wait — the "continuation queue" depth sampled by obs.
 	contWaiting int64
 	// obs is nil unless Config.Metrics or Config.Tracer is set; every
 	// instrumentation hook gates on that nil check (obs.go).
@@ -205,11 +179,8 @@ type Kernel struct {
 	slots   []procSlot // flat per-process hot state, indexed by proc id
 	workers []*worker
 	started bool
-	// guard is non-nil when Config.Limits is active (guard.go); teardown
-	// is set by terminateBlocked so unblocked processes know a nil resume
-	// means "exit", not a wake.
-	guard    *kernelGuard
-	teardown bool
+	// guard is non-nil when Config.Limits is active (guard.go).
+	guard *kernelGuard
 	// kobs is the resolved metric-handle set (nil when observability is
 	// off); kept on the kernel for barrier-side hooks like the
 	// cross-worker batch-bytes counter.
@@ -228,23 +199,6 @@ func NewKernel(cfg Config) (*Kernel, error) {
 		return nil, fmt.Errorf("sim: parallel engine requires positive Lookahead")
 	}
 	return &Kernel{cfg: cfg}, nil
-}
-
-// Spawn registers a classic process with the given blocking body. All
-// processes must be spawned before Run. The returned process id equals
-// the spawn order. For the goroutine-free fast path, see SpawnCont.
-func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	if k.started {
-		panic("sim: Spawn after Run")
-	}
-	p := &Proc{
-		id:     len(k.procs),
-		name:   name,
-		kernel: k,
-		body:   body,
-	}
-	k.procs = append(k.procs, p)
-	return p
 }
 
 // NumProcs returns the number of spawned processes.
@@ -282,7 +236,6 @@ func (k *Kernel) Run() (*Result, error) {
 		k.workers[i] = &worker{
 			id:     i,
 			kernel: k,
-			parked: make(chan struct{}),
 			queue:  newEventQueue(k.cfg.Queue),
 		}
 	}
@@ -310,19 +263,14 @@ func (k *Kernel) Run() (*Result, error) {
 	k.kobs = k.setupObs()
 	k.setupGuard()
 	defer k.watchCtx()()
-	defer k.stopGWorkers()
 	for _, p := range k.procs {
-		switch {
-		case p.cont0 == nil:
-			// Classic body: blocks on its carrier goroutine.
-			p.resume = make(chan *Message)
-		case k.cfg.ForceGoroutine:
-			// Old-path semantics: drive the continuation chain with the
-			// blocking primitives on a carrier goroutine.
-			p.body = contDriver(p.cont0)
-			p.resume = make(chan *Message)
-		default:
-			p.slot.cont = p.cont0
+		p.slot.cont = p.cont0
+		if p.body != nil {
+			// Here and not in the handler, which may not start a goroutine.
+			go p.body.run(p)
+			if o := p.worker.obs; o != nil {
+				o.fallbacks++
+			}
 		}
 		p.worker.queue.push(event{t: 0, proc: p.id, seq: 0, kind: evStart, dst: p.id})
 	}
@@ -339,37 +287,6 @@ func (k *Kernel) Run() (*Result, error) {
 	// partial result's, on abort).
 	k.obsFinish(k.kobs, out)
 	return out, err
-}
-
-// stopGWorkers retires every pooled carrier goroutine. Run defers it
-// after finish: by then all carriers are parked on (or heading back to)
-// their run queues, and closing the queue ends their loop.
-func (k *Kernel) stopGWorkers() {
-	for _, w := range k.workers {
-		for _, g := range w.allG {
-			close(g.runq)
-		}
-		w.allG, w.freeG = nil, nil
-	}
-}
-
-// takeG pops a parked carrier goroutine, growing the pool on demand.
-// Called with the worker's run token held.
-func (w *worker) takeG() *gworker {
-	if n := len(w.freeG) - 1; n >= 0 {
-		g := w.freeG[n]
-		w.freeG[n] = nil
-		w.freeG = w.freeG[:n]
-		return g
-	}
-	g := &gworker{runq: make(chan *Proc, 1)}
-	w.allG = append(w.allG, g)
-	go func() {
-		for p := range g.runq {
-			p.run(g)
-		}
-	}()
-	return g
 }
 
 // runParallel executes conservative rounds until no events remain or the
@@ -578,7 +495,7 @@ func (k *Kernel) safeBounds() ([]Time, bool) {
 	return bounds, true
 }
 
-// finish validates terminal state, tears down blocked processes and
+// finish validates terminal state, retires blocked processes and
 // assembles the (possibly partial) result. On abort or deadlock the
 // wait-state dump is captured before teardown, so it reflects what every
 // process was doing when the run stopped.
@@ -620,7 +537,7 @@ func (k *Kernel) finish(res *Result) (*Result, error) {
 		res.Delivered += w.delivered
 		res.CrossWorker += w.cross
 	}
-	// A body panic is the most specific failure: report it over the
+	// A process panic is the most specific failure: report it over the
 	// generic abort, with the snapshot attached when the guard was live.
 	for _, p := range k.procs {
 		if p.err == nil {
@@ -637,36 +554,26 @@ func (k *Kernel) finish(res *Result) (*Result, error) {
 	return res, nil
 }
 
-// terminateBlocked unblocks stuck processes. Classic bodies are resumed
-// with a nil message so their goroutines can exit (they observe the
-// teardown and panic errTeardown, which run swallows); continuation
-// processes have no goroutine to unwind — their pending handler is
-// dropped and they are retired in place, with the same terminal state
-// the classic teardown produces. On a deadlock every queue is empty, so
-// each resumed goroutine's loop finds no work and parks immediately; on
-// a guard abort the queues may still hold events, but the abort flag
-// makes runLoop return without popping any, so the same invariant holds:
-// no event is touched after teardown.
+// terminateBlocked retires every process the run left short of its end:
+// the pending handler of a blocked one is dropped and the process is
+// done where it stands. Nothing pops an event after this — on a deadlock
+// every queue is empty, and after a guard abort runLoop has returned for
+// good. A blocking body (body.go) unwinds first, blocked or never
+// started, so that its deferred calls have run when Run returns.
 func (k *Kernel) terminateBlocked() {
-	k.teardown = true
 	for _, p := range k.procs {
 		s := p.slot
+		if p.body != nil && s.state != stDone {
+			p.body.unwind(p)
+		}
 		if s.state != stBlocked {
 			continue
 		}
-		if s.cont != nil {
-			s.cont = nil
-			s.matchMode, s.matchFn = matchNone, nil
-			s.state = stDone
-			s.stats.FinishTime = s.now
-			continue
-		}
-		w := p.worker
-		p.resume <- nil
-		<-w.parked
+		s.cont = nil
+		s.receiving = false
+		s.state = stDone
+		s.stats.FinishTime = s.now
 	}
-	// Let the scheduler retire the goroutines.
-	runtime.Gosched()
 }
 
 // sendOut routes a delivery event: same-worker events are inserted
@@ -682,56 +589,35 @@ func (w *worker) sendOut(e event) {
 	w.queue.push(e)
 }
 
-// loopStatus reports how a runLoop invocation ended.
-type loopStatus uint8
-
-const (
-	// loopWindowDone: no events below the window bound remain.
-	loopWindowDone loopStatus = iota
-	// loopHandoff: control was transferred to another process goroutine
-	// with a single channel send.
-	loopHandoff
-	// loopSelf: the next event wakes the very process whose goroutine is
-	// running the loop; it resumes with no channel operation at all.
-	loopSelf
-)
-
 // processWindow is the driver entry: it publishes the window bound, runs
-// the loop (following the token through process goroutines if control is
-// handed off) and, once the window is exhausted, sorts the outbox for
-// the barrier merge. Sorting here keeps it inside the worker's parallel
+// the loop and, once the window is exhausted, sorts the outbox for the
+// barrier merge. Sorting here keeps it inside the worker's parallel
 // section under RealParallel.
 func (w *worker) processWindow(end Time) {
 	w.end = end
-	if st, _ := w.runLoop(nil); st == loopHandoff {
-		<-w.parked
-	}
+	w.runLoop()
 	if len(w.outbox) > 1 {
 		slices.SortFunc(w.outbox, eventCmp)
 	}
 }
 
 // runLoop pops and handles events with time < w.end in (time, proc, seq)
-// order. self names the classic process whose goroutine is executing the
-// loop (nil when the worker driver runs it): the kernel is
-// process-oriented but the event loop is not tied to one goroutine —
-// whichever goroutine last yielded donates itself to the loop, so waking
-// the next classic process is a direct handoff costing one channel
-// operation instead of the seed's two (resume + park), and zero when the
-// next event resumes self. Continuation processes never take the token
-// at all: their handlers run inline right here (runCont) and the loop
-// continues to the next event.
-func (w *worker) runLoop(self *Proc) (loopStatus, *Message) {
+// order: a delivery that its process is not waiting for goes to the
+// mailbox, everything else resumes the process's handler chain inline
+// (runCont). It runs on the worker's driver goroutine from start to end,
+// and the only code of a caller's that it runs is a handler, inside
+// invokeCont's recover: matching is the kernel's own (source, tag)
+// compare, so nothing a caller wrote can panic in the loop itself.
+func (w *worker) runLoop() {
 	for {
-		// Guard abort: stop popping. This is also what makes teardown with
-		// non-empty queues safe — resumed goroutines park without touching
-		// another event.
+		// Guard abort: stop popping, for good — terminateBlocked relies on
+		// no event being touched after it.
 		if w.guard != nil && w.guard.g.abort.Load() {
-			return loopWindowDone, nil
+			return
 		}
 		top := w.queue.peek()
 		if top == nil || top.t >= w.end {
-			return loopWindowDone, nil
+			return
 		}
 		e := w.queue.pop()
 		w.events++
@@ -743,43 +629,15 @@ func (w *worker) runLoop(self *Proc) (loopStatus, *Message) {
 		if w.guard != nil {
 			w.guardTick(t, kind, e.proc, e.dst)
 		}
-		switch kind {
-		case evStart:
-			if q.slot.cont != nil {
-				w.runCont(q, nil)
-				continue
-			}
-			if w.obs != nil {
-				w.obs.fallbacks++
-			}
-			g := w.takeG()
-			g.runq <- q
-			return loopHandoff, nil
-		case evWake:
-			if q.slot.cont != nil {
-				w.runCont(q, nil)
-				continue
-			}
-			if q == self {
-				return loopSelf, nil
-			}
-			q.resume <- nil
-			return loopHandoff, nil
-		default: // evDeliver
-			w.delivered++
-			s := q.slot
-			if s.state == stBlocked && q.matches(m) {
-				w.batchSameTime(q, t)
-				if s.cont != nil {
-					w.runCont(q, m)
-					continue
-				}
-				if q == self {
-					return loopSelf, m
-				}
-				q.resume <- m
-				return loopHandoff, nil
-			}
+		if kind != evDeliver {
+			w.runCont(q, nil) // evStart, evWake
+			continue
+		}
+		w.delivered++
+		if s := q.slot; s.state == stBlocked && q.matches(m) {
+			w.batchSameTime(q, t)
+			w.runCont(q, m)
+		} else {
 			s.mailbox = append(s.mailbox, m)
 		}
 	}
@@ -787,7 +645,7 @@ func (w *worker) runLoop(self *Proc) (loopStatus, *Message) {
 
 // batchSameTime drains immediately-following deliveries to q that share
 // the wake timestamp into q's mailbox before q runs, saving a
-// block/handoff cycle per message on same-time fan-in. Only senders
+// block/resume cycle per message on same-time fan-in. Only senders
 // ordered at or before q's own position in the (time, proc, seq) order
 // are batched: q cannot schedule any event that would precede those, so
 // the processing order is exactly what the unbatched kernel would have

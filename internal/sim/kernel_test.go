@@ -24,8 +24,6 @@ func runKernel(t *testing.T, cfg Config, n int, body func(*Proc)) *Result {
 	return res
 }
 
-func anyMsg(*Message) bool { return true }
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewKernel(Config{Workers: 0}); err == nil {
 		t.Fatal("expected error for Workers=0")
@@ -102,14 +100,14 @@ func TestPingPong(t *testing.T) {
 	k.Spawn("sender", func(p *Proc) {
 		p.Advance(1e-3)
 		p.Send(1, "ping", 8, p.Now()+latency)
-		m := p.Recv(anyMsg)
+		m := p.RecvSrcTag(Any, Any)
 		if m.Payload != "pong" {
 			panic("wrong payload")
 		}
 		t0End = p.Now()
 	})
 	k.Spawn("receiver", func(p *Proc) {
-		m := p.Recv(anyMsg)
+		m := p.RecvSrcTag(Any, Any)
 		if m.Payload != "ping" {
 			panic("wrong payload")
 		}
@@ -147,7 +145,7 @@ func TestRecvBeforeSendBlocks(t *testing.T) {
 		p.Send(1, nil, 4, p.Now()+1)
 	})
 	k.Spawn("early-receiver", func(p *Proc) {
-		p.Recv(anyMsg)
+		p.RecvSrcTag(Any, Any)
 		if p.Now() != 6 {
 			panic("wrong completion time")
 		}
@@ -169,7 +167,7 @@ func TestRecvAfterArrivalDoesNotRewindClock(t *testing.T) {
 	k.Spawn("busy-receiver", func(p *Proc) {
 		p.Advance(10) // runs past the arrival time
 		p.Sleep(11)   // yield so the delivery is processed
-		p.Recv(anyMsg)
+		p.RecvSrcTag(Any, Any)
 		if p.Now() != 11 {
 			panic("clock rewound or advanced unexpectedly")
 		}
@@ -188,8 +186,8 @@ func TestDeterministicMatchOrder(t *testing.T) {
 	k.Spawn("s1", func(p *Proc) { p.Send(2, nil, 1, 5) })
 	k.Spawn("r", func(p *Proc) {
 		p.Sleep(6)
-		m1 := p.Recv(anyMsg)
-		m2 := p.Recv(anyMsg)
+		m1 := p.RecvSrcTag(Any, Any)
+		m2 := p.RecvSrcTag(Any, Any)
 		order = append(order, m1.From, m2.From)
 	})
 	if _, err := k.Run(); err != nil {
@@ -202,14 +200,15 @@ func TestDeterministicMatchOrder(t *testing.T) {
 
 func TestSelectiveMatch(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
+	const tagA, tagB = 1, 2
 	k.Spawn("s", func(p *Proc) {
-		p.Send(1, "a", 1, 1)
-		p.Send(1, "b", 1, 2)
+		p.SendTag(1, tagA, "a", 1, 1)
+		p.SendTag(1, tagB, "b", 1, 2)
 	})
 	k.Spawn("r", func(p *Proc) {
 		// Ask for "b" first even though "a" arrives earlier.
-		mb := p.Recv(func(m *Message) bool { return m.Payload == "b" })
-		ma := p.Recv(func(m *Message) bool { return m.Payload == "a" })
+		mb := p.RecvSrcTag(Any, tagB)
+		ma := p.RecvSrcTag(Any, tagA)
 		if mb.Payload != "b" || ma.Payload != "a" {
 			panic("wrong selective match")
 		}
@@ -222,28 +221,10 @@ func TestSelectiveMatch(t *testing.T) {
 	}
 }
 
-func TestHasMatch(t *testing.T) {
-	k, _ := NewKernel(Config{Workers: 1})
-	k.Spawn("s", func(p *Proc) { p.Send(1, "x", 1, 1) })
-	k.Spawn("r", func(p *Proc) {
-		if p.HasMatch(anyMsg) {
-			panic("premature match")
-		}
-		p.Sleep(2)
-		if !p.HasMatch(anyMsg) {
-			panic("expected match after arrival")
-		}
-		p.Recv(anyMsg)
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k, _ := NewKernel(Config{Workers: 1})
-	k.Spawn("a", func(p *Proc) { p.Recv(anyMsg) })
-	k.Spawn("b", func(p *Proc) { p.Recv(anyMsg) })
+	k.Spawn("a", func(p *Proc) { p.RecvSrcTag(Any, Any) })
+	k.Spawn("b", func(p *Proc) { p.RecvSrcTag(Any, Any) })
 	_, err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
@@ -297,7 +278,7 @@ func ringProgram(n, rounds int, latency Time) func(*Proc) {
 				p.Advance(Time(r.Float64()) * 1e-3)
 				p.Send(next, round, 8, p.Now()+latency)
 			}
-			m := p.Recv(anyMsg)
+			m := p.RecvSrcTag(Any, Any)
 			p.Advance(Time(r.Float64()) * 1e-3)
 			last := p.ID() == 0 && round == rounds-1
 			if !last {
@@ -388,7 +369,7 @@ func TestEngineEquivalenceRandom(t *testing.T) {
 					p.Send((p.ID()+2)%n, j, 64, p.Now()+lookahead+Time(r.Float64())*1e-4)
 				}
 				for j := 0; j < 10; j++ {
-					p.Recv(anyMsg)
+					p.RecvSrcTag(Any, Any)
 					p.Advance(Time(r.Float64()) * 1e-5)
 				}
 			})
@@ -424,7 +405,7 @@ func TestCrossWorkerAccounting(t *testing.T) {
 				p.Send(1, nil, 1, p.Now()+1e-5) // local
 			}
 			if p.ID() == 1 || p.ID() == 3 {
-				p.Recv(anyMsg)
+				p.RecvSrcTag(Any, Any)
 			}
 		})
 	}
@@ -453,7 +434,7 @@ func TestManyProcs(t *testing.T) {
 				p.Send(id+1, nil, 8, p.Now()+1e-6)
 			}
 			if id > 0 {
-				p.Recv(anyMsg)
+				p.RecvSrcTag(Any, Any)
 			}
 			p.Advance(1e-6)
 		})
@@ -501,7 +482,7 @@ func TestProtocolString(t *testing.T) {
 func pipelineProgram(n int, compute Time, latency Time) func(*Proc) {
 	return func(p *Proc) {
 		if p.ID() > 0 {
-			p.Recv(anyMsg)
+			p.RecvSrcTag(Any, Any)
 		}
 		p.Advance(compute)
 		if p.ID()+1 < n {
@@ -562,9 +543,9 @@ func TestNullMessageFewerRoundsOnLocalTraffic(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					if p.ID()%2 == 0 {
 						p.Send(peer, nil, 8, p.Now()+latency)
-						p.Recv(anyMsg)
+						p.RecvSrcTag(Any, Any)
 					} else {
-						p.Recv(anyMsg)
+						p.RecvSrcTag(Any, Any)
 						p.Send(peer, nil, 8, p.Now()+latency)
 					}
 				}
@@ -606,7 +587,7 @@ func TestNullMessageRandomEquivalence(t *testing.T) {
 					p.Send((p.ID()+3)%n, j, 64, p.Now()+1e-6+Time(r.Float64())*1e-4)
 				}
 				for j := 0; j < 10; j++ {
-					p.Recv(anyMsg)
+					p.RecvSrcTag(Any, Any)
 					p.Advance(Time(r.Float64()) * 1e-5)
 				}
 			})
@@ -674,29 +655,32 @@ func TestEventQueueOrderQuick(t *testing.T) {
 }
 
 func TestSleepInterleavesWithDeliveries(t *testing.T) {
-	// A sleeping proc must wake at the right time relative to deliveries.
+	// A sleeping proc must wake at the right time relative to deliveries:
+	// after Sleep(5) the early message has arrived and costs no time, the
+	// late one has not and moves the clock to its arrival.
 	k, _ := NewKernel(Config{Workers: 1})
-	var order []string
+	var got []string
+	var at []Time
 	k.Spawn("sender", func(p *Proc) {
 		p.Send(1, "early", 1, 2)
 		p.Send(1, "late", 1, 7)
 	})
 	k.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(5)
-		if p.HasMatch(func(m *Message) bool { return m.Payload == "early" }) {
-			order = append(order, "early-present")
+		for i := 0; i < 2; i++ {
+			got = append(got, p.RecvSrcTag(Any, Any).Payload.(string))
+			at = append(at, p.Now())
 		}
-		if p.HasMatch(func(m *Message) bool { return m.Payload == "late" }) {
-			order = append(order, "late-present")
-		}
-		p.Recv(anyMsg)
-		p.Recv(anyMsg)
 	})
-	if _, err := k.Run(); err != nil {
+	res, err := k.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 1 || order[0] != "early-present" {
-		t.Fatalf("order = %v", order)
+	if len(got) != 2 || got[0] != "early" || at[0] != 5 || got[1] != "late" || at[1] != 7 {
+		t.Fatalf("received %v at %v, want [early late] at [5 7]", got, at)
+	}
+	if res.Procs[1].BlockedTime != 2 {
+		t.Fatalf("BlockedTime = %v, want 2 (the late message only)", res.Procs[1].BlockedTime)
 	}
 }
 

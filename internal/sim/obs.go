@@ -54,8 +54,8 @@ type kernelObs struct {
 	mailboxScanned *obs.Counter
 	wakeBatched    *obs.Counter
 
-	// Scheduler counters (cont.go): handler invocations, classic-path
-	// starts that needed a carrier goroutine, and the bytes shipped across
+	// Scheduler counters: handler invocations (cont.go), processes that
+	// Run started a goroutine for (Spawn), and the bytes shipped across
 	// workers in barrier batches (counted in mergeOutboxes).
 	conts       *obs.Counter
 	fallbacks   *obs.Counter
@@ -68,7 +68,7 @@ type kernelObs struct {
 }
 
 // workerObs is the per-worker accumulator state. All fields are owned
-// by the goroutine holding the worker's run token, like the free lists.
+// by the goroutine driving the worker's window, like the free lists.
 type workerObs struct {
 	k         *kernelObs
 	countdown int
@@ -133,7 +133,7 @@ func (k *Kernel) setupObs() *kernelObs {
 		wakeBatched:    reg.Counter("sim_wake_batched_total", "same-time deliveries batched without a wake"),
 
 		conts:       reg.Counter("sim_continuations_total", "continuation handlers invoked inline on worker goroutines"),
-		fallbacks:   reg.Counter("sim_goroutine_fallbacks_total", "process starts that required a carrier goroutine (classic blocking bodies)"),
+		fallbacks:   reg.Counter("sim_goroutine_fallbacks_total", "processes that needed a goroutine of their own (Spawn)"),
 		xbatchBytes: reg.Counter("sim_xworker_batch_bytes", "event bytes shipped across workers in barrier batches"),
 
 		queueDepth:     reg.Gauge("sim_queue_depth", "pending-event queue depth, sampled per worker"),
@@ -171,7 +171,7 @@ func (w *worker) obsTick(now Time) {
 
 // obsSample flushes the worker's accumulators into the sharded metrics
 // and emits the sampled simulator-plane tracer tracks. Called from the
-// goroutine holding the worker's run token; shard index is the worker
+// goroutine driving the worker's window; shard index is the worker
 // id, preserving the single-writer histogram discipline.
 func (w *worker) obsSample(now Time) {
 	o := w.obs

@@ -42,13 +42,14 @@ func TestObsTotalsMatchResult(t *testing.T) {
 	if allocs != res.Delivered {
 		t.Errorf("message pool hits+misses = %d, want %d delivered", allocs, res.Delivered)
 	}
-	// The ring bodies are classic blocking procs: every start is a
-	// goroutine fallback, and no continuation handlers run.
+	// The ring processes are blocking bodies: Run starts a goroutine for
+	// each, and its handler runs once for the start and once for every
+	// message the body receives.
 	if got["sim_goroutine_fallbacks_total"] != 8 {
 		t.Errorf("sim_goroutine_fallbacks_total = %d, want 8", got["sim_goroutine_fallbacks_total"])
 	}
-	if got["sim_continuations_total"] != 0 {
-		t.Errorf("sim_continuations_total = %d, want 0", got["sim_continuations_total"])
+	if want := 8 + res.Delivered; got["sim_continuations_total"] != want {
+		t.Errorf("sim_continuations_total = %d, want %d", got["sim_continuations_total"], want)
 	}
 	// Cross-worker traffic went through barrier batches: the byte counter
 	// must account for exactly the cross-worker events.
@@ -91,7 +92,7 @@ func TestObsTracerEmitsSimulatorPlane(t *testing.T) {
 			// (the wallclock-rate track needs a previous sample).
 			for r := 0; r < 400; r++ {
 				p.Send((id+1)%n, nil, 8, p.Now()+1e-6)
-				p.Recv(anyMsg)
+				p.RecvSrcTag(Any, Any)
 				p.Advance(1e-7)
 			}
 		})

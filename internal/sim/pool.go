@@ -8,16 +8,15 @@ import "sync"
 //
 // Ownership rules (see also DESIGN.md "Kernel performance"):
 //
-//   - messages are allocated by Send and handed to the receiver by Recv.
-//     The receiver owns the message from then on and MAY return it with
-//     FreeMessage once it is done with every field (including Payload);
-//     freeing is optional — unfreed messages fall to the garbage
-//     collector — and freeing twice panics.
+//   - messages are allocated by Send and handed to the receiver by the
+//     receive it armed. The receiver owns the message from then on and
+//     MAY return it with FreeMessage once it is done with every field
+//     (including Payload); freeing is optional — unfreed messages fall to
+//     the garbage collector — and freeing twice panics.
 //
 // Each worker keeps a private free list, sized from its share of the
-// spawned processes at Run (see Kernel.Run). It is only touched by
-// goroutines holding that worker's run token (the driver or the single
-// running process), so no locking is needed; the shared sync.Pool
+// spawned processes at Run (see Kernel.Run). It is only touched from
+// that worker's event loop, so no locking is needed; the shared sync.Pool
 // backstops it, absorbing cross-worker and cross-window imbalance and
 // letting idle windows shed memory under GC pressure.
 

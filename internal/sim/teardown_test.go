@@ -9,11 +9,12 @@ import (
 // really-parallel engine: workers run on separate goroutines, several
 // processes deadlock in Recv (some with pooled messages sitting
 // unmatched in their mailboxes), and the kernel must report the
-// deadlock, unwind every blocked goroutine, and leave the shared pools
+// deadlock, unwind every blocked body, and leave the shared pools
 // consistent (the live guards in pool.go panic on any double-free).
 // Run with -race.
 func TestDeadlockTeardownParallel(t *testing.T) {
 	const n = 12
+	const neverSent = 99 // a tag no process sends
 	build := func() (*Result, error) {
 		k, err := NewKernel(Config{Workers: 4, Lookahead: 1e-6, RealParallel: true, Protocol: ProtocolWindow})
 		if err != nil {
@@ -27,12 +28,12 @@ func TestDeadlockTeardownParallel(t *testing.T) {
 					// blocks forever: the delivery lands in a mailbox and must
 					// not be double-freed at teardown.
 					p.Send((p.ID()+1)%n, "orphan", 8, p.Now()+1e-6)
-					p.Recv(func(m *Message) bool { return false })
+					p.RecvSrcTag(Any, neverSent)
 				case p.ID()%3 == 1:
 					// Receives one message (recycling it), then deadlocks.
 					m := p.RecvSrcTag(Any, Any)
 					p.FreeMessage(m)
-					p.Recv(func(m *Message) bool { return false })
+					p.RecvSrcTag(Any, neverSent)
 				default:
 					// Completes normally after some local work.
 					p.Advance(1e-3)
@@ -86,7 +87,7 @@ func TestMessageDoubleFreePanics(t *testing.T) {
 	k.Spawn("r", func(p *Proc) {
 		m := p.RecvSrcTag(Any, Any)
 		p.FreeMessage(m)
-		p.FreeMessage(m) // must panic; captured by run() as a proc error
+		p.FreeMessage(m) // must panic; recorded as the process's error
 	})
 	_, err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "double-free") {

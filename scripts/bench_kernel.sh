@@ -18,8 +18,8 @@
 # different process on a different day, and best-of-3 samples of
 # identical code have been observed ±20% apart across sessions on this
 # shared host — the cross-session gate is for order-of-magnitude
-# collapses (the goroutine-per-process kernel was 3-5x off), while tight
-# overhead bounds live in ci.sh's within-run pair gates.
+# collapses (a 3-5x drop), while tight overhead bounds live in ci.sh's
+# within-run pair gates.
 #
 # The procs=65536 rows are env-gated behind MPISIM_BENCH_LARGE (they need
 # ~1 GiB and tens of seconds). Record mode always sets it so the baseline

@@ -6,12 +6,15 @@
 #      include the CLI golden corpus (cmd/mpisim/testdata/golden) and the
 #      front-door equivalence rows of internal/svc's TestCachedVsFresh
 #   3. go vet
-#   4. race detector over the concurrent packages (sim kernel, MPI
-#      layer, observability registry, kernel core, interpreter)
+#   4. race detector over the concurrent packages (sim kernel — the
+#      blocking-body adapter's contract test, body_test.go, included —
+#      MPI layer, observability registry, kernel core, interpreter)
 #   5. simvet self-check: the simulator's own static-analysis suite
 #      (contsafe, detpure, slabref, msgown) — unit + golden corpus
 #      tests for the analyzers, then the suite over ./... with zero
-#      non-suppressed diagnostics required and a per-rule count summary
+#      non-suppressed diagnostics required and a per-rule count summary;
+#      and one scheduler: the names of the carrier-goroutine path may
+#      not reappear in a non-test .go file
 #   6. mpicheck over every registered app and every examples/programs/*.ir
 #   7. golden trace-export tests (Chrome trace_event + JSONL formats)
 #   8. observability overhead gate: the kernel with a disabled metrics
@@ -29,10 +32,11 @@
 #      it: mpisim -tracein of that run's recorded trace, parse included,
 #      may take at most 1.5x the default run's wall; and the interpreter's:
 #      mpisim -app sweep3d -mode de -ranks 256 may take at most 3x the
-#      wall of -mode am -ranks 1024; every rank of a prediction runs as a
-#      continuation: mpisim -metrics for sweep3d -mode am, -mode de and
-#      -tracein must report sim_goroutine_fallbacks_total 0 and
-#      sim_continuations_total == sim_events_total; and the whole stack
+#      wall of -mode am -ranks 1024; every rank of a prediction is a
+#      handler chain and no body goroutine is started: mpisim -metrics for
+#      sweep3d -mode am, -mode de and -tracein must report
+#      sim_goroutine_fallbacks_total 0 and sim_continuations_total ==
+#      sim_events_total; and the whole stack
 #      over the kernel: -mode am -ranks 16384 -nocheck must reach a
 #      fifth of BenchmarkKernelSequential/procs=16384's events/sec,
 #      best of five alternating runs each; under MPISIM_BENCH_LARGE, the
@@ -131,6 +135,13 @@ awk -F'simvet/' '/simvet\//{split($2, a, ":"); n[a[1]]++}
 if [ "$simvet_status" -ne 0 ]; then
     cat "$simvet_out" >&2
     echo "simvet: non-suppressed diagnostics (see above)" >&2
+    exit 1
+fi
+# One scheduler (ISSUE 21): the kernel runs handlers only, and a blocking
+# body is an adapter over them (internal/sim/body.go). The second path
+# must not come back by accretion.
+if grep -rnE 'ForceGoroutine|contDriver|gworker|loopHandoff' --include='*.go' --exclude='*_test.go' .; then
+    echo "one scheduler: a name of the carrier-goroutine path is back in non-test code (see above)" >&2
     exit 1
 fi
 echo "simvet: 0 non-suppressed diagnostics ($("$bin/simvet" -listrules | awk '/^  /{n++} END{print n}') rules)"
@@ -257,9 +268,10 @@ if [ "$de" -gt $(( am * 3 )) ]; then
     exit 1
 fi
 
-# Every rank of a prediction is a continuation process, through each
-# front door: no carrier goroutine is started, and every kernel event
-# resumes a handler. (-metrics prints the run's own counters.)
+# Every rank of a prediction is a handler chain, through each front
+# door: no body goroutine is started (Kernel.Spawn is for tests and the
+# harness), and every kernel event resumes a handler. (-metrics prints
+# the run's own counters.)
 "$bin/mpisim" -app sweep3d -mode am -ranks 64 -nocheck -record "$bin/sweep64.jsonl" >/dev/null
 for door in "-app sweep3d -mode am -ranks 64" "-app sweep3d -mode de -ranks 64" "-tracein $bin/sweep64.jsonl"; do
     # shellcheck disable=SC2086 # $door is a flag list
@@ -270,7 +282,7 @@ for door in "-app sweep3d -mode am -ranks 64" "-app sweep3d -mode de -ranks 64" 
         END {
             printf "rank scheduling (%s): %d events, %d continuations, %d goroutine fallbacks\n", door, events, conts, fb
             if (seen != 3 || fb != 0 || conts != events || events == 0) {
-                print "rank scheduling: a rank ran on a carrier goroutine, or an event resumed no handler" > "/dev/stderr"
+                print "rank scheduling: a body goroutine was started, or an event resumed no handler" > "/dev/stderr"
                 exit 1
             }
         }'
@@ -281,9 +293,9 @@ rm -f "$bin/sweep64.jsonl"
 # AM prediction of 16,384 ranks — interpreter, MPI layer, kernel, report,
 # process start included — must process events at a fifth of the rate
 # the bare kernel benches at the same process count. Best of five each,
-# alternating, so a loaded host slows both sides. Measured 0.25-0.28 with
-# ranks as continuations (seven runs of this stage), 0.13-0.17 while each
-# rank was a blocking body on a carrier goroutine: a fifth sits 20% under
+# alternating, so a loaded host slows both sides. Measured 0.25-0.28
+# (seven runs of this stage), and 0.13-0.17 before PR 19, when a rank was
+# a blocking function on a goroutine of its own: a fifth sits 20% under
 # the one and 15% over the other. A quarter, which ISSUE 19 asked for, is
 # the measured level itself and would flake.
 e2e=0

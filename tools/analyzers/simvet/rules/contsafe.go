@@ -12,13 +12,13 @@ import (
 // scheduler's run-to-completion contract (cont.go):
 //
 //   - contarm: a handler returning a non-nil next continuation must arm
-//     exactly one wait (WaitRecv/WaitRecvFn/WaitSleep) on every path to
+//     exactly one wait (WaitRecv/WaitSleep) on every path to
 //     that return; arming and then returning nil silently discards the
 //     arm and is reported too.
 //   - contblock: handlers run inline on the worker's event-loop
 //     goroutine and must never call the blocking *Proc primitives
-//     (Recv, RecvSrcTag, Sleep) — the runtime panics, this reports it
-//     at build time.
+//     (RecvSrcTag, Sleep) — the runtime panics, this reports it at
+//     build time.
 //   - contspawn: no goroutine may be spawned from a handler; worker
 //     state (slabs, free lists, slots) is single-token-owned.
 //   - contretain: the *Message argument is only valid during the
@@ -33,11 +33,11 @@ import (
 // times), and each return is judged against the state reaching it.
 
 // waitCalls are the arming primitives.
-var waitCalls = map[string]bool{"WaitRecv": true, "WaitRecvFn": true, "WaitSleep": true}
+var waitCalls = map[string]bool{"WaitRecv": true, "WaitSleep": true}
 
-// blockingCalls are the classic blocking primitives a handler must not
+// blockingCalls are the blocking primitives (body.go) a handler must not
 // invoke.
-var blockingCalls = map[string]bool{"Recv": true, "RecvSrcTag": true, "Sleep": true}
+var blockingCalls = map[string]bool{"RecvSrcTag": true, "Sleep": true}
 
 // ContSafe returns the continuation-handler analyzer.
 func ContSafe() vetcore.Analyzer {
@@ -72,8 +72,7 @@ func runContSafe(pass *vetcore.Pass) []vetcore.Diagnostic {
 // isHandlerSig reports whether t is the continuation handler shape:
 // func(*sim.Proc, *sim.Message) sim.Cont. Matching the full signature
 // (not just the Cont result) keeps non-handler helpers that merely
-// produce continuations — like the contDriver trampoline's func() Cont
-// — out of scope.
+// produce continuations (a func() Cont, say) out of scope.
 func isHandlerSig(t types.Type) bool {
 	if t == nil {
 		return false
@@ -109,7 +108,7 @@ func checkHandler(pass *vetcore.Pass, ftyp *ast.FuncType, body *ast.BlockStmt) [
 		case *ast.CallExpr:
 			if name := calleeName(x); blockingCalls[name] && isProcMethod(pass.Info, x) {
 				out = append(out, pass.Diag(x.Pos(), "contblock",
-					"blocking call %s inside a continuation handler; arm WaitRecv/WaitRecvFn/WaitSleep and return the next handler instead", name))
+					"blocking call %s inside a continuation handler; arm WaitRecv/WaitSleep and return the next handler instead", name))
 			}
 		}
 		return true
@@ -339,7 +338,7 @@ func judgeReturn(pass *vetcore.Pass, ret *ast.ReturnStmt, st armState, out *[]ve
 	switch {
 	case st.max == 0:
 		*out = append(*out, pass.Diag(ret.Pos(), "contarm",
-			"handler returns a continuation without arming a wait (arm exactly one WaitRecv/WaitRecvFn/WaitSleep before returning)"))
+			"handler returns a continuation without arming a wait (arm exactly one WaitRecv/WaitSleep before returning)"))
 	case st.min == 0:
 		*out = append(*out, pass.Diag(ret.Pos(), "contarm",
 			"handler may return a continuation without arming a wait on some path (arm exactly one wait on every non-nil return path)"))

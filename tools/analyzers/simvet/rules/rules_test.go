@@ -120,7 +120,7 @@ func bad(p *Proc, m *Message) int64 {
 func TestMsgOwnLoopCarriedDoubleFree(t *testing.T) {
 	diags := analyzeBody(t, `
 func bad(p *Proc, n int) {
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	for i := 0; i < n; i++ {
 		p.FreeMessage(m)
 	}
@@ -136,7 +136,7 @@ func TestMsgOwnLoopBackwardUse(t *testing.T) {
 	diags := analyzeBody(t, `
 func bad(p *Proc, n int) int64 {
 	var total int64
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	for i := 0; i < n; i++ {
 		total += m.Size
 		p.FreeMessage(m)
@@ -159,7 +159,7 @@ func TestMsgOwnLoopFreshReceiveClean(t *testing.T) {
 func good(p *Proc, n int) int64 {
 	var total int64
 	for i := 0; i < n; i++ {
-		m := p.Recv()
+		m := p.RecvSrcTag(0, 1)
 		total += m.Size
 		p.FreeMessage(m)
 	}
@@ -182,7 +182,7 @@ func h(p *Proc, m *Message) Cont {
 func TestContSafeTwoArms(t *testing.T) {
 	wantRules(t, analyzeBody(t, `
 func h(p *Proc, m *Message) Cont {
-	p.WaitRecv()
+	p.WaitRecv(0, 0)
 	p.WaitSleep(1)
 	return h
 }
@@ -193,7 +193,7 @@ func TestContSafeMayNotArm(t *testing.T) {
 	diags := analyzeBody(t, `
 func h(p *Proc, m *Message) Cont {
 	if m.Size > 0 {
-		p.WaitRecv()
+		p.WaitRecv(0, 0)
 	}
 	return h
 }
@@ -220,7 +220,7 @@ func h(p *Proc, m *Message) Cont {
 		return nil
 	}
 	p.FreeMessage(m)
-	p.WaitRecv()
+	p.WaitRecv(0, 0)
 	return h
 }
 `))
@@ -236,7 +236,7 @@ func make1(tag int) Cont {
 
 func h1(p *Proc, m *Message) Cont {
 	p.FreeMessage(m)
-	p.WaitRecv()
+	p.WaitRecv(0, 0)
 	return h1
 }
 `))
@@ -385,7 +385,7 @@ func bad(p *Proc, m *Message) int64 {
 func TestStrictAllowReportsStale(t *testing.T) {
 	src := `
 func good(p *Proc) {
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	p.FreeMessage(m) //simvet:allow msgown nothing to suppress here
 }
 `
@@ -400,7 +400,7 @@ func good(p *Proc) {
 func TestStrictAllowReportsUnknownRule(t *testing.T) {
 	diags := analyzeBodyOpts(t, vetcore.Options{StrictAllow: true}, `
 func good(p *Proc) {
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	p.FreeMessage(m) //simvet:allow nosuchrule typo in the rule name
 }
 `)

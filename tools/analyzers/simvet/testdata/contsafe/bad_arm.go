@@ -10,7 +10,7 @@ func noArm(p *Proc, m *Message) Cont {
 // twoArms arms twice before returning; the kernel allows one pending
 // wait per process.
 func twoArms(p *Proc, m *Message) Cont {
-	p.WaitRecv()
+	p.WaitRecv(0, 0)
 	p.WaitSleep(10)
 	return twoArms
 }
@@ -19,7 +19,7 @@ func twoArms(p *Proc, m *Message) Cont {
 // continuation.
 func maybeArm(p *Proc, m *Message) Cont {
 	if m.Size > 0 {
-		p.WaitRecv()
+		p.WaitRecv(0, 0)
 	}
 	return maybeArm
 }
@@ -34,7 +34,7 @@ func armThenNil(p *Proc, m *Message) Cont {
 // armer arms on behalf of a handler.
 type armer struct{ self Cont }
 
-func (a *armer) arm(p *Proc) { p.WaitRecv() }
+func (a *armer) arm(p *Proc) { p.WaitRecv(0, 0) }
 
 // armThroughCallee leaves the arming to a helper: the handler itself
 // shows no wait on its return path, and the next edit to the helper can

@@ -6,6 +6,6 @@ func spawns(p *Proc, m *Message) Cont {
 	go func() {
 		_ = p.rank
 	}()
-	p.WaitRecv()
+	p.WaitRecv(0, 0)
 	return spawns
 }

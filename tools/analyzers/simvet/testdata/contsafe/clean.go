@@ -11,7 +11,7 @@ func pingpong(p *Proc, m *Message) Cont {
 	p.FreeMessage(m)
 	if size > 0 {
 		p.SendTag(from, 0, size)
-		p.WaitRecv()
+		p.WaitRecv(0, 0)
 		return pingpong
 	}
 	return nil
@@ -21,9 +21,9 @@ func pingpong(p *Proc, m *Message) Cont {
 func dispatch(p *Proc, m *Message) Cont {
 	switch m.Tag {
 	case 0:
-		p.WaitRecv()
+		p.WaitRecv(0, 0)
 	case 1:
-		p.WaitRecvFn(m.From, 1)
+		p.WaitRecv(m.From, 1)
 	default:
 		p.WaitSleep(1)
 	}
@@ -35,7 +35,7 @@ func dispatch(p *Proc, m *Message) Cont {
 func makeHandler(tag int) Cont {
 	return func(p *Proc, m *Message) Cont {
 		p.FreeMessage(m)
-		p.WaitRecvFn(0, tag)
+		p.WaitRecv(0, tag)
 		return dispatch
 	}
 }
@@ -72,6 +72,6 @@ func (d *rankDriver) handle(p *Proc, m *Message) (next Cont) {
 			return nil
 		}
 	}
-	p.WaitRecvFn(d.src, d.tag)
+	p.WaitRecv(d.src, d.tag)
 	return d.self
 }

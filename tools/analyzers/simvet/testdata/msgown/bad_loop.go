@@ -5,7 +5,7 @@ package sim
 // shape is exactly the flow-insensitivity gap the standalone msgown
 // documented; the loop-aware engine closes it.
 func loopDoubleFree(p *Proc, n int) {
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	for i := 0; i < n; i++ {
 		p.FreeMessage(m)
 	}
@@ -15,7 +15,7 @@ func loopDoubleFree(p *Proc, n int) {
 // it.
 func loopReadStale(p *Proc, n int) int64 {
 	var total int64
-	m := p.Recv()
+	m := p.RecvSrcTag(0, 1)
 	for i := 0; i < n; i++ {
 		total += m.Size
 		p.FreeMessage(m)

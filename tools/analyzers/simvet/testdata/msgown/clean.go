@@ -23,7 +23,7 @@ func reassigned(p *Proc) int64 {
 func loopFresh(p *Proc, n int) int64 {
 	var total int64
 	for i := 0; i < n; i++ {
-		m := p.Recv()
+		m := p.RecvSrcTag(0, 1)
 		total += m.Size
 		p.FreeMessage(m)
 	}

@@ -32,11 +32,9 @@ func (p *Proc) SendTagFault(to, tag int, payload interface{}, size int64) {}
 func (p *Proc) SendVia(path []int, payload interface{})                   {}
 func (p *Proc) Forward(m *Message, to, tag int)                           {}
 func (p *Proc) FreeMessage(m *Message)                                    {}
-func (p *Proc) Recv() *Message                                            { return nil }
 func (p *Proc) RecvSrcTag(src, tag int) *Message                          { return nil }
 func (p *Proc) Sleep(d Time)                                              {}
-func (p *Proc) WaitRecv()                                                 {}
-func (p *Proc) WaitRecvFn(src, tag int)                                   {}
+func (p *Proc) WaitRecv(src, tag int)                                     {}
 func (p *Proc) WaitSleep(d Time)                                          {}
 
 // event mirrors the plain-value slab event.
