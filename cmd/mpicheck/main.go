@@ -135,8 +135,8 @@ func run() int {
 			fmt.Println(string(raw))
 		} else {
 			fmt.Print(res.Text(min))
-			fmt.Printf("%s: %d error(s), %d warning(s) at %d ranks\n",
-				res.Program, res.Errors(), res.Warnings(), res.Ranks)
+			fmt.Printf("%s: %d error(s), %d warning(s) at %d ranks in %d classes\n",
+				res.Program, res.Errors(), res.Warnings(), res.Ranks, res.Classes)
 		}
 		if res.HasErrors() {
 			exit = 1

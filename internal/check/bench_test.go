@@ -15,10 +15,12 @@ var sinkResult *Result
 // compile, per-rank evaluation, all passes — on the three paper apps at
 // the rank counts a prediction is checked at. Time per rank should stay
 // flat from 1024 to 16384 (the passes are linear in total ops); the
-// 16384 rows run only with MPISIM_BENCH_LARGE set.
+// 16384 rows run only with MPISIM_BENCH_LARGE set. The 16- and 64-rank
+// rows sit either side of classMinRanks: the first is what rank classes
+// must not tax, the second the smallest run they have to pay at.
 func BenchmarkCheckRun(b *testing.B) {
 	for _, name := range []string{"sweep3d", "nassp", "tomcatv"} {
-		for _, ranks := range []int{1024, 4096, 16384} {
+		for _, ranks := range []int{16, 64, 1024, 4096, 16384} {
 			b.Run(fmt.Sprintf("%s/%d", name, ranks), func(b *testing.B) {
 				if ranks > 4096 && os.Getenv("MPISIM_BENCH_LARGE") == "" {
 					b.Skip("set MPISIM_BENCH_LARGE=1 for the 16384-rank rows")

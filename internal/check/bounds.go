@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"sort"
 
 	"mpisim/internal/ir"
@@ -174,16 +175,22 @@ func (pr *prover) disproveNonNeg(margin ir.Expr) (bool, []int) {
 		}
 		return false, nil
 	}
-	// Rank-dependent: decide per rank.
+	// Rank-dependent: decide per rank, by evaluation when myid is the only
+	// variable left; the fold (a tree rebuilt per rank) otherwise.
 	var witnesses []int
 	env := symexpr.Env{}
+	onlyMyID := slices.Equal(symexpr.Vars(sym), []string{ir.BuiltinMyID})
 	for r := 0; r < pr.ctx.Ranks; r++ {
 		env[ir.BuiltinMyID] = float64(r)
-		c, ok := symexpr.Simplify(symexpr.FoldEnv(sym, env)).(symexpr.Const)
-		if !ok {
-			return false, nil // inconclusive for some rank: stay silent
+		v, err := sym.Eval(env)
+		if !onlyMyID || err != nil {
+			c, ok := symexpr.Simplify(symexpr.FoldEnv(sym, env)).(symexpr.Const)
+			if !ok {
+				return false, nil // inconclusive for some rank: stay silent
+			}
+			v = c.Value
 		}
-		if c.Value < 0 {
+		if v < 0 {
 			witnesses = append(witnesses, r)
 			if len(witnesses) >= 4 {
 				break

@@ -188,7 +188,7 @@ type Context struct {
 	// plan is the program compiled for the trace evaluator, traces the
 	// arena of abstract per-rank communication traces; both are nil
 	// unless an enabled pass consumes traces. evals counts the ranks the
-	// evaluator ran.
+	// evaluator ran: one per rank class (Result.Classes).
 	plan   *plan
 	traces *traces
 	evals  int
@@ -217,6 +217,9 @@ type Result struct {
 	Program string       `json:"program"`
 	Ranks   int          `json:"ranks"`
 	Diags   []Diagnostic `json:"diagnostics"`
+	// Classes is how many ranks were abstractly executed, each other one
+	// taking the trace of one of those; 0 when no pass read traces.
+	Classes int `json:"-"`
 }
 
 // Errors counts error-severity findings.
@@ -258,13 +261,14 @@ func (r *Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ")
 // bad options); findings about a structurally valid program are returned
 // as diagnostics, not errors.
 func Run(p *ir.Program, opts Options) (*Result, error) {
-	res, _, err := run(p, opts)
+	res, _, err := run(p, opts, classMinRanks)
 	return res, err
 }
 
 // run is Run, also returning the pass context (nil for a structurally
-// invalid program) for tests of the verifier's own cost.
-func run(p *ir.Program, opts Options) (*Result, *Context, error) {
+// invalid program) for tests of the verifier's own cost, which hold
+// rank classes (classFrom 0) to per-rank evaluation (classFrom perRank).
+func run(p *ir.Program, opts Options, classFrom int) (*Result, *Context, error) {
 	if p == nil {
 		return nil, nil, fmt.Errorf("check: nil program")
 	}
@@ -310,12 +314,13 @@ func run(p *ir.Program, opts Options) (*Result, *Context, error) {
 	for _, pass := range passes {
 		if pass.Traces && ctx.traces == nil {
 			ctx.plan = compilePlan(ctx)
-			ctx.traces = buildTraces(ctx)
+			ctx.traces = buildTraces(ctx, classFrom)
 			res.Diags = append(res.Diags, ctx.traces.notes...)
 		}
 		res.Diags = append(res.Diags, pass.Run(ctx)...)
 	}
 	res.Diags = dedupe(res.Diags)
+	res.Classes = ctx.evals
 	return res, ctx, nil
 }
 

@@ -104,3 +104,35 @@ func TestEdgeDataDependentCollective(t *testing.T) {
 		t.Errorf("expected a data-dependent collective warning, got:\n%s", res.Text(Info))
 	}
 }
+
+// A peer or broadcast root that evaluates to NaN or an infinity is as
+// data-dependent as an unknown one: clamping passes NaN through and what
+// int32(NaN) yields depends on the platform (a valid rank 0 on arm64).
+func TestEdgeNonFinitePeerIsDataDependent(t *testing.T) {
+	p := ir.MustParse(`program nanpeer
+  double precision A(4)
+  x = 1
+  SEND A(1:4) to sqrt((myid - 2)) tag 1
+  RECV A(1:4) from exp((myid + 1000)) tag 2
+  BCAST from sqrt((0 - 1)): x
+end`)
+	_, ctx, err := run(p, Options{Ranks: 4}, classMinRanks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ctx.traces
+	for r, want := range []string{"SEND to ? tag 1", "SEND to ? tag 1", "SEND to 0 tag 1", "SEND to 1 tag 1"} {
+		ops := tr.ops[tr.win[r]:tr.win[r+1]]
+		if len(ops) != 3 {
+			t.Fatalf("rank %d: %d operations; want 3", r, len(ops))
+		}
+		for i, want := range []string{want, "RECV from ? tag 2", "BCAST root=?: x"} {
+			if got := ctx.describe(&ops[i]); got != want || ops[i].peer != 0 && i > 0 {
+				t.Errorf("rank %d op %d: %s (peer %d); want %s", r, i, got, ops[i].peer, want)
+			}
+		}
+	}
+	if !tr.uncertain {
+		t.Error("a non-finite peer did not mark the point-to-point analysis uncertain")
+	}
+}

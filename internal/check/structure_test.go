@@ -39,7 +39,7 @@ func TestTraceFreePassesEvaluateNoRank(t *testing.T) {
 	start := time.Now()
 	res, ctx, err := run(spec.Build(), Options{
 		Ranks: ranks, Inputs: spec.Default(ranks), Passes: []string{"slice", "netconfig"},
-	})
+	}, classMinRanks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,16 @@ func TestTraceFreePassesEvaluateNoRank(t *testing.T) {
 	if res.HasErrors() {
 		t.Errorf("unexpected errors:\n%s", res.Text(Error))
 	}
-	if _, ctx, err = run(spec.Build(), Options{Ranks: 16, Inputs: spec.Default(16), Passes: []string{"bounds"}}); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.evals != 16 {
-		t.Errorf("bounds at 16 ranks evaluated %d ranks; want 16", ctx.evals)
+	// evals counts evaluator runs: every rank below classMinRanks, one per
+	// rank class from there on (the other ranks are instantiated).
+	for _, c := range []struct{ ranks, evals int }{{16, 16}, {64, 9}} {
+		_, ctx, err = run(spec.Build(), Options{Ranks: c.ranks, Inputs: spec.Default(c.ranks), Passes: []string{"bounds"}}, classMinRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctx.evals != c.evals {
+			t.Errorf("bounds at %d ranks evaluated %d ranks; want %d", c.ranks, ctx.evals, c.evals)
+		}
 	}
 }
 
@@ -118,7 +123,7 @@ func TestStuckStatesReportTheRecordedCycle(t *testing.T) {
 func TestEdgePartlyTruncatedRun(t *testing.T) {
 	const seed, maxOps = 7, 80
 	p, inputs := budgetedProgram(seed)
-	res, ctx, err := run(p, Options{Ranks: 4, Inputs: inputs, MaxOps: maxOps})
+	res, ctx, err := run(p, Options{Ranks: 4, Inputs: inputs, MaxOps: maxOps}, classMinRanks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,13 @@ import (
 // compiler's condensation.
 
 // val is an abstract scalar value. uniform marks values provably equal
-// on every rank (needed to keep values across Bcast).
+// on every rank (needed to keep values across Bcast). t is, on a rank
+// recorded as its class's representative (classes.go), the term yielding
+// the value from myid, and 0 for a value the whole class shares.
 type val struct {
 	known   bool
 	uniform bool
+	t       int32
 	v       float64
 }
 
@@ -138,14 +141,23 @@ const (
 	maxBoundsHits = 64
 )
 
-// buildTraces runs the abstract evaluator over the plan for every rank,
-// filling the arena.
-func buildTraces(ctx *Context) *traces {
+// buildTraces fills the arena with every rank's trace: at classFrom
+// ranks or more, a rank at which the guards of an earlier rank's class
+// hold is instantiated from it (classes.go); any other is evaluated.
+func buildTraces(ctx *Context, classFrom int) *traces {
 	tr := &traces{win: make([]int32, 1, ctx.Ranks+1)}
 	ev := newEvaluator(ctx, tr)
+	var rec *recorder
+	if ctx.Ranks >= classFrom {
+		rec = newRecorder(ev)
+	}
 	longest := 0
 	for r := 0; r < ctx.Ranks; r++ {
-		ev.run(int32(r))
+		if !rec.instantiate(int32(r)) {
+			ev.rec = rec.open(int32(r))
+			ev.run(int32(r))
+			ev.rec.close()
+		}
 		n := len(tr.ops)
 		longest = max(longest, n-int(tr.win[r]))
 		tr.win = append(tr.win, int32(n))
@@ -295,6 +307,9 @@ type evaluator struct {
 	chanIDs  map[chanKey]int32
 	chanMemo []chanMemo
 	bcasts   map[bcastKey]int32
+	// rec is non-nil on a rank recorded as a class's representative; only
+	// then does any value carry a term.
+	rec *recorder
 }
 
 type hitKey struct {
@@ -340,7 +355,7 @@ func (ev *evaluator) run(rank int32) {
 	ev.firstHit = len(ev.tr.hits)
 	clear(ev.hitSeen)
 	copy(ev.env, ev.pl.init)
-	ev.env[ev.pl.myid] = known(float64(rank), false)
+	ev.env[ev.pl.myid] = ev.rec.myid(rank)
 	// The dummy-buffer size is evaluated before any dimension is known
 	// or any array tracked; the previous rank's must not show through.
 	for i := range ev.arrays {
@@ -350,6 +365,7 @@ func (ev *evaluator) run(rank int32) {
 	ev.dummyElems = val{}
 	if ev.pl.dummy != nil {
 		ev.dummyElems = ev.eval(ev.pl.dummy)
+		ev.rec.exact(ev.dummyElems)
 	}
 	ev.evalDims()
 	ev.block(ev.pl.body)
@@ -365,6 +381,7 @@ func (ev *evaluator) evalDims() {
 		trackable := true
 		for i, e := range ev.pl.dims[a] {
 			dims[i] = ev.eval(e)
+			ev.rec.exact(dims[i])
 			if !dims[i].known {
 				trackable = false
 				continue
@@ -415,9 +432,11 @@ func (ev *evaluator) eval(e *pexpr) val {
 	case eScalar:
 		return ev.env[e.slot]
 	case eIdx:
-		flat, ok := ev.flatIndex(ev.cur, e.slot, e.index)
+		flat, ok, sel := ev.flatIndex(ev.cur, e.slot, e.index, true)
 		if tr := &ev.arrays[e.slot]; ok && tr.ok {
-			return tr.vals[flat]
+			v := tr.vals[flat]
+			v.t |= sel // the elements of a select carry no term
+			return v
 		}
 	case eBin:
 		l, r := ev.eval(e.l), ev.eval(e.r)
@@ -426,54 +445,78 @@ func (ev *evaluator) eval(e *pexpr) val {
 		}
 		v, err := symexpr.ApplyOp(e.op, l.v, r.v)
 		if err != nil {
+			ev.rec.exact(l)
+			ev.rec.exact(r)
 			return val{}
 		}
-		return known(v, l.uniform && r.uniform)
+		res := known(v, l.uniform && r.uniform)
+		if l.t|r.t != 0 {
+			res.t = ev.rec.bin(e.op, l, r)
+		}
+		return res
 	case eCall:
 		a := ev.eval(e.l)
 		if !a.known || e.fn == nil {
 			return val{}
 		}
-		return known(e.fn(a.v), a.uniform)
+		res := known(e.fn(a.v), a.uniform)
+		if a.t != 0 {
+			res.t = ev.rec.term(term{op: tCall, l: a.t, call: e})
+		}
+		return res
 	case eSum:
-		lo, hi := ev.eval(e.l), ev.eval(e.r)
-		if !lo.known || !hi.known {
-			return val{}
-		}
-		loI, hiI := int64(math.Floor(lo.v)), int64(math.Floor(hi.v))
-		if hiI-loI+1 > maxSumTrips {
-			return val{}
-		}
-		saved := ev.env[e.slot]
-		sum := known(0, lo.uniform && hi.uniform)
-		for i := loI; i <= hiI; i++ {
-			ev.env[e.slot] = known(float64(i), sum.uniform)
-			b := ev.eval(e.body)
-			if !b.known {
-				sum = val{}
-				break
-			}
-			sum.v += b.v
-			sum.uniform = sum.uniform && b.uniform
-		}
-		ev.env[e.slot] = saved
-		return sum
+		return ev.sum(e)
 	}
 	return val{}
 }
 
+// sum is eval's eSum, kept out of the frame every nested eval pays for.
+func (ev *evaluator) sum(e *pexpr) val {
+	lo, hi := ev.eval(e.l), ev.eval(e.r)
+	if !lo.known || !hi.known {
+		return val{}
+	}
+	ev.rec.exact(lo)
+	ev.rec.exact(hi)
+	loI, hiI := int64(math.Floor(lo.v)), int64(math.Floor(hi.v))
+	if hiI-loI+1 > maxSumTrips {
+		return val{}
+	}
+	saved := ev.env[e.slot]
+	sum := known(0, lo.uniform && hi.uniform)
+	for i := loI; i <= hiI; i++ {
+		ev.env[e.slot] = known(float64(i), sum.uniform)
+		b := ev.eval(e.body)
+		if !b.known {
+			sum = val{}
+			break
+		}
+		if sum.t|b.t != 0 {
+			sum.t = ev.rec.bin(symexpr.OpAdd, sum, b)
+		}
+		sum.v += b.v
+		sum.uniform = sum.uniform && b.uniform
+	}
+	ev.env[e.slot] = saved
+	return sum
+}
+
 // flatIndex resolves an index list to a flattened offset, checking each
 // subscript against the declared dimension. ok is false when any
-// subscript or dimension is unknown.
-func (ev *evaluator) flatIndex(stmt, array int32, index []*pexpr) (int, bool) {
+// subscript or dimension is unknown. sel is, for a recorded read that
+// the class keeps as a select from the array, the element's term.
+func (ev *evaluator) flatIndex(stmt, array int32, index []*pexpr, read bool) (flat int, ok bool, sel int32) {
 	dims := ev.dims[array]
-	flat, stride := 0, 1
-	ok := true
+	stride := 1
+	ok = true
 	for d, e := range index {
 		iv := ev.eval(e)
 		if !iv.known {
 			ok = false
 			continue
+		}
+		if iv.t != 0 {
+			sel = ev.rec.subscript(iv, array, read && len(index) == 1)
 		}
 		if iv.v < 1 {
 			ev.hit(stmt, "index %g of %s dimension %d is below 1", iv.v, ev.pl.arrays[array].Name, d+1)
@@ -493,14 +536,14 @@ func (ev *evaluator) flatIndex(stmt, array int32, index []*pexpr) (int, bool) {
 			ok = false
 		}
 	}
-	return flat, ok
+	return flat, ok, sel
 }
 
 // killArray invalidates an array's tracked contents.
 func (ev *evaluator) killArray(array int32) { ev.arrays[array].ok = false }
 
 func (ev *evaluator) store(ps *pstmt, v val) {
-	flat, ok := ev.flatIndex(ps.id, ps.slot, ps.index)
+	flat, ok, _ := ev.flatIndex(ps.id, ps.slot, ps.index, false)
 	tr := &ev.arrays[ps.slot]
 	if !tr.ok {
 		return
@@ -518,6 +561,7 @@ func (ev *evaluator) store(ps *pstmt, v val) {
 		tr.vals = map[int]val{}
 	}
 	tr.vals[flat] = v
+	ev.rec.stored(ps.slot)
 }
 
 // --- statement execution ---
@@ -602,14 +646,21 @@ func (ev *evaluator) emit(o op) {
 }
 
 // peerOf converts a resolved peer value to a rank, saturating so that an
-// absurd value can never wrap onto the process grid.
-func peerOf(v float64) int32 { return int32(max(math.MinInt32, min(math.MaxInt32, v))) }
+// absurd value can never wrap onto the process grid. A non-finite value
+// is as data-dependent as an unknown one: min and max pass NaN through,
+// and what int32(NaN) yields depends on the platform.
+func peerOf(v val) (peer int32, ok bool) {
+	if !v.known || v.v-v.v != 0 { // x-x != 0 holds for NaN and ±Inf alone
+		return 0, false
+	}
+	return int32(max(math.MinInt32, min(math.MaxInt32, v.v))), true
+}
 
 func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
 	peer := ev.eval(ps.e)
 	o := op{kind: kind, stmt: ps.id, ch: -1}
-	if peer.known {
-		o.peer = peerOf(peer.v)
+	var peerKnown bool
+	if o.peer, peerKnown = peerOf(peer); peerKnown {
 		o.flags |= fPeerKnown
 	}
 	array := ev.pl.arrays[ps.slot].Name
@@ -618,6 +669,8 @@ func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
 	elemsKnown := true
 	for d, rg := range ps.sec {
 		lo, hi := ev.eval(rg.lo), ev.eval(rg.hi)
+		ev.rec.exact(lo)
+		ev.rec.exact(hi)
 		if lo.known && lo.v < 1 {
 			ev.hit(ps.id, "section lower bound %g of %s dimension %d is below 1", lo.v, array, d+1)
 		}
@@ -641,11 +694,14 @@ func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
 				elems, ev.dummyElems.v)
 		}
 	}
-	switch {
-	case ev.mayDepth > 0 || !peer.known:
+	definite := peerKnown && ev.mayDepth == 0
+	if !definite {
 		ev.tr.uncertain = true
-	case o.peer >= 0 && int(o.peer) < ev.ctx.Ranks:
+	} else if o.peer >= 0 && int(o.peer) < ev.ctx.Ranks {
 		o.ch = ev.channel(ps, kind, o.peer)
+	}
+	if ev.rec != nil {
+		ev.rec.comm(ps, peer, &o, definite)
 	}
 	ev.emit(o)
 }
@@ -672,17 +728,19 @@ func (ev *evaluator) channel(ps *pstmt, kind opKind, peer int32) int32 {
 
 func (ev *evaluator) bcastStmt(ps *pstmt) {
 	root := ev.eval(ps.e)
+	ev.rec.exact(root)
 	o := op{kind: opColl, stmt: ps.id}
-	bk := bcastKey{stmt: ps.id, known: root.known}
-	if root.known {
-		o.peer = peerOf(root.v)
+	var rootKnown bool
+	o.peer, rootKnown = peerOf(root)
+	bk := bcastKey{stmt: ps.id, known: rootKnown}
+	if rootKnown {
 		o.flags |= fPeerKnown
 		bk.root = o.peer
 	}
 	key, ok := ev.bcasts[bk]
 	if !ok {
 		rootStr := "?"
-		if root.known {
+		if rootKnown {
 			rootStr = strconv.Itoa(int(o.peer))
 		}
 		key = ev.pl.internKey("BCAST root=" + rootStr + ps.suffix)
@@ -691,10 +749,14 @@ func (ev *evaluator) bcastStmt(ps *pstmt) {
 	o.ch = key
 	for _, v := range ps.vars {
 		cur := ev.env[v]
+		if rootKnown && ev.mayDepth == 0 && cur.known && !cur.uniform {
+			// Only here does it matter which rank is the root.
+			ev.rec.decide(symexpr.OpEQ, ev.rec.myid(ev.rank), known(float64(o.peer), true))
+		}
 		switch {
 		case ev.mayDepth > 0:
 			ev.env[v] = val{}
-		case root.known && o.peer == ev.rank:
+		case rootKnown && o.peer == ev.rank:
 			// The root keeps its own value (it is the source).
 		case cur.known && cur.uniform:
 			// Provably rank-independent: the broadcast is a no-op.
@@ -713,6 +775,7 @@ func (ev *evaluator) forStmt(ps *pstmt) {
 	skip := !ps.hasComm && !ps.structural
 	if lo.known && hi.known && ev.mayDepth == 0 {
 		loI, hiI := int64(math.Floor(lo.v)), int64(math.Floor(hi.v))
+		ev.rec.decide(tZeroTrip, lo, hi)
 		if hiI < loI {
 			// Zero-trip loop: the body never executes and no state
 			// changes beyond the induction variable.
@@ -723,6 +786,8 @@ func (ev *evaluator) forStmt(ps *pstmt) {
 			ev.killDefs(ps)
 			return
 		}
+		ev.rec.exact(lo)
+		ev.rec.exact(hi)
 		uniform := lo.uniform && hi.uniform && ev.nonUniform == 0
 		for i := loI; i <= hiI; i++ {
 			if ev.truncatedNow() {
@@ -753,6 +818,7 @@ func (ev *evaluator) forStmt(ps *pstmt) {
 func (ev *evaluator) ifStmt(ps *pstmt) {
 	c := ev.eval(ps.e)
 	if c.known && ev.mayDepth == 0 {
+		ev.rec.decide(symexpr.OpNE, c, val{})
 		if !c.uniform {
 			ev.nonUniform++
 		}
