@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mpisim/internal/mpi"
+	"mpisim/internal/tracein"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from this binary's behaviour (only for a deliberate change of CLI output)")
@@ -87,6 +93,9 @@ func goldenCases() []goldenCase {
 	add("tracein_x32_budget", "-tracein "+faninTrace+" -xranks 32 -budget 100 -runjson $OUT/run.json")
 	add("tracein_noapp", "-tracein "+fixtures+"noapp.jsonl -runjson $OUT/run.json")
 	add("tracein_err_xranks", "-tracein "+ringTrace+" -xranks 12")
+	// A wildcard receive is exact on one host worker and refused on more.
+	add("tracein_wildcard_hosts1", "-tracein "+fixtures+"wildcard.jsonl -hosts 1 -runjson $OUT/run.json")
+	add("tracein_wildcard_hosts2", "-tracein "+fixtures+"wildcard.jsonl -hosts 2 -runjson $OUT/run.json")
 
 	// Options that do not apply to a replay.
 	add("tracein_tasktimes", "-tracein "+ringTrace+" -tasktimes "+fixtures+"sweep3d.tt")
@@ -192,6 +201,98 @@ func TestGoldenCLI(t *testing.T) {
 			t.Errorf("stale golden file %s (no case produces it)", f)
 		}
 	}
+}
+
+// recordedLine is what -record prints about the trace it wrote.
+var recordedLine = regexp.MustCompile(`trace recorded to \S+ \((\d+) ranks in (\d+) classes, (\d+) events\)`)
+
+// TestGoldenTraceSections holds the corpus's recorded traces (the
+// run.trace sections): each parses, is already Write's canonical form,
+// and has the ranks, classes and events its "trace recorded" line
+// counts. With MPISIM_GOLDEN_PARENT naming another corpus directory —
+// the parent commit's, unpacked with git archive — each section there
+// must parse to the same header and the same per-rank calls, bit for
+// bit: how a change of trace format shows it moved no call.
+func TestGoldenTraceSections(t *testing.T) {
+	parent := os.Getenv("MPISIM_GOLDEN_PARENT")
+	section := func(path string) []byte {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, ok := bytes.Cut(doc, []byte("==== run.trace ====\n"))
+		if !ok {
+			return nil
+		}
+		if end := bytes.Index(body, []byte("\n==== ")); end >= 0 {
+			body = body[:end+1]
+		}
+		return body
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := 0
+	for _, f := range files {
+		text := section(f)
+		if text == nil {
+			continue
+		}
+		traces++
+		tr, err := tracein.ParseBytes(text)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		var canon bytes.Buffer
+		if err := tracein.Write(&canon, tr); err != nil || !bytes.Equal(canon.Bytes(), text) {
+			t.Errorf("%s: the recorded trace is not Write's form of itself (%v)", f, err)
+		}
+		doc, _ := os.ReadFile(f)
+		m := recordedLine.FindSubmatch(doc)
+		if m == nil || string(m[1]) != strconv.Itoa(tr.Header.Ranks) || string(m[2]) != strconv.Itoa(tr.Classes()) ||
+			string(m[3]) != strconv.Itoa(tr.Events()) {
+			t.Errorf("%s: %q does not count %d ranks in %d classes, %d events", f, m, tr.Header.Ranks, tr.Classes(), tr.Events())
+		}
+		if parent == "" {
+			continue
+		}
+		old, err := tracein.ParseBytes(section(filepath.Join(parent, filepath.Base(f))))
+		if err != nil {
+			t.Errorf("%s in %s: %v", filepath.Base(f), parent, err)
+			continue
+		}
+		if !reflect.DeepEqual(old.Header, tr.Header) {
+			t.Errorf("%s: the header differs from %s's", f, parent)
+		}
+		for r := 0; r < tr.Header.Ranks; r++ {
+			if !sameBits(old.CallsOf(r), tr.CallsOf(r)) {
+				t.Errorf("%s: rank %d's calls differ from %s's", f, r, parent)
+			}
+		}
+	}
+	if traces != 6 {
+		t.Errorf("the corpus holds %d recorded traces, want the six -record cases", traces)
+	}
+}
+
+// sameBits compares call sequences with seconds as bit patterns.
+func sameBits(a, b []mpi.Call) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.Sec) != math.Float64bits(y.Sec) {
+			return false
+		}
+		x.Sec, y.Sec = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // firstDiff reports the first differing line with a little context.

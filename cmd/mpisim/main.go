@@ -470,8 +470,8 @@ func (o *output) emit(plan *core.Plan, out *core.Outcome) error {
 			if err := tracein.WriteFile(o.recordFile, tr); err != nil {
 				return err
 			}
-			fmt.Printf("trace recorded to %s (%d ranks, %d events)\n",
-				o.recordFile, tr.Header.Ranks, tr.Events())
+			fmt.Printf("trace recorded to %s (%d ranks in %d classes, %d events)\n",
+				o.recordFile, tr.Header.Ranks, tr.Classes(), tr.Events())
 		}
 	}
 	if o.runJSON != "" || o.profile != "" || o.profFold != "" {

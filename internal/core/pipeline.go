@@ -79,9 +79,10 @@ type Plan struct {
 // is attached and a w_i table exists — fix the progress horizon from a
 // fast abstract pre-run. A refused configuration is a *CheckError.
 //
-// For a trace: extrapolate it to spec.TraceRanks when that asks for a
-// larger machine, and resolve the machine — the spec's when it names
-// one, else the header's.
+// For a trace: refuse it on more than one host worker if it receives
+// from any source (*WildcardError), extrapolate it to spec.TraceRanks
+// when that asks for a larger machine, and resolve the machine — the
+// spec's when it names one, else the header's.
 //
 // host carries what belongs to the front door rather than to the
 // prediction: the engine (HostWorkers, RealParallel),
@@ -166,7 +167,27 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 	return p, nil
 }
 
+// WildcardError refuses a replay on more than one host worker of a
+// trace that receives from mpi.AnySource: the parallel engine matches a
+// wildcard against the messages its window has seen, which is exact
+// only on one worker.
+type WildcardError struct {
+	// Rank and Call locate the first wildcard receive in rank order (the
+	// call counted from 0 in the rank's sequence).
+	Rank, Call int
+}
+
+func (e *WildcardError) Error() string {
+	return fmt.Sprintf("core: trace rank %d, call %d receives from any source, which the parallel engine cannot match exactly; replay it with one host worker",
+		e.Rank, e.Call)
+}
+
 func (p *Plan) prepareReplay(spec *RunSpec, tr *tracein.Trace) error {
+	if p.host.HostWorkers > 1 {
+		if rank, call, ok := tr.AnySource(); ok {
+			return &WildcardError{Rank: rank, Call: call}
+		}
+	}
 	if n := spec.TraceRanks; n > 0 && n != tr.Header.Ranks {
 		var err error
 		tr, err = tracein.Extrapolate(tr, tracein.ExtrapolateOptions{

@@ -63,9 +63,10 @@ func (c CommModel) String() string {
 }
 
 // AnySource matches a message from any sender (the kernel's exact
-// wildcard sentinel sim.Any). It is exact under the sequential engine;
-// conservative parallel runs should avoid it (the benchmarks in this
-// repository do).
+// wildcard sentinel sim.Any). It is exact under the sequential engine
+// only: core.Prepare refuses to replay a trace that receives from it on
+// more than one host worker (core.WildcardError), at both front doors.
+// A Go program run directly on the parallel engine is not checked.
 const AnySource = sim.Any
 
 // Config describes one simulation run.

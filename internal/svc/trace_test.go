@@ -2,12 +2,14 @@ package svc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"mpisim/internal/core"
 	"mpisim/internal/mpi"
 	"mpisim/internal/trace"
 	"mpisim/internal/tracein"
@@ -19,21 +21,23 @@ import (
 // extrapolation have everything they need.
 func ringTraceJSONL(t *testing.T, p int) string {
 	t.Helper()
-	tr := &tracein.Trace{Header: tracein.Header{
-		Version: tracein.SchemaVersion,
-		App:     "ringtest", Mode: "measured",
-		Ranks: p, Machine: "ibmsp", Comm: "analytic",
-		Inputs:    map[string]float64{"N": float64(16 * p)},
-		TaskScale: map[string]string{"w_1": "N / P"},
-	}}
-	tr.Calls = make([][]mpi.Call, p)
+	calls := make([][]mpi.Call, p)
 	for r := 0; r < p; r++ {
-		tr.Calls[r] = []mpi.Call{
+		calls[r] = []mpi.Call{
 			{Op: "delay", Task: "w_1", Sec: 0.001},
 			{Op: "sendrecv", Peer: (r + 1) % p, Tag: 7, Bytes: 4096,
 				Peer2: (r - 1 + p) % p, Tag2: 7},
 			{Op: "barrier"},
 		}
+	}
+	tr, err := tracein.New(tracein.Header{
+		App: "ringtest", Mode: "measured",
+		Machine: "ibmsp", Comm: "analytic",
+		Inputs:    map[string]float64{"N": float64(16 * p)},
+		TaskScale: map[string]string{"w_1": "N / P"},
+	}, calls)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := tracein.Write(&buf, tr); err != nil {
@@ -175,5 +179,91 @@ func TestTraceExtrapolatedJob(t *testing.T) {
 	// trace_ranks outside the cap or not a multiple is a 400.
 	if _, code, _ := submit(t, ts, traceSpec(t, ringTraceJSONL(t, 4), 6)); code != 400 {
 		t.Errorf("non-multiple trace_ranks accepted: %d", code)
+	}
+}
+
+// TestTraceWildcardRefusedOnParallelEngine runs a daemon on two host
+// workers: a trace with a receive from any source fails its job with
+// core.Prepare's refusal, which names the rank and the call and says how
+// to replay it; the same trace without the wildcard replays.
+func TestTraceWildcardRefusedOnParallelEngine(t *testing.T) {
+	srv := newTestServer(t, Options{HostWorkers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	exact := ringTraceJSONL(t, 4)
+	wildcard := strings.Replace(exact, `"peer2":0,`, `"peer2":-1,`, 1)
+	if wildcard == exact {
+		t.Fatal("the ring trace has no sendrecv receiving from rank 0")
+	}
+	for _, c := range []struct {
+		name, jsonl string
+		want        JobState
+	}{{"wildcard", wildcard, JobFailed}, {"exact", exact, JobDone}} {
+		id, code, body := submit(t, ts, traceSpec(t, c.jsonl, 0))
+		if code != 202 {
+			t.Fatalf("%s: submit: %d (%s)", c.name, code, body)
+		}
+		v := pollUntil(t, ts, id, terminal, 30*time.Second)
+		if v.State != c.want {
+			t.Fatalf("%s: job ended %s (%s), want %s", c.name, v.State, v.Error, c.want)
+		}
+		if c.want == JobFailed && (!strings.Contains(v.Error, "trace rank 1, call 1 receives from any source") ||
+			!strings.Contains(v.Error, "one host worker")) {
+			t.Errorf("%s: refusal %q does not name rank 1's call 1 and the way out", c.name, v.Error)
+		}
+	}
+}
+
+// TestTracePaperScaleInline is the trace door's front-door identity at
+// paper scale: sweep3d AM recorded at 4,096 ranks — 61 MB per rank, as
+// v1 wrote it — fits the daemon's inline cap as its classes, replays to
+// done, and the artifact is byte-identical to the one core.Prepare/Run
+// makes driven as mpisim -tracein drives it.
+func TestTracePaperScaleInline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records and replays 4,096 ranks")
+	}
+	spec, err := DecodeSpec([]byte(`{"app":"sweep3d","mode":"am","ranks":4096,"skip_checks":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(0); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.Prepare(spec, mpi.Config{HostWorkers: 1, RecordCalls: true}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracein.Record(out.Report, plan.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonl bytes.Buffer
+	if err := tracein.Write(&jsonl, tr); err != nil {
+		t.Fatal(err)
+	}
+	body := traceSpec(t, jsonl.String(), 0)
+	t.Logf("%d ranks in %d classes, %d events: %d trace bytes, %d spec bytes", tr.Header.Ranks, tr.Classes(), tr.Events(), jsonl.Len(), len(body))
+	if len(body) > maxSpecBytes {
+		t.Fatalf("the spec is %d bytes, over the %d-byte inline cap", len(body), maxSpecBytes)
+	}
+
+	srv := newTestServer(t, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, code, resp := submit(t, ts, body)
+	if code != 202 {
+		t.Fatalf("submit: %d (%s)", code, resp)
+	}
+	if v := pollUntil(t, ts, id, terminal, 120*time.Second); v.State != JobDone {
+		t.Fatalf("job ended %s (%s), want done", v.State, v.Error)
+	}
+	if !bytes.Equal(fetchArtifact(t, ts, id), predictLikeMpisim(t, body, 1)) {
+		t.Fatal("the daemon's artifact differs from the CLI path's")
 	}
 }

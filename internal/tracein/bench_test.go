@@ -60,9 +60,13 @@ func (g *ringProgram) Step() bool {
 // through the same kernel and the same rank scheduler. ci.sh gates
 // replay throughput at no worse than 25% below direct: the trace
 // frontend walks a call slice instead of executing the program, so its
-// per-event cost must stay in the same regime. The replay row starts
+// per-event cost must stay in the same regime. The recording folds to
+// three rank classes (rank 0, the last rank, the rest), so the 16
+// replayers walk three shared call streams, shifted, and the v2 file
+// holds three ranks' lines and a members line. The replay row starts
 // from a parsed Trace; parse+replay starts from the file's bytes, which
-// is what a -tracein user waits for, and ci.sh holds it to 5x direct.
+// is what a -tracein user waits for (~2.2x direct; 3.6-4.6x when the file
+// held every rank), and ci.sh holds it to 5x direct.
 func BenchmarkTraceReplay(b *testing.B) {
 	const p, steps = 16, 200
 	cfg := mpi.Config{Ranks: p, Machine: machine.IBMSP(), Comm: mpi.Analytic}
@@ -135,19 +139,30 @@ func BenchmarkTraceReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceCodec measures the two sides of the v1 format on a
-// recorded 1,024-rank sweep3d trace (the replay_sweep3d_1k workload's
-// file): MB/s of trace text and allocations per event line.
+// BenchmarkTraceCodec measures the format on a recorded 1,024-rank
+// sweep3d trace (the replay_sweep3d_1k workload's file: 308,256 calls in
+// nine classes): parse and write of its v2 form, parse_v1 of the
+// per-rank v1 form a parent build wrote (read through the same scanner,
+// then folded), and fold, what Record adds to a recording — MB/s of
+// trace text and allocations per line of the file each row reads or
+// writes.
 func BenchmarkTraceCodec(b *testing.B) {
 	tr := recordSweep3D(b, 1024)
-	var file bytes.Buffer
-	if err := tracein.Write(&file, tr); err != nil {
+	var v2, v1 bytes.Buffer
+	if err := tracein.Write(&v2, tr); err != nil {
 		b.Fatal(err)
 	}
-	lines := tr.Events() + 1
-	run := func(b *testing.B, op func()) {
+	if err := tracein.RefWriteV1(&v1, tr); err != nil {
+		b.Fatal(err)
+	}
+	calls := make([][]mpi.Call, tr.Header.Ranks)
+	for r := range calls {
+		calls[r] = tr.CallsOf(r)
+	}
+	run := func(b *testing.B, file []byte, op func()) {
 		var before, after runtime.MemStats
-		b.SetBytes(int64(file.Len()))
+		lines := bytes.Count(file, []byte("\n"))
+		b.SetBytes(int64(len(file)))
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -157,19 +172,28 @@ func BenchmarkTraceCodec(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(lines), "allocs/line")
 	}
-	b.Run("parse", func(b *testing.B) {
-		run(b, func() {
-			if _, err := tracein.ParseBytes(file.Bytes()); err != nil {
+	parse := func(file []byte) func() {
+		return func() {
+			if _, err := tracein.ParseBytes(file); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("parse", func(b *testing.B) { run(b, v2.Bytes(), parse(v2.Bytes())) })
+	b.Run("parse_v1", func(b *testing.B) { run(b, v1.Bytes(), parse(v1.Bytes())) })
+	b.Run("write", func(b *testing.B) {
+		var out bytes.Buffer
+		out.Grow(v2.Len())
+		run(b, v2.Bytes(), func() {
+			out.Reset()
+			if err := tracein.Write(&out, tr); err != nil {
 				b.Fatal(err)
 			}
 		})
 	})
-	b.Run("write", func(b *testing.B) {
-		var out bytes.Buffer
-		out.Grow(file.Len())
-		run(b, func() {
-			out.Reset()
-			if err := tracein.Write(&out, tr); err != nil {
+	b.Run("fold", func(b *testing.B) {
+		run(b, v2.Bytes(), func() {
+			if _, err := tracein.New(tr.Header, calls); err != nil {
 				b.Fatal(err)
 			}
 		})

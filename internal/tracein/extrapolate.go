@@ -43,11 +43,15 @@ type ExtrapolateOptions struct {
 //   - Message and collective payload sizes are kept (the weak-scaling
 //     assumption: per-rank data volume is constant); per-destination
 //     size vectors are tiled periodically.
+//
+// Each target rank's sequence is built in one reused buffer and folded
+// as it is made, so the result holds the target's classes, never P
+// sequences.
 func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 	p0 := t.Header.Ranks
 	p := opts.Ranks
-	if p0 < 1 || p0 != len(t.Calls) {
-		return nil, fmt.Errorf("tracein: malformed source trace (%d ranks, %d call sequences)", p0, len(t.Calls))
+	if p0 < 1 || p0 != len(t.class) {
+		return nil, fmt.Errorf("tracein: malformed source trace (%d ranks, %d mapped)", p0, len(t.class))
 	}
 	if p < p0 || p%p0 != 0 {
 		return nil, fmt.Errorf("tracein: extrapolation target %d must be a multiple of the trace's %d ranks", p, p0)
@@ -86,16 +90,15 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 	}
 	warned := map[string]bool{}
 
-	out := &Trace{Header: t.Header}
-	out.Header.Ranks = p
-	out.Header.ExtrapolatedFrom = p0
+	hdr := t.Header
+	hdr.Ranks = p
+	hdr.ExtrapolatedFrom = p0
 	if len(inputs) > 0 {
-		out.Header.Inputs = inputs
+		hdr.Inputs = inputs
 	}
-	out.Calls = make([][]mpi.Call, p)
 
 	half := p0 / 2
-	for i := 0; i < p; i++ {
+	return fold(hdr, nil, func(i int, buf []mpi.Call) []mpi.Call {
 		s := i % p0
 		envOld := scaleEnv(t.Header.Inputs, p0, s)
 		envNew := scaleEnv(inputs, p, i)
@@ -112,9 +115,9 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 			return np
 		}
 		factors := map[string]float64{}
-		src := t.Calls[s]
-		calls := make([]mpi.Call, len(src))
-		for j, c := range src {
+		calls := t.appendCalls(buf, s)
+		for j := range calls {
+			c := &calls[j]
 			switch c.Op {
 			case "delay":
 				if c.Task != "" {
@@ -146,11 +149,9 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 					c.Sizes = tileSizes(c.Sizes, p)
 				}
 			}
-			calls[j] = c
 		}
-		out.Calls[i] = calls
-	}
-	return out, nil
+		return calls
+	}), nil
 }
 
 // scaleEnv builds the evaluation environment of a scaling function:

@@ -13,24 +13,23 @@ import (
 // ringTrace builds a small hand trace: each of p ranks delays on task
 // w_1 for 1s, then sendrecvs around the ring.
 func ringTrace(p int) *tracein.Trace {
-	t := &tracein.Trace{
-		Header: tracein.Header{
-			Version:   tracein.SchemaVersion,
-			Ranks:     p,
-			Machine:   "ibmsp",
-			Comm:      "analytic",
-			Inputs:    map[string]float64{"N": 64},
-			TaskScale: map[string]string{"w_1": "N / P"},
-		},
-	}
-	t.Calls = make([][]mpi.Call, p)
+	calls := make([][]mpi.Call, p)
 	for i := 0; i < p; i++ {
-		t.Calls[i] = []mpi.Call{
+		calls[i] = []mpi.Call{
 			{Op: "delay", Task: "w_1", Sec: 1.0},
 			{Op: "sendrecv", Peer: (i + 1) % p, Tag: 7, Bytes: 1024,
 				Peer2: (i - 1 + p) % p, Tag2: 7},
 			{Op: "barrier"},
 		}
+	}
+	t, err := tracein.New(tracein.Header{
+		Machine:   "ibmsp",
+		Comm:      "analytic",
+		Inputs:    map[string]float64{"N": 64},
+		TaskScale: map[string]string{"w_1": "N / P"},
+	}, calls)
+	if err != nil {
+		panic(err)
 	}
 	return t
 }
@@ -48,7 +47,7 @@ func TestExtrapolateRemap(t *testing.T) {
 		t.Fatalf("header = %+v", out.Header)
 	}
 	for i := 0; i < 8; i++ {
-		calls := out.Calls[i]
+		calls := out.CallsOf(i)
 		if len(calls) != 3 {
 			t.Fatalf("rank %d has %d calls", i, len(calls))
 		}
@@ -64,7 +63,7 @@ func TestExtrapolateRemap(t *testing.T) {
 		}
 	}
 	// The source trace is untouched.
-	if src.Calls[0][0].Sec != 1.0 || src.Calls[0][1].Peer != 1 {
+	if c := src.CallsOf(0); c[0].Sec != 1.0 || c[1].Peer != 1 {
 		t.Fatalf("extrapolation mutated the source trace")
 	}
 	// Inputs can be overridden for the scaled run: doubling N with P
@@ -76,8 +75,8 @@ func TestExtrapolateRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Calls[0][0].Sec != 1.0 {
-		t.Errorf("weak-scaled delay = %v, want 1.0", out.Calls[0][0].Sec)
+	if sec := out.CallsOf(0)[0].Sec; sec != 1.0 {
+		t.Errorf("weak-scaled delay = %v, want 1.0", sec)
 	}
 }
 
@@ -95,8 +94,8 @@ func TestExtrapolateWarnings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Calls[0][0].Sec != 1.0 {
-		t.Errorf("unevaluable scale changed the delay to %v", out.Calls[0][0].Sec)
+	if sec := out.CallsOf(0)[0].Sec; sec != 1.0 {
+		t.Errorf("unevaluable scale changed the delay to %v", sec)
 	}
 	if len(warns) == 0 {
 		t.Errorf("no warning for unevaluable scaling function")

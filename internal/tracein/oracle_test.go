@@ -143,7 +143,7 @@ func TestAcceptedGrammar(t *testing.T) {
 	if tr.Events() != len(lines) {
 		t.Fatalf("parsed %d events, want %d", tr.Events(), len(lines))
 	}
-	if got, want := tr.Calls[0][3].Task, "a\"b\\c/d\b\f\n\r\té😀\ufffdx"; got != want {
+	if got, want := tr.CallsOf(0)[3].Task, "a\"b\\c/d\b\f\n\r\té😀\ufffdx"; got != want {
 		t.Fatalf("escapes decoded to %q, want %q", got, want)
 	}
 }

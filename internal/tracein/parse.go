@@ -88,15 +88,20 @@ func ParseHeader(data []byte) (*Header, error) {
 	return ReadHeader(bytes.NewReader(data))
 }
 
-// parse is the one line loop behind every entry point.
+// parse is the one line loop behind every entry point. A v1 file is a
+// header and every rank's events; a v2 file puts its members line
+// (classMap) between the two and has events on representatives only.
+// Either way the full call log folds into the class form.
 func parse(r io.Reader, t *Trace, d depth) error {
 	br := bufio.NewReaderSize(r, readBufSize)
 	var (
-		spill     []byte
-		sc        scanner
-		log       callLog
-		lineNo    int
-		sawHeader bool
+		spill      []byte
+		sc         scanner
+		cm         classMap
+		log        callLog
+		lineNo     int
+		sawHeader  bool
+		sawMembers bool
 	)
 	for {
 		raw, err := br.ReadSlice('\n')
@@ -124,14 +129,22 @@ func parse(r io.Reader, t *Trace, d depth) error {
 			if d == headerOnly {
 				return nil
 			}
-			sawHeader = true
+			sawHeader, sawMembers = true, t.Header.Version == 1
+			t.Header.Version = SchemaVersion
 			sc.ranks, sc.keep = t.Header.Ranks, d == full
 			if d == full {
-				t.Calls = make([][]mpi.Call, t.Header.Ranks)
-				log.calls = t.Calls
+				log.calls = make([][]mpi.Call, t.Header.Ranks)
 			}
+		case !sawMembers:
+			if perr := cm.parse(line, lineNo, t.Header.Ranks); perr != nil {
+				return perr
+			}
+			sawMembers = true
 		default:
 			if perr := sc.event(line, lineNo); perr != nil {
+				return perr
+			}
+			if perr := cm.check(&sc); perr != nil {
 				return perr
 			}
 			if d == full {
@@ -145,8 +158,95 @@ func parse(r io.Reader, t *Trace, d depth) error {
 			return err
 		}
 	}
-	if !sawHeader {
+	switch {
+	case !sawHeader:
 		return lineErr(1, "empty trace: missing header line")
+	case !sawMembers:
+		return lineErr(lineNo+1, `missing the members line {"members":[...]} of a version 2 trace`)
+	case d == full:
+		*t = *fold(t.Header, cm.rep, func(r int, _ []mpi.Call) []mpi.Call { return log.calls[r] })
+	}
+	return nil
+}
+
+// classMap is a v2 trace's members line: each run [rep, first, count]
+// makes ranks first … first+count−1 members of rep's class, which replay
+// rep's events with their peers shifted by their distance from it. Runs
+// are in rank order and do not overlap; a representative is below its
+// members and in no run. The zero classMap is v1's identity map.
+type classMap struct {
+	rep  []int32 // rank → its representative
+	span []int32 // representative → its last member's distance from it (0: none)
+}
+
+func (m *classMap) parse(line []byte, lineNo, ranks int) error {
+	var v struct {
+		Members [][]int `json:"members"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return lineErr(lineNo, `want the members line {"members":[[rep,first,count],...]}: %v`, err)
+	}
+	if dec.More() {
+		return lineErr(lineNo, "trailing content after JSON object")
+	}
+	m.rep, m.span = make([]int32, ranks), make([]int32, ranks)
+	for r := range m.rep {
+		m.rep[r] = int32(r)
+	}
+	next := 0 // the first rank a run may start at
+	for i, run := range v.Members {
+		if len(run) != 3 {
+			return lineErr(lineNo, "members[%d] has %d entries, want [rep, first, count]", i, len(run))
+		}
+		rep, first, count := run[0], run[1], run[2]
+		switch {
+		case count < 1:
+			return lineErr(lineNo, "members[%d]: count must be >= 1, got %d", i, count)
+		case first < next:
+			return lineErr(lineNo, "members[%d] starts at rank %d, before rank %d: runs are in rank order and do not overlap", i, first, next)
+		case first > ranks-count:
+			return lineErr(lineNo, "members[%d] runs past the last rank %d", i, ranks-1)
+		case rep < 0 || rep >= first:
+			return lineErr(lineNo, "members[%d]: representative %d must be a rank below its members", i, rep)
+		case int(m.rep[rep]) != rep:
+			return lineErr(lineNo, "members[%d]: representative %d is itself a member of rank %d's class", i, rep, m.rep[rep])
+		}
+		for r := first; r < first+count; r++ {
+			m.rep[r] = int32(rep)
+		}
+		m.span[rep], next = int32(first+count-1-rep), first+count
+	}
+	return nil
+}
+
+// check holds a scanned event to the class map: only a representative
+// has events, each moving peer stays a rank at its farthest member, and
+// scatter sizes — valid on the root's event only — are not on a class
+// that has other members.
+func (m *classMap) check(s *scanner) error {
+	if m.rep == nil {
+		return nil
+	}
+	r, c := s.rank, &s.call
+	if rep := int(m.rep[r]); rep != r {
+		return s.errf("rank %d is a member of rank %d's class: only representatives have events", r, rep)
+	}
+	span := int(m.span[r])
+	if span == 0 {
+		return nil
+	}
+	if s.have&fSizes != 0 && c.Op == "scatter" {
+		return s.errf("scatter sizes on rank %d, whose class has members: they are only valid on the root's event", r)
+	}
+	far := func(name string, peer int) error {
+		return s.errf("%s %d is rank %d at member %d, out of range [0, %d)", name, peer, peer+span, r+span, s.ranks)
+	}
+	if m := peerFields(c); m&fPeer != 0 && shift(c.Peer, span) >= s.ranks {
+		return far("peer", c.Peer)
+	} else if m&fPeer2 != 0 && shift(c.Peer2, span) >= s.ranks {
+		return far("peer2", c.Peer2)
 	}
 	return nil
 }
@@ -209,8 +309,8 @@ func parseHeader(line []byte, lineNo int, h *Header) error {
 	if err := probeDec.Decode(&probe); err != nil || probe.Version == nil {
 		return lineErr(lineNo, `not a trace header (missing "mpisim_trace" version field)`)
 	}
-	if *probe.Version != SchemaVersion {
-		return lineErr(lineNo, "unsupported trace version %d (this build reads version %d)", *probe.Version, SchemaVersion)
+	if *probe.Version != 1 && *probe.Version != SchemaVersion {
+		return lineErr(lineNo, "unsupported trace version %d (this build reads versions 1 and %d)", *probe.Version, SchemaVersion)
 	}
 	dec := json.NewDecoder(bytes.NewReader(bytes.TrimSpace(line)))
 	dec.DisallowUnknownFields()

@@ -11,6 +11,13 @@ import (
 
 const hdr4 = `{"mpisim_trace":1,"ranks":4,"machine":"ibmsp","comm":"analytic"}` + "\n"
 
+// hdr4v2 opens a v2 trace; classOf3 makes ranks 1 to 3 members of rank
+// 0's class.
+const (
+	hdr4v2   = `{"mpisim_trace":2,"ranks":4,"machine":"ibmsp","comm":"analytic"}` + "\n"
+	classOf3 = hdr4v2 + `{"members":[[0,1,3]]}` + "\n"
+)
+
 // TestParseValid checks a hand-written trace covering every op parses
 // and replays.
 func TestParseValid(t *testing.T) {
@@ -64,7 +71,7 @@ func TestParseErrors(t *testing.T) {
 		{"not json", "hello world\n", 1, "not a trace header"},
 		{"json array", "[1,2,3]\n", 1, "not a trace header"},
 		{"object but not a header", `{"foo":1}` + "\n", 1, "not a trace header"},
-		{"future version", `{"mpisim_trace":2,"ranks":4}` + "\n", 1, "unsupported trace version 2"},
+		{"future version", `{"mpisim_trace":3,"ranks":4}` + "\n", 1, "unsupported trace version 3"},
 		{"unknown header field", `{"mpisim_trace":1,"ranks":4,"zap":1}` + "\n", 1, `unknown field "zap"`},
 		{"zero ranks", `{"mpisim_trace":1,"ranks":0}` + "\n", 1, "ranks must be >= 1"},
 		{"negative ranks", `{"mpisim_trace":1,"ranks":-3}` + "\n", 1, "ranks must be >= 1"},
@@ -97,6 +104,20 @@ func TestParseErrors(t *testing.T) {
 		{"negative size entry", hdr4 + `{"r":0,"op":"scatter","root":0,"bytes":0,"sizes":[1,2,-3,4]}` + "\n", 2, "sizes[2] must be >= 0"},
 		{"scatter sizes off root", hdr4 + `{"r":1,"op":"scatter","root":0,"bytes":0,"sizes":[1,2,3,4]}` + "\n", 2, "only valid on the root"},
 		{"error on later line", hdr4 + `{"r":0,"op":"barrier"}` + "\n" + `{"r":0,"op":"warp"}` + "\n", 3, `unknown op "warp"`},
+		{"v2 missing members line", hdr4v2, 2, "missing the members line"},
+		{"v2 event for members line", hdr4v2 + `{"r":0,"op":"barrier"}` + "\n", 2, "want the members line"},
+		{"v2 members trailing garbage", hdr4v2 + `{"members":[]} []` + "\n", 2, "trailing content"},
+		{"v2 short run", hdr4v2 + `{"members":[[0,1]]}` + "\n", 2, "has 2 entries"},
+		{"v2 empty run", hdr4v2 + `{"members":[[0,1,0]]}` + "\n", 2, "count must be >= 1"},
+		{"v2 overlapping runs", hdr4v2 + `{"members":[[0,1,2],[0,2,1]]}` + "\n", 2, "do not overlap"},
+		{"v2 runs out of order", hdr4v2 + `{"members":[[0,3,1],[0,1,1]]}` + "\n", 2, "in rank order"},
+		{"v2 run past the ranks", hdr4v2 + `{"members":[[0,1,4]]}` + "\n", 2, "runs past the last rank 3"},
+		{"v2 representative above its members", hdr4v2 + `{"members":[[2,1,1]]}` + "\n", 2, "representative 2 must be a rank below its members"},
+		{"v2 member that is also a representative", hdr4v2 + `{"members":[[0,1,1],[1,2,1]]}` + "\n", 2, "representative 1 is itself a member of rank 0's class"},
+		{"v2 event of a member", classOf3 + `{"r":0,"op":"barrier"}` + "\n" + `{"r":2,"op":"barrier"}` + "\n", 4, "rank 2 is a member of rank 0's class"},
+		{"v2 scatter sizes on a class", classOf3 + `{"r":0,"op":"scatter","root":0,"bytes":0,"sizes":[1,2,3,4]}` + "\n", 3, "scatter sizes on rank 0, whose class has members"},
+		{"v2 peer past the last member", classOf3 + `{"r":0,"op":"send","peer":1,"tag":0,"bytes":8}` + "\n", 3, "peer 1 is rank 4 at member 3"},
+		{"v2 peer2 past the last member", classOf3 + `{"r":0,"op":"sendrecv","peer":0,"tag":0,"bytes":8,"peer2":2,"tag2":0}` + "\n", 3, "peer2 2 is rank 5 at member 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,11 +139,12 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseTrace feeds the parser arbitrary bytes. The contract under
-// fuzzing: never panic; every rejection is a line-anchored *ParseError;
-// the scanner and the writer agree with the reference codec
-// (checkAgainstReference); every accepted trace re-serializes
-// canonically and stably (write → parse → write is a fixed point).
+// FuzzParseTrace feeds the parser arbitrary bytes, v1 and v2. The
+// contract under fuzzing: never panic; every rejection is a
+// line-anchored *ParseError; the scanner, the class map and the writer
+// agree with the reference codec (checkAgainstReference); every accepted
+// trace re-serializes canonically and stably (write → parse → write is a
+// fixed point, whichever version came in).
 func FuzzParseTrace(f *testing.F) {
 	valid := hdr4 +
 		`{"r":0,"op":"compute","sec":0.001}` + "\n" +
@@ -141,6 +163,18 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte("\xff\xfe not a trace"))
 	f.Add([]byte(hdr4 + `{"R":0,"op":"delay","sec":1e-7,"task":"w\u00e9\n","task":null}` + "}\n"))
 	f.Add([]byte(hdr4 + " { \"op\" : \"alltoall\" , \"sizes\" : [ 1 , 2 , 3 , 4 ] , \"bytes\" : 0 , \"r\" : 3 } \n"))
+	// v2: a valid class map (a wildcard and a scatter root beside it), then
+	// overlapping runs, a member that is also a representative, a run past
+	// the ranks, a peer that leaves the world at the last member, and
+	// scatter sizes on a class with members.
+	f.Add([]byte(hdr4v2 + `{"members":[[0,1,2]]}` + "\n" +
+		`{"r":0,"op":"recv","peer":-1,"tag":7,"bytes":8}` + "\n" + `{"r":0,"op":"send","peer":1,"tag":7,"bytes":8}` + "\n" +
+		`{"r":3,"op":"scatter","root":3,"bytes":0,"sizes":[1,2,3,4]}` + "\n"))
+	f.Add([]byte(hdr4v2 + `{"members":[[0,1,2],[0,2,2]]}` + "\n"))
+	f.Add([]byte(hdr4v2 + `{"members":[[0,1,1],[1,2,2]]}` + "\n"))
+	f.Add([]byte(hdr4v2 + `{"members":[[1,2,3]]}` + "\n"))
+	f.Add([]byte(classOf3 + `{"r":0,"op":"sendrecv","peer":1,"tag":0,"bytes":8,"peer2":0,"tag2":0}` + "\n"))
+	f.Add([]byte(classOf3 + `{"r":0,"op":"scatter","root":0,"bytes":0,"sizes":[1,2,3,4]}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := checkAgainstReference(t, data)
 		if err != nil {

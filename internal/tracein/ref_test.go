@@ -18,19 +18,37 @@ import (
 	"mpisim/internal/mpi"
 )
 
-// RefParseBytes is ParseBytes as the reference decoder reads it.
+// RefParseBytes is ParseBytes as the reference decoder reads it: the
+// per-rank calls of RefCalls, folded.
 func RefParseBytes(data []byte) (*Trace, error) {
+	hdr, calls, err := RefCalls(data)
+	if err != nil {
+		return nil, err
+	}
+	return New(hdr, calls)
+}
+
+// RefCalls decodes a trace into every rank's calls. A v2 file's members
+// are checked naively: each event of a representative is expanded to
+// every member and held to the v1 rules there.
+func RefCalls(data []byte) (Header, [][]mpi.Call, error) {
 	br := bufio.NewReader(bytes.NewReader(data))
-	t := &Trace{}
-	lineNo := 0
-	sawHeader := false
+	var (
+		hdr        Header
+		calls      [][]mpi.Call
+		repOf      []int   // nil until a v2 members line
+		members    [][]int // rep → its members
+		lineNo     int
+		sawHeader  bool
+		sawMembers bool
+	)
 	for {
 		raw, err := br.ReadBytes('\n')
 		if len(raw) == 0 && err != nil {
 			if err == io.EOF {
 				break
 			}
-			return nil, err
+			return hdr, nil, err
 		}
 		lineNo++
 		line := bytes.TrimRight(raw, "\r\n")
@@ -40,35 +58,128 @@ func RefParseBytes(data []byte) (*Trace, error) {
 			}
 			continue
 		}
-		if !sawHeader {
-			if perr := parseHeader(line, lineNo, &t.Header); perr != nil {
-				return nil, perr
+		switch {
+		case !sawHeader:
+			if perr := parseHeader(line, lineNo, &hdr); perr != nil {
+				return hdr, nil, perr
 			}
-			t.Calls = make([][]mpi.Call, t.Header.Ranks)
-			sawHeader = true
-		} else if perr := refParseEvent(line, lineNo, t); perr != nil {
-			return nil, perr
+			calls = make([][]mpi.Call, hdr.Ranks)
+			sawHeader, sawMembers = true, hdr.Version == 1
+		case !sawMembers:
+			if repOf, members, err = refParseMembers(line, lineNo, hdr.Ranks); err != nil {
+				return hdr, nil, err
+			}
+			sawMembers = true
+		default:
+			rank, c, perr := refParseEvent(line, lineNo, hdr.Ranks)
+			if perr != nil {
+				return hdr, nil, perr
+			}
+			if repOf != nil && repOf[rank] != rank {
+				return hdr, nil, lineErr(lineNo, "rank %d is a member of rank %d's class", rank, repOf[rank])
+			}
+			var of []int
+			if members != nil {
+				of = members[rank]
+			}
+			for _, m := range of {
+				if perr := refCheckCall(m, &c, m-rank, hdr.Ranks, lineNo); perr != nil {
+					return hdr, nil, perr
+				}
+			}
+			calls[rank] = append(calls[rank], c)
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return hdr, nil, err
 		}
 	}
 	if !sawHeader {
-		return nil, lineErr(1, "empty trace: missing header line")
+		return hdr, nil, lineErr(1, "empty trace: missing header line")
 	}
-	return t, nil
+	if !sawMembers {
+		return hdr, nil, lineErr(lineNo+1, "missing members line")
+	}
+	for r, rep := range repOf {
+		if r == rep {
+			continue
+		}
+		for _, c := range calls[rep] {
+			calls[r] = append(calls[r], refShift(c, r-rep))
+		}
+	}
+	return hdr, calls, nil
 }
 
-// RefWrite is Write as the reference encoder emits it.
+// refParseMembers decodes a v2 members line into rank → representative
+// and representative → members.
+func refParseMembers(line []byte, lineNo, ranks int) ([]int, [][]int, error) {
+	var v struct {
+		Members [][]int `json:"members"`
+	}
+	if err := refDecodeStrict(line, lineNo, &v); err != nil {
+		return nil, nil, err
+	}
+	repOf, members := make([]int, ranks), make([][]int, ranks)
+	for r := range repOf {
+		repOf[r] = r
+	}
+	end := 0
+	for _, run := range v.Members {
+		if len(run) != 3 {
+			return nil, nil, lineErr(lineNo, "a run is [rep, first, count]")
+		}
+		rep, first, count := run[0], run[1], run[2]
+		if count < 1 || first < end || count > ranks || first > ranks-count || rep < 0 || rep >= first || repOf[rep] != rep {
+			return nil, nil, lineErr(lineNo, "bad run %v", run)
+		}
+		for r := first; r < first+count; r++ {
+			repOf[r] = rep
+			members[rep] = append(members[rep], r)
+		}
+		end = first + count
+	}
+	return repOf, members, nil
+}
+
+// refShift is c as a rank d above its issuer issues it.
+func refShift(c mpi.Call, d int) mpi.Call {
+	switch c.Op {
+	case "send", "recv":
+		if c.Peer != mpi.AnySource {
+			c.Peer += d
+		}
+	case "sendrecv":
+		if c.Peer != mpi.AnySource {
+			c.Peer += d
+		}
+		if c.Peer2 != mpi.AnySource {
+			c.Peer2 += d
+		}
+	}
+	return c
+}
+
+// refCheckCall holds call c of a representative, shifted to rank m, to
+// the v1 event rules at m.
+func refCheckCall(m int, c *mpi.Call, d, ranks, lineNo int) error {
+	sc := refShift(*c, d)
+	if (sc.Op == "send" || sc.Op == "recv" || sc.Op == "sendrecv") && sc.Peer >= ranks || sc.Op == "sendrecv" && sc.Peer2 >= ranks {
+		return lineErr(lineNo, "peer out of range at member %d", m)
+	}
+	if sc.Op == "scatter" && sc.Sizes != nil && m != sc.Root {
+		return lineErr(lineNo, "scatter sizes at member %d", m)
+	}
+	return nil
+}
+
+// RefWrite is Write as the reference encoder emits it: the members runs
+// found rank by rank, each line through json.Marshal.
 func RefWrite(w io.Writer, t *Trace) error {
 	if t.Header.Version != SchemaVersion {
 		return fmt.Errorf("tracein: cannot write schema version %d (want %d)", t.Header.Version, SchemaVersion)
-	}
-	if t.Header.Ranks != len(t.Calls) {
-		return fmt.Errorf("tracein: header declares %d ranks but trace has %d call sequences", t.Header.Ranks, len(t.Calls))
 	}
 	bw := bufio.NewWriter(w)
 	hdr, err := json.Marshal(&t.Header)
@@ -77,17 +188,63 @@ func RefWrite(w io.Writer, t *Trace) error {
 	}
 	bw.Write(hdr)
 	bw.WriteByte('\n')
-	for rank, calls := range t.Calls {
-		for i := range calls {
-			line, err := refMarshalEvent(rank, &calls[i])
-			if err != nil {
+	runs := [][3]int{}
+	for r := 0; r < t.Header.Ranks; r++ {
+		rep := t.reps[t.class[r]]
+		switch n := len(runs); {
+		case rep == r:
+		case n > 0 && runs[n-1][0] == rep && runs[n-1][1]+runs[n-1][2] == r:
+			runs[n-1][2]++
+		default:
+			runs = append(runs, [3]int{rep, r, 1})
+		}
+	}
+	members, _ := json.Marshal(struct {
+		Members [][3]int `json:"members"`
+	}{runs})
+	bw.Write(members)
+	bw.WriteByte('\n')
+	for r := 0; r < t.Header.Ranks; r++ {
+		if t.reps[t.class[r]] == r {
+			if err := refWriteEvents(bw, r, t.CallsOf(r)); err != nil {
 				return err
 			}
-			bw.Write(line)
-			bw.WriteByte('\n')
 		}
 	}
 	return bw.Flush()
+}
+
+// RefWriteV1 writes the trace in the per-rank v1 form: every rank's
+// calls, through the reference encoder. It is the only v1 writer there
+// is; tests use it for v1 fixtures.
+func RefWriteV1(w io.Writer, t *Trace) error {
+	bw := bufio.NewWriter(w)
+	h := t.Header
+	h.Version = 1
+	hdr, err := json.Marshal(&h)
+	if err != nil {
+		return err
+	}
+	bw.Write(hdr)
+	bw.WriteByte('\n')
+	for r := 0; r < t.Header.Ranks; r++ {
+		if err := refWriteEvents(bw, r, t.CallsOf(r)); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func refWriteEvents(bw *bufio.Writer, rank int, calls []mpi.Call) error {
+	for i := range calls {
+		line, err := refMarshalEvent(rank, &calls[i])
+		if err != nil {
+			return err
+		}
+		bw.Write(line)
+		bw.WriteByte('\n')
+	}
+	return nil
 }
 
 // refDecodeStrict unmarshals one line into v, rejecting unknown fields,
@@ -208,38 +365,37 @@ func refMaskNames(m refFieldMask) string {
 	return strings.Join(names, ", ")
 }
 
-func refParseEvent(line []byte, lineNo int, t *Trace) error {
+func refParseEvent(line []byte, lineNo, ranks int) (int, mpi.Call, error) {
 	var w refWireEvent
 	if err := refDecodeStrict(line, lineNo, &w); err != nil {
-		return err
+		return 0, mpi.Call{}, err
 	}
 	if w.R == nil {
-		return lineErr(lineNo, `event missing field "r"`)
+		return 0, mpi.Call{}, lineErr(lineNo, `event missing field "r"`)
 	}
 	if w.Op == nil {
-		return lineErr(lineNo, `event missing field "op"`)
+		return 0, mpi.Call{}, lineErr(lineNo, `event missing field "op"`)
 	}
-	ranks := t.Header.Ranks
 	rank := *w.R
 	if rank < 0 || rank >= ranks {
-		return lineErr(lineNo, "rank %d out of range [0, %d)", rank, ranks)
+		return 0, mpi.Call{}, lineErr(lineNo, "rank %d out of range [0, %d)", rank, ranks)
 	}
 	spec, ok := refOpFields[*w.Op]
 	if !ok {
-		return lineErr(lineNo, "unknown op %q", *w.Op)
+		return 0, mpi.Call{}, lineErr(lineNo, "unknown op %q", *w.Op)
 	}
 	have := w.present()
 	if missing := spec.req &^ have; missing != 0 {
-		return lineErr(lineNo, "op %q missing field(s): %s", *w.Op, refMaskNames(missing))
+		return 0, mpi.Call{}, lineErr(lineNo, "op %q missing field(s): %s", *w.Op, refMaskNames(missing))
 	}
 	if extra := have &^ (spec.req | spec.opt); extra != 0 {
-		return lineErr(lineNo, "op %q does not take field(s): %s", *w.Op, refMaskNames(extra))
+		return 0, mpi.Call{}, lineErr(lineNo, "op %q does not take field(s): %s", *w.Op, refMaskNames(extra))
 	}
 
 	c := mpi.Call{Op: *w.Op}
 	if w.Sec != nil {
 		if math.IsNaN(*w.Sec) || math.IsInf(*w.Sec, 0) || *w.Sec < 0 {
-			return lineErr(lineNo, "sec must be finite and >= 0, got %v", *w.Sec)
+			return 0, mpi.Call{}, lineErr(lineNo, "sec must be finite and >= 0, got %v", *w.Sec)
 		}
 		c.Sec = *w.Sec
 	}
@@ -248,7 +404,7 @@ func refParseEvent(line []byte, lineNo int, t *Trace) error {
 	}
 	if w.Bytes != nil {
 		if *w.Bytes < 0 {
-			return lineErr(lineNo, "bytes must be >= 0, got %d", *w.Bytes)
+			return 0, mpi.Call{}, lineErr(lineNo, "bytes must be >= 0, got %d", *w.Bytes)
 		}
 		c.Bytes = *w.Bytes
 	}
@@ -259,7 +415,7 @@ func refParseEvent(line []byte, lineNo int, t *Trace) error {
 			lo = mpi.AnySource // the receive wildcard
 		}
 		if c.Peer < lo || c.Peer >= ranks {
-			return lineErr(lineNo, "peer %d out of range [%d, %d)", c.Peer, lo, ranks)
+			return 0, mpi.Call{}, lineErr(lineNo, "peer %d out of range [%d, %d)", c.Peer, lo, ranks)
 		}
 	}
 	if w.Tag != nil {
@@ -268,7 +424,7 @@ func refParseEvent(line []byte, lineNo int, t *Trace) error {
 	if w.Peer2 != nil {
 		c.Peer2 = *w.Peer2
 		if c.Peer2 < mpi.AnySource || c.Peer2 >= ranks {
-			return lineErr(lineNo, "peer2 %d out of range [%d, %d)", c.Peer2, mpi.AnySource, ranks)
+			return 0, mpi.Call{}, lineErr(lineNo, "peer2 %d out of range [%d, %d)", c.Peer2, mpi.AnySource, ranks)
 		}
 	}
 	if w.Tag2 != nil {
@@ -277,25 +433,24 @@ func refParseEvent(line []byte, lineNo int, t *Trace) error {
 	if w.Root != nil {
 		c.Root = *w.Root
 		if c.Root < 0 || c.Root >= ranks {
-			return lineErr(lineNo, "root %d out of range [0, %d)", c.Root, ranks)
+			return 0, mpi.Call{}, lineErr(lineNo, "root %d out of range [0, %d)", c.Root, ranks)
 		}
 	}
 	if w.Sizes != nil {
 		if len(w.Sizes) != ranks {
-			return lineErr(lineNo, "sizes has %d entries, want one per rank (%d)", len(w.Sizes), ranks)
+			return 0, mpi.Call{}, lineErr(lineNo, "sizes has %d entries, want one per rank (%d)", len(w.Sizes), ranks)
 		}
 		for i, s := range w.Sizes {
 			if s < 0 {
-				return lineErr(lineNo, "sizes[%d] must be >= 0, got %d", i, s)
+				return 0, mpi.Call{}, lineErr(lineNo, "sizes[%d] must be >= 0, got %d", i, s)
 			}
 		}
 		if *w.Op == "scatter" && rank != c.Root {
-			return lineErr(lineNo, "scatter sizes are only valid on the root's event (rank %d, root %d)", rank, c.Root)
+			return 0, mpi.Call{}, lineErr(lineNo, "scatter sizes are only valid on the root's event (rank %d, root %d)", rank, c.Root)
 		}
 		c.Sizes = w.Sizes
 	}
-	t.Calls[rank] = append(t.Calls[rank], c)
-	return nil
+	return rank, c, nil
 }
 
 // refMarshalEvent renders one call as its canonical JSONL line. Per-op

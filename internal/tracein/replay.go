@@ -20,8 +20,8 @@ import (
 // reproduces the recorded schedule under the model it was recorded
 // with rather than re-modeling it.
 func Replay(t *Trace, cfg mpi.Config) (*mpi.Report, error) {
-	if t.Header.Ranks != len(t.Calls) {
-		return nil, fmt.Errorf("tracein: header declares %d ranks but trace has %d call sequences", t.Header.Ranks, len(t.Calls))
+	if t.Header.Ranks != len(t.class) {
+		return nil, fmt.Errorf("tracein: header declares %d ranks but the trace maps %d", t.Header.Ranks, len(t.class))
 	}
 	if cfg.Ranks == 0 {
 		cfg.Ranks = t.Header.Ranks
@@ -49,14 +49,18 @@ func Replay(t *Trace, cfg mpi.Config) (*mpi.Report, error) {
 		return nil, err
 	}
 	return w.RunProgram(func(r *mpi.Rank) mpi.Program {
-		return &replayer{r: r, calls: t.Calls[r.Rank()]}
+		k := t.class[r.Rank()]
+		return &replayer{r: r, calls: t.streams[k], shift: r.Rank() - t.reps[k]}
 	})
 }
 
-// replayer is one rank's program: a pc into its recorded calls.
+// replayer is one rank's program: a pc into its class's calls, which it
+// issues with point-to-point peers shifted by its distance from the
+// class's representative.
 type replayer struct {
 	r     *mpi.Rank
 	calls []mpi.Call
+	shift int
 	pc    int
 }
 
@@ -66,27 +70,27 @@ func (p *replayer) Step() bool {
 	for p.pc < len(p.calls) {
 		c := &p.calls[p.pc]
 		p.pc++
-		if replayCall(p.r, c); p.r.Waiting() {
+		if replayCall(p.r, c, p.shift); p.r.Waiting() {
 			return false
 		}
 	}
 	return true
 }
 
-// replayCall re-issues one recorded operation. Payloads are nil
-// throughout; recorded sizes carry the timing.
-func replayCall(r *mpi.Rank, c *mpi.Call) {
+// replayCall re-issues one recorded operation, its peers shifted by d.
+// Payloads are nil throughout; recorded sizes carry the timing.
+func replayCall(r *mpi.Rank, c *mpi.Call, d int) {
 	switch c.Op {
 	case "compute":
 		r.Compute(c.Sec)
 	case "delay":
 		r.DelayTask(c.Task, c.Sec)
 	case "send":
-		r.Send(c.Peer, c.Tag, c.Bytes, nil)
+		r.Send(shift(c.Peer, d), c.Tag, c.Bytes, nil)
 	case "recv":
-		r.StartRecv(c.Peer, c.Tag, c.Bytes)
+		r.StartRecv(shift(c.Peer, d), c.Tag, c.Bytes)
 	case "sendrecv":
-		r.StartSendrecv(c.Peer, c.Tag, c.Bytes, nil, c.Peer2, c.Tag2)
+		r.StartSendrecv(shift(c.Peer, d), c.Tag, c.Bytes, nil, shift(c.Peer2, d), c.Tag2)
 	case "bcast":
 		r.StartBcast(c.Root, nil, c.Bytes)
 	case "reduce":

@@ -263,7 +263,7 @@ func TestRoundTripEveryOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tr.Calls[0]); n < 16+128+1 {
+	if n := len(tr.CallsOf(0)); n < 16+128+1 {
 		t.Fatalf("rank 0 recorded %d calls: too few to span three recorder chunks", n)
 	}
 	checkRoundTrip(t, rep, tr, m)

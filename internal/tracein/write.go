@@ -13,18 +13,22 @@ import (
 	"mpisim/internal/mpi"
 )
 
-// Write serializes the trace as JSONL: the header line followed by each
-// rank's calls in rank order. The output is deterministic and Parse
-// reads it back to an identical Trace: the header is one json.Marshal
-// (struct field order, sorted map keys); each event line is appended
-// field by field in the fixed order appendEvent states, numbers in
-// encoding/json's form, so equal traces serialize to equal bytes.
+// Write serializes the trace as v2 JSONL: the header line, the members
+// line, then each representative's calls, representatives in rank
+// order. The output is deterministic and Parse reads it back to an
+// identical Trace: the header is one json.Marshal (struct field order,
+// sorted map keys); the members line lists the runs of consecutive
+// ranks that share a representative, in rank order, as [rep, first,
+// count] (a rank in no run is its own representative); each event line
+// is appended field by field in the fixed order appendEvent states,
+// numbers in encoding/json's form, so equal traces serialize to equal
+// bytes.
 func Write(w io.Writer, t *Trace) error {
 	if t.Header.Version != SchemaVersion {
 		return fmt.Errorf("tracein: cannot write schema version %d (want %d)", t.Header.Version, SchemaVersion)
 	}
-	if t.Header.Ranks != len(t.Calls) {
-		return fmt.Errorf("tracein: header declares %d ranks but trace has %d call sequences", t.Header.Ranks, len(t.Calls))
+	if t.Header.Ranks != len(t.class) {
+		return fmt.Errorf("tracein: header declares %d ranks but the trace maps %d", t.Header.Ranks, len(t.class))
 	}
 	bw := bufio.NewWriterSize(w, 64<<10)
 	hdr, err := json.Marshal(&t.Header)
@@ -32,11 +36,34 @@ func Write(w io.Writer, t *Trace) error {
 		return err
 	}
 	bw.Write(hdr)
-	bw.WriteByte('\n')
-	var line []byte
-	for rank, calls := range t.Calls {
+	line := append(make([]byte, 0, 256), "\n{\"members\":["...)
+	for r, runs := 0, 0; r < len(t.class); {
+		// [r, end) share a class; its representative, the lowest rank of
+		// the class, can only be r.
+		k, end := t.class[r], r+1
+		for end < len(t.class) && t.class[end] == k {
+			end++
+		}
+		first := r
+		if t.reps[k] == r {
+			first++
+		}
+		if first < end {
+			if runs++; runs > 1 {
+				line = append(line, ',')
+			}
+			line = append(strconv.AppendInt(append(line, '['), int64(t.reps[k]), 10), ',')
+			line = append(strconv.AppendInt(line, int64(first), 10), ',')
+			line = append(strconv.AppendInt(line, int64(end-first), 10), ']')
+			bw.Write(line)
+			line = line[:0]
+		}
+		r = end
+	}
+	bw.Write(append(line, "]}\n"...))
+	for k, calls := range t.streams {
 		for i := range calls {
-			if line, err = appendEvent(line[:0], rank, &calls[i]); err != nil {
+			if line, err = appendEvent(line[:0], t.reps[k], &calls[i]); err != nil {
 				return err
 			}
 			bw.Write(line)

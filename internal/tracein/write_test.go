@@ -65,10 +65,16 @@ func TestStringFormIsEncodingJSONs(t *testing.T) {
 // has no v1 spelling; Write must fail rather than emit a line Parse
 // would refuse.
 func TestWriteRejectsNonFiniteSec(t *testing.T) {
+	one := func(c mpi.Call) *Trace {
+		tr, err := New(Header{}, [][]mpi.Call{{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
 	for _, sec := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, op := range []string{"compute", "delay"} {
-			tr := &Trace{Header: Header{Version: SchemaVersion, Ranks: 1},
-				Calls: [][]mpi.Call{{{Op: op, Sec: sec}}}}
+			tr := one(mpi.Call{Op: op, Sec: sec})
 			if err := Write(io.Discard, tr); err == nil || !strings.Contains(err.Error(), "non-finite") {
 				t.Errorf("Write of a %s with sec %v: %v", op, sec, err)
 			}
@@ -78,14 +84,11 @@ func TestWriteRejectsNonFiniteSec(t *testing.T) {
 		}
 	}
 	// An op that carries no sec ignores the field, as it always did.
-	tr := &Trace{Header: Header{Version: SchemaVersion, Ranks: 1},
-		Calls: [][]mpi.Call{{{Op: "barrier", Sec: math.NaN()}}}}
-	if err := Write(io.Discard, tr); err != nil {
+	if err := Write(io.Discard, one(mpi.Call{Op: "barrier", Sec: math.NaN()})); err != nil {
 		t.Errorf("Write of a barrier with a stray NaN sec: %v", err)
 	}
 	// An op the format does not know is refused by name.
-	tr.Calls[0][0].Op = "teleport"
-	if err := Write(io.Discard, tr); err == nil || !strings.Contains(err.Error(), `unknown op "teleport"`) {
+	if err := Write(io.Discard, one(mpi.Call{Op: "teleport"})); err == nil || !strings.Contains(err.Error(), `unknown op "teleport"`) {
 		t.Errorf("Write of an unknown op: %v", err)
 	}
 }

@@ -30,8 +30,10 @@
 #      0.35x the unchecked prediction's wall to it — mpisim -app sweep3d
 #      -mode am -ranks 4096 default vs -nocheck, best of three alternating
 #      runs each (within-run pair); and the trace door's budget beside
-#      it: mpisim -tracein of that run's recorded trace, parse included,
-#      may take at most 1.5x the default run's wall; and the interpreter's:
+#      it: that run's recorded trace — v2, one call stream per rank class
+#      — must be at most 4 MiB (the daemon's inline cap), and mpisim
+#      -tracein of it, parse included, may take at most 0.75x the default
+#      run's wall; and the interpreter's:
 #      mpisim -app sweep3d -mode de -ranks 256 may take at most 3x the
 #      wall of -mode am -ranks 1024; every rank of a prediction is a
 #      handler chain and no body goroutine is started: mpisim -metrics for
@@ -44,8 +46,12 @@
 #      scale row: wall and peak RSS of a 262,144-rank AM prediction
 #  11. trace frontend gate: record → replay round-trip and weak-scaling
 #      extrapolation tests (bit-exact replay, sched-equivalence across
-#      engines), every examples/traces/*.jsonl replayed and extrapolated
-#      through mpisim and attributed with mpireport
+#      engines), the fold's differential (expanding the class streams
+#      gives back every rank's calls), the recorded traces of the CLI
+#      golden corpus (each one Write's form of itself, and its counts
+#      those the run printed), every examples/traces/*.jsonl (v1, read as
+#      the identity class map) replayed and extrapolated through mpisim
+#      and attributed with mpireport
 #  12. service gates: determinism (cached vs fresh artifacts
 #      byte-identical, the cache index rebuilt from the journal) and
 #      crash recovery (kill mid-run, restart under both policies,
@@ -241,11 +247,19 @@ if [ $(( (checked - unchecked) * 100 )) -gt $(( unchecked * 35 )) ]; then
     echo "verifier budget: the verifier adds more than 0.35x the unchecked wall" >&2
     exit 1
 fi
-# The trace door's budget (ROADMAP: replay-including-parse <= 1.5x
-# direct), on the same configuration and the same best-of-three: replay
-# the run's own recording from the file. The
-# hand-written scanner measured ~1.0x; the reflective decoder it replaced, 4-5x.
+# The trace door's budget, on the same configuration and the same
+# best-of-three: the run's own recording must fit the daemon's 4 MiB
+# inline cap, and replaying it from the file may take 0.75x the direct
+# run. A v2 trace holds one call stream per rank class (nine here): 103 KB
+# and 0.43-0.45x, nearly all of it the simulation; the per-rank v1 form
+# was 61 MB and ~1.0x, the reflective decoder before it 4-5x.
 "$bin/mpisim" -app sweep3d -mode am -ranks 4096 -nocheck -record "$bin/sweep4k.jsonl" >/dev/null
+size=$(wc -c <"$bin/sweep4k.jsonl" 2>/dev/null || true)
+echo "trace size: ${size:-unreadable} bytes at 4096 ranks"
+if [ -z "$size" ] || [ "$size" -gt $(( 4 << 20 )) ]; then
+    echo "trace size: the recorded 4096-rank trace is over 4 MiB, or its size could not be read" >&2
+    exit 1
+fi
 replayed=999999
 for i in 1 2 3; do
     t0=$(date +%s%N)
@@ -254,8 +268,8 @@ for i in 1 2 3; do
 done
 rm -f "$bin/sweep4k.jsonl"
 echo "replay budget: -tracein ${replayed} ms vs default ${checked} ms"
-if [ $(( replayed * 2 )) -gt $(( checked * 3 )) ]; then
-    echo "replay budget: replaying the recorded trace takes more than 1.5x the direct run" >&2
+if [ "$replayed" -eq 999999 ] || [ $(( replayed * 4 )) -gt $(( checked * 3 )) ]; then
+    echo "replay budget: replaying the recorded trace takes more than 0.75x the direct run, or its wall could not be read" >&2
     exit 1
 fi
 
@@ -350,8 +364,9 @@ echo "== trace frontend gate (record -> replay -> extrapolate)"
 # Unit gates: bit-exact round-trip replay, weak-scaling extrapolation
 # (16 -> 64 under torus and fat-tree), and record-and-replay determinism
 # across engines/worker counts.
-go test -count=1 -run 'TestRoundTrip|TestExtrapolate|TestParse|TestReference|TestStricter|TestCodecAllocCeilings' ./internal/tracein/
+go test -count=1 -run 'TestRoundTrip|TestExtrapolate|TestParse|TestReference|TestStricter|TestCodecAllocCeilings|TestFold|TestClassCounts|TestReplayOfClasses' ./internal/tracein/
 go test -count=1 -run 'TestSchedEquivalenceReplay' ./internal/core/
+go test -count=1 -run 'TestGoldenTraceSections' ./cmd/mpisim/
 # Every committed example trace must replay cleanly; the ring trace is
 # additionally extrapolated to a 64-rank torus and the pair's scaling
 # loss attributed with mpireport.
@@ -471,11 +486,12 @@ echo "== trace replay overhead gate"
 # direct simulation, measured within the same runs. `direct` is the same
 # ring as a Go mpi.Program under World.RunProgram, so both sides run
 # their ranks as continuations on one scheduler (measured: replay at
-# 0.84-1.06 of direct). parse+replay starts from the file's bytes: the
-# parser's 0.25 us per line against a simulated event's 0.19 us makes it
-# 3.6-4.6x direct, gated at 5x; its absolute rate is held by its
+# 0.84-1.06 of direct). parse+replay starts from the file's bytes — a
+# v2 trace: the ring's 16 ranks are three classes, so the file holds
+# three ranks' lines — and measures ~2.2x direct (3.6-4.6x when the file
+# held every rank), gated at 5x; its absolute rate is held by its
 # recorded row in BENCH_kernel.json (the throughput gate below), and the
-# -tracein CLI budget above holds it to 1.5x the direct run.
+# -tracein CLI budget above holds the door to 0.75x the direct run.
 { for i in 1 2 3; do
     go test -run '^$' -bench 'BenchmarkTraceReplay' -benchtime 1s ./internal/tracein/
 done; } |
