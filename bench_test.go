@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mpisim/internal/apps"
 	"mpisim/internal/compiler"
 	"mpisim/internal/interp"
 	"mpisim/internal/mpi"
@@ -243,21 +244,34 @@ func BenchmarkKernelMessageRate(b *testing.B) {
 // a pure compute nest: host nanoseconds per abstract operation of the
 // target program (the unit machine.Model.OpTime prices), and allocations.
 func BenchmarkInterpThroughput(b *testing.B) {
-	prog := Tomcatv()
-	inputs := TomcatvInputs(256, 1)
+	benchInterp(b, Tomcatv(), TomcatvInputs(256, 1), 1, mpi.Analytic)
+}
+
+// BenchmarkInterpThroughputSweep3D is the same measure on a direct-
+// execution Sweep3D prediction at 256 ranks (4x4x40 cells per rank, the
+// de_sweep3d_256 workload's run): the cell loop under the detailed
+// communication model.
+func BenchmarkInterpThroughputSweep3D(b *testing.B) {
+	npx, npy := apps.ProcGrid(256)
+	benchInterp(b, Sweep3D(), Sweep3DInputs(4, 4, 40, 10, npx, npy), 256, mpi.Detailed)
+}
+
+func benchInterp(b *testing.B, prog *Program, inputs map[string]float64, ranks int, comm mpi.CommModel) {
 	m := IBMSP()
 	var ops float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := interp.Run(prog, interp.Config{
-			Config: mpi.Config{Ranks: 1, Machine: m, Comm: mpi.Analytic},
+			Config: mpi.Config{Ranks: ranks, Machine: m, Comm: comm},
 			Inputs: inputs,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops += float64(rep.Ranks[0].ComputeTime) / m.ComputeTime(1, rep.Ranks[0].PeakBytes)
+		for _, r := range rep.Ranks {
+			ops += float64(r.ComputeTime) / m.ComputeTime(1, r.PeakBytes)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/abstract-op")
 }

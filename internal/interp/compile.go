@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
@@ -30,12 +31,14 @@ const (
 	opApply // a = symexpr.ApplyOp(d, b, c): idiv, ceildiv, mod, min, max, comparison values
 	opCall  // a = intrinsic number c applied to b
 
-	opAddr1 // address register a = checked offset of array b at (c); e: load-style fault text
-	opAddr2 // ... at (c, d); e: load-style fault text
-	opAddr3 // ... at (c, d, e)
-	opAddrN // ... at registers c..c+d-1 (d subscripts)
-	opLoad  // a = array b at address register c
-	opStore // array a at address register b = c
+	opAddr1   // address register a = checked offset of array b at (c); e: load-style fault text
+	opAddr2   // ... at (c, d); e: load-style fault text
+	opAddr3   // ... at (c, d, e)
+	opAddrN   // ... at registers c..c+d-1 (d subscripts)
+	opLoad    // a = array b at address register c
+	opStore   // array a at address register b = c
+	opAddLoad // a = b + array c at address register d
+	opSubLoad // a = b - array c at address register d
 
 	opJump    // charge b; pc = a
 	opBnLT    // charge d; unless a < b: pc = c
@@ -84,17 +87,35 @@ type commOp struct {
 }
 
 type compiledArray struct {
-	name string
-	dims []int32 // registers holding the extents once the array's dims code ran
-	elem int64
+	name  string
+	dims  []int32 // registers holding the extents once the array's dims code ran
+	elem  int64
+	shape int32 // the first array declared with structurally equal dimensions
 }
 
-// addrEntry says address register id holds the checked offset of arr at
-// the current values of the scalar/constant registers subs (-1 beyond the
-// array's rank).
+// addrEntry says address register id holds the checked offset, into every
+// array of the shape, at the current values of the scalar/constant
+// registers subs (-1 beyond the rank).
 type addrEntry struct {
-	arr, id int32
-	subs    [3]int32
+	shape, id int32
+	subs      [3]int32
+}
+
+// valEntry says register reg holds the element of array arr at the offset
+// in address register addr.
+type valEntry struct{ arr, addr, reg int32 }
+
+// known is what the lowering knows to hold at a point of the code: the
+// checked addresses and the array elements held in registers. Every value
+// record's address is among the addresses, and its register is a
+// temporary of its own.
+type known struct {
+	addrs []addrEntry
+	vals  []valEntry
+}
+
+func (k known) clone() known {
+	return known{append([]addrEntry(nil), k.addrs...), append([]valEntry(nil), k.vals...)}
 }
 
 // compiled is a program lowered to register code. The register file is
@@ -121,10 +142,10 @@ type compiled struct {
 	cfg *Config // the run being compiled for: inputs, machine, collectors
 
 	// Lowering state.
-	tsp     int32       // temporaries in use
-	pending int32       // op charges of the open basic block, not yet emitted
-	live    []addrEntry // addresses known valid at this point
-	defs    []def       // scalar definitions met, for the integrality analysis
+	tsp     int32 // temporaries in use
+	pending int32 // op charges of the open basic block, not yet emitted
+	live    known // what holds at this point
+	defs    []def // scalar definitions met, for the integrality analysis
 }
 
 // def is one scalar definition: an assignment, or with no right-hand side
@@ -168,8 +189,14 @@ func (cp *compiled) lower(p *ir.Program) {
 	for i, ad := range p.Arrays {
 		cp.arrayIdx[ad.Name] = int32(i)
 	}
-	for _, ad := range p.Arrays {
-		ca := compiledArray{name: ad.Name, elem: ad.Elem}
+	for i, ad := range p.Arrays {
+		ca := compiledArray{name: ad.Name, elem: ad.Elem, shape: int32(i)}
+		for j, prev := range p.Arrays[:i] {
+			if sameDims(prev.Dims, ad.Dims) {
+				ca.shape = int32(j)
+				break
+			}
+		}
 		for _, de := range ad.Dims {
 			ca.dims = append(ca.dims, cp.expr(de, -1)) // temporaries stay live up to the halt
 		}
@@ -180,6 +207,41 @@ func (cp *compiled) lower(p *ir.Program) {
 	cp.block(p.Body)
 	cp.emit(opFlush, cp.takePending())
 	cp.emit(opHalt)
+}
+
+// sameDims reports whether two dimension lists are the same expressions.
+// Arrays declared so get the same extents: their dimension code runs at
+// frame creation, before the body writes any scalar, so a checked offset
+// into one is the same checked offset into the other.
+func sameDims(a, b []ir.Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameExpr(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameExpr is structural equality, with literals compared as bit patterns;
+// sums are never the same.
+func sameExpr(a, b ir.Expr) bool {
+	switch x := a.(type) {
+	case ir.Num:
+		y, ok := b.(ir.Num)
+		return ok && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	case ir.Scalar:
+		return a == b
+	case ir.Bin:
+		y, ok := b.(ir.Bin)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case ir.Call:
+		y, ok := b.(ir.Call)
+		return ok && x.Name == y.Name && sameExpr(x.Arg, y.Arg)
+	}
+	return false
 }
 
 // slot returns the register of a scalar, allocating on first use.
@@ -289,6 +351,15 @@ func (cp *compiled) temp() int32 {
 	return cp.tempBase + cp.tsp - 1
 }
 
+// pop frees the temporaries above mark, except those holding a recorded
+// array element and the ones below them.
+func (cp *compiled) pop(mark int32) {
+	cp.tsp = mark
+	for _, v := range cp.live.vals {
+		cp.tsp = max(cp.tsp, v.reg-cp.tempBase+1)
+	}
+}
+
 // takePending hands the open block's op charges to the instruction that
 // ends it. Charges are whole numbers and the pending count is reset at
 // every flush, so adding a block's charges once, at its end, leaves every
@@ -306,56 +377,108 @@ func (cp *compiled) settle() {
 	}
 }
 
-// wrote forgets the addresses computed from a scalar about to change.
+// wrote forgets the addresses computed from a scalar about to change,
+// and the elements recorded at them.
 func (cp *compiled) wrote(slot int32) {
-	kept := cp.live[:0]
-	for _, e := range cp.live {
+	kept := cp.live.addrs[:0]
+	for _, e := range cp.live.addrs {
 		if e.subs[0] != slot && e.subs[1] != slot && e.subs[2] != slot {
 			kept = append(kept, e)
 		}
 	}
-	cp.live = kept
+	cp.live.addrs = kept
+	cp.keepVals(func(v valEntry) bool { return cp.liveAddr(v.addr) })
 }
 
-// join keeps the addresses valid on both of two merging paths.
-func (cp *compiled) join(other []addrEntry) {
-	kept := cp.live[:0]
-	for _, e := range cp.live {
-		for _, o := range other {
-			if e == o {
-				kept = append(kept, e)
-				break
-			}
+func (cp *compiled) liveAddr(id int32) bool {
+	for _, e := range cp.live.addrs {
+		if e.id == id {
+			return true
 		}
 	}
-	cp.live = kept
+	return false
+}
+
+func (cp *compiled) keepVals(keep func(valEntry) bool) {
+	kept := cp.live.vals[:0]
+	for _, v := range cp.live.vals {
+		if keep(v) {
+			kept = append(kept, v)
+		}
+	}
+	cp.live.vals = kept
+}
+
+// join keeps what holds on both of two merging paths.
+func (cp *compiled) join(other known) {
+	kept := cp.live.addrs[:0]
+	for _, e := range cp.live.addrs {
+		if slices.Contains(other.addrs, e) {
+			kept = append(kept, e)
+		}
+	}
+	cp.live.addrs = kept
+	cp.keepVals(func(v valEntry) bool { return slices.Contains(other.vals, v) })
+}
+
+// element lowers the address of an array element: the array, the address
+// register and whether it is recorded, and the register recorded to hold
+// the element, or -1.
+func (cp *compiled) element(x ir.Idx) (ai, addr int32, recorded bool, reg int32) {
+	ai = cp.array(x.Array)
+	addr, recorded = cp.address(ai, x.Index, 1)
+	return ai, addr, recorded, cp.held(ai, addr)
+}
+
+// held returns the register recorded to hold array ai's element at
+// address register addr, or -1.
+func (cp *compiled) held(ai, addr int32) int32 {
+	for _, v := range cp.live.vals {
+		if v.arr == ai && v.addr == addr {
+			return v.reg
+		}
+	}
+	return -1
+}
+
+// stored updates the records after a store to array ai at address
+// register addr: every element of ai recorded at another address may be
+// the one stored, so those records die, and reg, when it is not -1, now
+// holds the element stored.
+func (cp *compiled) stored(ai, addr, reg int32) {
+	cp.keepVals(func(v valEntry) bool { return v.arr != ai })
+	if reg >= 0 && cp.liveAddr(addr) {
+		cp.live.vals = append(cp.live.vals, valEntry{ai, addr, reg})
+	}
 }
 
 // loop emits the counting loop of a For or a sum: the scalar takes every
 // whole step from the rounded lo to the rounded hi, both evaluated once,
 // and each iteration is charged the given number of ops. The counter and
 // the limit are hidden registers, so assigning the scalar inside the body
-// does not steer the loop.
-func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, body func()) {
+// does not steer the loop. The statements of pre run once when the loop
+// is entered, after the test that skips a loop of no iteration.
+func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, body func()) {
 	mark := cp.tsp
 	l, h := cp.intReg(lo), cp.intReg(hi)
+	cp.live = known{} // the body is entered from above and from below
 	cp.tsp = mark
 	ctr := cp.temp()
 	cp.temp() // the limit, at ctr+1
 	init := cp.emit(opForInit, ctr, l, h, 0, cp.takePending())
-	cp.live = cp.live[:0] // the body is entered from above and from below
+	cp.block(pre)
 	top := cp.here()
 	body()
 	cp.code[init].d = cp.here()
 	cp.emit(opForNext, ctr, slot, top, cp.takePending(), charge)
-	cp.live = cp.live[:0]
+	cp.live = known{}
 }
 
 func (cp *compiled) block(body []ir.Stmt) {
 	for _, s := range body {
 		mark := cp.tsp
 		cp.stmt(s)
-		cp.tsp = mark
+		cp.pop(mark)
 	}
 }
 
@@ -367,20 +490,21 @@ func (cp *compiled) intReg(e ir.Expr) int32 {
 		return r
 	}
 	t := r
-	if t < cp.tempBase {
-		t = cp.temp()
+	if _, elem := e.(ir.Idx); elem || t < cp.tempBase {
+		t = cp.temp() // an element's register may hold it for later loads
 	}
 	cp.emit(opRound, t, r)
 	return t
 }
 
 // address lowers the subscripts of an array access and returns the
-// address register holding its checked offset. An access whose subscripts
-// are all scalars or constants reuses the address an earlier access of the
-// block computed from the same registers. load is 1 for an access whose
-// fault has a load's wording (opAddr1, opAddr2), else 0.
-func (cp *compiled) address(ai int32, index []ir.Expr, load int32) int32 {
-	key := addrEntry{arr: ai, subs: [3]int32{-1, -1, -1}}
+// address register holding its checked offset, and whether it is
+// recorded. An access whose subscripts are all scalars or constants reuses
+// the address an earlier access of the block computed from the same
+// registers into an array of the same shape. load is 1 for an access
+// whose fault has a load's wording (opAddr1, opAddr2), else 0.
+func (cp *compiled) address(ai int32, index []ir.Expr, load int32) (int32, bool) {
+	key := addrEntry{shape: cp.arrays[ai].shape, subs: [3]int32{-1, -1, -1}}
 	subs := make([]int32, len(index))
 	reusable := len(index) <= 3
 	for i, e := range index {
@@ -390,9 +514,9 @@ func (cp *compiled) address(ai int32, index []ir.Expr, load int32) int32 {
 		}
 	}
 	if reusable {
-		for _, e := range cp.live {
-			if e.arr == key.arr && e.subs == key.subs {
-				return e.id
+		for _, e := range cp.live.addrs {
+			if e.shape == key.shape && e.subs == key.subs {
+				return e.id, true
 			}
 		}
 	}
@@ -413,9 +537,9 @@ func (cp *compiled) address(ai int32, index []ir.Expr, load int32) int32 {
 		cp.emit(opAddrN, key.id, ai, base, int32(len(subs)))
 	}
 	if reusable {
-		cp.live = append(cp.live, key)
+		cp.live.addrs = append(cp.live.addrs, key)
 	}
-	return key.id
+	return key.id, reusable
 }
 
 // transfer lowers a send or a receive: flush, evaluate the section (a
@@ -431,12 +555,14 @@ func (cp *compiled) transfer(op opcode, c commOp, sec []ir.Range, peer ir.Expr) 
 	}
 	ci := cp.comm(c)
 	at := cp.emit(opSection, ci)
+	skipped := cp.live.clone()
 	cp.emit(op, ci, cp.intReg(peer))
 	if op == opRecv {
 		cp.emit(opUnpack, ci)
+		cp.keepVals(func(v valEntry) bool { return v.arr != c.arr })
 	}
 	cp.code[at].b = cp.here()
-	cp.live = cp.live[:0] // the empty section's skip joins here
+	cp.join(skipped) // the empty section's skip
 }
 
 func (cp *compiled) comm(c commOp) int32 {
@@ -474,12 +600,23 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		// The address comes first: a bad subscript faults before the
 		// right-hand side is evaluated.
 		ai := cp.array(x.LHS.Name)
-		addr := cp.address(ai, x.LHS.Index, 0)
-		cp.emit(opStore, ai, addr, cp.expr(x.RHS, -1))
+		addr, recorded := cp.address(ai, x.LHS.Index, 0)
+		// A value computed for a recorded address goes to the register
+		// holding the element already, if any, else to one of its own, and
+		// the store leaves it there for later loads.
+		dst := int32(-1)
+		if recorded && computed(x.RHS) {
+			if dst = cp.held(ai, addr); dst < 0 {
+				dst = cp.temp()
+			}
+		}
+		cp.emit(opStore, ai, addr, cp.expr(x.RHS, dst))
+		cp.stored(ai, addr, dst)
 
 	case *ir.For:
 		cp.pending += int32(ir.OpCount(x.Lo) + ir.OpCount(x.Hi) + 1)
-		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, func() { cp.block(x.Body) })
+		pre, body := invariantHead(x)
+		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, func() { cp.block(body) })
 
 	case *ir.If:
 		cp.pending += int32(1 + ir.OpCount(x.Cond))
@@ -499,8 +636,8 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		} else {
 			br = cp.emit(opBrZ, cp.expr(x.Cond, -1), 0, 0, cp.takePending())
 		}
-		cp.tsp = mark
-		skipped := append([]addrEntry(nil), cp.live...)
+		cp.pop(mark)
+		skipped := cp.live.clone()
 		cp.block(x.Then)
 		if len(x.Else) == 0 {
 			cp.settle()
@@ -512,6 +649,7 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		cp.code[br].c = cp.here()
 		then := cp.live
 		cp.live = skipped
+		cp.pop(mark)
 		cp.block(x.Else)
 		cp.settle()
 		cp.code[jump].a = cp.here()
@@ -583,9 +721,74 @@ func (cp *compiled) stmt(s ir.Stmt) {
 	}
 }
 
+// computed reports whether an instruction computes e's value, and so can
+// write it to any register: e is no literal, scalar or array element.
+func computed(e ir.Expr) bool {
+	switch e.(type) {
+	case ir.Num, ir.Scalar, ir.Idx:
+		return false
+	}
+	return true
+}
+
+// invariantHead splits a loop body into the scalar assignments heading it
+// that the loop can run once, on entry, and the rest. Such an assignment
+// is the only statement of the loop that writes its scalar, and its
+// right-hand side is invariant, so every iteration would assign the value
+// the first one does. A sum saves and restores its index, so it writes no
+// scalar a statement could see.
+func invariantHead(f *ir.For) (head, rest []ir.Stmt) {
+	if len(f.Body) == 0 {
+		return nil, nil
+	}
+	if a, ok := f.Body[0].(*ir.Assign); !ok || a.LHS.IsArray() {
+		return nil, f.Body
+	}
+	writes := map[string]int{f.Var: 1}
+	ir.Walk(f.Body, func(s ir.Stmt) bool {
+		//simvet:allow maprange counting writes is order-independent
+		for v := range ir.StmtDefUse(s).Defs {
+			writes[v]++
+		}
+		return true
+	})
+	n := 0
+	for ; n < len(f.Body); n++ {
+		a, ok := f.Body[n].(*ir.Assign)
+		if !ok || a.LHS.IsArray() || writes[a.LHS.Name] != 1 || !invariant(a.RHS, writes) {
+			break
+		}
+	}
+	return f.Body[:n], f.Body[n:]
+}
+
+// invariant reports whether e reads no array and no scalar the loop
+// writes, and evaluates without a fault: no division, idiv, ceildiv or
+// mod, and no sum.
+func invariant(e ir.Expr, writes map[string]int) bool {
+	switch x := e.(type) {
+	case ir.Num:
+		return true
+	case ir.Scalar:
+		return writes[x.Name] == 0
+	case ir.Bin:
+		switch x.Op {
+		case ir.OpDiv, ir.OpIDiv, ir.OpCeilDiv, ir.OpMod:
+			return false
+		}
+		return invariant(x.L, writes) && invariant(x.R, writes)
+	case ir.Call:
+		return invariant(x.Arg, writes)
+	}
+	return false
+}
+
 // arith maps the operators that have an instruction of their own; the
 // rest go through opApply.
 var arith = [...]opcode{ir.OpAdd: opAdd, ir.OpSub: opSub, ir.OpMul: opMul, ir.OpDiv: opDiv}
+
+// withLoad maps the operators fused with the load of their right operand.
+var withLoad = [...]opcode{ir.OpAdd: opAddLoad, ir.OpSub: opSubLoad}
 
 // branchOn maps an ordering comparison to the branch that leaves when it
 // fails; > and >= are < and <= with the operands exchanged, which is exact
@@ -608,7 +811,7 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 	mark := cp.tsp
 	// result pops the operands' temporaries and picks the destination.
 	result := func() int32 {
-		cp.tsp = mark
+		cp.pop(mark)
 		if dst >= 0 {
 			return dst
 		}
@@ -623,10 +826,18 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		leaf = cp.slot(x.Name)
 
 	case ir.Idx:
-		ai := cp.array(x.Array)
-		addr := cp.address(ai, x.Index, 1)
+		// A load into a temporary of a recorded address gets a register of
+		// its own and is recorded; a later load of the element reads it.
+		ai, addr, recorded, reg := cp.element(x)
+		if reg >= 0 {
+			leaf = reg
+			break
+		}
 		d := result()
 		cp.emit(opLoad, d, ai, addr)
+		if recorded && dst < 0 {
+			cp.live.vals = append(cp.live.vals, valEntry{ai, addr, d})
+		}
 		return d
 
 	case ir.Bin:
@@ -634,7 +845,21 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		if int(x.Op) < len(arith) {
 			op = arith[x.Op]
 		}
-		l, r := cp.expr(x.L, -1), cp.expr(x.R, -1)
+		l := cp.expr(x.L, -1)
+		var r int32
+		if e, ok := x.R.(ir.Idx); ok && int(x.Op) < len(withLoad) {
+			// l ± an element no register holds: one instruction loads and
+			// adds it.
+			ai, addr, _, reg := cp.element(e)
+			if reg < 0 {
+				d := result()
+				cp.emit(withLoad[x.Op], d, l, ai, addr)
+				return d
+			}
+			r = reg
+		} else {
+			r = cp.expr(x.R, -1)
+		}
 		d := result()
 		cp.emit(op, d, l, r, int32(x.Op))
 		return d
@@ -656,7 +881,7 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		slot, total, saved := cp.slot(x.Index), cp.temp(), cp.temp()
 		cp.emit(opMov, saved, slot)
 		cp.emit(opMov, total, cp.constant(0))
-		cp.loop(slot, x.Lo, x.Hi, 0, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
+		cp.loop(slot, x.Lo, x.Hi, 0, nil, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
 		cp.emit(opMov, slot, saved)
 		cp.tsp = mark
 		if dst < 0 {

@@ -204,6 +204,10 @@ func (f *frame) exec() bool {
 			regs[a] = arrs[b].data[addrs[c]]
 		case opStore:
 			arrs[a].data[addrs[b]] = regs[c]
+		case opAddLoad:
+			regs[a] = regs[b] + arrs[c].data[addrs[in.d]]
+		case opSubLoad:
+			regs[a] = regs[b] - arrs[c].data[addrs[in.d]]
 
 		case opJump:
 			ops += int64(b)

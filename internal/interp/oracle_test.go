@@ -193,6 +193,35 @@ func TestOracleApps(t *testing.T) {
 // TestOracleGenerated does the same on generated programs, with the
 // shapes the lowering specialises on switched on, original and
 // timer-instrumented.
+//
+// Each mutation below was applied to compile.go by hand and fails the
+// first case named (TestOracleParallelEngine fails with it):
+//
+//   - no kill at an aliasing store (a store keeps its array's records at
+//     other addresses): seed=0/ranks=1, x1 and x2 (stores through a1 and
+//     a2, equal at run time, then a load through a1);
+//   - no kill at unpack: seed=0/ranks=4, x5 (a receive into V(7) between
+//     two loads of it);
+//   - no kill at a join (a record made in an if's arm survives the join):
+//     seed=0/ranks=1, x7;
+//   - no kill at a loop head: seed=0/ranks=1, x8 (an element loaded, then
+//     stored, in a loop body);
+//   - sharing offsets by array rank instead of by dimension expressions:
+//     seed=0/ranks=1 indexes past the end of S2 (addressed with A0's row
+//     length);
+//   - hoisting without the entry test (the head statements run before
+//     forinit, their charges left in the body): seed=0/ranks=1, inv (the
+//     zero-trip loop assigns);
+//   - hoisting an assignment whose operand the body writes later:
+//     TestOracleApps/tomcatv, rmax, and seed=0/ranks=1, y;
+//   - rounding a subscript's element in the register that holds it:
+//     seed=0/ranks=1, x10;
+//   - recording a stored element in the register of the element it was
+//     copied from: seed=0/ranks=1, x11;
+//   - dropping the cannot-fault test passes alone: the hoisted statement
+//     heads the body, so it runs on entry exactly where the first
+//     iteration would have run it. With the entry test dropped too,
+//     seed=0/ranks=1 faults (the zero-trip loop's idiv by zero).
 func TestOracleGenerated(t *testing.T) {
 	m := machine.IBMSP()
 	seeds := int64(200)

@@ -105,6 +105,7 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 	if g.cfg.AccessShapes {
 		body = append(body, &ir.ReadInput{Var: "H"})
 		step = append(step, g.shapes(p)...)
+		step = append(step, forwarding(p)...)
 	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
 	p.Body = body
@@ -178,6 +179,82 @@ func (g *gen) shapes(p *ir.Program) []ir.Stmt {
 				ir.Add(ir.At("B4", j3, k3, ir.MaxE(n(1), ir.Sub(k3, n(1))), ir.CeilDiv(i3, n(2))),
 					ir.At("B3", i3, j3, k3))),
 		))),
+	)
+}
+
+// forwarding declares a 1-D array shaped like V, a 2-D one shaped like
+// A0 and one that is not, and emits the forms that forwarding an element
+// from a register, sharing a checked offset between arrays and running a
+// loop-invariant assignment once per loop entry could get wrong (all in
+// bounds for N >= 16): stores through two subscript scalars equal at run
+// time, then a load; a store through a computed subscript and a 4-D store
+// between a store and a load; a ring-shift receive into the array
+// between two loads; an element loaded in one arm of an if, and one
+// reloaded after a store in a loop body, each loaded again behind the
+// join or the back-edge; arrays with equal and with different dimension
+// expressions at the same subscripts; an invariant assignment in a
+// zero-trip loop, one whose operand the body writes later, one that
+// would divide by zero, and one that runs; an element loaded as a
+// subscript that needs rounding, then loaded again; and an element copied
+// to another array before a store of a new value to it.
+func forwarding(p *ir.Program) []ir.Stmt {
+	p.Arrays = append(p.Arrays,
+		&ir.ArrayDecl{Name: "U", Dims: []ir.Expr{ir.S("N")}, Elem: 8},
+		&ir.ArrayDecl{Name: "W2", Dims: []ir.Expr{ir.S("N"),
+			ir.Add(ir.CeilDiv(ir.S("N"), ir.S(ir.BuiltinP)), ir.N(2))}, Elem: 8},
+		&ir.ArrayDecl{Name: "S2", Dims: []ir.Expr{ir.S("N"), ir.N(3)}, Elem: 8},
+	)
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	v := func(idx ir.Expr) ir.Expr { return ir.At("V", idx) }
+	setV := func(idx, rhs ir.Expr) ir.Stmt { return ir.SetA("V", ir.IX(idx), rhs) }
+	myid, t, q, h := ir.S(ir.BuiltinMyID), ir.S("t"), ir.S("q"), ir.S("H")
+	a1, a2, r, c := ir.S("a1"), ir.S("a2"), ir.S("r"), ir.S("c")
+	tMod := func(m float64) ir.Expr { return ir.Mod(t, n(m)) }
+	return ir.Block(
+		ir.SetS("a1", ir.Add(n(4), tMod(2))),
+		ir.SetS("a2", ir.Add(n(4), tMod(2))),
+		setV(a1, ir.Add(v(a1), n(1))),
+		setV(a2, ir.Add(n(7), t)),
+		ir.SetS("x1", ir.Mul(v(a1), n(2))),
+		setV(a1, ir.Add(v(a1), n(0.25))),
+		setV(ir.Add(a1, n(0)), n(9)),
+		ir.SetS("x2", ir.Add(v(a1), n(1))),
+		ir.SetA("B4", ir.IX(n(1), n(1), n(1), n(1)), ir.Add(ir.At("B4", n(1), n(1), n(1), n(1)), n(1))),
+		ir.SetA("B4", ir.IX(n(1), n(1), n(1), n(1)), ir.Mul(t, n(3))),
+		ir.SetS("x3", ir.At("B4", n(1), n(1), n(1), n(1))),
+		setV(n(8), ir.AddN(ir.Mul(myid, n(7)), n(100), ir.Mul(t, t))),
+		ir.SetS("x4", ir.Add(v(n(7)), n(0))),
+		&ir.If{Cond: ir.GT(myid, n(0)), Then: ir.Block(
+			&ir.Send{Dest: ir.Sub(myid, n(1)), Tag: 98, Array: "V", Section: ir.Sec(n(8), n(8))})},
+		&ir.If{Cond: ir.LT(myid, ir.Sub(ir.S(ir.BuiltinP), n(1))), Then: ir.Block(
+			&ir.Recv{Src: ir.Add(myid, n(1)), Tag: 98, Array: "V", Section: ir.Sec(n(7), n(7))})},
+		ir.SetS("x5", ir.Mul(v(n(7)), n(1))),
+		setV(n(5), n(2.5)),
+		&ir.If{Cond: ir.LT(v(n(1)), t), Then: ir.Block(ir.SetS("x6", ir.Add(v(n(5)), t)))},
+		ir.SetS("x7", ir.Add(v(n(5)), n(1))),
+		setV(n(3), ir.Add(v(n(3)), n(0))),
+		ir.Loop("", "q", n(1), n(2), ir.SetS("x8", ir.Add(v(n(3)), n(1))), setV(n(3), ir.S("x8"))),
+		ir.SetS("r", ir.Add(n(2), tMod(3))),
+		ir.SetS("c", ir.Add(n(1), tMod(3))),
+		ir.SetA("A0", ir.IX(r, c), ir.Add(ir.At("A0", r, c), n(1))),
+		ir.SetA("W2", ir.IX(r, c), ir.Mul(ir.At("A0", r, c), n(2))),
+		ir.SetA("S2", ir.IX(r, c), ir.Add(ir.At("W2", r, c), ir.At("A0", r, c))),
+		ir.SetA("U", ir.IX(r), ir.Add(v(r), ir.At("S2", r, c))),
+		ir.SetS("x9", ir.Sub(ir.At("U", r), ir.At("W2", r, c))),
+		ir.SetS("inv", n(1)),
+		ir.Loop("", "q", n(5), n(4), ir.SetS("inv", ir.Mul(h, n(2))), setV(n(1), ir.Add(v(n(1)), ir.S("inv")))),
+		ir.SetS("z", n(1)),
+		ir.Loop("", "q", n(1), n(3), ir.SetS("y", ir.Mul(ir.S("z"), n(2))),
+			setV(n(4), ir.Add(v(n(4)), ir.S("y"))), ir.SetS("z", ir.Add(ir.S("z"), n(1)))),
+		ir.SetS("zero", n(0)),
+		ir.Loop("", "q", n(2), n(1), ir.SetS("w", ir.Bin{Op: ir.OpIDiv, L: h, R: ir.S("zero")})),
+		ir.Loop("", "q", n(1), n(3), ir.SetS("inv2", ir.Add(ir.Mul(h, t), n(1))),
+			setV(q, ir.Add(v(q), ir.S("inv2")))),
+		setV(n(6), ir.Add(ir.Mul(h, n(0.5)), t)),
+		ir.SetS("x10", ir.Add(ir.At("U", v(n(6))), v(n(6)))),
+		ir.SetA("U", ir.IX(n(2)), v(n(2))),
+		setV(n(2), ir.Mul(v(n(2)), n(3))),
+		ir.SetS("x11", ir.Add(ir.At("U", n(2)), n(0))),
 	)
 }
 

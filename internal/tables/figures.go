@@ -125,11 +125,20 @@ func sweepFixedTotalInputs(total int, ranks int) map[string]float64 {
 	npx, npy := apps.ProcGrid(ranks)
 	it := (total + npx - 1) / npx
 	jt := (total + npy - 1) / npy
-	mk := total / 4
-	if mk < 1 {
-		mk = 1
+	return apps.Sweep3DInputs(it, jt, total, sweepBlockDepth(total), npx, npy)
+}
+
+// sweepBlockDepth is the k-block depth MK of a Sweep3D run over kt
+// planes: the largest divisor of kt not above a quarter of it (kt/4 when
+// 4 divides kt, 51 for 255, 30 for 150), and 1 below four planes. The
+// program sweeps ceil(KT/MK) whole blocks, so a depth that does not
+// divide kt runs its last block past the k extent.
+func sweepBlockDepth(kt int) int {
+	mk := max(kt/4, 1)
+	for kt%mk != 0 {
+		mk--
 	}
-	return apps.Sweep3DInputs(it, jt, total, mk, npx, npy)
+	return mk
 }
 
 // Figure4 validates Sweep3D at fixed total problem size (paper: 150^3,

@@ -101,10 +101,9 @@ func sweepScalability(cfg Config, id string, it, jt, kt int, ranks []int,
 	if err != nil {
 		return nil, err
 	}
-	mk := kt / 4
 	inputsFor := func(p int) map[string]float64 {
 		npx, npy := apps.ProcGrid(p)
-		return apps.Sweep3DInputs(it, jt, kt, mk, npx, npy)
+		return apps.Sweep3DInputs(it, jt, kt, sweepBlockDepth(kt), npx, npy)
 	}
 	if _, err := r.Calibrate(4, inputsFor(4)); err != nil {
 		return nil, err

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"mpisim/internal/apps"
+	"mpisim/internal/core"
+	"mpisim/internal/machine"
 )
 
 // testCfg bounds experiment size so the suite stays fast.
@@ -404,5 +408,38 @@ func TestConfigHelpers(t *testing.T) {
 	got = Config{RankCap: 2}.ranksFor([]int{4, 8}, nil)
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("ranksFor fallback = %v", got)
+	}
+}
+
+// TestPaperScaleSweepBlockDepth runs the 4-rank calibration and direct
+// execution of the two paper-scale Sweep3D configurations (-full): Fig.
+// 10's 4x4x255 cells per processor and the fixed 150^3 total of Figs. 4,
+// 14 and 15. A block depth that does not divide the k extent sweeps past
+// it and faults in both.
+func TestPaperScaleSweepBlockDepth(t *testing.T) {
+	t.Parallel() // ~15 s beside the other figures' tests
+	for kt, want := range map[int]int{255: 51, 150: 30, 1000: 250, 64: 16, 36: 9, 3: 1} {
+		if got := sweepBlockDepth(kt); got != want {
+			t.Errorf("sweepBlockDepth(%d) = %d, want %d", kt, got, want)
+		}
+	}
+	if testing.Short() {
+		t.Skip("paper-scale runs")
+	}
+	npx, npy := apps.ProcGrid(4)
+	for name, inputs := range map[string]map[string]float64{
+		"fig10": apps.Sweep3DInputs(4, 4, 255, sweepBlockDepth(255), npx, npy),
+		"fig4":  sweepFixedTotalInputs(150, 4),
+	} {
+		r, err := newRunner(apps.Sweep3D(), machine.IBMSP(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Calibrate(4, inputs); err != nil {
+			t.Errorf("%s calibration: %v", name, err)
+		}
+		if _, err := r.Run(core.DirectExec, 4, inputs); err != nil {
+			t.Errorf("%s direct execution: %v", name, err)
+		}
 	}
 }
