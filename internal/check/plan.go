@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 
 	"mpisim/internal/ir"
@@ -52,7 +53,9 @@ const (
 // l and r hold the operands of eBin, the argument of eCall (l) and the
 // bounds of eSum.
 type pexpr struct {
-	kind  exprKind
+	kind exprKind
+	// sum: the expression holds a summation.
+	sum   bool
 	op    symexpr.Op
 	slot  int32
 	v     float64
@@ -106,6 +109,8 @@ type pstmt struct {
 	input val
 	// replaced marks a message the slicer routes through the dummy buffer.
 	replaced bool
+	// taskTimes marks a ReadTaskTimes.
+	taskTimes bool
 	// Static facts of a For or If: the body communicates; the statement
 	// or its body defines a structure-relevant variable; the scalars and
 	// arrays that skipping (or approximating) it invalidates.
@@ -186,6 +191,13 @@ func (pl *plan) internKey(key string) int32 {
 }
 
 func (c *planner) expr(e ir.Expr) *pexpr {
+	p := c.node(e)
+	p.sum = p.kind == eSum || p.l != nil && p.l.sum || p.r != nil && p.r.sum ||
+		slices.ContainsFunc(p.index, func(i *pexpr) bool { return i.sum })
+	return p
+}
+
+func (c *planner) node(e ir.Expr) *pexpr {
 	switch x := e.(type) {
 	case ir.Num:
 		return &pexpr{kind: eNum, v: x.Value}
@@ -252,7 +264,7 @@ func (c *planner) stmt(s ir.Stmt) pstmt {
 		// Runtime preamble: rank 0 reads the calibration table and
 		// broadcasts. Values are external, hence unknown; the operation
 		// itself synchronizes like a collective.
-		ps.kind, ps.vars = sColl, mapSlice(x.Names, c.slot)
+		ps.kind, ps.vars, ps.taskTimes = sColl, mapSlice(x.Names, c.slot), true
 		ps.key = c.internKey("READ_TASK_TIMES " + strings.Join(x.Names, ", "))
 	}
 	return ps

@@ -35,21 +35,9 @@ type Config struct {
 	BranchProfile *BranchProfile
 }
 
-// Run executes the program and returns the simulation report.
-func Run(p *ir.Program, cfg Config) (*mpi.Report, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	cp, err := compile(p, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	world, err := mpi.NewWorld(cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	return world.RunProgram(func(r *mpi.Rank) mpi.Program { return newFrame(cp, r) })
-}
+// Run executes the program, every rank on its own, and returns the
+// simulation report.
+func Run(p *ir.Program, cfg Config) (*mpi.Report, error) { return RunClasses(p, cfg, nil) }
 
 // Calibration accumulates per-task timing from Timed regions across all
 // ranks of a calibration run. w_i is total elapsed time divided by total

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+
 	"mpisim/internal/ir"
 )
 
@@ -21,10 +23,11 @@ func MemoryEstimate(p *ir.Program, ranks int, inputs map[string]float64) (int64,
 	var total int64
 	f := &frame{cp: cp, regs: make([]float64, int(cp.tempBase+cp.numTemps))}
 	for rank := 0; rank < ranks; rank++ {
-		f.bind(ranks, rank)
-		for i := range cp.arrays {
-			total += int64(f.extents(&cp.arrays[i], nil)) * cp.arrays[i].elem
+		b, ok := f.arrayBytes(ranks, rank)
+		if !ok {
+			return 0, fmt.Errorf("interp: the array extents of rank %d fault", rank)
 		}
+		total += b
 	}
 	return total, nil
 }

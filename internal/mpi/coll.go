@@ -142,6 +142,9 @@ func (r *Rank) StartBcast(root int, data []float64, size int64) {
 	}
 	bytes := collBytes(data, size)
 	r.log(Call{Op: "bcast", Root: root, Bytes: bytes})
+	if r.detached() {
+		return
+	}
 	r.op = opState{kind: opBcast}
 	r.openTree("bcast", root, data, bytes)
 	r.advance(false)
@@ -225,6 +228,9 @@ func (r *Rank) StartAllreduce(data []float64, size int64, op ReduceOp) {
 }
 
 func (r *Rank) allreduce(data []float64, size int64, op ReduceOp) {
+	if r.detached() {
+		return
+	}
 	r.op = opState{kind: opAllreduce, reduce: op}
 	r.openTree("reduce", 0, cloneVec(data), collBytes(data, size))
 	r.advance(false)

@@ -282,6 +282,10 @@ type Report struct {
 	// recorder, not part of the serialized report (traces have their
 	// own JSONL format).
 	Calls [][]Call `json:"-"`
+	// CallsFrom, when non-nil, maps every rank r to the rank whose log
+	// it issued, peers shifted by r − CallsFrom[r] (a replaying rank
+	// logs nothing); Calls holds the ranks with CallsFrom[r] == r.
+	CallsFrom []int32 `json:"-"`
 	// DelayByTask aggregates delay seconds per condensed-task name over
 	// all ranks (populated by simplified-program runs).
 	DelayByTask map[string]float64
@@ -507,10 +511,7 @@ func (w *World) run(spawn func(name string, r *Rank) *sim.Proc) (*Report, error)
 		}
 	}
 	if w.cfg.RecordCalls {
-		rep.Calls = make([][]Call, w.cfg.Ranks)
-		for i, r := range w.ranks {
-			rep.Calls[i] = r.callLog()
-		}
+		rep.Calls, rep.CallsFrom = w.callLogs()
 	}
 	for _, r := range w.ranks {
 		if r.delayByTask == nil {

@@ -100,7 +100,11 @@ func (r *Rank) Machine() *machine.Model { return r.world.cfg.Machine }
 // CheckAbort unwinds the rank when the run has been aborted
 // (sim.Proc.CheckAbort). A program calls it from long stretches of local
 // computation that reach no MPI call.
-func (r *Rank) CheckAbort() { r.proc.CheckAbort() }
+func (r *Rank) CheckAbort() {
+	if !r.detached() {
+		r.proc.CheckAbort()
+	}
+}
 
 // checkCrash fires the rank's injected stop-failure once its local clock
 // has reached the crash time. Crashes are detected at MPI-call
@@ -127,6 +131,9 @@ func (r *Rank) crash() {
 // rank crashed mid-work; the caller accounts the work, then must call
 // crash() when crashed is true.
 func (r *Rank) advanceWork(seconds float64, kind SegKind) (done float64, crashed bool) {
+	if r.detached() {
+		return seconds, false
+	}
 	if r.faults == nil {
 		r.segment(r.Now(), r.Now()+seconds, kind)
 		r.proc.Advance(sim.Time(seconds))
@@ -357,6 +364,9 @@ func (r *Rank) send(dst, tag int, size int64, data interface{}) {
 // the simplified programs send nil, standing for the dummy buffer).
 func (r *Rank) Send(dst, tag int, size int64, data interface{}) {
 	r.log(Call{Op: "send", Peer: dst, Tag: tag, Bytes: size})
+	if r.detached() {
+		return
+	}
 	r.send(dst, tag, size, data)
 }
 
@@ -376,6 +386,9 @@ const AnyTag = sim.Any
 func (r *Rank) StartRecv(src, tag int, expect int64) {
 	r.log(Call{Op: "recv", Peer: src, Tag: tag, Bytes: expect})
 	r.op = opState{}
+	if r.detached() {
+		return
+	}
 	r.recv(src, tag, expect)
 }
 

@@ -50,11 +50,29 @@ func (r *Rank) log(c Call) {
 	if !r.world.cfg.RecordCalls {
 		return
 	}
+	if _, replays := r.prog.(*replayer); replays {
+		return // its log is the stream it replays (callLogs)
+	}
 	if len(r.calls) == cap(r.calls) {
 		r.nextCallChunk()
 	}
 	r.calls = append(r.calls, c)
 }
+
+// Detached returns rank rank of a world of cfg.Ranks that simulates
+// nothing: Compute, DelayTask, Send, StartRecv, StartBcast,
+// StartAllreduce and StartBarrier log their call and complete at once
+// with no data, and there is no clock. internal/interp takes from it the
+// call stream a class replays.
+func Detached(cfg Config, rank int) *Rank {
+	cfg.RecordCalls = true
+	return &Rank{world: &World{cfg: cfg}, rank: rank}
+}
+
+func (r *Rank) detached() bool { return r.proc == nil }
+
+// CallLog returns the calls the rank has logged and releases them.
+func (r *Rank) CallLog() []Call { return r.callLog() }
 
 // A rank's call log is a list of chunks — a small first one, so a rank
 // that records a handful of calls stays cheap at any world size, then

@@ -107,7 +107,7 @@ func checkFold(t *testing.T, hdr tracein.Header, calls [][]mpi.Call) *tracein.Tr
 }
 
 // recordCalls records an app at ranks in a mode, with the test inputs
-// (NAS SP's on its q x q grid).
+// (NAS SP's on its q x q grid), and returns every rank's calls.
 func recordCalls(t *testing.T, app string, mode core.Mode, ranks int) (tracein.Header, [][]mpi.Call) {
 	t.Helper()
 	inputs := smallInputs(app, ranks)
@@ -116,7 +116,15 @@ func recordCalls(t *testing.T, app string, mode core.Mode, ranks int) (tracein.H
 		inputs = apps.NASSPInputs(4*q, 2, q)
 	}
 	rep, tr, _ := recordRun(t, app, apps.Registry()[app].Build(), mode, ranks, inputs, "")
-	return tr.Header, rep.Calls
+	if rep.CallsFrom == nil {
+		return tr.Header, rep.Calls
+	}
+	// A class-native AM run logs one stream per class: expand it.
+	calls := make([][]mpi.Call, len(rep.Calls))
+	for r := range calls {
+		calls[r] = tr.CallsOf(r)
+	}
+	return tr.Header, calls
 }
 
 // TestFoldExpandsToItsInput is the property: expand(fold(calls)) ==

@@ -126,24 +126,30 @@ type Trace struct {
 // Trace. hdr.Version is set and hdr.Ranks defaults to len(calls); other
 // fields are taken as provided. The trace may share calls' elements.
 func New(hdr Header, calls [][]mpi.Call) (*Trace, error) {
+	return newFrom(hdr, calls, nil)
+}
+
+// newFrom is New where rank r issues rank from[r]'s sequence shifted by
+// r − from[r] (mpi.Report.CallsFrom; nil: its own).
+func newFrom(hdr Header, calls [][]mpi.Call, from []int32) (*Trace, error) {
 	hdr.Version = SchemaVersion
 	if hdr.Ranks == 0 {
 		hdr.Ranks = len(calls)
 	}
-	if hdr.Ranks != len(calls) {
+	if hdr.Ranks != len(calls) || from != nil && len(from) != len(calls) {
 		return nil, fmt.Errorf("tracein: header declares %d ranks but %d call sequences were given", hdr.Ranks, len(calls))
 	}
-	return fold(hdr, nil, func(r int, _ []mpi.Call) []mpi.Call { return calls[r] }), nil
+	return fold(hdr, from, func(r int, _ []mpi.Call) []mpi.Call { return calls[r] }), nil
 }
 
 // Record builds a Trace from a report carrying the API-level call log
 // (a run with mpi.Config.RecordCalls set) and the given metadata, as
-// New does.
+// New does. Ranks that replayed a stream fold as it, unexpanded.
 func Record(rep *mpi.Report, hdr Header) (*Trace, error) {
 	if rep.Calls == nil {
 		return nil, fmt.Errorf("tracein: report has no call log (run with RecordCalls)")
 	}
-	return New(hdr, rep.Calls)
+	return newFrom(hdr, rep.Calls, rep.CallsFrom)
 }
 
 // Classes is the number of rank classes: the call sequences the trace
