@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -375,5 +376,75 @@ func TestClassBound(t *testing.T) {
 	want, _, _ := strings.Cut(fmt.Sprintf(classBound, maxClasses, maxClasses, 0), ",")
 	if notes := res.Text(Info); ctx.evals != ranks || strings.Count(notes, want) != 1 {
 		t.Errorf("%d of %d ranks evaluated; want all, and once the note %q in:\n%s", ctx.evals, ranks, want, notes)
+	}
+}
+
+// Past elemsSpilled distinct message sizes the counts spill to a table
+// by operation, which a member's copy of its representative's trace
+// carries too: the last size still overflows, on every rank, classes or
+// not.
+func TestSpilledSizesCompared(t *testing.T) {
+	p := ir.MustParse(fmt.Sprintf(`program spill
+  double precision A(%[1]d)
+  do i = 1, %[1]d
+    if ((myid < (P - 1))) then
+      SEND A(1:i) to (myid + 1) tag 1
+    endif
+    if ((myid > 0)) then
+      RECV A(1:i) from (myid - 1) tag 1
+    endif
+  enddo
+  if ((myid < (P - 1))) then
+    SEND A(1:%[1]d) to (myid + 1) tag 2
+  endif
+  if ((myid > 0)) then
+    RECV A(1:%[2]d) from (myid - 1) tag 2
+  endif
+end`, elemsSpilled+64, elemsSpilled+63))
+	opts := Options{Ranks: 4}
+	diffClasses(t, "spill", p, opts)
+	res, ctx, err := run(p, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("overflows the receive section of %d elems", elemsSpilled+63)
+	if n := strings.Count(res.Text(Info), want); n != 3 || ctx.evals == opts.Ranks {
+		t.Errorf("%d overflow errors %q in %d evaluations; want 3, in fewer than %d:\n%s", n, want, ctx.evals, opts.Ranks, res.Text(Info))
+	}
+}
+
+// A partition opens no representative past the first that gives up, so
+// that a give-up costs one evaluation: a rank whose stream reads
+// received data, or one that runs past the budget, leaves every rank
+// after it to run on its own, though ranks 2 on would share a class.
+func TestPartitionStopsAtGiveUp(t *testing.T) {
+	for _, c := range []struct{ name, src, why string }{
+		{"received", `program received
+  double precision A(4)
+  if ((myid == 0)) then
+    RECV A(1:4) from 1 tag 1
+  endif
+  if ((myid == 1)) then
+    SEND A(1:4) to 0 tag 1
+  endif
+  BARRIER
+end`, "the call stream of rank 0 depends on values known only as it runs"},
+		{"budget", `program long
+  x = 0
+  if ((myid == 0)) then
+    do i = 1, 2000000
+      x = (x + 1)
+    enddo
+  endif
+  BARRIER
+end`, "rank 0 runs past the partition's budget"},
+	} {
+		rep, why, err := Partition(ir.MustParse(c.src), 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(why, c.why) || slices.ContainsFunc(rep, func(k int32) bool { return k >= 0 }) {
+			t.Errorf("%s: representatives %v, %q; want none, %q", c.name, rep, why, c.why)
+		}
 	}
 }
