@@ -11,16 +11,16 @@ import (
 )
 
 // Rank classes: buildTraces evaluates one representative per class of
-// ranks and gives every other rank the representative's trace shifted to
-// it (DESIGN.md "Static verification" argues it in full). While a
-// representative runs, a value derived from myid carries a hash-consed
-// term over myid, and wherever such a value shapes the trace the class
-// gets the guard term(myid) == observed, a decision (a condition's truth,
-// a peer's offset from myid, whether a loop runs at all) being a term
-// itself. A rank at which every guard holds takes each decision the
-// representative took, so its trace is the representative's but for what
-// names the rank — relative peers, the on-grid test, the channel, a
-// bounds hit's witness — which is redone per member.
+// ranks into a window every member shares (DESIGN.md "Static
+// verification" argues it in full). While a representative runs, a value
+// derived from myid carries a hash-consed term over myid, and wherever
+// such a value shapes the trace the class gets the guard term(myid) ==
+// observed, a decision (a condition's truth, a peer's offset from myid,
+// whether a loop runs at all) being a term itself. A rank at which every
+// guard holds takes each decision the representative took, so its trace
+// is the window but for what names the rank: a relative peer, stored as
+// its offset (fRel), and a bounds hit's witness. The passes resolve those
+// per member, and only where a finding needs it.
 
 const (
 	// classMinRanks is the rank count from which Run records classes, at
@@ -70,25 +70,11 @@ type guard struct {
 	want uint64
 }
 
-// peerSpec is a point-to-point statement's operation as its class sees
-// it: the peer is an offset from the rank (rel) or a rank; noch marks an
-// operation without a channel (conditional), whose peer alone is redone.
-type peerSpec struct {
-	ps        *pstmt
-	rel, noch bool
-	peer      int64
-}
-
-// class is a representative's windows in traces.ops, traces.hits and
-// recorder.guards, and what to redo per member: patch{i, k} takes the op
-// at offset i of the window from specs[k], whose peer and channel at
-// rank stamp-1 resolved[k] holds.
+// class is a representative, its window in traces and its guards,
+// recorder.guards[g0:g1].
 type class struct {
-	rep, lo, hi    int32
-	h0, h1, g0, g1 int
-	specs          []peerSpec
-	patches        []struct{ i, k int32 }
-	resolved       []struct{ stamp, peer, ch int32 }
+	rep, win int32
+	g0, g1   int
 }
 
 // recorder owns the term table and the classes of one buildTraces.
@@ -105,9 +91,8 @@ type recorder struct {
 	// stream: the classes are Partition's, which fix a rank's whole call
 	// stream; gaveUp: the open one's stream is not known (inexact).
 	stream, gaveUp bool
-	// cur is the open class and specIDs its specs.
-	cur     class
-	specIDs map[peerSpec]int32
+	// cur is the open class.
+	cur class
 	// snaps are the array contents select terms read; snapOf is an array's
 	// current one (0: none taken since its last store, -1: it has none).
 	snaps  [][]float64
@@ -115,8 +100,7 @@ type recorder struct {
 }
 
 func newRecorder(ev *evaluator) *recorder {
-	r := &recorder{ev: ev, ids: map[term]int32{}, specIDs: map[peerSpec]int32{},
-		snaps: [][]float64{nil}, snapOf: make([]int32, len(ev.arrays))}
+	r := &recorder{ev: ev, ids: map[term]int32{}, snaps: [][]float64{nil}, snapOf: make([]int32, len(ev.arrays))}
 	r.term(term{}) // 0 is "no term"
 	r.term(term{op: tMyid})
 	return r
@@ -278,30 +262,19 @@ func (r *recorder) stored(array int32) {
 
 // comm records what the operation about to be emitted takes from the
 // rank: a peer that is myid plus an integer is guarded as that offset and
-// redone per member, any other term-carrying peer exactly; a definite
-// operation's channel names the rank, so it is redone whatever the peer.
-func (r *recorder) comm(ps *pstmt, peer val, o *op, definite bool) {
+// stored as it (fRel), any other term-carrying peer exactly.
+func (r *recorder) comm(ps *pstmt, peer val, o *op) {
 	if r.stream {
-		r.streamPeer(ps, peer, o) // a partition instantiates no trace
+		r.streamPeer(ps, peer, o)
 		return
 	}
-	s := peerSpec{ps: ps, noch: !definite, peer: int64(o.peer)}
-	if peer.t != 0 && o.has(fPeerKnown) && peer.v == math.Trunc(peer.v) && math.Abs(peer.v) < 1<<31 {
+	off := peer.v - float64(r.cur.rep)
+	if peer.t != 0 && o.has(fPeerKnown) && off == math.Trunc(off) && math.Abs(off) < 1<<31 {
 		r.decide(symexpr.OpSub, peer, r.myid(r.cur.rep))
-		s.rel, s.peer = true, s.peer-int64(r.cur.rep)
-	} else {
-		r.exact(peer)
-		if !definite {
-			return
-		}
+		o.peer, o.flags = int32(off), o.flags|fRel
+		return
 	}
-	k, ok := r.specIDs[s]
-	if !ok {
-		k = int32(len(r.cur.specs))
-		r.cur.specs = append(r.cur.specs, s)
-		r.specIDs[s] = k
-	}
-	r.cur.patches = append(r.cur.patches, struct{ i, k int32 }{int32(len(r.ev.tr.ops)) - r.cur.lo, k})
+	r.exact(peer)
 }
 
 // classBound is the one diagnostic classes add.
@@ -319,8 +292,7 @@ func (r *recorder) open(rank int32) *recorder {
 		return nil
 	}
 	r.serial++
-	r.cur = class{rep: rank, lo: int32(len(r.ev.tr.ops)), h0: len(r.ev.tr.hits), g0: len(r.guards)}
-	clear(r.specIDs)
+	r.cur = class{rep: rank, win: int32(len(r.ev.tr.win) - 1), g0: len(r.guards)}
 	clear(r.snapOf)
 	return r
 }
@@ -336,8 +308,7 @@ func (r *recorder) close() bool {
 		r.guards = r.guards[:r.cur.g0]
 		return false
 	}
-	r.cur.hi, r.cur.h1, r.cur.g1 = int32(len(r.ev.tr.ops)), len(r.ev.tr.hits), len(r.guards)
-	r.cur.resolved = make([]struct{ stamp, peer, ch int32 }, len(r.cur.specs))
+	r.cur.g1 = len(r.guards)
 	r.classes = append(r.classes, r.cur)
 	return true
 }
@@ -354,47 +325,14 @@ func (r *recorder) holds(c *class, rank int32) bool {
 // match moves the first class whose guards hold at rank to the front,
 // where the next rank tries it first, and reports whether there is one.
 func (r *recorder) match(rank int32) bool {
+	if r == nil {
+		return false
+	}
 	k := slices.IndexFunc(r.classes, func(c class) bool { return r.holds(&c, rank) })
 	if k < 0 {
 		return false
 	}
 	r.classes[0], r.classes[k] = r.classes[k], r.classes[0]
-	return true
-}
-
-// instantiate appends rank's trace and bounds hits from the first class
-// whose guards hold at it, if any.
-func (r *recorder) instantiate(rank int32) bool {
-	if r == nil || !r.match(rank) {
-		return false
-	}
-	c, tr := &r.classes[0], r.ev.tr
-	r.ev.rank = rank
-	base := len(tr.ops)
-	tr.ops = append(tr.ops, tr.ops[c.lo:c.hi]...)
-	for i := c.lo; i < c.hi && len(tr.spilled) > 0; i++ {
-		if v, ok := tr.spilled[i]; ok {
-			tr.spilled[int32(base)+i-c.lo] = v
-		}
-	}
-	for _, p := range c.patches {
-		s, m := &c.specs[p.k], &c.resolved[p.k]
-		if m.stamp != rank+1 {
-			m.stamp, m.peer, m.ch = rank+1, int32(s.peer), -1
-			if s.rel {
-				m.peer, _ = peerOf(known(float64(s.peer+int64(rank)), false))
-			}
-			if !s.noch && m.peer >= 0 && int(m.peer) < r.ev.ctx.Ranks {
-				m.ch = r.ev.channel(s.ps, tr.ops[base+int(p.i)].kind, m.peer)
-			}
-		}
-		o := &tr.ops[base+int(p.i)]
-		o.peer, o.ch = m.peer, m.ch
-	}
-	for _, h := range tr.hits[c.h0:c.h1] {
-		h.rank = rank
-		tr.hits = append(tr.hits, h)
-	}
 	return true
 }
 

@@ -13,15 +13,19 @@ import (
 )
 
 // The class differential: filling the arena by rank classes (run with
-// classFrom 0, so that every rank count records) must leave exactly what
-// evaluating every rank leaves (classFrom perRank) — the arena, the
-// channel and key tables, the bounds hits, the notes, the flags and the
-// Result — since the passes read nothing else. classBound is the one
-// note classes may add.
+// classFrom 0, so that every rank count records) must leave what
+// evaluating every rank leaves (classFrom perRank) — each rank's trace
+// expanded from its window (materialize: peers, channels by key, sizes,
+// bounds hits), the notes, the flags, the collective keys and the Result
+// — since the passes read nothing else. classBound is the one note
+// classes may add.
 //
-// What holds each guard site and each per-member redo: remove it alone
-// (trace.go, or classes.go where named) and the case named fails — a
-// golden case of TestClassesMatchPerRankOnGoldenCases, or a hand case.
+// What holds each guard site, each per-member resolution and each
+// class-size pass rule: remove it alone (trace.go, or the file named) and
+// the case named fails — a golden case of
+// TestClassesMatchPerRankOnGoldenCases, a hand case, a boundary case of
+// TestClassesMatchPerRankOnBoundaryFailures, or TestGoldenCorpus where
+// the class and per-rank paths share the code mutated.
 //
 //	ifStmt's decide(OpNE)                    golden app_sweep3d_16 (every app, from 4 ranks)
 //	forStmt's decide(tZeroTrip)              hand "skipped loop"
@@ -38,14 +42,12 @@ import (
 //	eval's select term                       hand "select after a store"
 //	bcastStmt's exact(root)                  hand "rank-dependent root"
 //	bcastStmt's decide(OpEQ): is it the root hand "bcast then branch"
-//	comm's decide(OpSub)                     golden mutant_headtohead_4
+//	comm's decide(OpSub)                     golden mutant_recvbeforesend_4
 //	comm's exact(peer)                       hand "fractional peer"
-//	comm's patch of an absolute peer         hand "gather beside a ring"
-//	instantiate's relative peer              golden app_sweep3d_16
-//	instantiate's on-grid test               hand "off the grid on some" (panics)
-//	instantiate's noch test                  golden app_sweep3d_4_unbound
-//	instantiate's channel, its ev.rank       golden app_sweep3d_16
-//	instantiate's hits, their h.rank         hand "overrun on some", golden mutant_shrunkbuffer_4
+//	comm's offset from the representative   golden app_nassp_4
+//	peerAt's shift by the rank               golden app_nassp_4
+//	linked's on-grid test                    hand "off the grid on some" (panics)
+//	definite's fMay test                     TestGoldenCorpus app_nassp_4_unbound
 //	close's truncated test                   golden irgen_budget_000_4_maxops40
 //	at's tSelect range test                  hand "select at a NaN subscript" (panics)
 //	snapshot's known test                    hand "select of an element never stored"
@@ -53,8 +55,22 @@ import (
 //	snapshot's uniformity test               hand "select across uniformity"
 //	stored                                   hand "select after a store"
 //	guard's dedupe being per class           golden app_sweep3d_16
-//	open's clear(specIDs)                    golden app_sweep3d_16 (panics)
 //	open's clear(snapOf)                     hand "snapshot left by a longer array"
+//
+// sendrecv.go, deadlock.go and collective.go:
+//
+//	sendrecv's off-grid test (boundary)      boundary "relative send off the grid on some" (panics)
+//	sendrecv's merge of rel and abs links    boundary "absolute and relative links on one channel"
+//	sendrecv's relative link owning it       boundary "absolute and relative links on one channel"
+//	sendrecv's pair memo: abs partner test   boundary "relative pair broken at one member by an absolute receive"
+//	sendrecv's pair memo: window test        boundary "overflow into one neighbour class only"
+//	sendrecv's receive offset negated        golden app_nassp_4
+//	sendrecv's sender-side test of a receive golden app_nassp_4
+//	sendrecv's channel of a receive          TestGoldenCorpus mutant_skewedtag_4
+//	deadlock's receive offset negated        golden app_nassp_4
+//	deadlock's wait reset to -1              TestStuckStatesReportTheRecordedCycle "head-to-head send/send"
+//	collective compared per member           boundary "collective skipped by one class"
+//	collective's witness the first member    boundary "bcast root off the grid by class"
 func diffClasses(t *testing.T, name string, p *ir.Program, opts Options) {
 	t.Helper()
 	want, wctx, err := run(p, opts, perRank)
@@ -82,12 +98,20 @@ func diffClasses(t *testing.T, name string, p *ir.Program, opts Options) {
 		return out
 	}
 	w, g := wctx.traces, gctx.traces
+	for r := int32(0); int(r) < opts.Ranks; r++ {
+		gops, ghits := materialize(gctx, r)
+		wops, whits := materialize(wctx, r)
+		if !reflect.DeepEqual(gops, wops) || !reflect.DeepEqual(ghits, whits) {
+			t.Errorf("%s (%d ranks, %d classes): rank %d differs between class and per-rank evaluation\n got %v %v\nwant %v %v",
+				name, opts.Ranks, gctx.evals, r, gops, ghits, wops, whits)
+			return
+		}
+	}
 	for _, f := range []struct {
 		what      string
 		got, want any
 	}{
-		{"ops", g.ops, w.ops}, {"win", g.win, w.win}, {"chans", g.chans, w.chans},
-		{"hits", g.hits, w.hits}, {"notes", dropBound(g.notes), w.notes},
+		{"notes", dropBound(g.notes), w.notes},
 		{"flags", [3]bool{g.truncated, g.uncertain, g.mayColl}, [3]bool{w.truncated, w.uncertain, w.mayColl}},
 		{"plan.keys", gctx.plan.keys, wctx.plan.keys},
 		{"diagnostics", dropBound(got.Diags), want.Diags},
@@ -98,6 +122,43 @@ func diffClasses(t *testing.T, name string, p *ir.Program, opts Options) {
 			return
 		}
 	}
+}
+
+// rankOp is an operation of one rank's trace as its own evaluation has
+// it: the peer resolved, the channel named by its key, the size read.
+type rankOp struct {
+	op
+	ch    chanKey
+	elems float64
+}
+
+// materialize expands rank r's trace and bounds hits from its window.
+func materialize(ctx *Context, r int32) ([]rankOp, []boundsHit) {
+	tr, w := ctx.traces, ctx.traces.of[r]
+	var ops []rankOp
+	for i := tr.win[w]; i < tr.win[w+1]; i++ {
+		o := rankOp{op: tr.at(i, r), ch: chanKey{-1, -1, -1}}
+		if o.has(fElemsKnown) {
+			o.elems = tr.elemsOf(i)
+		}
+		o.op.elems = 0
+		if q, ok := o.linked(r, ctx.Ranks); ok {
+			o.ch = chanKey{r, q, ctx.plan.tags[o.key]}
+			if o.kind == opRecv {
+				o.ch.from, o.ch.to = q, r
+			}
+		}
+		ops = append(ops, o)
+	}
+	var hits []boundsHit
+	rep := int32(slices.Index(tr.of, w))
+	for _, h := range tr.hits {
+		if h.rank == rep {
+			h.rank = r
+			hits = append(hits, h)
+		}
+	}
+	return ops, hits
 }
 
 func TestClassesMatchPerRankOnGoldenCases(t *testing.T) {
@@ -344,6 +405,106 @@ func TestClassesMatchPerRankOnHandCases(t *testing.T) {
 	}
 }
 
+// boundaryCases fail only where a class meets its boundary, at a rank
+// count that records classes: the passes' per-class fast path is the
+// all-match case, and each of these has to leave it for exactly the
+// members the per-rank path names, in its order.
+var boundaryCases = []struct {
+	name, src string
+	// errors and warnings are the findings each has (notes aside).
+	errors, warnings int
+}{
+	{"relative send off the grid on some", `program offgridsome
+  double precision A(4)
+  SEND A(1:4) to (myid + 3) tag 1
+  if ((myid >= 3)) then
+    RECV A(1:4) from (myid - 3) tag 1
+  endif
+end`, 3, 0},
+	{"overflow into one neighbour class only", `program overflowone
+  double precision A(8)
+  n = 4
+  if ((myid == 20)) then
+    n = 2
+  endif
+  if ((myid == 30)) then
+    n = 6
+  endif
+  if ((myid < (P - 1))) then
+    SEND A(1:4) to (myid + 1) tag 1
+  endif
+  if ((myid > 0)) then
+    RECV A(1:n) from (myid - 1) tag 1
+  endif
+end`, 1, 1},
+	{"head-to-head exchange", `program headtohead
+  double precision A(8)
+  SEND A(1:8) to ((myid + 1) - (2 * (myid % 2))) tag 9
+  RECV A(1:8) from ((myid + 1) - (2 * (myid % 2))) tag 9
+end`, 0, 1},
+	{"collective skipped by one class", `program skipcoll
+  double precision A(4)
+  if (((myid % 7) != 3)) then
+    BARRIER
+  endif
+  SEND A(1:4) to ((myid + 1) % P) tag 1
+  RECV A(1:4) from ((myid + P - 1) % P) tag 1
+end`, 7, 0},
+	{"absolute and relative links on one channel", `program gathering
+  double precision A(4)
+  n = 4
+  if ((myid == 0)) then
+    n = 2
+  endif
+  SEND A(1:4) to ((myid + 1) % P) tag 1
+  if ((myid > 0)) then
+    SEND A(1:4) to 0 tag 1
+  endif
+  RECV A(1:n) from ((myid + P - 1) % P) tag 1
+  if ((myid == 0)) then
+    do r = 1, (P - 1)
+      RECV A(1:4) from r tag 1
+    enddo
+  endif
+end`, 1, 1},
+	{"relative pair broken at one member by an absolute receive", `program relabs
+  double precision A(4)
+  if ((myid < (P - 1))) then
+    SEND A(1:4) to (myid + 1) tag 1
+  endif
+  if ((myid > 0)) then
+    RECV A(1:4) from (myid - 1) tag 1
+    RECV A(1:4) from 20 tag 1
+  endif
+end`, 40, 0},
+	{"bcast root off the grid by class", `program bcastoff
+  x = 1
+  BCAST from ((myid // 20) + P): x
+end`, 23, 0},
+}
+
+// TestClassesMatchPerRankOnBoundaryFailures holds the error paths of the
+// class-size passes to the per-rank ones: the Result, witness ranks and
+// diagnostic order included.
+func TestClassesMatchPerRankOnBoundaryFailures(t *testing.T) {
+	const ranks = 40
+	for _, c := range boundaryCases {
+		p, err := ir.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		diffClasses(t, c.name, p, Options{Ranks: ranks})
+		res, _, err := run(p, Options{Ranks: ranks}, classMinRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Classes >= ranks || res.Errors() != c.errors || res.Warnings() != c.warnings {
+			t.Errorf("%s: %d classes, %d errors, %d warnings; the case is arranged for classes and %d, %d:\n%s",
+				c.name, res.Classes, res.Errors(), res.Warnings(), c.errors, c.warnings, res.Text(Info))
+		}
+	}
+}
+
 // The compiler sizes the dummy buffer as the maximum of the very
 // expressions the replaced messages are sized by, so no program reaches
 // the guard on it; a buffer shrunk behind the compiler's back does.
@@ -354,12 +515,20 @@ func TestClassesGuardTheDummyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.Compiled.DummyElems = ir.Add(ir.Mod(ir.S(ir.BuiltinMyID), ir.N(2)), ir.N(1))
-	ctx.plan = compilePlan(ctx)
-	want := buildTraces(ctx, perRank)
-	ctx.plan = compilePlan(ctx)
-	got := buildTraces(ctx, 0)
-	if len(want.hits) == 0 || !reflect.DeepEqual(got.hits, want.hits) {
-		t.Errorf("bounds hits under a rank-dependent dummy buffer:\n got %v\nwant %v", got.hits, want.hits)
+	var want, got []boundsHit
+	for _, c := range []struct {
+		classFrom int
+		hits      *[]boundsHit
+	}{{perRank, &want}, {0, &got}} {
+		ctx.plan = compilePlan(ctx)
+		ctx.traces = buildTraces(ctx, c.classFrom)
+		for r := int32(0); int(r) < ctx.Ranks; r++ {
+			_, hits := materialize(ctx, r)
+			*c.hits = append(*c.hits, hits...)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("bounds hits under a rank-dependent dummy buffer:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -10,17 +10,24 @@ import "mpisim/internal/ir"
 // under data-dependent conditions cannot be sequenced definitely and are
 // reported as warnings instead.
 //
-// Two scans of the arena: the pass is linear in the total number of
-// operations.
+// A rank's collectives are its window's, whose roots no member shifts:
+// each window is scanned once, and its sequence compared with rank 0's
+// once, a finding then stated for every member that has it.
 func passCollective(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	tr, pl := ctx.traces, ctx.plan
 
 	// Data-dependent collectives (warned once per statement) and bcast
-	// root sanity (roots are carried on collective ops).
+	// root sanity (roots are carried on collective ops), per window at
+	// its first member, which is the first rank the finding holds at.
 	warned := make([]bool, len(pl.stmts))
-	for r := 0; r < ctx.Ranks; r++ {
-		for i := tr.win[r]; i < tr.win[r+1]; i++ {
+	next := int32(0)
+	for r, w := range tr.of {
+		if w != next {
+			continue
+		}
+		next++
+		for i := tr.win[w]; i < tr.win[w+1]; i++ {
 			o := &tr.ops[i]
 			if o.kind != opColl {
 				continue
@@ -29,7 +36,7 @@ func passCollective(ctx *Context) []Diagnostic {
 			if o.has(fMay) && !warned[o.stmt] {
 				warned[o.stmt] = true
 				diags = append(diags, ctx.diag("collective", Warning, s,
-					"%s executes under a data-dependent condition; ranks may diverge", pl.keys[o.ch]))
+					"%s executes under a data-dependent condition; ranks may diverge", pl.keys[o.key]))
 			}
 			if _, bcast := s.(*ir.Bcast); !bcast {
 				continue
@@ -53,42 +60,58 @@ func passCollective(ctx *Context) []Diagnostic {
 		return diags
 	}
 
-	// Definite sequence comparison against rank 0.
-	definite := func(r int, seq []*op) []*op {
-		for i := tr.win[r]; i < tr.win[r+1]; i++ {
+	// Definite sequence comparison against rank 0, once per window: at is
+	// the first position that differs (-1: none), and the members of a
+	// window whose sequence is rank 0's have nothing to report.
+	definite := func(w int32) (seq []*op) {
+		for i := tr.win[w]; i < tr.win[w+1]; i++ {
 			if o := &tr.ops[i]; o.kind == opColl && !o.has(fMay) {
 				seq = append(seq, o)
 			}
 		}
 		return seq
 	}
-	base := definite(0, nil)
-	var cur []*op
+	type outcome struct {
+		seq  []*op
+		at   int
+		done bool
+	}
+	base := definite(tr.of[0])
+	cmp := make([]outcome, len(tr.win)-1)
 	for r := 1; r < ctx.Ranks; r++ {
-		cur = definite(r, cur[:0])
-		limit := min(len(base), len(cur))
-		diverged := false
-		for i := 0; i < limit && !diverged; i++ {
-			if base[i].ch != cur[i].ch {
-				d := ctx.diag("collective", Error, pl.stmts[cur[i].stmt],
-					"collective sequence diverges at position %d: rank 0 reaches %s (line %d), rank %d reaches %s",
-					i+1, pl.keys[base[i].ch], ctx.Lines[pl.stmts[base[i].stmt]], r, pl.keys[cur[i].ch])
-				d.Ranks = []int{0, r}
-				diags = append(diags, d)
-				diverged = true
+		w := tr.of[r]
+		if w == tr.of[0] {
+			continue
+		}
+		c := &cmp[w]
+		if !c.done {
+			c.seq, c.at, c.done = definite(w), -1, true
+			for i := 0; i < min(len(base), len(c.seq)) && c.at < 0; i++ {
+				if base[i].key != c.seq[i].key {
+					c.at = i
+				}
 			}
 		}
-		if diverged || len(cur) == len(base) {
+		if cur, i := c.seq, c.at; i >= 0 {
+			d := ctx.diag("collective", Error, pl.stmts[cur[i].stmt],
+				"collective sequence diverges at position %d: rank 0 reaches %s (line %d), rank %d reaches %s",
+				i+1, pl.keys[base[i].key], ctx.Lines[pl.stmts[base[i].stmt]], r, pl.keys[cur[i].key])
+			d.Ranks = []int{0, r}
+			diags = append(diags, d)
+			continue
+		}
+		limit := min(len(base), len(c.seq))
+		if len(c.seq) == len(base) {
 			continue
 		}
 		longer, shorter, seq := 0, r, base
-		if len(cur) > len(base) {
-			longer, shorter, seq = r, 0, cur
+		if len(c.seq) > len(base) {
+			longer, shorter, seq = r, 0, c.seq
 		}
 		extra := seq[limit]
 		d := ctx.diag("collective", Error, pl.stmts[extra.stmt],
 			"rank %d reaches %d collectives but rank %d reaches %d; first unmatched: %s",
-			longer, len(seq), shorter, limit, pl.keys[extra.ch])
+			longer, len(seq), shorter, limit, pl.keys[extra.key])
 		d.Ranks = []int{0, r}
 		diags = append(diags, d)
 	}

@@ -39,40 +39,127 @@ func passDeadlock(ctx *Context) []Diagnostic {
 		return diags
 	}
 
-	if pc := simulate(ctx, false); pc != nil {
+	// A run that completes under synchronous sends is one under eager
+	// sends, whose final state is unique: only a stuck one asks for the
+	// eager model.
+	p := newProgress(tr, ctx.Ranks)
+	if !p.simulate(true) {
+		return diags
+	}
+	synchronous := append([]int32(nil), p.pc...)
+	if p.simulate(false) {
 		// With excluded operations the stuck state may be an analysis
 		// artifact, not a certain hang: degrade to a warning.
 		sev, prefix := Error, "deadlock: "
 		if excluded {
 			sev, prefix = Warning, "possible deadlock (approximate analysis): "
 		}
-		diags = append(diags, reportStuck(ctx, pc, sev, prefix))
-		return diags
+		return append(diags, reportStuck(ctx, p, sev, prefix))
 	}
-	if pc := simulate(ctx, true); pc != nil {
-		diags = append(diags, reportStuck(ctx, pc, Warning, "unsafe under synchronous sends: "))
-	}
-	return diags
+	p.pc = synchronous
+	return append(diags, reportStuck(ctx, p, Warning, "unsafe under synchronous sends: "))
 }
 
 // progress is the state of one deadlock simulation: a worklist of ranks
-// that may be able to advance, over the arena and its channel table.
+// that may be able to advance, each through its window of the arena with
+// its relative peers shifted to it; no member's trace is copied.
 type progress struct {
 	ops []op
-	// pc is each rank's program counter, an arena index running to end.
-	pc, end []int32
-	// inflight counts the undelivered eager messages per channel.
-	inflight   []int32
+	n   int
+	// pc is each rank's program counter, an arena index running from
+	// start to end.
+	pc, start, end []int32
+	// wait is the channel slot a blocked rank waits on, -1 for none.
+	wait []int32
+	// inflight counts the undelivered eager messages per channel slot.
+	inflight []int32
+	// The channel (s, d, tag) of a relative operation has the dense slot
+	// s*nkeys + k, k being the interned (d-s, tag) keys holds; so has any
+	// other channel whose (d-s, tag) is interned, and the rest have a slot
+	// each past the dense ones, in chans. key is, per operation, its k
+	// when relative, its slot when that is fixed (an absolute operation
+	// in a one-member window), and -1 otherwise.
+	key        []int32
+	keys       map[[2]int32]int32
+	chans      map[chanKey]int32
+	nkeys      int32
 	work       []int32
 	queued     []bool
 	atColl     int
 	rendezvous bool
 }
 
+func newProgress(tr *traces, n int) *progress {
+	p := &progress{
+		ops: tr.ops, n: n, pc: make([]int32, n), start: make([]int32, n), end: make([]int32, n), wait: make([]int32, n),
+		work: make([]int32, 0, n), queued: make([]bool, n),
+		key: make([]int32, len(tr.ops)), keys: map[[2]int32]int32{}, chans: map[chanKey]int32{},
+	}
+	// first is each window's first member, members how many it has.
+	first, members := make([]int32, len(tr.win)-1), make([]int32, len(tr.win)-1)
+	for r, w := range tr.of {
+		if members[w] == 0 {
+			first[w] = int32(r)
+		}
+		members[w]++
+		p.start[r], p.end[r] = tr.win[w], tr.win[w+1]
+	}
+	for i := range tr.ops {
+		o := &tr.ops[i]
+		p.key[i] = -1
+		if o.has(fRel) && o.kind != opColl {
+			off := o.peer
+			if o.kind == opRecv {
+				off = -off
+			}
+			k, ok := p.keys[[2]int32{off, o.key}]
+			if !ok {
+				k = int32(len(p.keys))
+				p.keys[[2]int32{off, o.key}] = k
+			}
+			p.key[i] = k
+		}
+	}
+	p.nkeys = int32(len(p.keys))
+	p.inflight = make([]int32, n*int(p.nkeys))
+	for w := range members {
+		if members[w] != 1 {
+			continue
+		}
+		for i := tr.win[w]; i < tr.win[w+1]; i++ {
+			if o := &tr.ops[i]; !o.has(fRel) {
+				if q, ok := o.linked(first[w], n); ok {
+					p.key[i] = p.resolve(o, first[w], q)
+				}
+			}
+		}
+	}
+	return p
+}
+
+// resolve is the slot of an absolute operation o at rank r, whose
+// partner is q.
+func (p *progress) resolve(o *op, r, q int32) int32 {
+	s, d := r, q
+	if o.kind == opRecv {
+		s, d = q, r
+	}
+	if k, ok := p.keys[[2]int32{d - s, o.key}]; ok {
+		return s*p.nkeys + k
+	}
+	c := chanKey{from: s, to: d, tag: int(o.key)}
+	id, ok := p.chans[c]
+	if !ok {
+		id = int32(len(p.inflight))
+		p.inflight = append(p.inflight, 0)
+		p.chans[c] = id
+	}
+	return id
+}
+
 // simulate advances all ranks until every trace is consumed or no rank
-// can progress, and returns the program counters of the stuck state (nil
-// when the system terminates). rendezvous selects the synchronous-send
-// model.
+// can progress, and reports whether it is stuck. rendezvous selects the
+// synchronous-send model.
 //
 // Every rank is a sequential process and every blocking operation names
 // its one partner channel, so the final state does not depend on the
@@ -80,18 +167,16 @@ type progress struct {
 // is revisited only when its wait can have ended: a send wakes exactly
 // its destination, a posted receive its rendezvous sender, a completed
 // collective everyone. Each visit advances at least one rank, which makes
-// a run linear in the total number of operations.
-func simulate(ctx *Context, rendezvous bool) []int32 {
-	tr, n := ctx.traces, ctx.Ranks
-	p := &progress{
-		ops: tr.ops, pc: append([]int32(nil), tr.win[:n]...), end: tr.win[1:],
-		work: make([]int32, 0, n), queued: make([]bool, n), rendezvous: rendezvous,
-	}
-	if !rendezvous {
-		p.inflight = make([]int32, len(tr.chans))
+// a run linear in the total number of operations of all ranks.
+func (p *progress) simulate(rendezvous bool) bool {
+	p.rendezvous, p.atColl = rendezvous, 0
+	copy(p.pc, p.start)
+	clear(p.inflight)
+	for r := range p.wait {
+		p.wait[r] = -1
 	}
 	for {
-		for r := n - 1; r >= 0; r-- {
+		for r := p.n - 1; r >= 0; r-- {
 			p.wake(int32(r))
 		}
 		for len(p.work) > 0 {
@@ -101,7 +186,7 @@ func simulate(ctx *Context, rendezvous bool) []int32 {
 			p.run(r)
 		}
 		// Collective progress: every rank must sit at the same collective.
-		if p.atColl < n || !p.sameCollective() {
+		if p.atColl < p.n || !p.sameCollective() {
 			break
 		}
 		p.atColl = 0
@@ -111,10 +196,10 @@ func simulate(ctx *Context, rendezvous bool) []int32 {
 	}
 	for r := range p.pc {
 		if p.pc[r] < p.end[r] {
-			return p.pc
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 func (p *progress) wake(r int32) {
@@ -124,78 +209,89 @@ func (p *progress) wake(r int32) {
 	}
 }
 
-// at reports whether rank r's current operation is of the given kind on
-// channel ch.
-func (p *progress) at(r int32, kind opKind, ch int32) bool {
-	if p.pc[r] >= p.end[r] {
-		return false
-	}
-	o := &p.ops[p.pc[r]]
-	return o.kind == kind && o.ch == ch
-}
-
 func (p *progress) sameCollective() bool {
-	key := p.ops[p.pc[0]].ch
+	key := p.ops[p.pc[0]].key
 	for _, i := range p.pc {
-		if p.ops[i].ch != key {
+		if p.ops[i].key != key {
 			return false
 		}
 	}
 	return true
 }
 
-// run advances rank r until it blocks or finishes.
+// run advances rank r until it blocks or finishes. A blocked rank records
+// the slot it waits on, which is how a partner tells that it waits at
+// the matching operation.
 func (p *progress) run(r int32) {
-	for p.pc[r] < p.end[r] {
-		o := &p.ops[p.pc[r]]
-		switch {
-		case o.has(fMay) || (o.kind != opColl && o.ch < 0):
-			// Uncertain operations and out-of-range peers (the latter are
-			// sendrecv-pass errors; blocking on them here would
-			// duplicate) advance unconditionally.
-		case o.kind == opColl:
-			p.atColl++
-			return
-		case o.kind == opSend && !p.rendezvous:
-			p.inflight[o.ch]++
-			if p.at(o.peer, opRecv, o.ch) {
-				p.wake(o.peer)
-			}
-		case o.kind == opSend:
-			// Synchronous: complete only against a posted matching
-			// receive at the peer's current op.
-			if !p.at(o.peer, opRecv, o.ch) {
+	p.wait[r] = -1
+	pc, end := p.pc[r], p.end[r]
+	for ; pc < end; pc++ {
+		o := &p.ops[pc]
+		if o.kind == opColl {
+			if o.flags&fMay == 0 {
+				p.pc[r] = pc
+				p.atColl++
 				return
 			}
-			p.pc[o.peer]++
-			p.wake(o.peer)
-		case p.rendezvous:
-			// Receives complete from the send side.
-			if p.at(o.peer, opSend, o.ch) {
-				p.wake(o.peer)
-			}
-			return
-		default:
-			if p.inflight[o.ch] == 0 {
-				return
-			}
-			p.inflight[o.ch]--
+			continue
 		}
-		p.pc[r]++
+		// Uncertain operations and out-of-range peers (the latter are
+		// sendrecv-pass errors; blocking on them here would duplicate)
+		// advance unconditionally.
+		q, ok := o.linked(r, p.n)
+		if !ok {
+			continue
+		}
+		x := p.key[pc]
+		if o.flags&fRel != 0 {
+			s := r
+			if o.kind == opRecv {
+				s = q
+			}
+			x += s * p.nkeys
+		} else if x < 0 {
+			x = p.resolve(o, r, q)
+		}
+		switch {
+		case o.kind == opSend && !p.rendezvous:
+			p.inflight[x]++
+			if p.wait[q] == x {
+				p.wait[q] = -1
+				p.wake(q)
+			}
+		case p.rendezvous:
+			// Synchronous: the pair completes when the later of the two
+			// meets the other waiting at it.
+			if p.wait[q] != x {
+				p.pc[r], p.wait[r] = pc, x
+				return
+			}
+			p.pc[q]++
+			p.wait[q] = -1
+			p.wake(q)
+		default:
+			if p.inflight[x] == 0 {
+				p.pc[r], p.wait[r] = pc, x
+				return
+			}
+			p.inflight[x]--
+		}
 	}
+	p.pc[r] = pc
 }
 
 // reportStuck renders a stuck simulation state as a diagnostic: a
 // wait-for cycle when one exists, otherwise the first blocked rank's
 // dependency chain.
-func reportStuck(ctx *Context, pc []int32, sev Severity, prefix string) Diagnostic {
+func reportStuck(ctx *Context, p *progress, sev Severity, prefix string) Diagnostic {
 	tr, n := ctx.traces, ctx.Ranks
 	// current returns the operation rank r is blocked at (nil: finished).
 	current := func(r int) *op {
-		if pc[r] >= tr.win[r+1] {
+		if p.pc[r] >= p.end[r] {
 			return nil
 		}
-		return &tr.ops[pc[r]]
+		o := tr.at(p.pc[r], int32(r))
+		return &o
 	}
 	// waitsOn returns the set of ranks the blocked rank is waiting for.
 	waitsOn := func(r int) []int {
@@ -208,7 +304,7 @@ func reportStuck(ctx *Context, pc []int32, sev Severity, prefix string) Diagnost
 		}
 		var out []int
 		for s := 0; s < n; s++ {
-			if so := current(s); s != r && (so == nil || so.kind != opColl || so.ch != o.ch) {
+			if so := current(s); s != r && (so == nil || so.kind != opColl || so.key != o.key) {
 				out = append(out, s)
 			}
 		}

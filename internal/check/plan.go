@@ -23,10 +23,13 @@ type plan struct {
 	arrays []*ir.ArrayDecl
 	dims   [][]*pexpr
 	body   []pstmt
-	// keys are the interned collective keys; op.ch of a collective
+	// keys are the interned collective keys; op.key of a collective
 	// indexes it, so equal keys are equal ids.
 	keys   []string
 	keyIDs map[string]int32
+	// tags are the interned message tags op.key of a send or receive
+	// indexes.
+	tags []int
 	// init is the start environment (P and the bound inputs; myid is set
 	// per rank), unbound the parameters it lacks.
 	init    []val
@@ -99,12 +102,11 @@ type pstmt struct {
 	els   []pstmt
 	// vars are the scalar slots a collective overwrites.
 	vars []int32
-	// key is the interned collective key (-1: not a collective); bcast
-	// keys depend on the root and are interned as they are met, from
-	// suffix.
+	// key is the interned collective key, or a send's or receive's
+	// interned tag; bcast keys depend on the root and are interned as
+	// they are met, from suffix.
 	key    int32
 	suffix string
-	tag    int
 	// input is what a ReadInput binds.
 	input val
 	// replaced marks a message the slicer routes through the dummy buffer.
@@ -125,6 +127,7 @@ type planner struct {
 	slots      map[string]int32
 	arrayIDs   map[string]int32
 	structural map[string]bool
+	tagIDs     map[int]int32
 }
 
 func compilePlan(ctx *Context) *plan {
@@ -134,6 +137,7 @@ func compilePlan(ctx *Context) *plan {
 		slots:      map[string]int32{},
 		arrayIDs:   map[string]int32{},
 		structural: structuralVars(ctx.Program, ctx.Graph),
+		tagIDs:     map[int]int32{},
 	}
 	p := c.slot(ir.BuiltinP)
 	c.myid = c.slot(ir.BuiltinMyID)
@@ -243,11 +247,11 @@ func (c *planner) stmt(s ir.Stmt) pstmt {
 		c.facts(&ps, s)
 		ps.body, ps.els = c.block(x.Then), c.block(x.Else)
 	case *ir.Send:
-		ps.kind, ps.e, ps.tag = sSend, c.expr(x.Dest), x.Tag
-		c.comm(&ps, s, x.Array, x.Section)
+		ps.kind, ps.e = sSend, c.expr(x.Dest)
+		c.comm(&ps, s, x.Tag, x.Array, x.Section)
 	case *ir.Recv:
-		ps.kind, ps.e, ps.tag = sRecv, c.expr(x.Src), x.Tag
-		c.comm(&ps, s, x.Array, x.Section)
+		ps.kind, ps.e = sRecv, c.expr(x.Src)
+		c.comm(&ps, s, x.Tag, x.Array, x.Section)
 	case *ir.Allreduce:
 		ps.kind, ps.vars = sColl, mapSlice(x.Vars, c.slot)
 		ps.key = c.internKey("ALLREDUCE(" + x.Op + ") " + strings.Join(x.Vars, ", "))
@@ -270,8 +274,14 @@ func (c *planner) stmt(s ir.Stmt) pstmt {
 	return ps
 }
 
-func (c *planner) comm(ps *pstmt, s ir.Stmt, array string, sec []ir.Range) {
-	ps.slot = c.arrayIDs[array]
+func (c *planner) comm(ps *pstmt, s ir.Stmt, tag int, array string, sec []ir.Range) {
+	id, ok := c.tagIDs[tag]
+	if !ok {
+		id = int32(len(c.tags))
+		c.tags = append(c.tags, tag)
+		c.tagIDs[tag] = id
+	}
+	ps.key, ps.slot = id, c.arrayIDs[array]
 	ps.sec = mapSlice(sec, func(rg ir.Range) prange { return prange{c.expr(rg.Lo), c.expr(rg.Hi)} })
 	if c.ctx.Compiled != nil {
 		_, ps.replaced = c.ctx.Compiled.Slice.MsgElems[s]

@@ -3,60 +3,26 @@ package check
 import "sort"
 
 // passSendRecv matches point-to-point operations across the resolved
-// per-rank traces. Every definite (non-"may") send must have a matching
-// receive on its destination rank with the same tag, and vice versa;
-// resolved peers must lie on the process grid; sizes are compared along
-// each (src, dst, tag) channel in FIFO order.
+// traces. Every definite (non-"may") send must have a matching receive on
+// its destination rank with the same tag, and vice versa; resolved peers
+// must lie on the process grid; sizes are compared along each
+// (src, dst, tag) channel in FIFO order.
 //
-// One counting sort over the arena groups the definite operations by
-// channel (sends and receives apart, each in trace order, which is FIFO
-// order since a channel has one sender and one receiver); the pass is
-// linear in the total number of operations.
+// The unit is the link: a window's definite operations of one kind, tag
+// and peer spec (a rank, or with fRel an offset), in trace order, which
+// at every member of the window is one side of one channel. The class's
+// relative send at +dx matches the receive at -dx in the class of
+// rank+dx, parametrically in the rank as MP net matches them: so each
+// (send link, receive link) pair is compared once, and a member goes
+// concrete only where its partner leaves the grid, where a side also has
+// an absolute-peer link on the channel (the two merge in trace order),
+// or where its pair fails; then its channel is compared op by op. The
+// pass is linear in the links of all members plus the operations of the
+// windows.
 func passSendRecv(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
-	tr := ctx.traces
-	nch := len(tr.chans)
-
-	// Bucket 2*ch holds channel ch's sends, 2*ch+1 its receives; bucket b
-	// ends up as idx[start[b]:start[b+1]].
-	bucket := func(o *op) int32 { return 2*o.ch + int32(o.kind) }
-	start := make([]int32, 2*nch+2)
-	for r := 0; r < ctx.Ranks; r++ {
-		for i := tr.win[r]; i < tr.win[r+1]; i++ {
-			o := &tr.ops[i]
-			switch {
-			case o.kind == opColl:
-			case o.ch >= 0:
-				if o.kind == opSend && int(o.peer) == r {
-					d := ctx.diag("sendrecv", Warning, ctx.plan.stmts[o.stmt],
-						"rank %d sends to itself; blocking self-sends deadlock under synchronous semantics", r)
-					d.Ranks = []int{r}
-					diags = append(diags, d)
-				}
-				start[bucket(o)+2]++
-			case !o.has(fMay) && o.has(fPeerKnown):
-				word := "send to"
-				if o.kind == opRecv {
-					word = "receive from"
-				}
-				d := ctx.diag("sendrecv", Error, ctx.plan.stmts[o.stmt],
-					"%s rank %d is outside the process set 0..%d", word, o.peer, ctx.Ranks-1)
-				d.Ranks = []int{r}
-				diags = append(diags, d)
-			}
-		}
-	}
-	for b := 2; b < len(start); b++ {
-		start[b] += start[b-1]
-	}
-	idx := make([]int32, start[len(start)-1])
-	for i := range tr.ops {
-		if o := &tr.ops[i]; o.kind != opColl && o.ch >= 0 {
-			b := bucket(o) + 1
-			idx[start[b]] = int32(i)
-			start[b]++
-		}
-	}
+	tr, n := ctx.traces, ctx.Ranks
+	lt := newLinks(ctx)
 
 	// With a data-dependent peer, a conditional operation or a truncated
 	// trace anywhere, unmatched counts are only warnings.
@@ -66,8 +32,8 @@ func passSendRecv(ctx *Context) []Diagnostic {
 		qualifier = " (analysis is approximate: data-dependent communication present)"
 	}
 
-	// Findings are collected in channel-table order and reported in
-	// (src, dst, tag) order.
+	// Findings are reported in (src, dst, tag) order, each channel's in the
+	// order fifo finds them.
 	type finding struct {
 		k chanKey
 		d Diagnostic
@@ -79,9 +45,10 @@ func passSendRecv(ctx *Context) []Diagnostic {
 		d.Ranks = []int{int(k.from), int(k.to)}
 		found = append(found, finding{k, d})
 	}
-	for ch := range tr.chans {
-		k = tr.chans[ch]
-		sends, recvs := idx[start[2*ch]:start[2*ch+1]], idx[start[2*ch+1]:start[2*ch+2]]
+	// fifo compares channel k's sends with its receives and reports
+	// whether they match.
+	fifo := func(sends, recvs []int32) bool {
+		before := len(found)
 		ns, nr := len(sends), len(recvs)
 		if ns > nr {
 			report(unmatchedSev, sends[nr],
@@ -111,6 +78,67 @@ func passSendRecv(ctx *Context) []Diagnostic {
 					se, k.from, k.tag, re)
 			}
 		}
+		return len(found) == before
+	}
+
+	// perStmt states a finding of rank r once per statement of a link's
+	// run of operations (dedupe would drop the repeats).
+	perStmt := func(ops []int32, r int32, sev Severity, format string, args ...interface{}) {
+		for j, i := range ops {
+			if s := tr.ops[i].stmt; j == 0 || s != tr.ops[ops[j-1]].stmt {
+				d := ctx.diag("sendrecv", sev, ctx.plan.stmts[s], format, args...)
+				d.Ranks = []int{int(r)}
+				diags = append(diags, d)
+			}
+		}
+	}
+	var mineBuf, theirBuf []int32
+	for r := int32(0); int(r) < n; r++ {
+		w := tr.of[r]
+		for l := lt.start[w]; l < lt.start[w+1]; l++ {
+			key, ops := lt.keys[l], lt.ops(l)
+			q := tr.ops[ops[0]].peerAt(r)
+			if q < 0 || int(q) >= n {
+				word := "send to"
+				if key.kind == opRecv {
+					word = "receive from"
+				}
+				perStmt(ops, r, Error, "%s rank %d is outside the process set 0..%d", word, q, n-1)
+				continue
+			}
+			if key.kind == opSend && q == r {
+				perStmt(ops, r, Warning, "rank %d sends to itself; blocking self-sends deadlock under synchronous semantics", r)
+			}
+			// Of a relative and an absolute link on one channel, the
+			// relative one compares it.
+			if !key.rel && lt.find(w, key.kind, true, q-r, key.tag) >= 0 {
+				continue
+			}
+			mine := ops
+			if key.rel {
+				mine = merge(&mineBuf, ops, lt.ops(lt.find(w, key.kind, false, q, key.tag)))
+			}
+			if key.kind == opRecv {
+				// The sender compares a channel it has a link on.
+				a := tr.of[q]
+				if lt.partner(l, a, opSend, r-q) >= 0 || lt.find(a, opSend, false, r, key.tag) >= 0 {
+					continue
+				}
+				k = chanKey{from: q, to: r, tag: ctx.plan.tags[key.tag]}
+				fifo(nil, mine)
+				continue
+			}
+			b := tr.of[q]
+			rel, abs := lt.partner(l, b, opRecv, r-q), lt.find(b, opRecv, false, r, key.tag)
+			// A relative link alone against one link is the same pair at
+			// every member whose partner's window is b.
+			m, pair := &lt.memo[l], key.rel && len(mine) == len(ops) && abs < 0
+			if pair && m.clean {
+				continue
+			}
+			k = chanKey{from: r, to: q, tag: ctx.plan.tags[key.tag]}
+			m.clean = fifo(mine, merge(&theirBuf, lt.ops(rel), lt.ops(abs))) && pair
+		}
 	}
 	sort.SliceStable(found, func(i, j int) bool {
 		a, b := found[i].k, found[j].k
@@ -126,4 +154,156 @@ func passSendRecv(ctx *Context) []Diagnostic {
 		diags = append(diags, f.d)
 	}
 	return diags
+}
+
+// linkKey names a link of a window: its kind, tag and peer spec.
+type linkKey struct {
+	peer, tag int32
+	kind      opKind
+	rel       bool
+}
+
+// links is the link table of the arena: window w's links are
+// keys[start[w]:start[w+1]], found by ids[w], and link l's operations
+// are opsl[at[l]:at[l+1]]. (A map per window keeps a lookup within one
+// window's links: a rank evaluated on its own may have thousands.)
+type links struct {
+	keys     []linkKey
+	ids      []map[uint64]int32
+	start    []int32
+	at, opsl []int32
+	// has holds, per window, a bit per (kind, rel) it has a link of.
+	has []uint8
+	// memo is, per relative link, the window last asked for by partner
+	// (plus one: 0 is none), its partner link there, and whether the two
+	// compared clean.
+	memo []linkMemo
+}
+
+type linkMemo struct {
+	win, other int32
+	clean      bool
+}
+
+// id packs the key into a map key: the peer, then the tag (an index of
+// plan.tags, below 2^27) beside the bit linkBit gives.
+func (k linkKey) id() uint64 {
+	return uint64(uint32(k.peer)) | uint64(k.tag)<<32 | uint64(linkBit(k.kind, k.rel))<<59
+}
+
+func linkBit(kind opKind, rel bool) uint8 {
+	if rel {
+		return 1 << (2*kind + 1)
+	}
+	return 1 << (2 * kind)
+}
+
+func newLinks(ctx *Context) *links {
+	tr := ctx.traces
+	nw := len(tr.win) - 1
+	lt := &links{ids: make([]map[uint64]int32, nw), start: make([]int32, 1, nw+1), has: make([]uint8, nw)}
+	// stmtMemo remembers each statement's last link: a statement in a loop
+	// issues a run of operations on one.
+	type stmtMemo struct {
+		key  linkKey
+		w, l int32
+	}
+	memo := make([]stmtMemo, len(ctx.plan.stmts))
+	linkOf := make([]int32, len(tr.ops))
+	count := []int32{0}
+	for w := int32(0); int(w) < nw; w++ {
+		for i := tr.win[w]; i < tr.win[w+1]; i++ {
+			o := &tr.ops[i]
+			linkOf[i] = -1
+			if !o.definite() {
+				continue
+			}
+			k := linkKey{peer: o.peer, tag: o.key, kind: o.kind, rel: o.has(fRel)}
+			m := &memo[o.stmt]
+			if m.key != k || m.l == 0 || m.w != w {
+				if lt.ids[w] == nil {
+					lt.ids[w] = map[uint64]int32{}
+				}
+				l, ok := lt.ids[w][k.id()]
+				if !ok {
+					l = int32(len(lt.keys))
+					lt.keys = append(lt.keys, k)
+					lt.ids[w][k.id()] = l
+					lt.has[w] |= linkBit(k.kind, k.rel)
+					count = append(count, 0)
+				}
+				*m = stmtMemo{k, w, l + 1}
+			}
+			linkOf[i] = m.l - 1
+			count[m.l]++
+		}
+		lt.start = append(lt.start, int32(len(lt.keys)))
+	}
+	for l := 1; l < len(count); l++ {
+		count[l] += count[l-1]
+	}
+	lt.at, lt.opsl = count, make([]int32, count[len(count)-1])
+	fill := append([]int32(nil), count[:len(count)-1]...)
+	for i, l := range linkOf {
+		if l >= 0 {
+			lt.opsl[fill[l]] = int32(i)
+			fill[l]++
+		}
+	}
+	lt.memo = make([]linkMemo, len(lt.keys))
+	return lt
+}
+
+// ops are link l's operations, none for -1.
+func (lt *links) ops(l int32) []int32 {
+	if l < 0 {
+		return nil
+	}
+	return lt.opsl[lt.at[l]:lt.at[l+1]]
+}
+
+// find is window w's link of the given kind, tag and peer spec, or -1.
+func (lt *links) find(w int32, kind opKind, rel bool, peer, tag int32) int32 {
+	if lt.has[w]&linkBit(kind, rel) == 0 {
+		return -1
+	}
+	if l, ok := lt.ids[w][linkKey{peer: peer, tag: tag, kind: kind, rel: rel}.id()]; ok {
+		return l
+	}
+	return -1
+}
+
+// partner is window w's relative link of the given kind on link l's
+// channel, whose offset is off: for a relative l the same for every
+// member, so it is asked once per window.
+func (lt *links) partner(l, w int32, kind opKind, off int32) int32 {
+	m := &lt.memo[l]
+	if !lt.keys[l].rel {
+		return lt.find(w, kind, true, off, lt.keys[l].tag)
+	}
+	if m.win != w+1 {
+		*m = linkMemo{win: w + 1, other: lt.find(w, kind, true, off, lt.keys[l].tag)}
+	}
+	return m.other
+}
+
+// merge is a and b, each in trace order, in trace order; a itself when b
+// is empty.
+func merge(buf *[]int32, a, b []int32) []int32 {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := (*buf)[:0]
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	*buf = out
+	return out
 }

@@ -51,23 +51,22 @@ const (
 
 // Operation flags: peer is resolved (not data-dependent); elems names the
 // section element count; the operation is reached under an unknown
-// condition.
+// condition; peer is an offset from the rank (classes.go).
 const (
 	fPeerKnown uint8 = 1 << iota
 	fElemsKnown
 	fMay
+	fRel
 )
 
-// op is one communication operation of one rank's trace, 16 bytes: the
-// arena holds one per operation of every rank.
+// op is one communication operation of one window's trace, 16 bytes.
 type op struct {
-	// peer is the resolved partner rank (send dest, recv src, bcast root).
+	// peer is the resolved partner rank (send dest, recv src, bcast root),
+	// or with fRel its offset from the rank whose trace it is.
 	peer int32
-	// ch is, for a definite send or receive with a peer on the process
-	// grid, its (src, dst, tag) channel in traces.chans, and -1 for any
-	// other point-to-point operation; for a collective it is the interned
-	// key in plan.keys.
-	ch   int32
+	// key is, for a collective, its interned key in plan.keys, and for a
+	// send or receive its interned tag in plan.tags.
+	key  int32
 	stmt int32
 	// elems is the section's element count in traces.elems, or
 	// elemsSpilled (traces.elemsOf reads it).
@@ -77,6 +76,30 @@ type op struct {
 }
 
 func (o *op) has(flag uint8) bool { return o.flags&flag != 0 }
+
+// peerAt is the operation's partner at rank r, saturated as peerOf does.
+func (o *op) peerAt(r int32) int32 {
+	if !o.has(fRel) {
+		return o.peer
+	}
+	return int32(max(math.MinInt32, min(math.MaxInt32, int64(o.peer)+int64(r))))
+}
+
+// definite reports whether o is a send or receive with a resolved peer,
+// reached under no unknown condition.
+func (o *op) definite() bool {
+	return o.kind != opColl && o.flags&(fPeerKnown|fMay) == fPeerKnown
+}
+
+// linked is, for a definite operation at rank r whose partner is on the
+// process grid of n ranks, the partner: the operation has a channel.
+func (o *op) linked(r int32, n int) (peer int32, ok bool) {
+	if !o.definite() {
+		return 0, false
+	}
+	peer = o.peerAt(r)
+	return peer, peer >= 0 && int(peer) < n
+}
 
 // elemsSpilled is the op.elems of an operation whose count traces.spilled
 // holds: traces.elems is full.
@@ -96,17 +119,21 @@ type boundsHit struct {
 	msg  string
 }
 
-// traces is the arena all ranks' abstract execution results live in.
+// traces is the arena the abstract execution results live in: one window
+// per rank class, shared by its members (classes.go), and one per rank
+// evaluated on its own.
 type traces struct {
-	// ops holds every rank's operations back to back; rank r's trace is
-	// ops[win[r]:win[r+1]]. (int32 indices: 2^31 operations would be a
-	// 48 GB arena.)
+	// ops holds the windows back to back: window w is ops[win[w]:win[w+1]],
+	// and the trace of rank r is window of[r] with each fRel peer added to
+	// r. A window is that of the rank it was evaluated at, whose number is
+	// the smallest of its members', so windows are in the order of their
+	// first members.
 	ops []op
 	win []int32
-	// chans is the channel table the point-to-point passes index by op.ch,
-	// elems the element counts op.elems indexes, spilled by op index those
-	// of the operations past them.
-	chans   []chanKey
+	of  []int32
+	// elems are the element counts op.elems indexes, spilled by op index
+	// those of the operations past them; hits are the windows' bounds
+	// violations, in window order, naming the rank evaluated.
 	elems   []float64
 	spilled map[int32]float64
 	hits    []boundsHit
@@ -117,10 +144,17 @@ type traces struct {
 	truncated, uncertain, mayColl bool
 }
 
+// at is operation i of rank r's trace as r's own evaluation has it.
+func (tr *traces) at(i, r int32) op {
+	o := tr.ops[i]
+	o.peer, o.flags = o.peerAt(r), o.flags&^fRel
+	return o
+}
+
 // describe renders the operation for diagnostics.
 func (c *Context) describe(o *op) string {
 	if o.kind == opColl {
-		return c.plan.keys[o.ch]
+		return c.plan.keys[o.key]
 	}
 	word, tag := "SEND to", 0
 	switch x := c.plan.stmts[o.stmt].(type) {
@@ -152,34 +186,27 @@ const (
 	maxBoundsHits = 64
 )
 
-// buildTraces fills the arena with every rank's trace: at classFrom
-// ranks or more, a rank at which the guards of an earlier rank's class
-// hold is instantiated from it (classes.go); any other is evaluated.
+// buildTraces fills the arena: at classFrom ranks or more, a rank at
+// which the guards of an earlier rank's class hold joins that class's
+// window (classes.go); any other is evaluated into a window of its own.
+// (int32 indices: 2^31 operations would be a 32 GB arena.)
 func buildTraces(ctx *Context, classFrom int) *traces {
-	tr := &traces{win: make([]int32, 1, ctx.Ranks+1)}
+	tr := &traces{win: []int32{0}, of: make([]int32, ctx.Ranks)}
 	ev := newEvaluator(ctx, tr)
 	var rec *recorder
 	if ctx.Ranks >= classFrom {
 		rec = newRecorder(ev)
 	}
-	longest := 0
-	for r := 0; r < ctx.Ranks; r++ {
-		if !rec.instantiate(int32(r)) {
-			ev.rec = rec.open(int32(r))
-			ev.run(int32(r))
-			ev.rec.close()
+	for r := range tr.of {
+		if rec.match(int32(r)) {
+			tr.of[r] = rec.classes[0].win
+			continue
 		}
-		n := len(tr.ops)
-		longest = max(longest, n-int(tr.win[r]))
-		tr.win = append(tr.win, int32(n))
-		// Size the remaining ranks' windows from the longest trace so far
-		// (SPMD ranks differ by a few guarded operations) rather than
-		// doubling the arena as it fills; growing at most eightfold keeps
-		// an atypical first rank from reserving ranks times its trace.
-		if rest := ctx.Ranks - r - 1; rest > 0 && cap(tr.ops)-n < longest {
-			room := min(longest*rest+longest*rest/8, 7*n) + longest
-			tr.ops = append(make([]op, 0, n+room), tr.ops...)
-		}
+		ev.rec = rec.open(int32(r))
+		ev.run(int32(r))
+		ev.rec.close()
+		tr.of[r] = int32(len(tr.win) - 1)
+		tr.win = append(tr.win, int32(len(tr.ops)))
 	}
 	return tr
 }
@@ -312,11 +339,6 @@ type evaluator struct {
 	hitSeen  map[hitKey]bool
 	firstHit int
 	noteSeen map[string]bool
-	// chanIDs interns traces.chans. chanMemo remembers, per statement, the
-	// channel of the rank's last peer, so it is consulted once per (rank,
-	// statement, peer) rather than once per operation.
-	chanIDs  map[chanKey]int32
-	chanMemo []chanMemo
 	bcasts   map[bcastKey]int32
 	// elemIDs interns traces.elems by bit pattern; lastElems is the last
 	// count interned.
@@ -335,9 +357,6 @@ type hitKey struct {
 	msg  string
 }
 
-// chanMemo is valid for rank stamp-1.
-type chanMemo struct{ stamp, peer, ch int32 }
-
 type bcastKey struct {
 	stmt, root int32
 	known      bool
@@ -352,9 +371,7 @@ func newEvaluator(ctx *Context, tr *traces) *evaluator {
 		arrays:   make([]arrTrack, len(pl.arrays)),
 		hitSeen:  map[hitKey]bool{},
 		noteSeen: map[string]bool{},
-		chanIDs:  map[chanKey]int32{},
 		elemIDs:  map[uint64]uint16{},
-		chanMemo: make([]chanMemo, len(pl.stmts)),
 		bcasts:   map[bcastKey]int32{},
 	}
 	for i, d := range pl.dims {
@@ -665,7 +682,7 @@ func (ev *evaluator) stmt(ps *pstmt) {
 		for _, v := range ps.vars {
 			ev.env[v] = tt
 		}
-		ev.emit(op{kind: opColl, stmt: ps.id, ch: ps.key})
+		ev.emit(op{kind: opColl, stmt: ps.id, key: ps.key})
 	}
 }
 
@@ -694,7 +711,7 @@ func peerOf(v val) (peer int32, ok bool) {
 
 func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
 	peer := ev.eval(ps.e)
-	o := op{kind: kind, stmt: ps.id, ch: -1}
+	o := op{kind: kind, stmt: ps.id, key: ps.key}
 	var peerKnown bool
 	if o.peer, peerKnown = peerOf(peer); peerKnown {
 		o.flags |= fPeerKnown
@@ -736,14 +753,11 @@ func (ev *evaluator) commStmt(ps *pstmt, kind opKind) {
 				elems, ev.dummyElems.v)
 		}
 	}
-	definite := peerKnown && ev.mayDepth == 0
-	if !definite {
+	if !peerKnown || ev.mayDepth > 0 {
 		ev.tr.uncertain = true
-	} else if o.peer >= 0 && int(o.peer) < ev.ctx.Ranks && !ev.rec.streams() {
-		o.ch = ev.channel(ps, kind, o.peer) // no pass reads a partition's
 	}
 	if ev.rec != nil {
-		ev.rec.comm(ps, peer, &o, definite)
+		ev.rec.comm(ps, peer, &o)
 	}
 	ev.emit(o)
 }
@@ -780,26 +794,6 @@ func (tr *traces) elemsOf(i int32) float64 {
 	return tr.spilled[i]
 }
 
-// channel interns the (src, dst, tag) channel of a definite operation.
-func (ev *evaluator) channel(ps *pstmt, kind opKind, peer int32) int32 {
-	m := &ev.chanMemo[ps.id]
-	if m.stamp == ev.rank+1 && m.peer == peer {
-		return m.ch
-	}
-	k := chanKey{from: ev.rank, to: peer, tag: ps.tag}
-	if kind == opRecv {
-		k.from, k.to = peer, ev.rank
-	}
-	ch, ok := ev.chanIDs[k]
-	if !ok {
-		ch = int32(len(ev.tr.chans))
-		ev.tr.chans = append(ev.tr.chans, k)
-		ev.chanIDs[k] = ch
-	}
-	*m = chanMemo{ev.rank + 1, peer, ch}
-	return ch
-}
-
 func (ev *evaluator) bcastStmt(ps *pstmt) {
 	root := ev.eval(ps.e)
 	ev.rec.exact(root)
@@ -823,7 +817,7 @@ func (ev *evaluator) bcastStmt(ps *pstmt) {
 		key = ev.pl.internKey("BCAST root=" + rootStr + ps.suffix)
 		ev.bcasts[bk] = key
 	}
-	o.ch = key
+	o.key = key
 	for _, v := range ps.vars {
 		cur := ev.env[v]
 		if rootKnown && ev.mayDepth == 0 && cur.known && !cur.uniform {

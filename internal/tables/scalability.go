@@ -19,32 +19,7 @@ import (
 // since — as in the paper — the largest configurations exist precisely
 // because direct execution cannot hold them.
 func Table1(cfg Config) (*Table, error) {
-	type row struct {
-		label  string
-		prog   string
-		ranks  int
-		inputs map[string]float64
-	}
-	kt1 := cfg.pick(64, 255)
-	kt2 := cfg.pick(100, 1000)
-	p1 := cfg.pick(490, 4900)
-	if cfg.RankCap > 0 && p1 > cfg.RankCap {
-		p1 = cfg.RankCap
-	}
-	g1x, g1y := apps.ProcGrid(p1)
-	g2x, g2y := apps.ProcGrid(64)
-	nA := cfg.pick(32, 64)
-	nC := cfg.pick(64, 162)
-	nT := cfg.pick(256, 2048)
-	rows := []row{
-		{fmt.Sprintf("Sweep3D, 4x4x%d per proc", kt1), "sweep3d", p1,
-			apps.Sweep3DInputs(4, 4, kt1, kt1/4, g1x, g1y)},
-		{fmt.Sprintf("Sweep3D, 6x6x%d per proc", kt2), "sweep3d", 64,
-			apps.Sweep3DInputs(6, 6, kt2, kt2/4, g2x, g2y)},
-		{fmt.Sprintf("SP, class A (%d^3)", nA), "nassp", 4, apps.NASSPInputs(nA, 2, 2)},
-		{fmt.Sprintf("SP, class C (%d^3)", nC), "nassp", 4, apps.NASSPInputs(nC, 2, 2)},
-		{fmt.Sprintf("Tomcatv, %dx%d", nT, nT), "tomcatv", 64, apps.TomcatvInputs(nT, 2)},
-	}
+	rows := table1Rows(cfg)
 	out := &Table{
 		ID:     "table1",
 		Title:  "Memory usage in MPI-SIM-DE and MPI-SIM-AM",
@@ -74,6 +49,38 @@ func Table1(cfg Config) (*Table, error) {
 		})
 	}
 	return out, nil
+}
+
+// table1Row is one configuration of Table 1.
+type table1Row struct {
+	label  string
+	prog   string
+	ranks  int
+	inputs map[string]float64
+}
+
+// table1Rows are Table 1's configurations at cfg's scale.
+func table1Rows(cfg Config) []table1Row {
+	kt1 := cfg.pick(64, 255)
+	kt2 := cfg.pick(100, 1000)
+	p1 := cfg.pick(490, 4900)
+	if cfg.RankCap > 0 && p1 > cfg.RankCap {
+		p1 = cfg.RankCap
+	}
+	g1x, g1y := apps.ProcGrid(p1)
+	g2x, g2y := apps.ProcGrid(64)
+	nA := cfg.pick(32, 64)
+	nC := cfg.pick(64, 162)
+	nT := cfg.pick(256, 2048)
+	return []table1Row{
+		{fmt.Sprintf("Sweep3D, 4x4x%d per proc", kt1), "sweep3d", p1,
+			apps.Sweep3DInputs(4, 4, kt1, sweepBlockDepth(kt1), g1x, g1y)},
+		{fmt.Sprintf("Sweep3D, 6x6x%d per proc", kt2), "sweep3d", 64,
+			apps.Sweep3DInputs(6, 6, kt2, sweepBlockDepth(kt2), g2x, g2y)},
+		{fmt.Sprintf("SP, class A (%d^3)", nA), "nassp", 4, apps.NASSPInputs(nA, 2, 2)},
+		{fmt.Sprintf("SP, class C (%d^3)", nC), "nassp", 4, apps.NASSPInputs(nC, 2, 2)},
+		{fmt.Sprintf("Tomcatv, %dx%d", nT, nT), "tomcatv", 64, apps.TomcatvInputs(nT, 2)},
+	}
 }
 
 func fmtBytes(b int64) string {

@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -440,6 +441,23 @@ func TestPaperScaleSweepBlockDepth(t *testing.T) {
 		}
 		if _, err := r.Run(core.DirectExec, 4, inputs); err != nil {
 			t.Errorf("%s direct execution: %v", name, err)
+		}
+	}
+}
+
+// Table 1's Sweep3D rows must be runnable at paper scale: a block depth
+// that does not divide KT sweeps past the k extent (the -full 4x4x255
+// row once took MK = 63).
+func TestTable1SweepBlockDepthDividesKT(t *testing.T) {
+	for _, cfg := range []Config{{}, {Full: true}} {
+		for _, rw := range table1Rows(cfg) {
+			if rw.prog != "sweep3d" {
+				continue
+			}
+			kt, mk := rw.inputs["KT"], rw.inputs["MK"]
+			if mk < 1 || math.Mod(kt, mk) != 0 {
+				t.Errorf("%s (full %v): KT=%g, MK=%g; MK must divide KT", rw.label, cfg.Full, kt, mk)
+			}
 		}
 	}
 }

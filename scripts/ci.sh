@@ -27,9 +27,11 @@
 #      tools/obsprobe) and a profiler smoke (mpisim -profile output must
 #      parse with go tool pprof)
 #  10. verifier budget: the default-on static verifier may add at most
-#      0.35x the unchecked prediction's wall to it — mpisim -app sweep3d
+#      0.25x the unchecked prediction's wall to it — mpisim -app sweep3d
 #      -mode am -ranks 4096 default vs -nocheck, best of three alternating
-#      runs each (within-run pair); and the trace door's budget beside
+#      runs each (within-run pair) — and at most 1.3x its peak RSS at
+#      16,384 ranks (VmHWM, polled, least of three alternating runs
+#      each); and the trace door's budget beside
 #      it: that run's recorded trace — v2, one call stream per rank class
 #      — must be at most 4 MiB (the daemon's inline cap), and mpisim
 #      -tracein of it, parse included, may take at most 1.25x the
@@ -226,13 +228,12 @@ echo "profiler smoke: go tool pprof parsed $bin/prof.pb.gz"
 echo "== verifier budget (default vs -nocheck, within-run pair)"
 # The verifier is on by default, so its cost is part of every prediction.
 # Both sides run in this invocation, alternating, and the best of three
-# is compared: fail when (default - nocheck) > 0.35 x nocheck. Measured
-# 0.2-0.25x with rank classes (one evaluation per class of ranks, PR 22),
-# 0.47x per rank before them, 4.4x before the plan-compiled evaluator;
-# 0.11-0.26x once AM replays class streams, with the verifier's
-# operations at 16 bytes (at 24, against the faster unchecked side, it
-# read 0.39-0.49x);
-# ROADMAP's budget is 0.25x — tighten as the margin is confirmed.
+# is compared: fail when (default - nocheck) > 0.25 x nocheck, ROADMAP's
+# budget. Measured 0.2-0.25x with rank classes (one evaluation per class
+# of ranks, PR 22), 0.47x per rank before them, 4.4x before the
+# plan-compiled evaluator; 0.11-0.34x once AM replays class streams; see
+# EXPERIMENTS.md "The verifier at class size" for the reading once the
+# arena holds one window per class.
 wall_ms() {
     t0=$(date +%s%N)
     "$bin/mpisim" -app sweep3d "$@" >/dev/null
@@ -249,8 +250,38 @@ if [ "$checked" -eq 999999 ] || [ "$unchecked" -eq 999999 ]; then
     echo "verifier budget: a wall could not be read" >&2
     exit 1
 fi
-if [ $(( (checked - unchecked) * 100 )) -gt $(( unchecked * 35 )) ]; then
-    echo "verifier budget: the verifier adds more than 0.35x the unchecked wall" >&2
+if [ $(( (checked - unchecked) * 100 )) -gt $(( unchecked * 25 )) ]; then
+    echo "verifier budget: the verifier adds more than 0.25x the unchecked wall" >&2
+    exit 1
+fi
+# Its memory budget: at 16,384 ranks the verifier holds a window per rank
+# class, not a trace per rank, so the default path's peak RSS may be at
+# most 1.3x the unchecked one's (2.3x while it held a trace per rank).
+peak_kb() {
+    "$bin/mpisim" -app sweep3d -mode am -ranks 16384 "$@" >/dev/null &
+    peak_pid=$!
+    peak=0
+    while kill -0 "$peak_pid" 2>/dev/null; do
+        kb=$(awk '/^VmHWM/ { print $2 }' "/proc/$peak_pid/status" 2>/dev/null || true)
+        [ -n "$kb" ] && peak=$kb
+        sleep 0.05
+    done
+    wait "$peak_pid"
+    echo "$peak"
+}
+checked_kb=999999999
+unchecked_kb=999999999
+for i in 1 2 3; do
+    kb=$(peak_kb); [ "$kb" -gt 0 ] && [ "$kb" -lt "$checked_kb" ] && checked_kb=$kb
+    kb=$(peak_kb -nocheck); [ "$kb" -gt 0 ] && [ "$kb" -lt "$unchecked_kb" ] && unchecked_kb=$kb
+done
+echo "verifier memory budget: default ${checked_kb} kB, -nocheck ${unchecked_kb} kB peak RSS at 16384 ranks"
+if [ "$checked_kb" -eq 999999999 ] || [ "$unchecked_kb" -eq 999999999 ]; then
+    echo "verifier memory budget: a peak RSS could not be read" >&2
+    exit 1
+fi
+if [ $(( checked_kb * 10 )) -gt $(( unchecked_kb * 13 )) ]; then
+    echo "verifier memory budget: the default path peaks above 1.3x the unchecked one" >&2
     exit 1
 fi
 # The trace door's budget, on the same configuration and the same
