@@ -191,6 +191,7 @@ type Context struct {
 	// evaluator ran: one per rank class (Result.Classes).
 	plan   *plan
 	traces *traces
+	lt     *links
 	evals  int
 }
 

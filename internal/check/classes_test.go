@@ -56,18 +56,26 @@ import (
 //	stored                                   hand "select after a store"
 //	guard's dedupe being per class           golden app_sweep3d_16
 //	open's clear(snapOf)                     hand "snapshot left by a longer array"
+//	buildTraces making one-member windows absolute  golden app_nassp_4 (panics)
 //
 // sendrecv.go, deadlock.go and collective.go:
 //
 //	sendrecv's off-grid test (boundary)      boundary "relative send off the grid on some" (panics)
-//	sendrecv's merge of rel and abs links    boundary "absolute and relative links on one channel"
-//	sendrecv's relative link owning it       boundary "absolute and relative links on one channel"
+//	sendrecv's merge of rel and abs links    boundary "relative and absolute sends meeting at one member"
+//	sendrecv's relative link owning it       boundary "relative and absolute sends meeting at one member"
 //	sendrecv's pair memo: abs partner test   boundary "relative pair broken at one member by an absolute receive"
 //	sendrecv's pair memo: window test        boundary "overflow into one neighbour class only"
 //	sendrecv's receive offset negated        golden app_nassp_4
 //	sendrecv's sender-side test of a receive golden app_nassp_4
 //	sendrecv's channel of a receive          TestGoldenCorpus mutant_skewedtag_4
+//	absolute's memo only for a one-member w  golden app_nassp_16
+//	absolute's memo of the link found only where b has one member
+//	                                         boundary "a rank of its own sending to one member of a class"
 //	deadlock's receive offset negated        golden app_nassp_4
+//	resolve's dense slot on an interned (d-s, tag)  golden app_nassp_16
+//	resolve's one-member test of the sender  hand "select overrun"
+//	resolve's receive asking for the sender's link  golden app_nassp_16
+//	resolve keeping a slot in a one-member window only  hand "section bounds"
 //	deadlock's wait reset to -1              TestStuckStatesReportTheRecordedCycle "head-to-head send/send"
 //	collective compared per member           boundary "collective skipped by one class"
 //	collective's witness the first member    boundary "bcast root off the grid by class"
@@ -477,6 +485,29 @@ end`, 1, 1},
     RECV A(1:4) from 20 tag 1
   endif
 end`, 40, 0},
+	{"relative and absolute sends meeting at one member", `program meetsend
+  double precision A(4)
+  if ((myid < (P - 1))) then
+    SEND A(1:4) to (myid + 1) tag 1
+  endif
+  if ((myid > 0)) then
+    SEND A(1:4) to 20 tag 1
+    RECV A(1:4) from (myid - 1) tag 1
+  endif
+  if ((myid == 20)) then
+    do r = 1, (P - 1)
+      RECV A(1:4) from r tag 1
+    enddo
+  endif
+end`, 0, 2},
+	{"a rank of its own sending to one member of a class", `program onesend
+  double precision A(4)
+  if ((myid == 0)) then
+    SEND A(1:4) to 5 tag 3
+  else
+    RECV A(1:4) from 0 tag 3
+  endif
+end`, 39, 0},
 	{"bcast root off the grid by class", `program bcastoff
   x = 1
   BCAST from ((myid // 20) + P): x

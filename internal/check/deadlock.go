@@ -42,7 +42,7 @@ func passDeadlock(ctx *Context) []Diagnostic {
 	// A run that completes under synchronous sends is one under eager
 	// sends, whose final state is unique: only a stuck one asks for the
 	// eager model.
-	p := newProgress(tr, ctx.Ranks)
+	p := newProgress(ctx)
 	if !p.simulate(true) {
 		return diags
 	}
@@ -66,6 +66,8 @@ func passDeadlock(ctx *Context) []Diagnostic {
 type progress struct {
 	ops []op
 	n   int
+	lt  *links
+	tr  *traces
 	// pc is each rank's program counter, an arena index running from
 	// start to end.
 	pc, start, end []int32
@@ -73,13 +75,12 @@ type progress struct {
 	wait []int32
 	// inflight counts the undelivered eager messages per channel slot.
 	inflight []int32
-	// The channel (s, d, tag) of a relative operation has the dense slot
-	// s*nkeys + k, k being the interned (d-s, tag) keys holds; so has any
-	// other channel whose (d-s, tag) is interned, and the rest have a slot
-	// each past the dense ones, in chans. key is, per operation, its k
-	// when relative, its slot when that is fixed (an absolute operation
-	// in a one-member window), and -1 otherwise.
-	key        []int32
+	// The channel (s, d, tag) has the dense slot s*nkeys + k when keys
+	// interns (d-s, tag) as k, which it does for every relative link's;
+	// else, when s is a window of its own, its send link's; else one in
+	// chans. slot is, per link, its k when relative, its slot once known
+	// when that is fixed (in a window of one member), and -1 otherwise.
+	slot       []int32
 	keys       map[[2]int32]int32
 	chans      map[chanKey]int32
 	nkeys      int32
@@ -89,72 +90,75 @@ type progress struct {
 	rendezvous bool
 }
 
-func newProgress(tr *traces, n int) *progress {
+func newProgress(ctx *Context) *progress {
+	tr, lt, n := ctx.traces, ctx.links(), ctx.Ranks
 	p := &progress{
-		ops: tr.ops, n: n, pc: make([]int32, n), start: make([]int32, n), end: make([]int32, n), wait: make([]int32, n),
+		ops: tr.ops, n: n, lt: lt, tr: tr,
+		pc: make([]int32, n), start: make([]int32, n), end: make([]int32, n), wait: make([]int32, n),
 		work: make([]int32, 0, n), queued: make([]bool, n),
-		key: make([]int32, len(tr.ops)), keys: map[[2]int32]int32{}, chans: map[chanKey]int32{},
+		slot: make([]int32, len(lt.at)-1), keys: map[[2]int32]int32{}, chans: map[chanKey]int32{},
 	}
-	// first is each window's first member, members how many it has.
-	first, members := make([]int32, len(tr.win)-1), make([]int32, len(tr.win)-1)
 	for r, w := range tr.of {
-		if members[w] == 0 {
-			first[w] = int32(r)
-		}
-		members[w]++
 		p.start[r], p.end[r] = tr.win[w], tr.win[w+1]
 	}
-	for i := range tr.ops {
-		o := &tr.ops[i]
-		p.key[i] = -1
-		if o.has(fRel) && o.kind != opColl {
-			off := o.peer
-			if o.kind == opRecv {
+	for l := range p.slot {
+		p.slot[l] = -1
+		if k := lt.key(int32(l)); k.rel {
+			off := k.peer
+			if k.kind == opRecv {
 				off = -off
 			}
-			k, ok := p.keys[[2]int32{off, o.key}]
+			x, ok := p.keys[[2]int32{off, k.tag}]
 			if !ok {
-				k = int32(len(p.keys))
-				p.keys[[2]int32{off, o.key}] = k
+				x = int32(len(p.keys))
+				p.keys[[2]int32{off, k.tag}] = x
 			}
-			p.key[i] = k
+			p.slot[l] = x
 		}
 	}
 	p.nkeys = int32(len(p.keys))
 	p.inflight = make([]int32, n*int(p.nkeys))
-	for w := range members {
-		if members[w] != 1 {
-			continue
-		}
-		for i := tr.win[w]; i < tr.win[w+1]; i++ {
-			if o := &tr.ops[i]; !o.has(fRel) {
-				if q, ok := o.linked(first[w], n); ok {
-					p.key[i] = p.resolve(o, first[w], q)
-				}
-			}
-		}
-	}
 	return p
 }
 
-// resolve is the slot of an absolute operation o at rank r, whose
-// partner is q.
-func (p *progress) resolve(o *op, r, q int32) int32 {
-	s, d := r, q
+// resolve is the slot of absolute operation o of link l at rank r, whose
+// partner is q; in a window of one member the link keeps it.
+func (p *progress) resolve(o *op, l, r, q int32) int32 {
+	s, d, sent := r, q, l
 	if o.kind == opRecv {
-		s, d = q, r
+		s, d, sent = q, r, -1
 	}
-	if k, ok := p.keys[[2]int32{d - s, o.key}]; ok {
-		return s*p.nkeys + k
+	if w := p.tr.of[s]; p.tr.members[w] != 1 {
+		sent = -1
+	} else if sent < 0 {
+		sent = p.lt.absolute(l, p.tr.of[r], w, opSend, r)
 	}
-	c := chanKey{from: s, to: d, tag: int(o.key)}
-	id, ok := p.chans[c]
-	if !ok {
-		id = int32(len(p.inflight))
-		p.inflight = append(p.inflight, 0)
-		p.chans[c] = id
+	x, ok := p.keys[[2]int32{d - s, o.key}]
+	switch {
+	case ok:
+		x += s * p.nkeys
+	case sent >= 0:
+		if p.slot[sent] < 0 {
+			p.slot[sent] = p.fresh()
+		}
+		x = p.slot[sent]
+	default:
+		c := chanKey{from: s, to: d, tag: int(o.key)}
+		if x, ok = p.chans[c]; !ok {
+			x = p.fresh()
+			p.chans[c] = x
+		}
 	}
-	return id
+	if p.tr.members[p.tr.of[r]] == 1 {
+		p.slot[l] = x
+	}
+	return x
+}
+
+// fresh is a new channel slot.
+func (p *progress) fresh() int32 {
+	p.inflight = append(p.inflight, 0)
+	return int32(len(p.inflight) - 1)
 }
 
 // simulate advances all ranks until every trace is consumed or no rank
@@ -242,7 +246,8 @@ func (p *progress) run(r int32) {
 		if !ok {
 			continue
 		}
-		x := p.key[pc]
+		l := p.lt.of[pc]
+		x := p.slot[l]
 		if o.flags&fRel != 0 {
 			s := r
 			if o.kind == opRecv {
@@ -250,7 +255,7 @@ func (p *progress) run(r int32) {
 			}
 			x += s * p.nkeys
 		} else if x < 0 {
-			x = p.resolve(o, r, q)
+			x = p.resolve(o, l, r, q)
 		}
 		switch {
 		case o.kind == opSend && !p.rendezvous:

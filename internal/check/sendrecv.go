@@ -22,7 +22,7 @@ import "sort"
 func passSendRecv(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	tr, n := ctx.traces, ctx.Ranks
-	lt := newLinks(ctx)
+	lt := ctx.links()
 
 	// With a data-dependent peer, a conditional operation or a truncated
 	// trace anywhere, unmatched counts are only warnings.
@@ -96,7 +96,7 @@ func passSendRecv(ctx *Context) []Diagnostic {
 	for r := int32(0); int(r) < n; r++ {
 		w := tr.of[r]
 		for l := lt.start[w]; l < lt.start[w+1]; l++ {
-			key, ops := lt.keys[l], lt.ops(l)
+			key, ops := lt.key(l), lt.ops(l)
 			q := tr.ops[ops[0]].peerAt(r)
 			if q < 0 || int(q) >= n {
 				word := "send to"
@@ -121,7 +121,7 @@ func passSendRecv(ctx *Context) []Diagnostic {
 			if key.kind == opRecv {
 				// The sender compares a channel it has a link on.
 				a := tr.of[q]
-				if lt.partner(l, a, opSend, r-q) >= 0 || lt.find(a, opSend, false, r, key.tag) >= 0 {
+				if lt.partner(l, a, opSend, r-q) >= 0 || lt.absolute(l, w, a, opSend, r) >= 0 {
 					continue
 				}
 				k = chanKey{from: q, to: r, tag: ctx.plan.tags[key.tag]}
@@ -129,15 +129,18 @@ func passSendRecv(ctx *Context) []Diagnostic {
 				continue
 			}
 			b := tr.of[q]
-			rel, abs := lt.partner(l, b, opRecv, r-q), lt.find(b, opRecv, false, r, key.tag)
+			rel, abs := lt.partner(l, b, opRecv, r-q), lt.absolute(l, w, b, opRecv, r)
 			// A relative link alone against one link is the same pair at
 			// every member whose partner's window is b.
-			m, pair := &lt.memo[l], key.rel && len(mine) == len(ops) && abs < 0
-			if pair && m.clean {
+			pair := key.rel && len(mine) == len(ops) && abs < 0
+			if pair && lt.memo[l].clean {
 				continue
 			}
 			k = chanKey{from: r, to: q, tag: ctx.plan.tags[key.tag]}
-			m.clean = fifo(mine, merge(&theirBuf, lt.ops(rel), lt.ops(abs))) && pair
+			clean := fifo(mine, merge(&theirBuf, lt.ops(rel), lt.ops(abs)))
+			if key.rel {
+				lt.memo[l].clean = clean && pair
+			}
 		}
 	}
 	sort.SliceStable(found, func(i, j int) bool {
@@ -164,20 +167,25 @@ type linkKey struct {
 }
 
 // links is the link table of the arena: window w's links are
-// keys[start[w]:start[w+1]], found by ids[w], and link l's operations
-// are opsl[at[l]:at[l+1]]. (A map per window keeps a lookup within one
-// window's links: a rank evaluated on its own may have thousands.)
+// start[w] up to start[w+1], found by ids[w], link l's operations are
+// opsl[at[l]:at[l+1]], and operation i's link is of[i] (-1: none). (A map
+// per window keeps a lookup within one window's links: a rank evaluated
+// on its own may have thousands.)
 type links struct {
-	keys     []linkKey
-	ids      []map[uint64]int32
-	start    []int32
-	at, opsl []int32
+	arena        []op
+	members      []int32
+	ids          []map[uint64]int32
+	start        []int32
+	at, opsl, of []int32
 	// has holds, per window, a bit per (kind, rel) it has a link of.
 	has []uint8
-	// memo is, per relative link, the window last asked for by partner
-	// (plus one: 0 is none), its partner link there, and whether the two
-	// compared clean.
+	// memo is, per link, for a relative one the window last asked for by
+	// partner (plus one: 0 is none), its partner link there, and whether
+	// the two compared clean; nil when no window has a relative link.
 	memo []linkMemo
+	// answered is, per link of a window of one member, what absolute
+	// found for it, plus two (0: not asked yet).
+	answered []int32
 }
 
 type linkMemo struct {
@@ -198,10 +206,19 @@ func linkBit(kind opKind, rel bool) uint8 {
 	return 1 << (2 * kind)
 }
 
+// links is the link table of the arena, built by the first pass that
+// asks for it.
+func (c *Context) links() *links {
+	if c.lt == nil {
+		c.lt = newLinks(c)
+	}
+	return c.lt
+}
+
 func newLinks(ctx *Context) *links {
 	tr := ctx.traces
 	nw := len(tr.win) - 1
-	lt := &links{ids: make([]map[uint64]int32, nw), start: make([]int32, 1, nw+1), has: make([]uint8, nw)}
+	lt := &links{arena: tr.ops, members: tr.members, ids: make([]map[uint64]int32, nw), start: make([]int32, 1, nw+1), has: make([]uint8, nw)}
 	// stmtMemo remembers each statement's last link: a statement in a loop
 	// issues a run of operations on one.
 	type stmtMemo struct {
@@ -209,49 +226,92 @@ func newLinks(ctx *Context) *links {
 		w, l int32
 	}
 	memo := make([]stmtMemo, len(ctx.plan.stmts))
-	linkOf := make([]int32, len(tr.ops))
-	count := []int32{0}
+	for i := range memo {
+		memo[i].w = -1
+	}
+	lt.of = make([]int32, len(tr.ops))
+	// count[l+2] counts link l's operations, to become at in place.
+	count, rel := []int32{0, 0}, false
 	for w := int32(0); int(w) < nw; w++ {
+		// The runs are counted first, to size the window's map.
+		runs := 0
+		for i := tr.win[w]; i < tr.win[w+1]; i++ {
+			if o := &tr.ops[i]; o.definite() {
+				k, m := linkKey{peer: o.peer, tag: o.key, kind: o.kind, rel: o.has(fRel)}, &memo[o.stmt]
+				if m.key != k || m.l != 0 || m.w != w {
+					*m = stmtMemo{k, w, 0}
+					runs++
+				}
+			}
+		}
+		if runs > 0 {
+			lt.ids[w] = make(map[uint64]int32, runs)
+		}
 		for i := tr.win[w]; i < tr.win[w+1]; i++ {
 			o := &tr.ops[i]
-			linkOf[i] = -1
+			lt.of[i] = -1
 			if !o.definite() {
 				continue
 			}
 			k := linkKey{peer: o.peer, tag: o.key, kind: o.kind, rel: o.has(fRel)}
 			m := &memo[o.stmt]
 			if m.key != k || m.l == 0 || m.w != w {
-				if lt.ids[w] == nil {
-					lt.ids[w] = map[uint64]int32{}
-				}
 				l, ok := lt.ids[w][k.id()]
 				if !ok {
-					l = int32(len(lt.keys))
-					lt.keys = append(lt.keys, k)
+					l = int32(len(count) - 2)
 					lt.ids[w][k.id()] = l
 					lt.has[w] |= linkBit(k.kind, k.rel)
 					count = append(count, 0)
+					rel = rel || k.rel
 				}
 				*m = stmtMemo{k, w, l + 1}
 			}
-			linkOf[i] = m.l - 1
-			count[m.l]++
+			lt.of[i] = m.l - 1
+			count[m.l+1]++
 		}
-		lt.start = append(lt.start, int32(len(lt.keys)))
+		lt.start = append(lt.start, int32(len(count)-2))
 	}
-	for l := 1; l < len(count); l++ {
+	nl := len(count) - 2
+	for l := 2; l < len(count); l++ {
 		count[l] += count[l-1]
 	}
-	lt.at, lt.opsl = count, make([]int32, count[len(count)-1])
-	fill := append([]int32(nil), count[:len(count)-1]...)
-	for i, l := range linkOf {
+	lt.opsl = make([]int32, count[nl+1])
+	for i, l := range lt.of {
 		if l >= 0 {
-			lt.opsl[fill[l]] = int32(i)
-			fill[l]++
+			lt.opsl[count[l+1]] = int32(i)
+			count[l+1]++
 		}
 	}
-	lt.memo = make([]linkMemo, len(lt.keys))
+	lt.at = count[:nl+1]
+	if rel {
+		lt.memo = make([]linkMemo, nl)
+	}
+	lt.answered = make([]int32, nl)
 	return lt
+}
+
+// absolute is window b's absolute link of the given kind on the channel
+// of link l, of window w, at rank r, or -1. Where w has one member the
+// channel is fixed, and the answer is remembered, for the link found too
+// when b has one member.
+func (lt *links) absolute(l, w, b int32, kind opKind, r int32) int32 {
+	if lt.answered[l] != 0 {
+		return lt.answered[l] - 2
+	}
+	x := lt.find(b, kind, false, r, lt.key(l).tag)
+	if lt.members[w] == 1 {
+		lt.answered[l] = x + 2
+		if x >= 0 && lt.members[b] == 1 {
+			lt.answered[x] = l + 2
+		}
+	}
+	return x
+}
+
+// key is link l's key, read off its first operation.
+func (lt *links) key(l int32) linkKey {
+	o := &lt.arena[lt.opsl[lt.at[l]]]
+	return linkKey{peer: o.peer, tag: o.key, kind: o.kind, rel: o.has(fRel)}
 }
 
 // ops are link l's operations, none for -1.
@@ -277,12 +337,13 @@ func (lt *links) find(w int32, kind opKind, rel bool, peer, tag int32) int32 {
 // channel, whose offset is off: for a relative l the same for every
 // member, so it is asked once per window.
 func (lt *links) partner(l, w int32, kind opKind, off int32) int32 {
-	m := &lt.memo[l]
-	if !lt.keys[l].rel {
-		return lt.find(w, kind, true, off, lt.keys[l].tag)
+	k := lt.key(l)
+	if !k.rel {
+		return lt.find(w, kind, true, off, k.tag)
 	}
+	m := &lt.memo[l]
 	if m.win != w+1 {
-		*m = linkMemo{win: w + 1, other: lt.find(w, kind, true, off, lt.keys[l].tag)}
+		*m = linkMemo{win: w + 1, other: lt.find(w, kind, true, off, k.tag)}
 	}
 	return m.other
 }

@@ -131,6 +131,8 @@ type traces struct {
 	ops []op
 	win []int32
 	of  []int32
+	// members counts each window's ranks.
+	members []int32
 	// elems are the element counts op.elems indexes, spilled by op index
 	// those of the operations past them; hits are the windows' bounds
 	// violations, in window order, naming the rank evaluated.
@@ -197,6 +199,7 @@ func buildTraces(ctx *Context, classFrom int) *traces {
 	if ctx.Ranks >= classFrom {
 		rec = newRecorder(ev)
 	}
+	longest := 0
 	for r := range tr.of {
 		if rec.match(int32(r)) {
 			tr.of[r] = rec.classes[0].win
@@ -205,8 +208,32 @@ func buildTraces(ctx *Context, classFrom int) *traces {
 		ev.rec = rec.open(int32(r))
 		ev.run(int32(r))
 		ev.rec.close()
+		n := len(tr.ops)
+		last := n - int(tr.win[len(tr.win)-1])
+		longest = max(longest, last)
 		tr.of[r] = int32(len(tr.win) - 1)
-		tr.win = append(tr.win, int32(len(tr.ops)))
+		tr.win = append(tr.win, int32(n))
+		// Size the remaining ranks' windows from the last one (SPMD ranks
+		// differ by a few guarded operations, neighbours least) rather than
+		// letting append regrow the arena a quarter at a time; growing at
+		// most eightfold keeps an atypical rank from reserving ranks times
+		// its trace. A class's representative is left to append: most
+		// ranks go on to join a class.
+		if rest := ctx.Ranks - r - 1; ev.rec == nil && rest > 0 && cap(tr.ops)-n < longest {
+			room := min(last*rest+last*rest/8, 7*n) + longest
+			tr.ops = append(make([]op, 0, n+room), tr.ops...)
+		}
+	}
+	// A window with one member is that rank's trace as its own evaluation
+	// has it, relative peers made absolute.
+	tr.members = make([]int32, len(tr.win)-1)
+	for _, w := range tr.of {
+		tr.members[w]++
+	}
+	for r, w := range tr.of {
+		for i := tr.win[w]; i < tr.win[w+1] && tr.members[w] == 1 && rec != nil; i++ {
+			tr.ops[i] = tr.at(i, int32(r))
+		}
 	}
 	return tr
 }
