@@ -256,6 +256,15 @@ func BenchmarkInterpThroughputSweep3D(b *testing.B) {
 	benchInterp(b, Sweep3D(), Sweep3DInputs(4, 4, 40, 10, npx, npy), 256, mpi.Detailed)
 }
 
+// BenchmarkInterpThroughputSample is the same measure on a direct-
+// execution SAMPLE prediction at 16 ranks with its default inputs (the
+// wavefront pattern, WORK 20000): the work loop, whose subscript is
+// mod(w,512)+1.
+func BenchmarkInterpThroughputSample(b *testing.B) {
+	npx, npy := apps.ProcGrid(16)
+	benchInterp(b, Sample(), SampleInputs(apps.PatternWavefront, 20000, 1000, 10, npx, npy), 16, mpi.Detailed)
+}
+
 func benchInterp(b *testing.B, prog *Program, inputs map[string]float64, ranks int, comm mpi.CommModel) {
 	m := IBMSP()
 	var ops float64

@@ -63,12 +63,6 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		// When the pre-simulation verifier refused the configuration,
-		// surface its findings one per line before the summary.
-		var ce *core.CheckError
-		if errors.As(err, &ce) {
-			fmt.Fprint(os.Stderr, ce.Result.Text(check.Error))
-		}
 		fmt.Fprintln(os.Stderr, "mpisim:", err)
 		os.Exit(1)
 	}
@@ -231,9 +225,17 @@ func run() error {
 		Metrics:       reg, Tracer: o.tracer, Timeline: liveTL, RunInfo: ri,
 	}, nil, tr)
 	if err != nil {
+		// When the pre-simulation verifier refused a configuration,
+		// surface its findings one per line (every finding with -check)
+		// before the summary.
 		var ce *core.CheckError
-		if *checkFlag && errors.As(err, &ce) {
-			fmt.Fprint(os.Stderr, ce.Result.Text(check.Info))
+		if errors.As(err, &ce) {
+			level := check.Error
+			if *checkFlag {
+				level = check.Info
+			}
+			fmt.Fprint(os.Stderr, ce.Result.Text(level))
+			return errors.New(ce.Explain("-cal-ranks", "-tasktimes", "-nocheck"))
 		}
 		return err
 	}

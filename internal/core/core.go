@@ -180,13 +180,31 @@ type Runner struct {
 // configuration. Result carries the complete findings for display.
 type CheckError struct {
 	Result *check.Result
+	// Calibration marks a refused calibration configuration: the run's
+	// Inputs applied at the calibration rank count, Result.Ranks.
+	Calibration bool
+	Inputs      map[string]float64
 }
 
-// Error implements error with a one-line summary; use Result for the
-// individual diagnostics.
-func (e *CheckError) Error() string {
-	return fmt.Sprintf("core: static verification found %d error(s) in %s at %d ranks (set SkipChecks to simulate anyway)",
-		e.Result.Errors(), e.Result.Program, e.Result.Ranks)
+// Error implements error with a one-line summary in the job spec's words;
+// use Result for the individual diagnostics.
+func (e *CheckError) Error() string { return e.Explain("cal_ranks", "task_times", "skip_checks") }
+
+// Explain is the one-line summary, naming the settings to change as a
+// front door calls them.
+func (e *CheckError) Explain(calRanks, taskTimes, skipChecks string) string {
+	r := e.Result
+	msg := fmt.Sprintf("core: static verification found %d error(s) in %s at %d ranks", r.Errors(), r.Program, r.Ranks)
+	if !e.Calibration {
+		return fmt.Sprintf("%s (set %s to simulate anyway)", msg, skipChecks)
+	}
+	carried := []string{}
+	for k, v := range e.Inputs {
+		carried = append(carried, fmt.Sprintf("%s=%g", k, v))
+	}
+	sort.Strings(carried)
+	return fmt.Sprintf("%s, the calibration configuration, with the run's inputs {%s}: set %s to a rank count they fit, supply %s, or set %s to simulate anyway",
+		msg, strings.Join(carried, ","), calRanks, taskTimes, skipChecks)
 }
 
 // Check runs the static communication verifier on the source program at

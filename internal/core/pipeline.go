@@ -146,6 +146,11 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 		calInputs := spec.inputsAt(p.CalRanks)
 		r.TaskTimes, err = cache.TaskTimes(ck, calKey(ck, p.CalRanks, calInputs),
 			func() (map[string]float64, error) { return r.Calibrate(p.CalRanks, calInputs) })
+		var ce *CheckError
+		if errors.As(err, &ce) && p.CalRanks != p.Ranks {
+			// Refused where the run is not: say it is the calibration.
+			return nil, &CheckError{Result: ce.Result, Calibration: true, Inputs: spec.Inputs}
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -94,8 +94,8 @@ type compiledArray struct {
 }
 
 // addrEntry says address register id holds the checked offset, into every
-// array of the shape, at the current values of the scalar/constant
-// registers subs (-1 beyond the rank).
+// array of the shape, at the current values of the registers subs (-1
+// beyond the rank): scalars, constants and numbered subscripts.
 type addrEntry struct {
 	shape, id int32
 	subs      [3]int32
@@ -105,17 +105,27 @@ type addrEntry struct {
 // in address register addr.
 type valEntry struct{ arr, addr, reg int32 }
 
+// exprEntry says temporary reg holds the value of the numbered subscript
+// e: an integral expression of scalars and constants that an instruction
+// computes.
+type exprEntry struct {
+	e   ir.Expr
+	reg int32
+}
+
 // known is what the lowering knows to hold at a point of the code: the
-// checked addresses and the array elements held in registers. Every value
-// record's address is among the addresses, and its register is a
-// temporary of its own.
+// checked addresses, the array elements and the numbered subscripts held
+// in registers. Every value record's address is among the addresses, every
+// temporary an address is keyed on is a numbered subscript's, and the
+// registers of values and subscripts are temporaries of their own.
 type known struct {
 	addrs []addrEntry
 	vals  []valEntry
+	exprs []exprEntry
 }
 
 func (k known) clone() known {
-	return known{append([]addrEntry(nil), k.addrs...), append([]valEntry(nil), k.vals...)}
+	return known{slices.Clone(k.addrs), slices.Clone(k.vals), slices.Clone(k.exprs)}
 }
 
 // compiled is a program lowered to register code. The register file is
@@ -352,11 +362,14 @@ func (cp *compiled) temp() int32 {
 }
 
 // pop frees the temporaries above mark, except those holding a recorded
-// array element and the ones below them.
+// array element or subscript and the ones below them.
 func (cp *compiled) pop(mark int32) {
 	cp.tsp = mark
 	for _, v := range cp.live.vals {
 		cp.tsp = max(cp.tsp, v.reg-cp.tempBase+1)
+	}
+	for _, x := range cp.live.exprs {
+		cp.tsp = max(cp.tsp, x.reg-cp.tempBase+1)
 	}
 }
 
@@ -377,17 +390,35 @@ func (cp *compiled) settle() {
 	}
 }
 
-// wrote forgets the addresses computed from a scalar about to change,
-// and the elements recorded at them.
+// wrote forgets the subscripts and addresses computed from a scalar about
+// to change, the addresses keyed on those subscripts' registers, and the
+// elements recorded at the addresses.
 func (cp *compiled) wrote(slot int32) {
-	kept := cp.live.addrs[:0]
-	for _, e := range cp.live.addrs {
-		if e.subs[0] != slot && e.subs[1] != slot && e.subs[2] != slot {
-			kept = append(kept, e)
+	dead := []int32{slot}
+	cp.live.exprs = slices.DeleteFunc(cp.live.exprs, func(x exprEntry) bool {
+		read := cp.reads(x.e, slot)
+		if read {
+			dead = append(dead, x.reg)
 		}
-	}
-	cp.live.addrs = kept
+		return read
+	})
+	cp.live.addrs = slices.DeleteFunc(cp.live.addrs, func(e addrEntry) bool {
+		return slices.ContainsFunc(e.subs[:], func(s int32) bool { return slices.Contains(dead, s) })
+	})
 	cp.keepVals(func(v valEntry) bool { return cp.liveAddr(v.addr) })
+}
+
+// reads reports whether e reads the scalar in register slot.
+func (cp *compiled) reads(e ir.Expr, slot int32) bool {
+	switch x := e.(type) {
+	case ir.Scalar:
+		return x.Name == cp.names[slot]
+	case ir.Bin:
+		return cp.reads(x.L, slot) || cp.reads(x.R, slot)
+	case ir.Call:
+		return cp.reads(x.Arg, slot)
+	}
+	return false
 }
 
 func (cp *compiled) liveAddr(id int32) bool {
@@ -411,13 +442,10 @@ func (cp *compiled) keepVals(keep func(valEntry) bool) {
 
 // join keeps what holds on both of two merging paths.
 func (cp *compiled) join(other known) {
-	kept := cp.live.addrs[:0]
-	for _, e := range cp.live.addrs {
-		if slices.Contains(other.addrs, e) {
-			kept = append(kept, e)
-		}
-	}
-	cp.live.addrs = kept
+	cp.live.exprs = slices.DeleteFunc(cp.live.exprs, func(x exprEntry) bool {
+		return !slices.ContainsFunc(other.exprs, func(y exprEntry) bool { return y.reg == x.reg && sameExpr(y.e, x.e) })
+	})
+	cp.live.addrs = slices.DeleteFunc(cp.live.addrs, func(e addrEntry) bool { return !slices.Contains(other.addrs, e) })
 	cp.keepVals(func(v valEntry) bool { return slices.Contains(other.vals, v) })
 }
 
@@ -457,8 +485,10 @@ func (cp *compiled) stored(ai, addr, reg int32) {
 // and each iteration is charged the given number of ops. The counter and
 // the limit are hidden registers, so assigning the scalar inside the body
 // does not steer the loop. The statements of pre run once when the loop
-// is entered, after the test that skips a loop of no iteration.
-func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, body func()) {
+// is entered, after the test that skips a loop of no iteration, and so do
+// the subscripts of hoist: numbered into registers below the body's
+// temporaries, they hold at the top of every iteration.
+func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, body func()) {
 	mark := cp.tsp
 	l, h := cp.intReg(lo), cp.intReg(hi)
 	cp.live = known{} // the body is entered from above and from below
@@ -467,6 +497,9 @@ func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt
 	cp.temp() // the limit, at ctr+1
 	init := cp.emit(opForInit, ctr, l, h, 0, cp.takePending())
 	cp.block(pre)
+	for _, e := range hoist {
+		cp.intReg(e)
+	}
 	top := cp.here()
 	body()
 	cp.code[init].d = cp.here()
@@ -483,9 +516,21 @@ func (cp *compiled) block(body []ir.Stmt) {
 }
 
 // intReg lowers an expression used as an integer (subscript, bound,
-// rank): its value rounded, unless it is provably integral already.
+// rank): its value rounded, unless it is provably integral already. A
+// numberable expression is computed once into a register of its own and
+// recorded there for the uses behind it.
 func (cp *compiled) intReg(e ir.Expr) int32 {
+	numberable := cp.numberable(e)
+	if numberable {
+		if i := slices.IndexFunc(cp.live.exprs, func(x exprEntry) bool { return sameExpr(x.e, e) }); i >= 0 {
+			return cp.live.exprs[i].reg
+		}
+	}
 	r := cp.expr(e, -1)
+	if numberable {
+		cp.live.exprs = append(cp.live.exprs, exprEntry{e, r})
+		return r
+	}
 	if cp.integral(e) {
 		return r
 	}
@@ -497,10 +542,29 @@ func (cp *compiled) intReg(e ir.Expr) int32 {
 	return t
 }
 
+// numberable reports whether e is an integral expression of scalars and
+// constants that an instruction computes: one register can hold its value
+// for every use until a scalar it reads changes.
+func (cp *compiled) numberable(e ir.Expr) bool {
+	var plain func(ir.Expr) bool // reads scalars and constants only
+	plain = func(e ir.Expr) bool {
+		switch x := e.(type) {
+		case ir.Num, ir.Scalar:
+			return true
+		case ir.Bin:
+			return plain(x.L) && plain(x.R)
+		case ir.Call:
+			return plain(x.Arg)
+		}
+		return false
+	}
+	return computed(e) && plain(e) && cp.integral(e)
+}
+
 // address lowers the subscripts of an array access and returns the
 // address register holding its checked offset, and whether it is
-// recorded. An access whose subscripts are all scalars or constants reuses
-// the address an earlier access of the block computed from the same
+// recorded. An access whose subscripts are all scalars, constants or
+// numbered reuses the address an earlier access computed from the same
 // registers into an array of the same shape. load is 1 for an access
 // whose fault has a load's wording (opAddr1, opAddr2), else 0.
 func (cp *compiled) address(ai int32, index []ir.Expr, load int32) (int32, bool) {
@@ -509,7 +573,8 @@ func (cp *compiled) address(ai int32, index []ir.Expr, load int32) (int32, bool)
 	reusable := len(index) <= 3
 	for i, e := range index {
 		subs[i] = cp.intReg(e)
-		if reusable = reusable && subs[i] < cp.tempBase; reusable {
+		numbered := slices.ContainsFunc(cp.live.exprs, func(x exprEntry) bool { return x.reg == subs[i] })
+		if reusable = reusable && (subs[i] < cp.tempBase || numbered); reusable {
 			key.subs[i] = subs[i]
 		}
 	}
@@ -615,8 +680,9 @@ func (cp *compiled) stmt(s ir.Stmt) {
 
 	case *ir.For:
 		cp.pending += int32(ir.OpCount(x.Lo) + ir.OpCount(x.Hi) + 1)
-		pre, body := invariantHead(x)
-		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, func() { cp.block(body) })
+		writes, hoist := cp.scan(x)
+		pre, body := invariantHead(x, writes)
+		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, hoist, func() { cp.block(body) })
 
 	case *ir.If:
 		cp.pending += int32(1 + ir.OpCount(x.Cond))
@@ -731,20 +797,46 @@ func computed(e ir.Expr) bool {
 	return true
 }
 
-// invariantHead splits a loop body into the scalar assignments heading it
-// that the loop can run once, on entry, and the rest. Such an assignment
-// is the only statement of the loop that writes its scalar, and its
-// right-hand side is invariant, so every iteration would assign the value
-// the first one does. A sum saves and restores its index, so it writes no
-// scalar a statement could see.
-func invariantHead(f *ir.For) (head, rest []ir.Stmt) {
-	if len(f.Body) == 0 {
-		return nil, nil
+// scan counts the statements of a loop writing each name, nested ones
+// included, when the loop has an invariant head or subscripts to hoist:
+// an innermost loop's entry code computes every numberable subscript of
+// its assignments and conditions that is invariant, and so cannot fault.
+// A sum saves and restores its index, so it writes no scalar a statement
+// could see; the subscripts of its body are left out.
+func (cp *compiled) scan(f *ir.For) (writes map[string]int, hoist []ir.Expr) {
+	var visit func(ir.Expr)
+	visit = func(e ir.Expr) {
+		switch x := e.(type) {
+		case ir.Idx:
+			for _, s := range x.Index {
+				hoist = append(hoist, s)
+				visit(s)
+			}
+		case ir.Bin:
+			visit(x.L)
+			visit(x.R)
+		case ir.Call:
+			visit(x.Arg)
+		}
 	}
-	if a, ok := f.Body[0].(*ir.Assign); !ok || a.LHS.IsArray() {
-		return nil, f.Body
+	innermost := true
+	ir.Walk(f.Body, func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.For:
+			innermost = false
+		case *ir.Assign:
+			visit(ir.Idx{Index: x.LHS.Index})
+			visit(x.RHS)
+		case *ir.If:
+			visit(x.Cond)
+		}
+		return innermost
+	})
+	hoist = slices.DeleteFunc(hoist, func(e ir.Expr) bool { return !innermost || !cp.numberable(e) })
+	if len(hoist) == 0 && (len(f.Body) == 0 || !isScalarAssign(f.Body[0])) {
+		return nil, nil // no head to hoist either
 	}
-	writes := map[string]int{f.Var: 1}
+	writes = map[string]int{f.Var: 1}
 	ir.Walk(f.Body, func(s ir.Stmt) bool {
 		//simvet:allow maprange counting writes is order-independent
 		for v := range ir.StmtDefUse(s).Defs {
@@ -752,14 +844,27 @@ func invariantHead(f *ir.For) (head, rest []ir.Stmt) {
 		}
 		return true
 	})
+	return writes, slices.DeleteFunc(hoist, func(e ir.Expr) bool { return !invariant(e, writes) })
+}
+
+// invariantHead splits a loop body into the scalar assignments heading it
+// that the loop can run once, on entry, and the rest. Such an assignment
+// is the only statement of the loop that writes its scalar, and its
+// right-hand side is invariant, so every iteration would assign the value
+// the first one does.
+func invariantHead(f *ir.For, writes map[string]int) (head, rest []ir.Stmt) {
 	n := 0
-	for ; n < len(f.Body); n++ {
-		a, ok := f.Body[n].(*ir.Assign)
-		if !ok || a.LHS.IsArray() || writes[a.LHS.Name] != 1 || !invariant(a.RHS, writes) {
+	for ; n < len(f.Body) && isScalarAssign(f.Body[n]); n++ {
+		if a := f.Body[n].(*ir.Assign); writes[a.LHS.Name] != 1 || !invariant(a.RHS, writes) {
 			break
 		}
 	}
 	return f.Body[:n], f.Body[n:]
+}
+
+func isScalarAssign(s ir.Stmt) bool {
+	a, ok := s.(*ir.Assign)
+	return ok && !a.LHS.IsArray()
 }
 
 // invariant reports whether e reads no array and no scalar the loop
@@ -881,7 +986,7 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		slot, total, saved := cp.slot(x.Index), cp.temp(), cp.temp()
 		cp.emit(opMov, saved, slot)
 		cp.emit(opMov, total, cp.constant(0))
-		cp.loop(slot, x.Lo, x.Hi, 0, nil, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
+		cp.loop(slot, x.Lo, x.Hi, 0, nil, nil, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
 		cp.emit(opMov, slot, saved)
 		cp.tsp = mark
 		if dst < 0 {

@@ -2,10 +2,14 @@ package interp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"mpisim/internal/apps"
+	"mpisim/internal/ir"
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 )
@@ -42,6 +46,44 @@ func TestEveryOpcodeHasAName(t *testing.T) {
 	}
 }
 
+// loopPath compiles p and returns the first pc of the body of the first
+// innermost loop whose body satisfies pick, and the number of
+// instructions on its common path, the back-edge included: every branch
+// is taken, skipping the arm it guards.
+func loopPath(t *testing.T, p *ir.Program, cfg Config, pick func(body []instr) bool) (cp *compiled, top, n int) {
+	t.Helper()
+	cp, err := compile(p, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top = -1
+	for pc, in := range cp.code {
+		if in.op != opForNext {
+			continue
+		}
+		body := cp.code[in.c:pc]
+		if !slices.ContainsFunc(body, func(b instr) bool { return b.op == opForInit }) && pick(body) {
+			top = int(in.c)
+			break
+		}
+	}
+	if top < 0 {
+		t.Fatalf("no such loop\n%s", cp.dump())
+	}
+	n = 1
+	for pc := top; cp.code[pc].op != opForNext; n++ {
+		switch in := cp.code[pc]; in.op {
+		case opBnLT, opBnLE, opBrZ:
+			pc = int(in.c)
+		default:
+			pc++
+		}
+	}
+	return cp, top, n
+}
+
+func anyLoop([]instr) bool { return true }
+
 // TestSweep3DCellInstructions pins the length of the common path through
 // Sweep3D's cell loop (the fixup branch not taken) in the direct-
 // execution run of 256 ranks, which is nearly all of a DE prediction's
@@ -52,39 +94,55 @@ func TestSweep3DCellInstructions(t *testing.T) {
 	const most = 20
 	spec := apps.Registry()["sweep3d"]
 	cfg := Config{Config: mpi.Config{Ranks: 256, Machine: machine.IBMSP()}, Inputs: spec.Default(256)}
-	cp, err := compile(spec.Build(), &cfg)
+	// The cell loop is the innermost loop whose body branches.
+	cp, top, n := loopPath(t, spec.Build(), cfg, func(body []instr) bool {
+		return slices.ContainsFunc(body, func(b instr) bool { return b.op == opBnLT || b.op == opBnLE || b.op == opBrZ })
+	})
+	if n > most {
+		t.Errorf("the cell loop at pc %d takes %d instructions, want at most %d\n%s", top, n, most, cp.dump())
+	}
+}
+
+// TestSubscriptInstructions pins the loops whose subscripts are computed:
+// SAMPLE's work loop (WA(mod(w,512)+1) = WA(mod(w,512)+1) + 0.5), Tomcatv's
+// residual stencil and stencil1d.ir's smoothing loop, at 16 ranks. Before
+// subscripts were numbered they took 10, 58 and 11 instructions: each use
+// recomputed its subscript and checked its own address, and j±1 was
+// recomputed in every iteration of the loop over i.
+func TestSubscriptInstructions(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "stencil1d.ir"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cell loop is the innermost loop whose body branches.
-	top := -1
-	for pc, in := range cp.code {
-		if in.op != opForNext {
-			continue
-		}
-		inner, branches := true, false
-		for _, b := range cp.code[in.c:pc] {
-			inner = inner && b.op != opForInit
-			branches = branches || b.op == opBnLT || b.op == opBnLE || b.op == opBrZ
-		}
-		if inner && branches {
-			top = int(in.c)
-			break
-		}
+	stencil1d, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if top < 0 {
-		t.Fatalf("no cell loop\n%s", cp.dump())
-	}
-	n := 1
-	for pc := top; cp.code[pc].op != opForNext; n++ {
-		switch in := cp.code[pc]; in.op {
-		case opBnLT, opBnLE, opBrZ:
-			pc = int(in.c)
-		default:
-			pc++
+	reads := func(body []instr) (n int) {
+		for _, b := range body {
+			if b.op == opLoad || b.op == opAddLoad || b.op == opSubLoad {
+				n++
+			}
 		}
+		return n
 	}
-	if n > most {
-		t.Errorf("the cell loop at pc %d takes %d instructions, want at most %d\n%s", top, n, most, cp.dump())
+	for _, tc := range []struct {
+		name   string
+		prog   *ir.Program
+		inputs map[string]float64
+		pick   func([]instr) bool
+		most   int
+	}{
+		{"sample work", apps.Sample(), apps.Registry()["sample"].Default(16), anyLoop, 7},
+		// The residual stencil is the innermost loop reading 14 elements.
+		{"tomcatv stencil", apps.Tomcatv(), apps.Registry()["tomcatv"].Default(16),
+			func(body []instr) bool { return reads(body) == 14 }, 40},
+		{"stencil1d smooth", stencil1d, map[string]float64{"N": 32, "STEPS": 2}, anyLoop, 9},
+	} {
+		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: tc.inputs}
+		cp, top, n := loopPath(t, tc.prog, cfg, tc.pick)
+		if n > tc.most {
+			t.Errorf("%s: the loop at pc %d takes %d instructions, want at most %d\n%s", tc.name, top, n, tc.most, cp.dump())
+		}
 	}
 }

@@ -221,7 +221,21 @@ func TestOracleApps(t *testing.T) {
 //   - dropping the cannot-fault test passes alone: the hoisted statement
 //     heads the body, so it runs on entry exactly where the first
 //     iteration would have run it. With the entry test dropped too,
-//     seed=0/ranks=1 faults (the zero-trip loop's idiv by zero).
+//     seed=0/ranks=1 faults (the zero-trip loop's idiv by zero);
+//   - keeping a numbered subscript when its scalar is written:
+//     seed=0/ranks=1, x13 (m written between two uses of V(m+1));
+//   - keeping a subscript numbered in an if's arm at the join:
+//     seed=0/ranks=1 faults (V(m+1) read through a register the skipped
+//     arm never set), and TestOracleApps/sample/simplified;
+//   - keeping the addresses keyed on a subscript whose number died:
+//     seed=0/ranks=1, x19 (the statement that numbers m+1 writes m, and
+//     the store behind it numbers the new m+1 in the same register);
+//   - keying an address on any temporary, numbered or not: seed=0/ranks=1,
+//     x20 (V(H) and then V(H*3), each rounded into the same temporary);
+//   - hoisting a subscript without the invariance test: seed=0/ranks=1,
+//     x10, and TestOracleApps/sample;
+//   - keeping the numbered subscripts at a loop head: seed=0/ranks=1, x14
+//     (V(k+1) outside and inside a sum over k).
 func TestOracleGenerated(t *testing.T) {
 	m := machine.IBMSP()
 	seeds := int64(200)

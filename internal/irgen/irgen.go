@@ -106,6 +106,7 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 		body = append(body, &ir.ReadInput{Var: "H"})
 		step = append(step, g.shapes(p)...)
 		step = append(step, forwarding(p)...)
+		step = append(step, numbering()...)
 	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
 	p.Body = body
@@ -255,6 +256,57 @@ func forwarding(p *ir.Program) []ir.Stmt {
 		ir.SetA("U", ir.IX(n(2)), v(n(2))),
 		setV(n(2), ir.Mul(v(n(2)), n(3))),
 		ir.SetS("x11", ir.Add(ir.At("U", n(2)), n(0))),
+	)
+}
+
+// numbering emits, on arrays shapes and forwarding declare, the forms
+// that computing a subscript once for its uses, and once for every
+// iteration of an inner loop, could get wrong (all in bounds for N >= 16):
+// a computed subscript used twice in one statement and again in the next;
+// one whose scalar is written between two uses, in straight-line code, in
+// one arm of an if and by the statement that first computes it; a rounded
+// subscript stored through, then another; an outer loop's variable
+// shifted in an inner loop that runs and in one that does not; the same
+// subscript outside and inside a sum over the scalar it reads; and mod of
+// negative, zero and -0 operands, as values and as subscripts.
+func numbering() []ir.Stmt {
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	v := func(idx ir.Expr) ir.Expr { return ir.At("V", idx) }
+	setV := func(idx, rhs ir.Expr) ir.Stmt { return ir.SetA("V", ir.IX(idx), rhs) }
+	myid, t, q, j, m, k, h := ir.S(ir.BuiltinMyID), ir.S("t"), ir.S("q"), ir.S("j"), ir.S("m"), ir.S("k"), ir.S("H")
+	m1 := ir.Add(m, n(1))
+	negZero := n(math.Copysign(0, -1))
+	return ir.Block(
+		ir.SetS("m", ir.Add(ir.Mod(t, n(3)), n(2))),
+		setV(m1, ir.Add(v(m1), ir.Mul(v(m1), n(0.5)))),
+		ir.SetS("x12", ir.Add(v(m1), n(1))),
+		ir.SetS("m", ir.Add(m, n(2))),
+		ir.SetS("x13", ir.Add(v(m1), n(0))),
+		&ir.If{Cond: ir.GT(myid, n(0)), Then: ir.Block(ir.SetS("m", ir.Add(m, n(1))), setV(m1, ir.Add(v(m1), n(2))))},
+		setV(m1, ir.Add(v(m1), n(1))),
+		ir.SetS("m", ir.Sub(m, n(1))),
+		ir.SetS("m", ir.AddN(ir.Call{Name: "floor", Arg: ir.Mul(ir.Add(n(0), v(m1)), n(0))}, m, n(2))),
+		setV(m1, n(7)),
+		ir.SetS("x19", ir.Add(v(ir.Sub(m, n(1))), n(0))),
+		setV(h, n(1)),
+		setV(ir.Mul(h, n(3)), n(2)),
+		ir.SetS("x20", ir.Add(v(h), n(0))),
+		ir.Loop("", "q", n(1), n(3),
+			ir.Loop("", "j", n(1), ir.Sub(q, n(1)),
+				ir.SetA("S2", ir.IX(ir.Add(q, n(1)), ir.Add(j, n(1))),
+					ir.Add(ir.At("S2", ir.Add(q, n(1)), j), ir.At("S2", ir.Add(q, n(1)), ir.Add(j, n(1))))),
+				setV(ir.Add(q, n(2)), ir.Add(v(ir.Add(q, n(2))), j)))),
+		ir.SetS("k", n(4)),
+		ir.Loop("", "q", n(1), n(2),
+			setV(ir.Add(k, n(1)), ir.Add(v(ir.Add(k, n(1))),
+				ir.SumE{Index: "k", Lo: n(1), Hi: n(3), Body: v(ir.Add(k, n(1)))})),
+			ir.SetS("x14", ir.Add(v(ir.Add(k, n(1))), q))),
+		ir.SetS("x15", ir.Mod(negZero, n(3))),
+		ir.SetS("x16", ir.Mod(ir.Sub(n(-4), ir.Mul(t, n(2))), n(2))),
+		ir.SetS("x17", ir.Mod(ir.Sub(n(-7), t), n(3))),
+		ir.SetS("x18", ir.Mod(n(7), ir.Sub(n(-3), t))),
+		setV(ir.Add(ir.Mod(ir.Sub(n(-5), t), n(4)), n(1)), ir.Add(ir.S("x15"), ir.S("x16"))),
+		setV(ir.Add(ir.Mod(ir.Mul(t, negZero), n(4)), n(1)), ir.Add(v(ir.Add(ir.Mod(ir.Mul(t, negZero), n(4)), n(1))), n(1))),
 	)
 }
 

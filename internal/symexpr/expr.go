@@ -223,6 +223,19 @@ func applyOp(op Op, l, r float64) (float64, error) {
 		if r == 0 {
 			return 0, fmt.Errorf("symexpr: mod by zero")
 		}
+		const lim = 1 << 53 // every integer below it in magnitude is a float64
+		if li, ri := int64(l), int64(r); -lim < min(l, r) && max(l, r) < lim && float64(li) == l && float64(ri) == r {
+			// Exact, as math.Mod is: the remainder takes the dividend's
+			// sign, a zero one included.
+			switch m := li % ri; {
+			case m == 0:
+				return math.Copysign(0, l), nil
+			case m < 0:
+				return float64(m + max(ri, -ri)), nil
+			default:
+				return float64(m), nil
+			}
+		}
 		m := math.Mod(l, r)
 		if m < 0 {
 			m += math.Abs(r)

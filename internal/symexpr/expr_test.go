@@ -491,3 +491,60 @@ func TestFoldEnvSkipsNaN(t *testing.T) {
 		t.Fatalf("Vars after fold = %v", vars)
 	}
 }
+
+// TestModIntegerPathExact holds mod's integer path to the float path it
+// shortcuts, math.Mod plus the non-negative fixup, bit for bit: random
+// integers within ±2^53 of every magnitude, the ±(2^53-1) and ±2^53
+// boundaries, ±0, NaN, ±Inf and non-integral operands. Returning
+// float64(m) for a zero remainder, dropping the dividend's sign, fails
+// it: mod(-0, 1) and mod(-4, 2) are -0.
+func TestModIntegerPathExact(t *testing.T) {
+	want := func(l, r float64) float64 {
+		m := math.Mod(l, r)
+		if m < 0 {
+			m += math.Abs(r)
+		}
+		return m
+	}
+	const lim = 1 << 53
+	special := []float64{0, math.Copysign(0, -1), 1, -1, 2, -2, 3, -4, 7, -7, 512, -512,
+		lim - 1, -(lim - 1), lim, -lim, lim + 2, -(lim + 2), 1 << 62, -(1 << 63),
+		0.5, -0.5, 2.5, -7.25, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(1))
+	operand := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return float64(rng.Int63n(2*lim+1) - lim)
+		case 2:
+			return float64(rng.Int63n(1<<uint(rng.Intn(54))+1)) * float64(1-2*rng.Intn(2))
+		}
+		return float64(rng.Intn(2049) - 1024)
+	}
+	check := func(l, r float64) {
+		got, err := ApplyOp(OpMod, l, r)
+		if r == 0 {
+			if err == nil {
+				t.Fatalf("mod(%v, %v): no error", l, r)
+			}
+			return
+		}
+		if w := want(l, r); err != nil || math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("mod(%v, %v) = %v (%#x), %v; want %v (%#x)", l, r, got, math.Float64bits(got), err, w, math.Float64bits(w))
+		}
+	}
+	for _, l := range special {
+		for _, r := range special {
+			check(l, r)
+		}
+	}
+	n := 2000000
+	if testing.Short() {
+		n = 200000
+	}
+	for i := 0; i < n; i++ {
+		check(operand(), operand())
+	}
+}
