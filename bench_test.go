@@ -14,9 +14,9 @@ import (
 	"mpisim/internal/apps"
 	"mpisim/internal/compiler"
 	"mpisim/internal/interp"
+	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
 	"mpisim/internal/sim"
-	"mpisim/internal/symexpr"
 	"mpisim/internal/tables"
 )
 
@@ -298,10 +298,10 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkSymbolicEval measures scaling-function evaluation speed.
 func BenchmarkSymbolicEval(b *testing.B) {
-	e := symexpr.MustParse("(N - 2) * (min(N, myid*b + b) - max(2, myid*b + 1)) * w_1")
-	env := symexpr.Env{"N": 2048, "myid": 3, "b": 256, "w_1": 2e-8}
+	e := ir.MustParseExpr("(N - 2) * (min(N, myid*b + b) - max(2, myid*b + 1)) * w_1")
+	env := map[string]float64{"N": 2048, "myid": 3, "b": 256, "w_1": 2e-8}
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Eval(env); err != nil {
+		if _, err := ir.Eval(e, env); err != nil {
 			b.Fatal(err)
 		}
 	}

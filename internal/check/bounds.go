@@ -1,11 +1,9 @@
 package check
 
 import (
-	"slices"
 	"sort"
 
 	"mpisim/internal/ir"
-	"mpisim/internal/symexpr"
 )
 
 // passBounds checks that communication sections and array subscripts
@@ -17,8 +15,8 @@ import (
 //
 //   - a symbolic layer forward-substitutes uniquely-defined scalars
 //     (b -> ceil(N/P), as the compiler's startup resolution does),
-//     converts section-vs-dimension margins to symexpr, folds them under
-//     the checked configuration, and decides violations for all ranks at
+//     folds section-vs-dimension margins under the checked
+//     configuration (ir.FoldEnv), and decides violations for all ranks at
 //     once when the fold reaches a constant;
 //   - a concrete layer harvests the violations the trace evaluator
 //     observed while abstractly executing each rank (subscripts in
@@ -106,7 +104,7 @@ func passBounds(ctx *Context) []Diagnostic {
 type prover struct {
 	ctx  *Context
 	defs map[string]ir.Expr // uniquely-defined top-level scalars
-	env  symexpr.Env        // inputs + P (myid is bound per query)
+	env  map[string]float64 // inputs + P (myid is bound per query)
 }
 
 func newProver(ctx *Context) *prover {
@@ -124,7 +122,7 @@ func newProver(ctx *Context) *prover {
 	for name := range multi {
 		delete(defs, name)
 	}
-	env := symexpr.Env{ir.BuiltinP: float64(ctx.Ranks)}
+	env := map[string]float64{ir.BuiltinP: float64(ctx.Ranks)}
 	for k, v := range ctx.Opts.Inputs {
 		env[k] = v
 	}
@@ -163,13 +161,13 @@ func (pr *prover) resolve(e ir.Expr) ir.Expr {
 // the violating ranks as witnesses. Inconclusive folds report false: the
 // symbolic layer never flags what it cannot decide.
 func (pr *prover) disproveNonNeg(margin ir.Expr) (bool, []int) {
-	sym, err := ir.ToSym(pr.resolve(ir.Simplify(margin)))
-	if err != nil {
+	m := pr.resolve(ir.Simplify(margin))
+	if ir.HasArrayRef(m) {
 		return false, nil
 	}
 	// Fold the configuration in once; only myid is left to bind per rank.
-	sym = symexpr.Simplify(symexpr.FoldEnv(sym, pr.env))
-	if c, ok := sym.(symexpr.Const); ok {
+	m = ir.FoldEnv(m, pr.env)
+	if c, ok := m.(ir.Num); ok {
 		if c.Value < 0 {
 			return true, nil // violated independently of the rank
 		}
@@ -178,13 +176,15 @@ func (pr *prover) disproveNonNeg(margin ir.Expr) (bool, []int) {
 	// Rank-dependent: decide per rank, by evaluation when myid is the only
 	// variable left; the fold (a tree rebuilt per rank) otherwise.
 	var witnesses []int
-	env := symexpr.Env{}
-	onlyMyID := slices.Equal(symexpr.Vars(sym), []string{ir.BuiltinMyID})
+	env := map[string]float64{}
+	free := map[string]bool{}
+	ir.ScalarsIn(m, free, nil)
+	onlyMyID := len(free) == 1 && free[ir.BuiltinMyID]
 	for r := 0; r < pr.ctx.Ranks; r++ {
 		env[ir.BuiltinMyID] = float64(r)
-		v, err := sym.Eval(env)
+		v, err := ir.Eval(m, env)
 		if !onlyMyID || err != nil {
-			c, ok := symexpr.Simplify(symexpr.FoldEnv(sym, env)).(symexpr.Const)
+			c, ok := ir.FoldEnv(m, env).(ir.Num)
 			if !ok {
 				return false, nil // inconclusive for some rank: stay silent
 			}

@@ -271,11 +271,7 @@ func TestBranchProfilingRefinesUnits(t *testing.T) {
 		if len(tasks) == 0 {
 			t.Fatal("no condensed tasks")
 		}
-		se, err := ir.ToSym(tasks[0].Units)
-		if err != nil {
-			t.Fatalf("units not symbolic: %v", err)
-		}
-		v, err := se.Eval(map[string]float64{"N": 1000, "P": 4, "myid": 0})
+		v, err := ir.Eval(tasks[0].Units, map[string]float64{"N": 1000, "P": 4, "myid": 0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,15 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"mpisim/internal/apps"
+	"mpisim/internal/ir"
+	"mpisim/internal/irgen"
 )
 
 // TestTraceAdmissionDoesNotMaterialise pins what admitting an inline
@@ -56,5 +62,68 @@ func TestTraceAdmissionDoesNotMaterialise(t *testing.T) {
 	bad.Normalize()
 	if err := bad.Validate(0); err == nil || !strings.Contains(err.Error(), "rank 16 out of range") {
 		t.Errorf("Validate of a trace with a bad last line: %v", err)
+	}
+}
+
+// TestHostileProgramsRefused holds admission to the parser's nesting
+// bounds: a program nested past them is an error, on its line, never a
+// stack overflow in a later pass (which no recover catches).
+func TestHostileProgramsRefused(t *testing.T) {
+	const n = 1 << 20
+	var nest strings.Builder
+	nest.WriteString("program deep\n")
+	for i := 0; i < 200_000; i++ {
+		nest.WriteString("do i = 1, 2\n")
+	}
+	for i := 0; i < 200_000; i++ {
+		nest.WriteString("enddo\n")
+	}
+	nest.WriteString("end\n")
+	for name, c := range map[string]struct{ src, want string }{
+		"parentheses": {"program p\nx = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "\nend\n",
+			"line 2"},
+		"chain": {"program p\nx = 1" + strings.Repeat("+1", n) + "\nend\n", "line 2"},
+		"do":    {nest.String(), fmt.Sprintf("line %d", ir.MaxBlockDepth+2)},
+	} {
+		spec := &RunSpec{Program: c.src, Mode: "am", Ranks: 4}
+		spec.Normalize()
+		err := spec.Validate(0)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "deeper than 1000") {
+			t.Errorf("%s: Validate = %.200v, want a nesting error on %s", name, err, c.want)
+		}
+	}
+}
+
+// TestCorpusWithinParseBounds: every registered app, every example
+// program and the irgen corpus parse back from their printed form under
+// the nesting bounds.
+func TestCorpusWithinParseBounds(t *testing.T) {
+	var progs []*ir.Program
+	for _, name := range apps.Names() {
+		progs = append(progs, apps.Registry()[name].Build())
+	}
+	files, err := filepath.Glob("../../examples/programs/*.ir")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs (%v)", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		progs = append(progs, p)
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		p, _ := irgen.Program(seed, irgen.Config{})
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		if _, err := ir.Parse(p.String()); err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
 	}
 }

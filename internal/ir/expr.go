@@ -14,14 +14,15 @@ package ir
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 
 	"mpisim/internal/symexpr"
 )
 
-// Op re-exports the symbolic operator set; the IR and the symbolic
-// algebra share operator semantics.
+// Op re-exports symexpr's operator set; symexpr.ApplyOp is its one
+// arithmetic, shared by Eval, Simplify, the interpreter and the verifier.
 type Op = symexpr.Op
 
 // Re-exported operators for readability in program definitions.
@@ -291,48 +292,71 @@ func HasArrayRef(e Expr) bool {
 	return len(arrays) > 0
 }
 
-// ToSym converts a pure-scalar expression to the symbolic algebra. It
-// fails if the expression references arrays (the SP case of paper §3.3,
-// where symbolic propagation is infeasible and the executable expression
-// is retained instead).
-func ToSym(e Expr) (symexpr.Expr, error) {
+// Eval evaluates a scalar expression under env, which binds the free
+// scalars (inputs, P, myid, w_i). Operators are symexpr.ApplyOp's,
+// intrinsics the Intrinsics table's. A sum binds its index, rounded
+// bounds apart, in a copy of env and is 0 when empty. Eval fails on an
+// unbound scalar, an array reference, an unknown intrinsic, an
+// operator's fault or a sum of more than 2^24 terms.
+func Eval(e Expr, env map[string]float64) (float64, error) {
 	switch x := e.(type) {
 	case Num:
-		return symexpr.C(x.Value), nil
+		return x.Value, nil
 	case Scalar:
-		return symexpr.V(x.Name), nil
-	case Idx:
-		return nil, fmt.Errorf("ir: array reference %s has no symbolic form", x)
+		if v, ok := env[x.Name]; ok {
+			return v, nil
+		}
+		return 0, fmt.Errorf("ir: unbound variable %q", x.Name)
 	case Bin:
-		l, err := ToSym(x.L)
+		l, err := Eval(x.L, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		r, err := ToSym(x.R)
+		r, err := Eval(x.R, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return symexpr.Binary{Op: x.Op, L: l, R: r}, nil
+		return symexpr.ApplyOp(x.Op, l, r)
 	case Call:
-		a, err := ToSym(x.Arg)
-		if err != nil {
-			return nil, err
+		fn, ok := Intrinsics[x.Name]
+		if !ok {
+			return 0, fmt.Errorf("ir: unknown function %q", x.Name)
 		}
-		return symexpr.Func{Name: x.Name, Arg: a}, nil
+		v, err := Eval(x.Arg, env)
+		if err != nil {
+			return 0, err
+		}
+		return fn(v), nil
 	case SumE:
-		lo, err := ToSym(x.Lo)
+		lo, err := Eval(x.Lo, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		hi, err := ToSym(x.Hi)
+		hi, err := Eval(x.Hi, env)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		b, err := ToSym(x.Body)
-		if err != nil {
-			return nil, err
+		loI, hiI := int64(math.Round(lo)), int64(math.Round(hi))
+		if hiI < loI {
+			return 0, nil
 		}
-		return symexpr.Sum{Index: x.Index, Lo: lo, Hi: hi, Body: b}, nil
+		if hiI-loI > 1<<24 {
+			return 0, fmt.Errorf("ir: sum range too large (%d..%d)", loI, hiI)
+		}
+		inner := make(map[string]float64, len(env)+1)
+		maps.Copy(inner, env)
+		var total float64
+		for i := loI; i <= hiI; i++ {
+			inner[x.Index] = float64(i)
+			v, err := Eval(x.Body, inner)
+			if err != nil {
+				return 0, err
+			}
+			total += v
+		}
+		return total, nil
+	case Idx:
+		return 0, fmt.Errorf("ir: array reference %s has no value here", x)
 	}
-	return nil, fmt.Errorf("ir: unknown expression %T", e)
+	return 0, fmt.Errorf("ir: unknown expression %T", e)
 }

@@ -7,10 +7,18 @@ import (
 	"unicode"
 )
 
+// MaxExprDepth bounds how deeply ParseExpr nests: the depth of the tree it
+// builds, where each operator of a chain like 1+1+...+1 is a level, and
+// the parentheses, calls and unary minuses open at once on the way down.
+// Deeper text is refused: every pass that walks an expression recurses,
+// and a stack overflow is a fatal error no recover catches.
+const MaxExprDepth = 1000
+
 // ParseExpr reads a runtime expression in the syntax produced by
 // Expr.String: numbers, scalars, array references NAME(idx, ...),
 // arithmetic and comparison operators, min/max/ceildiv, the unary
-// intrinsics, and sum(i, lo, hi, body).
+// intrinsics, and sum(i, lo, hi, body). It refuses an expression nested
+// deeper than MaxExprDepth.
 func ParseExpr(src string) (Expr, error) {
 	p := &exprParser{src: src}
 	p.next()
@@ -19,9 +27,17 @@ func ParseExpr(src string) (Expr, error) {
 		return nil, err
 	}
 	if p.tok.kind != etEOF {
-		return nil, fmt.Errorf("ir: unexpected %q at offset %d in %q", p.tok.text, p.tok.pos, src)
+		return nil, fmt.Errorf("ir: unexpected %q at offset %d in %q", p.tok.text, p.tok.pos, clip(src))
 	}
 	return e, nil
+}
+
+// clip shortens text quoted in an error to its first 80 bytes.
+func clip(s string) string {
+	if len(s) > 80 {
+		return s[:80] + "..."
+	}
+	return s
 }
 
 // MustParseExpr is ParseExpr but panics on error.
@@ -52,10 +68,36 @@ type eTok struct {
 }
 
 type exprParser struct {
-	src string
-	off int
-	tok eTok
+	src  string
+	off  int
+	tok  eTok
+	open int // parentheses, calls and unary minuses being parsed
+	d    int // depth of the tree the last parse method returned
 }
+
+// node records that the tree just built is d deep, refusing it past
+// MaxExprDepth.
+func (p *exprParser) node(e Expr, d int) (Expr, error) {
+	if d > MaxExprDepth {
+		return nil, p.tooDeep()
+	}
+	p.d = d
+	return e, nil
+}
+
+// enter opens a nested construct; leave closes it.
+func (p *exprParser) enter() error {
+	if p.open++; p.open > MaxExprDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *exprParser) tooDeep() error {
+	return fmt.Errorf("ir: expression nests deeper than %d at offset %d", MaxExprDepth, p.tok.pos)
+}
+
+func (p *exprParser) leave() { p.open-- }
 
 func (p *exprParser) next() {
 	for p.off < len(p.src) && unicode.IsSpace(rune(p.src[p.off])) {
@@ -124,12 +166,13 @@ func (p *exprParser) parseCmp() (Expr, error) {
 	}
 	if p.tok.kind == etOp {
 		if op, ok := exprCmpOps[p.tok.text]; ok {
+			ld := p.d
 			p.next()
 			r, err := p.parseAdd()
 			if err != nil {
 				return nil, err
 			}
-			return Bin{op, l, r}, nil
+			return p.node(Bin{op, l, r}, max(ld, p.d)+1)
 		}
 	}
 	return l, nil
@@ -145,12 +188,15 @@ func (p *exprParser) parseAdd() (Expr, error) {
 		if p.tok.text == "-" {
 			op = OpSub
 		}
+		ld := p.d
 		p.next()
 		r, err := p.parseMul()
 		if err != nil {
 			return nil, err
 		}
-		l = Bin{op, l, r}
+		if l, err = p.node(Bin{op, l, r}, max(ld, p.d)+1); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
@@ -167,18 +213,25 @@ func (p *exprParser) parseMul() (Expr, error) {
 		if !ok {
 			break
 		}
+		ld := p.d
 		p.next()
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		l = Bin{op, l, r}
+		if l, err = p.node(Bin{op, l, r}, max(ld, p.d)+1); err != nil {
+			return nil, err
+		}
 	}
 	return l, nil
 }
 
 func (p *exprParser) parseUnary() (Expr, error) {
 	if p.tok.kind == etOp && p.tok.text == "-" {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		e, err := p.parseUnary()
 		if err != nil {
@@ -189,7 +242,7 @@ func (p *exprParser) parseUnary() (Expr, error) {
 		if n, ok := e.(Num); ok {
 			return Num{-n.Value}, nil
 		}
-		return Bin{OpSub, Num{0}, e}, nil
+		return p.node(Bin{OpSub, Num{0}, e}, p.d+1)
 	}
 	return p.parsePrimary()
 }
@@ -204,15 +257,23 @@ func (p *exprParser) parsePrimary() (Expr, error) {
 			return nil, fmt.Errorf("ir: bad number %q: %v", p.tok.text, err)
 		}
 		p.next()
-		return Num{v}, nil
+		return p.node(Num{v}, 1)
 	case etIdent:
 		name := p.tok.text
 		p.next()
 		if p.tok.kind != etLParen {
-			return Scalar{name}, nil
+			return p.node(Scalar{name}, 1)
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		return p.parseCall(name)
 	case etLParen:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		e, err := p.parseCmp()
 		if err != nil {
@@ -239,6 +300,7 @@ func (p *exprParser) parseCall(name string) (Expr, error) {
 		idx := p.tok.text
 		p.next()
 		var args []Expr
+		d := 0
 		for i := 0; i < 3; i++ {
 			if p.tok.kind != etComma {
 				return nil, fmt.Errorf("ir: sum expects 4 arguments at offset %d", p.tok.pos)
@@ -248,21 +310,22 @@ func (p *exprParser) parseCall(name string) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, a)
+			args, d = append(args, a), max(d, p.d)
 		}
 		if p.tok.kind != etRParen {
 			return nil, fmt.Errorf("ir: expected ')' at offset %d", p.tok.pos)
 		}
 		p.next()
-		return SumE{Index: idx, Lo: args[0], Hi: args[1], Body: args[2]}, nil
+		return p.node(SumE{Index: idx, Lo: args[0], Hi: args[1], Body: args[2]}, d+1)
 	}
 	var args []Expr
+	d := 0
 	for {
 		a, err := p.parseCmp()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		args, d = append(args, a), max(d, p.d)
 		if p.tok.kind == etComma {
 			p.next()
 			continue
@@ -277,14 +340,14 @@ func (p *exprParser) parseCall(name string) (Expr, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("ir: %s expects 2 arguments, got %d", name, len(args))
 		}
-		return Bin{op, args[0], args[1]}, nil
+		return p.node(Bin{op, args[0], args[1]}, d+1)
 	}
 	if _, ok := Intrinsics[name]; ok {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("ir: %s expects 1 argument, got %d", name, len(args))
 		}
-		return Call{name, args[0]}, nil
+		return p.node(Call{name, args[0]}, d+1)
 	}
 	// Array reference.
-	return Idx{Array: name, Index: args}, nil
+	return p.node(Idx{Array: name, Index: args}, d+1)
 }

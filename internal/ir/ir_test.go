@@ -1,10 +1,9 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
-
-	"mpisim/internal/symexpr"
 )
 
 // figure1Program builds the paper's Figure 1(a) example MPI code: a shift
@@ -135,24 +134,53 @@ func TestScalarsInAndArrays(t *testing.T) {
 	}
 }
 
-func TestToSym(t *testing.T) {
+// TestEval holds the evaluator to every intrinsic, the sums — empty,
+// shadowing, with rounded bounds — and each way it fails.
+func TestEval(t *testing.T) {
+	env := map[string]float64{"N": 100, "myid": 1, "b": 25, "i": 99}
 	e := Mul(Sub(S("N"), N(2)), Sub(MinE(S("N"), Add(Mul(S("myid"), S("b")), S("b"))),
 		MaxE(N(2), Add(Mul(S("myid"), S("b")), N(1)))))
-	se, err := ToSym(e)
-	if err != nil {
-		t.Fatalf("ToSym: %v", err)
+	ok := func(e Expr, want float64) {
+		t.Helper()
+		if got, err := Eval(e, env); err != nil || got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("Eval(%s) = %v, %v; want %v", e, got, err, want)
+		}
 	}
-	env := symexpr.Env{"N": 100, "myid": 1, "b": 25}
-	got := symexpr.MustEval(se, env)
 	// (100-2) * (min(100, 50) - max(2, 26)) = 98 * 24
-	if got != 98*24 {
-		t.Fatalf("ToSym eval = %v, want %v", got, 98*24)
+	ok(e, 98*24)
+	for name, fn := range Intrinsics {
+		for _, x := range []float64{-2.5, 0, 0.5, 3} {
+			ok(Call{name, N(x)}, fn(x))
+		}
 	}
-	if _, err := ToSym(At("A", N(1))); err == nil {
-		t.Fatal("expected error for array reference")
+	ok(Call{"exp", S("myid")}, math.E)
+	ok(SumE{"i", N(1), N(4), Mul(S("i"), S("i"))}, 30)
+	ok(SumE{"i", N(5), N(4), S("i")}, 0)               // empty
+	ok(SumE{"i", N(1), N(3), Add(S("i"), S("b"))}, 81) // the index shadows i=99
+	ok(SumE{"i", N(0.6), N(2.4), S("i")}, 3)           // bounds round: 1..2
+	ok(SumE{"j", N(1), N(2), SumE{"i", N(1), S("j"), S("i")}}, 4)
+	if env["i"] != 99 || len(env) != 4 {
+		t.Errorf("env changed: %v", env)
 	}
-	if _, err := ToSym(SumE{"i", N(1), S("n"), S("i")}); err != nil {
-		t.Fatalf("sum should convert: %v", err)
+
+	for _, c := range []struct {
+		e    Expr
+		want string
+	}{
+		{S("unbound"), `ir: unbound variable "unbound"`},
+		{At("A", N(1)), "ir: array reference A(1) has no value here"},
+		{Call{"nosuch", N(1)}, `ir: unknown function "nosuch"`},
+		{Div(N(1), N(0)), "symexpr: division by zero"},
+		{Mod(S("N"), Sub(S("b"), N(25))), "symexpr: mod by zero"},
+		{SumE{"i", N(0), N(1 << 25), N(1)}, "ir: sum range too large (0..33554432)"},
+		{SumE{"i", S("lo"), N(1), N(1)}, `ir: unbound variable "lo"`},
+		{SumE{"i", N(1), S("hi"), N(1)}, `ir: unbound variable "hi"`},
+		{SumE{"i", N(1), N(2), Div(S("i"), Sub(S("i"), N(2)))}, "symexpr: division by zero"},
+		{Add(N(1), Call{"sqrt", S("x")}), `ir: unbound variable "x"`},
+	} {
+		if _, err := Eval(c.e, env); err == nil || err.Error() != c.want {
+			t.Errorf("Eval(%s): error %v, want %q", c.e, err, c.want)
+		}
 	}
 }
 

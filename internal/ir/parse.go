@@ -31,6 +31,9 @@ import (
 //	call read_and_broadcast(v1, v2, ...)
 //	call start_timer("id") ... call stop_timer("id", units=expr)
 //	end
+//
+// Parse refuses, at the offending line, blocks nested deeper than
+// MaxBlockDepth and expressions nested deeper than MaxExprDepth.
 func Parse(src string) (*Program, error) {
 	pp := &progParser{}
 	for _, raw := range strings.Split(src, "\n") {
@@ -52,15 +55,20 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// MaxBlockDepth bounds how deeply Parse nests do, if and timed blocks,
+// for the reason MaxExprDepth bounds expressions.
+const MaxBlockDepth = 1000
+
 type progParser struct {
 	lines []string
 	pos   int
+	depth int // blocks open
 }
 
 func (pp *progParser) errf(format string, args ...interface{}) error {
 	where := "eof"
 	if pp.pos < len(pp.lines) {
-		where = fmt.Sprintf("line %d: %q", pp.pos+1, pp.lines[pp.pos])
+		where = fmt.Sprintf("line %d: %q", pp.pos+1, clip(pp.lines[pp.pos]))
 	}
 	return fmt.Errorf("ir: parse %s: %s", where, fmt.Sprintf(format, args...))
 }
@@ -118,6 +126,12 @@ func (pp *progParser) parse() (*Program, error) {
 // block parses statements until stop matches the current line (which is
 // left unconsumed).
 func (pp *progParser) block(stop func(string) bool) ([]Stmt, error) {
+	// The program body is the outermost block.
+	if pp.depth++; pp.depth > MaxBlockDepth+1 {
+		pp.pos--
+		return nil, pp.errf("blocks nest deeper than %d", MaxBlockDepth)
+	}
+	defer func() { pp.depth-- }()
 	var out []Stmt
 	for {
 		line := pp.peek()

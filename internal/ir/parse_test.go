@@ -1,6 +1,10 @@
 package ir
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestParseExprBasics(t *testing.T) {
 	cases := []string{
@@ -53,6 +57,85 @@ func TestParseExprErrors(t *testing.T) {
 			t.Errorf("ParseExpr(%q): expected error", src)
 		}
 	}
+}
+
+// TestParseDepthBounds holds both parsers to their nesting bounds, at
+// the bound and one past it: operator chains, parentheses, unary minuses,
+// calls and sums for expressions, do/if/timed blocks for programs.
+func TestParseDepthBounds(t *testing.T) {
+	n := MaxExprDepth
+	wrap := func(k int, open, inner, close string) string {
+		return strings.Repeat(open, k) + inner + strings.Repeat(close, k)
+	}
+	for _, c := range []struct {
+		name     string
+		ok, deep string
+	}{
+		{"chain", "1" + strings.Repeat(" + 1", n-1), "1" + strings.Repeat(" + 1", n)},
+		{"product", "x" + strings.Repeat("*x", n-1), "x" + strings.Repeat("*x", n)},
+		{"right chain", wrap(n-1, "(1 + ", "1", ")"), wrap(n, "(1 + ", "1", ")")},
+		{"parentheses", wrap(n, "(", "x", ")"), wrap(n+1, "(", "x", ")")},
+		{"minus", strings.Repeat("-", n-1) + "x", strings.Repeat("-", n) + "x"},
+		{"calls", wrap(n-1, "sqrt(", "x", ")"), wrap(n, "sqrt(", "x", ")")},
+		{"sums", wrap(n-1, "sum(i, 1, 2, ", "i", ")"), wrap(n, "sum(i, 1, 2, ", "i", ")")},
+		{"arrays", wrap(n-1, "A(1, ", "2", ")"), wrap(n, "A(1, ", "2", ")")},
+	} {
+		if _, err := ParseExpr(c.ok); err != nil {
+			t.Errorf("%s at the bound: %v", c.name, err)
+		}
+		if _, err := ParseExpr(c.deep); err == nil || !strings.Contains(err.Error(), "nests deeper than 1000") {
+			t.Errorf("%s past the bound: %v", c.name, err)
+		}
+	}
+
+	prog := func(k int, open, close string) string {
+		return "program p\n" + strings.Repeat(open, k) + "x = 1\n" + strings.Repeat(close, k) + "end\n"
+	}
+	for _, c := range []struct{ name, open, close string }{
+		{"do", "do i = 1, 2\n", "enddo\n"},
+		{"if", "if (x) then\n", "endif\n"},
+		{"timed", "call start_timer(\"t\")\n", "call stop_timer(\"t\", units=1)\n"},
+	} {
+		if _, err := Parse(prog(MaxBlockDepth, c.open, c.close)); err != nil {
+			t.Errorf("%s blocks at the bound: %v", c.name, err)
+		}
+		_, err := Parse(prog(MaxBlockDepth+1, c.open, c.close))
+		if want := fmt.Sprintf("line %d: ", MaxBlockDepth+2); err == nil || !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "blocks nest deeper than 1000") {
+			t.Errorf("%s blocks past the bound: %v", c.name, err)
+		}
+	}
+	// An expression error inside a program names its line.
+	if _, err := Parse(prog(1, "do i = 1, "+wrap(n+1, "(", "2", ")")+"\n", "enddo\n")); err == nil ||
+		!strings.Contains(err.Error(), "line 2: ") {
+		t.Errorf("deep do bound: %.200v", err)
+	}
+}
+
+// FuzzParseExpr: ParseExpr never panics, and what it accepts prints to
+// text it parses back to the same print.
+func FuzzParseExpr(f *testing.F) {
+	for _, src := range []string{
+		"3", "-2.5e-3", "x", "(a - (b * c))", "max(2, ((myid * b) + 1))", "ceildiv(N, P)",
+		"exp(N) + cos(x) - sin(y)", "A((i + 1), (j - 1))", "sum(i, 1, N, (i * w_1))",
+		"(x % 4) // 2", "(myid > 0)", "a != b", "- -x", "1e+20", "((((1))))", "min(1)", "sum(1,2,3,4)",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := ParseExpr(src)
+		if err != nil {
+			return
+		}
+		printed := e.String()
+		back, err := ParseExpr(printed)
+		if err != nil {
+			t.Fatalf("ParseExpr(%q) printed %q, which does not parse: %v", src, printed, err)
+		}
+		if again := back.String(); again != printed {
+			t.Fatalf("ParseExpr(%q) printed %q, which prints back as %q", src, printed, again)
+		}
+	})
 }
 
 func TestMustParseExprPanics(t *testing.T) {

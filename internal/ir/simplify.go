@@ -1,6 +1,10 @@
 package ir
 
-import "mpisim/internal/symexpr"
+import (
+	"math"
+
+	"mpisim/internal/symexpr"
+)
 
 // Simplify folds constants and applies algebraic identities to a runtime
 // expression, including collapsing index-independent summations to closed
@@ -133,4 +137,18 @@ func SubstScalar(e Expr, name string, repl Expr) Expr {
 		return SumE{x.Index, lo, hi, body}
 	}
 	return e
+}
+
+// FoldEnv partially evaluates e: each scalar that env binds to a number
+// is replaced by it (a NaN binding leaves the scalar free), then the
+// result is simplified.
+// What env does not bind stays symbolic — a scaling function over
+// (N, P, myid, w_1) specialized to a configuration, symbolic in myid.
+func FoldEnv(e Expr, env map[string]float64) Expr {
+	for name, v := range env {
+		if !math.IsNaN(v) {
+			e = SubstScalar(e, name, Num{v})
+		}
+	}
+	return Simplify(e)
 }

@@ -40,6 +40,54 @@ type Call struct {
 	Sizes []int64
 }
 
+// The relative-peer rule. A rank that issues the calls another rank
+// issued, d ranks further on (a replaying class member, a folded trace's
+// member), moves each point-to-point peer by d: Peer of a send, recv or
+// sendrecv and Peer2 of a sendrecv, except the receive wildcard. Roots
+// stay absolute.
+
+// MovingPeers reports which of c's peers move with the rank. It is
+// decided by the op, never by a value: Peer is zero on ops that carry
+// none and Peer2 on everything but sendrecv, and moving those zeros
+// would give every rank calls of its own.
+func (c *Call) MovingPeers() (peer, peer2 bool) {
+	switch c.Op {
+	case "send", "recv":
+		return true, false
+	case "sendrecv":
+		return true, true
+	}
+	return false, false
+}
+
+// ShiftPeer moves a peer by d unless it is the receive wildcard.
+func ShiftPeer(peer, d int) int {
+	if peer == AnySource {
+		return peer
+	}
+	return peer + d
+}
+
+// AppendShifted appends calls to dst with every moving peer shifted by d.
+func AppendShifted(dst, calls []Call, d int) []Call {
+	n := len(dst)
+	dst = append(dst, calls...)
+	if d == 0 {
+		return dst
+	}
+	for i := n; i < len(dst); i++ {
+		c := &dst[i]
+		peer, peer2 := c.MovingPeers()
+		if peer {
+			c.Peer = ShiftPeer(c.Peer, d)
+		}
+		if peer2 {
+			c.Peer2 = ShiftPeer(c.Peer2, d)
+		}
+	}
+	return dst
+}
+
 // log captures an API-level call when recording is enabled. Only the
 // public operations call it: a collective's constituent messages and the
 // receive leg of a Sendrecv are implementation detail that replaying the

@@ -38,11 +38,11 @@ func replayCall(r *Rank, c *Call, d int) {
 	case "delay":
 		r.DelayTask(c.Task, c.Sec)
 	case "send":
-		r.Send(shiftPeer(c.Peer, d), c.Tag, c.Bytes, nil)
+		r.Send(ShiftPeer(c.Peer, d), c.Tag, c.Bytes, nil)
 	case "recv":
-		r.StartRecv(shiftPeer(c.Peer, d), c.Tag, c.Bytes)
+		r.StartRecv(ShiftPeer(c.Peer, d), c.Tag, c.Bytes)
 	case "sendrecv":
-		r.StartSendrecv(shiftPeer(c.Peer, d), c.Tag, c.Bytes, nil, shiftPeer(c.Peer2, d), c.Tag2)
+		r.StartSendrecv(ShiftPeer(c.Peer, d), c.Tag, c.Bytes, nil, ShiftPeer(c.Peer2, d), c.Tag2)
 	case "bcast":
 		r.StartBcast(c.Root, nil, c.Bytes)
 	case "reduce":
@@ -70,29 +70,6 @@ func replayCall(r *Rank, c *Call, d int) {
 	default:
 		panic(fmt.Sprintf("mpi: unknown op %q reached replay (the trace parser must reject it)", c.Op))
 	}
-}
-
-// shiftPeer moves a peer by d unless it is the receive wildcard.
-func shiftPeer(peer, d int) int {
-	if peer == AnySource {
-		return peer
-	}
-	return peer + d
-}
-
-// appendShifted appends calls to dst with the peers replayCall moves
-// shifted by d.
-func appendShifted(dst, calls []Call, d int) []Call {
-	for _, c := range calls {
-		switch c.Op {
-		case "send", "recv":
-			c.Peer = shiftPeer(c.Peer, d)
-		case "sendrecv":
-			c.Peer, c.Peer2 = shiftPeer(c.Peer, d), shiftPeer(c.Peer2, d)
-		}
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // callLogs assembles Report.Calls and Report.CallsFrom: of the ranks
@@ -123,7 +100,7 @@ func (w *World) callLogs() (logs [][]Call, from []int32) {
 		}
 		logs[i] = p.calls[:p.pc:p.pc]
 		if p.shift != 0 {
-			logs[i] = appendShifted(make([]Call, 0, p.pc), logs[i], p.shift)
+			logs[i] = AppendShifted(make([]Call, 0, p.pc), logs[i], p.shift)
 		}
 	}
 	return logs, from

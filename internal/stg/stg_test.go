@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpisim/internal/ir"
-	"mpisim/internal/symexpr"
 )
 
 // figure1 builds the paper's Figure 1(a) example.
@@ -172,13 +171,8 @@ func TestUnitsOfMatchesInterpreterAccounting(t *testing.T) {
 			ir.Loop("", "j", ir.N(1), ir.S("M"),
 				ir.SetS("x", ir.Add(ir.S("i"), ir.S("j"))))))
 	units := ir.Simplify(UnitsOf(stmts))
-	// Evaluate symbolically via ToSym at N=4, M=5:
-	se, err := ir.ToSym(units)
-	if err != nil {
-		t.Fatalf("units not symbolic: %v (%s)", err, units)
-	}
-	env := symexpr.Env{"N": 4, "M": 5}
-	got := mustEval(t, se, env)
+	// Evaluate symbolically at N=4, M=5:
+	got := mustEval(t, units, map[string]float64{"N": 4, "M": 5})
 	want := 1.0 + 4*(1+1+5*(1+2))
 	if got != want {
 		t.Fatalf("units = %v, want %v (%s)", got, want, units)
@@ -202,9 +196,9 @@ func containsSum(e ir.Expr) bool {
 	return false
 }
 
-func mustEval(t *testing.T, se symexpr.Expr, env symexpr.Env) float64 {
+func mustEval(t *testing.T, e ir.Expr, env map[string]float64) float64 {
 	t.Helper()
-	v, err := se.Eval(env)
+	v, err := ir.Eval(e, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +213,7 @@ func TestUnitsOfBranchAveraging(t *testing.T) {
 		Else: ir.Block(ir.SetS("x", ir.N(4))),
 	})
 	units := ir.Simplify(UnitsOf(stmts))
-	se, err := ir.ToSym(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mustEval(t, se, nil)
+	got := mustEval(t, units, nil)
 	if got != 3 {
 		t.Fatalf("branch units = %v, want 3 (%s)", got, units)
 	}
@@ -238,11 +228,7 @@ func TestTriangularUnitsKeepSum(t *testing.T) {
 	if !containsSum(units) {
 		t.Fatalf("triangular nest should keep a Sum: %s", units)
 	}
-	se, err := ir.ToSym(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mustEval(t, se, symexpr.Env{"N": 3})
+	got := mustEval(t, units, map[string]float64{"N": 3})
 	// head 1 + sum_i (1 + head 1 + i*(1+1)) = 1 + 3*(2) + 2*(1+2+3) = 19
 	if got != 19 {
 		t.Fatalf("triangular units = %v, want 19 (%s)", got, units)
@@ -314,11 +300,7 @@ func TestUnitsOfProfiledWeights(t *testing.T) {
 	stmts := []ir.Stmt{branch}
 	eval := func(probs map[*ir.If]float64) float64 {
 		u := ir.Simplify(UnitsOfProfiled(stmts, probs))
-		se, err := ir.ToSym(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := se.Eval(nil)
+		v, err := ir.Eval(u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
-	"mpisim/internal/symexpr"
 )
 
 // ExtrapolateOptions configure a weak-scaling extrapolation.
@@ -73,22 +72,22 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 	}
 
 	// Parse each task's scaling function once; failures degrade that
-	// task to factor 1.
-	scales := make(map[string]symexpr.Expr, len(t.Header.TaskScale))
+	// task to factor 1, warned about here and not again.
+	scales := make(map[string]ir.Expr, len(t.Header.TaskScale))
+	warned := map[string]bool{}
 	for task, src := range t.Header.TaskScale {
 		e, err := ir.ParseExpr(src)
-		if err != nil {
+		switch {
+		case err != nil:
 			warn("tracein: task %s: unparseable scaling function %q: %v (delays replay unscaled)", task, src, err)
+		case ir.HasArrayRef(e):
+			warn("tracein: task %s: scaling function %q is not closed-form: it references an array (delays replay unscaled)", task, src)
+		default:
+			scales[task] = e
 			continue
 		}
-		se, err := ir.ToSym(e)
-		if err != nil {
-			warn("tracein: task %s: scaling function %q is not closed-form: %v (delays replay unscaled)", task, src, err)
-			continue
-		}
-		scales[task] = se
+		warned[task] = true
 	}
-	warned := map[string]bool{}
 
 	hdr := t.Header
 	hdr.Ranks = p
@@ -118,6 +117,13 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 		calls := t.appendCalls(buf, s)
 		for j := range calls {
 			c := &calls[j]
+			moves, moves2 := c.MovingPeers()
+			if moves {
+				c.Peer = remap(c.Peer)
+			}
+			if moves2 {
+				c.Peer2 = remap(c.Peer2)
+			}
 			switch c.Op {
 			case "delay":
 				if c.Task != "" {
@@ -128,11 +134,6 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 					}
 					c.Sec *= f
 				}
-			case "send", "recv":
-				c.Peer = remap(c.Peer)
-			case "sendrecv":
-				c.Peer = remap(c.Peer)
-				c.Peer2 = remap(c.Peer2)
 			case "scatter":
 				if c.Sizes != nil {
 					if i == c.Root {
@@ -156,8 +157,8 @@ func Extrapolate(t *Trace, opts ExtrapolateOptions) (*Trace, error) {
 
 // scaleEnv builds the evaluation environment of a scaling function:
 // the problem inputs plus the builtin P and myid.
-func scaleEnv(inputs map[string]float64, p, myid int) symexpr.Env {
-	env := make(symexpr.Env, len(inputs)+2)
+func scaleEnv(inputs map[string]float64, p, myid int) map[string]float64 {
+	env := make(map[string]float64, len(inputs)+2)
 	for k, v := range inputs {
 		env[k] = v
 	}
@@ -169,8 +170,8 @@ func scaleEnv(inputs map[string]float64, p, myid int) symexpr.Env {
 // taskFactor evaluates the delay rescale ratio for one task, degrading
 // to 1 (with a once-per-task warning) when the function cannot be
 // evaluated or yields a degenerate ratio.
-func taskFactor(scales map[string]symexpr.Expr, task string,
-	envOld, envNew symexpr.Env,
+func taskFactor(scales map[string]ir.Expr, task string,
+	envOld, envNew map[string]float64,
 	warn func(string, ...interface{}), warned map[string]bool) float64 {
 	warnOnce := func(format string, args ...interface{}) {
 		if !warned[task] {
@@ -183,7 +184,7 @@ func taskFactor(scales map[string]symexpr.Expr, task string,
 		warnOnce("tracein: task %s: no scaling function recorded (delays replay unscaled)", task)
 		return 1
 	}
-	old, err := e.Eval(envOld)
+	old, err := ir.Eval(e, envOld)
 	if err != nil {
 		warnOnce("tracein: task %s: scaling function does not evaluate at the recorded configuration: %v (delays replay unscaled)", task, err)
 		return 1
@@ -192,7 +193,7 @@ func taskFactor(scales map[string]symexpr.Expr, task string,
 		warnOnce("tracein: task %s: scaling function is %g at the recorded configuration (delays replay unscaled)", task, old)
 		return 1
 	}
-	next, err := e.Eval(envNew)
+	next, err := ir.Eval(e, envNew)
 	if err != nil {
 		warnOnce("tracein: task %s: scaling function does not evaluate at the target configuration: %v (delays replay unscaled)", task, err)
 		return 1

@@ -1,6 +1,9 @@
 package tracein_test
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"mpisim/internal/apps"
@@ -99,6 +102,55 @@ func TestExtrapolateWarnings(t *testing.T) {
 	}
 	if len(warns) == 0 {
 		t.Errorf("no warning for unevaluable scaling function")
+	}
+}
+
+// TestExtrapolateIntrinsics scales a delay by a scaling function built
+// on an intrinsic the compiler's expressions have: exp(N) from N=1 to N=2
+// is a factor of e, with no warning.
+func TestExtrapolateIntrinsics(t *testing.T) {
+	src := ringTrace(2)
+	src.Header.Inputs = map[string]float64{"N": 1}
+	src.Header.TaskScale = map[string]string{"w_1": "exp(N)"}
+	var warns []string
+	out, err := tracein.Extrapolate(src, tracein.ExtrapolateOptions{
+		Ranks:  2,
+		Inputs: map[string]float64{"N": 2},
+		Warn:   func(format string, args ...interface{}) { warns = append(warns, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if sec := out.CallsOf(r)[0].Sec; math.Abs(sec-math.E) > 1e-12 {
+			t.Errorf("rank %d: delay scaled to %v, want e", r, sec)
+		}
+	}
+	if len(warns) != 0 {
+		t.Errorf("warnings: %q", warns)
+	}
+}
+
+// TestExtrapolateHostileScale: a scaling function nested past the
+// expression parser's bound degrades its task to unscaled delays with
+// the unparseable-function warning; the process survives.
+func TestExtrapolateHostileScale(t *testing.T) {
+	const depth = 1 << 20
+	src := ringTrace(2)
+	src.Header.TaskScale = map[string]string{"w_1": strings.Repeat("(", depth) + "N" + strings.Repeat(")", depth)}
+	var warns []string
+	out, err := tracein.Extrapolate(src, tracein.ExtrapolateOptions{
+		Ranks: 4,
+		Warn:  func(format string, args ...interface{}) { warns = append(warns, format) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec := out.CallsOf(0)[0].Sec; sec != 1.0 {
+		t.Errorf("hostile scale changed the delay to %v", sec)
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "unparseable scaling function") {
+		t.Errorf("warnings: %q", warns)
 	}
 }
 

@@ -70,52 +70,13 @@ func fold(hdr Header, rep []int32, next func(b int, buf []mpi.Call) []mpi.Call) 
 			renum[k] = int32(len(t.streams))
 			s := streams[k]
 			if d := r - bases[k]; d != 0 {
-				s = appendShifted(make([]mpi.Call, 0, len(s)), s, d)
+				s = mpi.AppendShifted(make([]mpi.Call, 0, len(s)), s, d)
 			}
 			t.streams, t.reps = append(t.streams, s), append(t.reps, r)
 		}
 		t.class[r] = renum[k]
 	}
 	return t
-}
-
-// peerFields is the set of c's peers that move with the rank: those its
-// ops entry declares (fPeer, fPeer2). It is decided by the op, never by
-// a value: Peer is zero on ops that carry none and Peer2 on everything
-// but sendrecv, and shifting those zeros would give every rank a class.
-func peerFields(c *mpi.Call) fieldMask {
-	if spec := opOf(c.Op); spec != nil {
-		return spec.req & (fPeer | fPeer2)
-	}
-	return 0
-}
-
-// shift moves a peer by d unless it is the receive wildcard.
-func shift(peer, d int) int {
-	if peer == mpi.AnySource {
-		return peer
-	}
-	return peer + d
-}
-
-// appendShifted appends src to dst with every moving peer shifted by d.
-func appendShifted(dst, src []mpi.Call, d int) []mpi.Call {
-	n := len(dst)
-	dst = append(dst, src...)
-	if d == 0 {
-		return dst
-	}
-	for i := n; i < len(dst); i++ {
-		c := &dst[i]
-		m := peerFields(c)
-		if m&fPeer != 0 {
-			c.Peer = shift(c.Peer, d)
-		}
-		if m&fPeer2 != 0 {
-			c.Peer2 = shift(c.Peer2, d)
-		}
-	}
-	return dst
 }
 
 // hashCalls hashes a sequence with every moving peer read relative to
@@ -129,12 +90,12 @@ func hashCalls(calls []mpi.Call, base int) uint64 {
 	for i := range calls {
 		c := &calls[i]
 		peer, peer2 := c.Peer, c.Peer2
-		m := peerFields(c)
-		if m&fPeer != 0 {
-			peer = shift(peer, -base)
+		moves, moves2 := c.MovingPeers()
+		if moves {
+			peer = mpi.ShiftPeer(peer, -base)
 		}
-		if m&fPeer2 != 0 {
-			peer2 = shift(peer2, -base)
+		if moves2 {
+			peer2 = mpi.ShiftPeer(peer2, -base)
 		}
 		op, task := uint64(len(c.Op)), uint64(len(c.Task))
 		if op > 0 {
@@ -167,8 +128,8 @@ func sameCalls(a, b []mpi.Call, d int) bool {
 			(x.Sizes == nil) != (y.Sizes == nil) || len(x.Sizes) != len(y.Sizes) {
 			return false
 		}
-		m := peerFields(x)
-		if !samePeer(x.Peer, y.Peer, d, m&fPeer != 0) || !samePeer(x.Peer2, y.Peer2, d, m&fPeer2 != 0) {
+		moves, moves2 := x.MovingPeers()
+		if !samePeer(x.Peer, y.Peer, d, moves) || !samePeer(x.Peer2, y.Peer2, d, moves2) {
 			return false
 		}
 		for j, v := range x.Sizes {

@@ -11,23 +11,24 @@ package tracein_test
 // TestClassCounts pins what the fold finds on the apps, and
 // TestReplayOfClasses replays recordings whose classes have members.
 //
-// Each mutation below was applied to fold.go, parse.go or replay.go by
-// hand and fails the cases named:
+// Each mutation below was applied to fold.go, parse.go, replay.go or the
+// relative-peer rule (mpi.Call.MovingPeers, mpi.ShiftPeer) by hand and
+// fails the cases named:
 //
-//   - shifting by value instead of field mask — moving Peer and Peer2 on
+//   - shifting by value instead of by op — moving Peer and Peer2 on
 //     every op: TestClassCounts/{sweep3d,sample,tomcatv}_am and /ring
 //     (the zeros of delays and collectives, read relative to the rank,
 //     give ranks classes of their own), TestFoldExpandsToItsInput/
 //     wildcards and FuzzParseTrace/seed#10; moving them wherever they
 //     are non-zero: TestClassCounts/*_am and /ring,
 //     TestFoldExpandsToItsInput/sendrecv_ring;
-//   - shifting a wildcard (shift without its AnySource test, or
+//   - shifting a wildcard (ShiftPeer without its AnySource test, or
 //     samePeer without its wildcard test): TestFoldExpandsToItsInput/
 //     wildcards, FuzzParseTrace/seed#10;
 //   - comparing Sec with == instead of as bits: TestFoldExpandsToItsInput/
 //     signed_zero (rank 1's -0 folds into rank 0's class and expands
 //     as +0; the hash joins ±0 on purpose, so sameCalls alone decides);
-//   - dropping the Peer2 shift from peerFields: TestFoldExpandsToItsInput/
+//   - dropping the Peer2 shift from MovingPeers: TestFoldExpandsToItsInput/
 //     sendrecv_ring, TestClassCounts/ring, TestParseErrors/
 //     v2_peer2_past_the_last_member; from the replayer:
 //     TestReplayOfClasses/sendrecv_ring;

@@ -243,9 +243,9 @@ func (m *classMap) check(s *scanner) error {
 	far := func(name string, peer int) error {
 		return s.errf("%s %d is rank %d at member %d, out of range [0, %d)", name, peer, peer+span, r+span, s.ranks)
 	}
-	if m := peerFields(c); m&fPeer != 0 && shift(c.Peer, span) >= s.ranks {
+	if moves, moves2 := c.MovingPeers(); moves && mpi.ShiftPeer(c.Peer, span) >= s.ranks {
 		return far("peer", c.Peer)
-	} else if m&fPeer2 != 0 && shift(c.Peer2, span) >= s.ranks {
+	} else if moves2 && mpi.ShiftPeer(c.Peer2, span) >= s.ranks {
 		return far("peer2", c.Peer2)
 	}
 	return nil

@@ -11,7 +11,6 @@ import (
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
-	"mpisim/internal/symexpr"
 )
 
 // RefExtrapolate is Extrapolate as the reference computes it: the
@@ -43,22 +42,22 @@ func RefExtrapolate(t *Trace, opts ExtrapolateOptions) (Header, [][]mpi.Call, er
 	}
 
 	// Parse each task's scaling function once; failures degrade that
-	// task to factor 1.
-	scales := make(map[string]symexpr.Expr, len(t.Header.TaskScale))
+	// task to factor 1, warned about here and not again.
+	scales := make(map[string]ir.Expr, len(t.Header.TaskScale))
+	warned := map[string]bool{}
 	for task, src := range t.Header.TaskScale {
 		e, err := ir.ParseExpr(src)
-		if err != nil {
+		switch {
+		case err != nil:
 			warn("tracein: task %s: unparseable scaling function %q: %v (delays replay unscaled)", task, src, err)
+		case ir.HasArrayRef(e):
+			warn("tracein: task %s: scaling function %q is not closed-form: it references an array (delays replay unscaled)", task, src)
+		default:
+			scales[task] = e
 			continue
 		}
-		se, err := ir.ToSym(e)
-		if err != nil {
-			warn("tracein: task %s: scaling function %q is not closed-form: %v (delays replay unscaled)", task, src, err)
-			continue
-		}
-		scales[task] = se
+		warned[task] = true
 	}
-	warned := map[string]bool{}
 
 	hdr := t.Header
 	hdr.Ranks = p

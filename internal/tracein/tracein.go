@@ -175,7 +175,7 @@ func (t *Trace) CallsOf(r int) []mpi.Call {
 // appendCalls appends rank r's call sequence to dst.
 func (t *Trace) appendCalls(dst []mpi.Call, r int) []mpi.Call {
 	k := t.class[r]
-	return appendShifted(dst, t.streams[k], r-t.reps[k])
+	return mpi.AppendShifted(dst, t.streams[k], r-t.reps[k])
 }
 
 // AnySource finds the first receive from mpi.AnySource — a recv peer or

@@ -75,10 +75,12 @@
 #      across host worker counts
 #  15. fuzz smoke: 10s of randomized fault schedules against the kernel
 #      and MPI layer, 10s of hostile job-submission bodies against the
-#      daemon's decoder, and 10s of malformed JSONL against the trace
+#      daemon's decoder, 10s of malformed JSONL against the trace
 #      parser (no panics, every rejection line-anchored, malformed input
 #      never enqueues; the hand-written scanner and append writer held to
-#      the reference encoding/json codec on every input)
+#      the reference encoding/json codec on every input), and 10s of
+#      arbitrary text against the expression parser (no panics; what it
+#      accepts prints to text that parses back to the same print)
 #  16. fault-layer overhead gate: with the watchdog armed the kernel must
 #      stay within 15% of the guard-disabled kernel measured in the same
 #      process (within-run pair, immune to host drift)
@@ -522,10 +524,11 @@ for f in examples/networks/*.json; do
         -ranks 8 -netjson "$f" -min warning
 done
 
-echo "== fuzz smoke (randomized fault schedules + hostile job submissions + malformed traces)"
+echo "== fuzz smoke (randomized fault schedules + hostile job submissions + malformed traces + expressions)"
 go test -fuzz 'FuzzFaultSchedules' -fuzztime 10s -run '^$' ./internal/mpi/
 go test -fuzz 'FuzzDecodeSpec' -fuzztime 10s -run '^$' ./internal/svc/
 go test -fuzz 'FuzzParseTrace' -fuzztime 10s -run '^$' ./internal/tracein/
+go test -fuzz FuzzParseExpr -fuzztime 10s -run '^$' ./internal/ir/
 
 echo "== fault-layer overhead gate"
 { for i in 1 2 3; do
