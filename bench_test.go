@@ -8,11 +8,15 @@ package mpisim
 // communication model).
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mpisim/internal/apps"
 	"mpisim/internal/compiler"
+	"mpisim/internal/core"
 	"mpisim/internal/interp"
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
@@ -283,6 +287,54 @@ func benchInterp(b *testing.B, prog *Program, inputs map[string]float64, ranks i
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/abstract-op")
+}
+
+// BenchmarkCalibrate measures one calibration (Runner.Calibrate, the
+// timer-instrumented program's run) of every svc_mix program at its
+// 16-rank configuration: the apps with their default inputs, the example
+// programs with the mix's N=512, STEPS=4. The verifier is skipped: its
+// cost is the check benchmarks'.
+func BenchmarkCalibrate(b *testing.B) {
+	type prog struct {
+		name   string
+		p      *Program
+		inputs map[string]float64
+	}
+	var progs []prog
+	for _, name := range apps.Names() {
+		spec := apps.Registry()[name]
+		progs = append(progs, prog{name, spec.Build(), spec.Default(16)})
+	}
+	files, err := filepath.Glob(filepath.Join("examples", "programs", "*.ir"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no example programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog{strings.TrimSuffix(filepath.Base(f), ".ir"), p, map[string]float64{"N": 512, "STEPS": 4}})
+	}
+	for _, pr := range progs {
+		b.Run(pr.name, func(b *testing.B) {
+			r, err := core.NewRunner(pr.p, IBMSP())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.SkipChecks = true
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Calibrate(16, pr.inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCompile measures the full compiler pipeline (STG,

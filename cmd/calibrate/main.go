@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mpisim/internal/apps"
@@ -37,7 +38,7 @@ func run() error {
 		inputsStr = flag.String("inputs", "", "program inputs as key=value,...")
 		machName  = flag.String("machine", "ibmsp", "target machine: ibmsp, origin2000")
 		outFile   = flag.String("o", "", "output file (default stdout)")
-		strict    = flag.Bool("strict", false, "exit nonzero when any coefficient is calibrated from fewer than 3 samples")
+		strict    = flag.Bool("strict", false, "exit nonzero when any coefficient is calibrated from fewer than 3 samples or a task is never reached")
 	)
 	flag.Parse()
 
@@ -102,9 +103,14 @@ func run() error {
 	if low > 0 {
 		fmt.Fprintf(os.Stderr, "warning: %d coefficient(s) calibrated from fewer than 3 samples; "+
 			"increase the reference iteration count or problem size\n", low)
-		if *strict {
-			return fmt.Errorf("%d under-sampled coefficient(s) with -strict", low)
-		}
+	}
+	// Tasks without a w_i: a prediction that reaches them with this table is refused.
+	unreached := slices.DeleteFunc(slices.Clone(r.Compiled.TaskVars), func(t string) bool { _, ok := tt[t]; return ok })
+	if len(unreached) > 0 {
+		fmt.Fprintf(os.Stderr, "warning: task(s) %s never reached at this configuration\n", strings.Join(unreached, ", "))
+	}
+	if *strict && low+len(unreached) > 0 {
+		return fmt.Errorf("%d under-sampled coefficient(s) and %d unreached task(s) with -strict", low, len(unreached))
 	}
 	return nil
 }

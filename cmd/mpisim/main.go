@@ -57,6 +57,7 @@ import (
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 	"mpisim/internal/obs"
+	"mpisim/internal/sim"
 	"mpisim/internal/trace"
 	"mpisim/internal/tracein"
 )
@@ -223,6 +224,7 @@ func run() error {
 		CollectTrace:  *timeline || *dtgFlag || *traceFile != "",
 		RecordCalls:   *recordFile != "",
 		Metrics:       reg, Tracer: o.tracer, Timeline: liveTL, RunInfo: ri,
+		Limits: sim.Limits{Ctx: runCtx}, // an interrupt stops the calibration too
 	}, nil, tr)
 	if err != nil {
 		// When the pre-simulation verifier refused a configuration,

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -305,5 +306,49 @@ func TestMutantSlicedAwayDefinition(t *testing.T) {
 	}
 	if !caught {
 		t.Error("no deleted top-level definition was flagged as an undefined use")
+	}
+}
+
+// payloadProgram sends A from rank 0 into B on rank 1, and rank 1 then
+// branches on B(1) around sends: the sent array feeds parallel structure
+// through the payload alone, under another name.
+const payloadProgram = `program payload
+  double precision A(4)
+  double precision B(4)
+  do i = 1, 4
+    A(i) = (myid + 1)
+  enddo
+  if ((myid == 0)) then
+    SEND A(1:4) to 1 tag 1
+  endif
+  if ((myid == 1)) then
+    RECV B(1:4) from 0 tag 1
+  endif
+  do it = 1, 3
+    if ((B(1) > 0)) then
+      SEND A(1:1) to 0 tag 2
+    endif
+  enddo
+end
+`
+
+// TestAuditCatchesDroppedPayload removes the sent array from the slice,
+// as a slicer without the payload rule computes it: the audit must name
+// it.
+func TestAuditCatchesDroppedPayload(t *testing.T) {
+	p, err := ir.Parse(payloadProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing := AuditSlice(res); len(missing) != 0 {
+		t.Fatalf("clean compile already fails the audit: %v", missing)
+	}
+	delete(res.Slice.Relevant, "A")
+	if missing := AuditSlice(res); !slices.Equal(missing, []string{"A"}) {
+		t.Fatalf("audit of a slice without the sent array: %v, want [A]", missing)
 	}
 }

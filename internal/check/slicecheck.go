@@ -74,8 +74,26 @@ func AuditSlice(res *compiler.Result) []string {
 	}
 	rec(res.Graph.Roots)
 	// Closure under def/use at name granularity, independently of the
-	// slicer's own fixpoint.
-	closeUnderDefUse(res.Original.Body, required)
+	// slicer's own fixpoint, and under the payload: a received array that
+	// is required makes every sent array required, whatever the names.
+	for grew := true; grew; {
+		closeUnderDefUse(res.Original.Body, required)
+		var sent []string
+		received := false
+		ir.Walk(res.Original.Body, func(s ir.Stmt) bool {
+			if x, ok := s.(*ir.Send); ok && !required[x.Array] {
+				sent = append(sent, x.Array)
+			} else if x, ok := s.(*ir.Recv); ok {
+				received = received || required[x.Array]
+			}
+			return true
+		})
+		if grew = received && len(sent) > 0; grew {
+			for _, a := range sent {
+				required[a] = true
+			}
+		}
+	}
 	missing := map[string]bool{}
 	for name := range required {
 		if name == ir.BuiltinP || name == ir.BuiltinMyID {

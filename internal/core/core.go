@@ -307,7 +307,9 @@ func NewRunner(p *ir.Program, m *machine.Model) (*Runner, error) {
 // Calibrate runs the timer-instrumented program on a reference
 // configuration and stores the measured w_i table (paper §3.3: "measure
 // task times for one or a few selected problem sizes and number of
-// processors"). It returns the table.
+// processors"). It returns the table. Ctx and WallTimeout bound the timer
+// and profiling runs as they bound Run: a run they stop fails with a
+// wrapped *sim.AbortError.
 func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]float64, error) {
 	if err := r.precheck(ranks, inputs); err != nil {
 		return nil, err
@@ -315,13 +317,15 @@ func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]flo
 	if r.RunInfo != nil {
 		r.RunInfo.SetState(obs.RunCalibrating)
 	}
+	ctx, cancel := wallCtx(r.Ctx, r.WallTimeout)
+	defer cancel()
 	// The timer and profiling runs stay on the sequential engine whatever
 	// the prediction runs on: their collectors sum floating-point samples
 	// in the order ranks reach them, which real host workers do not
 	// repeat, and the w_i table must be one value per configuration.
 	timer := mpi.Config{
 		Ranks: ranks, Machine: r.Machine, Comm: mpi.Detailed,
-		Metrics: r.Metrics, Tracer: r.Tracer,
+		Metrics: r.Metrics, Tracer: r.Tracer, Limits: sim.Limits{Ctx: ctx},
 	}
 	if r.ProfileBranches {
 		bp := interp.NewBranchProfile()
@@ -356,9 +360,9 @@ func (r *Runner) Calibrate(ranks int, inputs map[string]float64) (map[string]flo
 // Run evaluates the configuration in the given mode. Unless SkipChecks
 // is set, the configuration is first statically verified and refused
 // (with a CheckError) when verification finds errors. Fault scenarios
-// and run limits (budgets, watchdog, wall-clock timeout) apply here but
-// not to Calibrate; when a limit trips, the partial report is returned
-// together with the *sim.AbortError describing why.
+// and run limits (budgets, watchdog, wall-clock timeout) apply here (Ctx
+// and the wall-clock timeout to Calibrate too); a tripped limit returns
+// the partial report together with the *sim.AbortError describing why.
 func (r *Runner) Run(mode Mode, ranks int, inputs map[string]float64) (*mpi.Report, error) {
 	if err := r.precheck(ranks, inputs); err != nil {
 		return nil, err

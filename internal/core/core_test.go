@@ -396,3 +396,52 @@ func TestEstimateHorizon(t *testing.T) {
 		t.Fatalf("after run: %+v", st)
 	}
 }
+
+// TestPayloadReachesAM runs a program whose branch reads a received array
+// that another array's send fills: rank 1 receives A into B, then sends
+// three messages while B(1) > 0. The simplified program must carry the
+// payload (the slicer keeps every sent array once a received one is
+// relevant), so MPI-SIM-AM delivers the four messages direct execution
+// does, not one.
+func TestPayloadReachesAM(t *testing.T) {
+	p, err := ir.Parse(`program payload
+  double precision A(4)
+  double precision B(4)
+  do i = 1, 4
+    A(i) = (myid + 1)
+  enddo
+  if ((myid == 0)) then
+    SEND A(1:4) to 1 tag 1
+  endif
+  if ((myid == 1)) then
+    RECV B(1:4) from 0 tag 1
+  endif
+  do it = 1, 3
+    if ((B(1) > 0)) then
+      SEND A(1:1) to 0 tag 2
+    endif
+  enddo
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, machine.IBMSP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, err := r.Run(DirectExec, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Calibrate(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	am, err := r.Run(Abstract, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if de.Kernel.Delivered != 4 || am.Kernel.Delivered != de.Kernel.Delivered {
+		t.Fatalf("messages delivered: DE %d, AM %d, want 4 and 4", de.Kernel.Delivered, am.Kernel.Delivered)
+	}
+}

@@ -86,13 +86,14 @@ type Plan struct {
 // spec's when it names one, else the header's.
 //
 // host carries what belongs to the front door rather than to the
-// prediction: the engine (HostWorkers, RealParallel),
-// the collection switches, the observability hooks and the memory limit.
-// Its Ranks, Machine, Comm, TaskTimes, Faults and Limits are the spec's
-// to say and are overwritten. Metrics, Tracer and Timeline observe the
-// prediction only: the calibration run is a different program on a
-// different configuration, and metering it into the same counters and
-// trace would describe neither.
+// prediction: the engine (HostWorkers, RealParallel), the collection
+// switches, the observability hooks, the memory limit and Limits.Ctx,
+// which with the spec's wall-clock budget bounds the calibration runs.
+// Its Ranks, Machine, Comm, TaskTimes, Faults and the rest of Limits are
+// the spec's to say and are overwritten. Metrics, Tracer and Timeline
+// observe the prediction only: the calibration run is a different program
+// on a different configuration, and metering it into the same counters
+// and trace would describe neither.
 //
 // The spec must have passed Validate.
 func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*Plan, error) {
@@ -133,6 +134,7 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 		HostWorkers: host.HostWorkers, RealParallel: host.RealParallel,
 		RunInfo:    host.RunInfo,
 		SkipChecks: spec.SkipChecks,
+		Ctx:        host.Limits.Ctx, WallTimeout: p.limits.WallTimeout(),
 	}
 	p.Runner, p.Machine, p.mode = r, m, spec.mode()
 	p.App, p.Mode, p.Ranks = spec.App, p.mode.String(), spec.Ranks
@@ -179,7 +181,6 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 	r.Metrics, r.Tracer, r.Timeline = host.Metrics, host.Tracer, host.Timeline
 	r.Faults = spec.Faults
 	r.MaxEvents, r.MaxVirtualTime, r.StallEvents = p.limits.MaxEvents, p.limits.MaxVirtualTime, p.limits.StallEvents
-	r.WallTimeout = p.limits.WallTimeout()
 	if r.RunInfo != nil && r.TaskTimes != nil {
 		// Best-effort: without the estimate, progress and ETA divide by
 		// the budgets instead of the statically predicted end.

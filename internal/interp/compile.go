@@ -7,6 +7,7 @@ import (
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
+	"mpisim/internal/slicer"
 )
 
 // dummyBufferName mirrors compiler.DummyBufferName, the shared
@@ -45,6 +46,7 @@ const (
 	opBnLE    // charge d; unless a <= b: pc = c
 	opBrZ     // charge d; if a == 0: pc = c
 	opBrProf  // opBrZ that also counts the outcome under branch ordinal b
+	opCount   // charge and skip the loop counts[a] the opForInit behind opens, when its subscripts are proven in range
 	opForInit // charge e; counter a, limit a+1 = b, c; enter the loop closed by the opForNext at d, or skip it
 	opForNext // charge d; counter a += 1; while <= limit a+1: scalar b = counter, charge e, pc = c
 	opCharge  // charge a
@@ -58,7 +60,7 @@ const (
 	opBcast     // start comm a from root rank b; may wait
 	opResult    // store the collective's result vector in the scalars of comm a
 	opBarrier   // may wait
-	opMissing   // fault: the input named by comm a was not supplied
+	opFault     // fault with the text of comm a
 	opDelay     // delay b seconds on behalf of the task named by comm a
 	opTaskTimes // comm a
 	opNow       // a = simulated time
@@ -76,7 +78,7 @@ type instr struct {
 // commOp is the side record of an instruction that talks to the
 // simulated machine: whatever does not fit five operands.
 type commOp struct {
-	name   string     // task, region or input name
+	name   string     // task or region name, or a fault's text
 	tag    int        // send, recv
 	arr    int32      // send, recv
 	pack   bool       // send: carries the section's values
@@ -145,11 +147,15 @@ type compiled struct {
 	arrays    []compiledArray
 	arrayIdx  map[string]int32
 	comms     []commOp
+	counts    []*ir.For // by opCount: loops whose bodies compute nothing observed
 	fns       []func(float64) float64
 	ifs       []*ir.If // by branch ordinal, when profiling
 	maxSec    int      // most dimensions of any communicated section
 
 	cfg *Config // the run being compiled for: inputs, machine, collectors
+	// observed holds, in a calibration run, what slicer.Observed finds it
+	// can observe; nil computes every assignment.
+	observed map[string]bool
 
 	// Lowering state.
 	tsp     int32 // temporaries in use
@@ -177,8 +183,11 @@ func compile(p *ir.Program, cfg *Config) (cp *compiled, err error) {
 	// the constants and the scalar definitions; the second numbers the
 	// temporaries behind them and knows which scalars are integral.
 	sizing := &compiled{cfg: cfg, slots: map[string]int32{}, consts: map[uint64]int32{}}
+	if cfg.Calibration != nil {
+		sizing.observed = slicer.Observed(p)
+	}
 	sizing.lower(p)
-	cp = &compiled{cfg: cfg, slots: sizing.slots, names: sizing.names,
+	cp = &compiled{cfg: cfg, observed: sizing.observed, slots: sizing.slots, names: sizing.names,
 		consts: sizing.consts, constVals: sizing.constVals}
 	cp.tempBase = int32(len(cp.names) + len(cp.constVals))
 	cp.markNonIntegral(sizing.defs)
@@ -487,14 +496,18 @@ func (cp *compiled) stored(ai, addr, reg int32) {
 // does not steer the loop. The statements of pre run once when the loop
 // is entered, after the test that skips a loop of no iteration, and so do
 // the subscripts of hoist: numbered into registers below the body's
-// temporaries, they hold at the top of every iteration.
-func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, body func()) {
+// temporaries, they hold at the top of every iteration. A count record
+// (>= 0) puts an opCount in front of the loop.
+func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, count int32, body func()) {
 	mark := cp.tsp
 	l, h := cp.intReg(lo), cp.intReg(hi)
 	cp.live = known{} // the body is entered from above and from below
 	cp.tsp = mark
 	ctr := cp.temp()
 	cp.temp() // the limit, at ctr+1
+	if count >= 0 {
+		cp.emit(opCount, count)
+	}
 	init := cp.emit(opForInit, ctr, l, h, 0, cp.takePending())
 	cp.block(pre)
 	for _, e := range hoist {
@@ -652,15 +665,29 @@ func (cp *compiled) stmt(s ir.Stmt) {
 	switch x := s.(type) {
 	case *ir.Assign:
 		cp.pending += int32(1 + ir.OpCount(x.RHS))
+		for _, e := range x.LHS.Index {
+			cp.pending += int32(ir.OpCount(e))
+		}
+		if cp.observed != nil && !cp.observed[x.LHS.Name] {
+			// Charged, and its subscripts checked in evaluation order.
+			if x.LHS.IsArray() {
+				cp.address(cp.array(x.LHS.Name), x.LHS.Index, 0)
+			}
+			ir.Inspect(x.RHS, func(e ir.Expr) bool {
+				el, load := e.(ir.Idx)
+				if load {
+					cp.address(cp.array(el.Array), el.Index, 1)
+				}
+				return !load
+			})
+			return
+		}
 		if !x.LHS.IsArray() {
 			slot := cp.slot(x.LHS.Name)
 			cp.defs = append(cp.defs, def{slot, x.RHS})
 			cp.expr(x.RHS, slot)
 			cp.wrote(slot)
 			return
-		}
-		for _, e := range x.LHS.Index {
-			cp.pending += int32(ir.OpCount(e))
 		}
 		// The address comes first: a bad subscript faults before the
 		// right-hand side is evaluated.
@@ -682,7 +709,14 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		cp.pending += int32(ir.OpCount(x.Lo) + ir.OpCount(x.Hi) + 1)
 		writes, hoist := cp.scan(x)
 		pre, body := invariantHead(x, writes)
-		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, hoist, func() { cp.block(body) })
+		count := int32(-1) // a loop of unobserved assignments alone may be counted
+		if cp.observed != nil && !slices.ContainsFunc(x.Body, func(s ir.Stmt) bool {
+			a, ok := s.(*ir.Assign)
+			return !ok || cp.observed[a.LHS.Name]
+		}) {
+			count, cp.counts = int32(len(cp.counts)), append(cp.counts, x)
+		}
+		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, hoist, count, func() { cp.block(body) })
 
 	case *ir.If:
 		cp.pending += int32(1 + ir.OpCount(x.Cond))
@@ -755,7 +789,7 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		if v, ok := cp.cfg.Inputs[x.Var]; ok {
 			cp.emit(opMov, slot, cp.constant(v))
 		} else {
-			cp.emit(opMissing, cp.comm(commOp{name: x.Var}))
+			cp.emit(opFault, cp.comm(commOp{name: fmt.Sprintf("interp: missing program input %q", x.Var)}))
 		}
 		cp.wrote(slot)
 
@@ -764,6 +798,11 @@ func (cp *compiled) stmt(s ir.Stmt) {
 		// op charge, and pending target ops flush first so that timing
 		// order is preserved.
 		cp.emit(opFlush, cp.takePending())
+		if _, ok := cp.cfg.TaskTimes[x.Task]; !ok && cp.cfg.TaskTimes != nil && x.Task != "" {
+			// Refused where a run reaches it, not charged 0.
+			cp.emit(opFault, cp.comm(commOp{name: fmt.Sprintf("interp: task %s is reached but the w_i table has no time for it; "+
+				"supply one (-tasktimes, task_times) or calibrate with inputs that reach it", x.Task)}))
+		}
 		cp.emit(opDelay, cp.comm(commOp{name: x.Task}), cp.expr(x.Seconds, -1))
 
 	case *ir.ReadTaskTimes:
@@ -986,7 +1025,7 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		slot, total, saved := cp.slot(x.Index), cp.temp(), cp.temp()
 		cp.emit(opMov, saved, slot)
 		cp.emit(opMov, total, cp.constant(0))
-		cp.loop(slot, x.Lo, x.Hi, 0, nil, nil, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
+		cp.loop(slot, x.Lo, x.Hi, 0, nil, nil, -1, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
 		cp.emit(opMov, slot, saved)
 		cp.tsp = mark
 		if dst < 0 {

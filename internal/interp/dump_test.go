@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mpisim/internal/apps"
+	"mpisim/internal/compiler"
 	"mpisim/internal/ir"
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
@@ -16,8 +17,8 @@ import (
 
 var opNames = [...]string{"halt", "mov", "round", "add", "sub", "mul", "div", "apply", "call",
 	"addr1", "addr2", "addr3", "addrN", "load", "store", "addload", "subload",
-	"jump", "bnlt", "bnle", "brz", "brprof", "forinit", "fornext", "charge",
-	"flush", "section", "send", "recv", "unpack", "allreduce", "bcast", "result", "barrier", "missing", "delay", "tasktimes", "now", "timed"}
+	"jump", "bnlt", "bnle", "brz", "brprof", "count", "forinit", "fornext", "charge",
+	"flush", "section", "send", "recv", "unpack", "allreduce", "bcast", "result", "barrier", "fault", "delay", "tasktimes", "now", "timed"}
 
 // dump disassembles the program for test failure messages and debugging:
 // every operand is shown both as the register it would name and as the
@@ -143,6 +144,74 @@ func TestSubscriptInstructions(t *testing.T) {
 		cp, top, n := loopPath(t, tc.prog, cfg, tc.pick)
 		if n > tc.most {
 			t.Errorf("%s: the loop at pc %d takes %d instructions, want at most %d\n%s", tc.name, top, n, tc.most, cp.dump())
+		}
+	}
+}
+
+// TestTimerCounts pins which innermost loops of the timer-instrumented
+// programs get an opCount in a calibration run (charged in one step when
+// they run 64 trips or more, in range), named by the nearest labelled
+// loop around them, at 16 ranks. Sweep3D's cell keeps executing (its
+// fixup branch reads PHI), and so do Tomcatv's forward elimination (DD is
+// a divisor), its backward one (i feeds subscripts) and its
+// initialisation (AA feeds the divisor); SAMPLE's work loop and
+// stencil1d's smoothing loop get one.
+func TestTimerCounts(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "stencil1d.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stencil1d, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := map[string]*ir.Program{"stencil1d": stencil1d}
+	inputs := map[string]map[string]float64{"stencil1d": {"N": 32, "STEPS": 2}}
+	for _, name := range apps.Names() {
+		spec := apps.Registry()[name]
+		progs[name], inputs[name] = spec.Build(), spec.Default(16)
+	}
+	want := map[string][]string{
+		"nassp":     {"init", "rhs", "xsolve-fwd", "xsolve-bwd", "ysolve-fwd", "ysolve-bwd", "zsolve", "add", "rnorm"},
+		"sample":    {"work", "work"},
+		"stencil1d": {"smooth"},
+		"sweep3d":   {"fluxsum"},
+		"tomcatv":   {"residual", "rmax", "update"},
+	}
+	for name, p := range progs {
+		res, err := compiler.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := map[*ir.For]string{}
+		var walk func(body []ir.Stmt, outer string)
+		walk = func(body []ir.Stmt, outer string) {
+			ir.Walk(body, func(s ir.Stmt) bool {
+				f, ok := s.(*ir.For)
+				if !ok {
+					return true
+				}
+				l := f.Label
+				if l == "" {
+					l = outer
+				}
+				label[f] = l
+				walk(f.Body, l)
+				return false
+			})
+		}
+		walk(res.Timer.Body, "")
+		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name], Calibration: NewCalibration()}
+		cp, err := compile(res.Timer, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range cp.counts {
+			got = append(got, label[f])
+		}
+		if !slices.Equal(got, want[name]) {
+			t.Errorf("%s: counted loops %q, want %q\n%s", name, got, want[name], cp.dump())
 		}
 	}
 }

@@ -40,6 +40,12 @@ type frame struct {
 // at the kernel's abort flag.
 const pollEvery = 1 << 16
 
+// exact bounds the magnitudes below which every integer is a float64.
+const exact = 1 << 53
+
+// countMin+1 trips are the fewest a range proof is worth.
+const countMin = 63
+
 // secDim is one dimension of an evaluated section: its inclusive bounds
 // and, while the section is walked, the odometer's position.
 type secDim struct{ lo, hi, at int }
@@ -236,6 +242,18 @@ func (f *frame) exec() bool {
 			} else {
 				pc = int(c)
 			}
+		case opCount:
+			// Charge the loop's trips and leave its registers as they do.
+			init, next := &code[pc], &code[code[pc].d]
+			if lo, hi := regs[init.b], regs[init.c]; f.counts(cp.counts[a], next.b, lo, hi) {
+				trips := int64(hi-lo) + 1
+				ops += int64(init.e) + trips*(int64(next.d)+int64(next.e))
+				regs[init.a], regs[init.a+1], regs[next.b] = hi, hi, hi
+				pc = int(init.d) + 1
+				if f.poll -= int(trips - 1); f.poll <= 0 {
+					f.pollAbort()
+				}
+			}
 		case opForInit:
 			lo, hi := regs[b], regs[c]
 			regs[a], regs[a+1] = lo, hi
@@ -315,8 +333,8 @@ func (f *frame) exec() bool {
 		case opResult:
 			// The AbstractComm model transports no values; keep locals.
 			f.scatter(cp.comms[a].slots, f.r.Vector())
-		case opMissing:
-			panic(fmt.Sprintf("interp: missing program input %q", cp.comms[a].name))
+		case opFault:
+			panic(cp.comms[a].name)
 		case opDelay:
 			f.r.DelayTask(cp.comms[a].name, regs[b])
 		case opTaskTimes:
@@ -330,6 +348,78 @@ func (f *frame) exec() bool {
 			cp.cfg.Calibration.Add(cp.comms[a].name, f.r.Now()-regs[b], regs[c])
 		}
 	}
+}
+
+// counts reports whether loop, whose scalar is in register slot, makes
+// more than countMin trips from lo to hi, each value of its scalar exact
+// and every subscript of its body in range; else it runs trip by trip.
+// The body is unobserved assignments, so no scalar a subscript reads but
+// the loop's changes: a scalar a subscript reads is observed, and so is an
+// assignment to it.
+func (f *frame) counts(loop *ir.For, slot int32, lo, hi float64) bool {
+	ok := -exact < lo && lo+countMin <= hi && hi < exact && hi-lo < exact
+	inRange := func(e ir.Expr) bool {
+		x, isIdx := e.(ir.Idx)
+		if isIdx && ok {
+			dims := f.arrays[f.cp.arrayIdx[x.Array]].dims
+			ok = len(x.Index) <= len(dims)
+			for d, s := range x.Index {
+				l, h, proven := f.span(s, slot, lo, hi)
+				if !f.cp.integral(s) { // intReg rounds it
+					l, h = math.Round(l), math.Round(h)
+				}
+				ok = ok && proven && 1 <= l && h <= float64(dims[d])
+			}
+		}
+		return ok && !isIdx
+	}
+	for _, s := range loop.Body {
+		a := s.(*ir.Assign)
+		if a.LHS.IsArray() {
+			inRange(ir.Idx{Array: a.LHS.Name, Index: a.LHS.Index})
+		}
+		ir.Inspect(a.RHS, inRange)
+	}
+	return ok
+}
+
+// span bounds the values e takes while the scalar in register loop runs
+// from lo to hi and the others keep theirs, if e is literals and scalars
+// under + - *, min, max and mod by a positive literal. Rounding is
+// monotone, so the bounds hold for the computed values too.
+func (f *frame) span(e ir.Expr, loop int32, lo, hi float64) (float64, float64, bool) {
+	switch x := e.(type) {
+	case ir.Num:
+		return x.Value, x.Value, true
+	case ir.Scalar:
+		if s := f.cp.slots[x.Name]; s != loop {
+			return f.regs[s], f.regs[s], true
+		}
+		return lo, hi, true
+	case ir.Bin:
+		l0, l1, lok := f.span(x.L, loop, lo, hi)
+		r0, r1, rok := f.span(x.R, loop, lo, hi)
+		ok := lok && rok
+		switch m, lit := x.R.(ir.Num); x.Op {
+		case ir.OpAdd:
+			return l0 + r0, l1 + r1, ok
+		case ir.OpSub:
+			return l0 - r1, l1 - r0, ok
+		case ir.OpMul:
+			return min(l0*r0, l0*r1, l1*r0, l1*r1), max(l0*r0, l0*r1, l1*r0, l1*r1), ok
+		case ir.OpMin:
+			return min(l0, r0), min(l1, r1), ok
+		case ir.OpMax:
+			return max(l0, r0), max(l1, r1), ok
+		case ir.OpMod: // [0, m] of a finite operand, [0, m-1] of an integer by a whole m
+			h := m.Value
+			if h == math.Trunc(h) && f.cp.integral(x.L) {
+				h--
+			}
+			return 0, h, ok && lit && m.Value > 0 && -exact < l0 && l1 < exact
+		}
+	}
+	return 0, 0, false
 }
 
 // suspended reports whether the operation just started waits, saving

@@ -244,7 +244,7 @@ func TestReadTaskTimes(t *testing.T) {
 		Name: "rtt",
 		Body: ir.Block(
 			&ir.ReadTaskTimes{Names: []string{"w_1"}},
-			&ir.Delay{Seconds: ir.Mul(ir.S("w_1"), ir.N(100)), Task: "t1"},
+			&ir.Delay{Seconds: ir.Mul(ir.S("w_1"), ir.N(100)), Task: "w_1"},
 		),
 	}
 	cfg := baseConfig(3)
@@ -254,6 +254,17 @@ func TestReadTaskTimes(t *testing.T) {
 		if math.Abs(float64(rs.DelayTime)-2e-3) > 1e-12 {
 			t.Fatalf("rank %d DelayTime = %v, want 2e-3", i, rs.DelayTime)
 		}
+	}
+	// A task the table lacks is refused where the run reaches it, not
+	// charged 0; one the run does not reach is not refused.
+	cfg.TaskTimes = map[string]float64{"w_2": 2e-5}
+	_, err := Run(p, cfg)
+	if want := "interp: task w_1 is reached but the w_i table has no time for it"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a table without w_1: %v, want %q", err, want)
+	}
+	p.Body = append(ir.Block(ir.SetS("n", ir.N(0))), ir.Loop("", "i", ir.N(1), ir.S("n"), p.Body...))
+	if _, err := Run(p, cfg); err != nil {
+		t.Fatalf("an unreached task: %v", err)
 	}
 }
 

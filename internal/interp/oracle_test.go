@@ -103,14 +103,21 @@ func runRef(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
 	return rep, states, err
 }
 
-// differential runs p on both evaluators, with calibration and (when
-// profile is set) branch profiling attached, and requires identical
-// reports, final states, calibration statistics and branch probabilities.
+// differential runs p on the reference evaluator, with calibration and
+// (when profile is set) branch profiling attached, and twice on the
+// register code: without a calibration collector, which computes every
+// value, for identical reports, final states and branch probabilities; and
+// with one, which computes only what its clocks, branches, messages and
+// faults observe, for identical reports, calibration statistics and branch
+// probabilities. The second comparison is the exactness oracle of
+// calibration by counting.
 func differential(t *testing.T, what string, p *ir.Program, base Config, profile bool) {
 	t.Helper()
-	run := func(f func(*ir.Program, Config) (*mpi.Report, []rankState, error)) (*mpi.Report, []rankState, *Calibration, *BranchProfile) {
+	run := func(f func(*ir.Program, Config) (*mpi.Report, []rankState, error), collect bool) (*mpi.Report, []rankState, *Calibration, *BranchProfile) {
 		cfg := base
-		cfg.Calibration = NewCalibration()
+		if collect {
+			cfg.Calibration = NewCalibration()
+		}
 		if profile {
 			cfg.BranchProfile = NewBranchProfile()
 		}
@@ -120,11 +127,21 @@ func differential(t *testing.T, what string, p *ir.Program, base Config, profile
 		}
 		return rep, states, cfg.Calibration, cfg.BranchProfile
 	}
-	wantRep, wantStates, wantCal, wantBP := run(runRef)
-	gotRep, gotStates, gotCal, gotBP := run(runFlat)
-	if !reflect.DeepEqual(gotRep, wantRep) {
-		t.Errorf("%s: reports differ: time %v vs %v, rank 0 %+v vs %+v", what,
-			gotRep.Time, wantRep.Time, gotRep.Ranks[0], wantRep.Ranks[0])
+	wantRep, wantStates, wantCal, wantBP := run(runRef, true)
+	gotRep, gotStates, _, gotBP := run(runFlat, false)
+	countRep, _, countCal, countBP := run(runFlat, true)
+	for _, got := range []struct {
+		form string
+		rep  *mpi.Report
+		bp   *BranchProfile
+	}{{"computing", gotRep, gotBP}, {"counting", countRep, countBP}} {
+		if !reflect.DeepEqual(got.rep, wantRep) {
+			t.Errorf("%s: %s reports differ: time %v vs %v, rank 0 %+v vs %+v", what, got.form,
+				got.rep.Time, wantRep.Time, got.rep.Ranks[0], wantRep.Ranks[0])
+		}
+		if profile && (!reflect.DeepEqual(got.bp.Probabilities(), wantBP.Probabilities()) || got.bp.Branches() != wantBP.Branches()) {
+			t.Errorf("%s: %s branch profiles differ (%d vs %d branches)", what, got.form, got.bp.Branches(), wantBP.Branches())
+		}
 	}
 	for r := range wantStates {
 		if !reflect.DeepEqual(gotStates[r], wantStates[r]) {
@@ -137,13 +154,8 @@ func differential(t *testing.T, what string, p *ir.Program, base Config, profile
 			t.Fatalf("%s: rank %d final state differs", what, r)
 		}
 	}
-	if !reflect.DeepEqual(gotCal.Stats(), wantCal.Stats()) {
-		t.Errorf("%s: calibration differs:\n%+v\n%+v", what, gotCal.Stats(), wantCal.Stats())
-	}
-	if profile {
-		if !reflect.DeepEqual(gotBP.Probabilities(), wantBP.Probabilities()) || gotBP.Branches() != wantBP.Branches() {
-			t.Errorf("%s: branch profiles differ (%d vs %d branches)", what, gotBP.Branches(), wantBP.Branches())
-		}
+	if !reflect.DeepEqual(countCal.Stats(), wantCal.Stats()) {
+		t.Errorf("%s: calibration differs:\n%+v\n%+v", what, countCal.Stats(), wantCal.Stats())
 	}
 }
 
@@ -419,5 +431,79 @@ func TestIntegralAnalysis(t *testing.T) {
 	}
 	if rounds != 2 { // the loop's two bounds, and nothing else
 		t.Errorf("%d rounding instructions, want 2\n%s", rounds, cp.dump())
+	}
+}
+
+// TestCountingFaults holds a calibration run, which computes only what it
+// observes, to the faults of full execution: an out-of-range subscript in
+// a loop it would charge in one step, and in a statement it does not
+// compute, and a zero divisor in one, each fault with the reference's
+// text; a loop whose range the interval rules cannot prove runs trip by
+// trip, in range, to the reference's report and calibration.
+//
+// Each mutation below was applied by hand and fails the case named:
+//
+//   - counting a loop that has a branch (the For case's count test lets
+//     an If through): TestOracleApps/sample/ranks=1/profile=false/original
+//     and TestOracleGenerated seed=0/ranks=1;
+//   - skipping the range proof (span proves every subscript in range):
+//     counted-store, counted-load and counted-mod here;
+//   - treating a divisor statement as unobserved (slicer.Observed drops a
+//     faulting assignment's reads and target): divide-by-element and
+//     mod-by-scalar here, and TestTimerCounts (Tomcatv's forward and init
+//     loops count);
+//   - dropping the payload rule (the Send case of the slicer's fixpoint):
+//     TestOracleGenerated seed=0/ranks=4 (D2's branch reads what D1's
+//     stale values carry), core's TestPayloadReachesAM and check's
+//     TestAuditCatchesDroppedPayload.
+func TestCountingFaults(t *testing.T) {
+	arrays := []*ir.ArrayDecl{{Name: "A1", Dims: []ir.Expr{ir.N(100)}, Elem: 8}}
+	i, n := ir.S("i"), func(v float64) ir.Expr { return ir.N(v) }
+	timed := func(body ...ir.Stmt) []ir.Stmt { return ir.Block(&ir.Timed{ID: "w_1", Units: n(1), Body: body}) }
+	cases := []struct {
+		name    string
+		body    []ir.Stmt
+		want    string // "" runs to the end
+		counted bool   // the loop gets an opCount
+	}{
+		{"counted-store", timed(ir.Loop("", "i", n(1), n(101), ir.SetA("A1", ir.IX(i), n(1)))),
+			"interp: index 101 out of bounds [1,100] in dim 1 of A1", true},
+		{"counted-load", timed(ir.Loop("", "i", n(0), n(99), ir.SetS("x", ir.Add(ir.At("A1", i), n(1))))),
+			"interp: index 0 out of bounds [1,100] of A1", true},
+		{"counted-mod", timed(ir.Loop("", "i", n(1), n(200), ir.SetA("A1", ir.IX(ir.Add(ir.Mod(i, n(101)), n(1))), n(2)))),
+			"interp: index 101 out of bounds [1,100] in dim 1 of A1", true},
+		{"load", timed(ir.SetS("x", ir.Add(n(1), ir.At("A1", n(101))))), "interp: index 101 out of bounds [1,100] of A1", false},
+		{"divide-by-element", timed(ir.SetS("x", ir.Div(n(7), ir.At("A1", n(2))))), "symexpr: division by zero", false},
+		{"mod-by-scalar", timed(ir.SetS("z", n(0)), ir.SetA("A1", ir.IX(n(1)), ir.Mod(n(7), ir.S("z")))), "symexpr: mod by zero", false},
+		{"unproven", timed(ir.Loop("", "i", n(1), n(100), ir.SetA("A1", ir.IX(ir.Sub(ir.Mul(i, n(2)), i)), ir.Add(ir.At("A1", i), n(1))))),
+			"", true},
+		{"proven", timed(ir.Loop("", "i", n(1), n(100), ir.SetA("A1", ir.IX(ir.MinE(ir.Add(i, n(1)), n(100))), ir.Add(ir.At("A1", i), n(1))))),
+			"", true},
+	}
+	for _, tc := range cases {
+		p := &ir.Program{Name: tc.name, Arrays: arrays, Body: tc.body}
+		cfg := baseConfig(1)
+		cfg.Calibration = NewCalibration()
+		cp, err := compile(p, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(cp.counts) > 0; got != tc.counted {
+			t.Errorf("%s: counted %v, want %v\n%s", tc.name, got, tc.counted, cp.dump())
+		}
+		var reps []*mpi.Report
+		var cals []*Calibration
+		for _, run := range []func(*ir.Program, Config) (*mpi.Report, []rankState, error){runRef, runFlat} {
+			cfg.Calibration = NewCalibration()
+			rep, _, err := run(p, cfg)
+			want := "sim: proc 0 (rank0) panicked: " + tc.want
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || err.Error() != want) {
+				t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+			}
+			reps, cals = append(reps, rep), append(cals, cfg.Calibration)
+		}
+		if tc.want == "" && (!reflect.DeepEqual(reps[0], reps[1]) || !reflect.DeepEqual(cals[0].Stats(), cals[1].Stats())) {
+			t.Errorf("%s: counting run differs from the reference: %+v vs %+v", tc.name, cals[1].Stats(), cals[0].Stats())
+		}
 	}
 }

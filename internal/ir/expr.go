@@ -250,6 +250,30 @@ func OpCount(e Expr) float64 {
 	return 0
 }
 
+// Inspect calls fn on e and, while fn returns true, on its operands in
+// evaluation order: an element's subscripts, a call's argument, a sum's
+// bounds and body.
+func Inspect(e Expr, fn func(Expr) bool) {
+	if !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case Idx:
+		for _, i := range x.Index {
+			Inspect(i, fn)
+		}
+	case Bin:
+		Inspect(x.L, fn)
+		Inspect(x.R, fn)
+	case Call:
+		Inspect(x.Arg, fn)
+	case SumE:
+		Inspect(x.Lo, fn)
+		Inspect(x.Hi, fn)
+		Inspect(x.Body, fn)
+	}
+}
+
 // ScalarsIn adds every scalar name referenced by e to set, and every
 // array name to arrays (either may be nil).
 func ScalarsIn(e Expr, set map[string]bool, arrays map[string]bool) {

@@ -107,6 +107,7 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 		step = append(step, g.shapes(p)...)
 		step = append(step, forwarding(p)...)
 		step = append(step, numbering()...)
+		step = append(step, counting(p)...)
 	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
 	p.Body = body
@@ -307,6 +308,43 @@ func numbering() []ir.Stmt {
 		ir.SetS("x18", ir.Mod(n(7), ir.Sub(n(-3), t))),
 		setV(ir.Add(ir.Mod(ir.Sub(n(-5), t), n(4)), n(1)), ir.Add(ir.S("x15"), ir.S("x16"))),
 		setV(ir.Add(ir.Mod(ir.Mul(t, negZero), n(4)), n(1)), ir.Add(v(ir.Add(ir.Mod(ir.Mul(t, negZero), n(4)), n(1))), n(1))),
+	)
+}
+
+// counting emits, on arrays of its own, the forms a calibration run could
+// get wrong (in bounds for N >= 16): a loop it counts (64 trips or more);
+// one whose range intervals cannot prove (2q-q); a branch on an array
+// value, after a loop and in one; a loop feeding a divisor and a later
+// loop bound; a task reached on even steps only; a send received under
+// another name whose values a branch reads.
+func counting(p *ir.Program) []ir.Stmt {
+	p.Arrays = append(p.Arrays,
+		&ir.ArrayDecl{Name: "C1", Dims: []ir.Expr{ir.S("N")}, Elem: 8},
+		&ir.ArrayDecl{Name: "C2", Dims: []ir.Expr{ir.Mul(ir.S("N"), ir.N(4))}, Elem: 8},
+		&ir.ArrayDecl{Name: "C4", Dims: []ir.Expr{ir.N(4)}, Elem: 8},
+		&ir.ArrayDecl{Name: "D1", Dims: []ir.Expr{ir.N(2)}, Elem: 8},
+		&ir.ArrayDecl{Name: "D2", Dims: []ir.Expr{ir.N(2)}, Elem: 8},
+	)
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	myid, t, q := ir.S(ir.BuiltinMyID), ir.S("t"), ir.S("q")
+	bump := func(a string, idx, by ir.Expr) ir.Stmt { return ir.SetA(a, ir.IX(idx), ir.Add(ir.At(a, idx), by)) }
+	return ir.Block(
+		ir.Loop("", "q", n(1), ir.Mul(ir.S("N"), n(4)), bump("C2", q, ir.Mul(q, n(0.5)))),
+		ir.Loop("", "q", n(1), n(64), bump("C2", ir.Sub(ir.Mul(q, n(2)), q), t)),
+		ir.Loop("", "q", n(1), n(4), bump("C1", q, ir.Mod(ir.Add(q, t), n(3)))),
+		&ir.If{Cond: ir.GT(ir.At("C1", n(2)), n(2)), Then: ir.Block(ir.SetS("x21", ir.Add(ir.At("C2", n(3)), n(1))))},
+		ir.Loop("", "q", n(1), n(4), &ir.If{Cond: ir.GT(ir.At("C1", q), n(1)), Then: ir.Block(ir.SetA("C2", ir.IX(q), n(0)))}),
+		ir.Loop("", "q", n(1), n(4), ir.SetA("C4", ir.IX(q), ir.Add(ir.Mod(t, n(2)), n(2)))),
+		ir.SetS("x22", ir.Div(t, ir.At("C4", n(2)))),
+		ir.Loop("", "q", n(1), ir.At("C4", n(3)), bump("C2", q, q)),
+		&ir.If{Cond: ir.EQ(ir.Mod(t, n(2)), n(0)), Then: ir.Block(
+			ir.Loop("", "q", n(1), ir.S("N"), ir.SetA("C2", ir.IX(q), ir.Mul(ir.At("C2", q), n(0.5)))))},
+		ir.SetA("D1", ir.IX(n(1)), ir.Add(myid, t)),
+		&ir.If{Cond: ir.GT(myid, n(0)), Then: ir.Block(
+			&ir.Send{Dest: ir.Sub(myid, n(1)), Tag: 97, Array: "D1", Section: ir.Sec(n(1), n(2))})},
+		&ir.If{Cond: ir.LT(myid, ir.Sub(ir.S(ir.BuiltinP), n(1))), Then: ir.Block(
+			&ir.Recv{Src: ir.Add(myid, n(1)), Tag: 97, Array: "D2", Section: ir.Sec(n(1), n(2))})},
+		&ir.If{Cond: ir.GT(ir.At("D2", n(1)), n(2)), Then: ir.Block(ir.SetS("x23", ir.Mul(ir.At("D2", n(1)), t)))},
 	)
 }
 

@@ -81,22 +81,7 @@ func (s *Slice) seed(cg *stg.Graph) {
 				rec(n.Then)
 				rec(n.Else)
 			case stg.KindComm:
-				switch c := n.Stmts[0].(type) {
-				case *ir.Send:
-					s.addExpr(c.Dest)
-					for _, rg := range c.Section {
-						s.addExpr(rg.Lo)
-						s.addExpr(rg.Hi)
-					}
-				case *ir.Recv:
-					s.addExpr(c.Src)
-					for _, rg := range c.Section {
-						s.addExpr(rg.Lo)
-						s.addExpr(rg.Hi)
-					}
-				case *ir.Bcast:
-					s.addExpr(c.Root)
-				}
+				s.commArgs(n.Stmts[0])
 			case stg.KindCondensed:
 				// Scaling-function variables must be computable at
 				// simulation time (w_i parameters are bound separately).
@@ -107,11 +92,87 @@ func (s *Slice) seed(cg *stg.Graph) {
 	rec(cg.Roots)
 }
 
+// Observed returns the names a run of p can observe through its clocks,
+// branches, messages and faults, at the slice's granularity: every loop
+// bound and branch condition, every communication argument, every timed
+// region's units and delay's seconds, every subscript (a subscript can
+// fault), and the reads and the target of an assignment that may fault: one
+// holding a division, idiv, ceildiv or mod whose right operand is not a
+// nonzero literal, or a sum. Closed like the slice. An assignment to a
+// name outside the set changes nothing such a run can see, so a
+// calibration run need not compute it, only charge it and check its
+// subscripts.
+func Observed(p *ir.Program) map[string]bool {
+	s := &Slice{Relevant: map[string]bool{}, Retained: map[ir.Stmt]bool{}}
+	ir.Walk(p.Body, func(st ir.Stmt) bool {
+		switch x := st.(type) {
+		case *ir.Assign:
+			faults := false
+			for _, i := range x.LHS.Index {
+				s.addExpr(i)
+			}
+			ir.Inspect(x.RHS, func(e ir.Expr) bool {
+				switch y := e.(type) {
+				case ir.Idx: // its subscripts' own faults are checked anyway
+					for _, i := range y.Index {
+						s.addExpr(i)
+					}
+					return false
+				case ir.Bin:
+					n, lit := y.R.(ir.Num)
+					faults = faults || (y.Op == ir.OpDiv || y.Op == ir.OpIDiv || y.Op == ir.OpCeilDiv || y.Op == ir.OpMod) && (!lit || n.Value == 0)
+				case ir.SumE:
+					faults = true
+				}
+				return true
+			})
+			if faults {
+				s.Relevant[x.LHS.Name] = true
+				s.addExpr(x.RHS)
+			}
+		case *ir.Timed:
+			s.addExpr(x.Units)
+		case *ir.For, *ir.If, *ir.Delay:
+			for u := range ir.StmtDefUse(x).Uses {
+				s.Relevant[u] = true
+			}
+		default:
+			s.commArgs(st)
+		}
+		return true
+	})
+	s.fixpoint(p)
+	return s.Relevant
+}
+
+// commArgs adds the arguments of a communication statement: the peer or
+// root and the section bounds, not the payload.
+func (s *Slice) commArgs(st ir.Stmt) {
+	var sec []ir.Range
+	switch c := st.(type) {
+	case *ir.Send:
+		s.addExpr(c.Dest)
+		sec = c.Section
+	case *ir.Recv:
+		s.addExpr(c.Src)
+		sec = c.Section
+	case *ir.Bcast:
+		s.addExpr(c.Root)
+	}
+	for _, rg := range sec {
+		s.addExpr(rg.Lo)
+		s.addExpr(rg.Hi)
+	}
+}
+
 // fixpoint performs the backward closure: statements defining relevant
 // variables are retained and their uses become relevant; control
 // statements enclosing retained statements contribute their header uses.
-// Iterates to a fixed point to handle loop-carried chains.
+// A received array that is relevant makes every sent array relevant: the
+// payload flows from the send to the receive, whatever the names. Iterates
+// to a fixed point to handle loop-carried chains.
 func (s *Slice) fixpoint(p *ir.Program) {
+	payload := false // a received array is relevant
 	for {
 		changed := false
 		var visit func(body []ir.Stmt) bool // returns "contains retained"
@@ -126,6 +187,16 @@ func (s *Slice) fixpoint(p *ir.Program) {
 					inner = visit(x.Then) || visit(x.Else)
 				case *ir.Timed:
 					inner = visit(x.Body)
+				}
+				switch c := st.(type) {
+				case *ir.Recv:
+					if s.Relevant[c.Array] && !payload {
+						payload, changed = true, true // every send is visited again
+					}
+				case *ir.Send:
+					if payload && !s.Relevant[c.Array] {
+						s.Relevant[c.Array], changed = true, true
+					}
 				}
 				du := ir.StmtDefUse(st)
 				retain := inner

@@ -242,8 +242,15 @@ func (s *Server) execute(j *job) {
 	plan, err := core.Prepare(s.capped(j.spec), mpi.Config{
 		HostWorkers: s.opts.HostWorkers, RealParallel: s.opts.HostWorkers > 1,
 		Metrics: j.reg, Timeline: j.tl, RunInfo: j.ri,
+		Limits: sim.Limits{Ctx: ctx},
 	}, s.compile, tr)
 	if err != nil {
+		if ae := (*sim.AbortError)(nil); errors.As(err, &ae) { // only a calibration run stops before Plan.Run
+			reason := "calibration run: " + ae.Reason
+			j.ri.Finish(obs.RunAborted, 0, reason)
+			s.transition(j, &Record{State: JobAborted, Error: reason, Snapshot: ae.Snapshot})
+			return
+		}
 		s.fail(j, err.Error(), nil)
 		return
 	}

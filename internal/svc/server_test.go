@@ -555,3 +555,47 @@ func TestDoneImpliesCached(t *testing.T) {
 		}
 	}
 }
+
+// TestCalibrationObeysCancelAndWallBudget submits AM jobs whose
+// calibration runs for seconds (Sweep3D's timer run keeps executing its
+// cell, whose fixup branch reads computed values): cancelling one, and
+// one with a wall-clock budget of 300 ms, must each end aborted within
+// 2 s, saying it was the calibration, and leave no w_i table cached.
+func TestCalibrationObeysCancelAndWallBudget(t *testing.T) {
+	srv := newTestServer(t, Options{Concurrency: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	spec := func(limits string) string {
+		return `{"app":"sweep3d","mode":"am","ranks":4,"inputs":{"IT":4,"JT":4,"KT":40000,"MK":10}` + limits + `}`
+	}
+	for _, tc := range []struct {
+		name, limits string
+		cancel       bool
+	}{
+		{"cancel", "", true},
+		{"wall budget", `,"limits":{"wall_timeout_ms":300}`, false},
+	} {
+		id, code, body := submit(t, ts, spec(tc.limits))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit: %d (%s)", tc.name, code, body)
+		}
+		if tc.cancel {
+			pollUntil(t, ts, id, func(v JobView) bool { return v.State == JobCompiling }, 10*time.Second)
+			time.Sleep(300 * time.Millisecond) // into the timer run
+			resp, err := http.Post(ts.URL+"/jobs/"+id+"/cancel", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		v := pollUntil(t, ts, id, terminal, 3*time.Second)
+		if v.State != JobAborted || !strings.Contains(v.Error, "calibration run: ") {
+			t.Fatalf("%s: job ended %s (%q), want aborted in the calibration run", tc.name, v.State, v.Error)
+		}
+	}
+	for key, e := range srv.compile.entries {
+		if len(e.cal) > 0 {
+			t.Fatalf("compile entry %s cached a table from an aborted calibration: %v", key, e.cal)
+		}
+	}
+}
