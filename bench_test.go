@@ -269,6 +269,21 @@ func BenchmarkInterpThroughputSample(b *testing.B) {
 	benchInterp(b, Sample(), SampleInputs(apps.PatternWavefront, 20000, 1000, 10, npx, npy), 16, mpi.Detailed)
 }
 
+// BenchmarkInterpThroughputStencil1d is the same measure on svc_mix's
+// direct-execution stencil1d job: 16 ranks, N=512, STEPS=4, nearly all of
+// it the smoothing loop.
+func BenchmarkInterpThroughputStencil1d(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("examples", "programs", "stencil1d.ir"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := ir.Parse(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInterp(b, p, map[string]float64{"N": 512, "STEPS": 4}, 16, mpi.Detailed)
+}
+
 func benchInterp(b *testing.B, prog *Program, inputs map[string]float64, ranks int, comm mpi.CommModel) {
 	m := IBMSP()
 	var ops float64

@@ -1,10 +1,6 @@
 package check
 
-import (
-	"fmt"
-
-	"mpisim/internal/net"
-)
+import "mpisim/internal/net"
 
 // passNetConfig validates the machine model's interconnect
 // configuration at the checked rank count: the -topology spec parses,
@@ -39,13 +35,4 @@ func passNetConfig(c *Context) []Diagnostic {
 			nw.Placement, c.Ranks, nw.Hosts, nw.Kind))
 	}
 	return diags
-}
-
-// DescribeNetwork summarizes a built network for check-time reporting.
-func DescribeNetwork(nw *net.Network) string {
-	if nw == nil {
-		return "flat (analytic delay model)"
-	}
-	return fmt.Sprintf("%s: %d hosts, %d links, placement %s, lookahead %.3g s",
-		nw.Spec, nw.Hosts, len(nw.Links), nw.Placement, nw.Lookahead())
 }

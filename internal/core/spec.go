@@ -144,17 +144,28 @@ func (s *RunSpec) Workload() string {
 // trace, if any, is inline. maxRanks > 0 caps the target process count.
 // Compile, verification and simulation errors surface later, from
 // Prepare and Plan.Run.
-func (s *RunSpec) Validate(maxRanks int) error {
+func (s *RunSpec) Validate(maxRanks int) error { return s.Admit(maxRanks, 1) }
+
+// Admit is Validate for a run on hostWorkers host workers: on more than
+// one it refuses, as Prepare does, a trace that receives from any source
+// (*WildcardError).
+func (s *RunSpec) Admit(maxRanks, hostWorkers int) error {
 	if s.Trace == "" {
 		return s.ValidateWith(nil, maxRanks)
 	}
 	// Every check Parse makes, none of its call log: admission keeps
 	// the header only, and the run parses the trace when it starts.
-	hdr, err := tracein.Validate(strings.NewReader(s.Trace))
+	hdr, wild, err := tracein.Validate(strings.NewReader(s.Trace))
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	return s.ValidateWith(hdr, maxRanks)
+	if err := s.ValidateWith(hdr, maxRanks); err != nil {
+		return err
+	}
+	if wild != nil && hostWorkers > 1 {
+		return &WildcardError{Rank: wild.Rank, Call: wild.Call}
+	}
+	return nil
 }
 
 // ValidateWith is Validate for a caller that holds the trace parsed

@@ -47,6 +47,7 @@ const (
 	opBrZ     // charge d; if a == 0: pc = c
 	opBrProf  // opBrZ that also counts the outcome under branch ordinal b
 	opCount   // charge and skip the loop counts[a] the opForInit behind opens, when its subscripts are proven in range
+	opRow     // run the loop rows[a] by strips of trips, as far as each strip's proof holds; the body follows
 	opForInit // charge e; counter a, limit a+1 = b, c; enter the loop closed by the opForNext at d, or skip it
 	opForNext // charge d; counter a += 1; while <= limit a+1: scalar b = counter, charge e, pc = c
 	opCharge  // charge a
@@ -148,6 +149,7 @@ type compiled struct {
 	arrayIdx  map[string]int32
 	comms     []commOp
 	counts    []*ir.For // by opCount: loops whose bodies compute nothing observed
+	rows      []rowLoop // by opRow: loops whose bodies can run a strip of trips at a time
 	fns       []func(float64) float64
 	ifs       []*ir.If // by branch ordinal, when profiling
 	maxSec    int      // most dimensions of any communicated section
@@ -497,7 +499,8 @@ func (cp *compiled) stored(ai, addr, reg int32) {
 // is entered, after the test that skips a loop of no iteration, and so do
 // the subscripts of hoist: numbered into registers below the body's
 // temporaries, they hold at the top of every iteration. A count record
-// (>= 0) puts an opCount in front of the loop.
+// (>= 0) puts an opCount in front of the loop, and a body rowable takes
+// gets an opRow in front of it, behind the entry code.
 func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, count int32, body func()) {
 	mark := cp.tsp
 	l, h := cp.intReg(lo), cp.intReg(hi)
@@ -516,7 +519,15 @@ func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt
 	top := cp.here()
 	body()
 	cp.code[init].d = cp.here()
-	cp.emit(opForNext, ctr, slot, top, cp.takePending(), charge)
+	next := cp.emit(opForNext, ctr, slot, top, cp.takePending(), charge)
+	if rl, ok := cp.rowable(int(top), next); ok {
+		// The body is straight-line code, so no pc inside it is a target.
+		cp.code = slices.Insert(cp.code, int(top), instr{op: opRow, a: int32(len(cp.rows))})
+		rl.index, rl.next = int32(len(cp.rows)), int32(next+1)
+		cp.rows = append(cp.rows, rl)
+		cp.code[init].d++
+		cp.code[next+1].c++
+	}
 	cp.live = known{}
 }
 
@@ -1041,4 +1052,183 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		return dst
 	}
 	return leaf
+}
+
+// rowLoop is an innermost loop whose body the row path can run one
+// instruction over a strip of trips at a time (opRow). Its body is
+// straight-line code that cannot fault but for a subscript out of range:
+// no branch, communication, timer, rounding, array of three dimensions or
+// more, or division by a register other than a nonzero constant. A register it reads is written before,
+// in the same trip, or not at all, or it is a reduction: s = s + e, or
+// max or min, the only instruction to read or write s. Its row code names
+// rows for registers, row 0 the loop scalar's, and offset rows for
+// address registers; a reduction keeps its register (e = 1), folded in
+// trip order.
+type rowLoop struct {
+	index     int32      // among the row loops
+	ctr, slot int32      // the counter (its limit in ctr+1) and the loop scalar
+	next      int32      // pc of the opForNext
+	regs      []int32    // by row: the register it stands for
+	fill      []int32    // rows of the registers the body only reads, filled once
+	out       []int32    // rows of the registers the body writes, and the scalar's
+	offs      int32      // offset rows
+	addr      []instr    // the slice of the body computing addresses, run and checked first
+	body      []instr    // the rest, and what of the slice writes a register twice
+	stored    []int32    // offset rows stored through: strictly monotone over a strip
+	pairs     [][2]int32 // (stored, other) offset rows into one array: one stride over a strip
+	affine    []int32    // the offset rows of the pairs
+}
+
+// rowable reports whether the loop whose body is code[top:next] can run
+// by row, and how.
+func (cp *compiled) rowable(top, next int) (rowLoop, bool) {
+	rl := rowLoop{ctr: cp.code[next].a, slot: cp.code[next].b}
+	if cp.tempBase == 0 {
+		return rl, false // the sizing run: no constant is numbered yet
+	}
+	code := slices.Clone(cp.code[top:next])
+	writers, readers := map[int32]int{}, map[int32]int{}
+	for i := range code {
+		in := &code[i]
+		w, reads, _, _, ok := rowOperands(in)
+		k := int(in.c) - len(cp.names) // a constant's index
+		op := ir.Op(in.d)
+		divides := in.op == opDiv || in.op == opApply && (op == ir.OpIDiv || op == ir.OpCeilDiv || op == ir.OpMod)
+		if !ok || divides && (k < 0 || in.c >= cp.tempBase || cp.constVals[k] == 0) {
+			return rl, false
+		}
+		if w != nil {
+			writers[*w]++
+		}
+		for _, r := range reads {
+			readers[*r]++
+		}
+	}
+	fold := func(in *instr) bool {
+		op := ir.Op(in.d)
+		return (in.op == opAdd || in.op == opAddLoad || in.op == opApply && (op == ir.OpMax || op == ir.OpMin)) &&
+			in.a == in.b && in.a != rl.slot && writers[in.a] == 1 && readers[in.a] == 1
+	}
+	// The address slice: every address and, backwards, the last writer of
+	// a register the slice reads. No element may feed it.
+	inAddr := make([]bool, len(code))
+	need := map[int32]bool{}
+	for i := len(code) - 1; i >= 0; i-- {
+		if w, reads, addr, arr, _ := rowOperands(&code[i]); arr < 0 && addr != nil || w != nil && need[*w] {
+			if arr >= 0 {
+				return rl, false
+			}
+			inAddr[i] = true
+			if w != nil {
+				delete(need, *w)
+			}
+			for _, r := range reads {
+				need[*r] = true
+			}
+		}
+	}
+	// Row code, checking that a register read is written before, in the
+	// trip, or not at all, and an address register written before.
+	rows, offs := map[int32]int32{}, map[int32]int32{}
+	row := func(r *int32) {
+		k, ok := rows[*r]
+		if !ok {
+			k = int32(len(rl.regs))
+			rows[*r], rl.regs = k, append(rl.regs, *r)
+			if writers[*r] > 0 || *r == rl.slot {
+				rl.out = append(rl.out, k)
+			} else {
+				rl.fill = append(rl.fill, k)
+			}
+		}
+		*r = k
+	}
+	slot := rl.slot
+	row(&slot)
+	type ref struct {
+		arr, off int32
+		store    bool
+	}
+	var refs []ref
+	defined := map[int32]bool{rl.slot: true}
+	for i := range code {
+		in := &code[i]
+		w, reads, addr, arr, _ := rowOperands(in)
+		if fold(in) {
+			in.e, w, reads = 1, nil, reads[1:]
+		}
+		for _, r := range reads {
+			if writers[*r] > 0 && !defined[*r] {
+				return rl, false // carried from the trip before
+			}
+			row(r)
+		}
+		twice := w != nil && writers[*w] > 1
+		if w != nil {
+			defined[*w] = true
+			row(w)
+		}
+		if addr != nil {
+			k, ok := offs[*addr]
+			if !ok && arr >= 0 {
+				return rl, false
+			} else if !ok {
+				k, offs[*addr] = int32(len(offs)), int32(len(offs))
+			}
+			if *addr = k; arr >= 0 {
+				refs = append(refs, ref{arr, k, in.op == opStore})
+			}
+		}
+		if inAddr[i] {
+			rl.addr = append(rl.addr, *in)
+		}
+		if !inAddr[i] || twice {
+			rl.body = append(rl.body, *in)
+		}
+	}
+	rl.offs = int32(len(offs))
+	for _, w := range refs {
+		if !w.store {
+			continue
+		}
+		if !slices.Contains(rl.stored, w.off) {
+			rl.stored = append(rl.stored, w.off)
+		}
+		for _, r := range refs {
+			if p := [2]int32{w.off, r.off}; r.arr == w.arr && r.off != w.off && !slices.Contains(rl.pairs, p) &&
+				!slices.Contains(rl.pairs, [2]int32{r.off, w.off}) {
+				rl.pairs = append(rl.pairs, p)
+				for _, k := range p {
+					if !slices.Contains(rl.affine, k) {
+						rl.affine = append(rl.affine, k)
+					}
+				}
+			}
+		}
+	}
+	return rl, true
+}
+
+// rowOperands returns pointers to the register an instruction the row
+// path runs writes (nil: none) and to those it reads, and to its address
+// register: written when arr < 0, read from array arr otherwise. ok is
+// false for every other instruction.
+func rowOperands(in *instr) (w *int32, reads []*int32, addr *int32, arr int32, ok bool) {
+	switch in.op {
+	case opMov, opCall:
+		return &in.a, []*int32{&in.b}, nil, -1, true
+	case opAdd, opSub, opMul, opDiv, opApply:
+		return &in.a, []*int32{&in.b, &in.c}, nil, -1, true
+	case opAddr1:
+		return nil, []*int32{&in.c}, &in.a, -1, true
+	case opAddr2:
+		return nil, []*int32{&in.c, &in.d}, &in.a, -1, true
+	case opLoad:
+		return &in.a, nil, &in.c, in.b, true
+	case opAddLoad, opSubLoad:
+		return &in.a, []*int32{&in.b}, &in.d, in.c, true
+	case opStore:
+		return nil, []*int32{&in.c}, &in.b, in.a, true
+	}
+	return nil, nil, nil, -1, false
 }

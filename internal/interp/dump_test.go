@@ -17,7 +17,7 @@ import (
 
 var opNames = [...]string{"halt", "mov", "round", "add", "sub", "mul", "div", "apply", "call",
 	"addr1", "addr2", "addr3", "addrN", "load", "store", "addload", "subload",
-	"jump", "bnlt", "bnle", "brz", "brprof", "count", "forinit", "fornext", "charge",
+	"jump", "bnlt", "bnle", "brz", "brprof", "count", "row", "forinit", "fornext", "charge",
 	"flush", "section", "send", "recv", "unpack", "allreduce", "bcast", "result", "barrier", "fault", "delay", "tasktimes", "now", "timed"}
 
 // dump disassembles the program for test failure messages and debugging:
@@ -84,6 +84,128 @@ func loopPath(t *testing.T, p *ir.Program, cfg Config, pick func(body []instr) b
 }
 
 func anyLoop([]instr) bool { return true }
+
+// loopLabels names every loop of p by the nearest labelled loop around
+// it, and lists its innermost loops in program order.
+func loopLabels(p *ir.Program) (label map[*ir.For]string, innermost []*ir.For) {
+	label = map[*ir.For]string{}
+	var walk func(body []ir.Stmt, outer string)
+	walk = func(body []ir.Stmt, outer string) {
+		ir.Walk(body, func(s ir.Stmt) bool {
+			f, ok := s.(*ir.For)
+			if !ok {
+				return true
+			}
+			l := f.Label
+			if l == "" {
+				l = outer
+			}
+			label[f] = l
+			if !slices.ContainsFunc(f.Body, func(s ir.Stmt) bool {
+				nested := false
+				ir.Walk([]ir.Stmt{s}, func(s ir.Stmt) bool { _, isFor := s.(*ir.For); nested = nested || isFor; return true })
+				return nested
+			}) {
+				innermost = append(innermost, f)
+			}
+			walk(f.Body, l)
+			return false
+		})
+	}
+	walk(p.Body, "")
+	return label, innermost
+}
+
+// examplePrograms parses examples/programs/*.ir by file base name.
+func examplePrograms(t *testing.T) map[string]*ir.Program {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.ir"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs: %v", err)
+	}
+	progs := map[string]*ir.Program{}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[strings.TrimSuffix(filepath.Base(f), ".ir")] = p
+	}
+	return progs
+}
+
+// rowsRun reports, for each innermost loop of the code in program order,
+// whether a frame ran trips of it by row.
+func rowsRun(cp *compiled, frames []*frame) (ran []bool) {
+	for pc, in := range cp.code {
+		if in.op != opForNext || slices.ContainsFunc(cp.code[in.c:pc], func(b instr) bool { return b.op == opForInit }) {
+			continue
+		}
+		row := cp.code[in.c-1]
+		ran = append(ran, row.op == opRow && slices.ContainsFunc(frames, func(f *frame) bool {
+			return f != nil && f.rowTrips != nil && f.rowTrips[row.a] > 0
+		}))
+	}
+	return ran
+}
+
+// TestRowLoops pins which innermost loops of the apps and the example
+// programs run by row in direct execution at 16 ranks (the apps' default
+// inputs, the examples' N=512, STEPS=4), named by the nearest labelled
+// loop around them. Tomcatv's forward elimination divides by an element
+// and gets no opRow; its backward substitution gets one, and every strip
+// fails the alias proof (RX(i) is written where the trip before read
+// RX(i+1)). Sweep3D's cell branches; its inflow loops get an opRow and
+// run 4 trips, below rowMin. NAS SP's loops address 3-D arrays, which the
+// row path leaves to the per-trip code. Ring's accumulation runs 32
+// trips. SAMPLE's work loop runs by row where its default, wavefront,
+// pattern runs it; the nearest-neighbour pattern's copy gets an opRow
+// too.
+func TestRowLoops(t *testing.T) {
+	progs := examplePrograms(t)
+	inputs := map[string]map[string]float64{}
+	for name := range progs {
+		inputs[name] = map[string]float64{"N": 512, "STEPS": 4}
+	}
+	for _, name := range apps.Names() {
+		spec := apps.Registry()[name]
+		progs[name], inputs[name] = spec.Build(), spec.Default(16)
+	}
+	want := map[string][]string{
+		"bcastpipe": {"fill"},
+		"nassp":     nil,
+		"ring":      nil,
+		"sample":    {"work"},
+		"stencil1d": {"smooth"},
+		"sweep3d":   nil,
+		"tomcatv":   {"init", "residual", "rmax", "update"},
+	}
+	for name, p := range progs {
+		label, innermost := loopLabels(p)
+		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name]}
+		_, cp, frames, err := runFrames(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := rowsRun(cp, frames)
+		if len(ran) != len(innermost) {
+			t.Fatalf("%s: %d innermost loops in the code, %d in the program", name, len(ran), len(innermost))
+		}
+		var got []string
+		for i, r := range ran {
+			if r {
+				got = append(got, label[innermost[i]])
+			}
+		}
+		if !slices.Equal(got, want[name]) {
+			t.Errorf("%s: loops run by row %q, want %q\n%s", name, got, want[name], cp.dump())
+		}
+	}
+}
 
 // TestSweep3DCellInstructions pins the length of the common path through
 // Sweep3D's cell loop (the fixup branch not taken) in the direct-
@@ -183,24 +305,7 @@ func TestTimerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := map[*ir.For]string{}
-		var walk func(body []ir.Stmt, outer string)
-		walk = func(body []ir.Stmt, outer string) {
-			ir.Walk(body, func(s ir.Stmt) bool {
-				f, ok := s.(*ir.For)
-				if !ok {
-					return true
-				}
-				l := f.Label
-				if l == "" {
-					l = outer
-				}
-				label[f] = l
-				walk(f.Body, l)
-				return false
-			})
-		}
-		walk(res.Timer.Body, "")
+		label, _ := loopLabels(res.Timer)
 		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name], Calibration: NewCalibration()}
 		cp, err := compile(res.Timer, &cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mpisim/internal/ir"
 	"mpisim/internal/mpi"
@@ -34,6 +35,8 @@ type frame struct {
 	prof []branchCount
 	// poll counts loop back-edges down to the next abort check.
 	poll int
+	// rowTrips counts the trips run by row, by row loop, once one ran.
+	rowTrips []int64
 }
 
 // pollEvery is how many loop back-edges a rank executes between two looks
@@ -46,10 +49,19 @@ const exact = 1 << 53
 // countMin+1 trips are the fewest a range proof is worth.
 const countMin = 63
 
+// rowMin trips are the fewest a loop runs by row, and rowStrip trips the
+// most of a strip (DESIGN.md "What direct execution runs by row").
+const (
+	rowMin   = countMin + 1
+	rowStrip = 256
+)
+
 // secDim is one dimension of an evaluated section: its inclusive bounds
 // and, while the section is walked, the odometer's position.
 type secDim struct{ lo, hi, at int }
 
+// arrayVal is an array's storage in Fortran order: the first subscript
+// runs fastest.
 type arrayVal struct {
 	name string
 	data []float64
@@ -187,23 +199,24 @@ func (f *frame) exec() bool {
 			if v0 < 1 || v0 > arr.dims[0] || v1 < 1 || v1 > arr.dims[1] {
 				arr.outOfBounds(in.e != 0, v0, v1)
 			}
-			addrs[a] = (v0-1)*arr.dims[1] + (v1 - 1)
+			addrs[a] = (v0 - 1) + arr.dims[0]*(v1-1)
 		case opAddr3:
 			arr := &arrs[b]
 			v0, v1, v2 := int(regs[c]), int(regs[in.d]), int(regs[in.e])
 			if v0 < 1 || v0 > arr.dims[0] || v1 < 1 || v1 > arr.dims[1] || v2 < 1 || v2 > arr.dims[2] {
 				arr.outOfBounds(false, v0, v1, v2)
 			}
-			addrs[a] = ((v0-1)*arr.dims[1]+(v1-1))*arr.dims[2] + (v2 - 1)
+			addrs[a] = (v0 - 1) + arr.dims[0]*((v1-1)+arr.dims[1]*(v2-1))
 		case opAddrN:
 			arr := &arrs[b]
-			lin := 0
+			lin, stride := 0, 1
 			for d, x := range regs[c : c+in.d] {
 				v := int(x)
 				if v < 1 || v > arr.dims[d] {
 					arr.dimFault(d, v)
 				}
-				lin = lin*arr.dims[d] + (v - 1)
+				lin += (v - 1) * stride
+				stride *= arr.dims[d]
 			}
 			addrs[a] = lin
 		case opLoad:
@@ -250,9 +263,20 @@ func (f *frame) exec() bool {
 				ops += int64(init.e) + trips*(int64(next.d)+int64(next.e))
 				regs[init.a], regs[init.a+1], regs[next.b] = hi, hi, hi
 				pc = int(init.d) + 1
-				if f.poll -= int(trips - 1); f.poll <= 0 {
-					f.pollAbort()
-				}
+				f.backEdges(int(trips - 1))
+			}
+		case opRow:
+			// The trips run by row are charged as their back-edges charge.
+			rl := &cp.rows[a]
+			if lo, hi := regs[rl.ctr], regs[rl.ctr+1]; !(-exact < lo && lo+(rowMin-1) <= hi && hi < exact) {
+				break
+			}
+			trips, done := f.row(rl)
+			next := &code[rl.next]
+			ops += int64(trips) * (int64(next.d) + int64(next.e))
+			if done {
+				ops -= int64(next.e)
+				pc = int(rl.next) + 1
 			}
 		case opForInit:
 			lo, hi := regs[b], regs[c]
@@ -422,6 +446,225 @@ func (f *frame) span(e ir.Expr, loop int32, lo, hi float64) (float64, float64, b
 	return 0, 0, false
 }
 
+// rowScratch holds the rows of one loop running by row, rowStrip values
+// each. A row never waits, so a frame borrows one for one loop.
+type rowScratch struct {
+	f      []float64
+	o      []int
+	stride []int // by offset row: its stride over the strip, once proven affine
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+func (sc *rowScratch) row(k int32, n int) []float64 { return sc.f[int(k)*rowStrip:][:n] }
+func (sc *rowScratch) off(k int32, n int) []int     { return sc.o[int(k)*rowStrip:][:n] }
+
+// row runs the loop rl, of whole bounds below 2^53, from the top of its
+// first trip by strips while each strip's addresses are in range and no
+// trip of it writes an element another trip touches, and returns the
+// trips run and whether they were all. The registers are left as the
+// trip-by-trip loop leaves them: at the top of the next trip, or behind
+// the loop.
+func (f *frame) row(rl *rowLoop) (trips int, done bool) {
+	regs := f.regs
+	lo, hi := regs[rl.ctr], regs[rl.ctr+1]
+	total := int(hi-lo) + 1
+	sc := rowPool.Get().(*rowScratch)
+	defer rowPool.Put(sc)
+	if n := len(rl.regs) * rowStrip; len(sc.f) < n {
+		sc.f = make([]float64, n)
+	}
+	if n := int(rl.offs) * rowStrip; len(sc.o) < n {
+		sc.o, sc.stride = make([]int, n), make([]int, rl.offs)
+	}
+	for _, k := range rl.fill {
+		r, v := sc.row(k, min(rowStrip, total)), regs[rl.regs[k]]
+		for t := range r {
+			r[t] = v
+		}
+	}
+	if f.rowTrips == nil {
+		f.rowTrips = make([]int64, len(f.cp.rows))
+	}
+	for trips < total {
+		n := min(rowStrip, total-trips)
+		r := sc.row(0, n)
+		for t := range r {
+			r[t] = lo + float64(trips+t)
+		}
+		if trips == 0 {
+			r[0] = lo // -0 + 0 is +0
+		}
+		if !f.rowCode(rl.addr, sc, n) {
+			break
+		}
+		if n = rl.proof(sc, n); n == 0 {
+			break
+		}
+		f.rowCode(rl.body, sc, n)
+		for _, k := range rl.out {
+			regs[rl.regs[k]] = sc.row(k, n)[n-1]
+		}
+		trips += n
+		f.rowTrips[rl.index] += int64(n)
+		if trips == total {
+			regs[rl.ctr] = hi
+			f.backEdges(n - 1)
+			return trips, true
+		}
+		f.backEdges(n)
+	}
+	if trips > 0 {
+		regs[rl.ctr], regs[rl.slot] = lo+float64(trips), lo+float64(trips)
+	}
+	return trips, false
+}
+
+// proof returns how many of the strip's first n trips can run by row: up
+// to where an offset row stored through stops being strictly monotone,
+// and none when two offset rows into one array, one stored through, are
+// not both affine with one stride s or their first offsets differ by a
+// nonzero multiple of s below n of them.
+func (rl *rowLoop) proof(sc *rowScratch, n int) int {
+	if n == 1 {
+		return n
+	}
+	for _, k := range rl.stored {
+		o := sc.off(k, n)
+		s := o[1] - o[0]
+		if s == 0 {
+			return 0
+		}
+		for t := 2; t < n; t++ {
+			if d := o[t] - o[t-1]; d == 0 || (d > 0) != (s > 0) {
+				n = t
+			}
+		}
+	}
+	for _, k := range rl.affine {
+		o := sc.off(k, n)
+		s := o[1] - o[0]
+		for t := 2; t < n; t++ {
+			if o[t]-o[t-1] != s {
+				return 0
+			}
+		}
+		sc.stride[k] = s
+	}
+	for _, p := range rl.pairs {
+		s, d := sc.stride[p[0]], sc.o[int(p[1])*rowStrip]-sc.o[int(p[0])*rowStrip]
+		if sc.stride[p[1]] != s || d%s == 0 && d != 0 && -n < d/s && d/s < n {
+			return 0
+		}
+	}
+	return n
+}
+
+// rowCode runs row code over the first n trips of a strip. An address out
+// of range stops it: false.
+func (f *frame) rowCode(code []instr, sc *rowScratch, n int) bool {
+	regs, arrs := f.regs, f.arrays
+	for i := range code {
+		switch in := &code[i]; in.op {
+		case opMov:
+			copy(sc.row(in.a, n), sc.row(in.b, n))
+		case opCall:
+			x, y, fn := sc.row(in.a, n), sc.row(in.b, n), f.cp.fns[in.c]
+			for t := range x {
+				x[t] = fn(y[t])
+			}
+		case opAdd, opSub, opMul, opDiv, opApply:
+			z, op := sc.row(in.c, n), ir.Op(in.d)
+			if in.e != 0 { // s = s op z, in trip order
+				s := regs[in.a]
+				for _, v := range z {
+					if in.op == opAdd {
+						s += v
+					} else {
+						s = apply(op, s, v)
+					}
+				}
+				regs[in.a] = s
+				break
+			}
+			x, y := sc.row(in.a, n), sc.row(in.b, n)
+			switch {
+			case in.op == opAdd:
+				for t := range x {
+					x[t] = y[t] + z[t]
+				}
+			case in.op == opSub:
+				for t := range x {
+					x[t] = y[t] - z[t]
+				}
+			case in.op == opMul:
+				for t := range x {
+					x[t] = y[t] * z[t]
+				}
+			case op == ir.OpMax:
+				for t := range x {
+					x[t] = math.Max(y[t], z[t])
+				}
+			case op == ir.OpMod: // by a nonzero constant
+				for t := range x {
+					x[t] = symexpr.Mod(y[t], z[t])
+				}
+			default: // a divisor is a nonzero constant
+				for t := range x {
+					x[t] = apply(op, y[t], z[t])
+				}
+			}
+		case opAddr1:
+			o, v0, d0 := sc.off(in.a, n), sc.row(in.c, n), arrs[in.b].dims[0]
+			for t := range o {
+				if o[t] = int(v0[t]) - 1; uint(o[t]) >= uint(d0) {
+					return false
+				}
+			}
+		case opAddr2:
+			o, v0, v1, dims := sc.off(in.a, n), sc.row(in.c, n), sc.row(in.d, n), arrs[in.b].dims
+			for t := range o {
+				v, w := int(v0[t])-1, int(v1[t])-1
+				if uint(v) >= uint(dims[0]) || uint(w) >= uint(dims[1]) {
+					return false
+				}
+				o[t] = v + dims[0]*w
+			}
+		case opLoad:
+			x, o, data := sc.row(in.a, n), sc.off(in.c, n), arrs[in.b].data
+			for t := range x {
+				x[t] = data[o[t]]
+			}
+		case opAddLoad, opSubLoad:
+			o, data := sc.off(in.d, n), arrs[in.c].data
+			if in.e != 0 {
+				s := regs[in.a]
+				for _, k := range o {
+					s += data[k]
+				}
+				regs[in.a] = s
+				break
+			}
+			x, y := sc.row(in.a, n), sc.row(in.b, n)
+			if in.op == opSubLoad {
+				for t := range x {
+					x[t] = y[t] - data[o[t]]
+				}
+				break
+			}
+			for t := range x {
+				x[t] = y[t] + data[o[t]]
+			}
+		case opStore:
+			o, y, data := sc.off(in.b, n), sc.row(in.c, n), arrs[in.a].data
+			for t := range o {
+				data[o[t]] = y[t]
+			}
+		}
+	}
+	return true
+}
+
 // suspended reports whether the operation just started waits, saving
 // the pc to resume at when it does.
 func (f *frame) suspended(pc int) bool {
@@ -439,6 +682,16 @@ func apply(op ir.Op, l, r float64) float64 {
 		panic(err.Error())
 	}
 	return v
+}
+
+// backEdges counts k loop back-edges toward the next abort check, as k
+// opForNext instructions do.
+func (f *frame) backEdges(k int) {
+	if f.poll -= k; f.poll <= 0 {
+		left := pollEvery + f.poll%pollEvery
+		f.pollAbort()
+		f.poll = left
+	}
 }
 
 // pollAbort unwinds the rank when the run has been aborted (wall-clock
@@ -535,12 +788,12 @@ func (a *arrayVal) first(sec []secDim) {
 	}
 }
 
-// next returns the row-major offset of the element under the odometer and
-// advances it, last dimension fastest; more is false once the section is
+// next returns the offset of the element under the odometer and advances
+// it, last dimension fastest; more is false once the section is
 // exhausted.
 func (a *arrayVal) next(sec []secDim) (off int, more bool) {
-	for d, s := range sec {
-		off = off*a.dims[d] + (s.at - 1)
+	for d := len(sec) - 1; d >= 0; d-- {
+		off = off*a.dims[d] + (sec[d].at - 1)
 	}
 	for d := len(sec) - 1; d >= 0; d-- {
 		if sec[d].at++; sec[d].at <= sec[d].hi {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mpisim/internal/apps"
@@ -34,15 +35,39 @@ func (st rankState) setArray(name string, data []float64, dims []int) {
 	st.arrays[name], st.dims[name] = bits, dims
 }
 
-// runFlat is Run keeping every rank's final frame.
-func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
+// inSubscriptOrder returns an array stored in Fortran order with its
+// elements in subscript order, the last subscript fastest, as the
+// reference evaluator stores them.
+func inSubscriptOrder(a arrayVal) []float64 {
+	strides, s := make([]int, len(a.dims)), 1
+	for d := range a.dims {
+		strides[d], s = s, s*a.dims[d]
+	}
+	out := make([]float64, 0, len(a.data))
+	var walk func(d, off int)
+	walk = func(d, off int) {
+		if d == len(a.dims) {
+			out = append(out, a.data[off])
+			return
+		}
+		for v := 0; v < a.dims[d]; v++ {
+			walk(d+1, off+v*strides[d])
+		}
+	}
+	walk(0, 0)
+	return out
+}
+
+// runFrames is Run keeping the program's code and every rank's final
+// frame.
+func runFrames(p *ir.Program, cfg Config) (*mpi.Report, *compiled, []*frame, error) {
 	cp, err := compile(p, &cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	world, err := mpi.NewWorld(cfg.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	frames := make([]*frame, cfg.Ranks)
 	rep, err := world.RunProgram(func(r *mpi.Rank) mpi.Program {
@@ -50,6 +75,15 @@ func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
 		frames[r.Rank()] = f
 		return f
 	})
+	return rep, cp, frames, err
+}
+
+// runFlat is Run keeping every rank's final state.
+func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
+	rep, cp, frames, err := runFrames(p, cfg)
+	if cp == nil {
+		return nil, nil, err
+	}
 	states := make([]rankState, cfg.Ranks)
 	for i, f := range frames {
 		if f == nil {
@@ -60,7 +94,7 @@ func runFlat(p *ir.Program, cfg Config) (*mpi.Report, []rankState, error) {
 			st.scalars[name] = math.Float64bits(f.regs[s])
 		}
 		for _, a := range f.arrays {
-			st.setArray(a.name, a.data, a.dims)
+			st.setArray(a.name, inSubscriptOrder(a), a.dims)
 		}
 		states[i] = st
 	}
@@ -203,8 +237,8 @@ func TestOracleApps(t *testing.T) {
 }
 
 // TestOracleGenerated does the same on generated programs, with the
-// shapes the lowering specialises on switched on, original and
-// timer-instrumented.
+// shapes the lowering and the row path specialise on switched on,
+// original and timer-instrumented.
 //
 // Each mutation below was applied to compile.go by hand and fails the
 // first case named (TestOracleParallelEngine fails with it):
@@ -248,6 +282,39 @@ func TestOracleApps(t *testing.T) {
 //     x10, and TestOracleApps/sample;
 //   - keeping the numbered subscripts at a loop head: seed=0/ranks=1, x14
 //     (V(k+1) outside and inside a sum over k).
+//
+// And the row path's (compile.go's rowable, exec.go's row, proof and
+// rowCode), each also applied by hand:
+//
+//   - running a carried loop by row (rowable keeps a register read
+//     before the trip writes it): seed=0/ranks=1, rc, and TestRowShapes;
+//   - skipping the alias check (proof passes every pair):
+//     seed=0/ranks=1 (R3's recurrence along the index), TestRowShapes
+//     and TestRowLoops (Tomcatv's backward runs by row);
+//   - keeping a strip going across a mod wrap (proof cuts no stored row
+//     where it stops being monotone): seed=0/ranks=1, rc (R1 wrapped every
+//     7 trips), and TestRowShapes;
+//   - using the wrong stride on a reversed index (the absolute
+//     difference of the first two offsets): TestRowShapes (the reversed
+//     loop, writing R2's third column while reading two others, falls
+//     back);
+//   - folding a reduction out of trip order (backwards): seed=0/ranks=4,
+//     rs, TestRowShapes and TestRowFaults/in-range;
+//   - dropping the range check of the strip's addresses (rowCode's
+//     opAddr1, opAddr2): TestRowFaults, last-trip and third-strip-load
+//     (Go's index panic for the interpreter's fault), last-trip-2d (no
+//     fault: the offset lands in the next column);
+//   - letting a stored row repeat an offset (proof's s == 0 test):
+//     seed=0/ranks=1 (R1(5) added to every trip) and TestRowShapes;
+//   - not running again a slice instruction whose register is written
+//     twice (rowable's twice): seed=0/ranks=1 (rj read as a value between
+//     its two assignments);
+//   - not leaving the body's registers at the last trip's values (row's
+//     copy back): TestOracleApps/sample (w) and TestRowFaults/in-range;
+//   - charging the last back-edge's iteration charge (opRow's ops -=
+//     next.e): TestOracleApps/sample's reports;
+//   - filling the loop scalar's first trip as lo + 0 (-0 + 0 is +0):
+//     seed=0/ranks=1 (R2(1,3) from the loop from -0) and TestRowShapes.
 func TestOracleGenerated(t *testing.T) {
 	m := machine.IBMSP()
 	seeds := int64(200)
@@ -280,9 +347,96 @@ func TestOracleGenerated(t *testing.T) {
 	}
 }
 
+// FuzzOracleGenerated holds the register code to the reference evaluator
+// on the generated program of any seed, its access, counting and row
+// shapes on, at 4 ranks.
+func FuzzOracleGenerated(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
+		cfg := Config{Config: mpi.Config{Ranks: 4, Machine: machine.IBMSP(), Comm: mpi.Analytic}, Inputs: inputs}
+		differential(t, fmt.Sprintf("seed=%d", seed), prog, cfg, seed%2 == 0)
+	})
+}
+
+// TestRowShapes pins which of the generated row shapes run by row, in
+// irgen's order (rows): the stores, the reductions, the reversed index,
+// the mod wrap, the other columns, the stride of 2, the read one loop's
+// trips behind, the loop at the minimum and the subscript scalar assigned
+// twice do; the recurrence along the
+// reversed index, the reads at -1 and +1, the read that trails by fewer
+// trips than the loop has, the loop one trip short and the element every
+// trip adds to do not, the carried scalar and the division by a scalar
+// get no opRow, and the loop from -0 and the operator mix do.
+func TestRowShapes(t *testing.T) {
+	want := []bool{true, true, true, true, true, false, true, false, false, true, true, true, false, false, true, true, false, false, false, true, true}
+	for seed := int64(0); seed < 3; seed++ {
+		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
+		inputs["STEPS"] = 1 // rank 0 runs the shapes in step 1
+		cfg := Config{Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic}, Inputs: inputs}
+		_, cp, frames, err := runFrames(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran := rowsRun(cp, frames); len(ran) < len(want) || !slices.Equal(ran[len(ran)-len(want):], want) {
+			t.Errorf("seed %d: the row shapes ran by row %v, want %v\n%s", seed, ran[max(0, len(ran)-len(want)):], want, cp.dump())
+		}
+		differential(t, fmt.Sprintf("seed=%d/steps=1", seed), prog, cfg, false)
+	}
+}
+
+// TestRowFaults holds a loop whose subscripts leave their range on some
+// trip to the fault the trip-by-trip loop raises there, text and all, in
+// a loop that would run by row; the same loop in range runs by row.
+func TestRowFaults(t *testing.T) {
+	arrays := []*ir.ArrayDecl{
+		{Name: "A1", Dims: []ir.Expr{ir.N(99)}, Elem: 8},
+		{Name: "A2", Dims: []ir.Expr{ir.N(99), ir.N(2)}, Elem: 8},
+		{Name: "A3", Dims: []ir.Expr{ir.N(600)}, Elem: 8},
+	}
+	q, i, n := ir.S("q"), ir.S("i"), func(v float64) ir.Expr { return ir.N(v) }
+	cases := []struct {
+		name string
+		body []ir.Stmt
+		want string // "" runs to the end, by row
+	}{
+		{"last-trip", ir.Block(ir.Loop("", "q", n(1), n(100), ir.SetA("A1", ir.IX(q), ir.Add(ir.At("A1", q), q)))),
+			"interp: index 100 out of bounds [1,99] in dim 1 of A1"},
+		{"last-trip-2d", ir.Block(ir.Loop("", "q", n(1), n(100), ir.SetA("A2", ir.IX(q, n(1)), q))),
+			"interp: index 100 out of bounds [1,99] in dim 1 of A2"},
+		{"first-trip-reversed", ir.Block(ir.Loop("", "q", n(1), n(99), ir.SetS("i", ir.Sub(n(101), q)), ir.SetA("A2", ir.IX(i, n(2)), ir.At("A1", i)))),
+			"interp: index 100 out of bounds [1,99] in dim 1 of A2"},
+		{"third-strip-load", ir.Block(ir.Loop("", "q", n(1), n(700), ir.SetS("s", ir.Add(ir.S("s"), ir.At("A3", q))))),
+			"interp: index 601 out of bounds [1,600] of A3"},
+		{"in-range", ir.Block(ir.Loop("", "q", n(1), n(600), ir.SetS("i", ir.Sub(n(601), q)),
+			ir.SetA("A3", ir.IX(i), ir.Add(ir.At("A3", i), ir.Mul(q, n(0.7)))), ir.SetS("s", ir.Add(ir.S("s"), ir.At("A3", i))))), ""},
+	}
+	for _, tc := range cases {
+		p := &ir.Program{Name: tc.name, Arrays: arrays, Body: tc.body}
+		_, wantStates, werr := runRef(p, baseConfig(1))
+		_, cp, frames, err := runFrames(p, baseConfig(1))
+		switch want := "sim: proc 0 (rank0) panicked: " + tc.want; {
+		case tc.want != "" && (err == nil || err.Error() != want || werr == nil || werr.Error() != want):
+			t.Errorf("%s: got %v, reference %v, want %s", tc.name, err, werr, want)
+		case tc.want == "" && (err != nil || werr != nil):
+			t.Errorf("%s: %v, reference %v", tc.name, err, werr)
+		case tc.want == "":
+			if _, states, _ := runFlat(p, baseConfig(1)); !reflect.DeepEqual(states, wantStates) {
+				t.Errorf("%s: final state differs from the reference", tc.name)
+			}
+			if ran := rowsRun(cp, frames); !slices.Equal(ran, []bool{true}) {
+				t.Errorf("%s: ran by row %v\n%s", tc.name, ran, cp.dump())
+			}
+		}
+	}
+}
+
 // TestOracleParallelEngine reruns a few generated programs with several
 // host workers on real goroutines: the per-rank branch counts merge under
-// the profile's lock, and the race stage watches it.
+// the profile's lock, ranks on different workers run the row shapes on
+// row scratch borrowed from one pool, and the race stage watches both.
 func TestOracleParallelEngine(t *testing.T) {
 	m := machine.IBMSP()
 	for seed := int64(0); seed < 6; seed++ {

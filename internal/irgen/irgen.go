@@ -108,6 +108,7 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 		step = append(step, forwarding(p)...)
 		step = append(step, numbering()...)
 		step = append(step, counting(p)...)
+		step = append(step, rows(p)...)
 	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
 	p.Body = body
@@ -346,6 +347,77 @@ func counting(p *ir.Program) []ir.Stmt {
 			&ir.Recv{Src: ir.Add(myid, n(1)), Tag: 97, Array: "D2", Section: ir.Sec(n(1), n(2))})},
 		&ir.If{Cond: ir.GT(ir.At("D2", n(1)), n(2)), Then: ir.Block(ir.SetS("x23", ir.Mul(ir.At("D2", n(1)), t)))},
 	)
+}
+
+// rows emits, on arrays of its own, the loops direct execution runs a
+// strip of trips at a time and the near misses it must run trip by trip
+// (all in bounds for N >= 16, M = 2N+48 trips): stores with no element
+// shared between trips, with an intrinsic and a division by a literal; a
+// sum and a max reduction, fused with a load and not; a reversed index,
+// writing one column while reading two others, and a recurrence along
+// one; a mod-wrapped subscript read and written every 7 trips; reads at
+// offsets -1 and +1 of the written element along the index; a read of
+// the written array in other columns; a stride of 2 reading the odd
+// elements while writing the even; a read 64 elements behind the write
+// in a loop of 64 trips and in one of 65; a loop one trip short of the
+// minimum and one at it; a subscript scalar assigned twice in a trip and
+// read as a value between; a scalar carried across trips; an element
+// every trip adds to; a division by a scalar; a loop from -0 storing
+// twice its scalar; and a copy of the loop scalar feeding mod of
+// negative dividends, idiv and ceildiv by literals and a comparison as a
+// value, and a min reduction.
+func rows(p *ir.Program) []ir.Stmt {
+	p.Arrays = append(p.Arrays,
+		&ir.ArrayDecl{Name: "R1", Dims: []ir.Expr{ir.Add(ir.Mul(ir.S("N"), ir.N(2)), ir.N(112))}, Elem: 8},
+		&ir.ArrayDecl{Name: "R2", Dims: []ir.Expr{ir.Add(ir.Mul(ir.S("N"), ir.N(2)), ir.N(48)), ir.N(3)}, Elem: 8},
+		&ir.ArrayDecl{Name: "R3", Dims: []ir.Expr{ir.Add(ir.Mul(ir.S("N"), ir.N(2)), ir.N(48))}, Elem: 8},
+		&ir.ArrayDecl{Name: "R4", Dims: []ir.Expr{ir.Add(ir.Mul(ir.S("N"), ir.N(2)), ir.N(48)), ir.N(2)}, Elem: 8},
+	)
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	t, q, i, m, h := ir.S("t"), ir.S("q"), ir.S("ri"), ir.S("rm"), ir.S("H")
+	r1 := func(idx ir.Expr) ir.Expr { return ir.At("R1", idx) }
+	r3 := func(idx ir.Expr) ir.Expr { return ir.At("R3", idx) }
+	loop := func(lo, hi ir.Expr, body ...ir.Stmt) ir.Stmt { return ir.Loop("", "q", lo, hi, body...) }
+	wrap := ir.Add(ir.Mod(q, n(7)), n(1))
+	// A quarter of the ranks' steps run them, to keep the reference's time.
+	return ir.Block(&ir.If{Cond: ir.EQ(ir.Mod(ir.Add(ir.S(ir.BuiltinMyID), t), n(4)), n(1)), Then: ir.Block(
+		ir.SetS("rm", ir.Add(ir.Mul(ir.S("N"), n(2)), n(48))),
+		loop(n(1), ir.Add(m, n(64)), ir.SetA("R1", ir.IX(q), ir.Add(ir.Mul(ir.Call{Name: "sin", Arg: q}, q), ir.Div(t, n(4))))),
+		loop(n(1), m,
+			ir.SetA("R2", ir.IX(q, n(1)), ir.Mul(q, n(0.5))),
+			ir.SetA("R2", ir.IX(q, n(2)), ir.Sub(r1(q), t)),
+			ir.SetA("R3", ir.IX(q), ir.Div(r1(q), n(3)))),
+		ir.SetS("rs", n(0)),
+		ir.SetS("rx", n(0)),
+		loop(n(1), m, ir.SetS("rs", ir.Add(ir.S("rs"), ir.Mul(r1(q), n(0.1))))),
+		loop(n(1), m, ir.SetS("rs", ir.Add(ir.S("rs"), r3(q))),
+			ir.SetS("rx", ir.MaxE(ir.S("rx"), ir.Abs(ir.Sub(r1(q), ir.At("R2", q, n(2))))))),
+		loop(n(1), m, ir.SetS("ri", ir.Sub(ir.Add(m, n(1)), q)),
+			ir.SetA("R1", ir.IX(i), ir.Add(r1(i), ir.Mul(ir.At("R2", i, n(1)), n(0.5)))),
+			ir.SetA("R2", ir.IX(i, n(3)), ir.Sub(ir.At("R2", i, n(2)), r1(i)))),
+		loop(n(2), m, ir.SetS("ri", ir.Sub(ir.Add(m, n(1)), q)),
+			ir.SetA("R3", ir.IX(i), ir.Add(r3(ir.Add(i, n(1))), n(1)))),
+		loop(n(1), m, ir.SetA("R1", ir.IX(wrap), ir.Add(r1(wrap), q))),
+		loop(n(2), ir.Sub(m, n(1)), ir.SetA("R3", ir.IX(q), ir.Add(r3(ir.Sub(q, n(1))), n(1)))),
+		loop(n(2), ir.Sub(m, n(1)), ir.SetA("R3", ir.IX(q), ir.Mul(r3(ir.Add(q, n(1))), n(0.5)))),
+		loop(n(1), m, ir.SetA("R2", ir.IX(q, n(3)), ir.Add(ir.At("R2", q, n(1)), ir.At("R2", q, n(2))))),
+		loop(n(1), n(64), ir.SetA("R1", ir.IX(ir.Mul(q, n(2))), ir.Add(r1(ir.Sub(ir.Mul(q, n(2)), n(1))), t))),
+		loop(n(1), n(64), ir.SetA("R1", ir.IX(ir.Add(q, n(64))), ir.Add(r1(q), n(1)))),
+		loop(n(1), n(65), ir.SetA("R1", ir.IX(ir.Add(q, n(64))), ir.Add(r1(q), n(1)))),
+		loop(n(1), n(63), ir.SetA("R3", ir.IX(q), ir.Add(r3(q), n(1)))),
+		loop(n(1), n(64), ir.SetA("R3", ir.IX(q), ir.Add(r3(q), t))),
+		loop(n(1), ir.Sub(m, n(1)), ir.SetS("rj", ir.Add(q, n(1))), ir.SetA("R3", ir.IX(ir.S("rj")), ir.Add(r3(ir.S("rj")), ir.S("rj"))),
+			ir.SetS("rj", ir.Sub(ir.S("rj"), n(1))), ir.SetA("R2", ir.IX(ir.S("rj"), n(2)), ir.Mul(ir.At("R2", ir.S("rj"), n(2)), ir.S("rj")))),
+		ir.SetS("rc", n(0)),
+		loop(n(1), m, ir.SetS("rc", ir.Add(ir.Mul(ir.S("rc"), n(0.5)), r1(q))), ir.SetA("R2", ir.IX(q, n(1)), ir.S("rc"))),
+		loop(n(1), m, ir.SetA("R1", ir.IX(n(5)), ir.Add(r1(n(5)), q))),
+		loop(n(1), m, ir.SetA("R3", ir.IX(q), ir.Div(r3(q), h))),
+		loop(n(math.Copysign(0, -1)), n(70), ir.SetA("R2", ir.IX(ir.Add(q, n(1)), n(3)), ir.Mul(q, n(2)))),
+		ir.SetS("rn", n(1e9)),
+		loop(n(1), m, ir.SetS("rt", q), ir.SetA("R4", ir.IX(q, n(1)), ir.Mod(ir.Sub(n(20), ir.S("rt")), n(6))),
+			ir.SetA("R4", ir.IX(q, n(2)), ir.AddN(ir.Bin{Op: ir.OpIDiv, L: ir.Sub(ir.S("rt"), n(40)), R: n(3)}, ir.CeilDiv(ir.S("rt"), n(4)), ir.GT(ir.S("rt"), n(50)))),
+			ir.SetS("rn", ir.MinE(ir.S("rn"), ir.Add(ir.At("R4", q, n(2)), r3(q))))),
+	)})
 }
 
 // shift emits a guarded ring shift of one boundary column: send left,

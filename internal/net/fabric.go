@@ -136,15 +136,3 @@ func (f *Fabric) Summary(runTime float64) []LinkReport {
 	})
 	return out
 }
-
-// FindLink returns the id of the named link, or -1. Fault-injection link
-// selectors resolve their endpoints against topology links through the
-// host map instead, but diagnostics and tests address links by name.
-func (n *Network) FindLink(name string) int {
-	for i := range n.Links {
-		if n.Links[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}

@@ -76,9 +76,6 @@ func NewRegistry(shards int) *Registry {
 	}
 }
 
-// Shards returns the shard count (a power of two).
-func (r *Registry) Shards() int { return r.shards }
-
 // SetEnabled switches metric collection on or off. The flag is atomic:
 // updates racing with the switch are either counted or not, never torn.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }

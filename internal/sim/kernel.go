@@ -201,9 +201,6 @@ func NewKernel(cfg Config) (*Kernel, error) {
 	return &Kernel{cfg: cfg}, nil
 }
 
-// NumProcs returns the number of spawned processes.
-func (k *Kernel) NumProcs() int { return len(k.procs) }
-
 // workerOf maps a process id to its host worker (block distribution, as
 // MPI-Sim maps target processes to host processors).
 func (k *Kernel) workerOf(proc int) *worker {

@@ -105,12 +105,14 @@ func DecodeSpec(data []byte) (*JobSpec, error) {
 }
 
 // admit is the operator's policy on top of the spec's own Validate: the
-// rank cap, and no topology that names a server-side file.
+// rank cap, no topology that names a server-side file, and on more than
+// one host worker no trace that receives from any source. A refusal is
+// never journaled.
 func (s *Server) admit(spec *JobSpec) error {
 	if strings.HasPrefix(spec.Topology, "graph:") {
 		return fmt.Errorf("topology %q not accepted over the service (server-side file)", spec.Topology)
 	}
-	return spec.Validate(s.opts.MaxRanks)
+	return spec.Admit(s.opts.MaxRanks, s.opts.HostWorkers)
 }
 
 // capped returns the spec with its budgets clamped against the operator

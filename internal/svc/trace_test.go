@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -183,9 +185,10 @@ func TestTraceExtrapolatedJob(t *testing.T) {
 }
 
 // TestTraceWildcardRefusedOnParallelEngine runs a daemon on two host
-// workers: a trace with a receive from any source fails its job with
-// core.Prepare's refusal, which names the rank and the call and says how
-// to replay it; the same trace without the wildcard replays.
+// workers: a trace with a receive from any source is refused at
+// admission (400, nothing journaled) with core.WildcardError's text, which
+// names the rank and the call and says how to replay it; the same trace
+// without the wildcard replays.
 func TestTraceWildcardRefusedOnParallelEngine(t *testing.T) {
 	srv := newTestServer(t, Options{HostWorkers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -196,22 +199,30 @@ func TestTraceWildcardRefusedOnParallelEngine(t *testing.T) {
 	if wildcard == exact {
 		t.Fatal("the ring trace has no sendrecv receiving from rank 0")
 	}
-	for _, c := range []struct {
-		name, jsonl string
-		want        JobState
-	}{{"wildcard", wildcard, JobFailed}, {"exact", exact, JobDone}} {
-		id, code, body := submit(t, ts, traceSpec(t, c.jsonl, 0))
-		if code != 202 {
-			t.Fatalf("%s: submit: %d (%s)", c.name, code, body)
+	journaled := func() int64 {
+		fi, err := os.Stat(filepath.Join(srv.opts.Dir, journalName))
+		if err != nil {
+			t.Fatal(err)
 		}
-		v := pollUntil(t, ts, id, terminal, 30*time.Second)
-		if v.State != c.want {
-			t.Fatalf("%s: job ended %s (%s), want %s", c.name, v.State, v.Error, c.want)
-		}
-		if c.want == JobFailed && (!strings.Contains(v.Error, "trace rank 1, call 1 receives from any source") ||
-			!strings.Contains(v.Error, "one host worker")) {
-			t.Errorf("%s: refusal %q does not name rank 1's call 1 and the way out", c.name, v.Error)
-		}
+		return fi.Size()
+	}
+	before := journaled()
+	_, code, body := submit(t, ts, traceSpec(t, wildcard, 0))
+	if code != 400 {
+		t.Fatalf("wildcard: submit: %d (%s), want 400", code, body)
+	}
+	if !bytes.Contains(body, []byte("trace rank 1, call 1 receives from any source")) || !bytes.Contains(body, []byte("one host worker")) {
+		t.Errorf("wildcard: refusal %q does not name rank 1's call 1 and the way out", body)
+	}
+	if after := journaled(); after != before {
+		t.Errorf("the refused trace was journaled: %d bytes, %d before", after, before)
+	}
+	id, code, body := submit(t, ts, traceSpec(t, exact, 0))
+	if code != 202 {
+		t.Fatalf("exact: submit: %d (%s)", code, body)
+	}
+	if v := pollUntil(t, ts, id, terminal, 30*time.Second); v.State != JobDone {
+		t.Fatalf("exact: job ended %s (%s), want %s", v.State, v.Error, JobDone)
 	}
 }
 

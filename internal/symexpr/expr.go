@@ -45,9 +45,6 @@ var opNames = map[Op]string{
 // String returns the operator's surface syntax.
 func (o Op) String() string { return opNames[o] }
 
-// IsComparison reports whether the operator yields a 0/1 truth value.
-func (o Op) IsComparison() bool { return o >= OpLT }
-
 // ApplyOp applies a binary operator to two values. Comparison operators
 // yield 1 (true) or 0 (false), so they compose with arithmetic (statistical
 // branch folding multiplies a body cost by a probability expression).
@@ -78,24 +75,7 @@ func ApplyOp(op Op, l, r float64) (float64, error) {
 		if r == 0 {
 			return 0, fmt.Errorf("symexpr: mod by zero")
 		}
-		const lim = 1 << 53 // every integer below it in magnitude is a float64
-		if li, ri := int64(l), int64(r); -lim < min(l, r) && max(l, r) < lim && float64(li) == l && float64(ri) == r {
-			// Exact, as math.Mod is: the remainder takes the dividend's
-			// sign, a zero one included.
-			switch m := li % ri; {
-			case m == 0:
-				return math.Copysign(0, l), nil
-			case m < 0:
-				return float64(m + max(ri, -ri)), nil
-			default:
-				return float64(m), nil
-			}
-		}
-		m := math.Mod(l, r)
-		if m < 0 {
-			m += math.Abs(r)
-		}
-		return m, nil
+		return Mod(l, r), nil
 	case OpMin:
 		return math.Min(l, r), nil
 	case OpMax:
@@ -114,6 +94,30 @@ func ApplyOp(op Op, l, r float64) (float64, error) {
 		return truth(l != r), nil
 	}
 	return 0, fmt.Errorf("symexpr: unknown operator %d", int(op))
+}
+
+// Mod is mod(l, r) for a nonzero r: l's remainder by |r|, in [0, |r|),
+// a zero one taking l's sign (mod(-4, 2) is -0), bit for bit math.Mod's
+// with the non-negative fixup. Integers below 2^52 in magnitude take a
+// float path that needs neither math.Mod (a software frexp/ldexp loop)
+// nor a 64-bit integer division: l/|r| lies at least 1/|r| from an
+// integer it is not, and rounding moves it by at most |l/r|·2^-53, less,
+// so q = floor(l/|r|) is exact, and q·|r| and l − q·|r| are integers
+// below 2^53.
+func Mod(l, r float64) float64 {
+	const lim = 1 << 52
+	if a := math.Abs(r); math.Abs(l) < lim && a < lim && l == math.Trunc(l) && r == math.Trunc(r) {
+		m := l - math.Floor(l/a)*a
+		if m == 0 {
+			return math.Copysign(0, l)
+		}
+		return m
+	}
+	m := math.Mod(l, r)
+	if m < 0 {
+		m += math.Abs(r)
+	}
+	return m
 }
 
 func truth(b bool) float64 {

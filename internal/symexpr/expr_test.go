@@ -110,10 +110,10 @@ func TestApplyOpExported(t *testing.T) {
 
 // TestModIntegerPathExact holds mod's integer path to the float path it
 // shortcuts, math.Mod plus the non-negative fixup, bit for bit: random
-// integers within ±2^53 of every magnitude, the ±(2^53-1) and ±2^53
-// boundaries, ±0, NaN, ±Inf and non-integral operands. Returning
-// float64(m) for a zero remainder, dropping the dividend's sign, fails
-// it: mod(-0, 1) and mod(-4, 2) are -0.
+// integers within ±2^53 of every magnitude, the ±(2^52-1), ±2^52,
+// ±(2^53-1) and ±2^53 boundaries, ±0, NaN, ±Inf and non-integral
+// operands. Returning the bare remainder for a zero one, dropping the
+// dividend's sign, fails it: mod(-0, 1) and mod(-4, 2) are -0.
 func TestModIntegerPathExact(t *testing.T) {
 	want := func(l, r float64) float64 {
 		m := math.Mod(l, r)
@@ -124,7 +124,7 @@ func TestModIntegerPathExact(t *testing.T) {
 	}
 	const lim = 1 << 53
 	special := []float64{0, math.Copysign(0, -1), 1, -1, 2, -2, 3, -4, 7, -7, 512, -512,
-		lim - 1, -(lim - 1), lim, -lim, lim + 2, -(lim + 2), 1 << 62, -(1 << 63),
+		lim/2 - 1, -(lim/2 - 1), lim / 2, -lim / 2, lim - 1, -(lim - 1), lim, -lim, lim + 2, -(lim + 2), 1 << 62, -(1 << 63),
 		0.5, -0.5, 2.5, -7.25, math.NaN(), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, math.MaxFloat64}
 	rng := rand.New(rand.NewSource(1))

@@ -77,12 +77,17 @@ func checkAgainstReference(t testing.TB, data []byte) (*tracein.Trace, error) {
 		t.Fatalf("scanner accepted line %d, which the reference rejects: %v", wpe.Line, werr)
 	}
 
-	hdr, verr := tracein.Validate(bytes.NewReader(data))
+	hdr, wild, verr := tracein.Validate(bytes.NewReader(data))
 	switch {
 	case (verr == nil) != (gerr == nil), verr != nil && verr.Error() != gerr.Error():
 		t.Fatalf("Validate and Parse disagree: %v vs %v", verr, gerr)
 	case verr == nil && !reflect.DeepEqual(*hdr, got.Header):
 		t.Fatalf("Validate returns a different header than Parse")
+	}
+	if verr == nil {
+		if rank, call, ok := got.AnySource(); ok != (wild != nil) || ok && *wild != (tracein.Wildcard{Rank: rank, Call: call}) {
+			t.Fatalf("Validate finds the wildcard receive %+v, AnySource rank %d call %d (%v)", wild, rank, call, ok)
+		}
 	}
 	return got, gerr
 }

@@ -63,14 +63,19 @@ func ParseBytes(data []byte) (*Trace, error) {
 
 // Validate reads a trace exactly as Parse does — every check, the same
 // line-anchored diagnostics — but keeps only the header: admission of
-// an untrusted trace without paying for its call log.
-func Validate(r io.Reader) (*Header, error) {
+// an untrusted trace without paying for its call log. It also returns
+// the receive Trace.AnySource would find, nil when there is none.
+func Validate(r io.Reader) (*Header, *Wildcard, error) {
 	var t Trace
 	if err := parse(r, &t, checkOnly); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &t.Header, nil
+	return &t.Header, t.wild, nil
 }
+
+// Wildcard locates a receive from mpi.AnySource: its rank and its call,
+// counted from 0 in the rank's sequence.
+type Wildcard struct{ Rank, Call int }
 
 // ReadHeader reads and validates only the trace's header line: cheap
 // access to the run metadata (app, rank count, machine). It stops at
@@ -83,15 +88,11 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	return &t.Header, nil
 }
 
-// ParseHeader is ReadHeader for an in-memory trace.
-func ParseHeader(data []byte) (*Header, error) {
-	return ReadHeader(bytes.NewReader(data))
-}
-
 // parse is the one line loop behind every entry point. A v1 file is a
 // header and every rank's events; a v2 file puts its members line
 // (classMap) between the two and has events on representatives only.
-// Either way the full call log folds into the class form.
+// Either way the full call log folds into the class form; a check finds
+// the first receive from any source in rank order, then call order.
 func parse(r io.Reader, t *Trace, d depth) error {
 	br := bufio.NewReaderSize(r, readBufSize)
 	var (
@@ -99,6 +100,7 @@ func parse(r io.Reader, t *Trace, d depth) error {
 		sc         scanner
 		cm         classMap
 		log        callLog
+		calls      []int // by rank, while checking
 		lineNo     int
 		sawHeader  bool
 		sawMembers bool
@@ -134,6 +136,8 @@ func parse(r io.Reader, t *Trace, d depth) error {
 			sc.ranks, sc.keep = t.Header.Ranks, d == full
 			if d == full {
 				log.calls = make([][]mpi.Call, t.Header.Ranks)
+			} else {
+				calls = make([]int, t.Header.Ranks)
 			}
 		case !sawMembers:
 			if perr := cm.parse(line, lineNo, t.Header.Ranks); perr != nil {
@@ -149,7 +153,12 @@ func parse(r io.Reader, t *Trace, d depth) error {
 			}
 			if d == full {
 				log.add(sc.rank, &sc.call)
+				break
 			}
+			if anySource(&sc.call) && (t.wild == nil || sc.rank < t.wild.Rank) {
+				t.wild = &Wildcard{sc.rank, calls[sc.rank]}
+			}
+			calls[sc.rank]++
 		}
 		if err == io.EOF {
 			break

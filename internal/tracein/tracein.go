@@ -120,6 +120,8 @@ type Trace struct {
 	reps    []int
 	// class[r] is rank r's class.
 	class []int32
+	// wild is the first receive from any source a check-only parse met.
+	wild *Wildcard
 }
 
 // New folds per-rank call sequences (calls[r] is rank r's) into a
@@ -184,10 +186,15 @@ func (t *Trace) appendCalls(dst []mpi.Call, r int) []mpi.Call {
 func (t *Trace) AnySource() (rank, call int, ok bool) {
 	for k, calls := range t.streams {
 		for i := range calls {
-			if c := &calls[i]; c.Op == "recv" && c.Peer == mpi.AnySource || c.Op == "sendrecv" && c.Peer2 == mpi.AnySource {
+			if anySource(&calls[i]) {
 				return t.reps[k], i, true
 			}
 		}
 	}
 	return 0, 0, false
+}
+
+// anySource reports whether c receives from mpi.AnySource.
+func anySource(c *mpi.Call) bool {
+	return c.Op == "recv" && c.Peer == mpi.AnySource || c.Op == "sendrecv" && c.Peer2 == mpi.AnySource
 }

@@ -80,7 +80,9 @@
 #      never enqueues; the hand-written scanner and append writer held to
 #      the reference encoding/json codec on every input), and 10s of
 #      arbitrary text against the expression parser (no panics; what it
-#      accepts prints to text that parses back to the same print)
+#      accepts prints to text that parses back to the same print), and
+#      10s of generated programs (irgen seeds, the access, counting and
+#      row shapes on) held to the interpreter's reference evaluator
 #  16. fault-layer overhead gate: with the watchdog armed the kernel must
 #      stay within 15% of the guard-disabled kernel measured in the same
 #      process (within-run pair, immune to host drift)
@@ -524,11 +526,12 @@ for f in examples/networks/*.json; do
         -ranks 8 -netjson "$f" -min warning
 done
 
-echo "== fuzz smoke (randomized fault schedules + hostile job submissions + malformed traces + expressions)"
+echo "== fuzz smoke (randomized fault schedules + hostile job submissions + malformed traces + expressions + generated programs)"
 go test -fuzz 'FuzzFaultSchedules' -fuzztime 10s -run '^$' ./internal/mpi/
 go test -fuzz 'FuzzDecodeSpec' -fuzztime 10s -run '^$' ./internal/svc/
 go test -fuzz 'FuzzParseTrace' -fuzztime 10s -run '^$' ./internal/tracein/
 go test -fuzz FuzzParseExpr -fuzztime 10s -run '^$' ./internal/ir/
+go test -fuzz FuzzOracleGenerated -fuzztime 10s -run '^$' ./internal/interp/
 
 echo "== fault-layer overhead gate"
 { for i in 1 2 3; do
