@@ -50,6 +50,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if err := spec.CheckRanks(*ranks); err != nil {
+		return err
+	}
 	inputs := spec.Default(*ranks)
 	over, err := cliutil.ParseInputs(*inputsStr)
 	if err != nil {

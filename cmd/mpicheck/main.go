@@ -156,12 +156,11 @@ func collectTargets(appName, file string, all bool, ranks int, over map[string]f
 		var out []target
 		for _, name := range apps.Names() {
 			spec := apps.Registry()[name]
-			inputs, err := safeDefaults(spec, ranks)
-			if err != nil {
+			if err := spec.CheckRanks(ranks); err != nil {
 				fmt.Fprintf(os.Stderr, "mpicheck: skipping %s: %v\n", name, err)
 				continue
 			}
-			out = append(out, target{spec.Build(), cliutil.MergeInputs(inputs, over)})
+			out = append(out, target{spec.Build(), cliutil.MergeInputs(spec.Default(ranks), over)})
 		}
 		return out, 0
 	case file != "":
@@ -182,24 +181,14 @@ func collectTargets(appName, file string, all bool, ranks int, over map[string]f
 		if !ok {
 			return nil, usage("unknown app %q (have %s)", appName, strings.Join(apps.Names(), ", "))
 		}
-		inputs, err := safeDefaults(spec, ranks)
-		if err != nil {
-			return nil, usage("%s: %v", appName, err)
+		if err := spec.CheckRanks(ranks); err != nil {
+			// An input problem, not a misuse of the flags: no flag help.
+			fmt.Fprintf(os.Stderr, "mpicheck: %s: %v\n", appName, err)
+			return nil, 2
 		}
-		return []target{{spec.Build(), cliutil.MergeInputs(inputs, over)}}, 0
+		return []target{{spec.Build(), cliutil.MergeInputs(spec.Default(ranks), over)}}, 0
 	}
 	return nil, usage("one of -app, -file, -all is required")
-}
-
-// safeDefaults converts an app's rank-count panic (e.g. NAS SP on a
-// non-square count) into a usage error.
-func safeDefaults(spec apps.Spec, ranks int) (inputs map[string]float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	return spec.Default(ranks), nil
 }
 
 // usage prints a message plus flag help and returns exit code 2.

@@ -82,6 +82,7 @@ func goldenCases() []goldenCase {
 	add("err_xranks", "-app sample -xranks 8")
 	add("err_netjson_topology", "-app sample -netjson examples/networks/ring8.json -topology bus")
 	add("err_ranks", "-app sample -ranks 0")
+	add("err_nassp_ranks", "-app nassp -ranks 8")
 
 	add("tracein_ring", "-tracein "+ringTrace+" -runjson $OUT/run.json")
 	add("tracein_fanin", "-tracein "+faninTrace+" -runjson $OUT/run.json")

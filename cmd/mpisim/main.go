@@ -111,7 +111,7 @@ func run() error {
 		traceFile = flag.String("tracefile", "", "write a structured trace of the run to this file (implies trace collection)")
 		traceFmt  = flag.String("traceformat", "chrome", "trace file format: chrome (trace_event JSON for Perfetto) or jsonl")
 		runJSON   = flag.String("runjson", "", "write the run artifact as JSON (input for mpireport)")
-		progress  = flag.Bool("progress", false, "print a progress/ETA line to stderr every 2s while the run executes")
+		progress  = flag.Bool("progress", false, "print a progress line to stderr every 2s while the run executes (percent and ETA against -budget or -timebudget when set)")
 		obsHTTP   = flag.String("obshttp", "", "serve live telemetry over HTTP on this address (endpoints: / /text /series /run /events /healthz)")
 		profile   = flag.String("profile", "", "write a virtual-time pprof profile of the predicted run (gzip profile.proto; view with go tool pprof)")
 		profFold  = flag.String("profilefolded", "", "write the virtual-time profile as folded stacks (flamegraph.pl input)")

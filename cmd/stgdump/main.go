@@ -98,6 +98,9 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("unknown app %q (have %s)", *appName, strings.Join(names, ", "))
 		}
+		if err := spec.CheckRanks(*ranks); err != nil {
+			return err
+		}
 		prog = spec.Build()
 		defaults = spec.Default(*ranks)
 	}

@@ -31,8 +31,19 @@ type Spec struct {
 	Name    string
 	Build   func() *ir.Program
 	Default func(ranks int) map[string]float64
+	// RankRule refuses a rank count the program cannot run on, which
+	// Default must not be called with; nil accepts every count.
+	RankRule func(ranks int) error
 	// Describe explains the input parameters.
 	Describe string
+}
+
+// CheckRanks applies the spec's rank rule.
+func (s Spec) CheckRanks(ranks int) error {
+	if s.RankRule == nil {
+		return nil
+	}
+	return s.RankRule(ranks)
 }
 
 // Registry returns all applications keyed by name.
@@ -59,6 +70,12 @@ func Registry() map[string]Spec {
 			Default: func(ranks int) map[string]float64 {
 				q := SquareSide(ranks)
 				return NASSPInputs(32, 2, q)
+			},
+			RankRule: func(ranks int) error {
+				if _, ok := squareSide(ranks); !ok {
+					return fmt.Errorf("NAS SP needs a square rank count (P = Q*Q), got %d", ranks)
+				}
+				return nil
 			},
 			Describe: "NX (grid side), STEPS, Q (proc grid side, P=Q*Q)",
 		},
@@ -99,12 +116,20 @@ func ProcGrid(ranks int) (npx, npy int) {
 // SquareSide returns the integer square root of ranks, panicking unless
 // ranks is a perfect square (NAS SP requires square process grids).
 func SquareSide(ranks int) int {
+	q, ok := squareSide(ranks)
+	if !ok {
+		panic(fmt.Sprintf("apps: NAS SP needs a square rank count, got %d", ranks))
+	}
+	return q
+}
+
+func squareSide(ranks int) (int, bool) {
 	for q := 1; q*q <= ranks; q++ {
 		if q*q == ranks {
-			return q
+			return q, true
 		}
 	}
-	panic(fmt.Sprintf("apps: NAS SP needs a square rank count, got %d", ranks))
+	return 0, false
 }
 
 // Shared IR shorthand used by the program definitions.

@@ -134,9 +134,8 @@ type Runner struct {
 	Timeline *obs.Timeline
 	// RunInfo, when non-nil, is kept current with the run lifecycle
 	// (calibrating/running/done/aborted), progress heartbeats, and the
-	// horizon the percent/ETA estimates divide by: the statically known
-	// virtual-time end when EstimateHorizon was consulted, else the
-	// MaxVirtualTime / MaxEvents budgets.
+	// horizon the percent/ETA estimates divide by: the MaxVirtualTime /
+	// MaxEvents budgets.
 	RunInfo *obs.RunInfo
 	// LastCalibration is the collector of the most recent Calibrate call,
 	// kept so callers can inspect per-coefficient fit quality
@@ -424,34 +423,6 @@ func (r *Runner) runMode(mode Mode, cfg interp.Config) (*mpi.Report, error) {
 		return interp.Run(r.Compiled.Simplified, cfg)
 	}
 	return nil, fmt.Errorf("core: unknown mode %d", mode)
-}
-
-// EstimateHorizon predicts the run's virtual-time end from the
-// simplified program under the abstract communication model — no
-// event-level simulation, so it costs a fraction of any real mode. It
-// requires a task-time table (Calibrate or EstimateTaskTimes). When a
-// RunInfo is attached, the estimate is stored as its virtual-time
-// horizon so progress and ETA divide by the statically known end
-// instead of a budget.
-func (r *Runner) EstimateHorizon(ranks int, inputs map[string]float64) (float64, error) {
-	if r.TaskTimes == nil {
-		return 0, fmt.Errorf("core: EstimateHorizon requires task times (Calibrate or EstimateTaskTimes)")
-	}
-	pt, err := r.classes(ranks, inputs)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := interp.RunClasses(r.Compiled.Simplified, interp.Config{
-		Config: mpi.Config{Ranks: ranks, Machine: r.Machine, Comm: mpi.AbstractComm, TaskTimes: r.TaskTimes},
-		Inputs: inputs,
-	}, pt.rep)
-	if err != nil {
-		return 0, err
-	}
-	if r.RunInfo != nil && rep.Time > 0 {
-		r.RunInfo.SetHorizon(rep.Time, 0)
-	}
-	return rep.Time, nil
 }
 
 // EstimateTaskTimes sets the w_i table from a purely static compiler

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"mpisim/internal/machine"
 	"mpisim/internal/mpi"
 	"mpisim/internal/obs"
+	"mpisim/internal/trace"
 )
 
 func tomcatvRunner(t *testing.T) *Runner {
@@ -368,32 +371,35 @@ func TestRunInfoLifecycle(t *testing.T) {
 	}
 }
 
-// TestEstimateHorizon checks the abstract pre-run stores a positive
-// virtual-time horizon that the real run then completes against.
-func TestEstimateHorizon(t *testing.T) {
-	r := tomcatvRunner(t)
-	inputs := apps.TomcatvInputs(64, 1)
-	tt, err := r.Calibrate(4, inputs)
-	if err != nil {
-		t.Fatal(err)
+// TestArtifactIndependentOfRunInfo: a prediction's artifact is a
+// function of its spec. An AM run stopped by its event budget writes the
+// same bytes whether or not a RunInfo watches it, and its progress is
+// the budget it consumed.
+func TestArtifactIndependentOfRunInfo(t *testing.T) {
+	spec := &RunSpec{App: "sweep3d", Mode: "am", Ranks: 256, Limits: &SpecLimits{MaxEvents: 2000}}
+	spec.Normalize()
+	var arts [2][]byte
+	for i, ri := range []*obs.RunInfo{nil, obs.NewRunInfo()} {
+		plan, err := Prepare(spec, mpi.Config{RunInfo: ri}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := plan.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Abort == nil || !out.Report.Partial {
+			t.Fatalf("run %d was not stopped by its budget", i)
+		}
+		if want := float64(out.Report.Kernel.Events) / 2000; out.Artifact.Progress != min(want, 1) {
+			t.Errorf("run %d: progress %g, want %g", i, out.Artifact.Progress, want)
+		}
+		if arts[i], err = trace.EncodeArtifact(out.Artifact); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r.TaskTimes = tt
-	r.RunInfo = obs.NewRunInfo()
-	h, err := r.EstimateHorizon(4, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h <= 0 {
-		t.Fatalf("horizon %g, want > 0", h)
-	}
-	if st := r.RunInfo.Status(); st.HorizonVirtual != h {
-		t.Fatalf("stored horizon %g, want %g", st.HorizonVirtual, h)
-	}
-	if _, err := r.Run(Abstract, 4, inputs); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.RunInfo.Status(); st.State != obs.RunDone || st.Percent != 1 {
-		t.Fatalf("after run: %+v", st)
+	if !bytes.Equal(arts[0], arts[1]) {
+		t.Errorf("artifacts differ with a RunInfo attached:\n%s\nwithout:\n%s", arts[1], arts[0])
 	}
 }
 

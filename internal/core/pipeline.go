@@ -76,9 +76,8 @@ type Plan struct {
 // cache), merge the spec's inputs over the app defaults, resolve the
 // machine with its topology and placement, for MPI-SIM-AM without a
 // supplied table verify and calibrate at the calibration configuration
-// (through cache), verify at the run configuration, and — when a RunInfo
-// is attached and a w_i table exists — fix the progress horizon from a
-// fast abstract pre-run. A refused configuration is a *CheckError.
+// (through cache), and verify at the run configuration. A refused
+// configuration is a *CheckError.
 //
 // For a trace: refuse it on more than one host worker if it receives
 // from any source (*WildcardError), extrapolate it to spec.TraceRanks
@@ -181,11 +180,6 @@ func Prepare(spec *RunSpec, host mpi.Config, cache Cache, tr *tracein.Trace) (*P
 	r.Metrics, r.Tracer, r.Timeline = host.Metrics, host.Tracer, host.Timeline
 	r.Faults = spec.Faults
 	r.MaxEvents, r.MaxVirtualTime, r.StallEvents = p.limits.MaxEvents, p.limits.MaxVirtualTime, p.limits.StallEvents
-	if r.RunInfo != nil && r.TaskTimes != nil {
-		// Best-effort: without the estimate, progress and ETA divide by
-		// the budgets instead of the statically predicted end.
-		_, _ = r.EstimateHorizon(p.Ranks, p.Inputs)
-	}
 	return p, nil
 }
 
@@ -306,12 +300,9 @@ func (p *Plan) Run(ctx context.Context) (*Outcome, error) {
 		}
 	}
 	if rep.Partial {
-		// How much of the run the truncated prediction covers: the live
-		// tracker's last snapshot when it has one, else the consumed
-		// fraction of whichever budget is set.
-		switch ri := p.host.RunInfo; {
-		case ri != nil && ri.Status().Percent > 0:
-			art.Progress = ri.Status().Percent
+		// How much of the run the truncated prediction covers: the
+		// consumed fraction of whichever budget is set.
+		switch {
 		case p.limits.MaxVirtualTime > 0:
 			art.Progress = rep.Time / p.limits.MaxVirtualTime
 		case p.limits.MaxEvents > 0:
@@ -336,9 +327,8 @@ func wallCtx(base context.Context, d time.Duration) (context.Context, context.Ca
 }
 
 // trackRun keeps ri (nil = untracked) current across one simulation:
-// the budgets become the progress horizon unless a static estimate
-// already set one, the state goes running, and the result finishes it
-// done or aborted.
+// the budgets become the progress horizon, the state goes running, and
+// the result finishes it done or aborted.
 func trackRun(ri *obs.RunInfo, lim sim.Limits, run func() (*mpi.Report, error)) (*mpi.Report, error) {
 	if ri == nil {
 		return run()

@@ -214,8 +214,9 @@ func (s *RunSpec) ValidateWith(hdr *tracein.Header, maxRanks int) error {
 		case s.App != "" && s.Program != "":
 			return fmt.Errorf("\"app\" and \"program\" are mutually exclusive")
 		}
+		app, known := apps.Registry()[s.App]
 		if s.App != "" {
-			if _, ok := apps.Registry()[s.App]; !ok {
+			if !known {
 				return fmt.Errorf("unknown app %q (have %s)", s.App, strings.Join(apps.Names(), ", "))
 			}
 		} else if _, err := parseProgram(s.Program); err != nil {
@@ -228,6 +229,14 @@ func (s *RunSpec) ValidateWith(hdr *tracein.Header, maxRanks int) error {
 		}
 		if s.Ranks < 1 {
 			return fmt.Errorf("ranks must be >= 1 (got %d)", s.Ranks)
+		}
+		if err := app.CheckRanks(s.Ranks); err != nil {
+			return err
+		}
+		if cal := s.effectiveCalRanks(); s.Mode == "am" && s.TaskTimes == nil && cal != s.Ranks {
+			if err := app.CheckRanks(cal); err != nil {
+				return fmt.Errorf("calibration at %d ranks: %w", cal, err)
+			}
 		}
 	}
 	if maxRanks > 0 && effRanks > maxRanks {
@@ -362,9 +371,7 @@ func (s *RunSpec) program() (*ir.Program, error) {
 }
 
 // inputsAt merges the spec's inputs over the app's defaults at a rank
-// count. App default-input builders may panic on unsupported rank counts
-// (e.g. NAS SP on a non-square grid); the daemon's per-job panic guard
-// turns that into a failed job rather than a dead daemon.
+// count, one ValidateWith has checked against the app's rank rule.
 func (s *RunSpec) inputsAt(ranks int) map[string]float64 {
 	inputs := map[string]float64{}
 	if s.App != "" {

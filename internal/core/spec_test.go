@@ -127,3 +127,26 @@ func TestCorpusWithinParseBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestRankRule: a spec whose app cannot run on its rank count, or cannot
+// be calibrated on its calibration rank count, is refused in words by
+// Validate instead of reaching the app's input builder.
+func TestRankRule(t *testing.T) {
+	for _, c := range []struct {
+		spec RunSpec
+		want string // "" accepted
+	}{
+		{RunSpec{App: "nassp", Mode: "measured", Ranks: 8}, "NAS SP needs a square rank count (P = Q*Q), got 8"},
+		{RunSpec{App: "nassp", Mode: "am", Ranks: 64, CalRanks: 8}, "calibration at 8 ranks: NAS SP needs a square rank count (P = Q*Q), got 8"},
+		{RunSpec{App: "nassp", Mode: "am", Ranks: 64}, ""},
+		{RunSpec{App: "nassp", Mode: "de", Ranks: 64, CalRanks: 8}, ""},
+		{RunSpec{App: "nassp", Mode: "am", Ranks: 64, CalRanks: 8, TaskTimes: map[string]float64{"w_1": 1e-8}}, ""},
+		{RunSpec{App: "sweep3d", Mode: "am", Ranks: 8}, ""},
+	} {
+		c.spec.Normalize()
+		err := c.spec.Validate(0)
+		if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+			t.Errorf("%+v: Validate = %v, want %q", c.spec, err, c.want)
+		}
+	}
+}

@@ -1104,6 +1104,9 @@ func (cp *compiled) rowable(top, next int) (rowLoop, bool) {
 			readers[*r]++
 		}
 	}
+	if cp.doomed(cp.code[top:next], rl.slot) {
+		return rl, false
+	}
 	fold := func(in *instr) bool {
 		op := ir.Op(in.d)
 		return (in.op == opAdd || in.op == opAddLoad || in.op == opApply && (op == ir.OpMax || op == ir.OpMin)) &&
@@ -1207,6 +1210,65 @@ func (cp *compiled) rowable(top, next int) (rowLoop, bool) {
 		}
 	}
 	return rl, true
+}
+
+// doomed reports whether the loop body code stores an array and reads it
+// in the same column where the store's subscript, shifted along the loop
+// by fewer than rowMin trips, points (a min or max with an invariant read
+// as its first operand): proof would refuse the first strip, and with it
+// the loop. A register read before the trip writes it is taken for an
+// invariant, in a body rowable refuses anyway.
+func (cp *compiled) doomed(code []instr, slot int32) bool {
+	type lin struct { // a·slot + reg + c, reg an invariant register (-1: none); a NaN: unknown
+		a, c float64
+		reg  int32
+	}
+	type ref struct {
+		sub, col lin // col: the second subscript (register 0 for one dimension)
+		arr      int32
+		store    bool
+	}
+	form, addrs, refs := map[int32]lin{slot: {a: 1, reg: -1}}, map[int32]ref{}, []ref(nil)
+	at := func(r int32) lin {
+		if f, ok := form[r]; ok {
+			return f
+		} else if k := int(r) - len(cp.names); k >= 0 && r < cp.tempBase {
+			return lin{c: cp.constVals[k], reg: -1}
+		}
+		return lin{reg: r}
+	}
+	for _, in := range code {
+		w, _, addr, arr, _ := rowOperands(&in)
+		x, y, op := at(in.b), at(in.c), ir.Op(in.d)
+		if addr != nil && arr >= 0 {
+			r := addrs[*addr]
+			r.arr, r.store = arr, in.op == opStore
+			refs = append(refs, r)
+		} else if addr != nil {
+			addrs[in.a] = ref{sub: y, col: at(in.d)}
+		}
+		if w == nil {
+			continue
+		}
+		switch form[*w] = (lin{a: math.NaN()}); {
+		case in.op == opAdd && min(x.reg, y.reg) < 0:
+			form[*w] = lin{x.a + y.a, x.c + y.c, max(x.reg, y.reg)}
+		case in.op == opSub && y.reg < 0:
+			form[*w] = lin{x.a - y.a, x.c - y.c, x.reg}
+		case in.op == opApply && (op == ir.OpMin || op == ir.OpMax) && y.a == 0:
+			form[*w] = x
+		}
+	}
+	for _, s := range refs {
+		for _, r := range refs {
+			shift := (r.sub.c - s.sub.c) / s.sub.a
+			if s.store && r.arr == s.arr && r.col == s.col && s.col.a == 0 && r.sub.a == s.sub.a && r.sub.reg == s.sub.reg &&
+				shift != 0 && shift == math.Trunc(shift) && math.Abs(shift) < rowMin {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rowOperands returns pointers to the register an instruction the row

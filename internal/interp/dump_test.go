@@ -139,32 +139,33 @@ func examplePrograms(t *testing.T) map[string]*ir.Program {
 }
 
 // rowsRun reports, for each innermost loop of the code in program order,
-// whether a frame ran trips of it by row.
-func rowsRun(cp *compiled, frames []*frame) (ran []bool) {
+// whether a frame ran trips of it by row, and whether it has an opRow.
+func rowsRun(cp *compiled, frames []*frame) (ran, entered []bool) {
 	for pc, in := range cp.code {
 		if in.op != opForNext || slices.ContainsFunc(cp.code[in.c:pc], func(b instr) bool { return b.op == opForInit }) {
 			continue
 		}
 		row := cp.code[in.c-1]
+		entered = append(entered, row.op == opRow)
 		ran = append(ran, row.op == opRow && slices.ContainsFunc(frames, func(f *frame) bool {
 			return f != nil && f.rowTrips != nil && f.rowTrips[row.a] > 0
 		}))
 	}
-	return ran
+	return ran, entered
 }
 
 // TestRowLoops pins which innermost loops of the apps and the example
 // programs run by row in direct execution at 16 ranks (the apps' default
 // inputs, the examples' N=512, STEPS=4), named by the nearest labelled
-// loop around them. Tomcatv's forward elimination divides by an element
-// and gets no opRow; its backward substitution gets one, and every strip
-// fails the alias proof (RX(i) is written where the trip before read
-// RX(i+1)). Sweep3D's cell branches; its inflow loops get an opRow and
-// run 4 trips, below rowMin. NAS SP's loops address 3-D arrays, which the
-// row path leaves to the per-trip code. Ring's accumulation runs 32
-// trips. SAMPLE's work loop runs by row where its default, wavefront,
-// pattern runs it; the nearest-neighbour pattern's copy gets an opRow
-// too.
+// loop around them, and which get an opRow. Tomcatv's forward
+// elimination divides by an element and gets no opRow; nor does its
+// backward substitution, which writes RX(i) where the trip before read
+// RX(min(i+1,N)), so the alias proof would fail every strip. Sweep3D's
+// cell branches; its inflow loops get an opRow and run 4 trips, below
+// rowMin. NAS SP's loops address 3-D arrays, which the row path leaves to
+// the per-trip code. Ring's accumulation gets an opRow and runs 32 trips.
+// SAMPLE's work loop runs by row where its default, wavefront, pattern
+// runs it; the nearest-neighbour pattern's copy gets an opRow too.
 func TestRowLoops(t *testing.T) {
 	progs := examplePrograms(t)
 	inputs := map[string]map[string]float64{}
@@ -184,6 +185,14 @@ func TestRowLoops(t *testing.T) {
 		"sweep3d":   nil,
 		"tomcatv":   {"init", "residual", "rmax", "update"},
 	}
+	wantEntered := map[string][]string{
+		"bcastpipe": {"fill"},
+		"ring":      {"acc"},
+		"sample":    {"work", "work"},
+		"stencil1d": {"smooth"},
+		"sweep3d":   {"inflow-i", "inflow-j"},
+		"tomcatv":   {"init", "residual", "rmax", "update"},
+	}
 	for name, p := range progs {
 		label, innermost := loopLabels(p)
 		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name]}
@@ -191,18 +200,24 @@ func TestRowLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ran := rowsRun(cp, frames)
+		ran, entered := rowsRun(cp, frames)
 		if len(ran) != len(innermost) {
 			t.Fatalf("%s: %d innermost loops in the code, %d in the program", name, len(ran), len(innermost))
 		}
-		var got []string
+		var got, gotEntered []string
 		for i, r := range ran {
 			if r {
 				got = append(got, label[innermost[i]])
 			}
+			if entered[i] {
+				gotEntered = append(gotEntered, label[innermost[i]])
+			}
 		}
 		if !slices.Equal(got, want[name]) {
 			t.Errorf("%s: loops run by row %q, want %q\n%s", name, got, want[name], cp.dump())
+		}
+		if !slices.Equal(gotEntered, wantEntered[name]) {
+			t.Errorf("%s: loops with an opRow %q, want %q\n%s", name, gotEntered, wantEntered[name], cp.dump())
 		}
 	}
 }

@@ -289,8 +289,12 @@ func TestOracleApps(t *testing.T) {
 //   - running a carried loop by row (rowable keeps a register read
 //     before the trip writes it): seed=0/ranks=1, rc, and TestRowShapes;
 //   - skipping the alias check (proof passes every pair):
-//     seed=0/ranks=1 (R3's recurrence along the index), TestRowShapes
-//     and TestRowLoops (Tomcatv's backward runs by row);
+//     seed=0/ranks=1 (R3 read one element behind through a scalar) and
+//     TestRowShapes;
+//   - not refusing a doomed loop its opRow (rowable skips doomed):
+//     TestRowLoops (Tomcatv's backward) and TestRowShapes;
+//   - refusing a shift of rowMin trips or more (doomed drops its rowMin
+//     bound): TestRowShapes (the read 64 elements behind in 64 trips);
 //   - keeping a strip going across a mod wrap (proof cuts no stored row
 //     where it stops being monotone): seed=0/ranks=1, rc (R1 wrapped every
 //     7 trips), and TestRowShapes;
@@ -362,16 +366,20 @@ func FuzzOracleGenerated(f *testing.F) {
 }
 
 // TestRowShapes pins which of the generated row shapes run by row, in
-// irgen's order (rows): the stores, the reductions, the reversed index,
-// the mod wrap, the other columns, the stride of 2, the read one loop's
-// trips behind, the loop at the minimum and the subscript scalar assigned
-// twice do; the recurrence along the
-// reversed index, the reads at -1 and +1, the read that trails by fewer
-// trips than the loop has, the loop one trip short and the element every
-// trip adds to do not, the carried scalar and the division by a scalar
-// get no opRow, and the loop from -0 and the operator mix do.
+// irgen's order (rows), and which get an opRow: the stores, the
+// reductions, the reversed index, the mod wrap, the other columns, the
+// stride of 2, the read one loop's trips behind, the loop at the minimum
+// and the subscript scalar assigned twice do; the read that trails by
+// fewer trips than the loop has, the loop one trip short and the element
+// every trip adds to get an opRow and do not; the recurrence along the
+// reversed index, the reads at -1 and +1 and Tomcatv's backward
+// substitution, whose proof would fail every strip, the carried scalar
+// and the division by a scalar get no opRow; and the loop from -0, the
+// operator mix and the clamped read from another array run by row; the
+// read behind the write through a scalar gets an opRow and does not.
 func TestRowShapes(t *testing.T) {
-	want := []bool{true, true, true, true, true, false, true, false, false, true, true, true, false, false, true, true, false, false, false, true, true}
+	wantEntered := []bool{true, true, true, true, true, false, true, false, false, true, true, true, true, true, true, true, false, true, false, true, true, false, true, true}
+	want := []bool{true, true, true, true, true, false, true, false, false, true, true, true, false, false, true, true, false, false, false, true, true, false, true, false}
 	for seed := int64(0); seed < 3; seed++ {
 		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
 		inputs["STEPS"] = 1 // rank 0 runs the shapes in step 1
@@ -380,8 +388,12 @@ func TestRowShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ran := rowsRun(cp, frames); len(ran) < len(want) || !slices.Equal(ran[len(ran)-len(want):], want) {
+		ran, entered := rowsRun(cp, frames)
+		if len(ran) < len(want) || !slices.Equal(ran[len(ran)-len(want):], want) {
 			t.Errorf("seed %d: the row shapes ran by row %v, want %v\n%s", seed, ran[max(0, len(ran)-len(want)):], want, cp.dump())
+		}
+		if len(entered) < len(wantEntered) || !slices.Equal(entered[len(entered)-len(wantEntered):], wantEntered) {
+			t.Errorf("seed %d: the row shapes with an opRow %v, want %v\n%s", seed, entered[max(0, len(entered)-len(wantEntered)):], wantEntered, cp.dump())
 		}
 		differential(t, fmt.Sprintf("seed=%d/steps=1", seed), prog, cfg, false)
 	}
@@ -426,7 +438,7 @@ func TestRowFaults(t *testing.T) {
 			if _, states, _ := runFlat(p, baseConfig(1)); !reflect.DeepEqual(states, wantStates) {
 				t.Errorf("%s: final state differs from the reference", tc.name)
 			}
-			if ran := rowsRun(cp, frames); !slices.Equal(ran, []bool{true}) {
+			if ran, _ := rowsRun(cp, frames); !slices.Equal(ran, []bool{true}) {
 				t.Errorf("%s: ran by row %v\n%s", tc.name, ran, cp.dump())
 			}
 		}

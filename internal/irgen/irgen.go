@@ -365,7 +365,10 @@ func counting(p *ir.Program) []ir.Stmt {
 // every trip adds to; a division by a scalar; a loop from -0 storing
 // twice its scalar; and a copy of the loop scalar feeding mod of
 // negative dividends, idiv and ceildiv by literals and a comparison as a
-// value, and a min reduction.
+// value, and a min reduction; Tomcatv's backward substitution, a reversed
+// index reading the written array one element on, clamped by min, and
+// the same clamped read from another array; and a read one element
+// behind the write through a scalar, which only the strip's proof sees.
 func rows(p *ir.Program) []ir.Stmt {
 	p.Arrays = append(p.Arrays,
 		&ir.ArrayDecl{Name: "R1", Dims: []ir.Expr{ir.Add(ir.Mul(ir.S("N"), ir.N(2)), ir.N(112))}, Elem: 8},
@@ -417,6 +420,12 @@ func rows(p *ir.Program) []ir.Stmt {
 		loop(n(1), m, ir.SetS("rt", q), ir.SetA("R4", ir.IX(q, n(1)), ir.Mod(ir.Sub(n(20), ir.S("rt")), n(6))),
 			ir.SetA("R4", ir.IX(q, n(2)), ir.AddN(ir.Bin{Op: ir.OpIDiv, L: ir.Sub(ir.S("rt"), n(40)), R: n(3)}, ir.CeilDiv(ir.S("rt"), n(4)), ir.GT(ir.S("rt"), n(50)))),
 			ir.SetS("rn", ir.MinE(ir.S("rn"), ir.Add(ir.At("R4", q, n(2)), r3(q))))),
+		loop(n(1), ir.Sub(m, n(1)), ir.SetS("ri", ir.Sub(m, q)),
+			ir.SetA("R3", ir.IX(i), ir.Sub(r3(i), ir.Mul(r1(i), r3(ir.MinE(ir.Add(i, n(1)), m)))))),
+		loop(n(1), ir.Sub(m, n(1)), ir.SetS("ri", ir.Sub(m, q)),
+			ir.SetA("R3", ir.IX(i), ir.Sub(r3(i), ir.Mul(r1(ir.MinE(ir.Add(i, n(1)), m)), n(0.5))))),
+		ir.SetS("rk", n(1)),
+		loop(n(2), m, ir.SetA("R3", ir.IX(q), ir.Add(r3(ir.Sub(q, ir.S("rk"))), n(1)))),
 	)})
 }
 

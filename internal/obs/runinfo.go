@@ -25,15 +25,14 @@ const (
 )
 
 // RunInfo tracks one run's lifecycle and progress: state, wall-clock
-// start and elapsed time, last-heartbeat vitals, and — when a horizon
-// is known — percent-complete and an ETA. internal/core.Runner updates
+// start and elapsed time, last-heartbeat vitals, and — when the run has
+// a budget — percent-complete and an ETA. internal/core.Runner updates
 // it around compile/calibrate/run; kernel workers heartbeat it from
 // their sample points. All wall-clock reads here are observability-only
 // and never feed virtual time (hence the simvet allows).
 //
-// The horizon comes from whichever bound is known first: the program's
-// statically predicted virtual-time end (core.Runner.EstimateHorizon,
-// analytic mode), or the sim.Limits budget (MaxTime, else MaxEvents).
+// The horizon is the run's sim.Limits budget (MaxTime, else MaxEvents);
+// a run with neither reports percent -1 until it ends.
 type RunInfo struct {
 	mu           sync.Mutex
 	state        RunState
@@ -92,18 +91,12 @@ func (r *RunInfo) State() RunState {
 	return r.state
 }
 
-// SetHorizon records the expected virtual-time end and/or event budget.
-// Zero fields leave the corresponding horizon unchanged, so a budget
-// default never overwrites a static estimate.
+// SetHorizon records the run's virtual-time and event budgets (0 =
+// none).
 func (r *RunInfo) SetHorizon(virtual float64, events int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if virtual > 0 {
-		r.horizonVirt = virtual
-	}
-	if events > 0 {
-		r.horizonEvts = events
-	}
+	r.horizonVirt, r.horizonEvts = virtual, events
 }
 
 // Heartbeat records the latest vitals and stamps the watchdog

@@ -75,16 +75,6 @@ func TestRunInfoNoHorizonMeansUnknown(t *testing.T) {
 	}
 }
 
-func TestRunInfoZeroHorizonFieldsDoNotOverwrite(t *testing.T) {
-	ri := NewRunInfo()
-	ri.SetHorizon(7, 0)
-	ri.SetHorizon(0, 500)
-	st := ri.Status()
-	if st.HorizonVirtual != 7 || st.HorizonEvents != 500 {
-		t.Fatalf("horizons %g/%d, want 7/500", st.HorizonVirtual, st.HorizonEvents)
-	}
-}
-
 func TestRunInfoAbort(t *testing.T) {
 	ri := NewRunInfo()
 	ri.SetState(RunRunning)

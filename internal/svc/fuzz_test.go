@@ -25,6 +25,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"app":"sample","ranks":4,"topology":"graph:/etc/passwd"}`))
 	f.Add([]byte(`{"app":"sample","ranks":4,"limits":{"max_events":-1}}`))
 	f.Add([]byte(`{"faults":{"seed":1}}`))
+	f.Add([]byte(`{"app":"nassp","mode":"am","ranks":8,"cal_ranks":4}`)) // not a square
 	f.Add([]byte(`{"trace":"{\"mpisim_trace\":1,\"ranks\":2,\"machine\":\"ibmsp\"}\n{\"r\":0,\"op\":\"barrier\"}\n{\"r\":1,\"op\":\"barrier\"}\n"}`))
 	f.Add([]byte(`{"trace":"{\"mpisim_trace\":1,\"ranks\":2}\n","trace_ranks":8}`))
 	f.Add([]byte(`{"trace":"{\"mpisim_trace\":1,\"ranks\":999999999}\n"}`)) // allocation bomb
@@ -76,6 +77,8 @@ func TestSubmitMalformedIs400(t *testing.T) {
 		{"server-side file topology", `{"app":"sample","ranks":4,"topology":"graph:/etc/passwd"}`},
 		{"negative budget", `{"app":"sample","ranks":4,"limits":{"max_events":-5}}`},
 		{"bad program", `{"program":"{{{{","ranks":2}`},
+		{"nassp on a non-square rank count", `{"app":"nassp","mode":"measured","ranks":3}`},
+		{"nassp calibrated on a non-square rank count", `{"app":"nassp","mode":"am","ranks":64,"cal_ranks":8}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))

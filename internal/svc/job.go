@@ -212,9 +212,9 @@ func (j *job) stateIs() JobState {
 
 // execute runs one job start to finish on a worker goroutine:
 // core.Prepare under the `compiling` state, Plan.Run under `running`.
-// Any panic — an app rejecting the rank count, the compiler, the
-// simulator — is confined to this job: the deferred guard journals a
-// failed record and the worker moves on.
+// Any panic — the compiler, the simulator, an app's inputs for a journaled
+// spec its rank rule now refuses — is confined to this job: the deferred
+// guard journals a failed record and the worker moves on.
 func (s *Server) execute(j *job) {
 	defer func() {
 		if v := recover(); v != nil {

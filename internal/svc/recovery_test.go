@@ -52,10 +52,8 @@ func TestCachedVsFresh(t *testing.T) {
 		{"de inline program", `"program":` + string(inline) + `,"mode":"de","ranks":8,"inputs":{"N":32,"STEPS":2}`, "", JobDone, true},
 		{"am torus", `"app":"sweep3d","mode":"am","ranks":16,"topology":"torus:dims=4x4"`, "", JobDone, true},
 		{"torus + faults", `"app":"sweep3d","mode":"am","ranks":16,"topology":"torus:dims=4x4","placement":"roundrobin","faults":` + loss, "", JobDone, true},
-		// Not AM: with a static horizon the daemon's tracker would report
-		// progress against the estimate, the CLI (no tracker) against the
-		// budget. Without one both are events/budget.
 		{"event-budget abort", `"app":"sweep3d","mode":"de","ranks":8`, `"max_events":200`, JobAborted, false},
+		{"am event-budget abort", `"app":"sweep3d","mode":"am","ranks":256`, `"max_events":2000`, JobAborted, false},
 		{"trace replay", strings.Trim(traceSpec(t, ringTraceJSONL(t, 8), 0), "{}"), "", JobDone, true},
 		{"trace extrapolated x4", strings.Trim(traceSpec(t, ringTraceJSONL(t, 8), 32), "{}"), "", JobDone, true},
 	}

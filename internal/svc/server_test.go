@@ -322,19 +322,27 @@ func TestCancelStopsAComputingJob(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation submits a job whose spec materialization genuinely
-// panics (NAS SP on a non-square rank count) and verifies the poisoned
-// job becomes a failed record while the daemon keeps serving.
+// TestPanicIsolation recovers a journaled job whose spec materialization
+// genuinely panics (NAS SP on a non-square rank count, which admission
+// refuses but a journal written before the rank rule may hold) and
+// verifies the poisoned job becomes a failed record while the daemon
+// keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	srv := newTestServer(t, Options{Concurrency: 1})
+	dir := t.TempDir()
+	jr, err := OpenJournal(dir, 1, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &JobSpec{App: "nassp", Mode: "measured", Ranks: 3}
+	if err := jr.Append(&Record{ID: "j1", State: JobPending, Spec: spec, SpecHash: spec.Hash()}); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	srv := newTestServer(t, Options{Dir: dir, Concurrency: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	id, code, body := submit(t, ts, `{"app":"nassp","mode":"measured","ranks":3}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", code, body)
-	}
-	v := pollUntil(t, ts, id, terminal, 30*time.Second)
+	v := pollUntil(t, ts, "j1", terminal, 30*time.Second)
 	if v.State != JobFailed {
 		t.Fatalf("poisoned job ended %s, want failed", v.State)
 	}

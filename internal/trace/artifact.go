@@ -32,11 +32,10 @@ type Artifact struct {
 	// truncated prediction from a completed one.
 	Partial     bool   `json:"partial,omitempty"`
 	AbortReason string `json:"abort_reason,omitempty"`
-	// Progress is the last-snapshot fraction of the run completed when
-	// the artifact was written (obs.RunInfo percent, or a budget ratio),
-	// in [0,1]; 0 when unknown. Meaningful mainly for partial runs,
-	// where it quantifies how much execution the truncated prediction
-	// covers.
+	// Progress is the fraction of its budget (virtual time, else events)
+	// a partial run consumed, in [0,1]: how much execution the truncated
+	// prediction covers. It is 0 for a complete run and for a partial one
+	// with neither budget.
 	Progress float64 `json:"progress,omitempty"`
 	// TaskLines / TaskHeads anchor condensed-task names (w_i) to the
 	// original program's canonical listing, from compiler.TaskLines.
@@ -88,8 +87,8 @@ func WriteArtifact(path string, a *Artifact) error {
 }
 
 // PartialWarning renders the one-line warning mpireport prints for a
-// partial artifact: the (shortened) abort reason plus the last-snapshot
-// progress percentage when the run recorded one. Returns "" for a
+// partial artifact: the (shortened) abort reason plus its progress, the
+// consumed fraction of its budget, when it had one. Returns "" for a
 // complete artifact.
 func PartialWarning(path string, a *Artifact) string {
 	if !a.Partial {

@@ -70,7 +70,8 @@
 #      journaled); in between, while the daemon is up, front-door
 #      identity: the same sweep3d AM spec through mpisim -runjson and
 #      through simdctl submit must yield byte-identical artifacts (both
-#      doors are translations onto core.Prepare/Plan.Run)
+#      doors are translations onto core.Prepare/Plan.Run), for a complete
+#      run and for one its event budget stops
 #  14. fault determinism gate: same fault seed -> byte-identical report,
 #      across host worker counts
 #  15. fuzz smoke: 10s of randomized fault schedules against the kernel
@@ -502,6 +503,22 @@ djob=$("$bin/simdctl" -addr "$simaddr" submit '{"app":"sweep3d","mode":"am","ran
 "$bin/simdctl" -addr "$simaddr" artifact "$djob" >"$bin/door_svc.json"
 cmp "$bin/door_cli.json" "$bin/door_svc.json"
 echo "front-door identity: $(wc -c <"$bin/door_cli.json") artifact bytes identical through mpisim and mpisimd"
+# A partial run too: an event budget stops it, both doors write the
+# truncated artifact, and its progress is the budget it consumed, not
+# what a watcher saw (the daemon attaches a run tracker, mpisim does not).
+if "$bin/mpisim" -app sweep3d -mode am -ranks 1024 -budget 2000 -runjson "$bin/door_cli_partial.json" >/dev/null 2>&1; then
+    echo "front-door identity: the budgeted run was not stopped" >&2; exit 1
+fi
+pjob=$("$bin/simdctl" -addr "$simaddr" submit '{"app":"sweep3d","mode":"am","ranks":1024,"limits":{"max_events":2000}}' |
+    sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -n 1)
+[ -n "$pjob" ] || { echo "front-door identity: partial submit returned no job id" >&2; exit 1; }
+if "$bin/simdctl" -addr "$simaddr" wait "$pjob" >/dev/null 2>&1; then
+    echo "front-door identity: the budgeted job was not aborted" >&2; exit 1
+fi
+"$bin/simdctl" -addr "$simaddr" artifact "$pjob" >"$bin/door_svc_partial.json"
+grep -q '"partial": true' "$bin/door_svc_partial.json"
+cmp "$bin/door_cli_partial.json" "$bin/door_svc_partial.json"
+echo "front-door identity: partial run's $(wc -c <"$bin/door_cli_partial.json") artifact bytes identical through mpisim and mpisimd"
 
 echo "== daemon drain"
 # Graceful drain: SIGTERM with a long job still running must cancel it,
