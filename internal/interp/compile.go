@@ -47,7 +47,7 @@ const (
 	opBrZ     // charge d; if a == 0: pc = c
 	opBrProf  // opBrZ that also counts the outcome under branch ordinal b
 	opCount   // charge and skip the loop counts[a] the opForInit behind opens, when its subscripts are proven in range
-	opRow     // run the loop rows[a] by strips of trips, as far as each strip's proof holds; the body follows
+	opRow     // run the loop rows[a] by strips of trips: an innermost loop as far as each strip's proof holds, a nest wholly once its entry proof holds; the body follows
 	opForInit // charge e; counter a, limit a+1 = b, c; enter the loop closed by the opForNext at d, or skip it
 	opForNext // charge d; counter a += 1; while <= limit a+1: scalar b = counter, charge e, pc = c
 	opCharge  // charge a
@@ -148,8 +148,8 @@ type compiled struct {
 	arrays    []compiledArray
 	arrayIdx  map[string]int32
 	comms     []commOp
-	counts    []*ir.For // by opCount: loops whose bodies compute nothing observed
-	rows      []rowLoop // by opRow: loops whose bodies can run a strip of trips at a time
+	counts    []countLoop // by opCount: loops whose bodies compute nothing observed
+	rows      []rowLoop   // by opRow: loops whose bodies can run a strip of trips at a time
 	fns       []func(float64) float64
 	ifs       []*ir.If // by branch ordinal, when profiling
 	maxSec    int      // most dimensions of any communicated section
@@ -499,9 +499,10 @@ func (cp *compiled) stored(ai, addr, reg int32) {
 // is entered, after the test that skips a loop of no iteration, and so do
 // the subscripts of hoist: numbered into registers below the body's
 // temporaries, they hold at the top of every iteration. A count record
-// (>= 0) puts an opCount in front of the loop, and a body rowable takes
-// gets an opRow in front of it, behind the entry code.
-func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, count int32, body func()) {
+// (>= 0) puts an opCount in front of the loop, and a body rowable takes,
+// or a nest of entry proof bx (non-nil) stripable takes, gets an opRow in
+// front of it, behind the entry code.
+func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt, hoist []ir.Expr, count int32, bx *box, body func()) {
 	mark := cp.tsp
 	l, h := cp.intReg(lo), cp.intReg(hi)
 	cp.live = known{} // the body is entered from above and from below
@@ -520,13 +521,16 @@ func (cp *compiled) loop(slot int32, lo, hi ir.Expr, charge int32, pre []ir.Stmt
 	body()
 	cp.code[init].d = cp.here()
 	next := cp.emit(opForNext, ctr, slot, top, cp.takePending(), charge)
-	if rl, ok := cp.rowable(int(top), next); ok {
-		// The body is straight-line code, so no pc inside it is a target.
-		cp.code = slices.Insert(cp.code, int(top), instr{op: opRow, a: int32(len(cp.rows))})
+	rl, ok := rowLoop{}, false
+	if bx != nil {
+		rl, ok = cp.stripable(int(top), next, bx)
+	} else {
+		rl, ok = cp.rowable(int(top), next)
+	}
+	if ok {
+		cp.insertRow(init, int(top), int32(len(cp.rows)))
 		rl.index, rl.next = int32(len(cp.rows)), int32(next+1)
 		cp.rows = append(cp.rows, rl)
-		cp.code[init].d++
-		cp.code[next+1].c++
 	}
 	cp.live = known{}
 }
@@ -725,9 +729,13 @@ func (cp *compiled) stmt(s ir.Stmt) {
 			a, ok := s.(*ir.Assign)
 			return !ok || cp.observed[a.LHS.Name]
 		}) {
-			count, cp.counts = int32(len(cp.counts)), append(cp.counts, x)
+			count, cp.counts = int32(len(cp.counts)), append(cp.counts, cp.countOf(x))
 		}
-		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, hoist, count, func() { cp.block(body) })
+		var bx *box
+		if cp.tempBase > 0 { // the sizing run numbers no constant yet
+			bx = cp.boxOf(x)
+		}
+		cp.loop(cp.slot(x.Var), x.Lo, x.Hi, 1, pre, hoist, count, bx, func() { cp.block(body) })
 
 	case *ir.If:
 		cp.pending += int32(1 + ir.OpCount(x.Cond))
@@ -1036,7 +1044,7 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 		slot, total, saved := cp.slot(x.Index), cp.temp(), cp.temp()
 		cp.emit(opMov, saved, slot)
 		cp.emit(opMov, total, cp.constant(0))
-		cp.loop(slot, x.Lo, x.Hi, 0, nil, nil, -1, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
+		cp.loop(slot, x.Lo, x.Hi, 0, nil, nil, -1, nil, func() { cp.emit(opAdd, total, total, cp.expr(x.Body, -1)) })
 		cp.emit(opMov, slot, saved)
 		cp.tsp = mark
 		if dst < 0 {
@@ -1054,16 +1062,18 @@ func (cp *compiled) expr(e ir.Expr, dst int32) int32 {
 	return leaf
 }
 
-// rowLoop is an innermost loop whose body the row path can run one
-// instruction over a strip of trips at a time (opRow). Its body is
-// straight-line code that cannot fault but for a subscript out of range:
-// no branch, communication, timer, rounding, array of three dimensions or
-// more, or division by a register other than a nonzero constant. A register it reads is written before,
-// in the same trip, or not at all, or it is a reduction: s = s + e, or
-// max or min, the only instruction to read or write s. Its row code names
-// rows for registers, row 0 the loop scalar's, and offset rows for
-// address registers; a reduction keeps its register (e = 1), folded in
-// trip order.
+// rowLoop is a loop whose body the row path can run one instruction over
+// a strip of trips at a time (opRow): an innermost loop, or a nest (box
+// non-nil, stripable). An innermost loop's body is straight-line code that
+// cannot fault but for a subscript out of range: no branch,
+// communication, timer, rounding, array of four dimensions or more, or
+// division by a register other than a nonzero constant. A register it
+// reads is written before, in the same trip, or not at all, or it is a
+// reduction: s = s + e, or max or min, the only instruction to read or
+// write s. Its row code names rows for registers, row 0 the loop scalar's,
+// and offset rows for address registers; an invariant subscript is read
+// from the register file (^r), and a reduction keeps its register (e = 1),
+// folded in trip order.
 type rowLoop struct {
 	index     int32      // among the row loops
 	ctr, slot int32      // the counter (its limit in ctr+1) and the loop scalar
@@ -1077,6 +1087,47 @@ type rowLoop struct {
 	stored    []int32    // offset rows stored through: strictly monotone over a strip
 	pairs     [][2]int32 // (stored, other) offset rows into one array: one stride over a strip
 	affine    []int32    // the offset rows of the pairs
+	box       *box       // a nest's entry proof
+}
+
+// countLoop is the range proof of a loop opCount may charge in one step:
+// every subscript of its body, the loop scalar interval 0; ok is false
+// when one cannot be bounded.
+type countLoop struct {
+	loop *ir.For
+	subs []boxSub
+	ok   bool
+}
+
+// countOf compiles the range proof of the loop x, whose body is
+// assignments.
+func (cp *compiled) countOf(x *ir.For) countLoop {
+	cl := countLoop{loop: x, ok: true}
+	leaf := func(name string) (ir.Span, bool) {
+		if name == x.Var {
+			return ir.SpanVar(0), true
+		}
+		return ir.SpanReg(cp.slot(name)), true
+	}
+	inRange := func(e ir.Expr) bool {
+		el, isIdx := e.(ir.Idx)
+		if isIdx && cl.ok {
+			for d, s := range el.Index {
+				span, ok := ir.CompileSpan(s, leaf, cp.integral)
+				cl.ok = cl.ok && ok
+				cl.subs = append(cl.subs, boxSub{cp.array(el.Array), int32(d), span})
+			}
+		}
+		return cl.ok && !isIdx
+	}
+	for _, s := range x.Body {
+		a := s.(*ir.Assign)
+		if a.LHS.IsArray() {
+			inRange(ir.Idx{Array: a.LHS.Name, Index: a.LHS.Index})
+		}
+		ir.Inspect(a.RHS, inRange)
+	}
+	return cl
 }
 
 // rowable reports whether the loop whose body is code[top:next] can run
@@ -1091,10 +1142,7 @@ func (cp *compiled) rowable(top, next int) (rowLoop, bool) {
 	for i := range code {
 		in := &code[i]
 		w, reads, _, _, ok := rowOperands(in)
-		k := int(in.c) - len(cp.names) // a constant's index
-		op := ir.Op(in.d)
-		divides := in.op == opDiv || in.op == opApply && (op == ir.OpIDiv || op == ir.OpCeilDiv || op == ir.OpMod)
-		if !ok || divides && (k < 0 || in.c >= cp.tempBase || cp.constVals[k] == 0) {
+		if !ok || in.op == opRound || cp.divides(in) {
 			return rl, false
 		}
 		if w != nil {
@@ -1164,7 +1212,11 @@ func (cp *compiled) rowable(top, next int) (rowLoop, bool) {
 			if writers[*r] > 0 && !defined[*r] {
 				return rl, false // carried from the trip before
 			}
-			row(r)
+			if addr != nil && arr < 0 && writers[*r] == 0 && *r != rl.slot {
+				*r = ^*r // an invariant subscript, read from the register file
+			} else {
+				row(r)
+			}
 		}
 		twice := w != nil && writers[*w] > 1
 		if w != nil {
@@ -1224,9 +1276,9 @@ func (cp *compiled) doomed(code []instr, slot int32) bool {
 		reg  int32
 	}
 	type ref struct {
-		sub, col lin // col: the second subscript (register 0 for one dimension)
-		arr      int32
-		store    bool
+		sub, col, col2 lin // col, col2: the second and third subscripts (register 0 for fewer dimensions)
+		arr            int32
+		store          bool
 	}
 	form, addrs, refs := map[int32]lin{slot: {a: 1, reg: -1}}, map[int32]ref{}, []ref(nil)
 	at := func(r int32) lin {
@@ -1245,7 +1297,14 @@ func (cp *compiled) doomed(code []instr, slot int32) bool {
 			r.arr, r.store = arr, in.op == opStore
 			refs = append(refs, r)
 		} else if addr != nil {
-			addrs[in.a] = ref{sub: y, col: at(in.d)}
+			r := ref{sub: y}
+			if in.op >= opAddr2 {
+				r.col = at(in.d)
+			}
+			if in.op == opAddr3 {
+				r.col2 = at(in.e)
+			}
+			addrs[in.a] = r
 		}
 		if w == nil {
 			continue
@@ -1262,7 +1321,7 @@ func (cp *compiled) doomed(code []instr, slot int32) bool {
 	for _, s := range refs {
 		for _, r := range refs {
 			shift := (r.sub.c - s.sub.c) / s.sub.a
-			if s.store && r.arr == s.arr && r.col == s.col && s.col.a == 0 && r.sub.a == s.sub.a && r.sub.reg == s.sub.reg &&
+			if s.store && r.arr == s.arr && r.col == s.col && r.col2 == s.col2 && s.col.a == 0 && s.col2.a == 0 && r.sub.a == s.sub.a && r.sub.reg == s.sub.reg &&
 				shift != 0 && shift == math.Trunc(shift) && math.Abs(shift) < rowMin {
 				return true
 			}
@@ -1271,13 +1330,21 @@ func (cp *compiled) doomed(code []instr, slot int32) bool {
 	return false
 }
 
+// divides reports whether in divides by anything but a nonzero constant.
+func (cp *compiled) divides(in *instr) bool {
+	k := int(in.c) - len(cp.names) // a constant's index
+	op := ir.Op(in.d)
+	divides := in.op == opDiv || in.op == opApply && (op == ir.OpIDiv || op == ir.OpCeilDiv || op == ir.OpMod)
+	return divides && (k < 0 || in.c >= cp.tempBase || cp.constVals[k] == 0)
+}
+
 // rowOperands returns pointers to the register an instruction the row
 // path runs writes (nil: none) and to those it reads, and to its address
 // register: written when arr < 0, read from array arr otherwise. ok is
 // false for every other instruction.
 func rowOperands(in *instr) (w *int32, reads []*int32, addr *int32, arr int32, ok bool) {
 	switch in.op {
-	case opMov, opCall:
+	case opMov, opCall, opRound:
 		return &in.a, []*int32{&in.b}, nil, -1, true
 	case opAdd, opSub, opMul, opDiv, opApply:
 		return &in.a, []*int32{&in.b, &in.c}, nil, -1, true
@@ -1285,6 +1352,8 @@ func rowOperands(in *instr) (w *int32, reads []*int32, addr *int32, arr int32, o
 		return nil, []*int32{&in.c}, &in.a, -1, true
 	case opAddr2:
 		return nil, []*int32{&in.c, &in.d}, &in.a, -1, true
+	case opAddr3:
+		return nil, []*int32{&in.c, &in.d, &in.e}, &in.a, -1, true
 	case opLoad:
 		return &in.a, nil, &in.c, in.b, true
 	case opAddLoad, opSubLoad:

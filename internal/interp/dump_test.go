@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -86,8 +87,8 @@ func loopPath(t *testing.T, p *ir.Program, cfg Config, pick func(body []instr) b
 func anyLoop([]instr) bool { return true }
 
 // loopLabels names every loop of p by the nearest labelled loop around
-// it, and lists its innermost loops in program order.
-func loopLabels(p *ir.Program) (label map[*ir.For]string, innermost []*ir.For) {
+// it, and lists its innermost loops and its nests in program order.
+func loopLabels(p *ir.Program) (label map[*ir.For]string, innermost, nests []*ir.For) {
 	label = map[*ir.For]string{}
 	var walk func(body []ir.Stmt, outer string)
 	walk = func(body []ir.Stmt, outer string) {
@@ -107,13 +108,15 @@ func loopLabels(p *ir.Program) (label map[*ir.For]string, innermost []*ir.For) {
 				return nested
 			}) {
 				innermost = append(innermost, f)
+			} else {
+				nests = append(nests, f)
 			}
 			walk(f.Body, l)
 			return false
 		})
 	}
 	walk(p.Body, "")
-	return label, innermost
+	return label, innermost, nests
 }
 
 // examplePrograms parses examples/programs/*.ir by file base name.
@@ -154,18 +157,46 @@ func rowsRun(cp *compiled, frames []*frame) (ran, entered []bool) {
 	return ran, entered
 }
 
+// stripsRun reports, for each nest of the code in program order (a loop
+// around a loop; sums count), whether a frame ran trips of it by strip,
+// and whether it has an opRow.
+func stripsRun(cp *compiled, frames []*frame) (ran, entered []bool) {
+	for _, in := range cp.code {
+		if in.op != opForInit {
+			continue
+		}
+		next := cp.code[in.d]
+		if !slices.ContainsFunc(cp.code[next.c:in.d], func(b instr) bool { return b.op == opForInit }) {
+			continue
+		}
+		row := cp.code[next.c-1]
+		entered = append(entered, row.op == opRow)
+		ran = append(ran, row.op == opRow && slices.ContainsFunc(frames, func(f *frame) bool {
+			return f != nil && f.rowTrips != nil && f.rowTrips[row.a] > 0
+		}))
+	}
+	return ran, entered
+}
+
 // TestRowLoops pins which innermost loops of the apps and the example
 // programs run by row in direct execution at 16 ranks (the apps' default
 // inputs, the examples' N=512, STEPS=4), named by the nearest labelled
-// loop around them, and which get an opRow. Tomcatv's forward
-// elimination divides by an element and gets no opRow; nor does its
-// backward substitution, which writes RX(i) where the trip before read
-// RX(min(i+1,N)), so the alias proof would fail every strip. Sweep3D's
-// cell branches; its inflow loops get an opRow and run 4 trips, below
-// rowMin. NAS SP's loops address 3-D arrays, which the row path leaves to
-// the per-trip code. Ring's accumulation gets an opRow and runs 32 trips.
-// SAMPLE's work loop runs by row where its default, wavefront, pattern
-// runs it; the nearest-neighbour pattern's copy gets an opRow too.
+// loop around them, and which get an opRow; and the same of their nests
+// and strips. Tomcatv's forward elimination divides by an element and
+// gets no opRow; nor does its backward substitution, which writes RX(i)
+// where the trip before read RX(min(i+1,N)), so the alias proof would
+// fail every strip: its nest over jl runs by strip instead. Its other
+// nests get an opRow and leave their trips to their inner loops, which
+// run by row 254 trips wide. Sweep3D's cell branches; its inflow loops,
+// its initialisation and the global flux sum get an opRow and run 4
+// trips, below rowMin, and all but the sum, a reduction, run in nests
+// that strip: the initialisation over k, the inflows and the sweep over
+// a block's k-planes. NAS SP's 3-D loops get an opRow and run 8 trips;
+// its nests strip over k, but for the z solve, which reads at k-1 and
+// k+1 and strips over j, and the norm, a reduction. Ring's accumulation
+// gets an opRow and runs 32 trips. SAMPLE's work loop runs by row where
+// its default, wavefront, pattern runs it; the nearest-neighbour
+// pattern's copy gets an opRow too.
 func TestRowLoops(t *testing.T) {
 	progs := examplePrograms(t)
 	inputs := map[string]map[string]float64{}
@@ -189,12 +220,24 @@ func TestRowLoops(t *testing.T) {
 		"bcastpipe": {"fill"},
 		"ring":      {"acc"},
 		"sample":    {"work", "work"},
+		"nassp":     {"init", "rhs", "zsolve", "add", "rnorm"},
 		"stencil1d": {"smooth"},
-		"sweep3d":   {"inflow-i", "inflow-j"},
+		"sweep3d":   {"init", "inflow-i", "inflow-j", "fluxsum"},
 		"tomcatv":   {"init", "residual", "rmax", "update"},
 	}
+	wantStrips := map[string][]string{
+		"nassp":   {"init", "rhs", "xsolve-fwd", "xsolve-bwd", "ysolve-fwd", "ysolve-bwd", "zsolve", "add"},
+		"sweep3d": {"init", "inflow-i", "inflow-j", "sweep"},
+		"tomcatv": {"backward"},
+	}
+	wantStripEntered := map[string][]string{
+		"nassp": {"init", "init", "rhs", "rhs", "xsolve-fwd", "xsolve-fwd", "xsolve-bwd", "xsolve-bwd",
+			"ysolve-fwd", "ysolve-fwd", "ysolve-bwd", "ysolve-bwd", "zsolve", "add", "add"},
+		"sweep3d": {"init", "init", "inflow-i", "inflow-j", "sweep"},
+		"tomcatv": {"init", "residual", "backward", "update"},
+	}
 	for name, p := range progs {
-		label, innermost := loopLabels(p)
+		label, innermost, nests := loopLabels(p)
 		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name]}
 		_, cp, frames, err := runFrames(p, cfg)
 		if err != nil {
@@ -219,15 +262,78 @@ func TestRowLoops(t *testing.T) {
 		if !slices.Equal(gotEntered, wantEntered[name]) {
 			t.Errorf("%s: loops with an opRow %q, want %q\n%s", name, gotEntered, wantEntered[name], cp.dump())
 		}
+		ran, entered = stripsRun(cp, frames)
+		if len(ran) != len(nests) {
+			t.Fatalf("%s: %d nests in the code, %d in the program", name, len(ran), len(nests))
+		}
+		got, gotEntered = nil, nil
+		for i, r := range ran {
+			if r {
+				got = append(got, label[nests[i]])
+			}
+			if entered[i] {
+				gotEntered = append(gotEntered, label[nests[i]])
+			}
+		}
+		if !slices.Equal(got, wantStrips[name]) {
+			t.Errorf("%s: nests run by strip %q, want %q\n%s", name, got, wantStrips[name], cp.dump())
+		}
+		if !slices.Equal(gotEntered, wantStripEntered[name]) {
+			t.Errorf("%s: nests with an opRow %q, want %q\n%s", name, gotEntered, wantStripEntered[name], cp.dump())
+		}
 	}
+}
+
+// TestSweep3DStrips holds every trip of Sweep3D's sweep nest, in the
+// direct-execution run of 256 ranks (the de_sweep3d_256 workload's), to
+// running by strip: MK k-planes per block, ceil(KT/MK) blocks per octant
+// and eight octants on every rank.
+func TestSweep3DStrips(t *testing.T) {
+	spec := apps.Registry()["sweep3d"]
+	in := spec.Default(256)
+	p := spec.Build()
+	_, cp, frames, err := runFrames(p, Config{Config: mpi.Config{Ranks: 256, Machine: machine.IBMSP()}, Inputs: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := sweepRow(t, cp, p)
+	want := int64(in["MK"] * math.Ceil(in["KT"]/in["MK"]) * 8)
+	for r, f := range frames {
+		if got := f.rowTrips[sweep]; got != want {
+			t.Fatalf("rank %d ran %d trips of the sweep by strip, want %d\n%s", r, got, want, cp.dump())
+		}
+	}
+}
+
+// sweepRow returns the row loop of Sweep3D's sweep nest.
+func sweepRow(t *testing.T, cp *compiled, p *ir.Program) int32 {
+	t.Helper()
+	_, _, nests := loopLabels(p)
+	k := 0
+	for _, in := range cp.code {
+		if in.op != opForInit {
+			continue
+		}
+		next := cp.code[in.d]
+		if !slices.ContainsFunc(cp.code[next.c:in.d], func(b instr) bool { return b.op == opForInit }) {
+			continue
+		}
+		if k++; nests[k-1].Label == "sweep" && cp.code[next.c-1].op == opRow {
+			return cp.code[next.c-1].a
+		}
+	}
+	t.Fatalf("the sweep nest has no opRow\n%s", cp.dump())
+	return -1
 }
 
 // TestSweep3DCellInstructions pins the length of the common path through
 // Sweep3D's cell loop (the fixup branch not taken) in the direct-
-// execution run of 256 ranks, which is nearly all of a DE prediction's
-// host time: 29 instructions before elements were forwarded from
-// registers, offsets shared between arrays of one shape and the global k
-// index hoisted out of the loop.
+// execution run of 256 ranks: 29 instructions before elements were
+// forwarded from registers, offsets shared between arrays of one shape
+// and the global k index hoisted out of the loop. The sweep nest runs by
+// strip (TestSweep3DStrips), each instruction dispatched once per strip
+// of k-planes; this per-trip cell is its fallback path, which runs when
+// the entry proof fails, and the row code's instruction list.
 func TestSweep3DCellInstructions(t *testing.T) {
 	const most = 20
 	spec := apps.Registry()["sweep3d"]
@@ -320,7 +426,7 @@ func TestTimerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label, _ := loopLabels(res.Timer)
+		label, _, _ := loopLabels(res.Timer)
 		cfg := Config{Config: mpi.Config{Ranks: 16, Machine: machine.IBMSP()}, Inputs: inputs[name], Calibration: NewCalibration()}
 		cp, err := compile(res.Timer, &cfg)
 		if err != nil {
@@ -328,7 +434,7 @@ func TestTimerCounts(t *testing.T) {
 		}
 		var got []string
 		for _, f := range cp.counts {
-			got = append(got, label[f])
+			got = append(got, label[f.loop])
 		}
 		if !slices.Equal(got, want[name]) {
 			t.Errorf("%s: counted loops %q, want %q\n%s", name, got, want[name], cp.dump())

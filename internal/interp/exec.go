@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"mpisim/internal/ir"
@@ -258,7 +259,7 @@ func (f *frame) exec() bool {
 		case opCount:
 			// Charge the loop's trips and leave its registers as they do.
 			init, next := &code[pc], &code[code[pc].d]
-			if lo, hi := regs[init.b], regs[init.c]; f.counts(cp.counts[a], next.b, lo, hi) {
+			if lo, hi := regs[init.b], regs[init.c]; f.counts(&cp.counts[a], lo, hi) {
 				trips := int64(hi-lo) + 1
 				ops += int64(init.e) + trips*(int64(next.d)+int64(next.e))
 				regs[init.a], regs[init.a+1], regs[next.b] = hi, hi, hi
@@ -266,14 +267,19 @@ func (f *frame) exec() bool {
 				f.backEdges(int(trips - 1))
 			}
 		case opRow:
-			// The trips run by row are charged as their back-edges charge.
+			// The trips run by row are charged as their back-edges charge,
+			// and a nest's body as its row code charges.
 			rl := &cp.rows[a]
-			if lo, hi := regs[rl.ctr], regs[rl.ctr+1]; !(-exact < lo && lo+(rowMin-1) <= hi && hi < exact) {
+			least := float64(rowMin)
+			if rl.box != nil {
+				least = stripMin
+			}
+			if lo, hi := regs[rl.ctr], regs[rl.ctr+1]; !(-exact < lo && lo+(least-1) <= hi && hi < exact) {
 				break
 			}
-			trips, done := f.row(rl)
+			trips, body, done := f.row(rl)
 			next := &code[rl.next]
-			ops += int64(trips) * (int64(next.d) + int64(next.e))
+			ops += body + int64(trips)*(int64(next.d)+int64(next.e))
 			if done {
 				ops -= int64(next.e)
 				pc = int(rl.next) + 1
@@ -374,76 +380,15 @@ func (f *frame) exec() bool {
 	}
 }
 
-// counts reports whether loop, whose scalar is in register slot, makes
-// more than countMin trips from lo to hi, each value of its scalar exact
-// and every subscript of its body in range; else it runs trip by trip.
-// The body is unobserved assignments, so no scalar a subscript reads but
-// the loop's changes: a scalar a subscript reads is observed, and so is an
+// counts reports whether the loop cl, of scalar running from lo to hi,
+// makes more than countMin trips, each value of its scalar exact and
+// every subscript of its body in range; else it runs trip by trip. The
+// body is unobserved assignments, so no scalar a subscript reads but the
+// loop's changes: a scalar a subscript reads is observed, and so is an
 // assignment to it.
-func (f *frame) counts(loop *ir.For, slot int32, lo, hi float64) bool {
-	ok := -exact < lo && lo+countMin <= hi && hi < exact && hi-lo < exact
-	inRange := func(e ir.Expr) bool {
-		x, isIdx := e.(ir.Idx)
-		if isIdx && ok {
-			dims := f.arrays[f.cp.arrayIdx[x.Array]].dims
-			ok = len(x.Index) <= len(dims)
-			for d, s := range x.Index {
-				l, h, proven := f.span(s, slot, lo, hi)
-				if !f.cp.integral(s) { // intReg rounds it
-					l, h = math.Round(l), math.Round(h)
-				}
-				ok = ok && proven && 1 <= l && h <= float64(dims[d])
-			}
-		}
-		return ok && !isIdx
-	}
-	for _, s := range loop.Body {
-		a := s.(*ir.Assign)
-		if a.LHS.IsArray() {
-			inRange(ir.Idx{Array: a.LHS.Name, Index: a.LHS.Index})
-		}
-		ir.Inspect(a.RHS, inRange)
-	}
-	return ok
-}
-
-// span bounds the values e takes while the scalar in register loop runs
-// from lo to hi and the others keep theirs, if e is literals and scalars
-// under + - *, min, max and mod by a positive literal. Rounding is
-// monotone, so the bounds hold for the computed values too.
-func (f *frame) span(e ir.Expr, loop int32, lo, hi float64) (float64, float64, bool) {
-	switch x := e.(type) {
-	case ir.Num:
-		return x.Value, x.Value, true
-	case ir.Scalar:
-		if s := f.cp.slots[x.Name]; s != loop {
-			return f.regs[s], f.regs[s], true
-		}
-		return lo, hi, true
-	case ir.Bin:
-		l0, l1, lok := f.span(x.L, loop, lo, hi)
-		r0, r1, rok := f.span(x.R, loop, lo, hi)
-		ok := lok && rok
-		switch m, lit := x.R.(ir.Num); x.Op {
-		case ir.OpAdd:
-			return l0 + r0, l1 + r1, ok
-		case ir.OpSub:
-			return l0 - r1, l1 - r0, ok
-		case ir.OpMul:
-			return min(l0*r0, l0*r1, l1*r0, l1*r1), max(l0*r0, l0*r1, l1*r0, l1*r1), ok
-		case ir.OpMin:
-			return min(l0, r0), min(l1, r1), ok
-		case ir.OpMax:
-			return max(l0, r0), max(l1, r1), ok
-		case ir.OpMod: // [0, m] of a finite operand, [0, m-1] of an integer by a whole m
-			h := m.Value
-			if h == math.Trunc(h) && f.cp.integral(x.L) {
-				h--
-			}
-			return 0, h, ok && lit && m.Value > 0 && -exact < l0 && l1 < exact
-		}
-	}
-	return 0, 0, false
+func (f *frame) counts(cl *countLoop, lo, hi float64) bool {
+	return cl.ok && -exact < lo && lo+countMin <= hi && hi < exact && hi-lo < exact &&
+		f.inRange(cl.subs, []ir.Interval{{Lo: lo, Hi: hi}})
 }
 
 // rowScratch holds the rows of one loop running by row, rowStrip values
@@ -451,7 +396,11 @@ func (f *frame) span(e ir.Expr, loop int32, lo, hi float64) (float64, float64, b
 type rowScratch struct {
 	f      []float64
 	o      []int
-	stride []int // by offset row: its stride over the strip, once proven affine
+	stride []int         // by offset row: its stride over the strip, once proven affine
+	keep   []float64     // the rows an if-converted arm writes, as they were
+	saved  []int32       // ... and which rows they are
+	mask   []bool        // the trips an if-converted arm keeps
+	iv     []ir.Interval // a nest's entry proof: its loops' ranges
 }
 
 var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
@@ -459,23 +408,50 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 func (sc *rowScratch) row(k int32, n int) []float64 { return sc.f[int(k)*rowStrip:][:n] }
 func (sc *rowScratch) off(k int32, n int) []int     { return sc.o[int(k)*rowStrip:][:n] }
 
+// val reads a uniform operand: row k's first value, or register ^k.
+func (sc *rowScratch) val(k int32, regs []float64) float64 {
+	if k < 0 {
+		return regs[^k]
+	}
+	return sc.f[int(k)*rowStrip]
+}
+
+// set writes v to every value of row k, or to register ^k.
+func (sc *rowScratch) set(k int32, v float64, n int, regs []float64) {
+	if k < 0 {
+		regs[^k] = v
+		return
+	}
+	r := sc.row(k, n)
+	for t := range r {
+		r[t] = v
+	}
+}
+
 // row runs the loop rl, of whole bounds below 2^53, from the top of its
-// first trip by strips while each strip's addresses are in range and no
-// trip of it writes an element another trip touches, and returns the
-// trips run and whether they were all. The registers are left as the
-// trip-by-trip loop leaves them: at the top of the next trip, or behind
-// the loop.
-func (f *frame) row(rl *rowLoop) (trips int, done bool) {
+// first trip by strips, and returns the trips run, what its row code
+// charged and whether they were all. An innermost loop's strips run while
+// each one's addresses are in range and no trip of it writes an element
+// another trip touches; a nest runs every trip once its entry proof
+// holds, else none. The registers are left as the trip-by-trip loop
+// leaves them: at the top of the next trip, or behind the loop.
+func (f *frame) row(rl *rowLoop) (trips int, ops int64, done bool) {
 	regs := f.regs
 	lo, hi := regs[rl.ctr], regs[rl.ctr+1]
 	total := int(hi-lo) + 1
 	sc := rowPool.Get().(*rowScratch)
 	defer rowPool.Put(sc)
+	if rl.box != nil && !f.boxed(rl, sc, lo, hi, min(rowStrip, total)) {
+		return 0, 0, false
+	}
 	if n := len(rl.regs) * rowStrip; len(sc.f) < n {
 		sc.f = make([]float64, n)
 	}
 	if n := int(rl.offs) * rowStrip; len(sc.o) < n {
 		sc.o, sc.stride = make([]int, n), make([]int, rl.offs)
+	}
+	if sc.mask == nil {
+		sc.mask = make([]bool, rowStrip)
 	}
 	for _, k := range rl.fill {
 		r, v := sc.row(k, min(rowStrip, total)), regs[rl.regs[k]]
@@ -495,13 +471,17 @@ func (f *frame) row(rl *rowLoop) (trips int, done bool) {
 		if trips == 0 {
 			r[0] = lo // -0 + 0 is +0
 		}
-		if !f.rowCode(rl.addr, sc, n) {
+		if _, ok := f.rowCode(rl.addr, sc, n, nil); !ok {
 			break
 		}
 		if n = rl.proof(sc, n); n == 0 {
 			break
 		}
-		f.rowCode(rl.body, sc, n)
+		body, ok := f.rowCode(rl.body, sc, n, nil)
+		if !ok {
+			panic("interp: a nest left the range its entry proof gave")
+		}
+		ops += body
 		for _, k := range rl.out {
 			regs[rl.regs[k]] = sc.row(k, n)[n-1]
 		}
@@ -510,14 +490,14 @@ func (f *frame) row(rl *rowLoop) (trips int, done bool) {
 		if trips == total {
 			regs[rl.ctr] = hi
 			f.backEdges(n - 1)
-			return trips, true
+			return trips, ops, true
 		}
 		f.backEdges(n)
 	}
 	if trips > 0 {
 		regs[rl.ctr], regs[rl.slot] = lo+float64(trips), lo+float64(trips)
 	}
-	return trips, false
+	return trips, ops, false
 }
 
 // proof returns how many of the strip's first n trips can run by row: up
@@ -560,14 +540,30 @@ func (rl *rowLoop) proof(sc *rowScratch, n int) int {
 	return n
 }
 
-// rowCode runs row code over the first n trips of a strip. An address out
-// of range stops it: false.
-func (f *frame) rowCode(code []instr, sc *rowScratch, n int) bool {
+// rowCode runs row code over the first n trips of a strip and returns
+// what it charged; in an if-converted arm, mask says which trips store and
+// pay its charges. An address out of range stops it: false.
+func (f *frame) rowCode(code []instr, sc *rowScratch, n int, mask []bool) (ops int64, ok bool) {
 	regs, arrs := f.regs, f.arrays
-	for i := range code {
-		switch in := &code[i]; in.op {
+	per := int64(n) // the trips a charge is paid for
+	if mask != nil {
+		per = 0
+		for _, m := range mask[:n] {
+			if m {
+				per++
+			}
+		}
+	}
+	for pc := 0; pc < len(code); pc++ {
+		in := &code[pc]
+		switch in.op {
 		case opMov:
 			copy(sc.row(in.a, n), sc.row(in.b, n))
+		case opRound:
+			x, y := sc.row(in.a, n), sc.row(in.b, n)
+			for t := range x {
+				x[t] = math.Round(y[t])
+			}
 		case opCall:
 			x, y, fn := sc.row(in.a, n), sc.row(in.b, n), f.cp.fns[in.c]
 			for t := range x {
@@ -614,21 +610,44 @@ func (f *frame) rowCode(code []instr, sc *rowScratch, n int) bool {
 					x[t] = apply(op, y[t], z[t])
 				}
 			}
-		case opAddr1:
-			o, v0, d0 := sc.off(in.a, n), sc.row(in.c, n), arrs[in.b].dims[0]
-			for t := range o {
-				if o[t] = int(v0[t]) - 1; uint(o[t]) >= uint(d0) {
-					return false
+		case opAddr1, opAddr2, opAddr3:
+			// Each subscript is a row or a register; the offset is their
+			// sum, each scaled by the extents of the dimensions before it.
+			o, dims := sc.off(in.a, n), arrs[in.b].dims
+			all := [3]int32{in.c, in.d, in.e}
+			subs := all[:in.op-opAddr1+1]
+			var strides [3]int
+			base, stride, set := 0, 1, false
+			for d, k := range subs {
+				if strides[d] = stride; k < 0 {
+					v := int(regs[^k]) - 1
+					if uint(v) >= uint(dims[d]) {
+						return ops, false
+					}
+					base += v * stride
 				}
+				stride *= dims[d]
 			}
-		case opAddr2:
-			o, v0, v1, dims := sc.off(in.a, n), sc.row(in.c, n), sc.row(in.d, n), arrs[in.b].dims
-			for t := range o {
-				v, w := int(v0[t])-1, int(v1[t])-1
-				if uint(v) >= uint(dims[0]) || uint(w) >= uint(dims[1]) {
-					return false
+			for d, k := range subs {
+				if k < 0 {
+					continue
 				}
-				o[t] = v + dims[0]*w
+				v, s, dim := sc.row(k, n), strides[d], uint(dims[d])
+				for t := range o {
+					w := int(v[t]) - 1
+					if uint(w) >= dim {
+						return ops, false
+					}
+					if set {
+						o[t] += w * s
+					} else {
+						o[t] = base + w*s
+					}
+				}
+				set = true
+			}
+			for t := 0; t < n && !set; t++ {
+				o[t] = base
 			}
 		case opLoad:
 			x, o, data := sc.row(in.a, n), sc.off(in.c, n), arrs[in.b].data
@@ -658,11 +677,149 @@ func (f *frame) rowCode(code []instr, sc *rowScratch, n int) bool {
 		case opStore:
 			o, y, data := sc.off(in.b, n), sc.row(in.c, n), arrs[in.a].data
 			for t := range o {
-				data[o[t]] = y[t]
+				if mask == nil || mask[t] {
+					data[o[t]] = y[t]
+				}
+			}
+
+		// A nest's control: uniform, its targets relative to the body.
+		case opForInit:
+			lo, hi := sc.val(in.b, regs), sc.val(in.c, regs)
+			regs[in.a], regs[in.a+1] = lo, hi
+			ops += int64(in.e) * per
+			if next := &code[in.d]; lo <= hi {
+				sc.set(next.b, lo, n, regs)
+				ops += int64(next.e) * per
+			} else {
+				pc = int(in.d)
+			}
+		case opForNext:
+			ops += int64(in.d) * per
+			if v := regs[in.a] + 1; v <= regs[in.a+1] {
+				regs[in.a] = v
+				sc.set(in.b, v, n, regs)
+				ops += int64(in.e) * per
+				pc = int(in.c) - 1
+				f.backEdges(n)
+			}
+		case opJump:
+			ops += int64(in.b) * per
+			pc = int(in.a) - 1
+		case opCharge:
+			ops += int64(in.a) * per
+		case opBnLT, opBnLE, opBrZ, opBrProf:
+			ops += int64(in.d) * per
+			if in.e != 0 {
+				o, ok := f.ifConverted(code, pc, sc, n)
+				if ops += o; !ok {
+					return ops, false
+				}
+				if pc = int(in.c) - 1; code[pc].op == opJump && int(code[pc].a) > pc+1 {
+					pc = int(code[pc].a) - 1
+				}
+				break
+			}
+			var y float64
+			if in.op <= opBnLE {
+				y = sc.val(in.b, regs)
+			}
+			then := holds(in.op, sc.val(in.a, regs), y)
+			if in.op == opBrProf {
+				p := &f.prof[in.b]
+				p.total += int64(n)
+				if then {
+					p.taken += int64(n)
+				}
+			}
+			if !then {
+				pc = int(in.c) - 1
 			}
 		}
 	}
-	return true
+	return ops, true
+}
+
+// ifConverted runs the arms of the if-converted branch at code[pc] over
+// the first n trips of a strip and returns what they charged: the then
+// arm up to the branch target, or up to the jump over the else arm before
+// it, the else arm from there to that jump's target. An arm cannot fault,
+// so it runs on every trip of the strip but stores for the trips it is
+// taken on only, and the rows it writes are put back for the others.
+func (f *frame) ifConverted(code []instr, pc int, sc *rowScratch, n int) (ops int64, ok bool) {
+	in := &code[pc]
+	m, x, y := sc.mask[:n], sc.row(in.a, n), sc.row(in.a, n)
+	if in.op <= opBnLE {
+		y = sc.row(in.b, n)
+	}
+	taken := 0
+	for t := range m {
+		if m[t] = holds(in.op, x[t], y[t]); m[t] {
+			taken++
+		}
+	}
+	if in.op == opBrProf {
+		p := &f.prof[in.b]
+		p.total, p.taken = p.total+int64(n), p.taken+int64(taken)
+	}
+	then, end := int(in.c), int(in.c)
+	if j := &code[then-1]; j.op == opJump && int(j.a) > then {
+		then, end = then-1, int(j.a)
+		ops = int64(j.b) * int64(taken)
+	}
+	for _, arm := range [2][]instr{code[pc+1 : then], code[min(then+1, end):end]} {
+		if len(arm) > 0 && taken == n {
+			o, ok := f.rowCode(arm, sc, n, nil)
+			if ops += o; !ok {
+				return ops, false
+			}
+		} else if len(arm) > 0 && taken > 0 {
+			if need := len(arm) * rowStrip; len(sc.keep) < need {
+				sc.keep = make([]float64, need)
+			}
+			saved := sc.saved[:0]
+			for _, in := range arm {
+				if writesRow(in.op) && !slices.Contains(saved, in.a) {
+					copy(sc.keep[len(saved)*rowStrip:][:n], sc.row(in.a, n))
+					saved = append(saved, in.a)
+				}
+			}
+			o, ok := f.rowCode(arm, sc, n, m)
+			if ops += o; !ok {
+				return ops, false
+			}
+			for i, k := range saved {
+				x, was := sc.row(k, n), sc.keep[i*rowStrip:][:n]
+				for t := range x {
+					if !m[t] {
+						x[t] = was[t]
+					}
+				}
+			}
+			sc.saved = saved
+		}
+		for t := range m { // the else arm's trips
+			m[t] = !m[t]
+		}
+		taken = n - taken
+	}
+	return ops, true
+}
+
+// holds reports whether a branch of op on x and y falls through to its
+// then arm.
+func holds(op opcode, x, y float64) bool {
+	switch op {
+	case opBnLT:
+		return x < y
+	case opBnLE:
+		return x <= y
+	}
+	return x != 0
+}
+
+// writesRow reports whether row code of op writes the row of operand a.
+func writesRow(op opcode) bool {
+	return op >= opMov && op <= opCall || op == opLoad || op == opAddLoad || op == opSubLoad
 }
 
 // suspended reports whether the operation just started waits, saving

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"mpisim/internal/apps"
@@ -319,6 +320,23 @@ func TestOracleApps(t *testing.T) {
 //     next.e): TestOracleApps/sample's reports;
 //   - filling the loop scalar's first trip as lo + 0 (-0 + 0 is +0):
 //     seed=0/ranks=1 (R2(1,3) from the loop from -0) and TestRowShapes.
+//
+// And the strip's (strip.go's stripable and boxed, exec.go's rowCode):
+//
+//   - stripping a carried outer loop (stripable skips defined):
+//     TestOracleApps/sweep3d/ranks=1 (fsum, the flux sum stripped),
+//     seed=0/ranks=1 (sc and sr) and TestRowLoops;
+//   - if-converting an arm that can fault (stripable lets a division by
+//     a register through): seed=0/ranks=1 faults (the arm dividing by sz,
+//     zero where it is not taken), TestStripShapes, and TestRowLoops
+//     (Tomcatv's forward elimination strips);
+//   - dropping the mask on a store (rowCode's opStore stores every
+//     trip): TestOracleApps/sweep3d/ranks=1 (PHI fixed up on every
+//     k-plane), seed=0/ranks=1 (sr, summed over K1) and TestStripShapes;
+//   - skipping the entry proof (row never calls boxed): TestRowFaults
+//     (sweep3d MK=63 ends in "a nest left the range its entry proof
+//     gave"), TestStripShapes (the guarded subscript strips) and
+//     TestRowLoops (Tomcatv's nests strip, their inner rows wider).
 func TestOracleGenerated(t *testing.T) {
 	m := machine.IBMSP()
 	seeds := int64(200)
@@ -399,9 +417,44 @@ func TestRowShapes(t *testing.T) {
 	}
 }
 
+// TestStripShapes pins which of the generated strip shapes (irgen's
+// strips, in its order) run by strip and which get an opRow, nest by nest
+// in program order: the 3-D nest with its fixup branch, the branch with an
+// else arm and the triangular loop under the step's parity branch do,
+// their middle loops, which write along the outer index, get no opRow;
+// the carried scalar, the reduction (outer and middle loop), the read at
+// the outer index minus one, the bound growing with it and the arm
+// dividing by a scalar get no opRow; the guarded subscript gets one and
+// does not run by strip, its entry proof failing on the last cell.
+func TestStripShapes(t *testing.T) {
+	wantEntered := []bool{true, false, true, true, false, false, false, false, false, false, false, true}
+	want := []bool{true, false, true, true, false, false, false, false, false, false, false, false}
+	for seed := int64(0); seed < 3; seed++ {
+		prog, inputs := irgen.Program(seed, irgen.Config{AccessShapes: true})
+		inputs["STEPS"] = 1 // rank 0 runs the shapes in step 1
+		cfg := Config{Config: mpi.Config{Ranks: 1, Machine: machine.IBMSP(), Comm: mpi.Analytic}, Inputs: inputs}
+		_, cp, frames, err := runFrames(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, entered := stripsRun(cp, frames)
+		if len(ran) < len(want) || !slices.Equal(ran[len(ran)-len(want):], want) {
+			t.Errorf("seed %d: the strip shapes ran by strip %v, want %v\n%s", seed, ran[max(0, len(ran)-len(want)):], want, cp.dump())
+		}
+		if len(entered) < len(wantEntered) || !slices.Equal(entered[len(entered)-len(wantEntered):], wantEntered) {
+			t.Errorf("seed %d: the strip shapes with an opRow %v, want %v\n%s", seed, entered[max(0, len(entered)-len(wantEntered)):], wantEntered, cp.dump())
+		}
+		differential(t, fmt.Sprintf("seed=%d/steps=1", seed), prog, cfg, true)
+	}
+}
+
 // TestRowFaults holds a loop whose subscripts leave their range on some
 // trip to the fault the trip-by-trip loop raises there, text and all, in
-// a loop that would run by row; the same loop in range runs by row.
+// a loop that would run by row; the same loop in range runs by row. So
+// too a nest: Sweep3D with MK=63 blocks of KT=255 planes addresses SRC at
+// k-plane 256 in its fifth block, whose entry proof fails, and the sweep
+// nest faults trip by trip where the reference does, having run the four
+// blocks in range by strip.
 func TestRowFaults(t *testing.T) {
 	arrays := []*ir.ArrayDecl{
 		{Name: "A1", Dims: []ir.Expr{ir.N(99)}, Elem: 8},
@@ -441,6 +494,22 @@ func TestRowFaults(t *testing.T) {
 			if ran, _ := rowsRun(cp, frames); !slices.Equal(ran, []bool{true}) {
 				t.Errorf("%s: ran by row %v\n%s", tc.name, ran, cp.dump())
 			}
+		}
+	}
+
+	p := apps.Sweep3D()
+	cfg := baseConfig(4)
+	cfg.Inputs = apps.Sweep3DInputs(4, 4, 255, 63, 2, 2)
+	_, _, werr := runRef(p, cfg)
+	_, cp, frames, err := runFrames(p, cfg)
+	const want = "interp: index 256 out of bounds [1,255] in dim 3 of SRC"
+	if err == nil || werr == nil || err.Error() != werr.Error() || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("sweep3d MK=63: got %v, reference %v, want %s", err, werr, want)
+	}
+	sweep := sweepRow(t, cp, p)
+	for r, f := range frames {
+		if n := f.rowTrips[sweep]; n%63 != 0 || n > 4*63 {
+			t.Errorf("sweep3d MK=63: rank %d ran %d trips of the sweep by strip, want whole blocks of the first four", r, n)
 		}
 	}
 }

@@ -409,3 +409,53 @@ func TestTimedAndDelayPrint(t *testing.T) {
 		t.Fatalf("delay print: %s", sb.String())
 	}
 }
+
+// TestCompileSpan holds the interval rules: a scalar reads a register as
+// one value or ranges over an interval, + − * min max combine bounds, a
+// product takes the extremes of its corners, mod by a whole literal stays
+// below it for an integral operand and needs a finite one, and anything
+// else, or a scalar the leaf refuses, does not compile.
+func TestCompileSpan(t *testing.T) {
+	regs := []float64{3, math.Inf(1)}
+	vars := []Interval{{-2, 5}}
+	leaf := func(name string) (Span, bool) {
+		switch name {
+		case "k":
+			return SpanVar(0), true
+		case "n":
+			return SpanReg(0), true
+		case "inf":
+			return SpanReg(1), true
+		}
+		return nil, false
+	}
+	integral := func(Expr) bool { return true }
+	for _, tc := range []struct {
+		e      Expr
+		lo, hi float64
+		ok     bool
+	}{
+		{Add(S("k"), S("n")), 1, 8, true},
+		{Sub(S("n"), S("k")), -2, 5, true},
+		{Mul(S("k"), N(-2)), -10, 4, true},
+		{MinE(S("k"), N(4)), -2, 4, true},
+		{MaxE(S("k"), S("n")), 3, 5, true},
+		{Mod(S("k"), N(4)), 0, 3, true},
+		{Mod(S("k"), N(2.5)), 0, 2.5, true},
+		{Mod(S("inf"), N(4)), 0, 3, false},
+	} {
+		s, ok := CompileSpan(tc.e, leaf, integral)
+		if !ok {
+			t.Fatalf("%s does not compile", tc.e)
+		}
+		v, ok := s(regs, vars)
+		if v != (Interval{tc.lo, tc.hi}) || ok != tc.ok {
+			t.Errorf("%s: %v %v, want [%g, %g] %v", tc.e, v, ok, tc.lo, tc.hi, tc.ok)
+		}
+	}
+	for _, e := range []Expr{Div(S("k"), N(2)), Mod(S("k"), S("n")), Mod(S("k"), N(0)), At("A", S("k")), Add(S("k"), S("m"))} {
+		if _, ok := CompileSpan(e, leaf, integral); ok {
+			t.Errorf("%s compiles", e)
+		}
+	}
+}

@@ -108,6 +108,7 @@ func (g *gen) program(seed int64) (*ir.Program, map[string]float64) {
 		step = append(step, forwarding(p)...)
 		step = append(step, numbering()...)
 		step = append(step, counting(p)...)
+		step = append(step, strips(p)...)
 		step = append(step, rows(p)...)
 	}
 	body = append(body, ir.Loop("time", "t", ir.N(1), ir.S("STEPS"), step...))
@@ -347,6 +348,56 @@ func counting(p *ir.Program) []ir.Stmt {
 			&ir.Recv{Src: ir.Add(myid, n(1)), Tag: 97, Array: "D2", Section: ir.Sec(n(1), n(2))})},
 		&ir.If{Cond: ir.GT(ir.At("D2", n(1)), n(2)), Then: ir.Block(ir.SetS("x23", ir.Mul(ir.At("D2", n(1)), t)))},
 	)
+}
+
+// strips emits, on arrays of its own, the nests direct execution runs a
+// strip of outer trips at a time and the near misses it must run trip by
+// trip (all in bounds for N >= 16): a 3-D nest whose cell defines a
+// scalar before it reads it, runs a data-dependent branch and adds to a
+// face along a reversed index; a data-dependent branch with an else arm;
+// and a branch on the step's parity around a triangular loop. Trip by
+// trip: a scalar carried from one outer trip to the next, a reduction
+// across the inner loops, a read at the outer index minus one, an inner
+// bound that grows with the outer index, an arm dividing by a scalar that
+// is zero where the arm is not taken, and a subscript that would leave
+// its range on the last cell but for a guard.
+func strips(p *ir.Program) []ir.Stmt {
+	nn := ir.S("N")
+	n := func(v float64) ir.Expr { return ir.N(v) }
+	p.Arrays = append(p.Arrays,
+		&ir.ArrayDecl{Name: "K1", Dims: []ir.Expr{n(4), n(4), nn}, Elem: 8},
+		&ir.ArrayDecl{Name: "K2", Dims: []ir.Expr{n(4), nn}, Elem: 8},
+		&ir.ArrayDecl{Name: "K3", Dims: []ir.Expr{n(4), nn}, Elem: 8},
+	)
+	t, so, sj, si, sg := ir.S("t"), ir.S("so"), ir.S("sj"), ir.S("si"), ir.S("sg")
+	outer := func(lo ir.Expr, body ...ir.Stmt) ir.Stmt { return ir.Loop("", "so", lo, nn, body...) }
+	over := func(v string, hi ir.Expr, body ...ir.Stmt) ir.Stmt { return ir.Loop("", v, n(1), hi, body...) }
+	s1 := ir.At("K1", si, sj, so)
+	// A quarter of the ranks' steps run them, as the row shapes.
+	return ir.Block(&ir.If{Cond: ir.EQ(ir.Mod(ir.Add(ir.S(ir.BuiltinMyID), t), n(4)), n(1)), Then: ir.Block(
+		outer(n(1), over("sj", n(4), over("si", n(4),
+			ir.SetS("sg", ir.Sub(ir.Add(nn, n(1)), so)),
+			ir.SetA("K1", ir.IX(si, sj, so), ir.AddN(ir.Mul(s1, n(0.5)), ir.Mul(si, sj), ir.Div(so, n(8)), ir.Mul(t, n(-0.75)))),
+			&ir.If{Cond: ir.LT(s1, n(1)), Then: ir.Block(ir.SetA("K1", ir.IX(si, sj, so), ir.Mul(s1, n(-0.5))))},
+			ir.SetA("K2", ir.IX(si, sg), ir.Add(ir.At("K2", si, sg), s1))))),
+		outer(n(1), over("si", n(4), &ir.If{Cond: ir.GT(ir.At("K1", si, n(1), so), n(2)),
+			Then: ir.Block(ir.SetA("K3", ir.IX(si, so), ir.At("K1", si, n(1), so))),
+			Else: ir.Block(ir.SetA("K3", ir.IX(si, so), ir.Sub(n(0), ir.At("K1", si, n(2), so))))})),
+		outer(n(1), over("sj", n(4), &ir.If{Cond: ir.EQ(ir.Mod(t, n(2)), n(1)), Then: ir.Block(
+			over("si", sj, ir.SetA("K3", ir.IX(si, so), ir.Add(ir.At("K3", si, so), sj))))})),
+		ir.SetS("sc", n(0)),
+		outer(n(1), over("si", n(4), ir.SetA("K3", ir.IX(si, so), ir.Add(ir.S("sc"), si)),
+			ir.SetS("sc", ir.Add(ir.Mul(ir.S("sc"), n(0.5)), n(1))))),
+		ir.SetS("sr", n(0)),
+		outer(n(1), over("sj", n(4), over("si", n(4), ir.SetS("sr", ir.Add(ir.S("sr"), s1))))),
+		outer(n(2), over("si", n(4), ir.SetA("K2", ir.IX(si, so), ir.Add(ir.At("K2", si, ir.Sub(so, n(1))), n(1))))),
+		outer(n(1), over("si", ir.MinE(so, n(4)), ir.SetA("K3", ir.IX(si, so), ir.Mul(si, so)))),
+		outer(n(1), over("si", n(4), ir.SetS("sz", ir.Mod(ir.Add(si, so), n(2))),
+			&ir.If{Cond: ir.GT(ir.S("sz"), n(0.5)), Then: ir.Block(
+				ir.SetA("K3", ir.IX(si, so), ir.Div(ir.At("K1", si, n(1), so), ir.S("sz"))))})),
+		outer(n(1), over("si", n(4), &ir.If{Cond: ir.LT(si, n(4)), Then: ir.Block(
+			ir.SetA("K2", ir.IX(ir.Add(si, n(1)), so), ir.Mul(ir.At("K2", ir.Add(si, n(1)), so), n(0.5))))})),
+	)})
 }
 
 // rows emits, on arrays of its own, the loops direct execution runs a

@@ -87,9 +87,12 @@ func WriteArtifact(path string, a *Artifact) error {
 }
 
 // PartialWarning renders the one-line warning mpireport prints for a
-// partial artifact: the (shortened) abort reason plus its progress, the
-// consumed fraction of its budget, when it had one. Returns "" for a
-// complete artifact.
+// partial artifact: the (shortened) abort reason, the budget that stopped
+// the run when one did, and its progress, the consumed fraction of its
+// budget, when it had one. That fraction is of a budget, not of the
+// program: the kernel stops at or past a budget, so a run stopped by one
+// reads about 100% however little of its program it covered. Returns ""
+// for a complete artifact.
 func PartialWarning(path string, a *Artifact) string {
 	if !a.Partial {
 		return ""
@@ -102,8 +105,11 @@ func PartialWarning(path string, a *Artifact) string {
 		reason = "unknown"
 	}
 	s := fmt.Sprintf("%s is a partial run (aborted: %s", path, reason)
+	if budget, ok := strings.CutSuffix(reason, " exhausted"); ok && strings.HasSuffix(budget, "budget") {
+		s += "; stopped by its " + budget
+	}
 	if a.Progress > 0 {
-		s += fmt.Sprintf("; ~%.0f%% complete at abort", 100*a.Progress)
+		s += fmt.Sprintf("; ~%.0f%% of its budget used at abort", 100*a.Progress)
 	}
 	return s + "); its attribution understates the full execution"
 }

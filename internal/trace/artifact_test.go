@@ -23,8 +23,9 @@ func abortedArtifact() *Artifact {
 
 // TestPartialWarningIncludesProgress pins the mpireport warning
 // contract: an aborted fixture round-trips through the artifact file
-// and its warning carries the shortened reason plus the last-snapshot
-// progress percentage.
+// and its warning carries the shortened reason, the budget that stopped
+// the run and the consumed fraction of its budget, never as a fraction
+// of the program complete.
 func TestPartialWarningIncludesProgress(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "aborted.json")
 	if err := WriteArtifact(path, abortedArtifact()); err != nil {
@@ -44,12 +45,16 @@ func TestPartialWarningIncludesProgress(t *testing.T) {
 	for _, want := range []string{
 		"partial run",
 		"aborted: event budget exhausted",
-		"~42% complete at abort",
+		"stopped by its event budget",
+		"~42% of its budget used at abort",
 		"understates the full execution",
 	} {
 		if !strings.Contains(w, want) {
 			t.Errorf("warning missing %q:\n%s", want, w)
 		}
+	}
+	if strings.Contains(w, "complete") {
+		t.Errorf("warning should not read the budget fraction as the run's completion:\n%s", w)
 	}
 	if strings.Contains(w, "1000000 events") {
 		t.Errorf("warning should shorten the reason at ':':\n%s", w)
@@ -62,8 +67,8 @@ func TestPartialWarningWithoutProgress(t *testing.T) {
 	a.AbortReason = "watchdog"
 	a.Progress = 0
 	w := PartialWarning("x.json", a)
-	if strings.Contains(w, "% complete") {
-		t.Errorf("warning should omit progress when unknown:\n%s", w)
+	if strings.Contains(w, "% of its budget") || strings.Contains(w, "stopped by") {
+		t.Errorf("warning should omit progress when unknown, and name no budget a watchdog stop:\n%s", w)
 	}
 	if !strings.Contains(w, "aborted: watchdog)") {
 		t.Errorf("warning should keep a colon-free reason whole:\n%s", w)
