@@ -361,7 +361,7 @@ func Eval(e Expr, env map[string]float64) (float64, error) {
 			return 0, err
 		}
 		loI, hiI := int64(math.Round(lo)), int64(math.Round(hi))
-		if hiI < loI {
+		if math.IsNaN(lo) || math.IsNaN(hi) || hiI < loI {
 			return 0, nil
 		}
 		if hiI-loI > 1<<24 {

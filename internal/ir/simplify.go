@@ -35,8 +35,12 @@ func Simplify(e Expr) Expr {
 		free := map[string]bool{}
 		ScalarsIn(body, free, free)
 		if !free[x.Index] {
-			// sum_{i=lo..hi} c  ->  c * max(0, hi-lo+1)
+			// sum_{i=lo..hi} c  ->  c * max(0, hi-lo+1); a NaN bound
+			// makes no trips, as the loop it counts.
 			count := Simplify(MaxE(N(0), Add(Sub(hi, lo), N(1))))
+			if c, ok := count.(Num); ok && math.IsNaN(c.Value) {
+				count = N(0)
+			}
 			return simplifyBin(Bin{OpMul, body, count})
 		}
 		return SumE{x.Index, lo, hi, body}

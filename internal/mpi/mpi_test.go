@@ -613,6 +613,21 @@ func TestDelayByTask(t *testing.T) {
 	}
 }
 
+// A delay that is not finite is refused naming its task, before it
+// reaches a clock.
+func TestDelayTaskRefusesNonFinite(t *testing.T) {
+	for _, sec := range []float64{math.NaN(), math.Inf(1)} {
+		w, err := NewWorld(testConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.Run(func(r *Rank) { r.DelayTask("w_4", sec) })
+		if err == nil || !strings.Contains(err.Error(), "task w_4") {
+			t.Fatalf("DelayTask(%v): %v, want a refusal naming w_4", sec, err)
+		}
+	}
+}
+
 func TestAbstractGatherScatterAllgatherAlltoall(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Comm = AbstractComm

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mpisim/internal/fault"
 	"mpisim/internal/machine"
@@ -183,6 +184,10 @@ func (r *Rank) Delay(seconds float64) { r.DelayTask("", seconds) }
 // DelayTask is Delay attributed to a named condensed task, so reports
 // can break predicted computation down per task.
 func (r *Rank) DelayTask(task string, seconds float64) {
+	if math.IsNaN(seconds) || math.IsInf(seconds, 0) {
+		// A clock that is not finite has no place in the event order.
+		panic(fmt.Sprintf("mpi: task %s delays %v seconds; a delay must be finite", task, seconds))
+	}
 	if seconds < 0 {
 		// Scaling functions can yield tiny negative values for degenerate
 		// (empty) iteration spaces; clamp as the runtime library would.

@@ -11,7 +11,7 @@ import (
 
 // The BenchmarkKernel* suite measures raw kernel throughput (events/sec)
 // and steady-state allocation behaviour (allocs/event) across the
-// engine, protocol and queue axes at 16 to 65536 target processes (the
+// engine and protocol axes at 16 to 65536 target processes (the
 // top row is gated behind MPISIM_BENCH_LARGE so routine runs stay fast).
 // scripts/bench_kernel.sh runs it and records the results in
 // BENCH_kernel.json so the performance trajectory is tracked across PRs.
@@ -126,11 +126,11 @@ func benchAllocCeiling(b *testing.B, allocs uint64, events int64, procs int) {
 	}
 }
 
-func benchKernel(b *testing.B, procs, workers int, proto Protocol, queue QueueKind) {
-	benchKernelBody(b, procs, workers, proto, queue, spawnExch)
+func benchKernel(b *testing.B, procs, workers int, proto Protocol) {
+	benchKernelBody(b, procs, workers, proto, spawnExch)
 }
 
-func benchKernelBody(b *testing.B, procs, workers int, proto Protocol, queue QueueKind,
+func benchKernelBody(b *testing.B, procs, workers int, proto Protocol,
 	spawn benchSpawner, mutate ...func(*Config)) {
 	const latency = Time(1e-6)
 	rounds := benchEventTarget / procs
@@ -144,7 +144,7 @@ func benchKernelBody(b *testing.B, procs, workers int, proto Protocol, queue Que
 	var events int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := Config{Workers: workers, Protocol: proto, Queue: queue}
+		cfg := Config{Workers: workers, Protocol: proto}
 		if workers > 1 {
 			cfg.Lookahead = latency
 			cfg.RealParallel = true
@@ -190,7 +190,7 @@ func benchSizes(b *testing.B, workers int, proto Protocol) {
 	for _, procs := range benchProcCounts() {
 		procs := procs
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchKernel(b, procs, workers, proto, QueueQuaternary)
+			benchKernel(b, procs, workers, proto)
 		})
 	}
 }
@@ -204,7 +204,7 @@ func BenchmarkKernelFanIn(b *testing.B) {
 	for _, procs := range benchProcCounts() {
 		procs := procs
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			benchKernelBody(b, procs, 1, ProtocolWindow, QueueQuaternary, spawnFanIn)
+			benchKernelBody(b, procs, 1, ProtocolWindow, spawnFanIn)
 		})
 	}
 }
@@ -217,17 +217,6 @@ func BenchmarkKernelWindow(b *testing.B) { benchSizes(b, 4, ProtocolWindow) }
 // goroutines.
 func BenchmarkKernelNullMessage(b *testing.B) { benchSizes(b, 4, ProtocolNullMessage) }
 
-// BenchmarkKernelQueue compares the event-queue implementations
-// head-to-head on the sequential engine at 256 processes.
-func BenchmarkKernelQueue(b *testing.B) {
-	for _, queue := range []QueueKind{QueueQuaternary, QueueBinary} {
-		queue := queue
-		b.Run(queue.String(), func(b *testing.B) {
-			benchKernel(b, 256, 1, ProtocolWindow, queue)
-		})
-	}
-}
-
 // BenchmarkKernelObs measures the observability plane's cost on the
 // sequential engine at 256 processes. "off" is the paired baseline
 // (Config.Metrics nil, so every hook is one nil check); "disabled"
@@ -236,17 +225,17 @@ func BenchmarkKernelQueue(b *testing.B) {
 // scripts/bench_kernel.sh -check gates "off" against BENCH_kernel.json.
 func BenchmarkKernelObs(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch)
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch)
 	})
 	b.Run("disabled", func(b *testing.B) {
 		reg := obs.NewRegistry(1)
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) { cfg.Metrics = reg })
 	})
 	b.Run("metrics", func(b *testing.B) {
 		reg := obs.NewRegistry(1)
 		reg.SetEnabled(true)
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) { cfg.Metrics = reg })
 	})
 }
@@ -266,11 +255,11 @@ func BenchmarkKernelTelemetry(b *testing.B) {
 		return r
 	}
 	b.Run("off", func(b *testing.B) {
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) { cfg.Metrics = reg() })
 	})
 	b.Run("disabled", func(b *testing.B) {
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) {
 				cfg.Metrics = reg()
 				cfg.Timeline = obs.NewTimeline(nil, obs.TimelineOptions{})
@@ -280,7 +269,7 @@ func BenchmarkKernelTelemetry(b *testing.B) {
 	b.Run("armed", func(b *testing.B) {
 		tl := obs.NewTimeline(nil, obs.TimelineOptions{})
 		tl.SetEnabled(true)
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) {
 				cfg.Metrics = reg()
 				cfg.Timeline = tl
@@ -298,10 +287,10 @@ func BenchmarkKernelTelemetry(b *testing.B) {
 // against "off" in the same process.
 func BenchmarkKernelGuard(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch)
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch)
 	})
 	b.Run("armed", func(b *testing.B) {
-		benchKernelBody(b, 256, 1, ProtocolWindow, QueueQuaternary, spawnExch,
+		benchKernelBody(b, 256, 1, ProtocolWindow, spawnExch,
 			func(cfg *Config) {
 				cfg.Limits = Limits{MaxEvents: 1 << 60, StallEvents: 1 << 40}
 			})
@@ -314,7 +303,7 @@ func BenchmarkKernelWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchKernel(b, 1024, workers, ProtocolWindow, QueueQuaternary)
+			benchKernel(b, 1024, workers, ProtocolWindow)
 		})
 	}
 }

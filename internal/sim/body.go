@@ -102,8 +102,12 @@ func (p *Proc) RecvSrcTag(src, tag int) *Message {
 }
 
 // Sleep suspends the body until the given absolute simulated time, as
-// WaitSleep does a handler chain. Sleeping into the past is a no-op.
+// WaitSleep does a handler chain. Sleeping into the past is a no-op; a
+// NaN time is refused.
 func (p *Proc) Sleep(until Time) {
+	if until != until {
+		panic(fmt.Sprintf("sim: Sleep(NaN) on proc %d", p.id))
+	}
 	if until > p.slot.now {
 		p.block("Sleep", bodyStep{arm: armSleep, until: until})
 	}

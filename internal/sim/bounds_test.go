@@ -72,7 +72,7 @@ func boundsKernel(tops []Time, lookahead Time, proto Protocol) *Kernel {
 	k := &Kernel{cfg: Config{Workers: len(tops), Lookahead: lookahead, Protocol: proto}}
 	k.workers = make([]*worker, len(tops))
 	for i := range k.workers {
-		w := &worker{id: i, kernel: k, queue: newEventQueue(QueueQuaternary)}
+		w := &worker{id: i, kernel: k, queue: newEventQueue()}
 		if tops[i] < Infinity {
 			w.queue.push(event{t: tops[i], proc: i})
 		}

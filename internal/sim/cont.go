@@ -75,8 +75,11 @@ func (p *Proc) WaitRecv(src, tag int) {
 // WaitSleep arms a sleep until the given absolute simulated time. Unlike
 // Advance it lets other processes' messages arrive first. Sleeping into
 // the past is a no-op: the next handler runs immediately, with the clock
-// unchanged.
+// unchanged. A NaN time is refused.
 func (p *Proc) WaitSleep(until Time) {
+	if until != until {
+		panic(fmt.Sprintf("sim: WaitSleep(NaN) on proc %d", p.id))
+	}
 	s := p.armWait(armSleep)
 	s.sleepUntil = until
 }

@@ -76,7 +76,6 @@ func TestContMatchesClassic(t *testing.T) {
 		{Workers: 2, Lookahead: latency},
 		{Workers: 4, Lookahead: latency, RealParallel: true},
 		{Workers: 4, Lookahead: latency, Protocol: ProtocolNullMessage},
-		{Workers: 4, Lookahead: latency, Queue: QueueBinary},
 	} {
 		classic := runKernel(t, cfg, n, ringProgram(n, rounds, latency))
 		native := runContRing(t, cfg, n, rounds, latency)

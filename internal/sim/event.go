@@ -1,6 +1,12 @@
 package sim
 
-import "unsafe"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+	"unsafe"
+)
 
 // eventKind discriminates kernel events.
 type eventKind uint8
@@ -44,202 +50,224 @@ func eventLess(a, b *event) bool {
 }
 
 // eventCmp is eventLess as a three-way comparison for slices.SortFunc.
-// The (time, proc, seq) order is strict, so 0 is never returned for
-// distinct events.
+// The (time, proc, seq) order is a strict total order over finite
+// times, enforced by the kernel (a NaN time is refused where it would
+// enter), so 0 is never returned for distinct events.
 func eventCmp(a, b event) int {
 	if a.t != b.t {
-		if a.t < b.t {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.t, b.t)
 	}
 	if a.proc != b.proc {
-		if a.proc < b.proc {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.proc, b.proc)
 	}
-	if a.seq < b.seq {
-		return -1
-	}
-	if a.seq > b.seq {
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.seq, b.seq)
 }
 
-// QueueKind selects the pending-event queue implementation. Because the
-// event order (time, proc, seq) is a strict total order, every correct
-// implementation pops events in exactly the same sequence: simulation
-// results are bit-identical across kinds, and the choice is purely a
-// performance knob (benchmarked head-to-head in BenchmarkKernelQueue*).
-type QueueKind int
-
-const (
-	// QueueQuaternary is an implicit 4-ary min-heap: half the depth of a
-	// binary heap, so pops touch fewer cache lines. It wins at large
-	// process counts (deep queues, the paper's 6400-10000-rank regime)
-	// and is the default; the binary heap is a few percent ahead on
-	// small queues.
-	QueueQuaternary QueueKind = iota
-	// QueueBinary is a classic implicit binary min-heap (the seed
-	// kernel's structure, hand-rolled to avoid container/heap's
-	// interface-call overhead), kept for comparison.
-	QueueBinary
-)
-
-// String implements fmt.Stringer.
-func (q QueueKind) String() string {
-	if q == QueueBinary {
-		return "binary"
-	}
-	return "quaternary"
-}
-
-// eventQueue is a min-heap of pending event values, popping in ascending
-// (time, proc, seq) order. It is a concrete type — not an interface —
-// so the hot-path push/pop/peek calls dispatch directly and peek
-// inlines; the kind branch inside push/pop is perfectly predicted.
-// Sifts move the hole rather than swapping, and an ascending push (the
-// common pattern: arrivals trend upward, and the barrier merge inserts
-// sorted runs) sifts at most one level.
+// eventQueue holds one worker's pending events and pops them in
+// (time, proc, seq) order. Most pops tie the previous pop's time, so it
+// is keyed by distinct times: a 4-ary heap orders the pending times, each
+// with a bucket of events. The earliest bucket is staged, sorted by
+// (proc, seq) once (it usually already is), and peek and pop take from
+// its head. A push finds its bucket through the last pushed time, then a
+// linear-probing table on the time's bits; one at the staged time
+// inserts in order, one earlier un-stages it (the barrier merge after
+// safeBounds peeked). The 4-ary event heap this replaced is the oracle
+// in queue_test.go.
 type eventQueue struct {
-	kind QueueKind
-	a    []event
+	n     int       // pending events
+	times []timeRef // 4-ary min-heap of the unstaged buckets' times
+	bk    []bucket  // by id; a free bucket's time is NaN
+	free  []int32   // ids of free buckets
+	cur   int32     // the staged bucket, or -1
+	last  int32     // the bucket of the last pushed time, or -1
+	table []int32   // bucket id+1 by time, 0 empty; stale where the bucket's time moved on
+	used  int       // table entries, stale ones included
+	shift uint      // 64 - log2(len(table))
+	slab  []event   // preallocated backing that new buckets draw from
 }
 
-// newEventQueue constructs the queue implementation selected by kind.
-func newEventQueue(kind QueueKind) eventQueue {
-	return eventQueue{kind: kind}
+type timeRef struct {
+	t Time
+	b int32
 }
 
-// grow preallocates capacity for n pending events so steady-state pushes
-// never reallocate the slab.
-func (h *eventQueue) grow(n int) {
-	if cap(h.a)-len(h.a) < n {
-		a := make([]event, len(h.a), len(h.a)+n)
-		copy(a, h.a)
-		h.a = a
-	}
+// bucket holds the events of one time; ev[head:] are pending.
+type bucket struct {
+	t    Time
+	ev   []event
+	head int
 }
 
-func (h *eventQueue) len() int { return len(h.a) }
+// bucketChunk events of the slab back a new bucket; recycled buckets
+// keep what they grew to.
+const bucketChunk = 16
+
+var nan = Time(math.NaN())
+
+func newEventQueue() eventQueue {
+	q := eventQueue{cur: -1, last: -1}
+	q.rehash()
+	return q
+}
+
+// grow preallocates backing for n more pending events, so the steady
+// state allocates nothing.
+func (q *eventQueue) grow(n int) { q.slab = make([]event, len(q.slab)+n) }
+
+func (q *eventQueue) len() int { return q.n }
 
 // peek returns a pointer to the earliest pending event, valid until the
 // next push or pop, or nil when the queue is empty.
-func (h *eventQueue) peek() *event {
-	if len(h.a) == 0 {
+func (q *eventQueue) peek() *event {
+	if q.cur < 0 && !q.stage() {
 		return nil
 	}
-	return &h.a[0]
+	b := &q.bk[q.cur]
+	return &b.ev[b.head]
 }
 
-func (h *eventQueue) push(e event) {
-	if h.kind == QueueBinary {
-		h.pushBin(e)
+// pop removes the earliest pending event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	if q.cur < 0 {
+		q.stage()
+	}
+	b := &q.bk[q.cur]
+	e := b.ev[b.head]
+	q.n--
+	if b.head++; b.head == len(b.ev) { // drained: free it, keeping its backing
+		clear(b.ev) // drop message pointers for the collector
+		b.t, b.ev, b.head = nan, b.ev[:0], 0
+		q.free, q.cur = append(q.free, q.cur), -1
+	}
+	return e
+}
+
+func (q *eventQueue) push(e event) {
+	q.n++
+	id := q.last
+	if id < 0 || q.bk[id].t != e.t {
+		id = q.bucketFor(e.t)
+		q.last = id
+	}
+	b := &q.bk[id]
+	if id != q.cur {
+		b.ev = append(b.ev, e)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(b.ev[b.head:], e, eventCmp)
+	b.ev = slices.Insert(b.ev, b.head+i, e)
+}
+
+// stage makes the earliest time's bucket current, sorted; it reports
+// false when the queue is empty.
+func (q *eventQueue) stage() bool {
+	if len(q.times) == 0 {
+		return false
+	}
+	q.cur = q.popTime()
+	b := &q.bk[q.cur]
+	p := b.ev[b.head:]
+	for i := 1; i < len(p); i++ {
+		if eventLess(&p[i], &p[i-1]) {
+			slices.SortFunc(p, eventCmp)
+			break
+		}
+	}
+	return true
+}
+
+// bucketFor returns the bucket of time t, opening one if none is
+// pending; a time earlier than the staged one un-stages it.
+func (q *eventQueue) bucketFor(t Time) int32 {
+	i := q.home(t)
+	for ; q.table[i] != 0; i = (i + 1) & (len(q.table) - 1) {
+		if id := q.table[i] - 1; q.bk[id].t == t {
+			return id
+		}
+	}
+	if t != t {
+		panic("sim: event at NaN time")
+	}
+	id := int32(len(q.bk))
+	if n := len(q.free); n > 0 {
+		id, q.free = q.free[n-1], q.free[:n-1]
 	} else {
-		h.pushQuad(e)
+		k := min(len(q.slab), bucketChunk)
+		q.bk, q.slab = append(q.bk, bucket{ev: q.slab[:0:k]}), q.slab[k:]
+	}
+	q.bk[id].t, q.table[i] = t, id+1
+	if q.used++; 2*q.used > len(q.table) {
+		q.rehash()
+	}
+	if q.cur >= 0 && t < q.bk[q.cur].t {
+		q.pushTime(timeRef{q.bk[q.cur].t, q.cur})
+		q.cur = -1
+	}
+	q.pushTime(timeRef{t, id})
+	return id
+}
+
+// home is t's first table slot; -0 + 0 is +0, so equal times share it.
+func (q *eventQueue) home(t Time) int {
+	return int(math.Float64bits(float64(t+0)) * 0x9E3779B97F4A7C15 >> q.shift)
+}
+
+// rehash rebuilds the table from the pending buckets, dropping stale
+// entries. It is four times the buckets or more, so a rebuild, which
+// visits every bucket, comes at most once per that many new times.
+func (q *eventQueue) rehash() {
+	n := 64
+	for n < 4*len(q.bk) {
+		n *= 2
+	}
+	if n != len(q.table) {
+		q.table = make([]int32, n)
+	} else {
+		clear(q.table)
+	}
+	q.shift, q.used = uint(65-bits.Len(uint(n))), 0
+	for id := range q.bk {
+		if t := q.bk[id].t; t == t {
+			i := q.home(t)
+			for q.table[i] != 0 {
+				i = (i + 1) & (n - 1)
+			}
+			q.table[i], q.used = int32(id)+1, q.used+1
+		}
 	}
 }
 
-func (h *eventQueue) pop() event {
-	if h.kind == QueueBinary {
-		return h.popBin()
+// The time heap: children of node i are 4i+1..4i+4.
+
+func (q *eventQueue) pushTime(r timeRef) {
+	h := append(q.times, r)
+	i := len(h) - 1
+	for ; i > 0 && r.t < h[(i-1)/4].t; i = (i - 1) / 4 {
+		h[i] = h[(i-1)/4]
 	}
-	return h.popQuad()
+	h[i] = r
+	q.times = h
 }
 
-func (h *eventQueue) pushBin(e event) {
-	a := append(h.a, e)
-	i := len(a) - 1
-	for i > 0 {
-		par := (i - 1) / 2
-		if !eventLess(&e, &a[par]) {
+func (q *eventQueue) popTime() int32 {
+	h := q.times
+	top, last := h[0].b, h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
+	for c := 1; c < len(h); c = 4*i + 1 {
+		for j, end := c+1, min(c+4, len(h)); j < end; j++ {
+			if h[j].t < h[c].t {
+				c = j
+			}
+		}
+		if !(h[c].t < last.t) {
 			break
 		}
-		a[i] = a[par]
-		i = par
+		h[i], i = h[c], c
 	}
-	a[i] = e
-	h.a = a
-}
-
-func (h *eventQueue) popBin() event {
-	a := h.a
-	top := a[0]
-	n := len(a) - 1
-	last := a[n]
-	a[n] = event{} // drop the stale message pointer for the collector
-	h.a = a[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && eventLess(&a[c+1], &a[c]) {
-				c++
-			}
-			if !eventLess(&a[c], &last) {
-				break
-			}
-			a[i] = a[c]
-			i = c
-		}
-		a[i] = last
+	if len(h) > 0 {
+		h[i] = last
 	}
-	return top
-}
-
-// Quaternary heap: children of node i are 4i+1..4i+4.
-
-func (h *eventQueue) pushQuad(e event) {
-	a := append(h.a, e)
-	i := len(a) - 1
-	for i > 0 {
-		par := (i - 1) / 4
-		if !eventLess(&e, &a[par]) {
-			break
-		}
-		a[i] = a[par]
-		i = par
-	}
-	a[i] = e
-	h.a = a
-}
-
-func (h *eventQueue) popQuad() event {
-	a := h.a
-	top := a[0]
-	n := len(a) - 1
-	last := a[n]
-	a[n] = event{} // drop the stale message pointer for the collector
-	h.a = a[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			min := c
-			for j := c + 1; j < end; j++ {
-				if eventLess(&a[j], &a[min]) {
-					min = j
-				}
-			}
-			if !eventLess(&a[min], &last) {
-				break
-			}
-			a[i] = a[min]
-			i = min
-		}
-		a[i] = last
-	}
+	q.times = h
 	return top
 }

@@ -20,9 +20,9 @@
 //     incurs at least Lookahead of network delay and therefore cannot be
 //     received inside the window it was sent in.
 //
-// Simulation results are bit-identical across engines, worker counts and
-// queue implementations; the kernel is deterministic by construction
-// (total event order (time, proc, seq), deterministic mailbox matching).
+// Simulation results are bit-identical across engines and worker counts;
+// the kernel is deterministic by construction (total event order
+// (time, proc, seq) over finite times, deterministic mailbox matching).
 //
 // The hot path is allocation-free in steady state: events are plain
 // values in per-worker slabs, messages are pooled (pool.go), per-process
@@ -82,9 +82,6 @@ type Config struct {
 	// Protocol selects the conservative synchronization protocol for
 	// Workers > 1 (default ProtocolWindow).
 	Protocol Protocol
-	// Queue selects the pending-event queue implementation (default
-	// QueueQuaternary). Results are identical across kinds; see QueueKind.
-	Queue QueueKind
 	// Metrics, when non-nil, receives simulator-plane metrics (event
 	// throughput, pool hit rates, queue depth, scheduler counters, ...).
 	// Size its shard count to Workers; see internal/obs. Nil disables
@@ -233,7 +230,7 @@ func (k *Kernel) Run() (*Result, error) {
 		k.workers[i] = &worker{
 			id:     i,
 			kernel: k,
-			queue:  newEventQueue(k.cfg.Queue),
+			queue:  newEventQueue(),
 		}
 	}
 	k.bounds = make([]Time, nw)
@@ -352,10 +349,10 @@ type outCursor struct {
 // round into its destination worker's queue. Each outbox is one sorted
 // value slab (sorted at window end, inside the worker's parallel
 // section), so a k-way merge yields the events in global (time, proc,
-// seq) order; inserting an ascending sequence into an implicit heap
-// sifts at most one level, so the per-event insertion cost is
-// effectively O(1). The seed kernel instead concatenated all outboxes
-// and re-sorted the whole pending slice every barrier.
+// seq) order: ascending pushes mostly land in the last pushed time's
+// bucket, already in order, so the per-event insertion cost is O(1). A
+// merged event may be earlier than the bucket safeBounds staged by its
+// peek; the push un-stages it (event.go).
 func (k *Kernel) mergeOutboxes() {
 	heads := k.mergeHeads[:0]
 	for _, w := range k.workers {
@@ -642,11 +639,12 @@ func (w *worker) runLoop() {
 
 // batchSameTime drains immediately-following deliveries to q that share
 // the wake timestamp into q's mailbox before q runs, saving a
-// block/resume cycle per message on same-time fan-in. Only senders
-// ordered at or before q's own position in the (time, proc, seq) order
-// are batched: q cannot schedule any event that would precede those, so
-// the processing order is exactly what the unbatched kernel would have
-// produced and results stay bit-identical.
+// block/resume cycle per message on same-time fan-in. The run is the
+// head of the queue's staged bucket, so each step is an O(1) peek and
+// pop. Only senders ordered at or before q's own position in the
+// (time, proc, seq) order are batched: q cannot schedule any event that
+// would precede those, so the processing order is exactly what the
+// unbatched kernel would have produced and results stay bit-identical.
 func (w *worker) batchSameTime(q *Proc, t Time) {
 	s := q.slot
 	for {

@@ -151,9 +151,10 @@ func (p *Proc) Stats() ProcStats { return p.slot.stats }
 // simulation clock on the simulation thread by a specified amount").
 // It never yields to the kernel: local computation cannot affect other
 // processes except through later messages, so running ahead is safe
-// under the conservative protocols.
+// under the conservative protocols. A negative or NaN d is refused: the
+// event order needs finite, monotone clocks.
 func (p *Proc) Advance(d Time) {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative Advance(%v) on proc %d", d, p.id))
 	}
 	s := p.slot
@@ -202,7 +203,7 @@ func (p *Proc) SendTagFault(to, tag int, payload interface{}, size int64, arriva
 		panic(fmt.Sprintf("sim: Send to unknown proc %d", to))
 	}
 	s := p.slot
-	if arrival < s.now {
+	if !(arrival >= s.now) { // NaN included
 		panic(fmt.Sprintf("sim: Send arrival %v before local time %v", arrival, s.now))
 	}
 	w := p.worker
@@ -230,7 +231,7 @@ func (p *Proc) SendVia(relay, dst, tag int, payload interface{}, size int64, arr
 		panic(fmt.Sprintf("sim: SendVia through unknown proc %d", relay))
 	}
 	s := p.slot
-	if arrival < s.now {
+	if !(arrival >= s.now) {
 		panic(fmt.Sprintf("sim: SendVia arrival %v before local time %v", arrival, s.now))
 	}
 	w := p.worker
@@ -260,7 +261,7 @@ func (p *Proc) Forward(m *Message, dst int, arrival Time) {
 	if dst < 0 || dst >= len(p.kernel.procs) {
 		panic(fmt.Sprintf("sim: Forward to unknown proc %d", dst))
 	}
-	if arrival < p.slot.now {
+	if !(arrival >= p.slot.now) {
 		panic(fmt.Sprintf("sim: Forward arrival %v before local time %v", arrival, p.slot.now))
 	}
 	w := p.worker

@@ -95,39 +95,36 @@ func TestMessageDoubleFreePanics(t *testing.T) {
 	}
 }
 
-// TestQueueEquivalence is the queue axis of the determinism property:
-// for every engine x protocol combination, both queue implementations
-// must produce identical results (the event order is a strict total
-// order, so any correct priority queue pops identically).
+// TestQueueEquivalence is the determinism property over the engine
+// axes the queue serves: every engine x workers x protocol combination
+// pops the one (time, proc, seq) order, so results are identical.
 func TestQueueEquivalence(t *testing.T) {
 	const n = 12
-	build := func(workers int, real bool, proto Protocol, queue QueueKind) *Result {
-		cfg := Config{Workers: workers, RealParallel: real, Protocol: proto, Queue: queue}
+	build := func(workers int, real bool, proto Protocol) *Result {
+		cfg := Config{Workers: workers, RealParallel: real, Protocol: proto}
 		if workers > 1 {
 			cfg.Lookahead = 1e-5
 		}
 		return runKernel(t, cfg, n, ringProgram(n, 4, 1e-5))
 	}
-	ref := build(1, false, ProtocolWindow, QueueQuaternary)
+	ref := build(1, false, ProtocolWindow)
 	for _, workers := range []int{1, 3, 4} {
 		for _, real := range []bool{false, true} {
 			for _, proto := range []Protocol{ProtocolWindow, ProtocolNullMessage} {
-				for _, queue := range []QueueKind{QueueQuaternary, QueueBinary} {
-					got := build(workers, real, proto, queue)
-					if got.EndTime != ref.EndTime {
-						t.Fatalf("w=%d real=%v proto=%v queue=%v: EndTime %v != %v",
-							workers, real, proto, queue, got.EndTime, ref.EndTime)
+				got := build(workers, real, proto)
+				if got.EndTime != ref.EndTime {
+					t.Fatalf("w=%d real=%v proto=%v: EndTime %v != %v",
+						workers, real, proto, got.EndTime, ref.EndTime)
+				}
+				for i := range ref.Procs {
+					if got.Procs[i] != ref.Procs[i] {
+						t.Fatalf("w=%d real=%v proto=%v: proc %d stats differ",
+							workers, real, proto, i)
 					}
-					for i := range ref.Procs {
-						if got.Procs[i] != ref.Procs[i] {
-							t.Fatalf("w=%d real=%v proto=%v queue=%v: proc %d stats differ",
-								workers, real, proto, queue, i)
-						}
-					}
-					if got.Delivered != ref.Delivered || got.Events != ref.Events {
-						t.Fatalf("w=%d real=%v proto=%v queue=%v: event counts differ",
-							workers, real, proto, queue)
-					}
+				}
+				if got.Delivered != ref.Delivered || got.Events != ref.Events {
+					t.Fatalf("w=%d real=%v proto=%v: event counts differ",
+						workers, real, proto)
 				}
 			}
 		}

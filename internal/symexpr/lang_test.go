@@ -250,6 +250,15 @@ func TestSimplifySumIndependentBody(t *testing.T) {
 	if got := evalOK(t, s, map[string]float64{"N": 0, "c": 3}); got != 0 {
 		t.Fatalf("empty range after collapse: got %v, want 0", got)
 	}
+	// A NaN bound makes no trips, as the loop does: folded and unfolded.
+	nan := ir.SumE{Index: "i", Lo: ir.N(1), Hi: ir.Call{Name: "sqrt", Arg: ir.N(-1)}, Body: ir.S("c")}
+	if got := evalOK(t, ir.Simplify(nan), map[string]float64{"c": 3}); got != 0 {
+		t.Fatalf("NaN-bounded sum after collapse: got %v, want 0", got)
+	}
+	nan.Body = ir.S("i")
+	if got := evalOK(t, nan, nil); got != 0 {
+		t.Fatalf("NaN-bounded sum: got %v, want 0", got)
+	}
 }
 
 func TestFoldEnv(t *testing.T) {

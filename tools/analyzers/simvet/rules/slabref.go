@@ -32,8 +32,7 @@ import (
 // "sim" — the slabs are kernel-private.
 var slabMutators = map[string]bool{
 	// eventQueue mutators (event.go).
-	"push": true, "pop": true, "grow": true,
-	"pushBin": true, "popBin": true, "pushQuad": true, "popQuad": true,
+	"push": true, "pop": true, "grow": true, "bucketFor": true,
 	// Worker/kernel operations that push, pop or merge events on behalf
 	// of the caller (kernel.go, cont.go).
 	"sendOut": true, "mergeOutboxes": true, "processWindow": true,
